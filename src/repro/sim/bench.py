@@ -2,17 +2,15 @@
 
 One fixed workload -- a Case I hyperscale network replaying a seeded
 200 QPS poisson trace -- shared by everything that measures the
-engine's throughput: the ``repro bench`` subcommand,
-``scripts/profile_hotpath.py``, and the CI events/sec floor in
-``benchmarks/test_bench_event_throughput.py``. Keeping the scenario in
-one place means every number quoted anywhere (README, CI artifacts,
-benchmark JSON) is the same replay.
+engine's throughput: the ``repro bench`` subcommand and the CI
+events/sec floor in ``benchmarks/test_bench_event_throughput.py``.
+Keeping the scenario in one place means every number quoted anywhere
+(README, CI artifacts, benchmark JSON) is the same replay.
 
-Events/sec is the honest figure of merit here: the fast engine
-processes the *same* event count as the oracle on this workload (one
-arrival per request, one advance per decode step, one free + one
-complete per batch dispatch), so a fast/oracle events-per-second ratio
-is a pure wall-clock speedup, not an event-count artifact.
+Events/sec is the figure of merit: the event count is fixed by the
+workload (one arrival per request, one advance per decode step, one
+free + one complete per batch dispatch), and the test reference engine
+processes exactly as many, so events/sec moves only with wall clock.
 """
 
 from __future__ import annotations
@@ -41,10 +39,9 @@ __all__ = [
 ]
 
 #: Arrival rate of the canonical trace (requests per second). The
-#: loaded regime is deliberate: the oracle's per-step O(live-requests)
-#: bookkeeping is exactly what the slab path removes, so a lightly
-#: loaded trace would understate (and a saturated one overstate) the
-#: speedup a real sweep sees.
+#: loaded regime is deliberate: a busy decode batch is where per-step
+#: bookkeeping costs show, so a lightly loaded trace would hide (and a
+#: saturated one exaggerate) what a real sweep sees.
 CANONICAL_RATE_QPS = 800.0
 
 #: Requests of the canonical CI replay (approximate: the trace is a
@@ -95,11 +92,9 @@ def canonical_trace(requests: int = CANONICAL_REQUESTS,
 
 
 def replay_trace(perf_model: RAGPerfModel, schedule: Schedule,
-                 trace: RequestTrace, fast: bool = True,
-                 fast_forward: bool = False) -> BenchResult:
+                 trace: RequestTrace) -> BenchResult:
     """Submit the whole trace, drain, and time the replay."""
-    engine = ServingEngine(perf_model, schedule, fast=fast,
-                           fast_forward=fast_forward)
+    engine = ServingEngine(perf_model, schedule)
     submit = engine.submit
     start = time.perf_counter()  # simlint: allow[no-wallclock-in-sim]
     for arrival, length in zip(trace.arrivals, trace.decode_lens):
@@ -120,7 +115,6 @@ def replay_trace(perf_model: RAGPerfModel, schedule: Schedule,
 
 def profile_replay(perf_model: RAGPerfModel, schedule: Schedule,
                    trace: RequestTrace, top: int = 15,
-                   fast: bool = True, fast_forward: bool = False,
                    ) -> Tuple[BenchResult, str]:
     """cProfile one replay; returns (result, top-N table text).
 
@@ -130,8 +124,7 @@ def profile_replay(perf_model: RAGPerfModel, schedule: Schedule,
     """
     profiler = cProfile.Profile()
     profiler.enable()
-    result = replay_trace(perf_model, schedule, trace, fast=fast,
-                          fast_forward=fast_forward)
+    result = replay_trace(perf_model, schedule, trace)
     profiler.disable()
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)

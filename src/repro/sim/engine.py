@@ -3,10 +3,11 @@
 Two layers live here:
 
 * :class:`Simulation` / :class:`EventQueue` -- the minimal DES kernel.
-  Callbacks are scheduled at absolute times and executed in order; ties
-  break by insertion order, which keeps runs deterministic. ``run`` can
-  stop at a horizon and be resumed, so the same kernel drives both
-  batch replays and incremental stepping.
+  Components register a handler per integer event kind and schedule
+  ``(kind, payload)`` events at absolute or relative times; events run
+  in time order and ties break by insertion order, which keeps runs
+  deterministic. ``run`` can stop at a horizon and be resumed, so the
+  same kernel drives both batch replays and incremental stepping.
 * :class:`ServingEngine` -- the request-level serving network (batch
   stations time-multiplexing placement-group resources, a retrieval
   tier, a continuous-batching decode executor) with an **explicit
@@ -21,16 +22,14 @@ Two layers live here:
 driver over this engine: it submits a whole trace up front and drains,
 reproducing the pre-refactor replay bit for bit (pinned by tests).
 
-The engine has two wirings of the same network. The default **fast
-path** (``fast=True``) runs on a slab-backed event queue (integer
-event kinds dispatched through a handler table, timestamps drained in
-batches), flat per-stage bookkeeping slabs instead of per-request
-dicts, and a bucketized decode executor that is O(1) amortized per
-step. The original closure-per-event wiring is kept as the **oracle**
-(``fast=False``); parity tests pin the two to bit-identical
-:class:`~repro.sim.metrics.ServingReport`\\ s on every registered
-scenario. ``fast_forward=True`` additionally fluid-skips idle decode
-boundaries (report-equal, not bit-identical, on ties).
+The network runs on a slab-backed event queue (integer event kinds
+dispatched through a handler table, timestamps drained in batches),
+flat per-stage bookkeeping slabs instead of per-request dicts, and a
+bucketized decode executor that is O(1) amortized per step. The
+original closure-per-event wiring survives only as the test reference
+(``tests/reference_engine.py``); parity tests pin the engine to
+bit-identical :class:`~repro.sim.metrics.ServingReport`\\ s against it
+on every registered scenario.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from array import array
 from collections import deque
 from typing import (
@@ -74,20 +74,10 @@ from repro.sim.policies import (
 )
 from repro.workloads.traces import Request, RequestTrace
 
-#: An event callback receives the simulation so it can schedule more.
-EventFn = Callable[["Simulation"], None]
-
 #: Per-stage dispatch selection: one policy (or registry name) for all
 #: stages, or a mapping from stage to policy/name.
 DispatchSelection = Union[None, str, DispatchPolicy,
                           Mapping[Stage, Union[str, DispatchPolicy]]]
-
-
-#: Kind 0 is the generic-callback event: its payload is an
-#: :data:`EventFn` and dispatching it simply calls ``payload(sim)``.
-#: This keeps the original closure API (and the oracle engine path)
-#: running unchanged on the slab-backed queue.
-KIND_CALLBACK = 0
 
 _SLAB_GROW = 512
 
@@ -100,12 +90,9 @@ class EventQueue:
     deterministic. Per-event payloads live in preallocated parallel
     slabs (an integer ``kind`` array and an ``arg`` payload list)
     indexed by ``slot`` and recycled through a free list, so steady
-    state pushes allocate nothing but the heap tuple.
-
-    :meth:`push` keeps the historical closure API: it files the
-    callback under :data:`KIND_CALLBACK`. Hot paths use
-    :meth:`push_event` with an integer kind registered on the owning
-    :class:`Simulation`, avoiding a closure per event.
+    state pushes allocate nothing but the heap tuple. Kinds are
+    registered on the owning :class:`Simulation`, whose
+    :meth:`~Simulation.run` drains the queue through its handler table.
     """
 
     def __init__(self) -> None:
@@ -133,29 +120,6 @@ class EventQueue:
         self._args[slot] = arg
         heapq.heappush(self._heap, (time, next(self._counter), slot))
 
-    def push(self, time: float, callback: EventFn) -> None:
-        """Schedule a callback at an absolute time."""
-        self.push_event(time, KIND_CALLBACK, callback)
-
-    def pop(self) -> Tuple[float, EventFn]:
-        """Remove and return the earliest (time, callback).
-
-        Raises:
-            ConfigError: when the earliest event is kind-dispatched --
-                those carry no standalone callback; they are drained by
-                :meth:`Simulation.run` through its handler table.
-        """
-        time, _, slot = heapq.heappop(self._heap)
-        kind = self._kinds[slot]
-        arg = self._args[slot]
-        self._args[slot] = None
-        self._free.append(slot)
-        if kind != KIND_CALLBACK:
-            raise ConfigError(
-                "kind-dispatched events drain through Simulation.run, "
-                "not EventQueue.pop")
-        return time, arg
-
     def peek_time(self) -> float:
         """The earliest scheduled time without removing the event.
 
@@ -176,27 +140,20 @@ class EventQueue:
         return bool(self._heap)
 
 
-def _run_callback(sim: "Simulation", callback: EventFn) -> None:
-    """Handler for :data:`KIND_CALLBACK`: the payload is the event."""
-    callback(sim)
-
-
 class Simulation:
     """Event loop with a monotonically advancing clock.
 
-    Event dispatch goes through an integer-kind handler table: kind 0
-    invokes the payload as a callback (the classic closure API), and
-    components register additional kinds via :meth:`register_handler`
-    so their hot paths schedule ``(kind, payload)`` pairs instead of
-    constructing a closure per event.
+    Event dispatch goes through an integer-kind handler table:
+    components register one handler per event kind via
+    :meth:`register_handler` and schedule ``(kind, payload)`` pairs, so
+    no event allocates a closure.
     """
 
     def __init__(self) -> None:
         self._queue = EventQueue()
         self._now = 0.0
         self._events_processed = 0
-        self._handlers: List[Callable[["Simulation", Any], None]] = \
-            [_run_callback]
+        self._handlers: List[Callable[["Simulation", Any], None]] = []
 
     @property
     def now(self) -> float:
@@ -213,18 +170,6 @@ class Simulation:
         """Register an event handler; returns its integer kind."""
         self._handlers.append(handler)
         return len(self._handlers) - 1
-
-    def schedule(self, delay: float, callback: EventFn) -> None:
-        """Schedule a callback ``delay`` seconds from now."""
-        if delay < 0:
-            raise ConfigError("delay must be non-negative")
-        self._queue.push(self._now + delay, callback)
-
-    def schedule_at(self, time: float, callback: EventFn) -> None:
-        """Schedule a callback at an absolute time (>= now)."""
-        if time < self._now:
-            raise ConfigError("cannot schedule in the past")
-        self._queue.push(time, callback)
 
     def schedule_event(self, delay: float, kind: int, arg: Any) -> None:
         """Schedule a kind-dispatched event ``delay`` seconds from now."""
@@ -300,7 +245,7 @@ class _Resource:
     def __init__(self, name: str) -> None:
         self.name = name
         self.busy = False
-        # _BatchStation or _FastBatchStation; both expose try_dispatch.
+        # The stations sharing this resource, in release priority order.
         self.stations: List[Any] = []
         self.busy_time = 0.0
 
@@ -310,6 +255,21 @@ class _Resource:
             station.try_dispatch(sim)
             if self.busy:
                 break
+
+
+def _release_resource(sim: Simulation, resource: _Resource) -> None:
+    """Handler for resource-free events."""
+    resource.release(sim)
+
+
+def _complete_batch(sim: Simulation, payload: Tuple) -> None:
+    """Handler for batch-completion events."""
+    payload[0]._complete(sim, payload[1])
+
+
+def _flush_station(sim: Simulation, station: "_BatchStation") -> None:
+    """Handler for partial-batch flush events."""
+    station._flush(sim)
 
 
 class _BatchStation:
@@ -322,216 +282,10 @@ class _BatchStation:
 
     When to fire and how much to take are delegated to a
     :class:`~repro.sim.policies.DispatchPolicy` (already resolved
-    against this stage's default deadline).
-    """
-
-    def __init__(self, stage: Stage, batch_size: int,
-                 perf_fn: Callable[[int], "object"], resource: _Resource,
-                 deliver: Callable[[Simulation, RequestRecord], None],
-                 policy: DispatchPolicy) -> None:
-        self.stage = stage
-        self.batch_size = batch_size
-        self.perf_fn = perf_fn
-        self.resource = resource
-        self.deliver = deliver
-        self.policy = policy
-        self.queue: List[RequestRecord] = []
-        self._oldest_enqueue: Optional[float] = None
-        self._flush_scheduled = False
-        resource.stations.append(self)
-
-    def accept(self, sim: Simulation, record: RequestRecord) -> None:
-        self.queue.append(record)
-        record.stage_enqueues[self.stage] = sim.now
-        if self._oldest_enqueue is None:
-            self._oldest_enqueue = sim.now
-        self.try_dispatch(sim)
-
-    def try_dispatch(self, sim: Simulation) -> None:
-        if self.resource.busy or not self.queue:
-            return
-        waited = sim.now - self._oldest_enqueue
-        take = self.policy.take(len(self.queue), self.batch_size, waited)
-        if take > 0:
-            self._dispatch(sim, take)
-        elif not self._flush_scheduled:
-            delay = self.policy.flush_delay(waited)
-            if delay is not None:
-                self._flush_scheduled = True
-                sim.schedule(max(delay, 0.0), self._flush)
-
-    def _flush(self, sim: Simulation) -> None:
-        # Force-dispatch the partial batch (float rounding must not turn
-        # the staleness check into a zero-delay reschedule loop).
-        self._flush_scheduled = False
-        if not self.resource.busy and self.queue:
-            self._dispatch(sim, self.policy.flush_take(len(self.queue),
-                                                       self.batch_size))
-
-    def _dispatch(self, sim: Simulation, take: int) -> None:
-        batch = self.queue[:take]
-        del self.queue[:take]
-        for record in batch:
-            enqueued = record.stage_enqueues.get(self.stage, sim.now)
-            record.queue_waits[self.stage] = \
-                record.queue_waits.get(self.stage, 0.0) \
-                + (sim.now - enqueued)
-        self._oldest_enqueue = sim.now if self.queue else None
-        self.resource.busy = True
-        perf = self.perf_fn(take)
-        latency = perf.latency
-        occupancy = min(take / perf.request_qps, latency)
-        self.resource.busy_time += occupancy
-
-        def free(sim_: Simulation) -> None:
-            self.resource.release(sim_)
-
-        def complete(sim_: Simulation, batch_=batch) -> None:
-            for record in batch_:
-                record.stage_completions[self.stage] = sim_.now
-            for record in batch_:
-                self.deliver(sim_, record)
-
-        sim.schedule(occupancy, free)
-        sim.schedule(latency, complete)
-
-
-class _DecodeExecutor:
-    """Continuous-batching decode: sequences join at step boundaries and
-    leave after their own decode length (variable-length requests mix in
-    the batch, which is why the paper reports worst-case TPOT).
-
-    *Who* joins at a step boundary is the
-    :class:`~repro.sim.policies.AdmissionPolicy`'s call.
-
-    For iterative schemas (Case III), a sequence that hits one of its
-    retrieval positions leaves the batch through ``retrieval_hook`` (to
-    the retrieval + re-prefix stations) and re-joins via :meth:`accept`
-    when the new context has been integrated.
-    """
-
-    def __init__(self, capacity: int, step_latency: float, decode_len: int,
-                 on_complete: Callable[[Simulation, RequestRecord], None],
-                 admission: AdmissionPolicy,
-                 retrieval_hook: Optional[
-                     Callable[[Simulation, RequestRecord], None]] = None,
-                 positions_fn: Optional[
-                     Callable[[RequestRecord], List[int]]] = None) -> None:
-        self.capacity = capacity
-        self.step_latency = step_latency
-        self.decode_len = decode_len
-        self.on_complete = on_complete
-        self.admission = admission
-        self.retrieval_hook = retrieval_hook
-        self.positions_fn = positions_fn
-        self.waiting: List[RequestRecord] = []
-        self.remaining: List[List] = []  # [record, target]
-        self.running = False
-        self._progress: Dict[int, int] = {}
-        self._positions: Dict[int, List[int]] = {}
-        # Priority-aware policies reorder the waiting queue at accept;
-        # stock policies keep the exact historical append (bit-identity
-        # with pre-priority traces).
-        self._reorders = admission.reorders_waiting
-        self._waiting_prio: List[int] = []
-
-    def accept(self, sim: Simulation, record: RequestRecord) -> None:
-        if self._reorders:
-            # Stable insert: higher rank first, FIFO within a rank.
-            rank = self.admission.priority(record)
-            prio = self._waiting_prio
-            idx = len(prio)
-            while idx > 0 and prio[idx - 1] < rank:
-                idx -= 1
-            self.waiting.insert(idx, record)
-            prio.insert(idx, rank)
-        else:
-            self.waiting.append(record)
-        record.stage_enqueues[Stage.DECODE] = sim.now
-        if not self.running:
-            self.running = True
-            sim.schedule(0.0, self._step)
-
-    def _admit(self, now: float, record: RequestRecord) -> None:
-        if record.request_id not in self._progress:
-            self._progress[record.request_id] = 0
-            if self.positions_fn is not None:
-                self._positions[record.request_id] = list(
-                    self.positions_fn(record))
-            else:
-                self._positions[record.request_id] = []
-        enqueued = record.stage_enqueues.get(Stage.DECODE, now)
-        record.queue_waits[Stage.DECODE] = \
-            record.queue_waits.get(Stage.DECODE, 0.0) + (now - enqueued)
-        target = record.decode_len or self.decode_len
-        self.remaining.append([record, target])
-
-    def _step(self, sim: Simulation) -> None:
-        # Admit new sequences per the admission policy.
-        if self.waiting:
-            admitted = self.admission.admit(
-                [record.decode_len or self.decode_len
-                 for record in self.waiting],
-                [entry[1] - self._progress[entry[0].request_id]
-                 for entry in self.remaining],
-                self.capacity)
-            if self._reorders:
-                del self._waiting_prio[:admitted]
-            for _ in range(admitted):
-                self._admit(sim.now, self.waiting.pop(0))
-        if not self.remaining:
-            self.running = False
-            return
-
-        def advance(sim_: Simulation) -> None:
-            finished = []
-            departing = []
-            for entry in self.remaining:
-                record = entry[0]
-                self._progress[record.request_id] += 1
-                done = self._progress[record.request_id]
-                if done >= entry[1]:
-                    finished.append(entry)
-                    continue
-                positions = self._positions[record.request_id]
-                if positions and done >= positions[0]:
-                    positions.pop(0)
-                    departing.append(entry)
-            for entry in finished:
-                self.remaining.remove(entry)
-                entry[0].completion_time = sim_.now
-                self.on_complete(sim_, entry[0])
-            for entry in departing:
-                self.remaining.remove(entry)
-                self.retrieval_hook(sim_, entry[0])
-            self._step(sim_)
-
-        sim.schedule(self.step_latency, advance)
-
-
-def _release_resource(sim: Simulation, resource: _Resource) -> None:
-    """Handler for the fast path's resource-free events."""
-    resource.release(sim)
-
-
-def _complete_batch(sim: Simulation, payload: Tuple) -> None:
-    """Handler for the fast path's batch-completion events."""
-    payload[0]._complete(sim, payload[1])
-
-
-def _flush_station(sim: Simulation, station: "_FastBatchStation") -> None:
-    """Handler for the fast path's partial-batch flush events."""
-    station._flush(sim)
-
-
-class _FastBatchStation:
-    """Kind-dispatched twin of :class:`_BatchStation`.
-
-    Makes the same decisions in the same order (pinned by parity
-    tests); the differences are mechanical: free/complete/flush events
-    are scheduled through integer kinds instead of per-dispatch
-    closures, and per-request bookkeeping writes the engine's flat
-    per-stage slabs (NaN = untouched) instead of per-record dicts.
+    against this stage's default deadline). Free/complete/flush events
+    are scheduled through integer kinds, and per-request bookkeeping
+    writes the engine's flat per-stage slabs (NaN = untouched) instead
+    of per-record dicts.
     """
 
     __slots__ = ("stage", "batch_size", "perf_fn", "resource", "policy",
@@ -640,34 +394,30 @@ class _FastBatchStation:
                 downstream(sim, record)
 
 
-class _FastDecodeExecutor:
-    """Bucketized continuous-batching decode -- the fast path's core.
+class _DecodeExecutor:
+    """Bucketized continuous-batching decode.
 
-    Numerically and order-identical to :class:`_DecodeExecutor`
-    (pinned by parity tests) but O(1) amortized per step instead of
-    O(batch):
+    Sequences join at step boundaries and leave after their own decode
+    length (variable-length requests mix in the batch, which is why the
+    paper reports worst-case TPOT). *Who* joins at a step boundary is
+    the :class:`~repro.sim.policies.AdmissionPolicy`'s call. For
+    iterative schemas (Case III), a sequence that hits one of its
+    retrieval positions leaves the batch through ``retrieval_hook`` (to
+    the retrieval + re-prefix stations) and re-joins via :meth:`accept`
+    when the new context has been integrated.
+
+    The executor is O(1) amortized per step instead of O(batch):
 
     * Each live sequence's next interesting step (finish, or departure
       to iterative retrieval) is computed once at admission and the
       entry is filed in a per-step *bucket*; the advance event touches
       only the bucket due at that step instead of walking the whole
       batch.
-    * Step-boundary times are produced by replaying ``t +=
-      step_latency`` additions one at a time, exactly the float
-      sequence the oracle's event chain produces, so timestamps match
-      bit for bit.
     * Admission inputs are reconstructed arithmetically
       (``remaining(s) = target + base - s``; the summed token debt is
       an O(1) running counter), with closed-form fast paths for the
       stock greedy / token-budget policies and an exact
       materialized-list fallback for custom policies.
-
-    ``fast_forward`` adds a fluid skip: with nothing waiting, the next
-    advance jumps straight to the earliest bucket instead of visiting
-    every boundary in between. Timestamps still come from replayed
-    additions; only an arrival landing *exactly* on a skipped boundary
-    can order differently, so its contract is report equality on
-    sparse traces rather than bit identity (covered by test).
     """
 
     def __init__(self, capacity: int, step_latency: float,
@@ -677,8 +427,7 @@ class _FastDecodeExecutor:
                  retrieval_hook: Optional[
                      Callable[[Simulation, RequestRecord], None]] = None,
                  positions_fn: Optional[
-                     Callable[[RequestRecord], List[int]]] = None,
-                 fast_forward: bool = False) -> None:
+                     Callable[[RequestRecord], List[int]]] = None) -> None:
         self._q = engine._sim._queue  # direct pushes on the hot path
         self.capacity = capacity
         self.step_latency = step_latency
@@ -693,7 +442,6 @@ class _FastDecodeExecutor:
         self._enq = engine._slab_enq
         self._wait = engine._slab_wait
         self._n = engine._nstages
-        self._fast_forward = fast_forward
         # Progress/position bookkeeping only matters when requests can
         # leave decode for iterative retrieval and come back; the plain
         # pipeline skips those dict writes per request.
@@ -701,25 +449,19 @@ class _FastDecodeExecutor:
         self.waiting: Deque[RequestRecord] = deque()
         self._waiting_lens: Deque[int] = deque()
         # serial -> [record, target, base, serial, positions]; dict
-        # insertion order == admission order == the oracle's
-        # remaining-list scan order.
+        # insertion order == admission order.
         self._live: Dict[int, list] = {}
         self._serial = 0
         self._buckets: Dict[int, list] = {}
         self._tb_sum = 0  # sum(target + base) over live entries
         self._step_index = 0  # step boundary the clock last crossed
-        self._boundary_time = 0.0  # sim time of that boundary
-        self._adv_step = 0  # boundary the pending advance targets
-        self._gen = 0  # generation counter invalidating stale advances
-        self._skipping = False
         self._progress: Dict[int, int] = {}
         self._positions: Dict[int, List[int]] = {}
         self._greedy = type(admission) is GreedyAdmission
         self._budget = admission \
             if type(admission) is TokenBudgetAdmission else None
-        # Same reordering contract as the oracle executor: only
-        # priority-aware policies pay the insert; stock policies keep
-        # the plain appends on the hot path.
+        # Priority-aware policies reorder the waiting queue at accept;
+        # stock policies keep the plain appends on the hot path.
         self._reorders = admission.reorders_waiting
         self._waiting_prio: Deque[int] = deque()
         self._fin: list = []  # reusable per-event scratch buffers
@@ -728,8 +470,8 @@ class _FastDecodeExecutor:
     def accept(self, sim: Simulation, record: RequestRecord) -> None:
         self._enq[record.slab * self._n + self._si] = sim.now
         if self._reorders:
-            # Stable insert mirroring _DecodeExecutor.accept: higher
-            # rank first, FIFO within a rank, lens kept parallel.
+            # Stable insert: higher rank first, FIFO within a rank,
+            # lens kept parallel.
             rank = self.admission.priority(record)
             prio = self._waiting_prio
             idx = len(prio)
@@ -744,49 +486,22 @@ class _FastDecodeExecutor:
             self._waiting_lens.append(record.decode_len or self.decode_len)
         if not self.running:
             self.running = True
-            self._gen += 1
-            self._skipping = False
-            sim.schedule_event(0.0, self._eng._k_kick, self._gen)
-        elif self._skipping:
-            # A fluid skip is in flight but new work arrived: invalidate
-            # it (generation bump) and advance at the first boundary at
-            # or after now, replaying the additions the oracle's event
-            # chain would have produced up to that point.
-            self._gen += 1
-            self._skipping = False
-            sl = self.step_latency
-            t = self._boundary_time
-            step = self._step_index
-            now = sim.now
-            while True:
-                t += sl
-                step += 1
-                if t >= now:
-                    break
-            self._adv_step = step
-            sim.schedule_event_at(t, self._eng._k_adv, self._gen)
+            sim.schedule_event(0.0, self._eng._k_kick, None)
 
-    def _on_kick(self, sim: Simulation, gen: int) -> None:
+    def _on_kick(self, sim: Simulation, _: None) -> None:
         """Handler for the idle -> running transition event."""
-        if gen != self._gen:
-            return
-        self._boundary_time = sim.now
         self._boundary(sim)
 
     # simlint: hotpath
-    def _on_adv(self, sim: Simulation, gen: int) -> None:
+    def _on_adv(self, sim: Simulation, _: None) -> None:
         """Handler for a step-boundary advance event.
 
         Entries land in their bucket exactly at their precomputed
         finish-or-depart step, so every bucketed entry leaves the
-        batch here; finishes resolve before departures, matching the
-        oracle's scan order.
+        batch here; finishes resolve before departures.
         """
-        if gen != self._gen:
-            return
-        s = self._adv_step
+        s = self._step_index + 1
         self._step_index = s
-        self._boundary_time = sim.now
         bucket = self._buckets.pop(s, None)
         if bucket is not None:
             fin = self._fin
@@ -830,34 +545,25 @@ class _FastDecodeExecutor:
             return
         # Nothing to admit: schedule the next advance inline, pushing
         # the event straight into the queue slabs (the scheduling-call
-        # chain is pure overhead at one event per decode step).
-        k = 1
-        if self._fast_forward:
-            k = min(self._buckets) - s
-            self._skipping = k > 1
-        sl = self.step_latency
-        t = sim.now
-        target = s + k
-        while k > 0:
-            t += sl
-            k -= 1
-        self._adv_step = target
+        # chain is pure overhead at one event per decode step). Free
+        # slots always carry a None payload, which is all an advance
+        # needs.
         q = self._q
         free = q._free
         if not free:
             q._grow()
         slot = free.pop()
         q._kinds[slot] = self._eng._k_adv
-        q._args[slot] = self._gen
-        heapq.heappush(q._heap, (t, next(q._counter), slot))
+        heapq.heappush(q._heap, (sim.now + self.step_latency,
+                                 next(q._counter), slot))
 
     def _remaining(self, s: int) -> List[int]:
         """Materialized remaining-token list, in admission order."""
         return [entry[1] + entry[2] - s for entry in self._live.values()]
 
     def _boundary(self, sim: Simulation) -> None:
-        """Admit waiting work at boundary ``s`` and schedule the next
-        advance (replicating the oracle's ``_step``)."""
+        """Admit waiting work at the current step boundary and schedule
+        the next advance."""
         s = self._step_index
         waiting = self.waiting
         if waiting:
@@ -898,18 +604,7 @@ class _FastDecodeExecutor:
         if not self._live:
             self.running = False
             return
-        k = 1
-        if self._fast_forward and not waiting:
-            k = min(self._buckets) - s
-        self._skipping = k > 1
-        sl = self.step_latency
-        t = self._boundary_time
-        target = s + k
-        while k > 0:
-            t += sl
-            k -= 1
-        self._adv_step = target
-        sim.schedule_event_at(t, self._eng._k_adv, self._gen)
+        sim.schedule_event(self.step_latency, self._eng._k_adv, None)
 
     def _admit(self, now: float, s: int, record: RequestRecord,
                length: int) -> None:
@@ -958,6 +653,23 @@ class _FastDecodeExecutor:
 CompletionFn = Callable[[RequestRecord], None]
 
 
+def _token_count(value: Any) -> int:
+    """``value`` as a decode length in tokens.
+
+    Integral numbers convert exactly (``64.0`` -> 64); bools and
+    non-integral values (``2.7``, NaN, strings) raise instead of
+    truncating silently.
+    """
+    if not isinstance(value, bool):
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"decode_len must be an integer, got {value!r}")
+
+
 class ServingEngine:
     """Incremental, resumable request-level serving simulation.
 
@@ -996,21 +708,17 @@ class ServingEngine:
         on_complete: Optional listener invoked synchronously (during
             :meth:`step`/:meth:`drain`) with each finished request's
             :class:`~repro.sim.metrics.RequestRecord`.
-        fast: Use the slab-backed hot path (the default). ``False``
-            selects the original closure-per-event network, kept as the
-            bit-identical oracle the parity tests compare against.
-        fast_forward: Fluid-skip idle decode boundaries (requires
-            ``fast``). Reports stay equal on sparse traces, but exact
-            arrival-on-boundary ties may order differently, so this is
-            off by default.
     """
+
+    #: The DES kernel class. A private seam: the test-only reference
+    #: engine swaps in a kernel that also runs closure events.
+    _simulation = Simulation
 
     def __init__(self, perf_model: RAGPerfModel, schedule: Schedule,
                  max_wait: Optional[float] = None, seed: int = 0,
                  dispatch: DispatchSelection = None,
                  admission: Union[None, str, AdmissionPolicy] = None,
-                 on_complete: Optional[CompletionFn] = None,
-                 fast: bool = True, fast_forward: bool = False) -> None:
+                 on_complete: Optional[CompletionFn] = None) -> None:
         self._perf_model = perf_model
         self._schedule = schedule
         self._schema = perf_model.schema
@@ -1023,21 +731,16 @@ class ServingEngine:
         self._admission = resolve_admission_policy(admission)
         self._listeners: List[CompletionFn] = \
             [on_complete] if on_complete is not None else []
-        self._fast = bool(fast)
-        self._fast_forward = bool(fast_forward)
-        if self._fast_forward and not self._fast:
-            raise ConfigError(
-                "fast_forward requires the fast engine path (fast=True)")
         self._drained = False
-        self._sim = Simulation()
+        self._sim = self._simulation()
         self._accumulator = MetricsAccumulator(self._schema)
         self._next_id = 0
         self._stations: Dict[Stage, Any] = {}
         self._decode: Optional[Any] = None
-        # Per-request, per-stage bookkeeping slabs (fast path): three
-        # flat float lists with stride == number of pipeline stages,
-        # NaN = never touched. Materialized into the record's dicts
-        # once, at completion.
+        # Per-request, per-stage bookkeeping slabs: three flat float
+        # lists with stride == number of pipeline stages, NaN = never
+        # touched. Materialized into the record's dicts once, at
+        # completion.
         stages_all = pipeline_stages(self._schema)
         self._stage_slot = {stage: i
                             for i, stage in enumerate(stages_all)}
@@ -1087,13 +790,11 @@ class ServingEngine:
 
     def _build(self) -> None:
         schema = self._schema
-        fast = self._fast
-        if fast:
-            sim = self._sim
-            self._k_arrival = sim.register_handler(self._on_arrival)
-            self._k_free = sim.register_handler(_release_resource)
-            self._k_complete = sim.register_handler(_complete_batch)
-            self._k_flush = sim.register_handler(_flush_station)
+        sim = self._sim
+        self._k_arrival = sim.register_handler(self._on_arrival)
+        self._k_free = sim.register_handler(_release_resource)
+        self._k_complete = sim.register_handler(_complete_batch)
+        self._k_flush = sim.register_handler(_flush_station)
         stages = [stage for stage in pipeline_stages(schema)
                   if stage is not Stage.DECODE]
         resources: Dict[int, _Resource] = {}
@@ -1121,18 +822,9 @@ class ServingEngine:
             batch = self._schedule.batches[stage]
             perf_fn = self._stage_perf_fn(stage, amount)
             policy = self._station_policy(stage, perf_fn(batch).latency)
-            if fast:
-                station = _FastBatchStation(
-                    stage=stage, batch_size=batch, perf_fn=perf_fn,
-                    resource=resource, engine=self,
-                    downstream=deliver_next, policy=policy,
-                    sets_first_token=stage is Stage.PREFIX)
-            else:
-                station = _BatchStation(
-                    stage=stage, batch_size=batch, perf_fn=perf_fn,
-                    resource=resource,
-                    deliver=self._make_deliver(stage, deliver_next),
-                    policy=policy)
+            station = self._new_station(
+                stage, batch, perf_fn, resource, deliver_next, policy,
+                sets_first_token=stage is Stage.PREFIX)
             self._stations[stage] = station
             deliver_next = station.accept
         self._entry = deliver_next
@@ -1163,35 +855,16 @@ class ServingEngine:
                 Stage.PREFIX, prefix_perf_fn(iter_batch).latency)
             iter_retrieval_policy = self._station_policy(
                 Stage.RETRIEVAL, retrieval_perf_fn(iter_batch).latency)
-            if fast:
-                # The re-prefix delivers straight into decode (no
-                # first-token logic), matching the oracle's lambda.
-                iter_prefix = _FastBatchStation(
-                    stage=Stage.PREFIX, batch_size=iter_batch,
-                    perf_fn=prefix_perf_fn,
-                    resource=resources[prefix_index], engine=self,
-                    downstream=self._enter_decode,
-                    policy=iter_prefix_policy, sets_first_token=False)
-                iter_retrieval = _FastBatchStation(
-                    stage=Stage.RETRIEVAL, batch_size=iter_batch,
-                    perf_fn=retrieval_perf_fn,
-                    resource=retrieval_resource, engine=self,
-                    downstream=iter_prefix.accept,
-                    policy=iter_retrieval_policy, sets_first_token=False)
-            else:
-                iter_prefix = _BatchStation(
-                    stage=Stage.PREFIX, batch_size=iter_batch,
-                    perf_fn=prefix_perf_fn,
-                    resource=resources[prefix_index],
-                    deliver=lambda sim, record: self._decode.accept(
-                        sim, record),
-                    policy=iter_prefix_policy)
-                iter_retrieval = _BatchStation(
-                    stage=Stage.RETRIEVAL, batch_size=iter_batch,
-                    perf_fn=retrieval_perf_fn,
-                    resource=retrieval_resource,
-                    deliver=iter_prefix.accept,
-                    policy=iter_retrieval_policy)
+            # The re-prefix delivers straight into decode (no first-token
+            # logic).
+            iter_prefix = self._new_station(
+                Stage.PREFIX, iter_batch, prefix_perf_fn,
+                resources[prefix_index], self._enter_decode,
+                iter_prefix_policy, sets_first_token=False)
+            iter_retrieval = self._new_station(
+                Stage.RETRIEVAL, iter_batch, retrieval_perf_fn,
+                retrieval_resource, iter_prefix.accept,
+                iter_retrieval_policy, sets_first_token=False)
             retrieval_hook = iter_retrieval.accept
             retrievals = schema.retrieval_frequency - 1
             base_seed = self._seed
@@ -1205,37 +878,29 @@ class ServingEngine:
                 return sample_retrieval_positions(
                     length, count, seed=base_seed + record.request_id)
 
-        if fast:
-            # The executor's bound methods escape into the handler
-            # table only *after* this final rebind, so the escaped
-            # callables always target the live object.
-            self._decode = _FastDecodeExecutor(  # simlint: allow[listener-rebind]
-                capacity=decode_batch, step_latency=step_latency,
-                decode_len=schema.sequences.decode_len,
-                on_complete=self._request_done,
-                admission=self._admission, engine=self,
-                retrieval_hook=retrieval_hook,
-                positions_fn=positions_fn,
-                fast_forward=self._fast_forward)
-            self._k_kick = self._sim.register_handler(
-                self._decode._on_kick)
-            self._k_adv = self._sim.register_handler(self._decode._on_adv)
-        else:
-            self._decode = _DecodeExecutor(  # simlint: allow[listener-rebind]
-                capacity=decode_batch, step_latency=step_latency,
-                decode_len=schema.sequences.decode_len,
-                on_complete=self._request_done,
-                admission=self._admission,
-                retrieval_hook=retrieval_hook,
-                positions_fn=positions_fn)
+        self._decode = self._new_decode(
+            capacity=decode_batch, step_latency=step_latency,
+            decode_len=schema.sequences.decode_len,
+            on_complete=self._request_done, admission=self._admission,
+            retrieval_hook=retrieval_hook, positions_fn=positions_fn)
 
-    def _make_deliver(self, stage: Stage, downstream):
-        def deliver(sim: Simulation, record: RequestRecord) -> None:
-            if stage is Stage.PREFIX and record.first_token_time is None:
-                record.first_token_time = sim.now
-            downstream(sim, record)
+    def _new_station(self, stage: Stage, batch_size: int,
+                     perf_fn: Callable[[int], Any], resource: _Resource,
+                     downstream: Callable[[Simulation, RequestRecord], None],
+                     policy: DispatchPolicy,
+                     sets_first_token: bool) -> _BatchStation:
+        """One batch station of the network (a private seam the test
+        reference engine overrides)."""
+        return _BatchStation(stage, batch_size, perf_fn, resource, self,
+                             downstream, policy, sets_first_token)
 
-        return deliver
+    def _new_decode(self, **knobs: Any) -> _DecodeExecutor:
+        """The decode executor, with its event kinds registered (a
+        private seam the test reference engine overrides)."""
+        decode = _DecodeExecutor(engine=self, **knobs)
+        self._k_kick = self._sim.register_handler(decode._on_kick)
+        self._k_adv = self._sim.register_handler(decode._on_adv)
+        return decode
 
     def _enter_decode(self, sim: Simulation, record: RequestRecord) -> None:
         self._decode.accept(sim, record)
@@ -1247,7 +912,7 @@ class ServingEngine:
         """Fill the record's per-stage dicts from the engine slabs.
 
         Runs once per request, at completion, before the accumulator
-        and listeners observe the record -- the fast path's only
+        and listeners observe the record -- the engine's only
         per-request dict work. NaN marks a stage never touched
         (NaN != NaN, so ``v == v`` is the "was set" test).
         """
@@ -1271,8 +936,7 @@ class ServingEngine:
                 waits[stage] = v
 
     def _request_done(self, sim: Simulation, record: RequestRecord) -> None:
-        if self._fast:
-            self._materialize(record)
+        self._materialize(record)
         self._accumulator.finish(record)
         for listener in self._listeners:
             listener(record)
@@ -1352,7 +1016,8 @@ class ServingEngine:
             in as the simulation advances).
 
         Raises:
-            ConfigError: on a timestamp behind the engine's clock, a
+            ConfigError: on a non-numeric or bool arrival, a timestamp
+                behind the engine's clock, a bool, non-integral, or
                 non-positive decode length, or an engine that has
                 already been drained (single-use lifecycle).
         """
@@ -1360,9 +1025,11 @@ class ServingEngine:
             raise ConfigError(
                 "engine already drained; a ServingEngine is single-use "
                 "-- build a new engine for the next run")
-        if not isinstance(arrival, (int, float)) \
+        if isinstance(arrival, bool) \
+                or not isinstance(arrival, (int, float)) \
                 or not math.isfinite(arrival):
-            raise ConfigError("arrival must be a finite number")
+            raise ConfigError(
+                f"arrival must be a finite number, got {arrival!r}")
         if arrival < 0:
             raise ConfigError("arrival times must be non-negative")
         if arrival < self._sim.now:
@@ -1371,38 +1038,36 @@ class ServingEngine:
                 f"engine's past (simulated time {self._sim.now})")
         if decode_len is None:
             decode_len = self._schema.sequences.decode_len
+        elif type(decode_len) is not int:
+            decode_len = _token_count(decode_len)
         if decode_len <= 0:
             raise ConfigError("decode lengths must be positive")
         record = RequestRecord(request_id=self._next_id, arrival=arrival,
-                               decode_len=int(decode_len),
+                               decode_len=decode_len,
                                user_id=user_id, session_id=session_id,
                                tier=tier)
         self._next_id += 1
         self._accumulator.add(record)
-        if self._fast:
-            # The slab index is engine-local and deliberately separate
-            # from request_id (FleetEngine rewrites request_id to the
-            # fleet-wide arrival index after submission).
-            record.slab = self._slab_n
-            self._slab_n += 1
-            pad = self._slab_pad
-            self._slab_enq.extend(pad)
-            self._slab_comp.extend(pad)
-            self._slab_wait.extend(pad)
-            # Inline schedule_event_at(arrival, ...): arrival >= now was
-            # validated above, and replay-heavy callers submit whole
-            # traces, so the call layers matter.
-            q = self._queue
-            free = q._free
-            if not free:
-                q._grow()
-            slot = free.pop()
-            q._kinds[slot] = self._k_arrival
-            q._args[slot] = record
-            heapq.heappush(q._heap, (arrival, next(q._counter), slot))
-        else:
-            self._sim.schedule_at(arrival,
-                                  lambda s, r=record: self._entry(s, r))
+        # The slab index is engine-local and deliberately separate from
+        # request_id (FleetEngine rewrites request_id to the fleet-wide
+        # arrival index after submission).
+        record.slab = self._slab_n
+        self._slab_n += 1
+        pad = self._slab_pad
+        self._slab_enq.extend(pad)
+        self._slab_comp.extend(pad)
+        self._slab_wait.extend(pad)
+        # Inline schedule_event_at(arrival, ...): arrival >= now was
+        # validated above, and replay-heavy callers submit whole traces,
+        # so the call layers matter.
+        q = self._queue
+        free = q._free
+        if not free:
+            q._grow()
+        slot = free.pop()
+        q._kinds[slot] = self._k_arrival
+        q._args[slot] = record
+        heapq.heappush(q._heap, (arrival, next(q._counter), slot))
         return record
 
     def step(self, until: float) -> float:

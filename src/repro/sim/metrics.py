@@ -53,8 +53,8 @@ class RequestRecord:
         tier: SLO tier label (e.g. ``"free"``/``"paid"``) used by
             tier-aware admission and per-tier reporting; None when
             anonymous.
-        slab: Engine-local index into the fast path's per-stage
-            bookkeeping slabs (-1 outside the fast path). Deliberately
+        slab: Engine-local index into the engine's per-stage
+            bookkeeping slabs (-1 until submitted). Deliberately
             separate from ``request_id``, which a fleet rewrites to the
             fleet-wide arrival index after submission; excluded from
             equality so records compare on lifecycle alone.

@@ -31,7 +31,7 @@ This module supplies that workload model:
 All randomness flows from the population's ``seed`` through
 per-user :class:`~repro.sim.rng.DeterministicRNG` streams, so the
 same population produces the same traffic, request for request, on
-every run and on both engine paths (``fast=True`` and the oracle).
+every run.
 """
 
 from __future__ import annotations
@@ -449,7 +449,7 @@ class ClosedLoopDriver:
     exact -- no arrival is ever clamped or reordered. Determinism:
     all draws come from the population's per-user streams, so the
     same (population, engine config, horizon) triple reproduces the
-    same submissions on the fast path and the oracle alike.
+    same submissions on every run.
     """
 
     def __init__(self, population: UserPopulation, engine: Any,

@@ -275,12 +275,23 @@ class RequestTrace:
             if "arrival" not in row:
                 raise ConfigError(
                     f"{path}:{number}: request line needs an 'arrival'")
+            arrival = row["arrival"]
+            if isinstance(arrival, bool) \
+                    or not isinstance(arrival, (int, float)):
+                raise ConfigError(
+                    f"{path}:{number}: arrival must be a number, got "
+                    f"{arrival!r}")
             decode_len = None
             if "decode_len" in row:
-                decode_len = int(row["decode_len"])
+                decode_len = row["decode_len"]
+                if isinstance(decode_len, bool) \
+                        or not isinstance(decode_len, int):
+                    raise ConfigError(
+                        f"{path}:{number}: decode_len must be an integer, "
+                        f"got {decode_len!r}")
                 lengths += 1
             records.append(Request(
-                arrival=float(row["arrival"]),
+                arrival=float(arrival),
                 decode_len=decode_len,
                 user_id=None if row.get("user_id") is None
                 else str(row["user_id"]),

@@ -473,6 +473,17 @@ def test_trace_missing_file_fails_cleanly(capsys):
     assert "error:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("row", ['{"arrival": 0.0, "decode_len": null}',
+                                 '{"arrival": "soon"}'])
+def test_trace_malformed_field_fails_cleanly(tmp_path, capsys, row):
+    path = tmp_path / "typed.jsonl"
+    path.write_text(row + "\n")
+    assert main(["trace", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("error:") and out.count("\n") == 1
+    assert f"{path}:1:" in out
+
+
 def test_trace_bad_bins_fails_cleanly(tmp_path, capsys):
     from repro.workloads import poisson_trace
 

@@ -151,7 +151,8 @@ def test_malformed_ops_answer_errors_without_dropping(setup):
                      b'[1, 2, 3]\n',
                      b'{"op": "bogus"}\n',
                      b'{"op": "submit", "decode_len": "many"}\n',
-                     b'{"op": "submit", "decode_len": -5}\n'):
+                     b'{"op": "submit", "decode_len": -5}\n',
+                     b'{"op": "submit", "decode_len": true}\n'):
             writer.write(line)
             await writer.drain()
             responses.append(await _lines_until(reader, "error"))
@@ -166,6 +167,8 @@ def test_malformed_ops_answer_errors_without_dropping(setup):
     responses, ack = asyncio.run(scenario())
     assert all(resp["op"] == "error" for resp in responses)
     assert "decode lengths must be positive" in responses[4]["error"]
+    # A JSON bool is not a 1-token request.
+    assert "decode_len must be an integer" in responses[5]["error"]
     assert ack["id"] == "ok"
 
 

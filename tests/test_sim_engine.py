@@ -12,12 +12,18 @@ from repro.sim import EventQueue, ServingEngine, ServingSimulator, Simulation
 from repro.workloads import SCENARIOS, poisson_trace
 
 
+def _call_kind(sim):
+    """Register a handler that runs its payload as ``payload(sim)``."""
+    return sim.register_handler(lambda s, fn: fn(s))
+
+
 def test_events_run_in_time_order():
     sim = Simulation()
     order = []
-    sim.schedule(2.0, lambda s: order.append("b"))
-    sim.schedule(1.0, lambda s: order.append("a"))
-    sim.schedule(3.0, lambda s: order.append("c"))
+    record = sim.register_handler(lambda s, name: order.append(name))
+    sim.schedule_event(2.0, record, "b")
+    sim.schedule_event(1.0, record, "a")
+    sim.schedule_event(3.0, record, "c")
     sim.run()
     assert order == ["a", "b", "c"]
     assert sim.now == pytest.approx(3.0)
@@ -26,22 +32,27 @@ def test_events_run_in_time_order():
 def test_ties_break_by_insertion_order():
     sim = Simulation()
     order = []
-    for name in "abc":
-        sim.schedule(1.0, lambda s, n=name: order.append(n))
+    first = sim.register_handler(lambda s, name: order.append(name))
+    second = sim.register_handler(lambda s, name: order.append(name * 2))
+    # Insertion order wins over handler kind on a tie.
+    sim.schedule_event(1.0, second, "a")
+    sim.schedule_event(1.0, first, "b")
+    sim.schedule_event_at(1.0, second, "c")
     sim.run()
-    assert order == ["a", "b", "c"]
+    assert order == ["aa", "b", "cc"]
 
 
 def test_events_can_schedule_more_events():
     sim = Simulation()
     seen = []
 
-    def chain(s, depth=0):
+    def chain(s, depth):
         seen.append(s.now)
         if depth < 3:
-            s.schedule(1.0, lambda s2: chain(s2, depth + 1))
+            s.schedule_event(1.0, kind, depth + 1)
 
-    sim.schedule(0.0, chain)
+    kind = sim.register_handler(chain)
+    sim.schedule_event(0.0, kind, 0)
     sim.run()
     assert seen == [0.0, 1.0, 2.0, 3.0]
 
@@ -49,8 +60,9 @@ def test_events_can_schedule_more_events():
 def test_run_until_leaves_future_events():
     sim = Simulation()
     fired = []
-    sim.schedule(1.0, lambda s: fired.append(1))
-    sim.schedule(5.0, lambda s: fired.append(5))
+    kind = sim.register_handler(lambda s, tag: fired.append(tag))
+    sim.schedule_event(1.0, kind, 1)
+    sim.schedule_event(5.0, kind, 5)
     sim.run(until=2.0)
     assert fired == [1]
     assert sim.now == pytest.approx(2.0)
@@ -60,26 +72,26 @@ def test_run_until_leaves_future_events():
 
 def test_negative_delay_rejected():
     sim = Simulation()
-    with pytest.raises(ConfigError):
-        sim.schedule(-1.0, lambda s: None)
+    kind = _call_kind(sim)
+    with pytest.raises(ConfigError, match="non-negative"):
+        sim.schedule_event(-1.0, kind, lambda s: None)
 
 
 def test_past_scheduling_rejected():
     sim = Simulation()
-    sim.schedule(1.0, lambda s: None)
+    kind = _call_kind(sim)
+    sim.schedule_event(1.0, kind, lambda s: None)
     sim.run()
-    with pytest.raises(ConfigError):
-        sim.schedule_at(0.5, lambda s: None)
+    with pytest.raises(ConfigError, match="past"):
+        sim.schedule_event_at(0.5, kind, lambda s: None)
 
 
 def test_runaway_loop_detected():
     sim = Simulation()
-
-    def forever(s):
-        s.schedule(0.0, forever)
-
-    sim.schedule(0.0, forever)
-    with pytest.raises(ConfigError):
+    kind = sim.register_handler(
+        lambda s, _: s.schedule_event(0.0, kind, None))
+    sim.schedule_event(0.0, kind, None)
+    with pytest.raises(ConfigError, match="exceeded 100 events"):
         sim.run(max_events=100)
 
 
@@ -87,8 +99,9 @@ def test_max_events_budget_is_per_call():
     """A long-lived incremental engine steps indefinitely: the runaway
     valve budgets each run() call, not the simulation's lifetime."""
     sim = Simulation()
+    kind = _call_kind(sim)
     for index in range(150):
-        sim.schedule(float(index), lambda s: None)
+        sim.schedule_event(float(index), kind, lambda s: None)
     for index in range(150):
         sim.run(until=float(index), max_events=100)
     assert sim.events_processed == 150  # lifetime stat still accumulates
@@ -97,8 +110,9 @@ def test_max_events_budget_is_per_call():
 def test_event_queue_len():
     queue = EventQueue()
     assert not queue
-    queue.push(1.0, lambda s: None)
+    queue.push_event(1.0, 0, None)
     assert len(queue) == 1
+    assert queue.peek_time() == 1.0
 
 
 def test_horizon_stop_preserves_tie_order():
@@ -107,8 +121,9 @@ def test_horizon_stop_preserves_tie_order():
     new sequence number and would lose its tie-break rank)."""
     sim = Simulation()
     order = []
-    sim.schedule(2.0, lambda s: order.append("first"))
-    sim.schedule(2.0, lambda s: order.append("second"))
+    kind = sim.register_handler(lambda s, name: order.append(name))
+    sim.schedule_event(2.0, kind, "first")
+    sim.schedule_event(2.0, kind, "second")
     sim.run(until=1.0)  # stop right before the tied pair
     assert order == []
     sim.run(until=1.5)  # and again
@@ -118,9 +133,10 @@ def test_horizon_stop_preserves_tie_order():
 
 def test_run_until_advances_clock_without_events():
     sim = Simulation()
+    kind = _call_kind(sim)
     sim.run(until=4.0)
     assert sim.now == pytest.approx(4.0)
-    sim.schedule(1.0, lambda s: None)  # i.e. at t=5.0
+    sim.schedule_event(1.0, kind, lambda s: None)  # i.e. at t=5.0
     sim.run()
     assert sim.now == pytest.approx(5.0)
 
@@ -262,6 +278,35 @@ def test_submit_validation(network):
         engine.submit(0.0, decode_len=0)
     with pytest.raises(ConfigError):
         engine.step(until=-1.0)
+
+
+@pytest.mark.parametrize("decode_len", [float("nan"), 2.7, True, False,
+                                        "8", float("inf")])
+def test_submit_rejects_non_integral_decode_len(network, decode_len):
+    """Bools and non-integral lengths are errors, not silent
+    truncations (2.7 must not run as 2, nor True as 1)."""
+    pm, schedule = network
+    engine = ServingEngine(pm, schedule)
+    with pytest.raises(ConfigError, match="decode_len must be an integer"):
+        engine.submit(0.0, decode_len=decode_len)
+    assert engine.offered == 0
+
+
+def test_submit_rejects_bool_arrival(network):
+    pm, schedule = network
+    engine = ServingEngine(pm, schedule)
+    with pytest.raises(ConfigError, match="arrival must be a finite"):
+        engine.submit(True)
+    assert engine.offered == 0
+
+
+def test_submit_accepts_integral_float_decode_len(network):
+    pm, schedule = network
+    engine = ServingEngine(pm, schedule)
+    record = engine.submit(0, decode_len=64.0)
+    assert record.decode_len == 64 and type(record.decode_len) is int
+    engine.drain()
+    assert engine.completed == 1
 
 
 def test_snapshot_tracks_progress(network):

@@ -1,19 +1,19 @@
-"""Fast-path / oracle parity for the slab-backed DES hot loop.
+"""Slab-engine / reference parity for the DES hot loop.
 
-The optimized engine (``fast=True``, the default) must be
-**bit-identical** to the pre-change closure-per-event implementation,
-which is kept wired as the ``fast=False`` oracle: same
-:class:`ServingReport`, same per-record lifecycles, same event count,
-on every registered arrival scenario and every admission-policy shape.
-``fast_forward`` has a weaker contract -- report equality on sparse
-traces -- pinned here too, along with the two lifecycle fixes that
-rode along (``peek_time`` on empty, ``submit`` after ``drain``).
+The shipping :class:`ServingEngine` must be **bit-identical** to the
+closure-per-event network in ``reference_engine.py``
+(:class:`ReferenceServingEngine`): same :class:`ServingReport`, same
+busy times, same per-record lifecycles, same event count, on every
+registered arrival scenario and every admission-policy shape. The two
+lifecycle fixes that rode along (``peek_time`` on empty, ``submit``
+after ``drain``) are pinned here too.
 """
 
 import math
 from dataclasses import dataclass
 
 import pytest
+from reference_engine import ReferenceServingEngine
 
 from repro.errors import ConfigError
 from repro.hardware import ClusterSpec
@@ -60,8 +60,8 @@ def _record_key(record):
             dict(record.stage_enqueues), dict(record.queue_waits))
 
 
-def _replay(pm, schedule, trace, **knobs):
-    engine = ServingEngine(pm, schedule, **knobs)
+def _replay(engine_cls, pm, schedule, trace, **knobs):
+    engine = engine_cls(pm, schedule, **knobs)
     for arrival, length in zip(trace.arrivals, trace.decode_lens):
         engine.submit(arrival, decode_len=length)
     engine.drain()
@@ -69,18 +69,19 @@ def _replay(pm, schedule, trace, **knobs):
 
 
 def _assert_bit_identical(pm, schedule, trace, **knobs):
-    fast = _replay(pm, schedule, trace, fast=True, **knobs)
-    oracle = _replay(pm, schedule, trace, fast=False, **knobs)
+    fast = _replay(ServingEngine, pm, schedule, trace, **knobs)
+    reference = _replay(ReferenceServingEngine, pm, schedule, trace,
+                        **knobs)
     slo = SLOTarget(ttft=0.5, tpot=0.05)
     # ServingReport equality is exact field equality (records are
     # excluded from dataclass comparison, checked separately below).
-    assert fast.report(trace, slo=slo) == oracle.report(trace, slo=slo)
-    assert fast.busy_times() == oracle.busy_times()
+    assert fast.report(trace, slo=slo) == reference.report(trace, slo=slo)
+    assert fast.busy_times() == reference.busy_times()
     assert [_record_key(r) for r in fast.records] == \
-        [_record_key(r) for r in oracle.records]
-    # Same event count: the events/sec benchmark ratio is a pure
-    # wall-clock speedup, not an event-count artifact.
-    assert fast.events_processed == oracle.events_processed
+        [_record_key(r) for r in reference.records]
+    # Same event count: the slab engine does the same simulated work,
+    # one event per arrival, decode step, batch free and completion.
+    assert fast.events_processed == reference.events_processed
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +129,8 @@ def test_fast_path_bit_identical_under_custom_admission(network):
 def test_token_budget_head_overflow_raises_identically(network):
     pm, schedule = network
     admission = TokenBudgetAdmission(max_tokens=32)
-    for fast in (True, False):
-        engine = ServingEngine(pm, schedule, admission=admission,
-                               fast=fast)
+    for engine_cls in (ServingEngine, ReferenceServingEngine):
+        engine = engine_cls(pm, schedule, admission=admission)
         engine.submit(0.0, decode_len=64)  # head exceeds the budget
         with pytest.raises(ConfigError, match="admission token budget"):
             engine.drain()
@@ -184,30 +184,6 @@ def test_fleet_round_robin_report_equals_manual_partition_merge(
 
 
 # ---------------------------------------------------------------------------
-# satellite: fast_forward report equality on sparse traces
-# ---------------------------------------------------------------------------
-
-
-def test_fast_forward_matches_normal_reports_on_sparse_trace(network):
-    pm, schedule = network
-    trace = poisson_trace(2.0, 60.0, seed=3, mean_decode_len=96)
-    normal = _replay(pm, schedule, trace, fast=True)
-    skipped = _replay(pm, schedule, trace, fast=True, fast_forward=True)
-    slo = SLOTarget(ttft=0.5, tpot=0.05)
-    assert skipped.report(trace, slo=slo) == normal.report(trace, slo=slo)
-    assert [_record_key(r) for r in skipped.records] == \
-        [_record_key(r) for r in normal.records]
-    # The whole point of the skip: idle boundaries are not visited.
-    assert skipped.events_processed < normal.events_processed
-
-
-def test_fast_forward_requires_the_fast_path(network):
-    pm, schedule = network
-    with pytest.raises(ConfigError, match="fast_forward"):
-        ServingEngine(pm, schedule, fast=False, fast_forward=True)
-
-
-# ---------------------------------------------------------------------------
 # satellite: lifecycle fixes
 # ---------------------------------------------------------------------------
 
@@ -218,14 +194,14 @@ def test_peek_time_on_empty_queue_raises_config_error():
                        match="cannot peek an empty event queue"):
         queue.peek_time()
     # And still works once an event exists.
-    queue.push(1.5, lambda sim: None)
+    queue.push_event(1.5, 0, None)
     assert queue.peek_time() == 1.5
 
 
 def test_submit_after_drain_raises_config_error(network):
     pm, schedule = network
-    for fast in (True, False):
-        engine = ServingEngine(pm, schedule, fast=fast)
+    for engine_cls in (ServingEngine, ReferenceServingEngine):
+        engine = engine_cls(pm, schedule)
         engine.submit(0.0, decode_len=8)
         engine.drain()
         with pytest.raises(ConfigError, match="single-use"):
@@ -252,8 +228,8 @@ def test_drained_fleet_keeps_accepting_between_drains(network):
 
 @pytest.mark.parametrize("admission", [None, "priority"])
 def test_closed_loop_fast_path_bit_identical(network, admission):
-    """The closed loop replays identically on the fast path and the
-    oracle: the driver's think-time draws depend only on completion
+    """The closed loop replays identically on the slab engine and the
+    reference: the driver's think-time draws depend only on completion
     times, so bit-identical engines must produce bit-identical
     submission streams, reports, and recorded traces -- with and
     without the waiting-queue reordering of priority admission."""
@@ -266,24 +242,25 @@ def test_closed_loop_fast_path_bit_identical(network, admission):
                                 concurrency=2, session_len=3, seed=13,
                                 tiers=resolve_tier_policy("free-paid"))
 
-    def closed_loop(fast):
+    def closed_loop(engine_cls):
         knobs = {}
         if admission == "priority":
             knobs["admission"] = PriorityAdmission()
-        engine = ServingEngine(pm, schedule, fast=fast, **knobs)
+        engine = engine_cls(pm, schedule, **knobs)
         driver = ClosedLoopDriver(population, engine, horizon=4.0)
         driver.run()
         return engine, driver
 
-    fast_engine, fast_driver = closed_loop(True)
-    oracle_engine, oracle_driver = closed_loop(False)
+    fast_engine, fast_driver = closed_loop(ServingEngine)
+    ref_engine, ref_driver = closed_loop(ReferenceServingEngine)
     slo = SLOTarget(ttft=0.5, tpot=0.05)
     fast_trace = fast_engine.recorded_trace(scenario="sessions")
-    oracle_trace = oracle_engine.recorded_trace(scenario="sessions")
-    assert fast_trace == oracle_trace
+    ref_trace = ref_engine.recorded_trace(scenario="sessions")
+    assert fast_trace == ref_trace
     assert fast_engine.report(fast_trace, slo=slo) == \
-        oracle_engine.report(oracle_trace, slo=slo)
+        ref_engine.report(ref_trace, slo=slo)
     assert [_record_key(r) for r in fast_engine.records] == \
-        [_record_key(r) for r in oracle_engine.records]
-    assert fast_driver.tier_counts() == oracle_driver.tier_counts()
+        [_record_key(r) for r in ref_engine.records]
+    assert fast_engine.events_processed == ref_engine.events_processed
+    assert fast_driver.tier_counts() == ref_driver.tier_counts()
     assert fast_driver.submitted == fast_driver.completed > 0

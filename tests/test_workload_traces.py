@@ -169,6 +169,25 @@ def test_jsonl_bad_line_rejected(tmp_path):
         RequestTrace.from_jsonl(str(path))
 
 
+@pytest.mark.parametrize("row, message", [
+    ('{"arrival": 0.0, "decode_len": null}', "decode_len must be an integer"),
+    ('{"arrival": 0.0, "decode_len": 2.5}', "decode_len must be an integer"),
+    ('{"arrival": 0.0, "decode_len": true}', "decode_len must be an integer"),
+    ('{"arrival": 0.0, "decode_len": "64"}', "decode_len must be an integer"),
+    ('{"arrival": "soon"}', "arrival must be a number"),
+    ('{"arrival": null}', "arrival must be a number"),
+    ('{"arrival": false}', "arrival must be a number"),
+    ('{"arrival": [1.0]}', "arrival must be a number"),
+])
+def test_jsonl_malformed_field_types_rejected(tmp_path, row, message):
+    """Wrong-typed fields fail with the offending line, never with a
+    TypeError/ValueError traceback or a silent truncation."""
+    path = tmp_path / "typed.jsonl"
+    path.write_text('{"arrival": 0.0, "decode_len": 8}\n' + row + "\n")
+    with pytest.raises(ConfigError, match=f":2: {message}"):
+        RequestTrace.from_jsonl(str(path))
+
+
 def test_jsonl_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
