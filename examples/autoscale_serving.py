@@ -28,7 +28,7 @@ from repro.reporting import (
     format_serving_report,
     format_table,
 )
-from repro.sim import AutoscaleConfig, SLOTarget
+from repro.sim import AutoscaleConfig, SLOTarget, submit_trace
 from repro.workloads import diurnal_trace
 
 TROUGH_QPS = 300.0   # the night shift the fleet must not over-serve
@@ -42,9 +42,7 @@ def replay_static(session, schedule, replicas, trace):
     replica-seconds)."""
     fleet = session.fleet_engine(schedule, replicas=replicas,
                                  routing="join-idle-queue")
-    lens = trace.decode_lens or (None,) * trace.num_requests
-    for arrival, decode_len in zip(trace.arrivals, lens):
-        fleet.submit(arrival, decode_len=decode_len)
+    submit_trace(fleet, trace)
     fleet.drain()
     return fleet.report(trace, slo=SLO), replicas * fleet.now
 

@@ -17,6 +17,7 @@ Run:
 
 from repro import ClusterSpec, OptimizerSession, case_i_hyperscale
 from repro.reporting import format_fleet_breakdown, format_serving_report
+from repro.sim import submit_trace
 from repro.workloads import bursty_trace
 
 TARGET_QPS = 1000.0
@@ -49,8 +50,7 @@ def main() -> None:
     trace = bursty_trace(2.0 * sizing.total_qps, duration=8.0, seed=7,
                          mean_decode_len=64, burst_factor=1.5,
                          on_fraction=0.4)
-    for arrival, decode_len in zip(trace.arrivals, trace.decode_lens):
-        fleet.submit(arrival, decode_len=decode_len)
+    submit_trace(fleet, trace)
     fleet.drain()
     report = fleet.report(trace)
     print(format_serving_report(report))

@@ -50,6 +50,7 @@ CI fails only on *new* findings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 from typing import List, Optional
 
@@ -73,50 +74,28 @@ from repro.sim.autoscale import (
     autoscale_spec,
     parse_autoscale_spec,
 )
+from repro.sim.engine import submit_trace
+from repro.sim.fleet import FleetEngine
+from repro.sim.metrics import SLOTarget
 from repro.sim.policies import (
     ADMISSION_POLICIES,
     DISPATCH_POLICIES,
+    PriorityAdmission,
     admission_spec,
     parse_admission_policy,
 )
 from repro.sim.routing import ROUTING_POLICIES
+from repro.workloads.sessions import parse_tiers_spec
 from repro.workloads.traces import SCENARIOS
 
 #: Accelerator generations by their --xpu letter (Table 2).
 _XPU_BY_LETTER = {"A": XPU_A, "B": XPU_B, "C": XPU_C}
 
-#: Choice lists for `repro replay` / `repro serve`.
-_SCENARIO_NAMES = frozenset(SCENARIOS)
-_DISPATCH_NAMES = frozenset(DISPATCH_POLICIES)
-_ROUTING_NAMES = frozenset(ROUTING_POLICIES)
-#: --admission is free-form (parameterized values like
-#: token-budget=4096 are legal), so its help lists the named policies.
-_ADMISSION_HELP = (f"decode admission policy: "
-                   f"{'/'.join(sorted(ADMISSION_POLICIES))} or "
-                   f"token-budget=<int> (default greedy)")
-#: --autoscale is a key=value spec; its help lists the controllers.
-_AUTOSCALE_HELP = (f"elastic fleet: policy=NAME,min=N,max=N"
-                   f"[,interval=S,cooldown=S,up=X,down=X]; policies: "
-                   f"{'/'.join(sorted(AUTOSCALE_POLICIES))} "
-                   f"(exclusive with --replicas)")
-#: --population / --tiers speak the same key=value spec grammar.
-_POPULATION_HELP = ("closed-loop user population: "
-                    "users=N[,think=S,concurrency=N,session=N,decode=N,"
-                    "seed=N,tiers=NAME]; replaces the open-loop "
-                    "scenario (users submit, think, resubmit until "
-                    "--duration)")
-_TIERS_HELP = ("SLO tier set: a registry name (single/free-paid) or "
-               "custom=<name>:<rank>[:<share>]|...; multi-tier sets "
-               "derive a priority admission policy unless --admission "
-               "overrides it")
-
-
-def _tier_admission(policy):
-    """Priority admission ranking decode admission by the tier set's ranks."""
-    from repro.sim.policies import PriorityAdmission
-
-    return PriorityAdmission(tier_priority=tuple(
-        (tier.name, tier.rank) for tier in policy.tiers))
+#: Open-loop traffic-generator flags (each subcommand has a subset).
+_GENERATOR_FLAGS = ("scenario", "rate", "load", "duration", "seed")
+#: Grid-file list axes: key -> separator of the flag's string form.
+_GRID_LIST_SEPARATORS = {"llms": ",", "servers": ",", "replicas": ",",
+                         "routing": ";", "autoscale": ";"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -125,6 +104,80 @@ def _build_parser() -> argparse.ArgumentParser:
         description="RAGO reproduction: experiments and schedule search",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+
+    # Flag groups shared by several subcommands, declared once and
+    # inherited through ``parents=``.
+    workload = argparse.ArgumentParser(add_help=False)
+    workload.add_argument("--case", choices=("i", "ii", "iii", "iv"),
+                          default="i", help="paradigm (Table 3)")
+    workload.add_argument("--llm", default="8B",
+                          help="generative LLM size label (1B/8B/70B/405B)")
+    workload.add_argument("--context", type=int, default=1_000_000,
+                          help="context length for case ii")
+    workload.add_argument("--retrievals", type=int, default=4,
+                          help="retrieval frequency for case iii")
+    workload.add_argument("--servers", type=int, default=None,
+                          help="cluster host servers (4 XPUs each, "
+                               "default 32)")
+    workload.add_argument("--xpu", choices=("A", "B", "C"), default=None,
+                          help="accelerator generation (Table 2, "
+                               "default C)")
+
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", dest="config_path", default=None,
+                        help="serialized workload or optimization config "
+                             "(repro.config JSON); overrides --case/--llm, "
+                             "and explicit --servers/--xpu override its "
+                             "cluster")
+    config.add_argument("--max-ttft", type=float, default=None,
+                        help="TTFT SLO in seconds for the schedule "
+                             "search; overrides --config's TTFT bound "
+                             "(other bounds stay in force)")
+
+    serving = argparse.ArgumentParser(add_help=False)
+    serving.add_argument("--schedule", dest="schedule_path", default=None,
+                         help="run this exact schedule -- a schedule "
+                              "envelope or a replay/serve --json artifact "
+                              "-- instead of searching")
+    serving.add_argument("--dispatch", choices=sorted(DISPATCH_POLICIES),
+                         default=None,
+                         help="batch-dispatch policy for pre-decode stages "
+                              "(default deadline-flush)")
+    # --admission is free-form (parameterized values like
+    # token-budget=4096 are legal), so its help lists the named ones.
+    serving.add_argument("--admission", default=None, metavar="POLICY",
+                         help=f"decode admission policy: "
+                              f"{'/'.join(sorted(ADMISSION_POLICIES))} or "
+                              f"token-budget=<int> (default greedy)")
+    serving.add_argument("--tiers", default=None, metavar="SPEC",
+                         help="SLO tier set: a registry name "
+                              "(single/free-paid) or custom=<name>:<rank>"
+                              "[:<share>]|...; multi-tier sets derive a "
+                              "priority admission policy unless "
+                              "--admission overrides it (replay: sets "
+                              "--population's tiers)")
+    serving.add_argument("--replicas", type=int, default=None,
+                         help="run a fleet of N engine replicas "
+                              "(default 1: a single engine)")
+    serving.add_argument("--routing", choices=sorted(ROUTING_POLICIES),
+                         default=None,
+                         help="fleet request-routing policy (default "
+                              "round-robin); naming one serves a fleet "
+                              "even at one replica")
+    serving.add_argument("--autoscale", default=None, metavar="SPEC",
+                         help=f"elastic fleet: policy=NAME,min=N,max=N"
+                              f"[,interval=S,cooldown=S,up=X,down=X]; "
+                              f"policies: "
+                              f"{'/'.join(sorted(AUTOSCALE_POLICIES))} "
+                              f"(exclusive with --replicas)")
+    serving.add_argument("--slo-ttft", type=float, default=None,
+                         help="TTFT target in seconds for attainment "
+                              "accounting (default: the TTFT bound in "
+                              "force, else 5x analytical TTFT)")
+    serving.add_argument("--slo-tpot", type=float, default=None,
+                         help="TPOT target in seconds for attainment "
+                              "accounting (default: the TPOT bound in "
+                              "force, else 2x analytical TPOT)")
 
     commands.add_parser("list", help="list regenerable paper artifacts")
 
@@ -135,28 +188,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", dest="json_path", default=None,
                      help="also dump the structured data to a JSON file")
 
-    optimize = commands.add_parser("optimize",
+    optimize = commands.add_parser("optimize", parents=[workload, config],
                                    help="run RAGO on a preset or config file")
-    optimize.add_argument("--case", choices=("i", "ii", "iii", "iv"),
-                          default="i", help="paradigm (Table 3)")
-    optimize.add_argument("--llm", default="8B",
-                          help="generative LLM size label (1B/8B/70B/405B)")
-    optimize.add_argument("--context", type=int, default=1_000_000,
-                          help="context length for case ii")
-    optimize.add_argument("--retrievals", type=int, default=4,
-                          help="retrieval frequency for case iii")
-    optimize.add_argument("--servers", type=int, default=None,
-                          help="cluster host servers (4 XPUs each, "
-                               "default 32); overrides --config's cluster")
-    optimize.add_argument("--xpu", choices=("A", "B", "C"), default=None,
-                          help="accelerator generation (Table 2, default "
-                               "C); overrides --config's cluster")
-    optimize.add_argument("--max-ttft", type=float, default=None,
-                          help="TTFT SLO in seconds; overrides --config's "
-                               "TTFT bound (other bounds stay in force)")
-    optimize.add_argument("--config", dest="config_path", default=None,
-                          help="serialized workload or optimization config "
-                               "(repro.config JSON); overrides --case/--llm")
     optimize.add_argument("--json", dest="json_path", default=None,
                           help="also dump the frontier and chosen schedule "
                                "to a JSON file")
@@ -187,23 +220,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also dump the tidy result table to a JSON file")
 
     whatif = commands.add_parser(
-        "whatif", help="replay a recorded trace against a policy grid")
-    whatif.add_argument("--case", choices=("i", "ii", "iii", "iv"),
-                        default="i", help="paradigm (Table 3)")
-    whatif.add_argument("--llm", default="8B",
-                        help="generative LLM size label (1B/8B/70B/405B)")
-    whatif.add_argument("--context", type=int, default=1_000_000,
-                        help="context length for case ii")
-    whatif.add_argument("--retrievals", type=int, default=4,
-                        help="retrieval frequency for case iii")
-    whatif.add_argument("--servers", type=int, default=None,
-                        help="cluster host servers (default 32)")
-    whatif.add_argument("--xpu", choices=("A", "B", "C"), default=None,
-                        help="accelerator generation (default C)")
+        "whatif", parents=[workload],
+        help="replay a recorded trace against a policy grid")
     whatif.add_argument("--trace", dest="trace_path", default=None,
                         help="recorded JSONL trace to replay (exclusive "
-                             "with --scenario)")
-    whatif.add_argument("--scenario", choices=sorted(_SCENARIO_NAMES),
+                             "with the generator flags)")
+    whatif.add_argument("--scenario", choices=sorted(SCENARIOS),
                         default=None,
                         help="generate this traffic scenario instead of "
                              "replaying a recording (default poisson)")
@@ -254,30 +276,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "workload/cluster/trace) to a JSON file")
 
     replay = commands.add_parser(
-        "replay", help="replay live traffic through a searched schedule")
-    replay.add_argument("--case", choices=("i", "ii", "iii", "iv"),
-                        default="i", help="paradigm (Table 3)")
-    replay.add_argument("--llm", default="8B",
-                        help="generative LLM size label (1B/8B/70B/405B)")
-    replay.add_argument("--context", type=int, default=1_000_000,
-                        help="context length for case ii")
-    replay.add_argument("--retrievals", type=int, default=4,
-                        help="retrieval frequency for case iii")
-    replay.add_argument("--servers", type=int, default=None,
-                        help="cluster host servers (default 32)")
-    replay.add_argument("--xpu", choices=("A", "B", "C"), default=None,
-                        help="accelerator generation (default C)")
-    replay.add_argument("--config", dest="config_path", default=None,
-                        help="serialized workload or optimization config "
-                             "(repro.config JSON); overrides --case/--llm")
-    replay.add_argument("--schedule", dest="schedule_path", default=None,
-                        help="replay through this exact schedule -- a "
-                             "schedule envelope or a replay/serve --json "
-                             "artifact -- instead of searching")
-    replay.add_argument("--max-ttft", type=float, default=None,
-                        help="TTFT SLO used to pick the schedule (and, "
-                             "unless --slo-ttft is given, to score it)")
-    replay.add_argument("--scenario", choices=sorted(_SCENARIO_NAMES),
+        "replay", parents=[workload, config, serving],
+        help="replay live traffic through a searched schedule")
+    replay.add_argument("--scenario", choices=sorted(SCENARIOS),
                         default=None,
                         help="built-in traffic scenario to generate "
                              "(default poisson; exclusive with --trace)")
@@ -294,57 +295,18 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--seed", type=int, default=0,
                         help="scenario RNG seed")
     replay.add_argument("--population", default=None, metavar="SPEC",
-                        help=_POPULATION_HELP)
-    replay.add_argument("--tiers", default=None, metavar="SPEC",
-                        help=_TIERS_HELP)
-    replay.add_argument("--dispatch", choices=sorted(_DISPATCH_NAMES),
-                        default=None,
-                        help="batch-dispatch policy for pre-decode stages "
-                             "(default deadline-flush)")
-    replay.add_argument("--admission", default=None, metavar="POLICY",
-                        help=_ADMISSION_HELP)
-    replay.add_argument("--replicas", type=int, default=None,
-                        help="replay through a fleet of N engine "
-                             "replicas (default 1: a single engine)")
-    replay.add_argument("--routing", choices=sorted(_ROUTING_NAMES),
-                        default=None,
-                        help="fleet request-routing policy "
-                             "(default round-robin)")
-    replay.add_argument("--autoscale", default=None, metavar="SPEC",
-                        help=_AUTOSCALE_HELP)
-    replay.add_argument("--slo-ttft", type=float, default=None,
-                        help="TTFT target in seconds for attainment "
-                             "accounting (default: 5x analytical TTFT)")
-    replay.add_argument("--slo-tpot", type=float, default=None,
-                        help="TPOT target in seconds for attainment "
-                             "accounting (default: 2x analytical TPOT)")
+                        help="closed-loop user population: users=N"
+                             "[,think=S,concurrency=N,session=N,decode=N,"
+                             "seed=N,tiers=NAME]; replaces the open-loop "
+                             "scenario (users submit, think, resubmit "
+                             "until --duration)")
     replay.add_argument("--json", dest="json_path", default=None,
                         help="dump the serving report (plus schedule and "
                              "trace envelopes) to a JSON file")
 
     serve = commands.add_parser(
-        "serve", help="serve a live request stream over a socket")
-    serve.add_argument("--case", choices=("i", "ii", "iii", "iv"),
-                       default="i", help="paradigm (Table 3)")
-    serve.add_argument("--llm", default="8B",
-                       help="generative LLM size label (1B/8B/70B/405B)")
-    serve.add_argument("--context", type=int, default=1_000_000,
-                       help="context length for case ii")
-    serve.add_argument("--retrievals", type=int, default=4,
-                       help="retrieval frequency for case iii")
-    serve.add_argument("--servers", type=int, default=None,
-                       help="cluster host servers (default 32)")
-    serve.add_argument("--xpu", choices=("A", "B", "C"), default=None,
-                       help="accelerator generation (default C)")
-    serve.add_argument("--config", dest="config_path", default=None,
-                       help="serialized workload or optimization config "
-                            "(repro.config JSON); overrides --case/--llm")
-    serve.add_argument("--max-ttft", type=float, default=None,
-                       help="TTFT SLO used to pick the served schedule")
-    serve.add_argument("--schedule", dest="schedule_path", default=None,
-                       help="serve this exact schedule -- a schedule "
-                            "envelope or a replay/serve --json artifact "
-                            "-- instead of the searched knee")
+        "serve", parents=[workload, config, serving],
+        help="serve a live request stream over a socket")
     serve.add_argument("--serve-config", dest="serve_config_path",
                        default=None,
                        help="serve_config envelope (repro.config JSON) "
@@ -361,28 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--time-scale", type=float, default=None,
                        help="simulated seconds per wall second "
                             "(default 1.0; raise to fast-forward)")
-    serve.add_argument("--dispatch", choices=sorted(_DISPATCH_NAMES),
-                       default=None,
-                       help="batch-dispatch policy for pre-decode stages")
-    serve.add_argument("--admission", default=None, metavar="POLICY",
-                       help=_ADMISSION_HELP)
-    serve.add_argument("--tiers", default=None, metavar="SPEC",
-                       help=_TIERS_HELP)
-    serve.add_argument("--replicas", type=int, default=None,
-                       help="serve N engine replicas behind one socket "
-                            "(default 1)")
-    serve.add_argument("--routing", choices=sorted(_ROUTING_NAMES),
-                       default=None,
-                       help="fleet request-routing policy "
-                            "(default round-robin)")
-    serve.add_argument("--autoscale", default=None, metavar="SPEC",
-                       help=_AUTOSCALE_HELP)
-    serve.add_argument("--slo-ttft", type=float, default=None,
-                       help="TTFT target in seconds scored per "
-                            "completion (default: 5x analytical TTFT)")
-    serve.add_argument("--slo-tpot", type=float, default=None,
-                       help="TPOT target in seconds scored per "
-                            "completion (default: 2x analytical TPOT)")
     serve.add_argument("--record", dest="record_path", default=None,
                        help="write the observed arrivals as a replayable "
                             "JSONL trace on shutdown")
@@ -462,6 +402,10 @@ def _build_parser() -> argparse.ArgumentParser:
     prov.add_argument("--qps", type=float, required=True,
                       help="target requests per second")
     prov.add_argument("--max-ttft", type=float, default=None)
+    # Commands read their own flag table back (grid-file keys, dead-flag
+    # defaults), so each namespace carries its subcommand's parser.
+    for command_parser in commands.choices.values():
+        command_parser.set_defaults(subparser=command_parser)
     return parser
 
 
@@ -506,9 +450,7 @@ def _command_run(args: argparse.Namespace) -> int:
             "notes": output.notes,
             "data": _jsonable(output.data),
         }
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-        print(f"wrote {args.json_path}")
+        _write_json(args.json_path, payload)
     return 0
 
 
@@ -531,8 +473,6 @@ def _load_optimization_config(path: str) -> OptimizationConfig:
 def _resolve_cluster(args: argparse.Namespace,
                      loaded: Optional[ClusterSpec]) -> ClusterSpec:
     """The run's cluster: --config's, with explicit flags overriding."""
-    import dataclasses
-
     cluster = loaded or ClusterSpec(num_servers=args.servers or 32,
                                     xpu=_XPU_BY_LETTER[args.xpu or "C"])
     overrides = {}
@@ -544,14 +484,22 @@ def _resolve_cluster(args: argparse.Namespace,
         else cluster
 
 
+def _open_session(schema, cluster: ClusterSpec) -> OptimizerSession:
+    """A session, announced by the workload/cluster header every
+    searching command leads with."""
+    print(f"workload: {schema.describe()}")
+    print(f"cluster : {cluster.num_servers} servers x "
+          f"{cluster.xpus_per_server} {cluster.xpu.name}")
+    return OptimizerSession(schema, cluster)
+
+
 def _resolve_session(args: argparse.Namespace) -> OptimizerSession:
     """One constrained session from --config / preset flags.
 
-    Shared by ``optimize`` and ``replay``: loads the workload (file or
-    preset), resolves the cluster, and merges constraints -- the
-    config file's bounds first, then an explicit ``--max-ttft`` flag
-    replaces the file's TTFT bound only. Prints the workload/cluster
-    header both commands lead with.
+    Shared by ``optimize``, ``replay`` and ``serve``: loads the workload
+    (file or preset), resolves the cluster, and merges constraints --
+    the config file's bounds first, then an explicit ``--max-ttft``
+    flag replaces the file's TTFT bound only.
     """
     search = None
     objective: Optional[ServiceObjective] = None
@@ -564,10 +512,7 @@ def _resolve_session(args: argparse.Namespace) -> OptimizerSession:
     else:
         schema = _schema_for(args)
         cluster = _resolve_cluster(args, None)
-    print(f"workload: {schema.describe()}")
-    print(f"cluster : {cluster.num_servers} servers x "
-          f"{cluster.xpus_per_server} {cluster.xpu.name}")
-    session = OptimizerSession(schema, cluster)
+    session = _open_session(schema, cluster)
     if search is not None:
         session = session.with_search(search)
     if objective is not None:
@@ -619,8 +564,6 @@ def _session_constrained(session: OptimizerSession) -> bool:
 
 def _command_optimize(args: argparse.Namespace) -> int:
     session = _resolve_session(args)
-    schema = session.schema
-    cluster = session.cluster
     objective = session.objective
     constrained = _session_constrained(session)
     result = session.optimize()
@@ -651,8 +594,8 @@ def _command_optimize(args: argparse.Namespace) -> int:
           f"tpot={chosen.tpot * 1e3:.2f} ms")
     if args.json_path:
         payload = {
-            "workload": config_module.to_config(schema),
-            "cluster": config_module.to_config(cluster),
+            "workload": config_module.to_config(session.schema),
+            "cluster": config_module.to_config(session.cluster),
             "num_plans": result.num_plans,
             "num_candidates": result.num_candidates,
             "frontier": [
@@ -668,76 +611,65 @@ def _command_optimize(args: argparse.Namespace) -> int:
                 "schedule": config_module.to_config(chosen.schedule),
             },
         }
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-        print(f"wrote {args.json_path}")
+        _write_json(args.json_path, payload)
     return 0
 
 
-def _print_autoscale_timeline(autoscaler) -> None:
-    """The scaling-event table replay and serve both print."""
-    from repro.reporting import format_scaling_timeline
-
-    print()
-    print(format_scaling_timeline(
-        autoscaler.timeline(),
-        replica_seconds=autoscaler.replica_seconds))
+def _write_json(path: str, payload: dict) -> None:
+    """Dump a command's ``--json`` payload and say where it went."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=1)
+    print(f"wrote {path}")
 
 
-def _autoscale_payload(autoscaler, autoscale) -> dict:
-    """The --json autoscale section replay and serve both emit."""
-    return {
-        "spec": autoscale_spec(autoscale),
-        "config": config_module.to_config(autoscale),
-        "replica_seconds": autoscaler.replica_seconds,
-        "events": autoscaler.timeline(),
-    }
+def _reject_dead_flags(args: argparse.Namespace, names, context: str,
+                       applies_to: str, clashing=()) -> None:
+    """Refuse flags ``context`` makes dead: those of ``names`` the
+    subcommand has and the user moved off the subcommand's own
+    defaults (plus any ``clashing`` the caller found)."""
+    parser = args.subparser
+    clashing = list(clashing) + [
+        f"--{name}" for name in names
+        if name in vars(args)
+        and getattr(args, name) != parser.get_default(name)]
+    if clashing:
+        raise ConfigError(f"{context}; drop {', '.join(clashing)} (they "
+                          f"only apply to {applies_to})")
 
 
-def _command_replay(args: argparse.Namespace) -> int:
-    from repro.reporting import format_serving_report
-    from repro.sim import SLOTarget
-    from repro.workloads import RequestTrace, scenario_trace
+# -- the serving setup replay and serve share -----------------------------
 
-    # Policy/fleet knobs must fail before the (expensive) search.
-    admission = parse_admission_policy(args.admission)
-    population = None
-    if args.population is not None:
-        import dataclasses
 
-        from repro.workloads import parse_population_spec, parse_tiers_spec
-
-        population = parse_population_spec(args.population)
-        if args.tiers is not None:
-            population = dataclasses.replace(
-                population, tiers=parse_tiers_spec(args.tiers))
-        if args.admission is None and len(population.tiers.tiers) > 1:
-            # A multi-tier population wants tier-aware decode admission
-            # by default; an explicit --admission still wins.
-            admission = _tier_admission(population.tiers)
-    elif args.tiers is not None:
+def _check_replicas(args: argparse.Namespace, autoscaled: bool) -> None:
+    """``--replicas`` is positive and never sizes an autoscaled fleet."""
+    if autoscaled and args.replicas is not None:
         raise ConfigError(
-            "--tiers shapes a closed-loop population; pass --population "
-            "too")
-    autoscale = None
-    if args.autoscale is not None:
-        if args.replicas is not None:
-            raise ConfigError(
-                "--autoscale manages the fleet size (min/max in the "
-                "spec); drop --replicas")
-        if population is not None:
-            raise ConfigError(
-                "--autoscale replays an open-loop trace; a closed-loop "
-                "--population drives the engine directly -- drop one")
-        autoscale = parse_autoscale_spec(args.autoscale)
-    replicas = 1 if args.replicas is None else args.replicas
-    if replicas < 1:
+            "--autoscale manages the fleet size (min/max in the "
+            "spec); drop --replicas")
+    if args.replicas is not None and args.replicas < 1:
         raise ConfigError("--replicas must be at least 1")
-    session = _resolve_session(args)
-    schema = session.schema
-    objective = session.objective
+
+
+def _decode_admission(args: argparse.Namespace, tiers):
+    """Decode admission: an explicit ``--admission`` wins; otherwise a
+    multi-tier set derives priority admission by tier rank."""
+    if args.admission is None and tiers is not None \
+            and len(tiers.tiers) > 1:
+        return PriorityAdmission(tier_priority=tuple(
+            (tier.name, tier.rank) for tier in tiers.tiers))
+    return parse_admission_policy(args.admission)
+
+
+def _choose_schedule(args: argparse.Namespace, session: OptimizerSession,
+                     knee: bool = False):
+    """The schedule to run, printed with its analytical numbers:
+    ``--schedule``'s, else the knee of the admissible frontier
+    (``knee``, live serving's balanced point), else the best
+    admissible point (throughput-optimal when unconstrained)."""
     if args.schedule_path:
         chosen = _load_schedule(args.schedule_path, session)
+    elif knee:
+        chosen = session.with_objective("knee").best()
     elif _session_constrained(session):
         chosen = session.best()
     else:
@@ -746,39 +678,155 @@ def _command_replay(args: argparse.Namespace) -> int:
     print(f"analytical: qps={chosen.qps:.1f}  "
           f"ttft={chosen.ttft * 1e3:.1f} ms  "
           f"tpot={chosen.tpot * 1e3:.2f} ms")
+    return chosen
+
+
+def _slo(ttft: Optional[float], tpot: Optional[float],
+         session: OptimizerSession, chosen) -> SLOTarget:
+    """Explicit targets, else the session's bounds, else 5x / 2x the
+    schedule's analytical TTFT / TPOT."""
+    objective = session.objective
+    return SLOTarget(
+        ttft=ttft if ttft is not None
+        else (objective.max_ttft or 5.0 * chosen.ttft),
+        tpot=tpot if tpot is not None
+        else (objective.max_tpot or 2.0 * chosen.tpot))
+
+
+def _wants_fleet(replicas: int, routing: Optional[str], autoscale) -> bool:
+    """A fleet, not one engine: several replicas, a named routing
+    policy (never silently ignored), or an elastic fleet."""
+    return replicas > 1 or routing is not None or autoscale is not None
+
+
+def _build_target(session: OptimizerSession, chosen,
+                  args: argparse.Namespace, admission, replicas: int,
+                  routing: Optional[str], autoscale, slo: SLOTarget):
+    """The engine or fleet to drive, plus its autoscaler (or None).
+
+    An autoscaled fleet starts at its floor (``min_replicas``) with an
+    :class:`~repro.sim.autoscale.Autoscaler` attached.
+    """
+    if not _wants_fleet(replicas, routing, autoscale):
+        return session.serving_engine(chosen.schedule,
+                                      dispatch=args.dispatch,
+                                      admission=admission), None
+    fleet = session.fleet_engine(
+        chosen.schedule,
+        replicas=replicas if autoscale is None else autoscale.min_replicas,
+        routing=routing, dispatch=args.dispatch, admission=admission)
+    if autoscale is None:
+        return fleet, None
+    return fleet, Autoscaler.from_config(fleet, autoscale, slo=slo)
+
+
+def _serving_payload(args: argparse.Namespace, report, session, chosen,
+                     trace, admission, serve_config=None):
+    """The ``--json`` envelopes replay and serve share (None without
+    ``--json``): the workload, cluster, schedule and trace ride along
+    so the report can be regenerated from the file alone."""
+    if not args.json_path:
+        return None
+    payload = {
+        "report": config_module.to_config(report),
+        "workload": config_module.to_config(session.schema),
+        "cluster": config_module.to_config(session.cluster),
+        "schedule": config_module.to_config(chosen.schedule),
+        "trace": config_module.to_config(trace),
+    }
+    if serve_config is not None:
+        payload["serve"] = config_module.to_config(serve_config)
+    payload["policies"] = {
+        "dispatch": args.dispatch or "deadline-flush",
+        "admission": admission_spec(admission),
+    }
+    return payload
+
+
+def _print_serving(report, target, autoscaler, autoscale,
+                   payload: Optional[dict]) -> None:
+    """Print the report, a fleet's per-replica breakdown and the
+    scaling timeline, filling the matching ``--json`` sections."""
+    from repro.reporting import (
+        format_fleet_breakdown,
+        format_scaling_timeline,
+        format_serving_report,
+    )
+
+    print()
+    print(format_serving_report(report))
+    if isinstance(target, FleetEngine):
+        per_replica = target.replica_stats()
+        print()
+        print(format_fleet_breakdown(per_replica))
+        if payload is not None:
+            payload["policies"]["routing"] = target.routing.name
+            payload["fleet"] = {"replicas": target.replicas,
+                                "routing": target.routing.name,
+                                "per_replica": per_replica}
+    if autoscaler is not None:
+        timeline = autoscaler.timeline()
+        print()
+        print(format_scaling_timeline(
+            timeline, replica_seconds=autoscaler.replica_seconds))
+        if payload is not None:
+            payload["autoscale"] = {
+                "spec": autoscale_spec(autoscale),
+                "config": config_module.to_config(autoscale),
+                "replica_seconds": autoscaler.replica_seconds,
+                "events": timeline,
+            }
+
+
+def _command_replay(args: argparse.Namespace) -> int:
+    from repro.workloads import RequestTrace, scenario_trace
+
+    # Policy/fleet/traffic knobs must fail before the (expensive)
+    # search.
+    population = None
+    if args.population is not None:
+        from repro.workloads import parse_population_spec
+
+        population = parse_population_spec(args.population)
+        if args.tiers is not None:
+            population = dataclasses.replace(
+                population, tiers=parse_tiers_spec(args.tiers))
+        # Closed-loop traffic self-generates against the live engine,
+        # so open-loop generator knobs (and recorded traces) cannot mix
+        # in. --duration doubles as the submission horizon.
+        _reject_dead_flags(
+            args, ("scenario", "rate", "load", "seed"),
+            "--population drives a closed loop", "open-loop traffic",
+            clashing=["--trace"] if args.trace_path else [])
+    elif args.tiers is not None:
+        raise ConfigError(
+            "--tiers shapes a closed-loop population; pass --population "
+            "too")
+    elif args.trace_path:
+        # A recorded trace fixes the traffic entirely.
+        _reject_dead_flags(args, _GENERATOR_FLAGS,
+                           "--trace replays a recorded stream",
+                           "generated scenarios")
+    admission = _decode_admission(
+        args, None if population is None else population.tiers)
+    _check_replicas(args, autoscaled=args.autoscale is not None)
+    autoscale = None
+    if args.autoscale is not None:
+        if population is not None:
+            raise ConfigError(
+                "--autoscale replays an open-loop trace; a closed-loop "
+                "--population drives the engine directly -- drop one")
+        autoscale = parse_autoscale_spec(args.autoscale)
+    replicas = args.replicas or 1
+    session = _resolve_session(args)
+    chosen = _choose_schedule(args, session)
 
     if population is not None:
-        # Closed-loop traffic: the population self-generates against
-        # the live engine, so open-loop generator knobs (and recorded
-        # traces) cannot mix in. --duration doubles as the submission
-        # horizon.
-        defaults = {"scenario": None, "rate": None, "load": 0.7,
-                    "seed": 0}
-        clashing = [f"--{name}" for name, default in defaults.items()
-                    if getattr(args, name) != default]
-        if args.trace_path:
-            clashing.insert(0, "--trace")
-        if clashing:
-            raise ConfigError(
-                f"--population drives a closed loop; drop "
-                f"{', '.join(clashing)} (they only apply to open-loop "
-                f"traffic)")
         trace = None
         print(f"traffic : closed loop, {population.users} user(s), "
               f"tiers {population.tiers.name}, horizon "
               f"{args.duration:g}s")
     elif args.trace_path:
-        # A recorded trace fixes the traffic entirely; generator knobs
-        # alongside it would be silently dead, so reject the mix.
-        defaults = {"scenario": None, "rate": None, "load": 0.7,
-                    "duration": 10.0, "seed": 0}
-        clashing = [f"--{name}" for name, default in defaults.items()
-                    if getattr(args, name) != default]
-        if clashing:
-            raise ConfigError(
-                f"--trace replays a recorded stream; drop "
-                f"{', '.join(clashing)} (they only apply to generated "
-                f"scenarios)")
         trace = RequestTrace.from_jsonl(args.trace_path)
     else:
         rate = args.rate if args.rate is not None \
@@ -791,124 +839,62 @@ def _command_replay(args: argparse.Namespace) -> int:
         trace = scenario_trace(
             args.scenario or "poisson", rate_qps=rate,
             duration=args.duration, seed=args.seed,
-            mean_decode_len=schema.sequences.decode_len)
+            mean_decode_len=session.schema.sequences.decode_len)
     if trace is not None:
         print(f"traffic : {trace.describe()}")
 
-    slo = SLOTarget(
-        ttft=args.slo_ttft if args.slo_ttft is not None
-        else (objective.max_ttft or 5.0 * chosen.ttft),
-        tpot=args.slo_tpot if args.slo_tpot is not None
-        else (objective.max_tpot or 2.0 * chosen.tpot),
-    )
-    fleet = None
-    autoscaler = None
-    driver = None
-    if population is not None:
-        # Closed-loop replay: the population submits, thinks, and
-        # resubmits through the engine's completion listeners; the
-        # recorded (identity-carrying) trace becomes the report's
-        # traffic description.
-        from repro.workloads import (ClosedLoopDriver, population_spec,
-                                     tiers_spec)
-
-        if replicas > 1 or args.routing is not None:
-            fleet = session.fleet_engine(chosen.schedule,
-                                         replicas=replicas,
-                                         routing=args.routing,
-                                         dispatch=args.dispatch,
-                                         admission=admission)
-            loop_engine = fleet
-        else:
-            loop_engine = session.serving_engine(chosen.schedule,
-                                                 dispatch=args.dispatch,
-                                                 admission=admission)
-        driver = ClosedLoopDriver(population, loop_engine,
-                                  horizon=args.duration)
-        driver.run()
-        trace = loop_engine.recorded_trace(
-            scenario="sessions",
-            population=population_spec(population),
-            tiers=tiers_spec(population.tiers))
-        print(f"observed: {trace.describe()}")
-        report = loop_engine.report(trace, slo=slo)
-    elif autoscale is not None:
-        # Elastic replay: start the fleet at the floor and let the
-        # control loop track the trace's rate curve.
-        fleet = session.fleet_engine(chosen.schedule,
-                                     replicas=autoscale.min_replicas,
-                                     routing=args.routing,
-                                     dispatch=args.dispatch,
-                                     admission=admission)
-        autoscaler = Autoscaler.from_config(fleet, autoscale, slo=slo)
-        autoscaler.run_trace(trace)
-        report = fleet.report(trace, slo=slo)
-    elif replicas > 1 or args.routing is not None:
-        # Fleet replay: route the trace across N replicas live instead
-        # of the single-engine memoized path.
-        fleet = session.fleet_engine(chosen.schedule, replicas=replicas,
-                                     routing=args.routing,
-                                     dispatch=args.dispatch,
-                                     admission=admission)
-        lens = trace.decode_lens or (None,) * trace.num_requests
-        for arrival, decode_len in zip(trace.arrivals, lens):
-            fleet.submit(arrival, decode_len=decode_len)
-        fleet.drain()
-        report = fleet.report(trace, slo=slo)
-    else:
+    slo = _slo(args.slo_ttft, args.slo_tpot, session, chosen)
+    target = autoscaler = driver = None
+    if population is None \
+            and not _wants_fleet(replicas, args.routing, autoscale):
+        # One engine, open loop: the session's memoized replay.
         report = session.evaluate_trace(chosen.schedule, trace, slo=slo,
                                         dispatch=args.dispatch,
                                         admission=admission)
-    print()
-    print(format_serving_report(report))
-    if fleet is not None:
-        from repro.reporting import format_fleet_breakdown
+    else:
+        target, autoscaler = _build_target(session, chosen, args,
+                                           admission, replicas,
+                                           args.routing, autoscale, slo)
+        if population is not None:
+            # The population submits, thinks, and resubmits through the
+            # target's completion listeners; the recorded
+            # (identity-carrying) trace becomes the report's traffic.
+            from repro.workloads import (ClosedLoopDriver, population_spec,
+                                         tiers_spec)
 
-        print()
-        print(format_fleet_breakdown(fleet.replica_stats()))
-    if autoscaler is not None:
-        _print_autoscale_timeline(autoscaler)
-    if args.json_path:
-        # Workload + cluster envelopes (and the policy selections) ride
-        # along so the report can be regenerated from this file alone.
-        payload = {
-            "report": config_module.to_config(report),
-            "workload": config_module.to_config(schema),
-            "cluster": config_module.to_config(session.cluster),
-            "schedule": config_module.to_config(chosen.schedule),
-            "trace": config_module.to_config(trace),
-            "policies": {
-                "dispatch": args.dispatch or "deadline-flush",
-                "admission": admission_spec(admission),
-            },
-        }
-        if fleet is not None:
-            payload["policies"]["routing"] = fleet.routing.name
-            payload["fleet"] = {
-                "replicas": fleet.replicas,
-                "routing": fleet.routing.name,
-                "per_replica": fleet.replica_stats(),
-            }
+            driver = ClosedLoopDriver(population, target,
+                                      horizon=args.duration)
+            driver.run()
+            trace = target.recorded_trace(
+                scenario="sessions",
+                population=population_spec(population),
+                tiers=tiers_spec(population.tiers))
+            print(f"observed: {trace.describe()}")
+        elif autoscaler is not None:
+            # The control loop tracks the trace's rate curve.
+            autoscaler.run_trace(trace)
+        else:
+            submit_trace(target, trace)
+            target.drain()
+        report = target.report(trace, slo=slo)
+    payload = _serving_payload(args, report, session, chosen, trace,
+                               admission)
+    _print_serving(report, target, autoscaler, autoscale, payload)
+    if payload is not None:
         if driver is not None:
             payload["population"] = {
                 "spec": population_spec(population),
                 "tiers": tiers_spec(population.tiers),
                 "per_tier": driver.tier_counts(),
             }
-        if autoscaler is not None:
-            payload["autoscale"] = _autoscale_payload(autoscaler,
-                                                     autoscale)
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-        print(f"wrote {args.json_path}")
+        _write_json(args.json_path, payload)
     return 0
 
 
 def _command_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import dataclasses
 
-    from repro.reporting import format_live_summary, format_serving_report
+    from repro.reporting import format_live_summary
     from repro.serve import LiveServer, ServeConfig
 
     # Resolve and validate the server settings before the (expensive)
@@ -935,88 +921,31 @@ def _command_serve(args: argparse.Namespace) -> int:
     # Checked against the resolved config, not just the flags: an
     # autoscale envelope inside --serve-config must also refuse an
     # explicit --replicas rather than silently discarding it.
-    if serve_config.autoscale is not None and args.replicas is not None:
-        raise ConfigError(
-            "--autoscale manages the fleet size (min/max in the "
-            "spec); drop --replicas")
-    admission = parse_admission_policy(args.admission)
-    if args.tiers is not None:
-        from repro.workloads import parse_tiers_spec
-
-        tier_policy = parse_tiers_spec(args.tiers)
-        if args.admission is not None:
-            raise ConfigError(
-                "--tiers derives a priority admission policy; drop "
-                "--admission or encode the ranks there")
-        if len(tier_policy.tiers) > 1:
-            admission = _tier_admission(tier_policy)
+    autoscale = serve_config.autoscale
+    _check_replicas(args, autoscaled=autoscale is not None)
+    admission = _decode_admission(args, parse_tiers_spec(args.tiers))
 
     session = _resolve_session(args)
-    objective = session.objective
-    if args.schedule_path:
-        chosen = _load_schedule(args.schedule_path, session)
-    else:
-        # Live serving wants the balanced frontier point: the knee of
-        # the admissible sub-frontier (constraints from --config /
-        # --max-ttft still apply).
-        chosen = session.with_objective("knee").best()
-    print(f"schedule: {chosen.schedule.describe()}")
-    print(f"analytical: qps={chosen.qps:.1f}  "
-          f"ttft={chosen.ttft * 1e3:.1f} ms  "
-          f"tpot={chosen.tpot * 1e3:.2f} ms")
-
-    if serve_config.slo_ttft is None:
-        serve_config = dataclasses.replace(
-            serve_config,
-            slo_ttft=objective.max_ttft or 5.0 * chosen.ttft)
-    if serve_config.slo_tpot is None:
-        serve_config = dataclasses.replace(
-            serve_config,
-            slo_tpot=objective.max_tpot or 2.0 * chosen.tpot)
-
-    # An explicit --routing means "serve a fleet" even at one replica,
-    # mirroring replay's behavior (the flag must never be silently
-    # ignored); an autoscale envelope always means a fleet (the
-    # controller needs the add/remove primitives).
-    autoscale = serve_config.autoscale
-    is_fleet = serve_config.replicas > 1 \
-        or serve_config.routing is not None \
-        or autoscale is not None
-    autoscaler = None
-    if autoscale is not None:
-        engine = session.fleet_engine(
-            chosen.schedule, replicas=autoscale.min_replicas,
-            routing=serve_config.routing, dispatch=args.dispatch,
-            admission=admission)
-        autoscaler = Autoscaler.from_config(fleet=engine,
-                                            config=autoscale,
-                                            slo=serve_config.slo)
-    elif is_fleet:
-        engine = session.fleet_engine(chosen.schedule,
-                                      replicas=serve_config.replicas,
-                                      routing=serve_config.routing,
-                                      dispatch=args.dispatch,
-                                      admission=admission)
-    else:
-        engine = session.serving_engine(chosen.schedule,
-                                        dispatch=args.dispatch,
-                                        admission=admission)
+    chosen = _choose_schedule(args, session, knee=True)
+    slo = _slo(serve_config.slo_ttft, serve_config.slo_tpot, session,
+               chosen)
+    serve_config = dataclasses.replace(serve_config, slo_ttft=slo.ttft,
+                                       slo_tpot=slo.tpot)
+    engine, autoscaler = _build_target(session, chosen, args, admission,
+                                       serve_config.replicas,
+                                       serve_config.routing, autoscale, slo)
     server = LiveServer(engine, serve_config, autoscaler=autoscaler)
 
     def ready(host: str, port: int) -> None:
+        routing = serve_config.routing or "round-robin"
         fleet_note = ""
         if autoscale is not None:
-            fleet_note = (f"; autoscaled fleet "
-                          f"{autoscale.min_replicas}.."
+            fleet_note = (f"; autoscaled fleet {autoscale.min_replicas}.."
                           f"{autoscale.max_replicas} replica(s) "
-                          f"({autoscale.policy}), "
-                          f"{serve_config.routing or 'round-robin'} "
-                          f"routing")
-        elif is_fleet:
+                          f"({autoscale.policy}), {routing} routing")
+        elif isinstance(engine, FleetEngine):
             fleet_note = (f"; fleet of {serve_config.replicas} "
-                          f"replica(s), "
-                          f"{serve_config.routing or 'round-robin'} "
-                          f"routing")
+                          f"replica(s), {routing} routing")
         print(f"serving on {host}:{port} "
               f"(time scale {serve_config.time_scale:g}x; JSON-lines "
               f"ops: submit / stats / shutdown; Ctrl-C stops"
@@ -1038,41 +967,11 @@ def _command_serve(args: argparse.Namespace) -> int:
         return 0
     print()
     print(format_live_summary(server.snapshot()))
-    print()
-    print(format_serving_report(report))
-    if is_fleet:
-        from repro.reporting import format_fleet_breakdown
-
-        print()
-        print(format_fleet_breakdown(engine.replica_stats()))
-    if autoscaler is not None:
-        _print_autoscale_timeline(autoscaler)
-    if args.json_path:
-        payload = {
-            "report": config_module.to_config(report),
-            "workload": config_module.to_config(session.schema),
-            "cluster": config_module.to_config(session.cluster),
-            "schedule": config_module.to_config(chosen.schedule),
-            "trace": config_module.to_config(server.trace),
-            "serve": config_module.to_config(serve_config),
-            "policies": {
-                "dispatch": args.dispatch or "deadline-flush",
-                "admission": admission_spec(admission),
-            },
-        }
-        if is_fleet:
-            payload["policies"]["routing"] = engine.routing.name
-            payload["fleet"] = {
-                "replicas": engine.replicas,
-                "routing": engine.routing.name,
-                "per_replica": engine.replica_stats(),
-            }
-        if autoscaler is not None:
-            payload["autoscale"] = _autoscale_payload(autoscaler,
-                                                      autoscale)
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-        print(f"wrote {args.json_path}")
+    payload = _serving_payload(args, report, session, chosen, server.trace,
+                               admission, serve_config)
+    _print_serving(report, engine, autoscaler, autoscale, payload)
+    if payload is not None:
+        _write_json(args.json_path, payload)
     return 0
 
 
@@ -1148,80 +1047,36 @@ def _command_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _choice(name: str, *allowed: str):
-    """A config-file coercer enforcing an argparse-style choice list
-    (file values bypass argparse validation)."""
-    def coerce(value):
-        if value not in allowed:
-            raise ConfigError(
-                f"bad {name} {value!r}; expected one of "
-                f"{', '.join(allowed)}")
-        return value
-    return coerce
+def _grid_value(key: str, action: argparse.Action, value):
+    """One grid-file value coerced the way its flag parses: the flag's
+    type, a list axis joined into the flag's string form ('none' for
+    null entries), and the flag's choices enforced (file values bypass
+    argparse)."""
+    separator = _GRID_LIST_SEPARATORS.get(key)
+    if action.type is not None:
+        value = action.type(value)
+    elif separator is not None and isinstance(value, list):
+        value = separator.join(
+            "none" if item is None else str(item) for item in value)
+    elif action.choices is None:
+        value = str(value)
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"bad {key} {value!r}; expected one of "
+                          f"{', '.join(action.choices)}")
+    return value
 
 
-def _axis(separator: str):
-    """A config-file coercer rendering a list axis into the flag's
-    string form (None entries become the 'none' token)."""
-    def coerce(value):
-        if isinstance(value, list):
-            return separator.join(
-                "none" if item is None else str(item) for item in value)
-        return str(value)
-    return coerce
-
-
-#: Grid-file keys per command: key -> (args attribute, the flag's
-#: argparse default, coercer). A file value only lands when the flag
-#: still holds its default, so explicit flags override the file.
-_SWEEP_CONFIG_KEYS = {
-    "case": ("case", "i", _choice("case", "i", "ii", "iii", "iv")),
-    "llms": ("llms", "1B,8B", _axis(",")),
-    "servers": ("servers", "32", _axis(",")),
-    "context": ("context", 1_000_000, int),
-    "retrievals": ("retrievals", 4, int),
-    "xpu": ("xpu", "C", _choice("xpu", "A", "B", "C")),
-    "processes": ("processes", 1, int),
-    "backend": ("backend", None,
-                _choice("backend", "serial", "process", "sockets")),
-}
-
-_WHATIF_CONFIG_KEYS = {
-    "case": ("case", "i", _choice("case", "i", "ii", "iii", "iv")),
-    "llm": ("llm", "8B", str),
-    "context": ("context", 1_000_000, int),
-    "retrievals": ("retrievals", 4, int),
-    "servers": ("servers", None, int),
-    "xpu": ("xpu", None, _choice("xpu", "A", "B", "C")),
-    "trace": ("trace_path", None, str),
-    "scenario": ("scenario", None,
-                 _choice("scenario", *sorted(_SCENARIO_NAMES))),
-    "rate": ("rate", None, float),
-    "duration": ("duration", 20.0, float),
-    "seed": ("seed", 0, int),
-    "schedules": ("schedules", 3, int),
-    "replicas": ("replicas", "1", _axis(",")),
-    "routing": ("routing", "none", _axis(";")),
-    "autoscale": ("autoscale", "none", _axis(";")),
-    "slo_ttft": ("slo_ttft", None, float),
-    "slo_tpot": ("slo_tpot", None, float),
-    "backend": ("backend", None,
-                _choice("backend", "serial", "process", "sockets")),
-    "workers": ("workers", 1, int),
-    "cache": ("cache_dir", None, str),
-}
-
-
-def _apply_grid_config(args: argparse.Namespace, command: str,
-                       spec: dict) -> None:
+def _apply_grid_config(args: argparse.Namespace) -> None:
     """Fold a ``--config`` grid file (yamlish subset) into ``args``.
 
-    File values fill flags still at their defaults; explicitly-passed
-    flags win. Unknown keys are rejected, so a typo'd axis fails
-    instead of silently sweeping the default.
+    Keys are the subcommand's own flags (``slo-ttft`` spelled
+    ``slo_ttft``). File values fill flags still at their argparse
+    defaults; explicitly-passed flags win. Unknown keys are rejected,
+    so a typo'd axis fails instead of silently sweeping the default.
     """
     from repro.config import yamlish
 
+    command = args.command
     data = yamlish.load(args.grid_config_path)
     if data is None:
         return
@@ -1229,18 +1084,22 @@ def _apply_grid_config(args: argparse.Namespace, command: str,
         raise ConfigError(
             f"{args.grid_config_path}: {command} config must be a "
             f"mapping of {command} keys")
-    unknown = set(data) - set(spec)
+    flags = {action.option_strings[0][2:].replace("-", "_"): action
+             for action in args.subparser._actions
+             if action.option_strings and action.dest not in (
+                 "help", "grid_config_path", "json_path")}
+    unknown = set(data) - set(flags)
     if unknown:
         raise ConfigError(
             f"{args.grid_config_path}: unknown {command} config "
             f"key(s) {', '.join(sorted(map(str, unknown)))}; known: "
-            f"{', '.join(sorted(spec))}")
+            f"{', '.join(sorted(flags))}")
     for key, value in data.items():
-        attribute, default, coerce = spec[key]
-        if getattr(args, attribute) != default:
+        action = flags[key]
+        if getattr(args, action.dest) != action.default:
             continue
         try:
-            setattr(args, attribute, coerce(value))
+            setattr(args, action.dest, _grid_value(key, action, value))
         except (TypeError, ValueError) as error:
             raise ConfigError(
                 f"{args.grid_config_path}: bad value for "
@@ -1263,10 +1122,10 @@ def _parse_whatif_axes(args: argparse.Namespace):
     routing = tuple(None if token == "none" else token
                     for token in _split_tokens(args.routing, ";"))
     for name in routing:
-        if name is not None and name not in _ROUTING_NAMES:
+        if name is not None and name not in ROUTING_POLICIES:
             raise ConfigError(
                 f"unknown routing policy {name!r}; known: "
-                f"{', '.join(sorted(_ROUTING_NAMES))} (or 'none')")
+                f"{', '.join(sorted(ROUTING_POLICIES))} (or 'none')")
     autoscale = tuple(None if token == "none" else token
                       for token in _split_tokens(args.autoscale, ";"))
     for spec in autoscale:
@@ -1283,25 +1142,21 @@ def _command_whatif(args: argparse.Namespace) -> int:
         format_whatif_table,
         format_worker_utilization,
     )
-    from repro.sim import SLOTarget
     from repro.workloads import RequestTrace, scenario_trace
 
     if args.grid_config_path:
-        _apply_grid_config(args, "whatif", _WHATIF_CONFIG_KEYS)
+        _apply_grid_config(args)
     replicas, routing, autoscale = _parse_whatif_axes(args)
     if args.schedules < 1:
         raise ConfigError("--schedules must be at least 1")
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
-    if args.trace_path and args.scenario:
-        raise ConfigError(
-            "--trace replays a recording; drop --scenario")
-    schema = _schema_for(args)
-    cluster = _resolve_cluster(args, None)
-    print(f"workload: {schema.describe()}")
-    print(f"cluster : {cluster.num_servers} servers x "
-          f"{cluster.xpus_per_server} {cluster.xpu.name}")
-    session = OptimizerSession(schema, cluster)
+    if args.trace_path:
+        _reject_dead_flags(args, _GENERATOR_FLAGS,
+                           "--trace replays a recorded stream",
+                           "generated scenarios")
+    session = _open_session(_schema_for(args),
+                            _resolve_cluster(args, None))
     optimized = session.optimize()
     best = optimized.max_qps_per_chip
     candidates = sorted(optimized.frontier,
@@ -1317,13 +1172,9 @@ def _command_whatif(args: argparse.Namespace) -> int:
         trace = scenario_trace(
             args.scenario or "poisson", rate_qps=rate,
             duration=args.duration, seed=args.seed,
-            mean_decode_len=schema.sequences.decode_len)
+            mean_decode_len=session.schema.sequences.decode_len)
     print(f"traffic : {trace.describe()}")
-    slo = SLOTarget(
-        ttft=args.slo_ttft if args.slo_ttft is not None
-        else 5.0 * best.ttft,
-        tpot=args.slo_tpot if args.slo_tpot is not None
-        else 2.0 * best.tpot)
+    slo = _slo(args.slo_ttft, args.slo_tpot, session, best)
     grid = WhatIfGrid(schedules=schedules, replicas=replicas,
                       routing=routing, autoscale=autoscale)
     print(f"grid    : {len(schedules)} schedule(s) x policies = "
@@ -1338,13 +1189,11 @@ def _command_whatif(args: argparse.Namespace) -> int:
     if args.json_path:
         payload = {
             "result": config_module.to_config(result),
-            "workload": config_module.to_config(schema),
-            "cluster": config_module.to_config(cluster),
+            "workload": config_module.to_config(session.schema),
+            "cluster": config_module.to_config(session.cluster),
             "trace": config_module.to_config(trace),
         }
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-        print(f"wrote {args.json_path}")
+        _write_json(args.json_path, payload)
     if result.ok_cells:
         return 0
     print("error: every whatif cell was infeasible")
@@ -1353,7 +1202,7 @@ def _command_whatif(args: argparse.Namespace) -> int:
 
 def _command_sweep(args: argparse.Namespace) -> int:
     if args.grid_config_path:
-        _apply_grid_config(args, "sweep", _SWEEP_CONFIG_KEYS)
+        _apply_grid_config(args)
     try:
         llms = [label.strip() for label in args.llms.split(",")
                 if label.strip()]
@@ -1384,9 +1233,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     if failed:
         print(f"{len(failed)} cell(s) infeasible")
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump({"rows": sweep.rows}, handle, indent=1)
-        print(f"wrote {args.json_path}")
+        _write_json(args.json_path, {"rows": sweep.rows})
     if failed and len(failed) == len(sweep):
         print("error: every sweep cell was infeasible")
         return 1
@@ -1461,9 +1308,7 @@ def _command_lint(args: argparse.Namespace) -> int:
         if args.audit_suppressions:
             payload["stale_suppressions"] = [finding_to_dict(finding)
                                              for finding in stale]
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=1)
-        print(f"wrote {args.json_path}")
+        _write_json(args.json_path, payload)
     if new:
         return 1
     if stale and args.strict:

@@ -35,7 +35,7 @@ from repro.rago.session import SweepResult
 from repro.rago.whatif import WhatIfResult
 from repro.serve import ServeConfig
 from repro.sim.autoscale import AutoscaleConfig
-from repro.sim.serving import ServingReport
+from repro.sim.metrics import ServingReport
 from repro.workloads.traces import RequestTrace
 from repro.config.serializers import (
     autoscale_config_from_dict,

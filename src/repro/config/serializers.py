@@ -30,7 +30,7 @@ from repro.schema.serialization import (
 from repro.schema.stages import Stage
 from repro.serve import ServeConfig
 from repro.sim.autoscale import AutoscaleConfig
-from repro.sim.serving import ServingReport, SLOTarget
+from repro.sim.metrics import ServingReport, SLOTarget
 from repro.workloads.traces import Request, RequestTrace
 
 __all__ = [

@@ -99,8 +99,9 @@ def whatif_runner(context: Dict[str, Any]) -> Runner:
     from repro.pipeline.assembly import assemble
     from repro.pipeline.stage_perf import RAGPerfModel
     from repro.sim.autoscale import Autoscaler, parse_autoscale_spec
+    from repro.sim.engine import submit_trace
     from repro.sim.fleet import FleetEngine
-    from repro.sim.serving import SLOTarget
+    from repro.sim.metrics import SLOTarget
 
     schema = config.from_config(context["schema"])
     cluster = config.from_config(context["cluster"])
@@ -126,9 +127,7 @@ def whatif_runner(context: Dict[str, Any]) -> Runner:
                 fleet = FleetEngine(perf_model, schedule,
                                     replicas=payload.get("replicas") or 1,
                                     routing=payload.get("routing"))
-                lens = trace.decode_lens or (None,) * trace.num_requests
-                for arrival, decode_len in zip(trace.arrivals, lens):
-                    fleet.submit(arrival, decode_len=decode_len)
+                submit_trace(fleet, trace)
                 fleet.drain()
             report = fleet.report(trace, slo=slo)
         except ReproError as error:

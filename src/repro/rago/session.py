@@ -65,6 +65,7 @@ from repro.schema.ragschema import RAGSchema
 from repro.sim.autoscale import Autoscaler, AutoscaleConfig
 from repro.sim.engine import ServingEngine
 from repro.sim.fleet import FleetEngine
+from repro.sim.metrics import ServingReport, SLOTarget
 from repro.sim.policies import (
     AdmissionPolicy,
     DispatchPolicy,
@@ -72,7 +73,7 @@ from repro.sim.policies import (
     resolve_dispatch_policy,
 )
 from repro.sim.routing import RoutingPolicy
-from repro.sim.serving import ServingReport, ServingSimulator, SLOTarget
+from repro.sim.serving import ServingSimulator
 from repro.workloads.traces import RequestTrace
 
 #: A selector turns (result, objective) into the chosen frontier point.

@@ -14,8 +14,10 @@ queueing and batching dynamics on top. The core is the incremental
 :class:`ServingEngine` (explicit ``submit`` / ``step`` / ``drain``
 lifecycle, running metrics, completion listeners); batching and
 admission are pluggable policies (:mod:`repro.sim.policies`).
-:class:`ServingSimulator` drives the engine open loop over a
-:class:`~repro.workloads.traces.RequestTrace` and yields a
+:func:`submit_trace` feeds a
+:class:`~repro.workloads.traces.RequestTrace` open loop into an engine
+or fleet, identity included; :class:`ServingSimulator` drives it over
+one engine and yields a
 :class:`ServingReport` with SLO attainment, latency percentiles and
 queueing breakdowns, while :mod:`repro.serve` feeds the same engine
 from a live asyncio request stream.
@@ -35,7 +37,12 @@ from repro.sim.autoscale import (
     parse_autoscale_spec,
     resolve_autoscale_policy,
 )
-from repro.sim.engine import EventQueue, ServingEngine, Simulation
+from repro.sim.engine import (
+    EventQueue,
+    ServingEngine,
+    Simulation,
+    submit_trace,
+)
 from repro.sim.fleet import FleetEngine
 from repro.sim.metrics import (
     LiveSnapshot,
@@ -78,6 +85,7 @@ __all__ = [
     "EventQueue",
     "Simulation",
     "ServingEngine",
+    "submit_trace",
     "FleetEngine",
     "ServingSimulator",
     "ServingMetrics",

@@ -670,7 +670,9 @@ class Autoscaler:
     def run_trace(self, trace) -> FleetEngine:
         """Open-loop replay with the control loop interleaved.
 
-        Submits every request of ``trace`` in arrival order, stepping
+        Submits every request of ``trace`` in arrival order (decode
+        length and user/session/tier identity included, as
+        :func:`~repro.sim.engine.submit_trace` does), stepping
         the fleet to each control boundary on the way and deciding
         there; after the last arrival it keeps stepping boundary to
         boundary until the fleet drains (so the post-peak scale-down
@@ -680,13 +682,16 @@ class Autoscaler:
         Returns:
             The drained fleet (build reports from it as usual).
         """
-        lens = trace.decode_lens or (None,) * trace.num_requests
-        for arrival, decode_len in zip(trace.arrivals, lens):
+        for request in trace.requests:
+            arrival = request.arrival
             while self._next_control <= arrival:
                 boundary = self._next_control
                 self._fleet.step(until=boundary)
                 self.maybe_control(boundary)
-            self._fleet.submit(arrival, decode_len=decode_len)
+            self._fleet.submit(arrival, decode_len=request.decode_len,
+                               user_id=request.user_id,
+                               session_id=request.session_id,
+                               tier=request.tier)
         stalled = 0
         while self._fleet.in_flight and stalled < 1000:
             completed = self._fleet.completed

@@ -18,9 +18,10 @@ Two layers live here:
   from a closed-box trace replayer into the core of a live,
   socket-facing front-end (:mod:`repro.serve`).
 
-:class:`~repro.sim.serving.ServingSimulator` remains the open-loop
-driver over this engine: it submits a whole trace up front and drains,
-reproducing the pre-refactor replay bit for bit (pinned by tests).
+:func:`submit_trace` is the one open-loop feeder (engine or fleet);
+:class:`~repro.sim.serving.ServingSimulator` drives it over a whole
+trace and drains, reproducing the pre-refactor replay bit for bit
+(pinned by tests).
 
 The network runs on a slab-backed event queue (integer event kinds
 dispatched through a handler table, timestamps drained in batches),
@@ -1181,3 +1182,20 @@ class ServingEngine:
                 for r in ordered),
             metadata=merged,
         )
+
+
+def submit_trace(target: Any, trace: RequestTrace) -> None:
+    """Open-loop feed: submit every request of ``trace`` to ``target``.
+
+    The one submit loop behind every open-loop replay. ``target`` is a
+    :class:`ServingEngine` or a :class:`~repro.sim.fleet.FleetEngine`
+    (the same ``submit`` surface); each request's decode length and
+    identity (user, session, tier) ride along, so per-tier reports and
+    session-affine routing see the trace's users. The caller drains or
+    steps the target afterwards.
+    """
+    submit = target.submit
+    for request in trace.requests:
+        submit(request.arrival, decode_len=request.decode_len,
+               user_id=request.user_id, session_id=request.session_id,
+               tier=request.tier)

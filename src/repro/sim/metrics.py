@@ -9,11 +9,6 @@ completion is folded in as it happens, so a live front-end can snapshot
 running statistics mid-flight (:class:`LiveSnapshot`) while a batch
 replay still gets the exact aggregates the pre-refactor simulator
 computed after the fact.
-
-Historically these types lived in :mod:`repro.sim.serving`; they moved
-here so the incremental engine (:mod:`repro.sim.engine`) can use them
-without importing the open-loop driver. The old import paths keep
-working via re-exports.
 """
 
 from __future__ import annotations

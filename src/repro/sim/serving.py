@@ -29,32 +29,12 @@ from typing import Optional, Sequence, Union
 from repro.errors import ConfigError
 from repro.pipeline.assembly import Schedule
 from repro.pipeline.stage_perf import RAGPerfModel
-from repro.sim.engine import DispatchSelection, ServingEngine
-from repro.sim.metrics import (
-    LiveSnapshot,
-    MetricsAccumulator,
-    RequestRecord,
-    ServingMetrics,
-    ServingReport,
-    SLOTarget,
-    _interpolated_percentile,
-    _latency_summary,
-)
+from repro.sim.engine import DispatchSelection, ServingEngine, submit_trace
+from repro.sim.metrics import ServingMetrics, ServingReport, SLOTarget
 from repro.sim.policies import AdmissionPolicy
 from repro.workloads.traces import RequestTrace
 
-__all__ = [
-    "ServingSimulator",
-    "RequestRecord",
-    "ServingMetrics",
-    "ServingReport",
-    "SLOTarget",
-    "LiveSnapshot",
-    "MetricsAccumulator",
-    "DispatchSelection",
-    "_interpolated_percentile",
-    "_latency_summary",
-]
+__all__ = ["ServingSimulator"]
 
 
 class ServingSimulator:
@@ -136,51 +116,21 @@ class ServingSimulator:
                 raise ConfigError(
                     "decode_lengths travel inside the trace; do not pass "
                     "both")
-            engine = self._replay(list(workload.arrivals), horizon,
-                                  workload.decode_lens,
-                                  requests=(workload.requests
-                                            if workload.has_identity
-                                            else None))
-            return engine.report(workload, slo or SLOTarget())
-        if slo is not None:
+            trace = workload
+        elif slo is not None:
             raise ConfigError(
                 "SLO accounting needs a RequestTrace workload")
-        return self._replay(workload, horizon, decode_lengths).metrics()
-
-    def _replay(self, arrivals: Sequence[float], horizon: Optional[float],
-                decode_lengths: Optional[Sequence[int]],
-                requests: Optional[Sequence] = None) -> ServingEngine:
-        """Open-loop drive: submit the whole workload, then run.
-
-        ``requests`` carries the trace's identity-bearing records when
-        the workload has them; anonymous replays leave it None and pay
-        no per-submission identity lookups.
-        """
-        if not arrivals:
-            raise ConfigError("need at least one arrival")
-        if any(b < a for a, b in zip(arrivals, arrivals[1:])):
-            raise ConfigError("arrivals must be sorted")
-        if decode_lengths is not None:
-            if len(decode_lengths) != len(arrivals):
-                raise ConfigError(
-                    "decode_lengths must match arrivals in length")
-            if any(length <= 0 for length in decode_lengths):
-                raise ConfigError("decode lengths must be positive")
-        engine = self._take_engine()
-        if requests is not None:
-            for request in requests:
-                engine.submit(request.arrival,
-                              decode_len=request.decode_len,
-                              user_id=request.user_id,
-                              session_id=request.session_id,
-                              tier=request.tier)
         else:
-            for index, time in enumerate(arrivals):
-                engine.submit(time,
-                              decode_len=None if decode_lengths is None
-                              else int(decode_lengths[index]))
+            # The trace validates the bare form: non-empty, sorted,
+            # matching and positive decode lengths.
+            trace = RequestTrace(arrivals=workload,
+                                 decode_lens=decode_lengths)
+        engine = self._take_engine()
+        submit_trace(engine, trace)
         if horizon is not None:
             engine.step(until=horizon)
         else:
             engine.drain()
-        return engine
+        if trace is workload:
+            return engine.report(trace, slo or SLOTarget())
+        return engine.metrics()

@@ -739,3 +739,101 @@ def test_sweep_config_bad_backend_rejected(tmp_path, capsys):
     path.write_text("backend: smoke-signals\n", encoding="utf-8")
     assert main(["sweep", "--config", str(path)]) == 1
     assert "bad backend" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [["--rate", "5"], ["--seed", "9"],
+                                   ["--duration", "3"]],
+                         ids=["rate", "seed", "duration"])
+def test_whatif_trace_rejects_generator_flags(tmp_path, capsys, flags):
+    """Generator knobs next to a recording would be silently dead, so
+    whatif refuses them as replay does (each checked against whatif's
+    own default: --duration 20, not replay's 10)."""
+    from repro.workloads import poisson_trace
+
+    trace_path = tmp_path / "recorded.jsonl"
+    poisson_trace(2.0, 3.0, seed=5).to_jsonl(str(trace_path))
+    assert main(["whatif", "--case", "i", "--llm", "1B", "--servers", "16",
+                 "--trace", str(trace_path)] + flags) == 1
+    out = capsys.readouterr().out
+    assert "error:" in out and f"drop {flags[0]}" in out
+
+
+# ---------------------------------------------------------------------------
+# One serving setup: identity through fleets, the shared --tiers rule.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fleet", [["--replicas", "2", "--routing", "session-affine"],
+              ["--autoscale", "policy=queue-depth,min=1,max=3"]],
+    ids=["fleet", "autoscaled"])
+def test_replay_tiered_trace_through_fleet_keeps_identity(tmp_path, capsys,
+                                                          fleet):
+    """A recorded multi-user trace keeps its users through a fleet:
+    per-tier rows, the fairness line and the per-tier --json sections,
+    exactly as through one engine."""
+    import json
+
+    from repro.workloads import UserPopulation, resolve_tier_policy
+
+    trace_path = tmp_path / "tiered.jsonl"
+    UserPopulation(users=16, think_time=0.3,
+                   tiers=resolve_tier_policy("free-paid")).trace(
+        4.0).to_jsonl(str(trace_path))
+    path = tmp_path / "tiered.json"
+    assert main(["replay", "--case", "i", "--llm", "1B", "--servers", "16",
+                 "--trace", str(trace_path), "--json", str(path)]
+                + fleet) == 0
+    out = capsys.readouterr().out
+    assert "per-replica breakdown" in out
+    rows = [line.split()[0] for line in out.splitlines() if line.strip()]
+    assert "free" in rows and "paid" in rows
+    assert "fairness: 16 user(s)" in out
+    spec = json.loads(path.read_text())["report"]["spec"]
+    assert set(spec["tiers"]) == {"free", "paid"}
+    assert spec["fairness"]["users"] == 16
+
+
+def test_serve_explicit_admission_wins_over_tiers(tmp_path, capsys,
+                                                  monkeypatch):
+    """--tiers derives priority admission only when --admission is
+    absent -- the rule replay applies -- so serve accepts both and
+    serves with the explicit policy."""
+    import asyncio
+    import json
+
+    from repro.serve import LiveServer
+
+    serve = LiveServer.run
+
+    async def run_one_request(self, ready=None):
+        # Serve as usual while one client submits a request and asks
+        # for shutdown.
+        address = asyncio.get_running_loop().create_future()
+
+        def started(host, port):
+            ready(host, port)
+            address.set_result((host, port))
+
+        serving = asyncio.ensure_future(serve(self, ready=started))
+        reader, writer = await asyncio.open_connection(
+            *await asyncio.wait_for(address, timeout=60))
+        writer.write(b'{"op": "submit", "id": 1, "tier": "paid", '
+                     b'"decode_len": 8}\n')
+        await reader.readline()  # the ack
+        writer.write(b'{"op": "shutdown"}\n')
+        report = await serving
+        await reader.read()  # completion and report lines, then EOF
+        writer.close()
+        return report
+
+    monkeypatch.setattr(LiveServer, "run", run_one_request)
+    path = tmp_path / "served.json"
+    assert main(["serve", "--case", "i", "--llm", "1B", "--servers", "16",
+                 "--tiers", "free-paid", "--admission", "greedy",
+                 "--time-scale", "100", "--tick", "0.005",
+                 "--json", str(path)]) == 0
+    assert "serving on" in capsys.readouterr().out
+    payload = json.loads(path.read_text())
+    assert payload["policies"]["admission"] == "greedy"
+    assert payload["report"]["spec"]["completed"] == 1

@@ -29,7 +29,7 @@ from repro.sim import (
     WeightedQPSRouting,
     resolve_routing_policy,
 )
-from repro.sim.serving import _interpolated_percentile
+from repro.sim.metrics import _interpolated_percentile
 from repro.workloads import poisson_trace
 
 

@@ -382,7 +382,7 @@ def test_metrics_and_report_share_one_p99_estimator(setup):
     n=7 the estimators visibly diverge (rank 0.99*6 = 5.94 interpolates
     between the 6th and 7th order statistics; nearest-rank snaps to the
     max), so both artifacts must now agree on the interpolated value."""
-    from repro.sim.serving import _interpolated_percentile
+    from repro.sim.metrics import _interpolated_percentile
     from repro.workloads import trace_from_arrivals
 
     pm, schedule, _ = setup
@@ -401,7 +401,7 @@ def test_metrics_and_report_share_one_p99_estimator(setup):
 
 
 def test_interpolated_percentile_edges():
-    from repro.sim.serving import _interpolated_percentile
+    from repro.sim.metrics import _interpolated_percentile
 
     values = [1.0, 2.0, 3.0, 4.0]
     assert _interpolated_percentile(values, 0.0) == 1.0

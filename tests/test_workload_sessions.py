@@ -373,3 +373,31 @@ def test_jain_index_bounds():
     assert jain_index([10.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25)
     skewed = jain_index([9.0, 1.0])
     assert 0.5 < skewed < 1.0
+
+
+def test_submit_trace_keeps_sessions_on_one_replica(network):
+    """The open-loop feeder forwards identity: a multi-user trace fed
+    into a session-affine fleet keeps each session on one replica and
+    reports per tier."""
+    from repro.sim import submit_trace
+
+    pm, schedule = network
+    population = UserPopulation(users=8, think_time=0.05, seed=4,
+                                session_len=3,
+                                tiers=resolve_tier_policy("free-paid"))
+    trace = population.trace(2.0)
+    fleet = FleetEngine(pm, schedule, replicas=3,
+                        routing=SessionAffineRouting())
+    submit_trace(fleet, trace)
+    fleet.drain()
+    assert fleet.completed == trace.num_requests
+    session_slots = {}
+    for entry in fleet._engines:
+        for record in entry.engine.records:
+            assert record.session_id is not None
+            slot = session_slots.setdefault(record.session_id, entry.slot)
+            assert slot == entry.slot
+    assert len(set(session_slots.values())) > 1
+    report = fleet.report(trace)
+    assert set(report.tiers) == {"free", "paid"}
+    assert report.fairness["users"] == 8
