@@ -30,6 +30,18 @@ def test_bench_search_walltime_case_i(benchmark):
     assert result.frontier
 
 
+def test_bench_search_walltime_case_iv_70b(benchmark):
+    """Time the five-stage Case IV 70B search at default granularity
+    (the largest plan space here). Timing only: no wall-clock bound."""
+
+    def run():
+        perf_model = RAGPerfModel(case_iv_rewriter_reranker("70B"), _CLUSTER)
+        return search_schedules(perf_model)
+
+    result = benchmark.pedantic(run, iterations=1, rounds=3)
+    assert result.frontier
+
+
 def test_search_reuses_stage_evaluations():
     """Guard: the search hits the stage cache far more than it misses.
 

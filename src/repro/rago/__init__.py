@@ -18,7 +18,7 @@ schedules that achieve it; :class:`~repro.rago.optimizer.RAGO` is the
 user-facing facade.
 """
 
-from repro.rago.pareto import ParetoPoint, pareto_front
+from repro.rago.pareto import pareto_front
 from repro.rago.placement import enumerate_placements
 from repro.rago.allocation import enumerate_allocations, power_of_two_options
 from repro.rago.batching import batch_options
@@ -34,7 +34,6 @@ from repro.rago.objectives import (
 from repro.rago.cost import CostEstimate, PriceBook, cheapest_point, estimate_cost
 
 __all__ = [
-    "ParetoPoint",
     "pareto_front",
     "enumerate_placements",
     "enumerate_allocations",

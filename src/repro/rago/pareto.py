@@ -7,25 +7,9 @@ on both axes and strictly better on one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Sequence, TypeVar
 
 T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class ParetoPoint:
-    """A generic (cost, value) objective point with an attached payload.
-
-    Attributes:
-        cost: Objective to minimize (e.g. TTFT seconds).
-        value: Objective to maximize (e.g. QPS/chip).
-        payload: Arbitrary attachment (e.g. the schedule).
-    """
-
-    cost: float
-    value: float
-    payload: object = None
 
 
 def pareto_front(items: Sequence[T], cost: Callable[[T], float],

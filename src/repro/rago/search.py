@@ -14,11 +14,34 @@ module does; the final frontier candidates are re-evaluated through
 :func:`repro.pipeline.assembly.assemble` so the reported numbers come
 from the single authoritative composition path (including iterative-
 retrieval adjustments).
+
+A serial merge never builds the cross product. Both inputs are
+:func:`_prune` outputs, so TTFT and QPS strictly increase along each.
+A pair's QPS is ``min(a.qps, b.qps)``, set by one side, say ``a``. Among
+the partners ``b`` with ``b.qps >= a.qps`` -- all giving the pair the
+same QPS -- the first has the smallest TTFT, so its sum is no larger
+(float addition is monotone). Every later partner is thus either
+dominated by it or, when the float sums tie exactly, carries the same
+``(ttft, -qps)`` key and loses the tie to it, since the first partner
+comes earlier in the cross product's ``(i, j)`` order that the stable
+sort of the full product keeps. So only each point's first
+QPS-covering partner on the other side can reach the frontier: at most
+``n + m`` pairs. Their QPS values are pairwise distinct (a value both
+sides share yields the same pair from either side), so sorting them by
+``(ttft, -qps)`` and pruning keeps exactly what pruning the full
+product keeps, choices included.
+
+Within a placement, allocations come in lexicographic order, so
+consecutive plans share a prefix of (group, chips) choices; the merged
+options of each prefix sit on a stack of one entry per group and are
+reused. Candidates carry only their plan's groups and the per-stage
+choices; a :class:`Schedule` is built for the final front alone.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,6 +57,10 @@ from repro.schema.stages import Stage, spans_retrieval, ttft_stages
 #: Partial-schedule option:
 #: (ttft seconds, qps, ((stage, batch, sharding plan or None), ...)).
 _Option = Tuple[float, float, Tuple[Tuple[Stage, int, object], ...]]
+#: Whole-schedule candidate: (ttft seconds, qps per chip, placement
+#: groups, retrieval servers or None, per-stage choices).
+_Candidate = Tuple[float, float, Tuple[PlacementGroup, ...], Optional[int],
+                   Tuple[Tuple[Stage, int, object], ...]]
 
 
 @dataclass(frozen=True)
@@ -65,6 +92,13 @@ class SearchConfig:
     max_frontier_points: int = 4096
 
     def __post_init__(self) -> None:
+        if self.budget_xpus is not None:
+            _check_positive_int("budget_xpus", self.budget_xpus)
+        for name in ("max_batch", "max_decode_batch", "max_frontier_points"):
+            _check_positive_int(name, getattr(self, name))
+        if not isinstance(self.collect_per_plan, bool):
+            raise ConfigError(f"search config collect_per_plan must be a "
+                              f"bool, got {self.collect_per_plan!r}")
         # Normalize the restriction containers to nested tuples so that
         # equal restrictions compare equal (and serialization round-trips
         # exactly) no matter which sequence type the caller used.
@@ -75,6 +109,15 @@ class SearchConfig:
         if self.allocations is not None:
             object.__setattr__(self, "allocations", tuple(
                 tuple(allocation) for allocation in self.allocations))
+            for allocation in self.allocations:
+                for chips in allocation:
+                    _check_positive_int("allocations entry", chips)
+
+
+def _check_positive_int(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ConfigError(f"search config {name} must be a positive int, "
+                          f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -209,11 +252,32 @@ class _Profiler:
 
 
 def _serial_merge(left: List[_Option], right: List[_Option]) -> List[_Option]:
-    """Compose two disaggregated segments: TTFT adds, QPS takes the min."""
-    merged = [(a_ttft + b_ttft, min(a_qps, b_qps), a_b + b_b)
-              for a_ttft, a_qps, a_b in left
-              for b_ttft, b_qps, b_b in right]
-    return _prune(merged)
+    """Compose two disaggregated segments: TTFT adds, QPS takes the min.
+
+    Both inputs must be :func:`_prune` outputs. Returns what pruning the
+    full cross product returns, choices included, from each point's
+    first QPS-covering partner alone (see the module docstring).
+    """
+    left_qps = [qps for _, qps, _ in left]
+    right_qps = [qps for _, qps, _ in right]
+    num_left, num_right = len(left), len(right)
+    pairs = []
+    for i, (ttft, qps, _) in enumerate(left):
+        j = bisect_left(right_qps, qps)
+        if j < num_right:
+            pairs.append((ttft + right[j][0], -qps, i, j))
+    for j, (ttft, qps, _) in enumerate(right):
+        i = bisect_left(left_qps, qps)
+        if i < num_left:
+            pairs.append((left[i][0] + ttft, -qps, i, j))
+    pairs.sort()
+    merged: List[_Option] = []
+    best_qps = -math.inf
+    for ttft, neg_qps, i, j in pairs:
+        if -neg_qps > best_qps:
+            best_qps = -neg_qps
+            merged.append((ttft, best_qps, left[i][2] + right[j][2]))
+    return merged
 
 
 def _harmonic_merge(left: List[_Option],
@@ -241,8 +305,6 @@ def search_schedules(perf_model: RAGPerfModel,
     schema = perf_model.schema
     cluster = perf_model.cluster
     budget = config.budget_xpus or cluster.total_xpus
-    if budget <= 0:
-        raise ConfigError("budget_xpus must be positive")
     if budget > cluster.total_xpus:
         raise ConfigError(
             f"budget {budget} exceeds the cluster's {cluster.total_xpus} XPUs"
@@ -252,7 +314,7 @@ def search_schedules(perf_model: RAGPerfModel,
                       else enumerate_placements(schema))
     profiler = _Profiler(perf_model, config)
 
-    candidates: List[Tuple[float, float, Schedule]] = []
+    candidates: List[_Candidate] = []
     per_plan: List[PlanFrontier] = []
     num_plans = 0
     num_candidates = 0
@@ -287,6 +349,14 @@ def search_schedules(perf_model: RAGPerfModel,
                                                          budget))
             except ConfigError:
                 continue
+        spanning_index = next(
+            (index for index, group in enumerate(placement)
+             if len(group) > 1 and spans_retrieval(group, schema)),
+            None)
+        # Merged options of the last plan's allocation prefix, one entry
+        # per group: ((chips, servers if the group spans retrieval),
+        # options through that group).
+        prefix: List[Tuple[Tuple[int, Optional[int]], List[_Option]]] = []
         for allocation in allocations:
             num_plans += 1
             total_xpus = sum(allocation)
@@ -302,47 +372,41 @@ def search_schedules(perf_model: RAGPerfModel,
                                                         servers)
                 if not retrieval_opts:
                     continue
-            spanning_index = next(
-                (index for index, group in enumerate(placement)
-                 if len(group) > 1 and spans_retrieval(group, schema)),
-                None)
-            options: Optional[List[_Option]] = None
-            for index, (group, chips) in enumerate(zip(placement,
-                                                       allocation)):
-                group_opts = profiler.group_options(group, chips)
+            keys = [(chips, servers if index == spanning_index else None)
+                    for index, chips in enumerate(allocation)]
+            shared = 0
+            while shared < len(prefix) and prefix[shared][0] == keys[shared]:
+                shared += 1
+            del prefix[shared:]
+            options = prefix[-1][1] if prefix else None
+            for index in range(shared, len(placement)):
+                if options == []:  # an earlier group has no options
+                    break
+                group_opts = profiler.group_options(placement[index],
+                                                    allocation[index])
                 if group_opts and index == spanning_index:
                     # §6.1: chips idle during retrieval between the
                     # group's stages -- retrieval joins its cycle.
                     group_opts = _harmonic_merge(group_opts,
                                                  retrieval_opts)
-                if not group_opts:
-                    options = []
-                    break
-                options = group_opts if options is None \
+                options = group_opts if options is None or not group_opts \
                     else _serial_merge(options, group_opts)
+                prefix.append((keys[index], options))
             if not options:
                 continue
             if schema.has_retrieval and spanning_index is None:
                 options = _serial_merge(options, retrieval_opts)
             charged_chips = max(total_xpus,
                                 servers * cluster.xpus_per_server)
+            groups = tuple(PlacementGroup(stages=group, num_xpus=chips)
+                           for group, chips in zip(placement, allocation))
+            retrieval_servers = servers if schema.has_retrieval else None
+            num_candidates += len(options)
             plan_points: List[Tuple[float, float]] = []
             for ttft, qps, choices in options:
-                num_candidates += 1
-                batch_map = {stage: batch for stage, batch, _ in choices}
-                shard_plans = {stage: plan for stage, _, plan in choices
-                               if plan is not None}
-                schedule = Schedule(
-                    groups=tuple(
-                        PlacementGroup(stages=group, num_xpus=chips)
-                        for group, chips in zip(placement, allocation)),
-                    batches=batch_map,
-                    retrieval_servers=servers if schema.has_retrieval
-                    else None,
-                    shard_plans=shard_plans,
-                )
                 qps_per_chip = qps / charged_chips
-                candidates.append((ttft, qps_per_chip, schedule))
+                candidates.append((ttft, qps_per_chip, groups,
+                                   retrieval_servers, choices))
                 plan_points.append((ttft, qps_per_chip))
             if config.collect_per_plan and plan_points:
                 front = pareto_front(plan_points,
@@ -373,7 +437,14 @@ def search_schedules(perf_model: RAGPerfModel,
     if schema.is_iterative:
         iterative_options = list(batch_options(
             Stage.RETRIEVAL, config.max_batch, config.max_decode_batch))
-    for _, _, schedule in front:
+    for _, _, groups, retrieval_servers, choices in front:
+        schedule = Schedule(
+            groups=groups,
+            batches={stage: batch for stage, batch, _ in choices},
+            retrieval_servers=retrieval_servers,
+            shard_plans={stage: plan for stage, _, plan in choices
+                         if plan is not None},
+        )
         for iterative_batch in iterative_options:
             candidate = schedule if iterative_batch is None else Schedule(
                 groups=schedule.groups,

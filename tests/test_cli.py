@@ -189,6 +189,33 @@ def test_optimize_config_wrong_kind_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("knobs", [
+    {"max_batch": "8"},
+    {"allocations": [[1.5, 2]]},
+    {"budget_xpus": 2.5},
+    {"collect_per_plan": "no"},
+    {"max_frontier_points": 0},
+], ids=["max_batch-str", "allocations-float", "budget_xpus-float",
+        "collect_per_plan-str", "max_frontier_points-zero"])
+def test_optimize_config_malformed_search_knob_fails_cleanly(
+        tmp_path, capsys, knobs):
+    import json
+
+    from repro import ClusterSpec, config
+    from repro.schema import case_i_hyperscale
+
+    path = tmp_path / "bad.json"
+    config.save(str(path), config.OptimizationConfig(
+        schema=case_i_hyperscale("1B"), cluster=ClusterSpec(num_servers=16)))
+    envelope = json.loads(path.read_text())
+    envelope["spec"]["search"] = knobs
+    path.write_text(json.dumps(envelope))
+    assert main(["optimize", "--config", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1
+    assert next(iter(knobs)) in out
+
+
 def test_optimize_missing_config_fails_cleanly(capsys):
     assert main(["optimize", "--config", "/nonexistent/x.json"]) == 1
     assert "error:" in capsys.readouterr().out

@@ -153,6 +153,41 @@ def test_search_config_unknown_field_rejected():
         config.from_config(payload)
 
 
+@pytest.mark.parametrize("knobs", [
+    {"max_batch": "8"},
+    {"max_batch": True},
+    {"max_decode_batch": 0},
+    {"budget_xpus": 2.5},
+    {"budget_xpus": 0},
+    {"max_frontier_points": 0},
+    {"max_frontier_points": -4},
+    {"collect_per_plan": "no"},
+    {"collect_per_plan": 1},
+    {"allocations": [[1.5, 2]]},
+    {"allocations": [[0, 2]]},
+    {"allocations": [[True, 2]]},
+], ids=["max_batch-str", "max_batch-bool", "max_decode_batch-zero",
+        "budget_xpus-float", "budget_xpus-zero", "max_frontier_points-zero",
+        "max_frontier_points-negative", "collect_per_plan-str",
+        "collect_per_plan-int", "allocations-float", "allocations-zero",
+        "allocations-bool"])
+def test_search_config_malformed_knob_rejected(knobs):
+    """Malformed knobs fail with a one-line ConfigError, not a TypeError
+    mid-search or a silently coerced value."""
+    with pytest.raises(ConfigError, match="search config") as error:
+        config.search_config_from_dict(knobs)
+    assert "\n" not in str(error.value)
+    with pytest.raises(ConfigError):
+        SearchConfig(**knobs)
+
+
+def test_search_config_accepts_well_formed_knobs():
+    search = config.search_config_from_dict(
+        {"budget_xpus": 8, "max_batch": 8, "max_frontier_points": 1,
+         "collect_per_plan": False, "allocations": [[2, 4]]})
+    assert search.allocations == ((2, 4),)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ConfigError, match="unknown config kind"):
         config.from_config({"config_version": 1, "kind": "bogus",

@@ -1,9 +1,10 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference_search import reference_serial_merge
 from repro.hardware import XPU_C
 from repro.hardware.roofline import all_reduce_time, roofline_time
 from repro.inference import DecodeModel, PrefillModel
@@ -12,9 +13,11 @@ from repro.models import LLAMA3_8B
 from repro.pipeline import microbatch_ttft, simulate_iterative_decode
 from repro.rago import pareto_front
 from repro.rago.pareto import dominates
+from repro.rago.search import _prune, _serial_merge
 from repro.retrieval import BruteForceIndex, ProductQuantizer
 from repro.retrieval.scann_model import ScaNNPerfModel
 from repro.hardware.cpu import EPYC_MILAN
+from repro.schema import Stage
 
 positive_floats = st.floats(min_value=1e-3, max_value=1e15,
                             allow_nan=False, allow_infinity=False)
@@ -56,6 +59,28 @@ def test_every_point_dominated_by_or_on_front(points):
                       or (f[0] <= point[0] and f[1] >= point[1])
                       for f in front)
         assert covered
+
+
+# Small shared value pools force exact ties: zero TTFTs, equal TTFT sums
+# across different pairs (1 + 2 == 2 + 1 == 3 + 0), float sums that
+# round to a tie (1e16 + 1 == 1e16), and equal QPS values on both sides.
+_merge_ttfts = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0, 2.0, 3.0, 1e16])
+_merge_qps = st.sampled_from([1.0, 2.0, 3.0, 5.0, 8.0])
+_merge_points = st.lists(st.tuples(_merge_ttfts, _merge_qps), max_size=10)
+
+
+def _merge_front(tag, points):
+    return _prune([(ttft, qps, ((Stage.PREFIX, index, tag),))
+                   for index, (ttft, qps) in enumerate(points)])
+
+
+@settings(max_examples=300)
+@example(left=[(1e16, 1.0)], right=[(0.0, 2.0), (1.0, 3.0)])
+@example(left=[(0.0, 2.0), (1.0, 3.0)], right=[(1.0, 2.0), (2.0, 3.0)])
+@given(left=_merge_points, right=_merge_points)
+def test_serial_merge_equals_cross_product_then_prune(left, right):
+    left, right = _merge_front("left", left), _merge_front("right", right)
+    assert _serial_merge(left, right) == reference_serial_merge(left, right)
 
 
 @settings(deadline=None, max_examples=20)

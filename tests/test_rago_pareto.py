@@ -1,7 +1,7 @@
 """Pareto-frontier utility tests."""
 
 from repro.rago import pareto_front
-from repro.rago.pareto import ParetoPoint, dominates
+from repro.rago.pareto import dominates
 
 
 def front_of(points):
@@ -51,8 +51,3 @@ def test_dominates_relation():
     assert not dominates(2.0, 5.0, 1.0, 10.0)
     assert not dominates(1.0, 10.0, 1.0, 10.0)  # equal: no strict gain
     assert dominates(1.0, 10.0, 1.0, 9.0)
-
-
-def test_pareto_point_payload():
-    point = ParetoPoint(cost=1.0, value=2.0, payload={"id": 1})
-    assert point.payload == {"id": 1}

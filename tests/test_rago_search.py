@@ -1,15 +1,21 @@
 """Schedule-search tests (Algorithm 1)."""
 
+from dataclasses import replace
+
 import pytest
 
+from reference_search import reference_serial_merge
 from repro.errors import ConfigError, ScheduleError
 from repro.hardware import ClusterSpec
 from repro.pipeline import RAGPerfModel, assemble
 from repro.rago import SearchConfig, search_schedules
+from repro.rago import search as search_module
 from repro.rago.placement import fully_collocated, fully_disaggregated
 from repro.schema import (
     Stage,
     case_i_hyperscale,
+    case_ii_long_context,
+    case_iii_iterative,
     case_iv_rewriter_reranker,
     llm_only,
 )
@@ -134,7 +140,6 @@ def test_counts_reported(case_i_result):
 
 
 def test_iterative_schema_search_sweeps_iterative_batch(cluster):
-    from repro.schema import case_iii_iterative
     pm = RAGPerfModel(case_iii_iterative("8B", retrieval_frequency=4),
                       cluster)
     result = search_schedules(pm, SearchConfig(max_batch=32,
@@ -150,6 +155,52 @@ def test_iterative_schema_search_sweeps_iterative_batch(cluster):
         SearchConfig(max_batch=32, max_decode_batch=256))
     assert result.max_qps_per_chip.qps_per_chip < \
         plain.max_qps_per_chip.qps_per_chip
+
+
+@pytest.mark.parametrize("schema", [
+    case_i_hyperscale("8B"),
+    case_ii_long_context(1_000_000, "8B"),
+    case_iii_iterative("8B", retrieval_frequency=4),
+    case_iv_rewriter_reranker("8B"),
+], ids=["case-i", "case-ii", "case-iii", "case-iv"])
+@pytest.mark.parametrize("knobs", [
+    {},
+    {"collect_per_plan": True, "max_frontier_points": 8},
+], ids=["plain", "per-plan-capped"])
+def test_search_matches_cross_product_merge(schema, knobs, monkeypatch):
+    """The shipped merge and the brute-force cross product give equal
+    searches: frontier schedules, plan and candidate counts, per-plan
+    fronts, and perf-model cache traffic."""
+    cluster = ClusterSpec(num_servers=16)
+    config = SearchConfig(max_batch=32, max_decode_batch=256, **knobs)
+    shipped_model = RAGPerfModel(schema, cluster)
+    shipped = search_schedules(shipped_model, config)
+    monkeypatch.setattr(search_module, "_serial_merge",
+                        reference_serial_merge)
+    reference_model = RAGPerfModel(schema, cluster)
+    reference = search_schedules(reference_model, config)
+    assert shipped == reference
+    assert shipped_model.cache_stats == reference_model.cache_stats
+
+
+@pytest.mark.parametrize("schema", [
+    case_i_hyperscale("8B"),
+    case_ii_long_context(1_000_000, "8B"),
+    case_iii_iterative("8B", retrieval_frequency=4),
+    case_iv_rewriter_reranker("8B"),
+], ids=["case-i", "case-ii", "case-iii", "case-iv"])
+def test_per_plan_fronts_match_single_plan_searches(schema):
+    """Plans merged on a reused allocation prefix get the same front as
+    a search restricted to that one plan, which starts from scratch."""
+    perf_model = RAGPerfModel(schema, ClusterSpec(num_servers=16))
+    config = SearchConfig(max_batch=32, max_decode_batch=256,
+                          collect_per_plan=True)
+    plans = search_schedules(perf_model, config).per_plan
+    for plan in plans[::max(1, len(plans) // 100)]:
+        single = search_schedules(perf_model, replace(
+            config, placements=[plan.placement],
+            allocations=[plan.allocation]))
+        assert single.per_plan == [plan]
 
 
 def test_budget_monotonicity(cluster):
