@@ -35,7 +35,7 @@ session, so existing call sites keep working unchanged.
 from __future__ import annotations
 
 import copy
-import hashlib
+import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -316,23 +316,18 @@ class OptimizerSession:
                 registry name).
 
         Returns:
-            The replay's :class:`~repro.sim.ServingReport`.
+            The replay's :class:`~repro.sim.ServingReport`. Its
+            aggregate dicts are fresh copies on every call; its
+            ``records`` tuple and the sealed records in it are shared
+            with the memo and with every other call that hits it.
         """
         if slo is None:
             slo = SLOTarget(ttft=self._objective.max_ttft,
                             tpot=self._objective.max_tpot)
         policy = resolve_dispatch_policy(dispatch)
         admit = resolve_admission_policy(admission)
-        # A recorded trace can hold 100k+ requests; keep the memo key
-        # fixed-size by digesting the serialized (schedule, trace) pair
-        # instead of storing megabytes of JSON per entry.
-        digest = hashlib.sha256(
-            _config_key(schedule, trace).encode("utf-8")).hexdigest()
-        key = "\x1e".join((self._base_key, digest,
-                           f"slo={slo.ttft}:{slo.tpot}",
-                           f"max_wait={max_wait}",
-                           f"dispatch={policy!r}",
-                           f"admission={admit!r}"))
+        key = self._trace_key(schedule, trace, slo, max_wait, policy,
+                              admit)
         if key not in self._trace_reports:
             simulator = ServingSimulator(self._perf_model, schedule,
                                          max_wait=max_wait,
@@ -340,12 +335,11 @@ class OptimizerSession:
                                          admission=admit)
             self._trace_reports[key] = simulator.run(trace, slo=slo)
         cached = self._trace_reports[key]
-        # Reports are frozen but carry mutable aggregate dicts and
-        # mutable per-request records; hand out copies (records deep,
-        # they nest dicts) so callers cannot corrupt the memo. For huge
-        # recorded traces the record copy dominates a cache hit -- a
-        # deliberate trade of hit speed for isolation; aggregate-only
-        # consumers can drop `records` entirely via the config envelope.
+        # Reports are frozen but carry mutable aggregate dicts: hand out
+        # copies so callers cannot corrupt the memo. The records need no
+        # copy -- the tuple cannot grow or shrink, and the engine sealed
+        # every finished record (read-only fields and stage maps) -- so
+        # a hit shares them and costs the same for 100 requests or 100k.
         return replace(
             cached,
             slo_attainment=dict(cached.slo_attainment),
@@ -355,8 +349,27 @@ class OptimizerSession:
                       for stage, stats in cached.queueing.items()},
             utilization=dict(cached.utilization),
             trace_metadata=dict(cached.trace_metadata),
-            records=copy.deepcopy(cached.records),
+            records=cached.records,
         )
+
+    def _trace_key(self, schedule: Schedule, trace: RequestTrace,
+                   slo: SLOTarget, max_wait: Optional[float],
+                   policy: DispatchPolicy, admit: AdmissionPolicy) -> str:
+        """Memo key of one :meth:`evaluate_trace` cell.
+
+        The trace enters as its cached requests digest (a recorded
+        trace can hold 100k+ requests, which must not be serialized on
+        every call) plus its metadata, serialized afresh each call
+        because the metadata dict is mutable. Two traces share a key
+        exactly when their config envelopes are equal.
+        """
+        return "\x1e".join((self._base_key, _config_key(schedule),
+                            trace.requests_digest,
+                            json.dumps(trace.metadata),
+                            f"slo={slo.ttft}:{slo.tpot}",
+                            f"max_wait={max_wait}",
+                            f"dispatch={policy!r}",
+                            f"admission={admit!r}"))
 
     def serving_engine(self, schedule: Optional[Schedule] = None,
                        max_wait: Optional[float] = None, seed: int = 0,

@@ -938,6 +938,9 @@ class ServingEngine:
 
     def _request_done(self, sim: Simulation, record: RequestRecord) -> None:
         self._materialize(record)
+        # Finished records are immutable from here on, so reports and
+        # memos share them instead of copying.
+        record.seal()
         self._accumulator.finish(record)
         for listener in self._listeners:
             listener(record)
@@ -975,8 +978,9 @@ class ServingEngine:
         return self._sim.events_processed
 
     @property
-    def records(self) -> List[RequestRecord]:
-        """All submitted records, in submission order."""
+    def records(self) -> Tuple[RequestRecord, ...]:
+        """All submitted records, in submission order (finished ones
+        sealed, unfinished ones still live)."""
         return self._accumulator.records
 
     @property

@@ -31,7 +31,7 @@ occupied a slot, divided by the slot count).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError, ReproError
 from repro.pipeline.assembly import Schedule, assemble
@@ -248,7 +248,7 @@ class FleetEngine:
         return self.offered - self.completed
 
     @property
-    def records(self) -> List[RequestRecord]:
+    def records(self) -> Tuple[RequestRecord, ...]:
         """All submitted records, fleet submission order."""
         return self._accumulator.records
 

@@ -13,8 +13,8 @@ computed after the fact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from dataclasses import FrozenInstanceError, dataclass, field, fields
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.schema.stages import Stage, pipeline_stages
@@ -24,9 +24,43 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.traces import RequestTrace
 
 
-@dataclass
+class _StageMap(dict):
+    """A sealed record's per-stage map: a dict that rejects writes.
+
+    Unlike a bare ``MappingProxyType`` it pickles and deep-copies
+    (``__reduce__`` rebuilds it from a plain dict, never through the
+    rejecting ``__setitem__``), and it still compares equal to a dict
+    with the same items.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError("a sealed RequestRecord's stage maps are "
+                        "read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return (_StageMap, (dict(self),))
+
+
+@dataclass(slots=True)
 class RequestRecord:
     """Lifecycle of one request through the simulated deployment.
+
+    A record has two phases. While its request is **in flight**, the
+    engine (and a fleet, which re-keys ``request_id`` at submission)
+    writes its fields as the simulation advances. When the request
+    finishes, the engine **seals** it (:meth:`seal`) before the
+    metrics accumulator and any completion listener see it: from then
+    on assigning any field raises
+    :class:`~dataclasses.FrozenInstanceError` and the three per-stage
+    maps reject writes. A sealed record never changes again, so
+    reports and the session's trace memo share finished records
+    instead of copying them. Sealed records still pickle, copy and
+    deep-copy (to sealed records) and compare equal field for field.
 
     Attributes:
         request_id: Arrival index.
@@ -83,6 +117,53 @@ class RequestRecord:
         return (self.completion_time - self.first_token_time) \
             / max(self.decode_len, 1)
 
+    def seal(self) -> None:
+        """Make the finished record read-only (once; the engine calls
+        this when the request completes).
+
+        The per-stage maps become read-only copies and the record
+        switches to a subclass with the same slots whose
+        ``__setattr__`` raises. In-flight writes therefore cost
+        nothing extra: only a sealed record checks anything.
+        """
+        self.stage_completions = _StageMap(self.stage_completions)
+        self.stage_enqueues = _StageMap(self.stage_enqueues)
+        self.queue_waits = _StageMap(self.queue_waits)
+        self.__class__ = _SealedRecord
+
+
+class _SealedRecord(RequestRecord):
+    """A finished :class:`RequestRecord`: same slots, no writes."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(
+            f"cannot assign to field {name!r} of a sealed RequestRecord")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(
+            f"cannot delete field {name!r} of a sealed RequestRecord")
+
+    def __reduce__(self):
+        # The default slot-state protocol restores fields by setattr,
+        # which a sealed record rejects: rebuild and re-seal instead.
+        return (_sealed_record, tuple(getattr(self, name)
+                                      for name in _RECORD_FIELDS))
+
+
+# repr reads like the live record's; pickling goes through __reduce__,
+# so the class is never looked up by this name.
+_SealedRecord.__qualname__ = RequestRecord.__qualname__
+_RECORD_FIELDS = tuple(spec.name for spec in fields(RequestRecord))
+
+
+def _sealed_record(*values: Any) -> RequestRecord:
+    """Unpickle/deep-copy target: a sealed record from field values."""
+    record = RequestRecord(*values)
+    record.seal()
+    return record
+
 
 @dataclass
 class ServingMetrics:
@@ -98,7 +179,8 @@ class ServingMetrics:
         utilization: Busy-time fraction per pre-decode resource over the
             run (group name -> [0, 1]); shows which tier the schedule
             actually saturates.
-        records: Per-request lifecycles.
+        records: Per-request lifecycles, in submission order (finished
+            ones sealed).
     """
 
     completed: int
@@ -109,7 +191,7 @@ class ServingMetrics:
     p99_ttft: float
     mean_tpot: float
     utilization: Dict[str, float] = field(default_factory=dict)
-    records: List[RequestRecord] = field(repr=False, default_factory=list)
+    records: Tuple[RequestRecord, ...] = field(repr=False, default=())
 
 
 @dataclass(frozen=True)
@@ -221,7 +303,9 @@ class ServingReport:
             Jain index over per-user completion counts
             (``jain_completions``, 1.0 = perfectly even). Empty when
             anonymous.
-        records: Per-request lifecycles (not serialized, not compared).
+        records: Per-request lifecycles, in submission order (not
+            serialized, not compared). Finished records are sealed,
+            so copies of a report may share them.
     """
 
     scenario: str
@@ -238,8 +322,8 @@ class ServingReport:
     trace_metadata: Dict[str, Any] = field(default_factory=dict)
     tiers: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     fairness: Dict[str, float] = field(default_factory=dict)
-    records: List[RequestRecord] = field(default_factory=list,
-                                         repr=False, compare=False)
+    records: Tuple[RequestRecord, ...] = field(default=(), repr=False,
+                                               compare=False)
 
     def __post_init__(self) -> None:
         if self.completed < 0 or self.offered < 0:
@@ -355,8 +439,8 @@ class MetricsAccumulator:
         """Fold in one completed request (completion_time set).
 
         The record's latency and queue-wait values are captured into
-        the reservoirs here; later mutation of a finished record does
-        not alter subsequent reports.
+        the reservoirs here; the engine seals the record first, so
+        nothing can change them afterwards.
         """
         self._completed += 1
         completion = record.completion_time
@@ -417,9 +501,10 @@ class MetricsAccumulator:
         return self._completed
 
     @property
-    def records(self) -> List[RequestRecord]:
-        """All registered records, in submission order."""
-        return self._records
+    def records(self) -> Tuple[RequestRecord, ...]:
+        """All registered records, in submission order (a snapshot:
+        the accumulator's own list is never handed out)."""
+        return tuple(self._records)
 
     def tier_counts(self) -> Dict[str, Dict[str, int]]:
         """Per-tier offered/completed counts so far, sorted by tier
@@ -488,7 +573,7 @@ class MetricsAccumulator:
             p99_ttft=p99,
             mean_tpot=mean_tpot,
             utilization=utilization,
-            records=self._records,
+            records=self.records,
         )
 
     def report(self, trace: "RequestTrace", slo: SLOTarget,

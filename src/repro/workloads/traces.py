@@ -29,6 +29,7 @@ replay`` front-end.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -109,6 +110,9 @@ class RequestTrace:
     decode_lens=...)`` wraps the parallel tuples in anonymous
     requests; ``trace.arrivals`` and ``trace.decode_lens`` remain as
     cached read-only tuple views for every consumer of the old shape.
+    :attr:`requests_digest` caches a content digest of ``requests``
+    (not of the mutable ``metadata``); it takes no part in equality,
+    repr or the config envelope.
     """
 
     requests: Tuple[Request, ...]
@@ -175,6 +179,29 @@ class RequestTrace:
         """Per-request decode lengths, or None when unset (the
         historical tuple view)."""
         return self._decode_lens
+
+    @property
+    def requests_digest(self) -> str:
+        """SHA-256 hex digest of the ``requests`` tuple, computed once.
+
+        Two traces share a digest exactly when their requests
+        serialize identically in the config envelope: each request
+        digests as the JSON list of its five fields, so ``None``
+        (JSON ``null``) stays apart from ``""``, an unset
+        ``decode_len`` from a set one, and ``-0.0`` from ``0.0``.
+        Safe to cache because ``requests`` is an immutable tuple of
+        frozen records; ``metadata`` is a mutable dict and is not
+        covered.
+        """
+        digest = self.__dict__.get("_requests_digest")
+        if digest is None:
+            rows = [[request.arrival, request.decode_len, request.user_id,
+                     request.session_id, request.tier]
+                    for request in self.requests]
+            digest = hashlib.sha256(
+                json.dumps(rows).encode("ascii")).hexdigest()
+            object.__setattr__(self, "_requests_digest", digest)
+        return digest
 
     @property
     def has_identity(self) -> bool:

@@ -284,7 +284,7 @@ def test_serving_report_round_trip_equality():
     back = roundtrip(report)
     assert back == report
     # Per-request records intentionally do not travel.
-    assert back.records == [] and report.records
+    assert back.records == () and report.records
 
 
 def test_serving_report_unknown_field_rejected():

@@ -1,6 +1,9 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import functools
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -200,3 +203,138 @@ def test_serving_des_conservation(seed, rate):
         assert record.first_token_time is not None
         assert record.first_token_time >= record.arrival
         assert record.completion_time >= record.first_token_time
+
+
+# ---------------------------------------------------------------------------
+# Trace replay memo: keys, determinism and sealed-record copies.
+# ---------------------------------------------------------------------------
+
+
+def _replay_session():
+    from repro.hardware import ClusterSpec
+    from repro.pipeline import PlacementGroup, Schedule
+    from repro.rago import OptimizerSession
+    from repro.schema import Stage as S, case_i_hyperscale
+
+    schedule = Schedule(
+        groups=(PlacementGroup((S.PREFIX,), 16),
+                PlacementGroup((S.DECODE,), 16)),
+        batches={S.PREFIX: 8, S.DECODE: 128, S.RETRIEVAL: 16},
+    )
+    return OptimizerSession(case_i_hyperscale("8B"),
+                            ClusterSpec(num_servers=32)), schedule
+
+
+@functools.lru_cache(maxsize=None)
+def _key_session():
+    return _replay_session()
+
+
+def _memo_key(trace):
+    from repro.sim import SLOTarget
+    from repro.sim.policies import (resolve_admission_policy,
+                                    resolve_dispatch_policy)
+
+    session, schedule = _key_session()
+    return session._trace_key(schedule, trace, SLOTarget(), None,
+                              resolve_dispatch_policy(None),
+                              resolve_admission_policy(None))
+
+
+# Small pools make equal and near-equal traces common: -0.0 vs 0.0,
+# None vs "" identity, unset vs set decode_len, unicode ids.
+_key_arrivals = st.sampled_from([0.0, -0.0, 0.5, 1.0])
+_key_identity = st.sampled_from([None, "", "u1", "ü", "用户", " "])
+
+
+@st.composite
+def _key_traces(draw):
+    from repro.workloads import Request, RequestTrace
+
+    count = draw(st.integers(1, 3))
+    arrivals = sorted(draw(st.lists(_key_arrivals, min_size=count,
+                                    max_size=count)))
+    with_lens = draw(st.booleans())
+    requests = [Request(arrival=arrival,
+                        decode_len=(draw(st.sampled_from([1, 64]))
+                                    if with_lens else None),
+                        user_id=draw(_key_identity),
+                        session_id=draw(_key_identity),
+                        tier=draw(_key_identity))
+                for arrival in arrivals]
+    metadata = draw(st.sampled_from([{}, {"scenario": "x"},
+                                     {"scenario": "x", "seed": 0}]))
+    return RequestTrace(requests=requests, metadata=metadata)
+
+
+def _request_trace(**fields):
+    from repro.workloads import Request, RequestTrace
+
+    return RequestTrace(requests=[Request(**fields)])
+
+
+@settings(max_examples=300)
+@example(left=_request_trace(arrival=0.0), right=_request_trace(arrival=-0.0))
+@example(left=_request_trace(arrival=0.0, tier=""),
+         right=_request_trace(arrival=0.0))
+@example(left=_request_trace(arrival=0.0, decode_len=64),
+         right=_request_trace(arrival=0.0))
+@example(left=_request_trace(arrival=1.0, user_id="ü"),
+         right=_request_trace(arrival=1.0, user_id="ü"))
+@given(left=_key_traces(), right=_key_traces())
+def test_trace_memo_key_matches_config_envelope(left, right):
+    from repro import config
+
+    same_key = _memo_key(left) == _memo_key(right)
+    assert same_key == (config.dumps(left) == config.dumps(right))
+
+
+def _fields(record):
+    from dataclasses import fields
+
+    return tuple(getattr(record, spec.name) for spec in fields(record))
+
+
+def test_trace_replay_is_byte_identical_across_memo_and_sessions():
+    """One seed, one report: a memo miss, a memo hit and a fresh
+    session serialize byte-identically and carry field-for-field equal
+    records."""
+    from repro import config
+    from repro.workloads import poisson_trace
+
+    trace = poisson_trace(60, 1.0, seed=7)
+    session, schedule = _replay_session()
+    miss = session.evaluate_trace(schedule, trace)
+    hit = session.evaluate_trace(schedule, trace)
+    fresh_session, _ = _replay_session()
+    fresh = fresh_session.evaluate_trace(schedule, poisson_trace(60, 1.0,
+                                                                 seed=7))
+    assert config.dumps(miss) == config.dumps(hit) == config.dumps(fresh)
+    assert miss.completed == miss.offered == trace.num_requests
+    assert [_fields(r) for r in miss.records] \
+        == [_fields(r) for r in hit.records] \
+        == [_fields(r) for r in fresh.records]
+
+
+def test_sealed_records_and_reports_survive_pickle_and_deepcopy():
+    import copy
+    import pickle
+    from dataclasses import FrozenInstanceError
+
+    from repro.workloads import poisson_trace
+
+    session, schedule = _replay_session()
+    report = session.evaluate_trace(schedule, poisson_trace(60, 1.0, seed=3))
+    record = report.records[0]
+    for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record),
+                  copy.copy(record)):
+        assert clone == record and _fields(clone) == _fields(record)
+        assert type(clone) is type(record)
+        with pytest.raises(FrozenInstanceError):
+            clone.completion_time = None
+        with pytest.raises(TypeError):
+            clone.queue_waits.clear()
+    for clone in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+        assert clone == report
+        assert [_fields(r) for r in clone.records] \
+            == [_fields(r) for r in report.records]

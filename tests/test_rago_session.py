@@ -334,18 +334,71 @@ def test_evaluate_trace_distinguishes_slo_and_dispatch():
     assert session.cache_info()["trace_reports"] == 3
 
 
-def test_evaluate_trace_records_are_copy_isolated():
+def _replay_setup(seed):
     from repro.workloads import poisson_trace
 
     session = OptimizerSession(case_i_hyperscale("1B"), _CLUSTER)
     chosen = session.optimize(_small_search()).max_qps_per_chip
-    trace = poisson_trace(0.3 * chosen.qps, 2.0, seed=43)
-    first = session.evaluate_trace(chosen.schedule, trace)
-    first.records[0].queue_waits.clear()
-    first.records[0].completion_time = None
-    fresh = session.evaluate_trace(chosen.schedule, trace)
-    assert fresh.records[0].completion_time is not None
-    assert fresh.records[0].queue_waits
+    return session, chosen.schedule, poisson_trace(0.3 * chosen.qps, 2.0,
+                                                   seed=seed)
+
+
+def test_evaluate_trace_records_are_sealed_and_shared():
+    """A memo hit shares the cached records; sealing, not copying, keeps
+    callers from corrupting them."""
+    from dataclasses import FrozenInstanceError
+
+    session, schedule, trace = _replay_setup(43)
+    first = session.evaluate_trace(schedule, trace)
+    again = session.evaluate_trace(schedule, trace)
+    assert again.records is first.records
+    assert all(a is b for a, b in zip(again.records, first.records))
+    record = first.records[0]
+    completion = record.completion_time
+    waits = dict(record.queue_waits)
+    assert completion is not None and waits
+    with pytest.raises(FrozenInstanceError):
+        record.completion_time = None
+    with pytest.raises(TypeError):
+        record.queue_waits[next(iter(waits))] = -1.0
+    with pytest.raises(TypeError):
+        record.queue_waits.clear()
+    with pytest.raises(AttributeError):
+        first.records.append(record)
+    with pytest.raises(AttributeError):
+        first.records.clear()
+    fresh = session.evaluate_trace(schedule, trace)
+    assert fresh.records[0].completion_time == completion
+    assert fresh.records[0].queue_waits == waits
+    assert len(fresh.records) == trace.num_requests
+
+
+def test_evaluate_trace_misses_after_metadata_mutation():
+    """The metadata dict is mutable, so it is re-read on every call: an
+    edit after a call must reach the key (the requests digest alone is
+    cached)."""
+    session, schedule, trace = _replay_setup(47)
+    session.evaluate_trace(schedule, trace)
+    trace.metadata["note"] = "edited"
+    report = session.evaluate_trace(schedule, trace)
+    assert session.cache_info()["trace_reports"] == 2
+    assert report.trace_metadata["note"] == "edited"
+
+
+def test_evaluate_trace_jsonl_round_trip_hits_memo(tmp_path):
+    from repro.workloads import RequestTrace
+
+    session, schedule, trace = _replay_setup(53)
+    path = str(tmp_path / "trace.jsonl")
+    # from_jsonl records the file as the source unless one is set.
+    trace = trace.with_metadata(source=path)
+    first = session.evaluate_trace(schedule, trace)
+    trace.to_jsonl(path)
+    loaded = RequestTrace.from_jsonl(path)
+    assert loaded is not trace and loaded == trace
+    again = session.evaluate_trace(schedule, loaded)
+    assert session.cache_info()["trace_reports"] == 1
+    assert again.records is first.records
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,38 @@ def test_completion_listeners_fire_in_order(network):
     assert seen == second
 
 
+def test_records_hand_out_a_tuple_not_the_live_list(network):
+    """Regression: ``records`` once returned the accumulator's own list,
+    so appending to it inflated ``offered`` and ``in_flight``."""
+    pm, schedule = network
+    engine = ServingEngine(pm, schedule)
+    engine.submit(0.0, decode_len=8)
+    engine.drain()
+    records = engine.records
+    with pytest.raises(AttributeError):
+        records.append(records[0])
+    assert engine.offered == 1 and engine.in_flight == 0
+    assert engine.metrics().records == records
+
+
+def test_records_are_sealed_before_listeners_see_them(network):
+    from dataclasses import FrozenInstanceError
+
+    pm, schedule = network
+    seen = []
+    engine = ServingEngine(pm, schedule, on_complete=seen.append)
+    live = engine.submit(0.0, decode_len=8)
+    engine.drain()
+    (record,) = seen
+    assert record is live
+    with pytest.raises(FrozenInstanceError):
+        record.completion_time = 0.0
+    with pytest.raises(TypeError):
+        record.stage_completions[Stage.DECODE] = 0.0
+    assert record.completion_time > 0.0
+    assert Stage.PREFIX in record.stage_completions
+
+
 def test_recorded_trace_replays_identically(network):
     pm, schedule = network
     engine = ServingEngine(pm, schedule)

@@ -331,6 +331,27 @@ def test_fleet_snapshot_and_breakdown(network):
         format_fleet_breakdown([])
 
 
+def test_fleet_records_hand_out_a_tuple_not_the_live_list(network):
+    """Regression: ``records`` once returned the fleet accumulator's own
+    list, so appending to it inflated ``offered`` and ``in_flight``."""
+    from dataclasses import FrozenInstanceError
+
+    pm, schedule = network
+    fleet = FleetEngine(pm, schedule, replicas=2)
+    for index in range(3):
+        fleet.submit(index * 0.01, decode_len=8)
+    fleet.drain()
+    records = fleet.records
+    with pytest.raises(AttributeError):
+        records.append(records[0])
+    assert fleet.offered == 3 and fleet.in_flight == 0
+    # The fleet-wide re-key happened in flight; the finished record is
+    # sealed with it.
+    assert [record.request_id for record in records] == [0, 1, 2]
+    with pytest.raises(FrozenInstanceError):
+        records[1].request_id = 0
+
+
 def test_fleet_recorded_trace_replays(network, trace):
     pm, schedule = network
     fleet = _replay_fleet(pm, schedule, trace, 3, None)
