@@ -39,98 +39,96 @@ The paper's presets remain one call away (``case_i_hyperscale("8B")``,
 ...), the classic facade still works (``RAGO(schema,
 cluster).optimize()``), and any schema/result round-trips through
 :mod:`repro.config` for reproducible experiment files.
+
+Start-up: this package and its subpackages resolve their public names
+when they are read (:mod:`repro._lazy`), so ``import repro`` loads no
+submodule and ``from repro import ClusterSpec`` loads only the modules
+``ClusterSpec`` needs. A schedule search never imports numpy, asyncio
+or the serving simulator; they load when a trace is generated or a
+replay, sweep or live server runs.
 """
 
-from repro.errors import (
-    CalibrationError,
-    CapacityError,
-    ConfigError,
-    ReproError,
-    ScheduleError,
-)
-from repro.hardware import (
-    XPU_A,
-    XPU_B,
-    XPU_C,
-    ClusterSpec,
-    CPUServerSpec,
-    EPYC_MILAN,
-    XPUSpec,
-)
-from repro.models import (
-    ENCODER_120M,
-    LLAMA3_1B,
-    LLAMA3_8B,
-    LLAMA3_70B,
-    LLAMA3_405B,
-    TransformerConfig,
-    model_by_params,
-)
-from repro.retrieval import (
-    BruteForceIndex,
-    DatabaseConfig,
-    IVFPQIndex,
-    ProductQuantizer,
-    RetrievalSimulator,
-)
-from repro.inference import InferenceSimulator
-# NOTE: the builder entry point `pipeline()` is exported from
-# repro.schema only -- binding it here would shadow the repro.pipeline
-# submodule attribute on this package.
-from repro.schema import (
-    PipelineBuilder,
-    RAGSchema,
-    Stage,
-    case_i_hyperscale,
-    case_ii_long_context,
-    case_iii_iterative,
-    case_iv_rewriter_reranker,
-    llm_only,
-    register_stage_type,
-)
-from repro.workloads import (
-    RequestTrace,
-    SequenceProfile,
-    bursty_trace,
-    diurnal_trace,
-    poisson_trace,
-    scenario_trace,
-)
-from repro.pipeline import (
-    PipelinePerf,
-    PlacementGroup,
-    RAGPerfModel,
-    Schedule,
-    assemble,
-    simulate_iterative_decode,
-    time_breakdown,
-)
-from repro.rago import (
-    RAGO,
-    OptimizerSession,
-    PriceBook,
-    SearchConfig,
-    SearchResult,
-    ServiceObjective,
-    SweepCell,
-    SweepResult,
-    estimate_cost,
-    pareto_front,
-)
-from repro import config
-from repro.config import OptimizationConfig
-from repro.rago.provisioning import ProvisioningResult, provision
-from repro.hardware.power import PowerProfile, estimate_energy
-from repro.sim import (
-    FleetEngine,
-    LiveSnapshot,
-    RoutingPolicy,
-    ServingEngine,
-    ServingReport,
-    ServingSimulator,
-    SLOTarget,
-)
-from repro.serve import LiveServer, ServeConfig
+from repro._lazy import lazy_exports
+
+#: Public name -> defining module, resolved when read. The
+#: builder entry point ``pipeline()`` is exported from repro.schema
+#: only: binding it here would shadow the repro.pipeline submodule
+#: attribute on this package.
+_EXPORTS = {
+    "CalibrationError": "repro.errors",
+    "CapacityError": "repro.errors",
+    "ConfigError": "repro.errors",
+    "ReproError": "repro.errors",
+    "ScheduleError": "repro.errors",
+    "XPU_A": "repro.hardware.accelerator",
+    "XPU_B": "repro.hardware.accelerator",
+    "XPU_C": "repro.hardware.accelerator",
+    "ClusterSpec": "repro.hardware.cluster",
+    "CPUServerSpec": "repro.hardware.cpu",
+    "EPYC_MILAN": "repro.hardware.cpu",
+    "XPUSpec": "repro.hardware.accelerator",
+    "ENCODER_120M": "repro.models.catalog",
+    "LLAMA3_1B": "repro.models.catalog",
+    "LLAMA3_8B": "repro.models.catalog",
+    "LLAMA3_70B": "repro.models.catalog",
+    "LLAMA3_405B": "repro.models.catalog",
+    "TransformerConfig": "repro.models.transformer",
+    "model_by_params": "repro.models.catalog",
+    "BruteForceIndex": "repro.retrieval.bruteforce",
+    "DatabaseConfig": "repro.retrieval.scann_model",
+    "IVFPQIndex": "repro.retrieval.ivf",
+    "ProductQuantizer": "repro.retrieval.pq",
+    "RetrievalSimulator": "repro.retrieval.simulator",
+    "InferenceSimulator": "repro.inference.simulator",
+    "PipelineBuilder": "repro.schema.builder",
+    "RAGSchema": "repro.schema.ragschema",
+    "Stage": "repro.schema.stages",
+    "case_i_hyperscale": "repro.schema.paradigms",
+    "case_ii_long_context": "repro.schema.paradigms",
+    "case_iii_iterative": "repro.schema.paradigms",
+    "case_iv_rewriter_reranker": "repro.schema.paradigms",
+    "llm_only": "repro.schema.paradigms",
+    "register_stage_type": "repro.schema.builder",
+    "RequestTrace": "repro.workloads.traces",
+    "SequenceProfile": "repro.workloads.profile",
+    "bursty_trace": "repro.workloads.traces",
+    "diurnal_trace": "repro.workloads.traces",
+    "poisson_trace": "repro.workloads.traces",
+    "scenario_trace": "repro.workloads.traces",
+    "PipelinePerf": "repro.pipeline.assembly",
+    "PlacementGroup": "repro.pipeline.assembly",
+    "RAGPerfModel": "repro.pipeline.stage_perf",
+    "Schedule": "repro.pipeline.assembly",
+    "assemble": "repro.pipeline.assembly",
+    "simulate_iterative_decode": "repro.pipeline.iterative",
+    "time_breakdown": "repro.pipeline.breakdown",
+    "RAGO": "repro.rago.optimizer",
+    "OptimizerSession": "repro.rago.session",
+    "PriceBook": "repro.rago.cost",
+    "SearchConfig": "repro.rago.search",
+    "SearchResult": "repro.rago.search",
+    "ServiceObjective": "repro.rago.objectives",
+    "SweepCell": "repro.rago.session",
+    "SweepResult": "repro.rago.session",
+    "estimate_cost": "repro.rago.cost",
+    "pareto_front": "repro.rago.pareto",
+    "config": "repro.config",
+    "OptimizationConfig": "repro.config",
+    "ProvisioningResult": "repro.rago.provisioning",
+    "provision": "repro.rago.provisioning",
+    "PowerProfile": "repro.hardware.power",
+    "estimate_energy": "repro.hardware.power",
+    "FleetEngine": "repro.sim.fleet",
+    "LiveSnapshot": "repro.sim.metrics",
+    "RoutingPolicy": "repro.sim.routing",
+    "ServingEngine": "repro.sim.engine",
+    "ServingReport": "repro.sim.metrics",
+    "ServingSimulator": "repro.sim.serving",
+    "SLOTarget": "repro.sim.metrics",
+    "LiveServer": "repro.serve",
+    "ServeConfig": "repro.serve",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 

@@ -25,7 +25,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigError
-from repro.analysis.index import CodebaseIndex, ModuleIndex, _dotted
+from repro.analysis.index import (
+    CodebaseIndex,
+    ModuleIndex,
+    _dotted,
+    import_aliases,
+)
 
 __all__ = [
     "CATCH_ALL",
@@ -43,7 +48,8 @@ __all__ = [
 
 #: Serialized module-graph layout version; part of the summary-cache
 #: key, so a layout change invalidates every cached entry at once.
-GRAPH_VERSION = 1
+#: v2: call targets resolve through function-local imports too.
+GRAPH_VERSION = 2
 
 #: Handler sentinel for ``except:`` / ``except Exception`` / dynamic
 #: handler types -- treated as catching everything.
@@ -133,7 +139,9 @@ class ModuleGraph:
 
 
 def _handler_names(module: ModuleIndex,
-                   handlers: Sequence[ast.ExceptHandler]) -> Tuple[str, ...]:
+                   handlers: Sequence[ast.ExceptHandler],
+                   local: Optional[Dict[str, str]] = None
+                   ) -> Tuple[str, ...]:
     names: List[str] = []
     for handler in handlers:
         if handler.type is None:
@@ -142,7 +150,7 @@ def _handler_names(module: ModuleIndex,
         types = handler.type.elts \
             if isinstance(handler.type, ast.Tuple) else [handler.type]
         for node in types:
-            dotted = module.resolved_name(node)
+            dotted = module.resolved_name(node, local)
             if dotted is None or dotted in _BROAD_HANDLERS:
                 # A handler type we cannot name statically is assumed
                 # to catch everything: the contract rule must prefer a
@@ -159,11 +167,13 @@ class _BodyWalker:
 
     def __init__(self, module: ModuleIndex, cls: Optional[str],
                  params: Set[str], local_funcs: Dict[str, str],
+                 local_imports: Dict[str, str],
                  top_names: Set[str]) -> None:
         self.module = module
         self.cls = cls
         self.params = params
         self.local_funcs = local_funcs
+        self.local_imports = local_imports
         self.top_names = top_names
         self.calls: List[CallSite] = []
         self.raises: List[RaiseSite] = []
@@ -174,8 +184,8 @@ class _BodyWalker:
         if isinstance(node, _FUNC_TYPES + (ast.ClassDef,)):
             return  # nested defs are extracted as their own nodes
         if isinstance(node, _TRY_TYPES):
-            protected = caught + _handler_names(self.module,
-                                                node.handlers)
+            protected = caught + _handler_names(
+                self.module, node.handlers, self.local_imports)
             for stmt in node.body:
                 self.walk(stmt, protected)
             for handler in node.handlers:
@@ -223,7 +233,7 @@ class _BodyWalker:
 
     def _expand(self, node: ast.AST) -> Optional[str]:
         """Resolve a name, qualifying module-level defs/classes."""
-        dotted = self.module.resolved_name(node)
+        dotted = self.module.resolved_name(node, self.local_imports)
         if dotted is None:
             return None
         head = dotted.partition(".")[0]
@@ -240,7 +250,7 @@ class _BodyWalker:
                 and self.cls is not None:
             return f"self:{func.attr}"
         raw = _dotted(func)
-        dotted = self.module.resolved_name(func)
+        dotted = self.module.resolved_name(func, self.local_imports)
         if dotted is None:
             return None
         if raw != dotted:
@@ -279,8 +289,11 @@ def _extract_function(graph: ModuleGraph, module: ModuleIndex,
                       qualprefix: str, top_names: Set[str]) -> None:
     qualname = f"{qualprefix}.{node.name}"
     # Direct child defs (any statement depth, but not inside deeper
-    # functions) are callable by bare name from this body.
+    # functions) are callable by bare name from this body, and the
+    # body's own imports (deferred to keep module import cheap) resolve
+    # like module-level ones.
     local_funcs: Dict[str, str] = {}
+    local_imports: Dict[str, str] = {}
     nested: List[ast.AST] = []
     stack: List[ast.AST] = list(ast.iter_child_nodes(node))
     while stack:
@@ -291,9 +304,10 @@ def _extract_function(graph: ModuleGraph, module: ModuleIndex,
             continue
         if isinstance(child, ast.ClassDef):
             continue
+        local_imports.update(import_aliases(child))
         stack.extend(ast.iter_child_nodes(child))
     walker = _BodyWalker(module, cls, _params_of(node), local_funcs,
-                         top_names)
+                         local_imports, top_names)
     for stmt in node.body:
         walker.walk(stmt, ())
     graph.functions[qualname] = FunctionNode(

@@ -12,8 +12,9 @@ hand:
   bound method escaped as a callback was later rebound, orphaning the
   callback silently.
 * ``registry-drift`` -- a policy registry key without a reachable
-  ``parse_*``/``resolve_*`` entry point, an unresolvable factory, or
-  a phantom ``__all__`` export (the PR 4 estimator-drift class).
+  ``parse_*``/``resolve_*`` entry point, an unresolvable factory, a
+  phantom ``__all__`` export (the estimator-drift class), or a lazy
+  export table entry naming a module that never binds the name.
 * ``mutable-default-arg`` -- the classic shared-state trap.
 * ``unsorted-dict-iteration-in-reporting`` -- report/table output fed
   from unordered dict iteration is diff-unstable across runs.
@@ -61,6 +62,7 @@ from repro.analysis.effects import (
 )
 from repro.analysis.findings import Finding
 from repro.analysis.index import (
+    LAZY_TABLE,
     REGISTRY_SUFFIXES,
     CodebaseIndex,
     ModuleIndex,
@@ -256,19 +258,21 @@ _REGISTRY_STEM_RE = re.compile(
 
 @register_rule
 class RegistryDrift(LintRule):
-    """Policy registries, their parse/resolve entry points, and
-    ``__all__`` exports must stay mutually consistent."""
+    """Policy registries, their parse/resolve entry points,
+    ``__all__`` exports and lazy export tables must stay mutually
+    consistent."""
 
     rule_id = "registry-drift"
     severity = "error"
     description = ("*_POLICIES/*_BACKENDS/*_RUNNERS/*_RULES registries "
                    "need resolvable factories, a reachable "
                    "parse_*/resolve_* entry point, and truthful "
-                   "__all__ exports")
+                   "__all__ exports and lazy export tables")
 
     def check(self, module: ModuleIndex,
               index: CodebaseIndex) -> Iterable[Finding]:
         yield from self._dunder_all_findings(module)
+        yield from self._lazy_export_findings(module, index)
         for registry in module.registries:
             yield from self._registry_findings(module, index, registry)
 
@@ -282,6 +286,21 @@ class RegistryDrift(LintRule):
                     module, line,
                     f"__all__ exports {name!r} but the module never "
                     f"binds it")
+
+    def _lazy_export_findings(self, module: ModuleIndex,
+                              index: CodebaseIndex) -> Iterator[Finding]:
+        """Each lazy table entry must name a module that binds the name
+        (a module outside the lint run cannot be checked)."""
+        for entry in module.lazy_exports:
+            target = index.by_name.get(entry.module)
+            if target is None or target.has_star_import \
+                    or entry.is_submodule(module.name):
+                continue
+            if entry.name not in target.bindings:
+                yield self.finding(
+                    module, entry.line,
+                    f"{LAZY_TABLE} maps {entry.name!r} to "
+                    f"{entry.module}, which never binds it")
 
     def _registry_findings(self, module: ModuleIndex,
                            index: CodebaseIndex,

@@ -4,8 +4,16 @@ One :class:`ModuleIndex` per parsed file records what every rule needs
 without re-walking the AST from scratch: module-level name bindings,
 an import alias map (``np`` -> ``numpy``, ``monotonic`` ->
 ``time.monotonic``), the literal ``__all__`` list, any registry dict
-literals (names ending in one of :data:`REGISTRY_SUFFIXES`), and the
+literals (names ending in one of :data:`REGISTRY_SUFFIXES`), the lazy
+export table of a package ``__init__`` (:data:`LAZY_TABLE`), and the
 per-line suppression grammar.
+
+A lazy package (:mod:`repro._lazy`) resolves its public names when
+they are read, not with ``from x import y``; its literal table entries
+are read as exactly those bindings and import origins, so ``__all__``
+checks and re-export chasing see the same names as in an eager
+package. Function-local imports (:func:`import_aliases`) resolve call
+targets in the callgraph the same way.
 
 :class:`CodebaseIndex` aggregates the modules of one lint run into a
 callgraph-lite symbol table -- which module-level functions exist
@@ -59,6 +67,10 @@ REGISTRY_SUFFIXES: Tuple[str, ...] = (
 _REGISTRY_RE = re.compile(
     r".+(?:%s)$" % "|".join(re.escape(s) for s in REGISTRY_SUFFIXES))
 
+#: The module-level dict literal a lazy package declares its public
+#: names in: name -> dotted module defining it (:mod:`repro._lazy`).
+LAZY_TABLE = "_EXPORTS"
+
 
 @dataclass(frozen=True)
 class RegistryEntry:
@@ -79,6 +91,19 @@ class RegistryLiteral:
     entries: Tuple[RegistryEntry, ...]
 
 
+@dataclass(frozen=True)
+class LazyExport:
+    """One ``name: module`` entry of a lazy package's export table."""
+
+    name: str
+    module: str
+    line: int
+
+    def is_submodule(self, package: str) -> bool:
+        """Whether the entry exports the submodule ``module`` itself."""
+        return self.module == f"{package}.{self.name}"
+
+
 @dataclass
 class ModuleIndex:
     """Everything the rules need to know about one parsed module."""
@@ -92,6 +117,7 @@ class ModuleIndex:
     has_star_import: bool = False
     dunder_all: Optional[Tuple[Tuple[str, int], ...]] = None
     registries: Tuple[RegistryLiteral, ...] = ()
+    lazy_exports: Tuple[LazyExport, ...] = ()
     suppressions: Dict[int, Set[str]] = field(default_factory=dict)
     hotpath_lines: Set[int] = field(default_factory=set)
 
@@ -108,18 +134,21 @@ class ModuleIndex:
             return False
         return "*" in allowed or rule_id in allowed
 
-    def resolved_name(self, node: ast.AST) -> Optional[str]:
+    def resolved_name(self, node: ast.AST,
+                      local: Optional[Dict[str, str]] = None
+                      ) -> Optional[str]:
         """The dotted origin of a Name/Attribute chain, imports
         expanded: with ``import numpy as np`` in force,
         ``np.random.default_rng`` resolves to
         ``numpy.random.default_rng``; with ``from time import
         monotonic``, a bare ``monotonic`` resolves to
-        ``time.monotonic``."""
+        ``time.monotonic``. ``local`` holds a function body's own
+        import aliases, which shadow the module's."""
         dotted = _dotted(node)
         if dotted is None:
             return None
         head, _, rest = dotted.partition(".")
-        origin = self.imports.get(head)
+        origin = (local or {}).get(head) or self.imports.get(head)
         if origin is None:
             return dotted
         return f"{origin}.{rest}" if rest else origin
@@ -238,6 +267,22 @@ def _parse_suppressions(
     return suppressions
 
 
+def import_aliases(node: ast.stmt) -> List[Tuple[str, str]]:
+    """``(bound name, dotted origin)`` for each name an absolute
+    ``import`` / ``from ... import`` statement binds (star and relative
+    imports bind no resolvable origin)."""
+    if isinstance(node, ast.Import):
+        return [(alias.asname, alias.name) if alias.asname
+                else (alias.name.partition(".")[0],
+                      alias.name.partition(".")[0])
+                for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module is not None \
+            and not node.level:
+        return [(alias.asname or alias.name, f"{node.module}.{alias.name}")
+                for alias in node.names if alias.name != "*"]
+    return []
+
+
 def _collect_registry(name: str, node: ast.Dict,
                       line: int) -> RegistryLiteral:
     entries: List[RegistryEntry] = []
@@ -254,6 +299,27 @@ def _collect_registry(name: str, node: ast.Dict,
     return RegistryLiteral(name=name, line=line, entries=tuple(entries))
 
 
+def _collect_lazy_exports(module: ModuleIndex,
+                          node: ast.Dict) -> None:
+    """Bind each literal ``name: module`` entry of the lazy table, with
+    its import origin, as an eager ``from module import name`` would."""
+    entries: List[LazyExport] = list(module.lazy_exports)
+    for key_node, value_node in zip(node.keys, node.values):
+        if not (isinstance(key_node, ast.Constant)
+                and isinstance(key_node.value, str)
+                and isinstance(value_node, ast.Constant)
+                and isinstance(value_node.value, str)):
+            continue
+        entry = LazyExport(name=key_node.value, module=value_node.value,
+                           line=key_node.lineno)
+        entries.append(entry)
+        module.bindings.add(entry.name)
+        module.imports[entry.name] = entry.module \
+            if entry.is_submodule(module.name) \
+            else f"{entry.module}.{entry.name}"
+    module.lazy_exports = tuple(entries)
+
+
 def _index_body(module: ModuleIndex, body: Sequence[ast.stmt]) -> None:
     """Record top-level bindings, walking into the conditional wrappers
     (``if``/``try``) that guard imports at module scope."""
@@ -262,31 +328,17 @@ def _index_body(module: ModuleIndex, body: Sequence[ast.stmt]) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             module.bindings.add(node.name)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    module.bindings.add(alias.asname)
-                    module.imports[alias.asname] = alias.name
-                else:
-                    head = alias.name.partition(".")[0]
-                    module.bindings.add(head)
-                    module.imports[head] = head
-        elif isinstance(node, ast.ImportFrom):
-            if node.module is None or node.level:
-                # Relative imports: record bindings, skip origin map.
-                for alias in node.names:
-                    if alias.name != "*":
-                        module.bindings.add(alias.asname or alias.name)
-                    else:
-                        module.has_star_import = True
-                continue
-            for alias in node.names:
-                if alias.name == "*":
-                    module.has_star_import = True
-                    continue
-                bound = alias.asname or alias.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for bound, origin in import_aliases(node):
                 module.bindings.add(bound)
-                module.imports[bound] = f"{node.module}.{alias.name}"
+                module.imports[bound] = origin
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.name == "*":
+                        module.has_star_import = True
+                    elif node.module is None or node.level:
+                        # Relative imports: bindings, no origin map.
+                        module.bindings.add(alias.asname or alias.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
@@ -306,6 +358,8 @@ def _index_body(module: ModuleIndex, body: Sequence[ast.stmt]) -> None:
                         and isinstance(value, ast.Dict):
                     registries.append(_collect_registry(
                         target.id, value, node.lineno))
+                if target.id == LAZY_TABLE and isinstance(value, ast.Dict):
+                    _collect_lazy_exports(module, value)
         elif isinstance(node, ast.If):
             _index_body(module, node.body)
             _index_body(module, node.orelse)

@@ -52,44 +52,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-from typing import List, Optional
+import math
+import sys
+from typing import TYPE_CHECKING, List, Optional
 
-from repro import config as config_module
-from repro.config import OptimizationConfig
 from repro.errors import ConfigError, ReproError
-from repro.hardware.accelerator import XPU_A, XPU_B, XPU_C
-from repro.hardware.cluster import ClusterSpec
-from repro.rago.objectives import ServiceObjective
-from repro.rago.session import OptimizerSession
-from repro.reporting.experiments import EXPERIMENTS, get_experiment
-from repro.schema.paradigms import (
-    case_i_hyperscale,
-    case_ii_long_context,
-    case_iii_iterative,
-    case_iv_rewriter_reranker,
-)
-from repro.sim.autoscale import (
-    AUTOSCALE_POLICIES,
-    Autoscaler,
-    autoscale_spec,
-    parse_autoscale_spec,
-)
-from repro.sim.engine import submit_trace
-from repro.sim.fleet import FleetEngine
-from repro.sim.metrics import SLOTarget
-from repro.sim.policies import (
-    ADMISSION_POLICIES,
-    DISPATCH_POLICIES,
-    PriorityAdmission,
-    admission_spec,
-    parse_admission_policy,
-)
-from repro.sim.routing import ROUTING_POLICIES
-from repro.workloads.sessions import parse_tiers_spec
-from repro.workloads.traces import SCENARIOS
 
-#: Accelerator generations by their --xpu letter (Table 2).
-_XPU_BY_LETTER = {"A": XPU_A, "B": XPU_B, "C": XPU_C}
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.config import OptimizationConfig
+    from repro.hardware.cluster import ClusterSpec
+    from repro.rago.session import OptimizerSession
+    from repro.sim.metrics import SLOTarget
+
+# Subcommands import what they use inside their handlers and helpers:
+# `repro optimize` must never load the serving stack, asyncio or numpy,
+# nor `repro lint` the models (tests/test_startup.py pins this).
 
 #: Open-loop traffic-generator flags (each subcommand has a subset).
 _GENERATOR_FLAGS = ("scenario", "rate", "load", "duration", "seed")
@@ -98,16 +75,11 @@ _GRID_LIST_SEPARATORS = {"llms": ",", "servers": ",", "replicas": ",",
                          "routing": ";", "autoscale": ";"}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="RAGO reproduction: experiments and schedule search",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
+# -- flag declarations (see _build_parser) -------------------------------
 
-    # Flag groups shared by several subcommands, declared once and
-    # inherited through ``parents=``.
-    workload = argparse.ArgumentParser(add_help=False)
+
+def _workload_flags(workload: argparse.ArgumentParser) -> None:
+    """The preset workload and its cluster (--case, --llm, ...)."""
     workload.add_argument("--case", choices=("i", "ii", "iii", "iv"),
                           default="i", help="paradigm (Table 3)")
     workload.add_argument("--llm", default="8B",
@@ -123,7 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="accelerator generation (Table 2, "
                                "default C)")
 
-    config = argparse.ArgumentParser(add_help=False)
+
+def _config_flags(config: argparse.ArgumentParser) -> None:
+    """A --config file and the --max-ttft bound."""
     config.add_argument("--config", dest="config_path", default=None,
                         help="serialized workload or optimization config "
                              "(repro.config JSON); overrides --case/--llm, "
@@ -134,7 +108,14 @@ def _build_parser() -> argparse.ArgumentParser:
                              "search; overrides --config's TTFT bound "
                              "(other bounds stay in force)")
 
-    serving = argparse.ArgumentParser(add_help=False)
+
+def _serving_flags(serving: argparse.ArgumentParser) -> None:
+    """Policy and fleet knobs of replay and serve; their choices and
+    help name registry keys, so the registries are imported here."""
+    from repro.sim.autoscale import AUTOSCALE_POLICIES
+    from repro.sim.policies import ADMISSION_POLICIES, DISPATCH_POLICIES
+    from repro.sim.routing import ROUTING_POLICIES
+
     serving.add_argument("--schedule", dest="schedule_path", default=None,
                          help="run this exact schedule -- a schedule "
                               "envelope or a replay/serve --json artifact "
@@ -179,23 +160,24 @@ def _build_parser() -> argparse.ArgumentParser:
                               "accounting (default: the TPOT bound in "
                               "force, else 2x analytical TPOT)")
 
-    commands.add_parser("list", help="list regenerable paper artifacts")
 
-    run = commands.add_parser("run", help="regenerate one table/figure")
+def _run_flags(run: argparse.ArgumentParser) -> None:
     run.add_argument("experiment", help="artifact id, e.g. fig5 or table4")
     run.add_argument("--full", action="store_true",
                      help="use the paper's full sweep densities")
     run.add_argument("--json", dest="json_path", default=None,
                      help="also dump the structured data to a JSON file")
 
-    optimize = commands.add_parser("optimize", parents=[workload, config],
-                                   help="run RAGO on a preset or config file")
+
+def _optimize_flags(optimize: argparse.ArgumentParser) -> None:
+    _workload_flags(optimize)
+    _config_flags(optimize)
     optimize.add_argument("--json", dest="json_path", default=None,
                           help="also dump the frontier and chosen schedule "
                                "to a JSON file")
 
-    sweep = commands.add_parser(
-        "sweep", help="search a grid of LLM sizes x cluster sizes")
+
+def _sweep_flags(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--case", choices=("i", "ii", "iii", "iv"),
                        default="i")
     sweep.add_argument("--llms", default="1B,8B",
@@ -219,9 +201,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--json", dest="json_path", default=None,
                        help="also dump the tidy result table to a JSON file")
 
-    whatif = commands.add_parser(
-        "whatif", parents=[workload],
-        help="replay a recorded trace against a policy grid")
+
+def _whatif_flags(whatif: argparse.ArgumentParser) -> None:
+    from repro.workloads.traces import SCENARIOS
+
+    _workload_flags(whatif)
     whatif.add_argument("--trace", dest="trace_path", default=None,
                         help="recorded JSONL trace to replay (exclusive "
                              "with the generator flags)")
@@ -275,9 +259,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="dump the whatif_result envelope (plus "
                              "workload/cluster/trace) to a JSON file")
 
-    replay = commands.add_parser(
-        "replay", parents=[workload, config, serving],
-        help="replay live traffic through a searched schedule")
+
+def _replay_flags(replay: argparse.ArgumentParser) -> None:
+    from repro.workloads.traces import SCENARIOS
+
+    _workload_flags(replay)
+    _config_flags(replay)
+    _serving_flags(replay)
     replay.add_argument("--scenario", choices=sorted(SCENARIOS),
                         default=None,
                         help="built-in traffic scenario to generate "
@@ -304,9 +292,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="dump the serving report (plus schedule and "
                              "trace envelopes) to a JSON file")
 
-    serve = commands.add_parser(
-        "serve", parents=[workload, config, serving],
-        help="serve a live request stream over a socket")
+
+def _serve_flags(serve: argparse.ArgumentParser) -> None:
+    _workload_flags(serve)
+    _config_flags(serve)
+    _serving_flags(serve)
     serve.add_argument("--serve-config", dest="serve_config_path",
                        default=None,
                        help="serve_config envelope (repro.config JSON) "
@@ -331,8 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "schedule, trace and server envelopes) to a "
                             "JSON file on shutdown")
 
-    trace_cmd = commands.add_parser(
-        "trace", help="inspect/compare recorded JSONL traces")
+
+def _trace_flags(trace_cmd: argparse.ArgumentParser) -> None:
     trace_cmd.add_argument("paths", nargs="+", metavar="TRACE",
                            help="recorded JSONL trace files "
                                 "(RequestTrace.to_jsonl / repro serve "
@@ -340,8 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument("--bins", type=int, default=24,
                            help="rate-curve resolution (default 24 bins)")
 
-    lint = commands.add_parser(
-        "lint", help="run the determinism & drift linter (simlint)")
+
+def _lint_flags(lint: argparse.ArgumentParser) -> None:
     lint.add_argument("paths", nargs="*", default=["src/repro"],
                       metavar="PATH",
                       help="files/directories to lint "
@@ -380,8 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--no-cache", action="store_true",
                       help="disable the summary cache for this run")
 
-    bench = commands.add_parser(
-        "bench", help="profile the DES hot path on the canonical trace")
+
+def _bench_flags(bench: argparse.ArgumentParser) -> None:
     bench.add_argument("--requests", type=int, default=None,
                        help="trace size (default: the canonical "
                             "100k-request replay)")
@@ -391,8 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="skip cProfile; print only the timed "
                             "replay numbers")
 
-    prov = commands.add_parser(
-        "provision", help="size a fleet for a target load")
+
+def _provision_flags(prov: argparse.ArgumentParser) -> None:
     prov.add_argument("--case", choices=("i", "ii", "iii", "iv"),
                       default="i")
     prov.add_argument("--llm", default="8B")
@@ -402,14 +392,60 @@ def _build_parser() -> argparse.ArgumentParser:
     prov.add_argument("--qps", type=float, required=True,
                       help="target requests per second")
     prov.add_argument("--max-ttft", type=float, default=None)
-    # Commands read their own flag table back (grid-file keys, dead-flag
-    # defaults), so each namespace carries its subcommand's parser.
-    for command_parser in commands.choices.values():
+
+
+#: Subcommand -> (help line, flag declarer), in ``repro --help`` order.
+_COMMANDS = {
+    "list": ("list regenerable paper artifacts", None),
+    "run": ("regenerate one table/figure", _run_flags),
+    "optimize": ("run RAGO on a preset or config file", _optimize_flags),
+    "sweep": ("search a grid of LLM sizes x cluster sizes", _sweep_flags),
+    "whatif": ("replay a recorded trace against a policy grid",
+               _whatif_flags),
+    "replay": ("replay live traffic through a searched schedule",
+               _replay_flags),
+    "serve": ("serve a live request stream over a socket", _serve_flags),
+    "trace": ("inspect/compare recorded JSONL traces", _trace_flags),
+    "lint": ("run the determinism & drift linter (simlint)", _lint_flags),
+    "bench": ("profile the DES hot path on the canonical trace",
+              _bench_flags),
+    "provision": ("size a fleet for a target load", _provision_flags),
+}
+
+
+def _build_parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The CLI parser, with flags declared for ``command`` only.
+
+    Every subcommand is listed, so ``repro --help`` and unknown-command
+    errors read as before. Flags are declared for the running
+    subcommand alone: some spell registry names in their choices or
+    help, and parsing ``optimize`` must not import the serving stack
+    to list them.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="RAGO reproduction: experiments and schedule search",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags) in _COMMANDS.items():
+        command_parser = commands.add_parser(name, help=help_text)
+        if name == command and add_flags is not None:
+            add_flags(command_parser)
+        # Commands read their own flag table back (grid-file keys,
+        # dead-flag defaults), so each namespace carries its
+        # subcommand's parser.
         command_parser.set_defaults(subparser=command_parser)
     return parser
 
 
 def _schema_for(args: argparse.Namespace, llm: Optional[str] = None):
+    from repro.schema.paradigms import (
+        case_i_hyperscale,
+        case_ii_long_context,
+        case_iii_iterative,
+        case_iv_rewriter_reranker,
+    )
+
     llm = llm or args.llm
     if args.case == "i":
         return case_i_hyperscale(llm)
@@ -421,6 +457,8 @@ def _schema_for(args: argparse.Namespace, llm: Optional[str] = None):
 
 
 def _command_list() -> int:
+    from repro.reporting.experiments import EXPERIMENTS
+
     width = max(len(exp_id) for exp_id in EXPERIMENTS)
     for exp_id, exp in sorted(EXPERIMENTS.items()):
         print(f"{exp_id.ljust(width)}  {exp.title}")
@@ -440,6 +478,8 @@ def _jsonable(value):
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    from repro.reporting.experiments import get_experiment
+
     experiment = get_experiment(args.experiment)
     output = experiment.runner()(fast=not args.full)
     print(output)
@@ -457,11 +497,13 @@ def _command_run(args: argparse.Namespace) -> int:
 def _load_optimization_config(path: str) -> OptimizationConfig:
     """Load an optimize --config file: either a bare schema envelope or
     a full optimization config."""
+    from repro import config as config_module
+    from repro.config import OptimizationConfig
+    from repro.schema.ragschema import RAGSchema
+
     loaded = config_module.load(path)
     if isinstance(loaded, OptimizationConfig):
         return loaded
-    from repro.schema.ragschema import RAGSchema
-
     if isinstance(loaded, RAGSchema):
         return OptimizationConfig(schema=loaded)
     raise ConfigError(
@@ -470,16 +512,26 @@ def _load_optimization_config(path: str) -> OptimizationConfig:
     )
 
 
+def _xpu(letter: str):
+    """The accelerator generation of a --xpu letter (Table 2)."""
+    from repro.hardware import accelerator
+
+    return {"A": accelerator.XPU_A, "B": accelerator.XPU_B,
+            "C": accelerator.XPU_C}[letter]
+
+
 def _resolve_cluster(args: argparse.Namespace,
                      loaded: Optional[ClusterSpec]) -> ClusterSpec:
     """The run's cluster: --config's, with explicit flags overriding."""
+    from repro.hardware.cluster import ClusterSpec
+
     cluster = loaded or ClusterSpec(num_servers=args.servers or 32,
-                                    xpu=_XPU_BY_LETTER[args.xpu or "C"])
+                                    xpu=_xpu(args.xpu or "C"))
     overrides = {}
     if args.servers is not None and cluster.num_servers != args.servers:
         overrides["num_servers"] = args.servers
-    if args.xpu is not None and cluster.xpu != _XPU_BY_LETTER[args.xpu]:
-        overrides["xpu"] = _XPU_BY_LETTER[args.xpu]
+    if args.xpu is not None and cluster.xpu != _xpu(args.xpu):
+        overrides["xpu"] = _xpu(args.xpu)
     return dataclasses.replace(cluster, **overrides) if overrides \
         else cluster
 
@@ -487,6 +539,8 @@ def _resolve_cluster(args: argparse.Namespace,
 def _open_session(schema, cluster: ClusterSpec) -> OptimizerSession:
     """A session, announced by the workload/cluster header every
     searching command leads with."""
+    from repro.rago.session import OptimizerSession
+
     print(f"workload: {schema.describe()}")
     print(f"cluster : {cluster.num_servers} servers x "
           f"{cluster.xpus_per_server} {cluster.xpu.name}")
@@ -502,7 +556,7 @@ def _resolve_session(args: argparse.Namespace) -> OptimizerSession:
     flag replaces the file's TTFT bound only.
     """
     search = None
-    objective: Optional[ServiceObjective] = None
+    objective = None
     if args.config_path:
         loaded = _load_optimization_config(args.config_path)
         schema = loaded.schema
@@ -533,7 +587,8 @@ def _load_schedule(path: str, session: OptimizerSession):
     recorded session closes the loop without extracting envelopes by
     hand.
     """
-    from repro.pipeline import Schedule
+    from repro import config as config_module
+    from repro.pipeline.assembly import Schedule
 
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -563,6 +618,8 @@ def _session_constrained(session: OptimizerSession) -> bool:
 
 
 def _command_optimize(args: argparse.Namespace) -> int:
+    from repro import config as config_module
+
     session = _resolve_session(args)
     objective = session.objective
     constrained = _session_constrained(session)
@@ -653,6 +710,8 @@ def _check_replicas(args: argparse.Namespace, autoscaled: bool) -> None:
 def _decode_admission(args: argparse.Namespace, tiers):
     """Decode admission: an explicit ``--admission`` wins; otherwise a
     multi-tier set derives priority admission by tier rank."""
+    from repro.sim.policies import PriorityAdmission, parse_admission_policy
+
     if args.admission is None and tiers is not None \
             and len(tiers.tiers) > 1:
         return PriorityAdmission(tier_priority=tuple(
@@ -685,6 +744,8 @@ def _slo(ttft: Optional[float], tpot: Optional[float],
          session: OptimizerSession, chosen) -> SLOTarget:
     """Explicit targets, else the session's bounds, else 5x / 2x the
     schedule's analytical TTFT / TPOT."""
+    from repro.sim.metrics import SLOTarget
+
     objective = session.objective
     return SLOTarget(
         ttft=ttft if ttft is not None
@@ -707,6 +768,8 @@ def _build_target(session: OptimizerSession, chosen,
     An autoscaled fleet starts at its floor (``min_replicas``) with an
     :class:`~repro.sim.autoscale.Autoscaler` attached.
     """
+    from repro.sim.autoscale import Autoscaler
+
     if not _wants_fleet(replicas, routing, autoscale):
         return session.serving_engine(chosen.schedule,
                                       dispatch=args.dispatch,
@@ -725,6 +788,9 @@ def _serving_payload(args: argparse.Namespace, report, session, chosen,
     """The ``--json`` envelopes replay and serve share (None without
     ``--json``): the workload, cluster, schedule and trace ride along
     so the report can be regenerated from the file alone."""
+    from repro import config as config_module
+    from repro.sim.policies import admission_spec
+
     if not args.json_path:
         return None
     payload = {
@@ -747,11 +813,14 @@ def _print_serving(report, target, autoscaler, autoscale,
                    payload: Optional[dict]) -> None:
     """Print the report, a fleet's per-replica breakdown and the
     scaling timeline, filling the matching ``--json`` sections."""
+    from repro import config as config_module
     from repro.reporting import (
         format_fleet_breakdown,
         format_scaling_timeline,
         format_serving_report,
     )
+    from repro.sim.autoscale import autoscale_spec
+    from repro.sim.fleet import FleetEngine
 
     print()
     print(format_serving_report(report))
@@ -779,7 +848,10 @@ def _print_serving(report, target, autoscaler, autoscale,
 
 
 def _command_replay(args: argparse.Namespace) -> int:
+    from repro.sim.autoscale import parse_autoscale_spec
+    from repro.sim.engine import submit_trace
     from repro.workloads import RequestTrace, scenario_trace
+    from repro.workloads.sessions import parse_tiers_spec
 
     # Policy/fleet/traffic knobs must fail before the (expensive)
     # search.
@@ -817,6 +889,20 @@ def _command_replay(args: argparse.Namespace) -> int:
                 "--autoscale replays an open-loop trace; a closed-loop "
                 "--population drives the engine directly -- drop one")
         autoscale = parse_autoscale_spec(args.autoscale)
+    if population is not None:
+        if not args.duration > 0 or not math.isfinite(args.duration):
+            raise ConfigError(
+                "closed-loop horizon must be positive and finite")
+    elif not args.trace_path:
+        # A generated scenario: --load scales the schedule's (positive)
+        # saturation QPS, so the offered rate's sign and the window are
+        # known before the search.
+        offered = args.rate if args.rate is not None else args.load
+        if offered <= 0:
+            raise ConfigError("offered rate must be positive; pass a "
+                              "positive --rate or --load")
+        if args.duration <= 0:
+            raise ConfigError("rate_qps and duration must be positive")
     replicas = args.replicas or 1
     session = _resolve_session(args)
     chosen = _choose_schedule(args, session)
@@ -831,9 +917,6 @@ def _command_replay(args: argparse.Namespace) -> int:
     else:
         rate = args.rate if args.rate is not None \
             else args.load * chosen.qps
-        if rate <= 0:
-            raise ConfigError("offered rate must be positive; pass a "
-                              "positive --rate or --load")
         # Generators fall back to fixed lengths for means too small for
         # the geometric sampler, so the schema's length passes through.
         trace = scenario_trace(
@@ -894,8 +977,12 @@ def _command_replay(args: argparse.Namespace) -> int:
 def _command_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from repro import config as config_module
     from repro.reporting import format_live_summary
     from repro.serve import LiveServer, ServeConfig
+    from repro.sim.autoscale import parse_autoscale_spec
+    from repro.sim.fleet import FleetEngine
+    from repro.workloads.sessions import parse_tiers_spec
 
     # Resolve and validate the server settings before the (expensive)
     # schedule search: a bad --tick must fail in milliseconds.
@@ -1114,11 +1201,18 @@ def _split_tokens(text: str, separator: str):
 def _parse_whatif_axes(args: argparse.Namespace):
     """The (replicas, routing, autoscale) axis tuples from their flag
     strings, validated before the (expensive) schedule search."""
+    from repro.sim.autoscale import parse_autoscale_spec
+    from repro.sim.routing import ROUTING_POLICIES
+
     try:
         replicas = tuple(int(token)
                          for token in _split_tokens(args.replicas, ","))
     except ValueError as error:
         raise ConfigError(f"bad --replicas axis: {error}") from error
+    for count in replicas:
+        if count < 1:
+            raise ConfigError(
+                f"whatif replicas must be positive ints, got {count!r}")
     routing = tuple(None if token == "none" else token
                     for token in _split_tokens(args.routing, ";"))
     for name in routing:
@@ -1137,6 +1231,7 @@ def _parse_whatif_axes(args: argparse.Namespace):
 
 
 def _command_whatif(args: argparse.Namespace) -> int:
+    from repro import config as config_module
     from repro.rago.whatif import WhatIfGrid
     from repro.reporting import (
         format_whatif_table,
@@ -1155,6 +1250,10 @@ def _command_whatif(args: argparse.Namespace) -> int:
         _reject_dead_flags(args, _GENERATOR_FLAGS,
                            "--trace replays a recorded stream",
                            "generated scenarios")
+    elif args.rate is not None and args.rate <= 0:
+        raise ConfigError("offered --rate must be positive")
+    elif args.duration <= 0:
+        raise ConfigError("rate_qps and duration must be positive")
     session = _open_session(_schema_for(args),
                             _resolve_cluster(args, None))
     optimized = session.optimize()
@@ -1167,8 +1266,6 @@ def _command_whatif(args: argparse.Namespace) -> int:
         trace = RequestTrace.from_jsonl(args.trace_path)
     else:
         rate = args.rate if args.rate is not None else 0.7 * best.qps
-        if rate <= 0:
-            raise ConfigError("offered --rate must be positive")
         trace = scenario_trace(
             args.scenario or "poisson", rate_qps=rate,
             duration=args.duration, seed=args.seed,
@@ -1201,6 +1298,9 @@ def _command_whatif(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
+    from repro.hardware.cluster import ClusterSpec
+    from repro.rago.session import OptimizerSession
+
     if args.grid_config_path:
         _apply_grid_config(args)
     try:
@@ -1213,7 +1313,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     if not llms or not server_counts:
         raise ConfigError("sweep needs at least one LLM and server count")
     schemas = [_schema_for(args, llm) for llm in llms]
-    clusters = [ClusterSpec(num_servers=count, xpu=_XPU_BY_LETTER[args.xpu])
+    clusters = [ClusterSpec(num_servers=count, xpu=_xpu(args.xpu))
                 for count in server_counts]
     session = OptimizerSession(schemas[0], clusters[0])
     sweep = session.sweep(schemas=schemas, clusters=clusters,
@@ -1339,7 +1439,9 @@ def _command_bench(args: argparse.Namespace) -> int:
 
 
 def _command_provision(args: argparse.Namespace) -> int:
+    from repro.hardware.cluster import ClusterSpec
     from repro.pipeline.stage_perf import RAGPerfModel
+    from repro.rago.objectives import ServiceObjective
     from repro.rago.provisioning import provision
 
     schema = _schema_for(args)
@@ -1365,8 +1467,13 @@ def _command_provision(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser has no options of its own besides --help, so
+    # the first bare token names the subcommand (or is an error argparse
+    # reports as before).
+    command = next((token for token in argv if not token.startswith("-")),
+                   None)
+    args = _build_parser(command).parse_args(argv)
     try:
         if args.command == "list":
             return _command_list()

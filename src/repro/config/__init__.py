@@ -22,21 +22,11 @@ guaranteed (and tested): ``from_config(to_config(x)) == x``.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.hardware.cluster import ClusterSpec
-from repro.pipeline.assembly import Schedule
-from repro.rago.objectives import ServiceObjective
-from repro.rago.search import SearchConfig, SearchResult
-from repro.schema.ragschema import RAGSchema
-from repro.rago.session import SweepResult
-from repro.rago.whatif import WhatIfResult
-from repro.serve import ServeConfig
-from repro.sim.autoscale import AutoscaleConfig
-from repro.sim.metrics import ServingReport
-from repro.workloads.traces import RequestTrace
 from repro.config.serializers import (
     autoscale_config_from_dict,
     autoscale_config_to_dict,
@@ -63,6 +53,12 @@ from repro.config.serializers import (
     whatif_result_from_dict,
     whatif_result_to_dict,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.hardware.cluster import ClusterSpec
+    from repro.rago.objectives import ServiceObjective
+    from repro.rago.search import SearchConfig
+    from repro.schema.ragschema import RAGSchema
 
 #: Version stamped into every envelope; bump on incompatible layout
 #: changes and keep loaders accepting older stamps where possible.
@@ -124,32 +120,41 @@ def _optimization_config_from_dict(data: Dict) -> OptimizationConfig:
     )
 
 
-#: kind tag -> (type, to_dict, from_dict). Dispatch order matters only
-#: for isinstance checks in :func:`to_config`.
-_KINDS: Dict[str, Tuple[type, Callable[[Any], Dict],
+#: kind tag -> (defining module, type name, to_dict, from_dict). Types
+#: are named, not imported: an instance cannot exist before its class's
+#: module is loaded, so :func:`to_config` only tests the types whose
+#: module already is, and serializing a schema never drags in the
+#: serving stack. Dispatch order matters only for those isinstance
+#: checks.
+_KINDS: Dict[str, Tuple[str, str, Callable[[Any], Dict],
                         Callable[[Dict], Any]]] = {
-    "rag_schema": (RAGSchema, schema_to_dict, schema_from_dict),
-    "cluster_spec": (ClusterSpec, cluster_to_dict, cluster_from_dict),
-    "search_config": (SearchConfig, search_config_to_dict,
-                      search_config_from_dict),
-    "service_objective": (ServiceObjective, objective_to_dict,
-                          objective_from_dict),
-    "schedule": (Schedule, schedule_to_dict, schedule_from_dict),
-    "search_result": (SearchResult, search_result_to_dict,
-                      search_result_from_dict),
-    "optimization_config": (OptimizationConfig,
+    "rag_schema": ("repro.schema.ragschema", "RAGSchema", schema_to_dict,
+                   schema_from_dict),
+    "cluster_spec": ("repro.hardware.cluster", "ClusterSpec",
+                     cluster_to_dict, cluster_from_dict),
+    "search_config": ("repro.rago.search", "SearchConfig",
+                      search_config_to_dict, search_config_from_dict),
+    "service_objective": ("repro.rago.objectives", "ServiceObjective",
+                          objective_to_dict, objective_from_dict),
+    "schedule": ("repro.pipeline.assembly", "Schedule", schedule_to_dict,
+                 schedule_from_dict),
+    "search_result": ("repro.rago.search", "SearchResult",
+                      search_result_to_dict, search_result_from_dict),
+    "optimization_config": (__name__, "OptimizationConfig",
                             _optimization_config_to_dict,
                             _optimization_config_from_dict),
-    "request_trace": (RequestTrace, trace_to_dict, trace_from_dict),
-    "serving_report": (ServingReport, serving_report_to_dict,
-                       serving_report_from_dict),
-    "sweep_result": (SweepResult, sweep_result_to_dict,
-                     sweep_result_from_dict),
-    "whatif_result": (WhatIfResult, whatif_result_to_dict,
-                      whatif_result_from_dict),
-    "serve_config": (ServeConfig, serve_config_to_dict,
+    "request_trace": ("repro.workloads.traces", "RequestTrace",
+                      trace_to_dict, trace_from_dict),
+    "serving_report": ("repro.sim.metrics", "ServingReport",
+                       serving_report_to_dict, serving_report_from_dict),
+    "sweep_result": ("repro.rago.session", "SweepResult",
+                     sweep_result_to_dict, sweep_result_from_dict),
+    "whatif_result": ("repro.rago.whatif", "WhatIfResult",
+                      whatif_result_to_dict, whatif_result_from_dict),
+    "serve_config": ("repro.serve", "ServeConfig", serve_config_to_dict,
                      serve_config_from_dict),
-    "autoscale_config": (AutoscaleConfig, autoscale_config_to_dict,
+    "autoscale_config": ("repro.sim.autoscale", "AutoscaleConfig",
+                         autoscale_config_to_dict,
                          autoscale_config_from_dict),
 }
 
@@ -160,8 +165,10 @@ def to_config(obj: Any) -> Dict:
     Raises:
         ConfigError: for unsupported object types.
     """
-    for kind, (cls, encode, _) in _KINDS.items():
-        if isinstance(obj, cls):
+    for kind, (module, type_name, encode, _) in _KINDS.items():
+        loaded = sys.modules.get(module)
+        cls = getattr(loaded, type_name, None)
+        if cls is not None and isinstance(obj, cls):
             return {"config_version": CONFIG_VERSION, "kind": kind,
                     "spec": encode(obj)}
     raise ConfigError(
@@ -198,7 +205,7 @@ def from_config(data: Dict) -> Any:
     spec = data.get("spec")
     if not isinstance(spec, dict):
         raise ConfigError(f"config envelope for {kind!r} has no spec")
-    return _KINDS[kind][2](spec)
+    return _KINDS[kind][3](spec)
 
 
 def dumps(obj: Any, indent: Optional[int] = 1) -> str:

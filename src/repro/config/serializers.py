@@ -10,7 +10,7 @@ library's original low-level encoders.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import ConfigError
 from repro.hardware.accelerator import XPUSpec
@@ -28,10 +28,12 @@ from repro.schema.serialization import (
     schema_to_dict,
 )
 from repro.schema.stages import Stage
-from repro.serve import ServeConfig
-from repro.sim.autoscale import AutoscaleConfig
-from repro.sim.metrics import ServingReport, SLOTarget
-from repro.workloads.traces import Request, RequestTrace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.serve import ServeConfig
+    from repro.sim.autoscale import AutoscaleConfig
+    from repro.sim.metrics import ServingReport
+    from repro.workloads.traces import RequestTrace
 
 __all__ = [
     "schema_to_dict", "schema_from_dict",
@@ -279,13 +281,15 @@ def trace_to_dict(trace: RequestTrace) -> Dict:
     return {"requests": rows, "metadata": dict(trace.metadata)}
 
 
-def _request_from_dict(row: Dict) -> Request:
+def _request_kwargs(row: Dict) -> Dict:
+    """The :class:`~repro.workloads.traces.Request` fields of one
+    serialized request record."""
     unknown = set(row) - set(_REQUEST_FIELDS)
     if unknown:
         raise ConfigError(
             f"unknown trace request fields: {sorted(unknown)}")
     decode_len = row.get("decode_len")
-    return Request(
+    return dict(
         arrival=float(row["arrival"]),
         decode_len=None if decode_len is None else int(decode_len),
         user_id=row.get("user_id"),
@@ -300,13 +304,15 @@ def trace_from_dict(data: Dict) -> RequestTrace:
     Accepts both the request-record shape and the version-1 parallel
     ``arrivals`` / ``decode_lens`` tuples, which reconstruct
     bit-identically (anonymous requests)."""
+    from repro.workloads.traces import Request, RequestTrace
+
     if "requests" in data:
         unknown = set(data) - set(_TRACE_FIELDS)
         if unknown:
             raise ConfigError(f"unknown trace fields: {sorted(unknown)}")
         try:
             return RequestTrace(
-                requests=tuple(_request_from_dict(row)
+                requests=tuple(Request(**_request_kwargs(row))
                                for row in data["requests"]),
                 metadata=dict(data.get("metadata") or {}),
             )
@@ -361,6 +367,8 @@ def serving_report_from_dict(data: Dict) -> ServingReport:
     :func:`serving_report_to_dict` (records come back empty; the
     per-tier sections default empty so pre-identity envelopes load
     unchanged)."""
+    from repro.sim.metrics import ServingReport, SLOTarget
+
     unknown = set(data) - set(_REPORT_FIELDS)
     if unknown:
         raise ConfigError(f"unknown serving report fields: "
@@ -408,6 +416,8 @@ def autoscale_config_from_dict(data: Dict) -> AutoscaleConfig:
     Unknown keys are rejected; missing keys fall back to the library
     defaults (the same strictness/terseness trade as the serve
     config)."""
+    from repro.sim.autoscale import AutoscaleConfig
+
     unknown = set(data) - set(_AUTOSCALE_CONFIG_FIELDS)
     if unknown:
         raise ConfigError(
@@ -440,6 +450,8 @@ def serve_config_from_dict(data: Dict) -> ServeConfig:
 
     Unknown keys are rejected; missing keys fall back to the library
     defaults, so hand-written server configs stay terse."""
+    from repro.serve import ServeConfig
+
     unknown = set(data) - set(_SERVE_CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown serve config fields: {sorted(unknown)}")

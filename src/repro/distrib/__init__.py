@@ -12,24 +12,32 @@ other machines. All backends produce bit-identical outcomes; only the
 wall-clock differs.
 """
 
-from repro.distrib.protocol import (
-    SweepJob,
-    TaskSpec,
-    TASK_RUNNERS,
-    register_task_runner,
-    resolve_task_runner,
-)
-from repro.distrib.cells import memory_from_payload, memory_to_payload
-from repro.distrib.backends import (
-    BackendRun,
-    ProcessBackend,
-    SerialBackend,
-    SocketsBackend,
-    SweepBackend,
-    SWEEP_BACKENDS,
-    resolve_sweep_backend,
-)
-from repro.distrib.coordinator import SweepCoordinator
+from repro._lazy import lazy_exports
+
+# The built-in task runners register on import, so every lookup in
+# TASK_RUNNERS -- through this package or repro.distrib.protocol --
+# already sees them. The module is light: no asyncio, no pool.
+from repro.distrib import cells as _cells  # noqa: F401
+
+#: Public name -> defining module, resolved when read.
+_EXPORTS = {
+    "SweepJob": "repro.distrib.protocol",
+    "TaskSpec": "repro.distrib.protocol",
+    "TASK_RUNNERS": "repro.distrib.protocol",
+    "register_task_runner": "repro.distrib.protocol",
+    "resolve_task_runner": "repro.distrib.protocol",
+    "memory_from_payload": "repro.distrib.cells",
+    "memory_to_payload": "repro.distrib.cells",
+    "BackendRun": "repro.distrib.backends",
+    "ProcessBackend": "repro.distrib.backends",
+    "SerialBackend": "repro.distrib.backends",
+    "SocketsBackend": "repro.distrib.backends",
+    "SweepBackend": "repro.distrib.backends",
+    "SWEEP_BACKENDS": "repro.distrib.backends",
+    "resolve_sweep_backend": "repro.distrib.backends",
+    "SweepCoordinator": "repro.distrib.coordinator",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "TaskSpec",

@@ -25,22 +25,25 @@ Parity across backends is pinned by test.
 
 from __future__ import annotations
 
-import asyncio
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import ConfigError, DistribError
 # Importing cells registers the built-in task runners.
 from repro.distrib import cells as _cells  # noqa: F401
-from repro.distrib.coordinator import SweepCoordinator
 from repro.distrib.protocol import (
     SweepJob,
     TaskSpec,
     resolve_task_runner,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # asyncio and multiprocessing are imported by the backends that
+    # use them, so a serial sweep loads neither.
+    import asyncio
 
 __all__ = [
     "BackendRun",
@@ -158,6 +161,8 @@ class ProcessBackend(SweepBackend):
 
     def run(self, task: TaskSpec,
             jobs: Sequence[SweepJob]) -> BackendRun:
+        import multiprocessing
+
         if not jobs:
             return BackendRun(outcomes=())
         workers = min(self.workers, len(jobs))
@@ -220,6 +225,8 @@ class SocketsBackend(SweepBackend):
 
     def run(self, task: TaskSpec,
             jobs: Sequence[SweepJob]) -> BackendRun:
+        import asyncio
+
         if not jobs:
             return BackendRun(outcomes=())
         return asyncio.run(self._run(task, jobs))
@@ -238,6 +245,8 @@ class SocketsBackend(SweepBackend):
 
     async def _spawn(self, host: str, port: int,
                      rank: int) -> asyncio.subprocess.Process:
+        import asyncio
+
         args = [self.python, "-m", "repro.distrib.worker",
                 "--host", host, "--port", str(port),
                 "--worker-id", f"worker-{rank}"]
@@ -249,6 +258,10 @@ class SocketsBackend(SweepBackend):
 
     async def _run(self, task: TaskSpec,
                    jobs: Sequence[SweepJob]) -> BackendRun:
+        import asyncio
+
+        from repro.distrib.coordinator import SweepCoordinator
+
         coordinator = SweepCoordinator(task, jobs)
         host, port = await coordinator.start(self.host, self.port)
         procs: List[asyncio.subprocess.Process] = []

@@ -17,9 +17,9 @@ the few hundred bytes that actually vary between cells. Infeasible
 cells (:class:`~repro.errors.ReproError`) become error outcomes --
 never exceptions -- so one impossible corner cannot abort a grid.
 
-Everything here lazy-imports :mod:`repro.config`: the config package
-imports the session module, so a module-level import would be
-circular.
+Everything here lazy-imports :mod:`repro.config` and the session:
+importing :mod:`repro.distrib` registers these runners, and must not
+load the search or serving stack to do it.
 """
 
 from __future__ import annotations

@@ -13,23 +13,23 @@ consumes these spec objects; nothing else in the library hard-codes
 hardware numbers.
 """
 
-from repro.hardware.accelerator import (
-    XPU_A,
-    XPU_B,
-    XPU_C,
-    XPU_GENERATIONS,
-    XPUSpec,
-)
-from repro.hardware.cpu import (
-    EPYC_7R13_CALIBRATION,
-    EPYC_MILAN,
-    CPUServerSpec,
-)
-from repro.hardware.cluster import ClusterSpec
-from repro.hardware.roofline import (
-    communication_time,
-    roofline_time,
-)
+from repro._lazy import lazy_exports
+
+#: Public name -> defining module, resolved when read.
+_EXPORTS = {
+    "XPU_A": "repro.hardware.accelerator",
+    "XPU_B": "repro.hardware.accelerator",
+    "XPU_C": "repro.hardware.accelerator",
+    "XPU_GENERATIONS": "repro.hardware.accelerator",
+    "XPUSpec": "repro.hardware.accelerator",
+    "EPYC_7R13_CALIBRATION": "repro.hardware.cpu",
+    "EPYC_MILAN": "repro.hardware.cpu",
+    "CPUServerSpec": "repro.hardware.cpu",
+    "ClusterSpec": "repro.hardware.cluster",
+    "communication_time": "repro.hardware.roofline",
+    "roofline_time": "repro.hardware.roofline",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "XPUSpec",

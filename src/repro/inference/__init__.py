@@ -8,11 +8,20 @@ latency and throughput are computed analytically from a
 :class:`~repro.hardware.XPUSpec`.
 """
 
-from repro.inference.parallelism import ShardingPlan, enumerate_plans
-from repro.inference.memory import MemoryModel
-from repro.inference.prefill import PrefillModel, PrefillPerf
-from repro.inference.decode import DecodeModel, DecodePerf
-from repro.inference.simulator import InferenceSimulator
+from repro._lazy import lazy_exports
+
+#: Public name -> defining module, resolved when read.
+_EXPORTS = {
+    "ShardingPlan": "repro.inference.parallelism",
+    "enumerate_plans": "repro.inference.parallelism",
+    "MemoryModel": "repro.inference.memory",
+    "PrefillModel": "repro.inference.prefill",
+    "PrefillPerf": "repro.inference.prefill",
+    "DecodeModel": "repro.inference.decode",
+    "DecodePerf": "repro.inference.decode",
+    "InferenceSimulator": "repro.inference.simulator",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ShardingPlan",

@@ -6,19 +6,25 @@ attention, MLP, ...) whose FLOP and byte demands feed the roofline model,
 exactly as the paper's XPU simulator abstracts inference (§4a, Fig. 4).
 """
 
-from repro.models.transformer import TransformerConfig
-from repro.models.catalog import (
-    ENCODER_120M,
-    LLAMA3_1B,
-    LLAMA3_8B,
-    LLAMA3_70B,
-    LLAMA3_405B,
-    MODEL_CATALOG,
-    RERANKER_120M,
-    REWRITER_8B,
-    model_by_params,
-)
-from repro.models.operators import Operator, decode_step_operators, prefill_operators
+from repro._lazy import lazy_exports
+
+#: Public name -> defining module, resolved when read.
+_EXPORTS = {
+    "TransformerConfig": "repro.models.transformer",
+    "ENCODER_120M": "repro.models.catalog",
+    "LLAMA3_1B": "repro.models.catalog",
+    "LLAMA3_8B": "repro.models.catalog",
+    "LLAMA3_70B": "repro.models.catalog",
+    "LLAMA3_405B": "repro.models.catalog",
+    "MODEL_CATALOG": "repro.models.catalog",
+    "RERANKER_120M": "repro.models.catalog",
+    "REWRITER_8B": "repro.models.catalog",
+    "model_by_params": "repro.models.catalog",
+    "Operator": "repro.models.operators",
+    "decode_step_operators": "repro.models.operators",
+    "prefill_operators": "repro.models.operators",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "TransformerConfig",

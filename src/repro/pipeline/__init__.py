@@ -9,17 +9,25 @@ model (:mod:`repro.pipeline.iterative`) and the micro-batching model
 (:mod:`repro.pipeline.microbatch`).
 """
 
-from repro.pipeline.stage_perf import RAGPerfModel, StagePerf
-from repro.pipeline.assembly import (
-    PipelinePerf,
-    PlacementGroup,
-    Schedule,
-    assemble,
-)
-from repro.pipeline.breakdown import time_breakdown
-from repro.pipeline.iterative import IterativeDecodeResult, simulate_iterative_decode
-from repro.pipeline.microbatch import microbatch_ttft, ttft_reduction
-from repro.pipeline.execution_order import OrderResult, simulate_collocated_order
+from repro._lazy import lazy_exports
+
+#: Public name -> defining module, resolved when read.
+_EXPORTS = {
+    "RAGPerfModel": "repro.pipeline.stage_perf",
+    "StagePerf": "repro.pipeline.stage_perf",
+    "PipelinePerf": "repro.pipeline.assembly",
+    "PlacementGroup": "repro.pipeline.assembly",
+    "Schedule": "repro.pipeline.assembly",
+    "assemble": "repro.pipeline.assembly",
+    "time_breakdown": "repro.pipeline.breakdown",
+    "IterativeDecodeResult": "repro.pipeline.iterative",
+    "simulate_iterative_decode": "repro.pipeline.iterative",
+    "microbatch_ttft": "repro.pipeline.microbatch",
+    "ttft_reduction": "repro.pipeline.microbatch",
+    "OrderResult": "repro.pipeline.execution_order",
+    "simulate_collocated_order": "repro.pipeline.execution_order",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "RAGPerfModel",

@@ -18,20 +18,32 @@ schedules that achieve it; :class:`~repro.rago.optimizer.RAGO` is the
 user-facing facade.
 """
 
-from repro.rago.pareto import pareto_front
-from repro.rago.placement import enumerate_placements
-from repro.rago.allocation import enumerate_allocations, power_of_two_options
-from repro.rago.batching import batch_options
-from repro.rago.search import SearchConfig, SearchResult, search_schedules
-from repro.rago.session import OptimizerSession, SweepCell, SweepResult
-from repro.rago.optimizer import RAGO
-from repro.rago.objectives import (
-    ServiceObjective,
-    knee_point,
-    select_max_throughput,
-    select_min_ttft,
-)
-from repro.rago.cost import CostEstimate, PriceBook, cheapest_point, estimate_cost
+from repro._lazy import lazy_exports
+
+#: Public name -> defining module, resolved when read.
+_EXPORTS = {
+    "pareto_front": "repro.rago.pareto",
+    "enumerate_placements": "repro.rago.placement",
+    "enumerate_allocations": "repro.rago.allocation",
+    "power_of_two_options": "repro.rago.allocation",
+    "batch_options": "repro.rago.batching",
+    "SearchConfig": "repro.rago.search",
+    "SearchResult": "repro.rago.search",
+    "search_schedules": "repro.rago.search",
+    "OptimizerSession": "repro.rago.session",
+    "SweepCell": "repro.rago.session",
+    "SweepResult": "repro.rago.session",
+    "RAGO": "repro.rago.optimizer",
+    "ServiceObjective": "repro.rago.objectives",
+    "knee_point": "repro.rago.objectives",
+    "select_max_throughput": "repro.rago.objectives",
+    "select_min_ttft": "repro.rago.objectives",
+    "CostEstimate": "repro.rago.cost",
+    "PriceBook": "repro.rago.cost",
+    "cheapest_point": "repro.rago.cost",
+    "estimate_cost": "repro.rago.cost",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "pareto_front",

@@ -38,14 +38,9 @@ import copy
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple, Union)
 
-from repro.distrib import (
-    SweepJob,
-    TaskSpec,
-    memory_to_payload,
-    resolve_sweep_backend,
-)
 from repro.errors import ConfigError, ScheduleError
 from repro.hardware.cluster import ClusterSpec
 from repro.inference.memory import MemoryModel
@@ -62,19 +57,18 @@ from repro.rago.provisioning import ProvisioningResult, provision
 from repro.rago.search import SearchConfig, SearchResult, search_schedules
 from repro.schema.builder import PipelineBuilder
 from repro.schema.ragschema import RAGSchema
-from repro.sim.autoscale import Autoscaler, AutoscaleConfig
-from repro.sim.engine import ServingEngine
-from repro.sim.fleet import FleetEngine
-from repro.sim.metrics import ServingReport, SLOTarget
-from repro.sim.policies import (
-    AdmissionPolicy,
-    DispatchPolicy,
-    resolve_admission_policy,
-    resolve_dispatch_policy,
-)
-from repro.sim.routing import RoutingPolicy
-from repro.sim.serving import ServingSimulator
-from repro.workloads.traces import RequestTrace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # The serving stack, the sweep executors and the trace types are
+    # imported by the methods that use them: searching a schedule
+    # never loads the DES, asyncio or numpy.
+    from repro.sim.autoscale import Autoscaler, AutoscaleConfig
+    from repro.sim.engine import ServingEngine
+    from repro.sim.fleet import FleetEngine
+    from repro.sim.metrics import ServingReport, SLOTarget
+    from repro.sim.policies import AdmissionPolicy, DispatchPolicy
+    from repro.sim.routing import RoutingPolicy
+    from repro.workloads.traces import RequestTrace
 
 #: A selector turns (result, objective) into the chosen frontier point.
 Selector = Callable[[SearchResult, ServiceObjective], PipelinePerf]
@@ -321,6 +315,13 @@ class OptimizerSession:
             ``records`` tuple and the sealed records in it are shared
             with the memo and with every other call that hits it.
         """
+        from repro.sim.metrics import SLOTarget
+        from repro.sim.policies import (
+            resolve_admission_policy,
+            resolve_dispatch_policy,
+        )
+        from repro.sim.serving import ServingSimulator
+
         if slo is None:
             slo = SLOTarget(ttft=self._objective.max_ttft,
                             tpot=self._objective.max_tpot)
@@ -394,6 +395,8 @@ class OptimizerSession:
             max_wait / seed / dispatch / admission: Engine knobs, as in
                 :meth:`evaluate_trace`.
         """
+        from repro.sim.engine import ServingEngine
+
         if schedule is None:
             schedule = _constrained_knee(self.optimize(),
                                          self._objective).schedule
@@ -462,6 +465,8 @@ class OptimizerSession:
                 ``schedule`` / ``replicas`` arguments override its
                 fields individually.
         """
+        from repro.sim.fleet import FleetEngine
+
         if provisioning is not None:
             if schedule is None:
                 schedule = provisioning.perf.schedule
@@ -515,6 +520,10 @@ class OptimizerSession:
         Raises:
             ConfigError: on a non-positive or inverted load band.
         """
+        from repro.sim.autoscale import Autoscaler, AutoscaleConfig
+        from repro.sim.fleet import FleetEngine
+        from repro.sim.metrics import SLOTarget
+
         if trough_qps <= 0 or peak_qps <= 0:
             raise ConfigError("trough_qps and peak_qps must be positive")
         if trough_qps > peak_qps:
@@ -576,6 +585,12 @@ class OptimizerSession:
             error string instead of aborting the sweep.
         """
         from repro import config as config_module
+        from repro.distrib import (
+            SweepJob,
+            TaskSpec,
+            memory_to_payload,
+            resolve_sweep_backend,
+        )
 
         if processes < 1:
             raise ConfigError("processes must be at least 1")
@@ -654,6 +669,7 @@ class OptimizerSession:
             A :class:`~repro.rago.whatif.WhatIfResult`.
         """
         from repro.rago.whatif import run_whatif
+        from repro.sim.metrics import SLOTarget
 
         if slo is None:
             slo = SLOTarget(ttft=self._objective.max_ttft,

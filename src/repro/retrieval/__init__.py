@@ -17,15 +17,26 @@ functional engine's PQ scan rate to populate the analytical model's
 parameters, replicating the paper's two-step calibration.
 """
 
-from repro.retrieval.pq import ProductQuantizer
-from repro.retrieval.ivf import IVFPQIndex
-from repro.retrieval.tree import TreePQIndex
-from repro.retrieval.bruteforce import BruteForceIndex
-from repro.retrieval.scann_model import DatabaseConfig, ScaNNPerfModel
-from repro.retrieval.distributed import DistributedRetrievalModel
-from repro.retrieval.simulator import RetrievalPerf, RetrievalSimulator
-from repro.retrieval.calibration import CalibrationResult, calibrate_scan_rate
-from repro.retrieval.tuning import TuningPoint, TuningResult, tune_scan_fraction
+from repro._lazy import lazy_exports
+
+#: Public name -> defining module, resolved when read.
+_EXPORTS = {
+    "ProductQuantizer": "repro.retrieval.pq",
+    "IVFPQIndex": "repro.retrieval.ivf",
+    "TreePQIndex": "repro.retrieval.tree",
+    "BruteForceIndex": "repro.retrieval.bruteforce",
+    "DatabaseConfig": "repro.retrieval.scann_model",
+    "ScaNNPerfModel": "repro.retrieval.scann_model",
+    "DistributedRetrievalModel": "repro.retrieval.distributed",
+    "RetrievalPerf": "repro.retrieval.simulator",
+    "RetrievalSimulator": "repro.retrieval.simulator",
+    "CalibrationResult": "repro.retrieval.calibration",
+    "calibrate_scan_rate": "repro.retrieval.calibration",
+    "TuningPoint": "repro.retrieval.tuning",
+    "TuningResult": "repro.retrieval.tuning",
+    "tune_scan_fraction": "repro.retrieval.tuning",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "TuningPoint",

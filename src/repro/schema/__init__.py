@@ -7,28 +7,31 @@ dimensionality, queries per retrieval, iterative retrieval frequency) --
 Table 1 and Fig. 3 of the paper.
 """
 
-from repro.schema.ragschema import RAGSchema
-from repro.schema.builder import (
-    PipelineBuilder,
-    pipeline,
-    register_stage_type,
-    stage_types,
-    unregister_stage_type,
-)
-from repro.schema.stages import Stage, pipeline_stages, ttft_stages, xpu_stages
-from repro.schema.paradigms import (
-    case_i_hyperscale,
-    case_ii_long_context,
-    case_iii_iterative,
-    case_iv_rewriter_reranker,
-    llm_only,
-)
-from repro.schema.serialization import (
-    schedule_from_dict,
-    schedule_to_dict,
-    schema_from_dict,
-    schema_to_dict,
-)
+from repro._lazy import lazy_exports
+
+#: Public name -> defining module, resolved when read.
+_EXPORTS = {
+    "RAGSchema": "repro.schema.ragschema",
+    "PipelineBuilder": "repro.schema.builder",
+    "pipeline": "repro.schema.builder",
+    "register_stage_type": "repro.schema.builder",
+    "stage_types": "repro.schema.builder",
+    "unregister_stage_type": "repro.schema.builder",
+    "Stage": "repro.schema.stages",
+    "pipeline_stages": "repro.schema.stages",
+    "ttft_stages": "repro.schema.stages",
+    "xpu_stages": "repro.schema.stages",
+    "case_i_hyperscale": "repro.schema.paradigms",
+    "case_ii_long_context": "repro.schema.paradigms",
+    "case_iii_iterative": "repro.schema.paradigms",
+    "case_iv_rewriter_reranker": "repro.schema.paradigms",
+    "llm_only": "repro.schema.paradigms",
+    "schedule_from_dict": "repro.schema.serialization",
+    "schedule_to_dict": "repro.schema.serialization",
+    "schema_from_dict": "repro.schema.serialization",
+    "schema_to_dict": "repro.schema.serialization",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "schema_to_dict",

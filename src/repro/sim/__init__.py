@@ -23,63 +23,59 @@ queueing breakdowns, while :mod:`repro.serve` feeds the same engine
 from a live asyncio request stream.
 """
 
-from repro.sim.autoscale import (
-    AUTOSCALE_POLICIES,
-    AutoscaleConfig,
-    AutoscalePolicy,
-    Autoscaler,
-    FleetView,
-    QueueDepthPolicy,
-    ScalingEvent,
-    SLOAttainmentPolicy,
-    TargetUtilizationPolicy,
-    autoscale_spec,
-    parse_autoscale_spec,
-    resolve_autoscale_policy,
-)
-from repro.sim.engine import (
-    EventQueue,
-    ServingEngine,
-    Simulation,
-    submit_trace,
-)
-from repro.sim.fleet import FleetEngine
-from repro.sim.metrics import (
-    LiveSnapshot,
-    MetricsAccumulator,
-    RequestRecord,
-    ServingMetrics,
-    ServingReport,
-    SLOTarget,
-    jain_index,
-)
-from repro.sim.policies import (
-    ADMISSION_POLICIES,
-    DISPATCH_POLICIES,
-    AdmissionPolicy,
-    DeadlineFlushPolicy,
-    DispatchPolicy,
-    FullBatchPolicy,
-    GreedyAdmission,
-    PriorityAdmission,
-    SizeCappedPolicy,
-    TokenBudgetAdmission,
-    admission_spec,
-    parse_admission_policy,
-)
-from repro.sim.routing import (
-    ROUTING_POLICIES,
-    JoinIdleQueueRouting,
-    LeastInFlightRouting,
-    PowerOfTwoChoicesRouting,
-    ReplicaView,
-    RoundRobinRouting,
-    RoutingPolicy,
-    SessionAffineRouting,
-    WeightedQPSRouting,
-    resolve_routing_policy,
-)
-from repro.sim.serving import ServingSimulator
+from repro._lazy import lazy_exports
+
+#: Public name -> defining module, resolved when read.
+_EXPORTS = {
+    "AUTOSCALE_POLICIES": "repro.sim.autoscale",
+    "AutoscaleConfig": "repro.sim.autoscale",
+    "AutoscalePolicy": "repro.sim.autoscale",
+    "Autoscaler": "repro.sim.autoscale",
+    "FleetView": "repro.sim.autoscale",
+    "QueueDepthPolicy": "repro.sim.autoscale",
+    "ScalingEvent": "repro.sim.autoscale",
+    "SLOAttainmentPolicy": "repro.sim.autoscale",
+    "TargetUtilizationPolicy": "repro.sim.autoscale",
+    "autoscale_spec": "repro.sim.autoscale",
+    "parse_autoscale_spec": "repro.sim.autoscale",
+    "resolve_autoscale_policy": "repro.sim.autoscale",
+    "EventQueue": "repro.sim.engine",
+    "ServingEngine": "repro.sim.engine",
+    "Simulation": "repro.sim.engine",
+    "submit_trace": "repro.sim.engine",
+    "FleetEngine": "repro.sim.fleet",
+    "LiveSnapshot": "repro.sim.metrics",
+    "MetricsAccumulator": "repro.sim.metrics",
+    "RequestRecord": "repro.sim.metrics",
+    "ServingMetrics": "repro.sim.metrics",
+    "ServingReport": "repro.sim.metrics",
+    "SLOTarget": "repro.sim.metrics",
+    "jain_index": "repro.sim.metrics",
+    "ADMISSION_POLICIES": "repro.sim.policies",
+    "DISPATCH_POLICIES": "repro.sim.policies",
+    "AdmissionPolicy": "repro.sim.policies",
+    "DeadlineFlushPolicy": "repro.sim.policies",
+    "DispatchPolicy": "repro.sim.policies",
+    "FullBatchPolicy": "repro.sim.policies",
+    "GreedyAdmission": "repro.sim.policies",
+    "PriorityAdmission": "repro.sim.policies",
+    "SizeCappedPolicy": "repro.sim.policies",
+    "TokenBudgetAdmission": "repro.sim.policies",
+    "admission_spec": "repro.sim.policies",
+    "parse_admission_policy": "repro.sim.policies",
+    "ROUTING_POLICIES": "repro.sim.routing",
+    "JoinIdleQueueRouting": "repro.sim.routing",
+    "LeastInFlightRouting": "repro.sim.routing",
+    "PowerOfTwoChoicesRouting": "repro.sim.routing",
+    "ReplicaView": "repro.sim.routing",
+    "RoundRobinRouting": "repro.sim.routing",
+    "RoutingPolicy": "repro.sim.routing",
+    "SessionAffineRouting": "repro.sim.routing",
+    "WeightedQPSRouting": "repro.sim.routing",
+    "resolve_routing_policy": "repro.sim.routing",
+    "ServingSimulator": "repro.sim.serving",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "EventQueue",

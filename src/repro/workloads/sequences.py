@@ -10,16 +10,21 @@ positions" (§5.3).
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # numpy is imported inside the samplers, so importing this module
+    # (every trace type does) stays cheap.
+    import numpy as np
 
 
 def sample_question_lengths(count: int, low: int = 6, high: int = 42,
                             seed: int = 0) -> np.ndarray:
     """Question lengths drawn uniformly from the QA-dataset range."""
+    import numpy as np
+
     if count <= 0:
         raise ConfigError("count must be positive")
     if not 0 < low <= high:
@@ -36,6 +41,8 @@ def sample_decode_lengths(count: int, mean: int = 256, minimum: int = 16,
     geometric distribution reproduces that while keeping the configured
     mean.
     """
+    import numpy as np
+
     if count <= 0:
         raise ConfigError("count must be positive")
     if minimum <= 0 or mean <= minimum:
@@ -54,6 +61,8 @@ def sample_retrieval_positions(decode_len: int, num_retrievals: int,
     sorted, matching §5.3's uniform-at-random trigger model. The initial
     (pre-decode) retrieval is not included.
     """
+    import numpy as np
+
     if decode_len <= 1:
         raise ConfigError("decode_len must exceed 1")
     if num_retrievals < 0:

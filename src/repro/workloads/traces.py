@@ -33,12 +33,16 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import ConfigError
 from repro.workloads.sequences import sample_decode_lengths
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # numpy is imported inside the functions that draw samples or take
+    # percentiles, so a recorded or closed-loop trace never loads it.
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -380,6 +384,8 @@ def poisson_trace(rate_qps: float, duration: float, seed: int = 0,
         mean_decode_len: When set, sample per-request decode lengths
             with this mean instead of using the workload default.
     """
+    import numpy as np
+
     _check_rate_duration(rate_qps, duration)
     rng = np.random.default_rng(seed)
     arrivals = []
@@ -425,6 +431,8 @@ def bursty_trace(rate_qps: float, duration: float, seed: int = 0,
             (0, 1).
         mean_cycle: Mean seconds of one on+off cycle.
     """
+    import numpy as np
+
     _check_rate_duration(rate_qps, duration)
     if burst_factor <= 1.0:
         raise ConfigError("burst_factor must exceed 1")
@@ -495,6 +503,8 @@ def diurnal_trace(rate_qps: float, duration: float, seed: int = 0,
         period: Seconds per day/night cycle; defaults to ``duration``
             (one full cycle inside the window).
     """
+    import numpy as np
+
     _check_rate_duration(rate_qps, duration)
     if not 0.0 <= amplitude < 1.0:
         raise ConfigError("amplitude must be in [0, 1)")
@@ -617,6 +627,8 @@ def burstiness_cv(trace: RequestTrace) -> float:
             sample) or a zero mean inter-arrival (all arrivals
             coincident).
     """
+    import numpy as np
+
     if trace.num_requests < 2:
         raise ConfigError(
             "burstiness needs at least two arrivals to form an "
@@ -639,6 +651,8 @@ def trace_stats(trace: RequestTrace, bins: int = 24) -> Dict[str, Any]:
     -- ``decode_mean`` / ``decode_p50`` / ``decode_p95`` /
     ``decode_max``.
     """
+    import numpy as np
+
     curve = rate_curve(trace, bins=bins)
     try:
         cv: Optional[float] = burstiness_cv(trace)
@@ -676,6 +690,8 @@ def tier_stats(trace: RequestTrace) -> Dict[str, Dict[str, Any]]:
     Requests without a tier are grouped under ``(untiered)``. Empty
     when the trace carries no identity at all.
     """
+    import numpy as np
+
     grouped: Dict[str, List[Request]] = {}
     if trace.has_identity:
         for request in trace.requests:

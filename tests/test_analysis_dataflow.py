@@ -101,6 +101,56 @@ def test_callgraph_expands_import_aliases(tmp_path):
         == ["repro.util.timing.mid_helper"]
 
 
+def test_callgraph_expands_function_local_imports(tmp_path):
+    """An import deferred into a function body (to keep module import
+    cheap) resolves like a module-level one, and shadows it."""
+    _, graph = graph_of(tmp_path, "repro/deferred.py", """\
+        from repro.util.other import helper
+
+        def use():
+            from repro.util.timing import mid_helper as mh
+            from repro.util.timing import helper
+
+            return mh(), helper()
+
+        def plain():
+            return helper()
+    """)
+    use = graph.functions["repro.deferred.use"]
+    assert [site.target for site in use.calls] \
+        == ["repro.util.timing.mid_helper", "repro.util.timing.helper"]
+    plain = graph.functions["repro.deferred.plain"]
+    assert [site.target for site in plain.calls] \
+        == ["repro.util.other.helper"]
+
+
+def test_callgraph_chases_lazy_package_exports(tmp_path):
+    """A lazy package's export table links re-exported names exactly
+    as eager ``from x import y`` bindings did."""
+    write(tmp_path, "repro/util/__init__.py", """\
+        from repro._lazy import lazy_exports
+
+        _EXPORTS = {"mid_helper": "repro.util.timing"}
+        __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+    """)
+    three_hop_fixture(tmp_path)
+    write(tmp_path, "repro/sim/engine.py", """\
+        from repro.util import mid_helper
+
+        def tick():
+            return mid_helper()
+    """)
+    index = build_index([str(tmp_path)])
+    callgraph = Callgraph({module.name: extract_module_graph(module)
+                           for module in index.modules})
+    tick = callgraph.functions["repro.sim.engine.tick"]
+    assert [callgraph.resolve(tick, site.target) for site in tick.calls] \
+        == ["repro.util.timing.mid_helper"]
+    findings = lint_paths([str(tmp_path)],
+                          rules=["transitive-wallclock-in-sim"])
+    assert rule_ids(findings) == ["transitive-wallclock-in-sim"]
+
+
 def test_callgraph_nested_defs_get_their_own_nodes(tmp_path):
     _, graph = graph_of(tmp_path, "repro/nest.py", """\
         def outer():

@@ -15,6 +15,7 @@ import pytest
 from repro.analysis import (
     Finding,
     LINT_RULES,
+    build_index,
     diff_against_baseline,
     finding_from_dict,
     finding_to_dict,
@@ -278,6 +279,47 @@ def test_registry_must_appear_in_dunder_all(tmp_path):
     findings = lint_paths([path], rules=["registry-drift"])
     assert rule_ids(findings) == ["registry-drift"]
     assert "__all__" in findings[0].message
+
+
+LAZY_PACKAGE = """\
+    from repro._lazy import lazy_exports
+
+    __all__ = ["real", "ghost", "impl"]
+
+    _EXPORTS = {
+        "real": "repro.pkg.impl",
+        "ghost": "repro.pkg.impl",
+        "impl": "repro.pkg.impl",
+    }
+    __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+"""
+
+
+def test_lazy_table_entry_must_name_a_defining_module(tmp_path):
+    write(tmp_path, "repro/pkg/__init__.py", LAZY_PACKAGE)
+    write(tmp_path, "repro/pkg/impl.py", """\
+        def real():
+            return 1
+    """)
+    findings = lint_paths([str(tmp_path / "repro")],
+                          rules=["registry-drift"])
+    # The table binds its names, so __all__ is truthful; only the
+    # entry whose module never defines the name is drift. "impl"
+    # exports the submodule itself.
+    assert rule_ids(findings) == ["registry-drift"]
+    assert findings[0].line == 7
+    assert "'ghost'" in findings[0].message
+    assert "repro.pkg.impl" in findings[0].message
+
+
+def test_lazy_table_entries_are_bindings_and_import_origins(tmp_path):
+    path = write(tmp_path, "repro/pkg/__init__.py", LAZY_PACKAGE)
+    module = build_index([path]).modules[0]
+    assert {"real", "ghost", "impl"} <= module.bindings
+    assert module.imports["real"] == "repro.pkg.impl.real"
+    assert module.imports["impl"] == "repro.pkg.impl"
+    # The defining module is outside this lint run: nothing to check.
+    assert lint_paths([path], rules=["registry-drift"]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -713,6 +713,49 @@ def test_whatif_validates_axes_before_searching(capsys):
     assert "bad --replicas axis" in capsys.readouterr().out
 
 
+@pytest.fixture
+def search_forbidden(monkeypatch):
+    """Make any schedule search fail loudly: a flag the argv already
+    proves wrong must be rejected before the search runs."""
+    import repro.rago.session
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the schedule search ran")
+
+    monkeypatch.setattr(repro.rago.session, "search_schedules", forbidden)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["whatif", "--replicas", "0"],
+     "whatif replicas must be positive ints, got 0"),
+    (["whatif", "--replicas", "1,-2"],
+     "whatif replicas must be positive ints, got -2"),
+    (["whatif", "--rate", "-1"], "offered --rate must be positive"),
+    (["whatif", "--duration", "0"],
+     "rate_qps and duration must be positive"),
+    (["replay", "--duration", "0"],
+     "rate_qps and duration must be positive"),
+    (["replay", "--rate", "-1"],
+     "offered rate must be positive; pass a positive --rate or --load"),
+    (["replay", "--load", "0"],
+     "offered rate must be positive; pass a positive --rate or --load"),
+    (["replay", "--duration", "0", "--population", "users=4"],
+     "closed-loop horizon must be positive and finite"),
+])
+def test_bad_traffic_flags_fail_before_the_search(search_forbidden, capsys,
+                                                  argv, message):
+    assert main(argv + ["--case", "i", "--llm", "1B",
+                        "--servers", "16"]) == 1
+    out = capsys.readouterr().out
+    assert f"error: {message}" in out
+    assert "workload:" not in out  # no session was even opened
+
+
+def test_search_forbidden_fixture_catches_a_search(search_forbidden):
+    with pytest.raises(AssertionError, match="search ran"):
+        main(["optimize", "--case", "i", "--llm", "1B", "--servers", "16"])
+
+
 def test_whatif_config_file_drives_the_grid(tmp_path, capsys):
     path = tmp_path / "whatif.yaml"
     path.write_text("""\

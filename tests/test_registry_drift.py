@@ -9,6 +9,10 @@ half-registered policy would silently break.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,16 +102,30 @@ def test_serve_config_envelope_round_trips_every_routing_key(routing):
     assert from_config(to_config(config)) == config
 
 
-@pytest.mark.parametrize("module_name", [
+#: Packages whose public names resolve when read (repro._lazy).
+LAZY_PACKAGES = [
+    "repro",
+    "repro.distrib",
+    "repro.hardware",
+    "repro.inference",
+    "repro.models",
+    "repro.pipeline",
+    "repro.rago",
+    "repro.reporting",
+    "repro.retrieval",
+    "repro.schema",
+    "repro.sim",
+    "repro.workloads",
+]
+
+
+@pytest.mark.parametrize("module_name", sorted(set(LAZY_PACKAGES + [
     "repro.analysis",
     "repro.config",
-    "repro.reporting",
-    "repro.sim",
     "repro.sim.autoscale",
     "repro.sim.policies",
     "repro.sim.routing",
-    "repro.workloads",
-])
+])))
 def test_dunder_all_names_are_real(module_name):
     module = importlib.import_module(module_name)
     exported = getattr(module, "__all__", None)
@@ -117,6 +135,44 @@ def test_dunder_all_names_are_real(module_name):
         assert hasattr(module, name), (
             f"{module_name}.__all__ exports {name!r} which the module "
             f"does not define")
+    listed = set(dir(module))
+    assert set(exported) <= listed, (
+        f"dir({module_name}) misses {sorted(set(exported) - listed)}")
+    namespace = {}
+    exec(f"from {module_name} import *", namespace)
+    assert set(exported) <= set(namespace)
+    with pytest.raises(AttributeError, match=module_name.replace(".", r"\.")):
+        getattr(module, "definitely_not_exported")
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_lazy_table_matches_dunder_all(package):
+    """Every exported name is in the lazy table and resolves to the
+    object its defining module holds; the table exports nothing
+    private."""
+    module = importlib.import_module(package)
+    table = module._EXPORTS
+    assert set(module.__all__) - {"__version__"} == set(table)
+    for name, origin in table.items():
+        defining = importlib.import_module(origin)
+        expected = defining if origin == f"{package}.{name}" \
+            else getattr(defining, name)
+        assert getattr(module, name) is expected
+
+
+def test_lazy_names_follow_the_defining_module(monkeypatch):
+    """A package reads the defining module on every access: a patch
+    there (a test double, a tracing wrapper) shows through the package
+    and is gone once undone."""
+    import repro.sim
+    import repro.sim.engine
+
+    original = repro.sim.submit_trace
+    sentinel = object()
+    monkeypatch.setattr(repro.sim.engine, "submit_trace", sentinel)
+    assert repro.sim.submit_trace is sentinel
+    monkeypatch.undo()
+    assert repro.sim.submit_trace is original
 
 
 @pytest.mark.parametrize("module_name, registry_name", [
@@ -134,3 +190,60 @@ def test_registries_are_exported(module_name, registry_name):
     if module_name.startswith("repro.sim."):
         sim = importlib.import_module("repro.sim")
         assert registry_name in sim.__all__
+
+
+#: The source tree, for fresh interpreters.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+#: (package, defining module, registry) -> the keys it held before the
+#: package surfaces became lazy. A registration that stopped running
+#: before the first lookup shows up here as a missing key.
+REGISTRY_KEYS = {
+    ("repro.analysis", "repro.analysis.rules", "LINT_RULES"): [
+        "await-shards-shared-state", "exception-contract",
+        "listener-rebind", "mutable-default-arg",
+        "no-blocking-io-in-coordinator",
+        "no-per-event-allocation-in-hot-loop", "no-wallclock-in-sim",
+        "registry-drift", "seeded-rng-required", "transitive-unseeded-rng",
+        "transitive-wallclock-in-sim",
+        "unsorted-dict-iteration-in-reporting"],
+    ("repro.distrib", "repro.distrib.protocol", "TASK_RUNNERS"): [
+        "search", "whatif"],
+    ("repro.distrib", "repro.distrib.backends", "SWEEP_BACKENDS"): [
+        "process", "serial", "sockets"],
+    ("repro.schema", "repro.schema.builder", "stage_types"): [
+        "encode", "generate", "rerank", "retrieve", "rewrite",
+        "sequences"],
+    ("repro.workloads", "repro.workloads.traces", "SCENARIOS"): [
+        "bursty", "diurnal", "poisson"],
+    ("repro.workloads", "repro.workloads.sessions", "TIER_POLICIES"): [
+        "free-paid", "single"],
+    ("repro.sim", "repro.sim.policies", "DISPATCH_POLICIES"): [
+        "deadline-flush", "full-batch", "size-capped"],
+    ("repro.sim", "repro.sim.policies", "ADMISSION_POLICIES"): [
+        "greedy", "priority"],
+    ("repro.sim", "repro.sim.routing", "ROUTING_POLICIES"): [
+        "join-idle-queue", "least-in-flight", "power-of-two-choices",
+        "round-robin", "session-affine", "weighted-qps"],
+    ("repro.sim", "repro.sim.autoscale", "AUTOSCALE_POLICIES"): [
+        "queue-depth", "slo-attainment", "target-utilization"],
+}
+
+
+@pytest.mark.parametrize("via_package", [True, False],
+                         ids=["package", "defining-module"])
+@pytest.mark.parametrize("key", sorted(REGISTRY_KEYS),
+                         ids=lambda key: key[2])
+def test_registry_keys_in_a_fresh_interpreter(key, via_package):
+    """The first thing a fresh interpreter does is read the registry --
+    through its package or straight from its defining module -- and it
+    already holds every key: registration side effects run first."""
+    package, defining, name = key
+    registry = f"{name}()" if name == "stage_types" else name
+    code = (f"from {package if via_package else defining} import {name}\n"
+            f"print(sorted({registry}))")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == str(REGISTRY_KEYS[key])
