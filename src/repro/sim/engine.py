@@ -153,8 +153,10 @@ class Simulation:
     def __init__(self) -> None:
         self._queue = EventQueue()
         self._now = 0.0
-        self._events_processed = 0
         self._handlers: List[Callable[["Simulation", Any], None]] = []
+        # Events executed per kind, so components sharing one clock
+        # (a fleet's replicas) each count only their own events.
+        self._counts: List[int] = []
 
     @property
     def now(self) -> float:
@@ -164,12 +166,13 @@ class Simulation:
     @property
     def events_processed(self) -> int:
         """Total events executed so far."""
-        return self._events_processed
+        return sum(self._counts)
 
     def register_handler(
             self, handler: Callable[["Simulation", Any], None]) -> int:
         """Register an event handler; returns its integer kind."""
         self._handlers.append(handler)
+        self._counts.append(0)
         return len(self._handlers) - 1
 
     def schedule_event(self, delay: float, kind: int, arg: Any) -> None:
@@ -215,6 +218,7 @@ class Simulation:
         args = queue._args
         free = queue._free
         handlers = self._handlers
+        counts = self._counts
         heappop = heapq.heappop
         processed = 0
         while heap:
@@ -233,7 +237,7 @@ class Simulation:
                 arg = args[slot]
                 args[slot] = None
                 free.append(slot)
-                self._events_processed += 1
+                counts[kind] += 1
                 processed += 1
                 handlers[kind](self, arg)
         if until is not None and until > self._now:
@@ -674,9 +678,10 @@ def _token_count(value: Any) -> int:
 class ServingEngine:
     """Incremental, resumable request-level serving simulation.
 
-    One engine owns one :class:`Simulation` and the station network for
-    one schedule; its lifecycle is explicit so callers choose the
-    driving mode:
+    One engine owns one :class:`Simulation` (a
+    :class:`~repro.sim.fleet.FleetEngine` replica shares its fleet's
+    instead) and the station network for one schedule; its lifecycle
+    is explicit so callers choose the driving mode:
 
     * **open loop** (what :class:`~repro.sim.serving.ServingSimulator`
       does): submit every request of a trace, then :meth:`drain`;
@@ -719,7 +724,8 @@ class ServingEngine:
                  max_wait: Optional[float] = None, seed: int = 0,
                  dispatch: DispatchSelection = None,
                  admission: Union[None, str, AdmissionPolicy] = None,
-                 on_complete: Optional[CompletionFn] = None) -> None:
+                 on_complete: Optional[CompletionFn] = None, *,
+                 _clock: Optional[Simulation] = None) -> None:
         self._perf_model = perf_model
         self._schedule = schedule
         self._schema = perf_model.schema
@@ -733,7 +739,11 @@ class ServingEngine:
         self._listeners: List[CompletionFn] = \
             [on_complete] if on_complete is not None else []
         self._drained = False
-        self._sim = self._simulation()
+        # A fleet runs its replicas on one shared clock (``_clock``) and
+        # owns their stepping; a standalone engine owns its own.
+        self._shared = _clock is not None
+        self._sim = _clock if self._shared else self._simulation()
+        first_kind = len(self._sim._handlers) if self._shared else 0
         self._accumulator = MetricsAccumulator(self._schema)
         self._next_id = 0
         self._stations: Dict[Stage, Any] = {}
@@ -754,6 +764,7 @@ class ServingEngine:
         self._slab_n = 0  # requests slabbed so far (the next slab index)
         self._queue = self._sim._queue  # direct arrival pushes in submit
         self._build()
+        self._kinds = slice(first_kind, len(self._sim._handlers))
 
     # -- construction --------------------------------------------------
 
@@ -974,8 +985,15 @@ class ServingEngine:
 
     @property
     def events_processed(self) -> int:
-        """DES events executed so far (the bench harness's numerator)."""
-        return self._sim.events_processed
+        """DES events this engine executed so far (the bench harness's
+        numerator; exact per replica on a fleet's shared clock)."""
+        return sum(self._sim._counts[self._kinds])
+
+    @property
+    def clock(self) -> Simulation:
+        """The :class:`Simulation` this engine runs on (a fleet's
+        replicas share one)."""
+        return self._sim
 
     @property
     def records(self) -> Tuple[RequestRecord, ...]:
@@ -1083,20 +1101,21 @@ class ServingEngine:
 
         Returns:
             The engine's simulated time after the step (``until``).
+
+        Raises:
+            ConfigError: when stepping backwards, or on a fleet replica
+                (step the fleet, which owns the shared clock).
         """
+        self._check_standalone("step")
         if until < self._sim.now:
             raise ConfigError("cannot step backwards in time")
         self._sim.run(until=until)
         return self._sim.now
 
     def next_event_time(self) -> Optional[float]:
-        """The earliest queued event's timestamp, or None when idle.
-
-        Conservative co-simulation hook: a driver interleaving several
-        engines (closed-loop fleets) must never advance one engine past
-        another's earliest pending event, or cross-engine feedback
-        lands in the past.
-        """
+        """The earliest timestamp queued on this engine's clock, or None
+        when nothing is queued (on a fleet replica: the whole fleet's
+        next event)."""
         queue = self._sim._queue
         return queue.peek_time() if queue else None
 
@@ -1105,28 +1124,24 @@ class ServingEngine:
 
         After a drain the engine is spent: further :meth:`submit` calls
         raise :class:`~repro.errors.ConfigError` (the documented
-        single-use lifecycle, previously corrupted silently).
+        single-use lifecycle, previously corrupted silently). A fleet
+        replica refuses to drain: it would run every replica's events
+        and seal a slot the fleet still routes to.
 
         Returns:
             The simulated time of the last event.
         """
+        self._check_standalone("drain")
         self._sim.run()
         self._drained = True
         return self._sim.now
 
-    def _run_to_quiescence(self) -> float:
-        """Run the event queue empty *without* sealing the engine.
-
-        :class:`~repro.sim.fleet.FleetEngine` owns its replicas'
-        lifecycle and reuses them across fleet-level drains (drain to
-        settle retirements, then keep routing traffic), so its drain
-        must not trip the public single-use seal.
-
-        Returns:
-            The simulated time of the last event.
-        """
-        self._sim.run()
-        return self._sim.now
+    def _check_standalone(self, action: str) -> None:
+        """Refuse to advance a fleet replica's shared clock directly."""
+        if self._shared:
+            raise ConfigError(
+                f"cannot {action} a FleetEngine replica directly: it "
+                f"runs on the fleet's shared clock; {action} the fleet")
 
     # -- results -------------------------------------------------------
 

@@ -3,12 +3,25 @@
 The provisioning model (:mod:`repro.rago.provisioning`) answers "how
 many replicas sustain this load" analytically; :class:`FleetEngine`
 is the subsystem that tests the answer under live traffic. It fronts
-N independent :class:`~repro.sim.engine.ServingEngine` replicas --
-homogeneous by default, per-replica schedule overrides allowed --
-behind the engine's own submit/step/drain lifecycle, so every
-existing driver (the open-loop replay in ``repro replay``, the live
-asyncio front-end in :mod:`repro.serve`) scales out without changing
-shape.
+N :class:`~repro.sim.engine.ServingEngine` replicas -- homogeneous by
+default, per-replica schedule overrides allowed -- behind the engine's
+own submit/step/drain lifecycle, so every existing driver (the
+open-loop replay in ``repro replay``, the closed loop in
+:mod:`repro.workloads.sessions`, the live asyncio front-end in
+:mod:`repro.serve`) scales out without changing shape.
+
+**One clock per fleet.** Every replica registers its event kinds on
+the fleet's single :class:`~repro.sim.engine.Simulation` (exposed as
+:attr:`FleetEngine.clock`), so stepping the fleet is one
+``run(until=...)`` over one event queue, and an arrival is valid or
+not against one fleet-wide time whichever replica routing picks. The
+tie rule for events at the same timestamp on different replicas is
+the queue's global ``(time, seq)`` order, where ``seq`` is scheduling
+order: whichever event was scheduled first runs first, regardless of
+replica slot. Each replica's own events keep the relative order they
+would have on a private clock, so a replica's lifecycles match a
+standalone engine fed the same arrivals. Replicas refuse direct
+``step``/``drain`` calls: the fleet owns the clock.
 
 Which replica an arrival lands on is a pluggable
 :class:`~repro.sim.routing.RoutingPolicy` (round robin by default);
@@ -36,7 +49,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.errors import ConfigError, ReproError
 from repro.pipeline.assembly import Schedule, assemble
 from repro.pipeline.stage_perf import RAGPerfModel
-from repro.sim.engine import CompletionFn, DispatchSelection, ServingEngine
+from repro.sim.engine import (
+    CompletionFn,
+    DispatchSelection,
+    ServingEngine,
+    Simulation,
+)
 from repro.sim.metrics import (
     LiveSnapshot,
     MetricsAccumulator,
@@ -57,6 +75,10 @@ __all__ = ["FleetEngine"]
 
 #: Replica lifecycle states (slot generations move left to right).
 _ACTIVE, _DRAINING, _RETIRED = "active", "draining", "retired"
+
+#: Runaway-loop budget per live replica for one :meth:`FleetEngine.step`
+#: or :meth:`FleetEngine.drain` (a standalone engine's per-call budget).
+_REPLICA_EVENT_BUDGET = 10_000_000
 
 
 class _ReplicaEntry:
@@ -91,9 +113,8 @@ class FleetEngine:
             passed through to every replica (see
             :class:`~repro.sim.engine.ServingEngine`).
         on_complete: Optional listener invoked with each finished
-            request's record. Completions within one :meth:`step` are
-            delivered replica by replica (each replica's stream stays
-            time-ordered).
+            request's record, in the shared clock's ``(time, seq)``
+            order (see the module docstring).
 
     Raises:
         ConfigError: on an empty fleet, a replica-count mismatch, or
@@ -128,6 +149,7 @@ class FleetEngine:
                                   dispatch=dispatch, admission=admission)
         self._listeners: List[CompletionFn] = \
             [on_complete] if on_complete is not None else []
+        self._sim = Simulation()
         self._accumulator = MetricsAccumulator(self._schema)
         self._engines: List[_ReplicaEntry] = []
         self._active: Dict[int, _ReplicaEntry] = {}
@@ -156,7 +178,7 @@ class FleetEngine:
     def _install(self, slot: int, schedule: Schedule) -> _ReplicaEntry:
         engine = ServingEngine(self._perf_model, schedule,
                                on_complete=self._request_done,
-                               **self._engine_knobs)
+                               _clock=self._sim, **self._engine_knobs)
         try:
             weight = assemble(self._perf_model, schedule).qps
         except ReproError:
@@ -221,9 +243,16 @@ class FleetEngine:
 
     @property
     def now(self) -> float:
-        """Current simulated time in seconds (the fleet steps every
-        replica to the same bound)."""
+        """Current simulated time in seconds (the shared clock's time
+        after the last :meth:`step` or :meth:`drain`)."""
         return self._now
+
+    @property
+    def clock(self) -> Simulation:
+        """The one :class:`~repro.sim.engine.Simulation` every replica
+        runs on (closed-loop drivers schedule their submissions on
+        it)."""
+        return self._sim
 
     @property
     def replica_seconds(self) -> float:
@@ -349,56 +378,43 @@ class FleetEngine:
         return record
 
     def step(self, until: float) -> float:
-        """Advance every replica's simulated time to ``until``.
-
-        Draining replicas keep stepping (that is what drains them);
-        a replica whose clock already passed ``until`` -- possible
-        after a :meth:`drain` -- is left where it is.
+        """Advance the shared clock to ``until``, running every
+        replica's due events (draining replicas included -- that is
+        what drains them).
 
         Returns:
             The fleet's simulated time after the step.
         """
         if until < self._now:
             raise ConfigError("cannot step backwards in time")
-        for entry in self._engines:
-            # Retired generations hold no in-flight work; walking them
-            # forever would make every tick O(total generations) on a
-            # long-lived autoscaled fleet.
-            if entry.state != _RETIRED:
-                entry.engine.step(until=max(until, entry.engine.now))
+        self._sim.run(until=until, max_events=self._event_budget())
         self._advance_clock(until)
         self._settle()
         return self._now
 
     def next_event_time(self) -> Optional[float]:
-        """The fleet-wide earliest queued event's timestamp, or None.
-
-        The lockstep bound for closed-loop drivers: stepping the fleet
-        past this time would let one replica's completion feedback
-        target another replica's past.
-        """
-        times = [time for entry in self._engines
-                 if entry.state != _RETIRED
-                 for time in (entry.engine.next_event_time(),)
-                 if time is not None]
-        return min(times) if times else None
+        """The earliest timestamp queued on the shared clock, or None
+        when nothing is queued."""
+        queue = self._sim._queue
+        return queue.peek_time() if queue else None
 
     def drain(self) -> float:
-        """Run every replica's network empty.
+        """Run every replica's network empty. Unlike an engine's drain
+        this does not seal the fleet: it keeps routing afterwards.
 
         Returns:
             The simulated time of the fleet's last event.
         """
-        for entry in self._engines:
-            if entry.state != _RETIRED:
-                # The non-sealing drain: the fleet reuses replicas
-                # across fleet-level drains (settle, then keep routing),
-                # so the engine's public single-use seal must not trip.
-                entry.engine._run_to_quiescence()
-        self._advance_clock(max(
-            [self._now] + [entry.engine.now for entry in self._engines]))
+        self._sim.run(max_events=self._event_budget())
+        self._advance_clock(self._sim.now)
         self._settle()
         return self._now
+
+    def _event_budget(self) -> int:
+        """One run's runaway-loop budget: a standalone engine's per-call
+        budget for each replica still holding (or taking) work."""
+        live = sum(entry.state != _RETIRED for entry in self._engines)
+        return _REPLICA_EVENT_BUDGET * live
 
     def _advance_clock(self, until: float) -> None:
         """Move the fleet clock forward, integrating replica-seconds
@@ -462,11 +478,7 @@ class FleetEngine:
         baseline = min((self._submitted[s] for s in self._active),
                        default=0)
         self._submitted[slot] = baseline
-        entry = self._install(slot, schedule or self._template)
-        # A replica born mid-run starts its clock at the fleet's now,
-        # not zero -- its busy-time accounting must not invent idle
-        # history (and step() already never moves a clock backwards).
-        entry.engine.step(until=self._now)
+        self._install(slot, schedule or self._template)
         return slot
 
     def remove_replica(self, slot: Optional[int] = None) -> ServingEngine:

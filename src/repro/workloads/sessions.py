@@ -21,9 +21,10 @@ This module supplies that workload model:
 * :class:`ClosedLoopDriver` -- runs a population against a live
   :class:`~repro.sim.engine.ServingEngine` or
   :class:`~repro.sim.fleet.FleetEngine` via the completion-listener
-  feedback loop (completion -> think -> next submission), bounded by
-  a submission horizon. Nothing is ever dropped: under overload a
-  closed loop slows its users down instead of losing requests.
+  feedback loop (completion -> think -> next submission, scheduled on
+  the target's clock), bounded by a submission horizon. Nothing is
+  ever dropped: under overload a closed loop slows its users down
+  instead of losing requests.
 * :func:`parse_population_spec` / :func:`parse_tiers_spec` -- the CLI
   spellings, speaking the shared ``key=value,...`` grammar of
   :mod:`repro.config.specs`.
@@ -36,7 +37,6 @@ every run.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
@@ -46,6 +46,7 @@ from repro.errors import ConfigError
 from repro.workloads.traces import Request, RequestTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.engine import Simulation
     from repro.sim.rng import DeterministicRNG
 
 __all__ = [
@@ -437,19 +438,16 @@ class ClosedLoopDriver:
     everything submitted runs to completion, so a closed-loop run
     never loses requests.
 
-    Against a single :class:`~repro.sim.engine.ServingEngine` the
-    next request is submitted directly from the completion listener
-    -- one event loop orders everything, so one ``drain()`` plays the
-    whole closed loop. A :class:`~repro.sim.fleet.FleetEngine` holds
-    one event loop per replica, and a completion on one replica can
-    target another whose clock already passed the new arrival; there
-    the driver runs a conservative lockstep instead, never advancing
-    the fleet past ``min(next queued event, next pending submission)``
-    (via ``next_event_time``), which keeps cross-replica feedback
-    exact -- no arrival is ever clamped or reordered. Determinism:
-    all draws come from the population's per-user streams, so the
-    same (population, engine config, horizon) triple reproduces the
-    same submissions on every run.
+    Each think-time draw schedules the user's next submission as an
+    event on the target's :attr:`clock` (one handler kind the driver
+    registers), so a :class:`~repro.sim.fleet.FleetEngine` routes the
+    request on replica state at its arrival instant, and one
+    ``drain()`` plays the whole closed loop -- for a single
+    :class:`~repro.sim.engine.ServingEngine` and for a fleet, whose
+    replicas share that one clock. Determinism: all draws come from
+    the population's per-user streams, so the same (population,
+    engine config, horizon) triple reproduces the same submissions on
+    every run.
     """
 
     def __init__(self, population: UserPopulation, engine: Any,
@@ -469,15 +467,18 @@ class ClosedLoopDriver:
         # id(record) -> issuing user; records live in the engine's
         # accumulator for the run, so ids stay unique.
         self._owner: Dict[int, int] = {}
-        # Fleets need the lockstep loop (per-replica clocks); a single
-        # engine's one event queue orders the feedback by itself.
-        self._lockstep = hasattr(engine, "replica_stats")
-        self._pending: List[Tuple[float, int, int]] = []
-        self._pushed = 0
         self._ran = False
+        self._clock = engine.clock
+        self._k_submit = self._clock.register_handler(self._on_submit)
         engine.add_listener(self._on_complete)
 
-    def _submit(self, user: int, when: float) -> None:
+    def _schedule(self, user: int, when: float) -> None:
+        """File ``user``'s next submission at its arrival time."""
+        self._clock.schedule_event_at(when, self._k_submit, user)
+
+    def _on_submit(self, sim: "Simulation", user: int) -> None:
+        """Handler: submit ``user``'s request at the clock's now."""
+        when = sim.now
         population = self._population
         uid = population.user_id(user)
         position = self._positions[user]
@@ -490,14 +491,6 @@ class ClosedLoopDriver:
         self._owner[id(record)] = user
         self.submitted_by_user[user] += 1
 
-    def _queue_submit(self, user: int, when: float) -> None:
-        """Submit now (single engine) or defer to the lockstep heap."""
-        if self._lockstep:
-            heapq.heappush(self._pending, (when, self._pushed, user))
-            self._pushed += 1
-        else:
-            self._submit(user, when)
-
     def _on_complete(self, record: Any) -> None:
         user = self._owner.pop(id(record), None)
         if user is None:
@@ -506,7 +499,7 @@ class ClosedLoopDriver:
         next_time = record.completion_time + _exponential(
             self._rngs[user], self._population.think_time)
         if next_time < self._horizon:
-            self._queue_submit(user, next_time)
+            self._schedule(user, next_time)
 
     def run(self) -> None:
         """Play the closed loop to completion (single use).
@@ -527,41 +520,13 @@ class ClosedLoopDriver:
             for _ in range(population.concurrency):
                 when = _exponential(rng, population.think_time)
                 if when < self._horizon:
-                    self._queue_submit(user, when)
+                    self._schedule(user, when)
                     started += 1
         if not started:
             raise ConfigError(
                 "horizon too short: no user issued a request; raise "
                 "the horizon or lower the think time")
-        if self._lockstep:
-            self._run_lockstep()
-        else:
-            self._engine.drain()
-
-    def _run_lockstep(self) -> None:
-        """Conservative co-simulation over a fleet's replica clocks.
-
-        Each round advances the fleet to whichever comes first, the
-        fleet-wide earliest queued event or the earliest pending
-        submission, then acts on it. Completions fire at exactly the
-        stepped-to time, so every think-time draw they enqueue lands
-        strictly in the future of every replica -- feedback stays
-        exact without clamping.
-        """
-        engine = self._engine
-        pending = self._pending
-        while pending or engine.in_flight > 0:
-            next_event = engine.next_event_time()
-            if pending and (next_event is None
-                            or pending[0][0] <= next_event):
-                when, _, user = heapq.heappop(pending)
-                if when > engine.now:
-                    engine.step(when)
-                self._submit(user, when)
-            elif next_event is not None:
-                engine.step(next_event)
-            else:
-                break  # in-flight but eventless: nothing left to run
+        self._engine.drain()
 
     # -- outcome introspection -----------------------------------------
 

@@ -338,3 +338,76 @@ def test_sealed_records_and_reports_survive_pickle_and_deepcopy():
         assert clone == report
         assert [_fields(r) for r in clone.records] \
             == [_fields(r) for r in report.records]
+
+
+# ---------------------------------------------------------------------------
+# Closed loops on one fleet clock.
+# ---------------------------------------------------------------------------
+
+
+_population_args = dict(
+    seed=st.integers(0, 1000), users=st.integers(1, 12),
+    think=st.sampled_from([0.0, 0.01, 0.05]),
+    concurrency=st.integers(1, 3), tiered=st.booleans())
+
+
+def _closed_loop_report(target_of, seed, users, think, concurrency,
+                        tiered):
+    """Run one closed loop on ``target_of(pm, schedule, admission)``;
+    returns (driver, target, report JSON)."""
+    from repro import config
+    from repro.workloads import (ClosedLoopDriver, UserPopulation,
+                                 resolve_tier_policy)
+
+    session, schedule = _key_session()
+    population = UserPopulation(
+        users=users, think_time=think, concurrency=concurrency,
+        session_len=2, seed=seed,
+        tiers=resolve_tier_policy("free-paid" if tiered else "single"))
+    target = target_of(session.perf_model, schedule,
+                       "priority" if tiered else None)
+    driver = ClosedLoopDriver(population, target, horizon=1.0)
+    driver.run()
+    trace = target.recorded_trace(scenario="sessions")
+    return driver, target, config.dumps(target.report(trace))
+
+
+@settings(deadline=None, max_examples=25)
+@given(**_population_args)
+def test_one_replica_fleet_closed_loop_matches_bare_engine(
+        seed, users, think, concurrency, tiered):
+    from repro.sim import FleetEngine, ServingEngine
+
+    _, engine, bare = _closed_loop_report(
+        lambda pm, schedule, admission: ServingEngine(
+            pm, schedule, admission=admission),
+        seed, users, think, concurrency, tiered)
+    _, fleet, fleet_json = _closed_loop_report(
+        lambda pm, schedule, admission: FleetEngine(
+            pm, schedule, replicas=1, admission=admission),
+        seed, users, think, concurrency, tiered)
+    assert fleet_json == bare
+    assert [_fields(r) for r in fleet.records] \
+        == [_fields(r) for r in engine.records]
+
+
+@settings(deadline=None, max_examples=25)
+@given(replicas=st.integers(2, 4),
+       routing=st.sampled_from(["session-affine", "least-in-flight",
+                                "round-robin", "power-of-two-choices"]),
+       **_population_args)
+def test_fleet_closed_loop_loses_nothing_and_repeats_exactly(
+        replicas, routing, seed, users, think, concurrency, tiered):
+    from repro.sim import FleetEngine
+
+    def fleet_of(pm, schedule, admission):
+        return FleetEngine(pm, schedule, replicas=replicas,
+                           routing=routing, admission=admission)
+
+    runs = [_closed_loop_report(fleet_of, seed, users, think, concurrency,
+                                tiered) for _ in range(2)]
+    for driver, fleet, _ in runs:
+        assert driver.submitted == driver.completed \
+            == fleet.offered == fleet.completed > 0
+        assert fleet.in_flight == 0
+    assert runs[0][2] == runs[1][2]

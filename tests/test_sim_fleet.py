@@ -9,7 +9,9 @@ under live load, so its invariants are pinned hard:
 * no policy ever routes to a draining replica,
 * a rolling schedule swap loses zero requests,
 * the merged fleet report is the weighted merge of the per-replica
-  reports.
+  reports,
+* replicas share one clock: an arrival behind it is rejected whatever
+  the routing, and same-time events run in scheduling order.
 """
 
 import pytest
@@ -29,6 +31,7 @@ from repro.sim import (
     WeightedQPSRouting,
     resolve_routing_policy,
 )
+from repro.sim import fleet as fleet_module
 from repro.sim.metrics import _interpolated_percentile
 from repro.workloads import poisson_trace
 
@@ -165,6 +168,8 @@ def test_round_robin_is_permutation_exact_partition(network, trace):
         solo.drain()
         assert [_record_key(r) for r in engine.records] \
             == [_record_key(r) for r in solo.records]
+        # Each replica counts only its own events on the shared clock.
+        assert engine.events_processed == solo.events_processed
         standalone_keys.extend(_record_key(r) for r in solo.records)
     # The fleet's merged records are exactly the partition, reunited.
     assert merged == sorted(standalone_keys)
@@ -379,3 +384,83 @@ def test_fleet_utilization_is_slot_average(network, trace):
     solo = single.metrics().utilization
     for name, value in merged.utilization.items():
         assert value <= solo[name] + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# One clock per fleet.
+# ---------------------------------------------------------------------------
+
+
+def test_drained_fleet_rejects_arrivals_behind_its_clock(network):
+    """Regression: replicas once kept their own clocks, so after a drain
+    an arrival behind the fleet's time was accepted whenever routing
+    picked a replica whose clock lagged."""
+    pm, schedule = network
+    fleet = FleetEngine(pm, schedule, replicas=2, routing="round-robin")
+    fleet.submit(0.0, decode_len=8)
+    fleet.submit(1.0, decode_len=512)
+    fleet.drain()
+    assert fleet.now > 1.18
+    with pytest.raises(ConfigError, match="out-of-order timestamp"):
+        fleet.submit(1.18)  # round robin offers replica 0, idle since 0.2
+    assert fleet.offered == 2
+    assert all(engine.now == fleet.now for engine in fleet.engines)
+
+
+def test_replicas_refuse_direct_step_and_drain(network):
+    pm, schedule = network
+    fleet = FleetEngine(pm, schedule, replicas=2)
+    fleet.submit(0.0, decode_len=8)
+    replica = fleet.engines[0]
+    with pytest.raises(ConfigError, match="FleetEngine replica.*step the "
+                                          "fleet"):
+        replica.step(until=1.0)
+    with pytest.raises(ConfigError, match="FleetEngine replica.*drain the "
+                                          "fleet"):
+        replica.drain()
+    assert fleet.now == 0.0 and fleet.in_flight == 1
+    fleet.drain()
+    # The refused drain did not seal the replica: round robin still
+    # routes the second new request to it.
+    for _ in range(2):
+        fleet.submit(fleet.now, decode_len=8)
+    fleet.drain()
+    assert replica.offered == 2 and fleet.completed == 3
+
+
+def test_fleet_event_budget_is_per_live_replica(network, trace,
+                                                monkeypatch):
+    """One shared run processes every replica's events, so the runaway
+    valve grants each live replica a standalone engine's budget."""
+    pm, schedule = network
+    reference = _replay_fleet(pm, schedule, trace, 2, None)
+    per_replica = [engine.events_processed for engine in reference.engines]
+    assert sum(per_replica) > max(per_replica)
+    monkeypatch.setattr(fleet_module, "_REPLICA_EVENT_BUDGET",
+                        max(per_replica))
+    fleet = _replay_fleet(pm, schedule, trace, 2, None)
+    assert fleet.report(trace) == reference.report(trace)
+    monkeypatch.setattr(fleet_module, "_REPLICA_EVENT_BUDGET",
+                        sum(per_replica) // 2 - 1)
+    with pytest.raises(ConfigError, match="exceeded"):
+        _replay_fleet(pm, schedule, trace, 2, None)
+
+
+def test_same_time_events_run_in_scheduling_order(network):
+    """The tie rule: events at one timestamp on different replicas run
+    in global (time, seq) order -- the one scheduled first runs first,
+    whatever the replica slot."""
+    pm, schedule = network
+    fleet = FleetEngine(pm, schedule, replicas=2, routing="round-robin")
+    fired = []
+    fleet.add_listener(lambda record: fired.append(record.request_id))
+    fleet.submit(0.0, decode_len=8)  # slot 0, long done by t=1
+    fleet.submit(1.0, decode_len=64)  # slot 1, scheduled first at t=1
+    fleet.submit(1.0, decode_len=64)  # slot 0, scheduled second
+    fleet.drain()
+    first, second = fleet.records[1], fleet.records[2]
+    assert [engine.records[-1] for engine in fleet.engines] \
+        == [second, first]
+    assert first.completion_time == second.completion_time  # a real tie
+    # Slot 1's request completes first: it was scheduled first.
+    assert fired == [0, 1, 2]
