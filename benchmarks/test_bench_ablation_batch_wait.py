@@ -12,7 +12,7 @@ from repro.pipeline import PlacementGroup, RAGPerfModel, Schedule, assemble
 from repro.reporting.tables import format_table
 from repro.schema import Stage, case_i_hyperscale
 from repro.sim import ServingSimulator
-from repro.workloads import poisson_arrivals
+from repro.workloads import poisson_arrivals, trace_from_arrivals
 
 
 def _sweep():
@@ -24,16 +24,16 @@ def _sweep():
         batches={Stage.PREFIX: 32, Stage.DECODE: 512, Stage.RETRIEVAL: 64},
     )
     analytical = assemble(pm, schedule)
-    arrivals = poisson_arrivals(0.6 * analytical.qps, duration=10.0,
-                                seed=21)
+    trace = trace_from_arrivals(
+        poisson_arrivals(0.6 * analytical.qps, duration=10.0, seed=21))
     rows = []
     ttfts = {}
     for max_wait in (0.001, 0.01, 0.1, 1.0):
         sim = ServingSimulator(pm, schedule, max_wait=max_wait)
-        metrics = sim.run(arrivals)
-        rows.append((max_wait, metrics.throughput, metrics.mean_ttft,
-                     metrics.p99_ttft))
-        ttfts[max_wait] = metrics.mean_ttft
+        report = sim.run(trace)
+        rows.append((max_wait, report.throughput, report.ttft["mean"],
+                     report.ttft["p99"]))
+        ttfts[max_wait] = report.ttft["mean"]
     return rows, ttfts, analytical
 
 

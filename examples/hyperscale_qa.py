@@ -11,7 +11,13 @@ Run:
     python examples/hyperscale_qa.py
 """
 
-from repro import ClusterSpec, RAGO, Stage, case_i_hyperscale, llm_only
+from repro import (
+    ClusterSpec,
+    OptimizerSession,
+    Stage,
+    case_i_hyperscale,
+    llm_only,
+)
 from repro.hardware import XPU_GENERATIONS
 from repro.pipeline import RAGPerfModel, time_breakdown
 
@@ -20,10 +26,11 @@ def rag_vs_llm_only(cluster: ClusterSpec) -> None:
     print("=== RAG with small models vs LLM-only (Fig. 5) ===")
     rows = []
     for schema in (case_i_hyperscale("1B"), case_i_hyperscale("8B")):
-        best = RAGO(schema, cluster).max_qps_per_chip()
+        best = OptimizerSession(schema, cluster).optimize().max_qps_per_chip
         rows.append((schema.name, best.qps_per_chip, best.ttft))
     for label in ("8B", "70B"):
-        best = RAGO(llm_only(label), cluster).max_qps_per_chip()
+        best = OptimizerSession(llm_only(label),
+                                cluster).optimize().max_qps_per_chip
         rows.append((f"llm-only-{label}", best.qps_per_chip, best.ttft))
     for name, qps, ttft in rows:
         print(f"  {name:18s} max qps/chip={qps:7.2f}  "
@@ -46,7 +53,7 @@ def query_fanout(cluster: ClusterSpec) -> None:
     print("=== multi-query retrieval (Fig. 6a) ===")
     for queries in (1, 2, 4, 8):
         schema = case_i_hyperscale("8B", queries_per_retrieval=queries)
-        best = RAGO(schema, cluster).max_qps_per_chip()
+        best = OptimizerSession(schema, cluster).optimize().max_qps_per_chip
         print(f"  {queries} quer{'y' if queries == 1 else 'ies'}/retrieval:"
               f" max qps/chip={best.qps_per_chip:6.2f}")
     print("  -> QPS roughly halves per query doubling: retrieval-bound")

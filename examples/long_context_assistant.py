@@ -13,7 +13,7 @@ Run:
     python examples/long_context_assistant.py
 """
 
-from repro import ClusterSpec, RAGO, case_ii_long_context
+from repro import ClusterSpec, OptimizerSession, case_ii_long_context
 from repro.baselines import extension_baseline_search, long_context_llm_perf
 from repro.models import LLAMA3_70B
 from repro.pipeline import RAGPerfModel, time_breakdown
@@ -25,7 +25,7 @@ def context_length_sweep(cluster: ClusterSpec) -> None:
     for context in (100_000, 1_000_000, 10_000_000):
         schema = case_ii_long_context(context, "70B")
         pm = RAGPerfModel(schema, cluster)
-        best = RAGO(schema, cluster).max_qps_per_chip()
+        best = OptimizerSession(schema, cluster).optimize().max_qps_per_chip
         shares = time_breakdown(pm)
         parts = "  ".join(f"{stage}={100 * share:4.1f}%"
                           for stage, share in shares.items())
@@ -38,7 +38,7 @@ def context_length_sweep(cluster: ClusterSpec) -> None:
 def rag_vs_long_context_llm(cluster: ClusterSpec) -> None:
     print("=== RAG vs long-context LLM at 1M tokens (para. 5.2) ===")
     schema = case_ii_long_context(1_000_000, "70B")
-    rago = RAGO(schema, cluster).optimize()
+    rago = OptimizerSession(schema, cluster).optimize()
     lc = long_context_llm_perf(LLAMA3_70B, 1_000_000, 64, cluster.xpu)
     print(f"  long-context LLM: ttft={lc.ttft:8.2f} s   "
           f"qps/chip={lc.qps_per_chip:.2e}  "
@@ -56,7 +56,7 @@ def schedule_comparison(cluster: ClusterSpec) -> None:
     print("=== RAGO vs LLM-extension baseline schedules (Table 4) ===")
     schema = case_ii_long_context(1_000_000, "70B")
     pm = RAGPerfModel(schema, cluster)
-    rago = RAGO(schema, cluster).optimize(SearchConfig())
+    rago = OptimizerSession(schema, cluster).optimize(SearchConfig())
     baseline = extension_baseline_search(pm)
     for name, perf in (("RAGO max-QPS", rago.max_qps_per_chip),
                        ("RAGO min-TTFT", rago.min_ttft),

@@ -11,7 +11,12 @@ Run:
     python examples/rewriter_reranker_search.py
 """
 
-from repro import ClusterSpec, RAGO, Stage, case_iv_rewriter_reranker
+from repro import (
+    ClusterSpec,
+    OptimizerSession,
+    Stage,
+    case_iv_rewriter_reranker,
+)
 from repro.pipeline import RAGPerfModel
 from repro.pipeline.microbatch import ttft_reduction
 from repro.rago import SearchConfig
@@ -25,7 +30,7 @@ from repro.rago.placement import (
 def placement_study(cluster: ClusterSpec) -> None:
     print("=== placement sensitivity (Fig. 17b) ===")
     schema = case_iv_rewriter_reranker("70B")
-    rago = RAGO(schema, cluster)
+    session = OptimizerSession(schema, cluster)
     policies = {
         "collocated": [fully_collocated(schema)],
         "disaggregated": [fully_disaggregated(schema)],
@@ -35,7 +40,7 @@ def placement_study(cluster: ClusterSpec) -> None:
     for name, placements in policies.items():
         config = SearchConfig(max_batch=64, max_decode_batch=512,
                               placements=placements)
-        results[name] = rago.optimize(config).max_qps_per_chip
+        results[name] = session.optimize(config).max_qps_per_chip
     for name, perf in results.items():
         print(f"  {name:20s} max qps/chip={perf.qps_per_chip:6.3f}")
     best = results["hybrid (all plans)"]

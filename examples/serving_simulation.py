@@ -12,16 +12,16 @@ Run:
     python examples/serving_simulation.py
 """
 
-from repro import ClusterSpec, RAGO, case_i_hyperscale
+from repro import ClusterSpec, OptimizerSession, case_i_hyperscale
 from repro.sim import ServingSimulator
-from repro.workloads import poisson_arrivals
+from repro.workloads import poisson_arrivals, trace_from_arrivals
 
 
 def main() -> None:
     cluster = ClusterSpec(num_servers=32)
     schema = case_i_hyperscale("8B")
-    rago = RAGO(schema, cluster)
-    result = rago.optimize()
+    session = OptimizerSession(schema, cluster)
+    result = session.optimize()
     chosen = result.max_qps_per_chip
     print("schedule under test (RAGO's throughput-optimal point):")
     print(f"  {chosen.schedule.describe()}")
@@ -32,17 +32,17 @@ def main() -> None:
     print(f"{'load':>6} {'offered':>8} {'measured':>9} {'mean TTFT':>10} "
           f"{'p99 TTFT':>10} {'TPOT':>7}")
     for load in (0.3, 0.6, 0.9, 1.1, 1.5):
-        simulator = ServingSimulator(rago.perf_model, chosen.schedule)
+        simulator = ServingSimulator(session.perf_model, chosen.schedule)
         arrivals = poisson_arrivals(load * chosen.qps, duration=15.0,
                                     seed=11)
-        metrics = simulator.run(arrivals)
-        busiest = max(metrics.utilization.items(),
+        report = simulator.run(trace_from_arrivals(arrivals))
+        busiest = max(report.utilization.items(),
                       key=lambda item: item[1])
         print(f"{load:>6.1f} {len(arrivals):>8d} "
-              f"{metrics.throughput:>8.0f}/s "
-              f"{metrics.mean_ttft * 1e3:>8.1f}ms "
-              f"{metrics.p99_ttft * 1e3:>8.1f}ms "
-              f"{metrics.mean_tpot * 1e3:>6.2f}ms   "
+              f"{report.throughput:>8.0f}/s "
+              f"{report.ttft['mean'] * 1e3:>8.1f}ms "
+              f"{report.ttft['p99'] * 1e3:>8.1f}ms "
+              f"{report.tpot['mean'] * 1e3:>6.2f}ms   "
               f"hottest={busiest[0]} ({100 * busiest[1]:.0f}%)")
     print()
     print("reading: below load 1.0 the measured throughput tracks the")

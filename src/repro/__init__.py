@@ -36,9 +36,8 @@ Quickstart -- declare a pipeline, open a session, constrain, solve::
     print(session.best().schedule.describe())
 
 The paper's presets remain one call away (``case_i_hyperscale("8B")``,
-...), the classic facade still works (``RAGO(schema,
-cluster).optimize()``), and any schema/result round-trips through
-:mod:`repro.config` for reproducible experiment files.
+...), and any schema/result round-trips through :mod:`repro.config`
+for reproducible experiment files.
 
 Start-up: this package and its subpackages resolve their public names
 when they are read (:mod:`repro._lazy`), so ``import repro`` loads no
@@ -102,7 +101,6 @@ _EXPORTS = {
     "assemble": "repro.pipeline.assembly",
     "simulate_iterative_decode": "repro.pipeline.iterative",
     "time_breakdown": "repro.pipeline.breakdown",
-    "RAGO": "repro.rago.optimizer",
     "OptimizerSession": "repro.rago.session",
     "PriceBook": "repro.rago.cost",
     "SearchConfig": "repro.rago.search",
@@ -190,7 +188,6 @@ __all__ = [
     "time_breakdown",
     "simulate_iterative_decode",
     # rago
-    "RAGO",
     "OptimizerSession",
     "SweepCell",
     "SweepResult",

@@ -371,17 +371,6 @@ def _lint_flags(lint: argparse.ArgumentParser) -> None:
                       help="disable the summary cache for this run")
 
 
-def _bench_flags(bench: argparse.ArgumentParser) -> None:
-    bench.add_argument("--requests", type=int, default=None,
-                       help="trace size (default: the canonical "
-                            "100k-request replay)")
-    bench.add_argument("--top", type=int, default=15,
-                       help="profile table rows (default 15)")
-    bench.add_argument("--no-profile", action="store_true",
-                       help="skip cProfile; print only the timed "
-                            "replay numbers")
-
-
 def _provision_flags(prov: argparse.ArgumentParser) -> None:
     prov.add_argument("--case", choices=("i", "ii", "iii", "iv"),
                       default="i")
@@ -407,8 +396,6 @@ _COMMANDS = {
     "serve": ("serve a live request stream over a socket", _serve_flags),
     "trace": ("inspect/compare recorded JSONL traces", _trace_flags),
     "lint": ("run the determinism & drift linter (simlint)", _lint_flags),
-    "bench": ("profile the DES hot path on the canonical trace",
-              _bench_flags),
     "provision": ("size a fleet for a target load", _provision_flags),
 }
 
@@ -694,6 +681,15 @@ def _reject_dead_flags(args: argparse.Namespace, names, context: str,
                           f"only apply to {applies_to})")
 
 
+def _check_finite(args: argparse.Namespace, names) -> None:
+    """Refuse a NaN or infinite traffic knob before the search: no
+    generated scenario can cover an unbounded window or rate."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{name} must be finite, got {value}")
+
+
 # -- the serving setup replay and serve share -----------------------------
 
 
@@ -879,6 +875,7 @@ def _command_replay(args: argparse.Namespace) -> int:
         _reject_dead_flags(args, _GENERATOR_FLAGS,
                            "--trace replays a recorded stream",
                            "generated scenarios")
+    _check_finite(args, ("rate", "load", "duration"))
     admission = _decode_admission(
         args, None if population is None else population.tiers)
     _check_replicas(args, autoscaled=args.autoscale is not None)
@@ -1254,6 +1251,7 @@ def _command_whatif(args: argparse.Namespace) -> int:
         raise ConfigError("offered --rate must be positive")
     elif args.duration <= 0:
         raise ConfigError("rate_qps and duration must be positive")
+    _check_finite(args, ("rate", "duration"))
     session = _open_session(_schema_for(args),
                             _resolve_cluster(args, None))
     optimized = session.optimize()
@@ -1416,28 +1414,6 @@ def _command_lint(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_bench(args: argparse.Namespace) -> int:
-    from repro.sim.bench import (
-        canonical_network,
-        canonical_trace,
-        format_result,
-        profile_replay,
-        replay_trace,
-    )
-
-    perf_model, schedule = canonical_network()
-    trace = canonical_trace() if args.requests is None \
-        else canonical_trace(args.requests)
-    print(f"canonical replay: {trace.num_requests} requests")
-    print(format_result(replay_trace(perf_model, schedule, trace),
-                        "timed replay"))
-    if not args.no_profile:
-        _, table = profile_replay(perf_model, schedule, trace,
-                                  top=args.top)
-        print(table)
-    return 0
-
-
 def _command_provision(args: argparse.Namespace) -> int:
     from repro.hardware.cluster import ClusterSpec
     from repro.pipeline.stage_perf import RAGPerfModel
@@ -1491,8 +1467,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _command_trace(args)
         if args.command == "lint":
             return _command_lint(args)
-        if args.command == "bench":
-            return _command_bench(args)
         if args.command == "provision":
             return _command_provision(args)
         return _command_optimize(args)

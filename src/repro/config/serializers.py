@@ -304,7 +304,8 @@ def trace_from_dict(data: Dict) -> RequestTrace:
     Accepts both the request-record shape and the version-1 parallel
     ``arrivals`` / ``decode_lens`` tuples, which reconstruct
     bit-identically (anonymous requests)."""
-    from repro.workloads.traces import Request, RequestTrace
+    from repro.workloads.traces import (Request, RequestTrace,
+                                        requests_from_arrays)
 
     if "requests" in data:
         unknown = set(data) - set(_TRACE_FIELDS)
@@ -322,11 +323,9 @@ def trace_from_dict(data: Dict) -> RequestTrace:
     if unknown:
         raise ConfigError(f"unknown trace fields: {sorted(unknown)}")
     try:
-        decode_lens = data.get("decode_lens")
         return RequestTrace(
-            arrivals=tuple(data["arrivals"]),
-            decode_lens=(None if decode_lens is None
-                         else tuple(decode_lens)),
+            requests=requests_from_arrays(data["arrivals"],
+                                          data.get("decode_lens")),
             metadata=dict(data.get("metadata") or {}),
         )
     except (KeyError, TypeError, ValueError) as error:

@@ -14,8 +14,8 @@ searches over three scheduling decisions:
 
 The search (:mod:`repro.rago.search`) composes cached per-stage profiles
 with Pareto pruning and returns the TTFT vs. QPS/chip frontier with the
-schedules that achieve it; :class:`~repro.rago.optimizer.RAGO` is the
-user-facing facade.
+schedules that achieve it; :class:`~repro.rago.session.OptimizerSession`
+is the user-facing front-end.
 """
 
 from repro._lazy import lazy_exports
@@ -33,7 +33,6 @@ _EXPORTS = {
     "OptimizerSession": "repro.rago.session",
     "SweepCell": "repro.rago.session",
     "SweepResult": "repro.rago.session",
-    "RAGO": "repro.rago.optimizer",
     "ServiceObjective": "repro.rago.objectives",
     "knee_point": "repro.rago.objectives",
     "select_max_throughput": "repro.rago.objectives",
@@ -57,7 +56,6 @@ __all__ = [
     "OptimizerSession",
     "SweepCell",
     "SweepResult",
-    "RAGO",
     "ServiceObjective",
     "select_max_throughput",
     "select_min_ttft",

@@ -1,7 +1,8 @@
 """Session-based optimizer front-end.
 
-:class:`OptimizerSession` replaces one-shot ``RAGO(...).optimize()``
-with a stateful workflow object:
+:class:`OptimizerSession` is the optimizer's one entry point (Fig. 2 of
+the paper: a RAGSchema and resources in, a performance Pareto front and
+a system configuration out), packaged as a stateful workflow object:
 
 * **chainable intent** -- ``.with_constraint(max_ttft=0.2)`` and
   ``.with_objective("min_ttft")`` accumulate what "best" means before
@@ -27,9 +28,6 @@ Example::
     best = (OptimizerSession(schema, ClusterSpec(num_servers=16))
             .with_constraint(max_ttft=0.2)
             .best())
-
-:class:`~repro.rago.optimizer.RAGO` remains as a thin facade over one
-session, so existing call sites keep working unchanged.
 """
 
 from __future__ import annotations

@@ -47,7 +47,6 @@ _EXPORTS = {
     "LiveSnapshot": "repro.sim.metrics",
     "MetricsAccumulator": "repro.sim.metrics",
     "RequestRecord": "repro.sim.metrics",
-    "ServingMetrics": "repro.sim.metrics",
     "ServingReport": "repro.sim.metrics",
     "SLOTarget": "repro.sim.metrics",
     "jain_index": "repro.sim.metrics",
@@ -84,7 +83,6 @@ __all__ = [
     "submit_trace",
     "FleetEngine",
     "ServingSimulator",
-    "ServingMetrics",
     "ServingReport",
     "SLOTarget",
     "RequestRecord",

@@ -20,8 +20,10 @@ Two layers live here:
 
 :func:`submit_trace` is the one open-loop feeder (engine or fleet);
 :class:`~repro.sim.serving.ServingSimulator` drives it over a whole
-trace and drains, reproducing the pre-refactor replay bit for bit
-(pinned by tests).
+trace, drains, and returns the trace's
+:class:`~repro.sim.metrics.ServingReport` -- the one run result an
+engine or fleet produces (:meth:`ServingEngine.report`) -- reproducing
+the pre-refactor replay bit for bit (pinned by tests).
 
 The network runs on a slab-backed event queue (integer event kinds
 dispatched through a handler table, timestamps drained in batches),
@@ -61,7 +63,6 @@ from repro.sim.metrics import (
     LiveSnapshot,
     MetricsAccumulator,
     RequestRecord,
-    ServingMetrics,
     ServingReport,
     SLOTarget,
 )
@@ -73,7 +74,7 @@ from repro.sim.policies import (
     resolve_admission_policy,
     resolve_dispatch_policy,
 )
-from repro.workloads.traces import Request, RequestTrace
+from repro.workloads.traces import RequestTrace
 
 #: Per-stage dispatch selection: one policy (or registry name) for all
 #: stages, or a mapping from stage to policy/name.
@@ -684,7 +685,8 @@ class ServingEngine:
     is explicit so callers choose the driving mode:
 
     * **open loop** (what :class:`~repro.sim.serving.ServingSimulator`
-      does): submit every request of a trace, then :meth:`drain`;
+      does): submit every request of a trace with :func:`submit_trace`,
+      then :meth:`drain` and read :meth:`report`;
     * **incremental / live**: interleave :meth:`submit` and
       :meth:`step` as requests arrive in wall time, reading
       :meth:`snapshot` for running statistics and streaming completions
@@ -1025,7 +1027,7 @@ class ServingEngine:
             arrival: Arrival timestamp in simulated seconds. Must be
                 finite, non-negative, and at or after the engine's
                 current time (submissions need not be sorted among
-                themselves -- metrics account for the earliest arrival
+                themselves -- reports account for the earliest arrival
                 regardless of submission order).
             decode_len: Tokens this request generates (the workload
                 profile's decode length when None).
@@ -1154,10 +1156,6 @@ class ServingEngine:
         """Running statistics at the engine's current time (O(1))."""
         return self._accumulator.snapshot(self._sim.now)
 
-    def metrics(self) -> ServingMetrics:
-        """Aggregate metrics over everything submitted so far."""
-        return self._accumulator.metrics(self.busy_times())
-
     def report(self, trace: RequestTrace,
                slo: Optional[SLOTarget] = None) -> ServingReport:
         """The trace-level :class:`ServingReport` for this run.
@@ -1172,35 +1170,10 @@ class ServingEngine:
                                         self.busy_times())
 
     def recorded_trace(self, **metadata) -> RequestTrace:
-        """The submissions observed so far, as a replayable trace.
-
-        Every engine submission carries an explicit decode length, so
-        the trace replays to the same per-request lifecycles. Records
-        are emitted in arrival order (a stable sort, so same-instant
-        submissions keep their tie-break rank); submission order may
-        differ when the caller injected out-of-order timestamps.
-        Metadata defaults to ``{"scenario": "live"}``; keyword
-        arguments merge on top.
-
-        Raises:
-            ConfigError: when nothing has been submitted (an empty
-                trace is not representable).
-        """
-        records = self._accumulator.records
-        if not records:
-            raise ConfigError("no submissions recorded; an empty trace "
-                              "cannot be built")
-        merged = {"scenario": "live"}
-        merged.update(metadata)
-        ordered = sorted(records, key=lambda r: r.arrival)
-        return RequestTrace(
-            requests=tuple(
-                Request(arrival=r.arrival, decode_len=r.decode_len,
-                        user_id=r.user_id, session_id=r.session_id,
-                        tier=r.tier)
-                for r in ordered),
-            metadata=merged,
-        )
+        """The submissions observed so far, as a replayable trace
+        (arrival-ordered; see
+        :meth:`~repro.sim.metrics.MetricsAccumulator.recorded_trace`)."""
+        return self._accumulator.recorded_trace(**metadata)
 
 
 def submit_trace(target: Any, trace: RequestTrace) -> None:

@@ -33,8 +33,8 @@ grows it by a routable slot mid-run and :meth:`remove_replica`
 shrinks it without dropping in-flight work -- the two primitives the
 autoscaling control loop (:mod:`repro.sim.autoscale`) drives.
 
-Merged artifacts (:meth:`snapshot` / :meth:`metrics` /
-:meth:`report`) fold every replica's request records into one
+Merged artifacts (:meth:`snapshot` / :meth:`report`) fold every
+replica's request records into one
 :class:`~repro.sim.metrics.MetricsAccumulator`, so fleet-level
 latency percentiles, SLO attainment and throughput use exactly the
 same estimators as a single engine; utilization fractions are
@@ -59,7 +59,6 @@ from repro.sim.metrics import (
     LiveSnapshot,
     MetricsAccumulator,
     RequestRecord,
-    ServingMetrics,
     ServingReport,
     SLOTarget,
 )
@@ -69,7 +68,7 @@ from repro.sim.routing import (
     RoutingPolicy,
     resolve_routing_policy,
 )
-from repro.workloads.traces import Request, RequestTrace
+from repro.workloads.traces import RequestTrace
 
 __all__ = ["FleetEngine"]
 
@@ -552,10 +551,6 @@ class FleetEngine:
         """Fleet-wide running statistics at the current time (O(1))."""
         return self._accumulator.snapshot(self._now)
 
-    def metrics(self) -> ServingMetrics:
-        """Merged aggregate metrics over everything submitted."""
-        return self._accumulator.metrics(self.busy_times())
-
     def report(self, trace: RequestTrace,
                slo: Optional[SLOTarget] = None) -> ServingReport:
         """The merged fleet-level :class:`ServingReport`.
@@ -569,25 +564,7 @@ class FleetEngine:
 
     def recorded_trace(self, **metadata) -> RequestTrace:
         """The fleet's observed submissions as one replayable trace,
-        arrival-ordered (stable, so same-instant submissions keep
-        their fleet tie-break rank). Metadata defaults to
-        ``{"scenario": "live"}``; keyword arguments merge on top.
-
-        Raises:
-            ConfigError: when nothing has been submitted.
-        """
-        records = self._accumulator.records
-        if not records:
-            raise ConfigError("no submissions recorded; an empty trace "
-                              "cannot be built")
-        merged: Dict[str, Any] = {"scenario": "live"}
-        merged.update(metadata)
-        ordered = sorted(records, key=lambda r: r.arrival)
-        return RequestTrace(
-            requests=tuple(
-                Request(arrival=r.arrival, decode_len=r.decode_len,
-                        user_id=r.user_id, session_id=r.session_id,
-                        tier=r.tier)
-                for r in ordered),
-            metadata=merged,
-        )
+        arrival-ordered (stable, so same-instant submissions keep their
+        fleet tie-break rank; see
+        :meth:`~repro.sim.metrics.MetricsAccumulator.recorded_trace`)."""
+        return self._accumulator.recorded_trace(**metadata)

@@ -1,10 +1,9 @@
 """Serving-simulation data types and the incremental metrics pipeline.
 
 Everything the DES measures lives here: the per-request lifecycle
-(:class:`RequestRecord`), latency targets (:class:`SLOTarget`), the two
-result artifacts (:class:`ServingMetrics` for bare-arrival runs,
-:class:`ServingReport` for trace replays), and the
-:class:`MetricsAccumulator` that builds them **incrementally** -- each
+(:class:`RequestRecord`), latency targets (:class:`SLOTarget`), the
+run artifact (:class:`ServingReport`), and the
+:class:`MetricsAccumulator` that builds it **incrementally** -- each
 completion is folded in as it happens, so a live front-end can snapshot
 running statistics mid-flight (:class:`LiveSnapshot`) while a batch
 replay still gets the exact aggregates the pre-refactor simulator
@@ -163,35 +162,6 @@ def _sealed_record(*values: Any) -> RequestRecord:
     record = RequestRecord(*values)
     record.seal()
     return record
-
-
-@dataclass
-class ServingMetrics:
-    """Aggregate results of one simulation run.
-
-    Attributes:
-        completed: Requests that finished decoding.
-        offered: Requests injected.
-        duration: Seconds from first arrival to last completion.
-        throughput: Completed requests per second over ``duration``.
-        mean_ttft / p99_ttft: TTFT statistics over completed requests.
-        mean_tpot: Mean (completion - first token) / decode_len.
-        utilization: Busy-time fraction per pre-decode resource over the
-            run (group name -> [0, 1]); shows which tier the schedule
-            actually saturates.
-        records: Per-request lifecycles, in submission order (finished
-            ones sealed).
-    """
-
-    completed: int
-    offered: int
-    duration: float
-    throughput: float
-    mean_ttft: float
-    p99_ttft: float
-    mean_tpot: float
-    utilization: Dict[str, float] = field(default_factory=dict)
-    records: Tuple[RequestRecord, ...] = field(repr=False, default=())
 
 
 @dataclass(frozen=True)
@@ -363,18 +333,18 @@ class MetricsAccumulator:
 
     The engine calls :meth:`add` at submission and :meth:`finish` at
     completion; between those calls the accumulator can answer
-    :meth:`snapshot` from running sums alone. :meth:`metrics` and
-    :meth:`report` reproduce -- value for value -- the aggregates the
-    pre-refactor batch simulator computed, so an open-loop replay
-    through the engine stays bit-identical.
+    :meth:`snapshot` from running sums alone. :meth:`report`
+    reproduces -- value for value -- the aggregates the pre-refactor
+    batch simulator computed, so an open-loop replay through the engine
+    stays bit-identical.
 
-    Internally the final artifacts are built from **incremental
+    Internally the report is built from **incremental
     reservoirs** fed at :meth:`finish` -- latency triples tagged with
     the submission index and per-stage wait lists -- rather than by
     re-walking every record's dicts at report time. The reproduced
-    float arithmetic is order-exact: TTFT statistics sum over the
-    sorted sample, while the TPOT mean sums in submission order
-    (unsorted), exactly as the record-walking implementation did.
+    float arithmetic is order-exact: latency summaries sum over the
+    sorted samples, and attainment walks completions in submission
+    order, exactly as the record-walking implementation did.
     """
 
     def __init__(self, schema: "RAGSchema") -> None:
@@ -513,6 +483,38 @@ class MetricsAccumulator:
                        "completed": self._tier_completed.get(tier, 0)}
                 for tier in sorted(self._tier_offered)}
 
+    def recorded_trace(self, **metadata: Any) -> "RequestTrace":
+        """The registered submissions as one replayable trace.
+
+        Every engine submission carries an explicit decode length, so
+        the trace replays to the same per-request lifecycles. Requests
+        come out in arrival order (a stable sort, so same-instant
+        submissions keep their tie-break rank); submission order may
+        differ when the caller injected out-of-order timestamps.
+        Metadata defaults to ``{"scenario": "live"}``; keyword
+        arguments merge on top.
+
+        Raises:
+            ConfigError: when nothing has been submitted (an empty
+                trace is not representable).
+        """
+        from repro.workloads.traces import Request, RequestTrace
+
+        if not self._records:
+            raise ConfigError("no submissions recorded; an empty trace "
+                              "cannot be built")
+        merged: Dict[str, Any] = {"scenario": "live"}
+        merged.update(metadata)
+        ordered = sorted(self._records, key=lambda r: r.arrival)
+        return RequestTrace(
+            requests=tuple(
+                Request(arrival=r.arrival, decode_len=r.decode_len,
+                        user_id=r.user_id, session_id=r.session_id,
+                        tier=r.tier)
+                for r in ordered),
+            metadata=merged,
+        )
+
     def snapshot(self, now: float) -> LiveSnapshot:
         """Running statistics at simulated time ``now`` (O(1))."""
         elapsed = 0.0
@@ -532,60 +534,21 @@ class MetricsAccumulator:
 
     # -- final artifacts -----------------------------------------------
 
-    def metrics(self,
-                utilization_of: Optional[Dict[str, float]] = None,
-                ) -> ServingMetrics:
-        """The batch-run aggregate (pre-refactor ``ServingMetrics``).
-
-        Args:
-            utilization_of: Resource-name -> busy-seconds totals; the
-                accumulator normalizes them by the run duration.
-        """
-        lat = self._lat
-        if self._completed and lat:
-            # finish() maintains the running max(completion) and add()
-            # the running min(arrival); completions exist here, so
-            # neither is stale.
-            duration = max(self._last_completion - self._first_arrival,
-                           1e-12)
-            throughput = self._completed / duration
-            ttfts = sorted(entry[1] for entry in lat)
-            mean_ttft = sum(ttfts) / len(ttfts)
-            # Same interpolated estimator as report()/latency summaries:
-            # the one run must never emit two different p99s.
-            p99 = _interpolated_percentile(ttfts, 0.99)
-            # The TPOT mean sums in submission order, unsorted --
-            # the float-op order the record-walking implementation
-            # used (bit-identity pinned by tests).
-            mean_tpot = sum(entry[2] for entry in sorted(lat)) / len(lat)
-        else:
-            duration = throughput = mean_ttft = p99 = mean_tpot = 0.0
-        utilization = {}
-        if duration > 0 and utilization_of:
-            utilization = {name: min(busy / duration, 1.0)
-                           for name, busy in utilization_of.items()}
-        return ServingMetrics(
-            completed=self._completed,
-            offered=len(self._records),
-            duration=duration,
-            throughput=throughput,
-            mean_ttft=mean_ttft,
-            p99_ttft=p99,
-            mean_tpot=mean_tpot,
-            utilization=utilization,
-            records=self.records,
-        )
-
     def report(self, trace: "RequestTrace", slo: SLOTarget,
                utilization_of: Optional[Dict[str, float]] = None,
                ) -> ServingReport:
         """The trace-replay artifact (pre-refactor ``ServingReport``).
 
+        Args:
+            trace: Supplies the scenario name and metadata.
+            slo: The targets attainment is measured against.
+            utilization_of: Resource-name -> busy-seconds totals; the
+                accumulator normalizes them by the run duration.
+
         Raises:
             ConfigError: when zero requests finished -- a degenerate run
                 must surface as a configuration error, not bad math.
         """
-        metrics = self.metrics(utilization_of)
         # The reservoir holds exactly the completed-with-first-token
         # requests; sorting by submission index restores the records
         # order the record-walking implementation iterated in.
@@ -594,6 +557,16 @@ class MetricsAccumulator:
             raise ConfigError(
                 "zero requests finished the replay; raise the horizon or "
                 "lower the offered load before asking for a report")
+        # finish() maintains the running max(completion) and add() the
+        # running min(arrival); completions exist here, so neither is
+        # stale.
+        duration = max(self._last_completion - self._first_arrival, 1e-12)
+        # Utilization keeps the engine's resource order: the report's
+        # JSON is pinned byte for byte.
+        utilization = {}
+        if utilization_of:
+            utilization = {name: min(busy / duration, 1.0)
+                           for name, busy in utilization_of.items()}  # simlint: allow[unsorted-dict-iteration-in-reporting]
         n = len(lat)
         ttfts = sorted(entry[1] for entry in lat)
         tpots = sorted(entry[2] for entry in lat)
@@ -630,20 +603,20 @@ class MetricsAccumulator:
             }
         return ServingReport(
             scenario=trace.scenario,
-            offered=metrics.offered,
-            completed=metrics.completed,
-            duration=metrics.duration,
-            throughput=metrics.throughput,
+            offered=len(self._records),
+            completed=self._completed,
+            duration=duration,
+            throughput=self._completed / duration,
             slo=slo,
             slo_attainment=attainment,
             ttft=_latency_summary(ttfts),
             tpot=_latency_summary(tpots),
             queueing=queueing,
-            utilization=dict(metrics.utilization),
+            utilization=utilization,
             trace_metadata=dict(trace.metadata),
             tiers=tiers,
             fairness=fairness,
-            records=metrics.records,
+            records=self.records,
         )
 
     def _tier_sections(self, slo: SLOTarget) -> Dict[str, Dict[str, Any]]:

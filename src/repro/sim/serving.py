@@ -1,13 +1,12 @@
 """Open-loop driver over the incremental serving engine.
 
 :class:`ServingSimulator` is the batch front door to the request-level
-DES: it validates a whole workload up front, submits every request to a
-fresh :class:`~repro.sim.engine.ServingEngine`, drains it, and returns
-the aggregate artifact -- :class:`~repro.sim.metrics.ServingMetrics`
-for bare arrival lists (legacy API) or a
-:class:`~repro.sim.metrics.ServingReport` for a
-:class:`~repro.workloads.traces.RequestTrace` (the artifact behind
-``repro replay``).
+DES: it submits every request of a
+:class:`~repro.workloads.traces.RequestTrace` to a fresh
+:class:`~repro.sim.engine.ServingEngine`, drains it, and returns the
+trace's :class:`~repro.sim.metrics.ServingReport` (the artifact behind
+``repro replay``). Loose arrival lists become a trace through
+:func:`~repro.workloads.traces.trace_from_arrivals`.
 
 The queueing network itself -- placement-group resources, batch
 stations, the continuous-batching decode executor, pluggable
@@ -24,13 +23,13 @@ the cohort model in :mod:`repro.pipeline.iterative`.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro.errors import ConfigError
 from repro.pipeline.assembly import Schedule
 from repro.pipeline.stage_perf import RAGPerfModel
 from repro.sim.engine import DispatchSelection, ServingEngine, submit_trace
-from repro.sim.metrics import ServingMetrics, ServingReport, SLOTarget
+from repro.sim.metrics import ServingReport, SLOTarget
 from repro.sim.policies import AdmissionPolicy
 from repro.workloads.traces import RequestTrace
 
@@ -83,54 +82,31 @@ class ServingSimulator:
             engine = self._fresh_engine()
         return engine
 
-    def run(self, workload: Union[RequestTrace, Sequence[float]],
-            horizon: Optional[float] = None,
-            decode_lengths: Optional[Sequence[int]] = None,
-            slo: Optional[SLOTarget] = None,
-            ) -> Union[ServingMetrics, ServingReport]:
-        """Inject requests and simulate to completion.
+    def run(self, trace: RequestTrace, horizon: Optional[float] = None,
+            slo: Optional[SLOTarget] = None) -> ServingReport:
+        """Inject every request of ``trace`` and simulate to completion.
 
         Args:
-            workload: A :class:`~repro.workloads.traces.RequestTrace`
-                (per-request decode lengths and metadata travel inside
-                it) or bare sorted arrival timestamps in seconds.
+            trace: The traffic to replay; per-request decode lengths and
+                identity travel inside it.
             horizon: Optional hard stop; unfinished requests are dropped
                 from the completed statistics.
-            decode_lengths: Optional per-request generation lengths for
-                the bare-arrivals form (same order as the arrivals);
-                None uses the workload profile's decode length.
-            slo: Latency targets for attainment accounting (trace
-                workloads only; defaults to unconstrained).
-
-        Returns:
-            A :class:`ServingReport` for a trace workload, a
-            :class:`ServingMetrics` for bare arrivals.
+            slo: Latency targets for attainment accounting (defaults to
+                unconstrained).
 
         Raises:
-            ConfigError: on empty/unsorted arrivals, mismatched
-                decode-length counts, or a trace replay in which zero
+            ConfigError: when ``trace`` is not a
+                :class:`~repro.workloads.traces.RequestTrace`, or zero
                 requests finish before the horizon.
         """
-        if isinstance(workload, RequestTrace):
-            if decode_lengths is not None:
-                raise ConfigError(
-                    "decode_lengths travel inside the trace; do not pass "
-                    "both")
-            trace = workload
-        elif slo is not None:
+        if not isinstance(trace, RequestTrace):
             raise ConfigError(
-                "SLO accounting needs a RequestTrace workload")
-        else:
-            # The trace validates the bare form: non-empty, sorted,
-            # matching and positive decode lengths.
-            trace = RequestTrace(arrivals=workload,
-                                 decode_lens=decode_lengths)
+                f"run() replays a RequestTrace, got {type(trace).__name__}"
+                f"; wrap loose arrivals with trace_from_arrivals()")
         engine = self._take_engine()
         submit_trace(engine, trace)
         if horizon is not None:
             engine.step(until=horizon)
         else:
             engine.drain()
-        if trace is workload:
-            return engine.report(trace, slo or SLOTarget())
-        return engine.metrics()
+        return engine.report(trace, slo)

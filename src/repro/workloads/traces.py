@@ -8,11 +8,10 @@ currency of the traffic subsystem -- every scenario is a seeded
 generator returning one, :meth:`ServingSimulator.run
 <repro.sim.ServingSimulator.run>` consumes one, and
 :mod:`repro.config` round-trips one, so an experiment's exact traffic
-is a reproducible artifact. The historical parallel-tuple views
-(``trace.arrivals`` / ``trace.decode_lens``) remain as cached
-read-only properties, and ``RequestTrace(arrivals=...,
-decode_lens=...)`` still constructs (the compat spelling wraps each
-pair in an anonymous :class:`Request`).
+is a reproducible artifact. The parallel-tuple views
+(``trace.arrivals`` / ``trace.decode_lens``) are cached read-only
+properties; :func:`trace_from_arrivals` builds a trace from loose
+arrival (and decode-length) arrays.
 
 Built-in scenario generators (all seeded):
 
@@ -86,9 +85,8 @@ def requests_from_arrays(
 ) -> Tuple[Request, ...]:
     """Zip parallel arrival/length arrays into anonymous requests.
 
-    The bulk-construction path behind the compat
-    ``RequestTrace(arrivals=..., decode_lens=...)`` spelling and the
-    scenario generators.
+    The bulk-construction path behind :func:`trace_from_arrivals`, the
+    scenario generators and version-1 trace envelopes.
     """
     times = [float(t) for t in arrivals]
     if decode_lens is None:
@@ -110,41 +108,24 @@ class RequestTrace:
             seed, source file ...). JSON-scalar values only, so traces
             serialize exactly.
 
-    The compat keyword spelling ``RequestTrace(arrivals=...,
-    decode_lens=...)`` wraps the parallel tuples in anonymous
-    requests; ``trace.arrivals`` and ``trace.decode_lens`` remain as
-    cached read-only tuple views for every consumer of the old shape.
-    :attr:`requests_digest` caches a content digest of ``requests``
-    (not of the mutable ``metadata``); it takes no part in equality,
-    repr or the config envelope.
+    ``trace.arrivals`` and ``trace.decode_lens`` are cached read-only
+    parallel-tuple views of the requests. :attr:`requests_digest`
+    caches a content digest of ``requests`` (not of the mutable
+    ``metadata``); it takes no part in equality, repr or the config
+    envelope.
     """
 
     requests: Tuple[Request, ...]
     metadata: Dict[str, Any] = field(default_factory=dict)
 
-    def __init__(self, requests: Optional[Iterable[Request]] = None,
-                 metadata: Optional[Dict[str, Any]] = None,
-                 arrivals: Optional[Iterable[float]] = None,
-                 decode_lens: Optional[Sequence[int]] = None) -> None:
-        if requests is not None and arrivals is not None:
-            raise ConfigError(
-                "pass either requests or the compat arrivals/"
-                "decode_lens tuples, not both")
-        if requests is None:
-            if arrivals is None:
-                raise ConfigError("a trace needs at least one request")
-            records = requests_from_arrays(arrivals, decode_lens)
-        else:
-            if decode_lens is not None:
+    def __init__(self, requests: Iterable[Request],
+                 metadata: Optional[Dict[str, Any]] = None) -> None:
+        records = tuple(requests)
+        for record in records:
+            if not isinstance(record, Request):
                 raise ConfigError(
-                    "decode_lens only combines with arrivals; requests "
-                    "carry their own lengths")
-            records = tuple(requests)
-            for record in records:
-                if not isinstance(record, Request):
-                    raise ConfigError(
-                        f"requests must be Request records, got "
-                        f"{type(record).__name__}")
+                    f"requests must be Request records, got "
+                    f"{type(record).__name__}")
         if not records:
             raise ConfigError("a trace needs at least one request")
         previous = 0.0
@@ -161,9 +142,8 @@ class RequestTrace:
         object.__setattr__(self, "requests", records)
         object.__setattr__(self, "metadata",
                            {} if metadata is None else metadata)
-        # Cached parallel-tuple views (the pre-record API): computed
-        # once here so replay loops iterating trace.arrivals pay no
-        # per-access rebuild.
+        # Cached parallel-tuple views: computed once here so replay
+        # loops iterating trace.arrivals pay no per-access rebuild.
         object.__setattr__(self, "_arrivals",
                            tuple(record.arrival for record in records))
         object.__setattr__(
@@ -368,9 +348,18 @@ def _decode_lens_for(count: int, mean_decode_len: Optional[int],
     return tuple(int(n) for n in lengths)
 
 
+def _check_positive(**knobs: float) -> None:
+    """Each knob must be a finite positive number: a NaN or infinite
+    rate, window or cycle would keep a generator's sampling loop from
+    ever terminating."""
+    for name, value in knobs.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{name} must be finite and positive, "
+                              f"got {value}")
+
+
 def _check_rate_duration(rate_qps: float, duration: float) -> None:
-    if rate_qps <= 0 or duration <= 0:
-        raise ConfigError("rate_qps and duration must be positive")
+    _check_positive(rate_qps=rate_qps, duration=duration)
 
 
 def poisson_trace(rate_qps: float, duration: float, seed: int = 0,
@@ -438,8 +427,7 @@ def bursty_trace(rate_qps: float, duration: float, seed: int = 0,
         raise ConfigError("burst_factor must exceed 1")
     if not 0.0 < on_fraction < 1.0:
         raise ConfigError("on_fraction must be in (0, 1)")
-    if mean_cycle <= 0:
-        raise ConfigError("mean_cycle must be positive")
+    _check_positive(mean_cycle=mean_cycle)
     on_rate = burst_factor * rate_qps
     off_rate = rate_qps * (1.0 - burst_factor * on_fraction) \
         / (1.0 - on_fraction)
@@ -509,8 +497,7 @@ def diurnal_trace(rate_qps: float, duration: float, seed: int = 0,
     if not 0.0 <= amplitude < 1.0:
         raise ConfigError("amplitude must be in [0, 1)")
     cycle = duration if period is None else period
-    if cycle <= 0:
-        raise ConfigError("period must be positive")
+    _check_positive(period=cycle)
     peak = rate_qps * (1.0 + amplitude)
     rng = np.random.default_rng(seed)
     arrivals = []
@@ -578,7 +565,8 @@ def scenario_trace(name: str, rate_qps: float, duration: float,
 def trace_from_arrivals(arrivals: Iterable[float],
                         decode_lens: Optional[Sequence[int]] = None,
                         **metadata: Any) -> RequestTrace:
-    """Wrap loose arrival lists (the pre-trace API) into a trace."""
+    """Wrap loose arrival (and optional decode-length) arrays into a
+    trace; keyword arguments become its metadata."""
     return RequestTrace(
         requests=requests_from_arrays(arrivals, decode_lens),
         metadata=metadata,

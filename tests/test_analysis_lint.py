@@ -723,8 +723,8 @@ def test_shipped_tree_lints_clean():
 def test_shipped_tree_suppressions_are_audited():
     """The tree's inline allowances stay limited to the known audited
     sites: the serve wall->sim mapping, the two insertion-order
-    reporting tables, and the bench harness's wall-clock timers. The
-    engine needs none: its decode executor registers its handlers
+    reporting tables, and the serving report's utilization map (which
+    keeps the engine's resource order). The engine needs none: its decode executor registers its handlers
     from a local before the single ``self._decode`` binding.
 
     No module is excluded: suppressions are parsed from COMMENT
@@ -744,8 +744,8 @@ def test_shipped_tree_suppressions_are_audited():
             [["unsorted-dict-iteration-in-reporting"]],
         "repro.reporting.tables":
             [["unsorted-dict-iteration-in-reporting"]],
-        "repro.sim.bench": [["no-wallclock-in-sim"],
-                            ["no-wallclock-in-sim"]],
+        "repro.sim.metrics":
+            [["unsorted-dict-iteration-in-reporting"]],
     }
 
 

@@ -751,6 +751,35 @@ def test_bad_traffic_flags_fail_before_the_search(search_forbidden, capsys,
     assert "workload:" not in out  # no session was even opened
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["replay", "--duration", "nan"], "--duration must be finite, got nan"),
+    (["replay", "--rate", "inf", "--duration", "1"],
+     "--rate must be finite, got inf"),
+    (["replay", "--duration", "inf"], "--duration must be finite, got inf"),
+    (["whatif", "--duration", "nan", "--backend", "serial"],
+     "--duration must be finite, got nan"),
+])
+def test_non_finite_traffic_flags_fail_fast(tmp_path, argv, message):
+    """Regression: NaN/inf rates and windows reached the trace
+    generators, whose sampling loops never terminated. Each command must
+    now print one error line and exit 1 (the timeout turns a hang into
+    a failure)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    run = subprocess.run(
+        [sys.executable, "-m", "repro", *argv, "--case", "i", "--llm", "8B",
+         "--servers", "16"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    assert run.stdout.splitlines() == [f"error: {message}"]
+
+
 def test_search_forbidden_fixture_catches_a_search(search_forbidden):
     with pytest.raises(AssertionError, match="search ran"):
         main(["optimize", "--case", "i", "--llm", "1B", "--servers", "16"])

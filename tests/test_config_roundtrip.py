@@ -2,8 +2,7 @@
 
 The contract: every artifact survives ``from_config(to_config(x)) == x``
 through an actual JSON encode/decode, and the redesigned session front-
-end produces frontiers identical to both the classic ``RAGO`` facade and
-a direct ``search_schedules`` call.
+end produces frontiers identical to a direct ``search_schedules`` call.
 """
 
 import json
@@ -216,27 +215,16 @@ def test_invalid_json_rejected():
         config.loads("{not json")
 
 
-# --- Backcompat: the facade, the session and the raw search agree. ----
+# --- The session and the raw search agree. ---------------------------
 
-def test_rago_facade_frontier_unchanged():
-    """Old RAGO(...).optimize() returns frontiers identical to a direct
-    search_schedules call (the pre-session code path)."""
+def test_session_frontier_matches_direct_search():
+    """OptimizerSession(...).optimize() returns frontiers identical to a
+    direct search_schedules call (the pre-session code path)."""
     schema = case_i_hyperscale("8B")
     direct = search_schedules(RAGPerfModel(schema, _CLUSTER))
-    from repro import RAGO
-
-    via_facade = RAGO(schema, _CLUSTER).optimize()
-    assert via_facade.frontier == direct.frontier
-    assert via_facade.num_plans == direct.num_plans
-
-
-def test_session_frontier_matches_facade():
-    schema = case_i_hyperscale("8B")
-    from repro import RAGO
-
-    facade = RAGO(schema, _CLUSTER).optimize()
-    session = OptimizerSession(schema, _CLUSTER).optimize()
-    assert session.frontier == facade.frontier
+    via_session = OptimizerSession(schema, _CLUSTER).optimize()
+    assert via_session.frontier == direct.frontier
+    assert via_session.num_plans == direct.num_plans
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +321,7 @@ def test_trace_malformed_decode_lens_rejected():
 
 
 def test_v1_trace_envelope_loads_bit_identically():
-    from repro.workloads import RequestTrace
+    from repro.workloads import trace_from_arrivals
 
     envelope = {
         "config_version": 1,
@@ -345,10 +333,9 @@ def test_v1_trace_envelope_loads_bit_identically():
         },
     }
     trace = config.from_config(envelope)
-    assert trace == RequestTrace(arrivals=(0.0, 0.25, 1.5),
-                                 decode_lens=(64, 32, 128),
-                                 metadata={"scenario": "poisson",
-                                           "seed": 3})
+    assert trace == trace_from_arrivals((0.0, 0.25, 1.5),
+                                        decode_lens=(64, 32, 128),
+                                        scenario="poisson", seed=3)
     assert trace.arrivals == (0.0, 0.25, 1.5)
     assert trace.decode_lens == (64, 32, 128)
     assert not trace.has_identity

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ClusterSpec, RAGO
+from repro import ClusterSpec, OptimizerSession
 from repro.errors import ConfigError
 from repro.hardware.power import EnergyEstimate, PowerProfile, estimate_energy
 from repro.schema import case_i_hyperscale
@@ -10,8 +10,8 @@ from repro.schema import case_i_hyperscale
 
 @pytest.fixture(scope="module")
 def frontier():
-    return RAGO(case_i_hyperscale("8B"),
-                ClusterSpec(num_servers=32)).optimize().frontier
+    return OptimizerSession(case_i_hyperscale("8B"),
+                            ClusterSpec(num_servers=32)).optimize().frontier
 
 
 def test_energy_positive(frontier):

@@ -184,7 +184,7 @@ def test_serving_des_conservation(seed, rate):
     from repro.pipeline import PlacementGroup, RAGPerfModel, Schedule
     from repro.schema import Stage as S, case_i_hyperscale
     from repro.sim import ServingSimulator
-    from repro.workloads import poisson_arrivals
+    from repro.workloads import poisson_arrivals, trace_from_arrivals
 
     cluster = ClusterSpec(num_servers=32)
     pm = RAGPerfModel(case_i_hyperscale("8B"), cluster)
@@ -197,9 +197,9 @@ def test_serving_des_conservation(seed, rate):
     arrivals = poisson_arrivals(rate, duration=1.0, seed=seed)
     if not arrivals:
         return
-    metrics = sim.run(arrivals)
-    assert metrics.completed == metrics.offered
-    for record in metrics.records:
+    report = sim.run(trace_from_arrivals(arrivals))
+    assert report.completed == report.offered
+    for record in report.records:
         assert record.first_token_time is not None
         assert record.first_token_time >= record.arrival
         assert record.completion_time >= record.first_token_time

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ClusterSpec, RAGO
+from repro import ClusterSpec, OptimizerSession
 from repro.errors import ConfigError, ScheduleError
 from repro.rago import (
     PriceBook,
@@ -18,8 +18,8 @@ from repro.schema import case_i_hyperscale
 
 @pytest.fixture(scope="module")
 def result():
-    return RAGO(case_i_hyperscale("8B"),
-                ClusterSpec(num_servers=32)).optimize()
+    return OptimizerSession(case_i_hyperscale("8B"),
+                            ClusterSpec(num_servers=32)).optimize()
 
 
 def test_unconstrained_max_throughput_is_frontier_max(result):

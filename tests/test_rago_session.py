@@ -4,11 +4,16 @@ import pytest
 
 from repro.errors import ConfigError, ScheduleError
 from repro.hardware.cluster import ClusterSpec
+from repro.pipeline import PlacementGroup, Schedule
 from repro.rago.objectives import select_min_ttft
-from repro.rago.optimizer import RAGO
 from repro.rago.search import SearchConfig
 from repro.rago.session import OptimizerSession
-from repro.schema import case_i_hyperscale, case_iv_rewriter_reranker, pipeline
+from repro.schema import (
+    Stage,
+    case_i_hyperscale,
+    case_iv_rewriter_reranker,
+    pipeline,
+)
 from repro.schema.paradigms import HYPERSCALE_DATABASE
 
 _CLUSTER = ClusterSpec(num_servers=16)
@@ -141,11 +146,24 @@ def test_evaluate_is_memoized():
     assert session.cache_info()["evaluations"] == 1
 
 
-def test_facade_exposes_session():
-    rago = RAGO(case_i_hyperscale("8B"), _CLUSTER)
-    assert rago.session.schema == rago.schema
-    assert rago.optimize() == rago.session.optimize()
-    assert rago.session.cache_info()["results"] == 1
+def test_evaluate_explicit_schedule(session):
+    schedule = Schedule(
+        groups=(PlacementGroup((Stage.PREFIX,), 8),
+                PlacementGroup((Stage.DECODE,), 8)),
+        batches={Stage.PREFIX: 8, Stage.DECODE: 64, Stage.RETRIEVAL: 16},
+    )
+    perf = session.evaluate(schedule)
+    assert perf.qps > 0
+    assert perf.ttft > 0
+
+
+def test_default_cluster_created():
+    session = OptimizerSession(case_i_hyperscale("8B"))
+    assert session.cluster.total_xpus == 128
+
+
+def test_schema_accessible(session):
+    assert session.schema.name.startswith("case-i")
 
 
 # --- Acceptance: builder pipeline == case-iv preset, end to end. ------
@@ -163,7 +181,8 @@ def test_builder_case_iv_identical_frontier_through_session():
     assert built == preset
     search = SearchConfig(max_batch=32, max_decode_batch=128)
     frontier_built = OptimizerSession(built, _CLUSTER).frontier(search)
-    frontier_preset = RAGO(preset, _CLUSTER).optimize(search).frontier
+    frontier_preset = OptimizerSession(preset,
+                                       _CLUSTER).optimize(search).frontier
     assert frontier_built == frontier_preset
 
 

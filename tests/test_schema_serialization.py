@@ -70,16 +70,17 @@ def test_schedule_round_trip():
 
 
 def test_schedule_from_search_round_trips():
-    from repro import ClusterSpec, RAGO
-    result = RAGO(case_i_hyperscale("8B"),
-                  ClusterSpec(num_servers=32)).optimize()
+    from repro import ClusterSpec, OptimizerSession
+    result = OptimizerSession(case_i_hyperscale("8B"),
+                              ClusterSpec(num_servers=32)).optimize()
     schedule = result.max_qps_per_chip.schedule
     rebuilt = schedule_from_dict(
         json.loads(json.dumps(schedule_to_dict(schedule))))
     # Re-evaluating the reloaded schedule reproduces the numbers.
-    rago = RAGO(case_i_hyperscale("8B"), ClusterSpec(num_servers=32))
-    original = rago.evaluate(schedule)
-    reloaded = rago.evaluate(rebuilt)
+    session = OptimizerSession(case_i_hyperscale("8B"),
+                               ClusterSpec(num_servers=32))
+    original = session.evaluate(schedule)
+    reloaded = session.evaluate(rebuilt)
     assert reloaded.qps == pytest.approx(original.qps)
     assert reloaded.ttft == pytest.approx(original.ttft)
 

@@ -511,12 +511,12 @@ def test_resized_fleet_utilization_uses_time_weighted_average(network):
     # happened at the end of the window).
     average = fleet.replica_seconds / fleet.now
     assert 1.0 < average <= 3.0
-    merged = fleet.metrics()
+    merged = fleet.report(trace)
     single_fleet = FleetEngine(pm, schedule, replicas=3)
     for arrival, decode_len in zip(trace.arrivals, trace.decode_lens):
         single_fleet.submit(arrival, decode_len=decode_len)
     single_fleet.drain()
-    static = single_fleet.metrics()
+    static = single_fleet.report(trace)
     for name, value in merged.utilization.items():
         # Same traffic, same three replicas doing the work: the
         # resized fleet's utilization must stay in the static

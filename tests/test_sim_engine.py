@@ -248,21 +248,21 @@ def test_out_of_order_submission_accounts_earliest_arrival(network):
     engine.submit(0.1, decode_len=64)  # earlier arrival, submitted later
     engine.submit(0.3, decode_len=64)
     engine.drain()
-    metrics = engine.metrics()
-    assert metrics.completed == 3
-    last = max(r.completion_time for r in metrics.records)
-    assert metrics.duration == pytest.approx(last - 0.1, rel=1e-12)
-    assert metrics.throughput == pytest.approx(3 / metrics.duration,
-                                               rel=1e-12)
-    snap = engine.snapshot()
-    assert snap.throughput == pytest.approx(
-        3 / (engine.now - 0.1), rel=1e-12)
     # The recorded trace re-sorts into arrival order, so it replays.
     trace = engine.recorded_trace()
     assert trace.arrivals == (0.1, 0.3, 0.5)
+    report = engine.report(trace)
+    assert report.completed == 3
+    last = max(r.completion_time for r in engine.records)
+    assert report.duration == pytest.approx(last - 0.1, rel=1e-12)
+    assert report.throughput == pytest.approx(3 / report.duration,
+                                              rel=1e-12)
+    snap = engine.snapshot()
+    assert snap.throughput == pytest.approx(
+        3 / (engine.now - 0.1), rel=1e-12)
     replay = ServingSimulator(pm, schedule).run(trace)
     assert replay.completed == 3
-    assert replay.duration == pytest.approx(metrics.duration, rel=1e-12)
+    assert replay.duration == pytest.approx(report.duration, rel=1e-12)
 
 
 def test_submit_validation(network):
@@ -352,7 +352,7 @@ def test_records_hand_out_a_tuple_not_the_live_list(network):
     with pytest.raises(AttributeError):
         records.append(records[0])
     assert engine.offered == 1 and engine.in_flight == 0
-    assert engine.metrics().records == records
+    assert engine.report(engine.recorded_trace()).records == records
 
 
 def test_records_are_sealed_before_listeners_see_them(network):

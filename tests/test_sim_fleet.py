@@ -370,7 +370,7 @@ def test_fleet_recorded_trace_replays(network, trace):
 def test_fleet_utilization_is_slot_average(network, trace):
     pm, schedule = network
     fleet = _replay_fleet(pm, schedule, trace, 3, None)
-    merged = fleet.metrics()
+    merged = fleet.report(trace)
     assert merged.utilization
     for name, value in merged.utilization.items():
         assert 0.0 <= value <= 1.0
@@ -381,7 +381,7 @@ def test_fleet_utilization_is_slot_average(network, trace):
     for arrival, decode_len in zip(trace.arrivals, trace.decode_lens):
         single.submit(arrival, decode_len=decode_len)
     single.drain()
-    solo = single.metrics().utilization
+    solo = single.report(trace).utilization
     for name, value in merged.utilization.items():
         assert value <= solo[name] + 1e-9
 

@@ -18,7 +18,7 @@ from repro.sim.policies import (
     resolve_admission_policy,
     resolve_dispatch_policy,
 )
-from repro.workloads import poisson_trace
+from repro.workloads import poisson_trace, trace_from_arrivals
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +173,7 @@ def test_token_budget_oversized_request_fails_loudly(setup):
     sim = ServingSimulator(pm, schedule,
                            admission=TokenBudgetAdmission(max_tokens=256))
     with pytest.raises(ConfigError, match="token budget"):
-        sim.run([0.0, 0.1], decode_lengths=[512, 8])
+        sim.run(trace_from_arrivals([0.0, 0.1], decode_lens=[512, 8]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,11 @@ from repro.schema import (
     case_iv_rewriter_reranker,
 )
 from repro.sim import ServingSimulator
-from repro.workloads import burst_arrivals, poisson_arrivals
+from repro.workloads import (
+    burst_arrivals,
+    poisson_arrivals,
+    trace_from_arrivals,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +36,8 @@ def test_all_requests_complete(setup):
     pm, schedule, _ = setup
     sim = ServingSimulator(pm, schedule)
     arrivals = poisson_arrivals(100, duration=2.0, seed=1)
-    metrics = sim.run(arrivals)
-    assert metrics.completed == metrics.offered == len(arrivals)
+    report = sim.run(trace_from_arrivals(arrivals))
+    assert report.completed == report.offered == len(arrivals)
 
 
 def test_throughput_validates_analytical_model(setup):
@@ -42,8 +46,8 @@ def test_throughput_validates_analytical_model(setup):
     pm, schedule, analytical = setup
     sim = ServingSimulator(pm, schedule)
     arrivals = poisson_arrivals(1.5 * analytical.qps, duration=15.0, seed=2)
-    metrics = sim.run(arrivals)
-    assert metrics.throughput == pytest.approx(analytical.qps, rel=0.15)
+    report = sim.run(trace_from_arrivals(arrivals))
+    assert report.throughput == pytest.approx(analytical.qps, rel=0.15)
 
 
 def test_underload_ttft_near_analytical(setup):
@@ -52,35 +56,37 @@ def test_underload_ttft_near_analytical(setup):
     pm, schedule, analytical = setup
     sim = ServingSimulator(pm, schedule)
     arrivals = poisson_arrivals(0.3 * analytical.qps, duration=10.0, seed=3)
-    metrics = sim.run(arrivals)
-    assert metrics.mean_ttft >= analytical.ttft * 0.5
-    assert metrics.mean_ttft <= analytical.ttft * 3.0
+    report = sim.run(trace_from_arrivals(arrivals))
+    assert report.ttft["mean"] >= analytical.ttft * 0.5
+    assert report.ttft["mean"] <= analytical.ttft * 3.0
 
 
 def test_overload_inflates_latency(setup):
     pm, schedule, analytical = setup
     sim = ServingSimulator(pm, schedule)
-    light = sim.run(poisson_arrivals(0.5 * analytical.qps, 10.0, seed=4))
+    light = sim.run(trace_from_arrivals(
+        poisson_arrivals(0.5 * analytical.qps, 10.0, seed=4)))
     sim2 = ServingSimulator(pm, schedule)
-    heavy = sim2.run(poisson_arrivals(1.5 * analytical.qps, 10.0, seed=4))
-    assert heavy.mean_ttft > 3 * light.mean_ttft
+    heavy = sim2.run(trace_from_arrivals(
+        poisson_arrivals(1.5 * analytical.qps, 10.0, seed=4)))
+    assert heavy.ttft["mean"] > 3 * light.ttft["mean"]
 
 
 def test_tpot_matches_decode_model(setup):
     pm, schedule, analytical = setup
     sim = ServingSimulator(pm, schedule)
-    metrics = sim.run(poisson_arrivals(100, 2.0, seed=5))
-    assert metrics.mean_tpot == pytest.approx(analytical.tpot, rel=0.25)
+    report = sim.run(trace_from_arrivals(poisson_arrivals(100, 2.0, seed=5)))
+    assert report.tpot["mean"] == pytest.approx(analytical.tpot, rel=0.25)
 
 
 def test_burst_arrival_handling(setup):
     pm, schedule, _ = setup
     sim = ServingSimulator(pm, schedule)
-    metrics = sim.run(burst_arrivals(burst_size=64, period=5.0,
-                                     num_bursts=3))
-    assert metrics.completed == 192
+    report = sim.run(trace_from_arrivals(
+        burst_arrivals(burst_size=64, period=5.0, num_bursts=3)))
+    assert report.completed == 192
     # Requests inside a burst complete at staggered times (batching).
-    ttfts = [r.ttft for r in metrics.records[:64]]
+    ttfts = [r.ttft for r in report.records[:64]]
     assert max(ttfts) > min(ttfts)
 
 
@@ -97,10 +103,10 @@ def test_case_iv_pipeline_runs():
                  Stage.DECODE: 256},
     )
     sim = ServingSimulator(pm, schedule)
-    metrics = sim.run(poisson_arrivals(50, 2.0, seed=6))
-    assert metrics.completed == metrics.offered
+    report = sim.run(trace_from_arrivals(poisson_arrivals(50, 2.0, seed=6)))
+    assert report.completed == report.offered
     # Every completed request passed through all five pre-decode stages.
-    record = metrics.records[0]
+    record = report.records[0]
     for stage in (Stage.REWRITE_PREFIX, Stage.REWRITE_DECODE,
                   Stage.RETRIEVAL, Stage.RERANK, Stage.PREFIX):
         assert stage in record.stage_completions
@@ -128,15 +134,15 @@ def _iterative_setup(retrieval_frequency=4, iterative_batch=8):
 def test_iterative_serving_completes():
     pm, schedule = _iterative_setup()
     sim = ServingSimulator(pm, schedule)
-    metrics = sim.run(poisson_arrivals(20, 2.0, seed=8))
-    assert metrics.completed == metrics.offered
-    assert metrics.mean_tpot > 0
+    report = sim.run(trace_from_arrivals(poisson_arrivals(20, 2.0, seed=8)))
+    assert report.completed == report.offered
+    assert report.tpot["mean"] > 0
 
 
 def test_iterative_serving_slower_than_single_retrieval():
     # The same schedule serving the same arrivals takes longer per token
     # when sequences pause for mid-generation retrievals.
-    arrivals = poisson_arrivals(20, 2.0, seed=8)
+    arrivals = trace_from_arrivals(poisson_arrivals(20, 2.0, seed=8))
     pm_iter, schedule = _iterative_setup(retrieval_frequency=4)
     iterative = ServingSimulator(pm_iter, schedule).run(arrivals)
     cluster = ClusterSpec(num_servers=32)
@@ -146,33 +152,31 @@ def test_iterative_serving_slower_than_single_retrieval():
         batches=schedule.batches,
     )
     plain = ServingSimulator(pm_plain, plain_schedule).run(arrivals)
-    assert iterative.mean_tpot > plain.mean_tpot
+    assert iterative.tpot["mean"] > plain.tpot["mean"]
 
 
 def test_iterative_frequency_increases_tpot():
-    arrivals = poisson_arrivals(20, 2.0, seed=8)
+    arrivals = trace_from_arrivals(poisson_arrivals(20, 2.0, seed=8))
     low_pm, low_schedule = _iterative_setup(retrieval_frequency=2)
     high_pm, high_schedule = _iterative_setup(retrieval_frequency=8)
     low = ServingSimulator(low_pm, low_schedule).run(arrivals)
     high = ServingSimulator(high_pm, high_schedule).run(arrivals)
-    assert high.mean_tpot > low.mean_tpot
+    assert high.tpot["mean"] > low.tpot["mean"]
 
 
-def test_unsorted_arrivals_rejected(setup):
-    pm, schedule, _ = setup
-    sim = ServingSimulator(pm, schedule)
+def test_unsorted_arrivals_rejected():
     with pytest.raises(ConfigError):
-        sim.run([1.0, 0.5])
+        trace_from_arrivals([1.0, 0.5])
     with pytest.raises(ConfigError):
-        sim.run([])
+        trace_from_arrivals([])
 
 
 def test_horizon_cuts_off(setup):
     pm, schedule, _ = setup
     sim = ServingSimulator(pm, schedule)
     arrivals = poisson_arrivals(200, duration=10.0, seed=7)
-    metrics = sim.run(arrivals, horizon=1.0)
-    assert metrics.completed < metrics.offered
+    report = sim.run(trace_from_arrivals(arrivals), horizon=1.0)
+    assert report.completed < report.offered
 
 
 def test_variable_decode_lengths(setup):
@@ -180,21 +184,19 @@ def test_variable_decode_lengths(setup):
     sim = ServingSimulator(pm, schedule)
     arrivals = [0.0, 0.0, 0.0, 0.0]
     lengths = [32, 64, 128, 256]
-    metrics = sim.run(arrivals, decode_lengths=lengths)
-    assert metrics.completed == 4
+    report = sim.run(trace_from_arrivals(arrivals, decode_lens=lengths))
+    assert report.completed == 4
     # Shorter generations finish earlier.
-    completions = [r.completion_time for r in metrics.records]
+    completions = [r.completion_time for r in report.records]
     assert completions == sorted(completions)
-    assert metrics.records[0].decode_len == 32
+    assert report.records[0].decode_len == 32
 
 
-def test_decode_lengths_validation(setup):
-    pm, schedule, _ = setup
-    sim = ServingSimulator(pm, schedule)
+def test_decode_lengths_validation():
     with pytest.raises(ConfigError):
-        sim.run([0.0, 1.0], decode_lengths=[32])
+        trace_from_arrivals([0.0, 1.0], decode_lens=[32])
     with pytest.raises(ConfigError):
-        sim.run([0.0], decode_lengths=[0])
+        trace_from_arrivals([0.0], decode_lens=[0])
 
 
 def test_sampled_decode_lengths_with_workload():
@@ -209,28 +211,30 @@ def test_sampled_decode_lengths_with_workload():
     sim = ServingSimulator(pm, schedule)
     arrivals = poisson_arrivals(50, 2.0, seed=9)
     lengths = sample_decode_lengths(len(arrivals), mean=256, seed=9)
-    metrics = sim.run(arrivals, decode_lengths=[int(x) for x in lengths])
-    assert metrics.completed == metrics.offered
-    assert metrics.mean_tpot > 0
+    report = sim.run(trace_from_arrivals(
+        arrivals, decode_lens=[int(x) for x in lengths]))
+    assert report.completed == report.offered
+    assert report.tpot["mean"] > 0
 
 
 def test_utilization_reported(setup):
     pm, schedule, analytical = setup
     sim = ServingSimulator(pm, schedule)
-    metrics = sim.run(poisson_arrivals(0.9 * analytical.qps, 10.0, seed=14))
-    assert metrics.utilization
-    for name, value in metrics.utilization.items():
+    report = sim.run(trace_from_arrivals(
+        poisson_arrivals(0.9 * analytical.qps, 10.0, seed=14)))
+    assert report.utilization
+    for name, value in report.utilization.items():
         assert 0.0 <= value <= 1.0
     # Near saturation, the bottleneck tier runs hot.
-    assert max(metrics.utilization.values()) > 0.5
+    assert max(report.utilization.values()) > 0.5
 
 
 def test_utilization_grows_with_load(setup):
     pm, schedule, analytical = setup
-    light = ServingSimulator(pm, schedule).run(
-        poisson_arrivals(0.2 * analytical.qps, 10.0, seed=15))
-    heavy = ServingSimulator(pm, schedule).run(
-        poisson_arrivals(0.9 * analytical.qps, 10.0, seed=15))
+    light = ServingSimulator(pm, schedule).run(trace_from_arrivals(
+        poisson_arrivals(0.2 * analytical.qps, 10.0, seed=15)))
+    heavy = ServingSimulator(pm, schedule).run(trace_from_arrivals(
+        poisson_arrivals(0.9 * analytical.qps, 10.0, seed=15)))
     for name in light.utilization:
         assert heavy.utilization[name] >= light.utilization[name] - 0.05
 
@@ -253,17 +257,18 @@ def test_refactored_des_reproduces_pre_refactor_metrics():
         batches={Stage.PREFIX: 32, Stage.DECODE: 512, Stage.RETRIEVAL: 64},
     )
     arrivals = poisson_arrivals(120.0, duration=5.0, seed=1234)
-    metrics = ServingSimulator(pm, schedule).run(arrivals)
-    assert metrics.completed == metrics.offered == 601
-    assert metrics.duration == pytest.approx(5.6208622567079285, rel=1e-12)
-    assert metrics.throughput == pytest.approx(106.9230969470507, rel=1e-12)
-    assert metrics.mean_ttft == pytest.approx(0.1331778401932656, rel=1e-12)
-    assert metrics.p99_ttft == pytest.approx(0.165808825579703, rel=1e-12)
-    assert metrics.mean_tpot == pytest.approx(0.002033427795173091,
-                                              rel=1e-12)
-    assert metrics.utilization["prefix"] == pytest.approx(
+    report = ServingSimulator(pm, schedule).run(trace_from_arrivals(arrivals))
+    assert report.completed == report.offered == 601
+    assert report.duration == pytest.approx(5.6208622567079285, rel=1e-12)
+    assert report.throughput == pytest.approx(106.9230969470507, rel=1e-12)
+    assert report.ttft["mean"] == pytest.approx(0.1331778401932656,
+                                                rel=1e-12)
+    assert report.ttft["p99"] == pytest.approx(0.165808825579703, rel=1e-12)
+    assert report.tpot["mean"] == pytest.approx(0.002033427795173091,
+                                                rel=1e-12)
+    assert report.utilization["prefix"] == pytest.approx(
         0.09198183916694158, rel=1e-12)
-    assert metrics.utilization["retrieval-servers"] == pytest.approx(
+    assert report.utilization["retrieval-servers"] == pytest.approx(
         0.2555152968365344, rel=1e-12)
 
 
@@ -271,14 +276,14 @@ def test_refactored_des_reproduces_pre_refactor_iterative_metrics():
     """Same pin for the iterative (Case III) path, which exercises the
     retrieval-hook and re-prefix stations."""
     pm, schedule = _iterative_setup()
-    metrics = ServingSimulator(pm, schedule).run(
-        poisson_arrivals(20, 2.0, seed=8))
-    assert metrics.completed == metrics.offered == 46
-    assert metrics.duration == pytest.approx(2.412382197544141, rel=1e-12)
-    assert metrics.mean_ttft == pytest.approx(0.11044916152702101,
-                                              rel=1e-12)
-    assert metrics.mean_tpot == pytest.approx(0.0015716157173773842,
-                                              rel=1e-12)
+    report = ServingSimulator(pm, schedule).run(
+        trace_from_arrivals(poisson_arrivals(20, 2.0, seed=8)))
+    assert report.completed == report.offered == 46
+    assert report.duration == pytest.approx(2.412382197544141, rel=1e-12)
+    assert report.ttft["mean"] == pytest.approx(0.11044916152702101,
+                                                rel=1e-12)
+    assert report.tpot["mean"] == pytest.approx(0.0015716157173773842,
+                                                rel=1e-12)
 
 
 def test_identical_seed_trace_schedule_is_bit_identical(setup):
@@ -342,8 +347,8 @@ def test_trace_with_decode_lengths_and_no_double_pass(setup):
 
     pm, schedule, _ = setup
     trace = poisson_trace(50, 2.0, seed=19, mean_decode_len=256)
-    with pytest.raises(ConfigError):
-        ServingSimulator(pm, schedule).run(trace, decode_lengths=[1])
+    # Per-request lengths travel inside the trace; run() takes no
+    # second copy of them.
     report = ServingSimulator(pm, schedule).run(trace)
     lengths = {r.request_id: r.decode_len for r in report.records}
     assert lengths[0] == trace.decode_lens[0]
@@ -353,7 +358,7 @@ def test_slo_requires_trace_workload(setup):
     from repro.sim import SLOTarget
 
     pm, schedule, _ = setup
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="trace_from_arrivals"):
         ServingSimulator(pm, schedule).run([0.0, 1.0],
                                            slo=SLOTarget(ttft=0.5))
 
@@ -377,27 +382,24 @@ def test_invalid_slo_target_rejected():
 
 
 def test_metrics_and_report_share_one_p99_estimator(setup):
-    """Regression: metrics() used a truncating nearest-rank p99 while
-    report() interpolated, so one run emitted two different p99s. At
-    n=7 the estimators visibly diverge (rank 0.99*6 = 5.94 interpolates
-    between the 6th and 7th order statistics; nearest-rank snaps to the
-    max), so both artifacts must now agree on the interpolated value."""
+    """Regression: a second run artifact once used a truncating
+    nearest-rank p99 while the report interpolated, so one run emitted
+    two different p99s. At n=7 the estimators visibly diverge (rank
+    0.99*6 = 5.94 interpolates between the 6th and 7th order
+    statistics; nearest-rank snaps to the max), so the one report must
+    answer the interpolated value."""
     from repro.sim.metrics import _interpolated_percentile
-    from repro.workloads import trace_from_arrivals
 
     pm, schedule, _ = setup
     trace = trace_from_arrivals([0.02 * i for i in range(7)],
                                 decode_lens=[64] * 7, scenario="smalln")
     report = ServingSimulator(pm, schedule).run(trace)
-    metrics = ServingSimulator(pm, schedule).run(list(trace.arrivals),
-                                                 decode_lengths=[64] * 7)
-    ttfts = sorted(r.ttft for r in metrics.records)
+    ttfts = sorted(r.ttft for r in report.records)
     expected = _interpolated_percentile(ttfts, 0.99)
-    assert metrics.p99_ttft == pytest.approx(expected, rel=1e-12)
     assert report.ttft["p99"] == pytest.approx(expected, rel=1e-12)
     # The old truncating estimator answered the sample max instead.
     assert ttfts[-1] > ttfts[-2]
-    assert metrics.p99_ttft < ttfts[-1]
+    assert report.ttft["p99"] < ttfts[-1]
 
 
 def test_interpolated_percentile_edges():

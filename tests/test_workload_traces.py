@@ -19,32 +19,32 @@ from repro.workloads import (
 
 def test_trace_validates_sorted_arrivals():
     with pytest.raises(ConfigError):
-        RequestTrace(arrivals=(1.0, 0.5))
+        trace_from_arrivals((1.0, 0.5))
 
 
 def test_trace_rejects_empty():
     with pytest.raises(ConfigError):
-        RequestTrace(arrivals=())
+        trace_from_arrivals(())
 
 
 def test_trace_rejects_negative_times():
     with pytest.raises(ConfigError):
-        RequestTrace(arrivals=(-1.0, 0.5))
+        trace_from_arrivals((-1.0, 0.5))
 
 
 def test_trace_rejects_mismatched_decode_lens():
     with pytest.raises(ConfigError):
-        RequestTrace(arrivals=(0.0, 1.0), decode_lens=(32,))
+        trace_from_arrivals((0.0, 1.0), decode_lens=(32,))
 
 
 def test_trace_rejects_nonpositive_decode_lens():
     with pytest.raises(ConfigError):
-        RequestTrace(arrivals=(0.0, 1.0), decode_lens=(32, 0))
+        trace_from_arrivals((0.0, 1.0), decode_lens=(32, 0))
 
 
 def test_trace_properties():
-    trace = RequestTrace(arrivals=(0.0, 1.0, 4.0),
-                         metadata={"scenario": "poisson", "duration": 5.0})
+    trace = trace_from_arrivals((0.0, 1.0, 4.0), scenario="poisson",
+                                duration=5.0)
     assert trace.num_requests == 3
     assert trace.duration == 4.0
     assert trace.mean_rate == pytest.approx(3 / 5.0)
@@ -88,6 +88,26 @@ def test_scenarios_sample_decode_lengths(name):
     assert len(trace.decode_lens) == trace.num_requests
     mean = sum(trace.decode_lens) / len(trace.decode_lens)
     assert mean == pytest.approx(256, rel=0.25)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("knob", ["rate_qps", "duration"])
+def test_scenarios_reject_non_finite_rate_and_duration(name, value, knob):
+    """Regression: NaN/inf got past a ``<= 0`` check and the sampling
+    loop never terminated (``now >= nan`` is never true; an infinite
+    rate draws zero-length gaps)."""
+    knobs = {"rate_qps": 50.0, "duration": 2.0, knob: value}
+    with pytest.raises(ConfigError, match=f"{knob} must be finite"):
+        SCENARIOS[name](knobs["rate_qps"], knobs["duration"], seed=0)
+
+
+@pytest.mark.parametrize("generator, knob", [
+    (bursty_trace, "mean_cycle"), (diurnal_trace, "period")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+def test_cycle_knobs_must_be_finite_and_positive(generator, knob, value):
+    with pytest.raises(ConfigError, match=f"{knob} must be finite"):
+        generator(50.0, 2.0, seed=0, **{knob: value})
 
 
 def test_bursty_is_burstier_than_poisson():
@@ -230,7 +250,7 @@ def test_rate_curve_single_instant_trace():
 
     trace = trace_from_arrivals([2.0, 2.0, 2.0])
     # All arrivals coincident and no recorded duration: one spike bin.
-    assert rate_curve(RequestTrace(arrivals=(0.0, 0.0))) \
+    assert rate_curve(trace_from_arrivals((0.0, 0.0))) \
         == [(0.0, 2.0)]
     curve = rate_curve(trace, bins=4)
     assert sum(rate for _, rate in curve) > 0
@@ -293,15 +313,14 @@ def test_trace_stats_survives_undefined_cv():
     assert stats["requests"] == 1
 
 
-# -- identity-carrying requests and legacy tuple compat -----------------
+# -- identity-carrying requests and parallel-array construction ---------
 
 
 def test_compat_tuple_construction_is_bit_identical():
     from repro.workloads import Request, requests_from_arrays
 
-    legacy = RequestTrace(arrivals=(0.0, 1.0, 2.5),
-                          decode_lens=(8, 16, 32),
-                          metadata={"scenario": "custom"})
+    legacy = trace_from_arrivals((0.0, 1.0, 2.5), decode_lens=(8, 16, 32),
+                                 scenario="custom")
     modern = RequestTrace(
         requests=requests_from_arrays((0.0, 1.0, 2.5), (8, 16, 32)),
         metadata={"scenario": "custom"})
@@ -312,16 +331,9 @@ def test_compat_tuple_construction_is_bit_identical():
     assert all(isinstance(r, Request) for r in legacy.requests)
 
 
-def test_requests_and_tuples_are_mutually_exclusive():
-    from repro.workloads import requests_from_arrays
-
-    records = requests_from_arrays((0.0,), (8,))
-    with pytest.raises(ConfigError):
-        RequestTrace(requests=records, arrivals=(0.0,))
-    with pytest.raises(ConfigError):
-        RequestTrace(requests=records, decode_lens=(8,))
-    with pytest.raises(ConfigError):
-        RequestTrace(requests=(0.0,))  # not Request records
+def test_requests_must_be_request_records():
+    with pytest.raises(ConfigError, match="Request records"):
+        RequestTrace(requests=(0.0,))  # loose arrays: trace_from_arrivals
 
 
 def test_mixed_decode_len_records_rejected():
@@ -361,7 +373,7 @@ def test_pre_identity_jsonl_loads_bit_identically(tmp_path):
         '{"arrival": 0.0, "decode_len": 8}\n'
         '{"arrival": 1.5, "decode_len": 32}\n')
     trace = RequestTrace.from_jsonl(str(path))
-    legacy = RequestTrace(arrivals=(0.0, 1.5), decode_lens=(8, 32))
+    legacy = trace_from_arrivals((0.0, 1.5), decode_lens=(8, 32))
     assert trace.requests == legacy.requests
     assert trace.metadata["scenario"] == "poisson"
     assert not trace.has_identity
