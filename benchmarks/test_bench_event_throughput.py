@@ -5,12 +5,17 @@ network serving a seeded 800 QPS poisson stream -- through the
 slab-backed engine under pytest-benchmark and pins an absolute
 events/sec floor, generous enough for slow shared CI runners but far
 above what any accidental reintroduction of per-event allocation churn
-would produce. The event count is fixed by the workload (one arrival
-per request, one advance per decode step, one free + one complete per
-batch dispatch) and pinned against the closure-per-event reference
-engine by the parity suite (``tests/test_sim_hotpath_parity.py``), so
-events/sec moves only with wall clock. For where the time goes, profile
-the engine in context with ``python3 bench/run.py --workload replay
+would produce. The event count is fixed by the workload: one arrival
+per request, one free + one complete per batch dispatch, and one decode
+advance per step at which a sequence finishes or a waiting request can
+join (the decode executor sleeps through the other steps). The parity
+suite (``tests/test_sim_hotpath_parity.py``) pins that count, restated
+as one advance per decode step, against the closure-per-event reference
+engine, so events/sec moves only with wall clock. Since the executor
+stopped scheduling idle steps, each event does more work on average,
+so events/sec fell with the count; the decode steps simulated per
+second are printed alongside. For where the time goes, profile the
+engine in context with ``python3 bench/run.py --workload replay
 --trace 1``.
 
 The gate takes the best of several rounds so one noisy-neighbor round
@@ -55,7 +60,7 @@ def _canonical_network():
 
 def _replay(perf_model, schedule, trace):
     """Submit the whole trace, drain, and time it: (completed, events,
-    wall seconds)."""
+    decode steps, wall seconds)."""
     engine = ServingEngine(perf_model, schedule)
     submit = engine.submit
     start = time.perf_counter()
@@ -63,7 +68,8 @@ def _replay(perf_model, schedule, trace):
         submit(arrival, decode_len=length)
     engine.drain()
     wall = max(time.perf_counter() - start, 1e-9)
-    return engine.completed, engine.events_processed, wall
+    return (engine.completed, engine.events_processed,
+            engine._decode._step_index, wall)
 
 
 def test_bench_canonical_replay_floor(benchmark):
@@ -78,13 +84,14 @@ def test_bench_canonical_replay_floor(benchmark):
         runs.append(_replay(perf_model, schedule, trace))
 
     benchmark.pedantic(run, iterations=1, rounds=3)
-    completed, events, wall = min(runs, key=lambda r: r[2])
+    completed, events, steps, wall = min(runs, key=lambda r: r[3])
     events_per_sec = events / wall
 
     print()
     print(f"canonical replay (best of 3): {trace.num_requests} requests, "
           f"{completed} completed, {events} events, {wall:.3f} s, "
           f"{events_per_sec:,.0f} events/sec, "
+          f"{steps / wall:,.0f} decode steps/sec, "
           f"{completed / wall:,.0f} requests/sec")
 
     assert completed == trace.num_requests

@@ -28,11 +28,15 @@ the pre-refactor replay bit for bit (pinned by tests).
 The network runs on a slab-backed event queue (integer event kinds
 dispatched through a handler table, timestamps drained in batches),
 flat per-stage bookkeeping slabs instead of per-request dicts, and a
-bucketized decode executor that is O(1) amortized per step. The
-original closure-per-event wiring survives only as the test reference
-(``tests/reference_engine.py``); parity tests pin the engine to
-bit-identical :class:`~repro.sim.metrics.ServingReport`\\ s against it
-on every registered scenario.
+bucketized decode executor that is O(1) amortized per step and
+schedules an advance event only at the steps where a sequence leaves
+the batch or a waiting request can join, sleeping through the rest.
+The original closure-per-event wiring, one event per decode step,
+survives only as the test reference (``tests/reference_engine.py``);
+parity tests pin the engine to bit-identical
+:class:`~repro.sim.metrics.ServingReport`\\ s against it on every
+registered scenario, and its event count to the reference's once each
+advance is counted as the decode steps it crossed.
 """
 
 from __future__ import annotations
@@ -412,18 +416,39 @@ class _DecodeExecutor:
     the retrieval + re-prefix stations) and re-joins via :meth:`accept`
     when the new context has been integrated.
 
-    The executor is O(1) amortized per step instead of O(batch):
+    The executor does O(1) amortized work per step and schedules an
+    advance event only at the steps where something can happen:
 
     * Each live sequence's next interesting step (finish, or departure
       to iterative retrieval) is computed once at admission and the
       entry is filed in a per-step *bucket*; the advance event touches
       only the bucket due at that step instead of walking the whole
       batch.
+    * When no boundary before the next bucketed step can admit anyone
+      -- nothing is waiting, or greedy admission is full -- the
+      executor *sleeps*: its one advance event goes straight to that
+      step (a min-heap of bucket steps names it), and each skipped step
+      costs one float add instead of a heap event. Boundary times are
+      the same ``t += step_latency`` chain a per-step loop builds, so
+      every timestamp is bit-identical; each bucket step's time is
+      chained once and kept until the step is crossed. Other admission
+      policies step every boundary while a queue waits, because their
+      inputs change every step.
+    * A request reaching decode mid-sleep *wakes* the executor at the
+      first boundary at or after its arrival (exactly on a skipped
+      boundary, it joins there). Under greedy admission with a free
+      slot nothing else can happen at that boundary, so the request is
+      admitted there on the spot, without an event; other policies get
+      a fresh advance there. Each advance carries a unique token, and
+      one superseded by an earlier advance does nothing when it fires.
     * Admission inputs are reconstructed arithmetically
       (``remaining(s) = target + base - s``; the summed token debt is
       an O(1) running counter), with closed-form fast paths for the
       stock greedy / token-budget policies and an exact
       materialized-list fallback for custom policies.
+
+    ``_step_index`` counts the decode steps crossed so far, which is the
+    per-step loop's count of advance events.
     """
 
     def __init__(self, capacity: int, step_latency: float,
@@ -459,8 +484,19 @@ class _DecodeExecutor:
         self._live: Dict[int, list] = {}
         self._serial = 0
         self._buckets: Dict[int, list] = {}
+        self._keys: List[int] = []  # min-heap of the bucket steps
+        # Boundary times of the bucket steps slept to so far, so a wake
+        # does not make the next sleep chain the same span again.
+        self._key_t: Dict[int, float] = {}
         self._tb_sum = 0  # sum(target + base) over live entries
         self._step_index = 0  # step boundary the clock last crossed
+        # The live advance event: its step and token (older tokens are
+        # stale). The wake cache is a boundary (time, step) at or before
+        # the first one a request reaching decode can join.
+        self._pending = 0
+        self._token = 0
+        self._wake_t = 0.0
+        self._wake_j = 0
         self._progress: Dict[int, int] = {}
         self._positions: Dict[int, List[int]] = {}
         self._greedy = type(admission) is GreedyAdmission
@@ -493,23 +529,33 @@ class _DecodeExecutor:
         if not self.running:
             self.running = True
             sim.schedule_event(0.0, self._eng._k_kick, None)
+        elif self._pending > self._wake_j and not (
+                self._greedy and len(self._live) >= self.capacity):
+            # Asleep past the next boundary, and (unlike a full greedy
+            # batch) able to admit before the pending step.
+            self._wake(sim.now)
 
     def _on_kick(self, sim: Simulation, _: None) -> None:
         """Handler for the idle -> running transition event."""
         self._boundary(sim)
 
     # simlint: hotpath
-    def _on_adv(self, sim: Simulation, _: None) -> None:
+    def _on_adv(self, sim: Simulation, token: int) -> None:
         """Handler for a step-boundary advance event.
 
         Entries land in their bucket exactly at their precomputed
         finish-or-depart step, so every bucketed entry leaves the
-        batch here; finishes resolve before departures.
+        batch here; finishes resolve before departures. A superseded
+        advance (stale token) does nothing.
         """
-        s = self._step_index + 1
+        if token != self._token:
+            return
+        s = self._pending
         self._step_index = s
         bucket = self._buckets.pop(s, None)
         if bucket is not None:
+            heapq.heappop(self._keys)  # == s: no bucket step is skipped
+            self._key_t.pop(s, None)
             fin = self._fin
             dep = self._dep
             for entry in bucket:
@@ -543,25 +589,67 @@ class _DecodeExecutor:
                     progress[entry[0].request_id] = s - entry[2]
                     hook(sim, entry[0])
                 del dep[:]
-        if self.waiting:
+        if self.waiting or not self._live:
             self._boundary(sim)
+        else:
+            self._sleep(sim.now + self.step_latency, s + 1)
+
+    def _sleep(self, t: float, j: int) -> None:
+        """Schedule the advance at the next bucketed step, chaining the
+        boundary times on from step ``j`` (at ``t``) the first time
+        that step is slept to."""
+        self._wake_t = t
+        self._wake_j = j
+        k = self._keys[0]
+        if k > j:
+            t_k = self._key_t.get(k)
+            if t_k is None:
+                step = self.step_latency
+                for _ in range(k - j):
+                    t += step
+                self._key_t[k] = t_k = t
+            t = t_k
+        self._push_adv(t, k)
+
+    def _wake(self, now: float) -> None:
+        """Let the request that just reached decode (while the executor
+        slept) join at the first boundary at or after ``now``."""
+        t = self._wake_t
+        j = self._wake_j
+        step = self.step_latency
+        while t < now:
+            t += step
+            j += 1
+        self._wake_t = t
+        self._wake_j = j
+        if j >= self._pending:
+            return  # the pending advance is that boundary
+        if not self._greedy:
+            self._push_adv(t, j)
             return
-        if not self._live:
-            self.running = False
-            return
-        # Nothing to admit: schedule the next advance inline, pushing
-        # the event straight into the queue slabs (the scheduling-call
-        # chain is pure overhead at one event per decode step). Free
-        # slots always carry a None payload, which is all an advance
-        # needs.
+        # Greedy with a free slot: no bucket falls before the pending
+        # step, so boundary j would admit this request (the only one
+        # waiting) and do nothing else. Admit it there now, and bring
+        # the advance forward if it is now the first to leave.
+        key = self._admit(t, j, self.waiting.popleft(),
+                          self._waiting_lens.popleft())
+        if key < self._pending:
+            self._sleep(t, j)
+
+    def _push_adv(self, t: float, j: int) -> None:
+        """Push the advance for step ``j`` at time ``t`` straight into
+        the queue slabs; its token makes any earlier advance stale."""
+        token = self._token + 1
+        self._token = token
+        self._pending = j
         q = self._q
         free = q._free
         if not free:
             q._grow()
         slot = free.pop()
         q._kinds[slot] = self._eng._k_adv
-        heapq.heappush(q._heap, (sim.now + self.step_latency,
-                                 next(q._counter), slot))
+        q._args[slot] = token
+        heapq.heappush(q._heap, (t, next(q._counter), slot))
 
     def _remaining(self, s: int) -> List[int]:
         """Materialized remaining-token list, in admission order."""
@@ -569,7 +657,9 @@ class _DecodeExecutor:
 
     def _boundary(self, sim: Simulation) -> None:
         """Admit waiting work at the current step boundary and schedule
-        the next advance."""
+        the next advance: the next step while a queue that could be
+        admitted waits, else the next bucketed step; go idle on an
+        empty batch."""
         s = self._step_index
         waiting = self.waiting
         if waiting:
@@ -608,12 +698,23 @@ class _DecodeExecutor:
             for _ in range(admitted):
                 self._admit(now, s, waiting.popleft(), lens.popleft())
         if not self._live:
+            # Idle: with _wake_j == _pending == s, accept never wakes.
             self.running = False
+            self._wake_j = s
             return
-        sim.schedule_event(self.step_latency, self._eng._k_adv, None)
+        t = sim.now + self.step_latency
+        if waiting and not self._greedy:
+            # The policy's inputs change every step. (After a greedy
+            # admission, anyone still waiting means the batch is full:
+            # nobody joins before a bucket frees a slot.)
+            self._wake_t = t
+            self._wake_j = s + 1
+            self._push_adv(t, s + 1)
+        else:
+            self._sleep(t, s + 1)
 
     def _admit(self, now: float, s: int, record: RequestRecord,
-               length: int) -> None:
+               length: int) -> int:
         if self._track:
             rid = record.request_id
             prog = self._progress.get(rid)
@@ -648,11 +749,14 @@ class _DecodeExecutor:
         entry = [record, length, base, serial, positions]
         self._live[serial] = entry
         self._tb_sum += length + base
-        bucket = self._buckets.get(s + k_evt)
+        key = s + k_evt
+        bucket = self._buckets.get(key)
         if bucket is None:
-            self._buckets[s + k_evt] = [entry]
+            self._buckets[key] = [entry]
+            heapq.heappush(self._keys, key)
         else:
             bucket.append(entry)
+        return key
 
 
 #: A completion listener receives each finished request's record.

@@ -5,11 +5,16 @@
 decode executor are the straightforward implementations below: every
 resource free, batch completion, flush, and decode step is a fresh
 closure scheduled on the engine's kernel, per-request bookkeeping goes
-straight into each record's dicts, and every decode step walks the
-whole running batch. It shares the engine's topology, arrivals, and
-reporting, so ``tests/test_sim_hotpath_parity.py`` can pin the shipping
-slab engine to bit-identical reports, busy times, per-record
-lifecycles, and event counts against it.
+straight into each record's dicts, and every decode step is one advance
+event that walks the whole running batch. It shares the engine's
+topology, arrivals, and reporting, so ``tests/test_sim_hotpath_parity.py``
+can pin the shipping slab engine to bit-identical reports, busy times
+and per-record lifecycles against it.
+
+The shipping decode executor schedules an advance only at steps where
+something can happen, so its event count is lower by design;
+:func:`per_step_events` restates it in the reference's
+one-advance-per-step terms, which must match exactly.
 """
 
 from __future__ import annotations
@@ -255,6 +260,14 @@ def _first_token_deliver(downstream):
         downstream(sim, record)
 
     return deliver
+
+
+def per_step_events(engine: ServingEngine) -> int:
+    """``engine``'s event count with its advance events replaced by the
+    decode steps they crossed: the reference engine's event count for
+    the same run (one advance closure per decode step)."""
+    advances = engine.clock._counts[engine._k_adv]
+    return engine.events_processed - advances + engine._decode._step_index
 
 
 class ReferenceServingEngine(ServingEngine):

@@ -411,3 +411,71 @@ def test_fleet_closed_loop_loses_nothing_and_repeats_exactly(
             == fleet.offered == fleet.completed > 0
         assert fleet.in_flight == 0
     assert runs[0][2] == runs[1][2]
+
+
+# ---------------------------------------------------------------------------
+# Decode skip-ahead: bit-identical to the per-step reference.
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _decode_network(kind):
+    """A network whose small decode batch random traces can fill:
+    Case I (``plain``) or Case III with decoder-initiated retrievals
+    (``iterative``)."""
+    from repro.hardware import ClusterSpec
+    from repro.pipeline import PlacementGroup, RAGPerfModel, Schedule
+    from repro.schema import case_i_hyperscale, case_iii_iterative
+
+    if kind == "plain":
+        schema = case_i_hyperscale("8B")
+    else:
+        schema = case_iii_iterative("8B", retrieval_frequency=4)
+    schedule = Schedule(
+        groups=(PlacementGroup((Stage.PREFIX,), 16),
+                PlacementGroup((Stage.DECODE,), 16)),
+        batches={Stage.PREFIX: 8, Stage.DECODE: 6, Stage.RETRIEVAL: 16},
+        iterative_batch=4 if kind == "iterative" else None)
+    return RAGPerfModel(schema, ClusterSpec(num_servers=32)), schedule
+
+
+def _decode_admission(name):
+    from repro.sim.policies import PriorityAdmission, TokenBudgetAdmission
+
+    return {"greedy": None,
+            "token-budget": TokenBudgetAdmission(max_tokens=256),
+            "priority": PriorityAdmission()}[name]
+
+
+@settings(deadline=None, max_examples=40)
+@given(requests=st.lists(
+           st.tuples(st.floats(0.0, 0.25, allow_nan=False),
+                     st.integers(2, 96),  # Case III needs >= 2
+                     st.sampled_from([None, "free", "paid"])),
+           min_size=1, max_size=40),
+       admission=st.sampled_from(["greedy", "token-budget", "priority"]),
+       kind=st.sampled_from(["plain", "iterative"]))
+def test_decode_skip_ahead_matches_per_step_reference(requests, admission,
+                                                      kind):
+    """Bursts of up to 40 requests within a quarter second fill the
+    6-slot decode batch, so the executor sleeps with nothing waiting,
+    sleeps full with a queue (greedy), steps per boundary (token
+    budget, priority) and wakes on arrivals mid-sleep."""
+    from reference_engine import ReferenceServingEngine, per_step_events
+    from repro.sim import ServingEngine
+
+    pm, schedule = _decode_network(kind)
+    fast, reference = (
+        engine_cls(pm, schedule, seed=3,
+                   admission=_decode_admission(admission))
+        for engine_cls in (ServingEngine, ReferenceServingEngine))
+    for engine in (fast, reference):
+        for arrival, length, tier in requests:
+            engine.submit(arrival, decode_len=length, tier=tier)
+        engine.drain()
+    assert [_fields(r) for r in fast.records] \
+        == [_fields(r) for r in reference.records]
+    assert fast.busy_times() == reference.busy_times()
+    trace = fast.recorded_trace()
+    assert fast.report(trace) == reference.report(trace)
+    assert per_step_events(fast) == reference.events_processed

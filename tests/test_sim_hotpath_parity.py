@@ -3,27 +3,34 @@
 The shipping :class:`ServingEngine` must be **bit-identical** to the
 closure-per-event network in ``reference_engine.py``
 (:class:`ReferenceServingEngine`): same :class:`ServingReport`, same
-busy times, same per-record lifecycles, same event count, on every
-registered arrival scenario and every admission-policy shape. The two
-lifecycle fixes that rode along (``peek_time`` on empty, ``submit``
-after ``drain``) are pinned here too.
+busy times, same per-record lifecycles, on every registered arrival
+scenario and every admission-policy shape. The event counts differ by
+design -- the slab engine's decode executor sleeps through steps where
+nothing can happen -- so the count is pinned through the exact
+identity :func:`~reference_engine.per_step_events`: the slab engine's
+events, with its advances replaced by the decode steps they crossed,
+equal the reference's. The two lifecycle fixes that rode along
+(``peek_time`` on empty, ``submit`` after ``drain``) are pinned here
+too.
 """
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
-from reference_engine import ReferenceServingEngine
+from reference_engine import ReferenceServingEngine, per_step_events
 
 from repro.errors import ConfigError
 from repro.hardware import ClusterSpec
 from repro.pipeline import PlacementGroup, RAGPerfModel, Schedule
 from repro.schema import Stage, case_i_hyperscale, case_iii_iterative
-from repro.sim.engine import EventQueue, ServingEngine
+from repro.sim.engine import EventQueue, ServingEngine, _DecodeExecutor
 from repro.sim.fleet import FleetEngine
 from repro.sim.metrics import MetricsAccumulator, SLOTarget
 from repro.sim.policies import AdmissionPolicy, TokenBudgetAdmission
-from repro.workloads import SCENARIOS, poisson_trace, scenario_trace
+from repro.workloads import (SCENARIOS, poisson_trace, scenario_trace,
+                             trace_from_arrivals)
 
 
 @pytest.fixture(scope="module")
@@ -68,10 +75,9 @@ def _replay(engine_cls, pm, schedule, trace, **knobs):
     return engine
 
 
-def _assert_bit_identical(pm, schedule, trace, **knobs):
-    fast = _replay(ServingEngine, pm, schedule, trace, **knobs)
-    reference = _replay(ReferenceServingEngine, pm, schedule, trace,
-                        **knobs)
+def _assert_bit_identical(pm, schedule, trace, drive=_replay, **knobs):
+    fast = drive(ServingEngine, pm, schedule, trace, **knobs)
+    reference = drive(ReferenceServingEngine, pm, schedule, trace, **knobs)
     slo = SLOTarget(ttft=0.5, tpot=0.05)
     # ServingReport equality is exact field equality (records are
     # excluded from dataclass comparison, checked separately below).
@@ -79,9 +85,10 @@ def _assert_bit_identical(pm, schedule, trace, **knobs):
     assert fast.busy_times() == reference.busy_times()
     assert [_record_key(r) for r in fast.records] == \
         [_record_key(r) for r in reference.records]
-    # Same event count: the slab engine does the same simulated work,
-    # one event per arrival, decode step, batch free and completion.
-    assert fast.events_processed == reference.events_processed
+    # Same simulated work: one event per arrival, batch free and
+    # completion, and the same number of decode steps.
+    assert per_step_events(fast) == reference.events_processed
+    return fast, reference
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +141,146 @@ def test_token_budget_head_overflow_raises_identically(network):
         engine.submit(0.0, decode_len=64)  # head exceeds the budget
         with pytest.raises(ConfigError, match="admission token budget"):
             engine.drain()
+
+
+# ---------------------------------------------------------------------------
+# decode skip-ahead: sleeps, wakes and boundary ties
+# ---------------------------------------------------------------------------
+
+#: Horizon spacing of the live driving pattern (simulated seconds).
+_TICK = 0.05
+
+
+def _serve(engine_cls, pm, schedule, trace, **knobs):
+    """The live front-end's driving pattern: step to a horizon every
+    ``_TICK`` seconds and submit each request once the horizon reaches
+    it -- every other one exactly at the engine's clock, as the socket
+    server does."""
+    engine = engine_cls(pm, schedule, **knobs)
+    horizon = 0.0
+    for index, (arrival, length) in enumerate(
+            zip(trace.arrivals, trace.decode_lens)):
+        while horizon + _TICK <= arrival:
+            horizon += _TICK
+            engine.step(until=horizon)
+        if index % 2:
+            engine.step(until=arrival)
+        engine.submit(arrival, decode_len=length)
+    engine.drain()
+    return engine
+
+
+def _advances(engine):
+    return engine.clock._counts[engine._k_adv]
+
+
+@pytest.fixture
+def wakes(monkeypatch):
+    """Times at which a sleeping fast decode executor was woken."""
+    times = []
+    real = _DecodeExecutor._wake
+
+    def counting(self, now):
+        times.append(now)
+        real(self, now)
+
+    monkeypatch.setattr(_DecodeExecutor, "_wake", counting)
+    return times
+
+
+@pytest.mark.parametrize("admission", [None, "priority"])
+def test_interleaved_submit_and_step_bit_identical(network, wakes,
+                                                   admission):
+    """Light load and long decodes: the executor sleeps through most
+    steps, so step horizons and arrivals land inside skipped spans.
+    Greedy admission admits a waking request on the spot; priority
+    admission schedules an advance at its boundary."""
+    pm, schedule = network
+    trace = poisson_trace(10.0, 10.0, seed=21, mean_decode_len=256)
+    fast, _ = _assert_bit_identical(pm, schedule, trace, drive=_serve,
+                                    admission=admission)
+    assert _advances(fast) < fast._decode._step_index / 4
+    assert len(wakes) > 10
+
+
+@pytest.fixture(scope="module")
+def narrow_network():
+    cluster = ClusterSpec(num_servers=32)
+    pm = RAGPerfModel(case_i_hyperscale("8B"), cluster)
+    schedule = Schedule(
+        groups=(PlacementGroup((Stage.PREFIX,), 32),
+                PlacementGroup((Stage.DECODE,), 32)),
+        batches={Stage.PREFIX: 32, Stage.DECODE: 4,
+                 Stage.RETRIEVAL: 64},
+    )
+    return pm, schedule
+
+
+@pytest.mark.parametrize("drive", [_replay, _serve])
+def test_greedy_admission_held_at_capacity_bit_identical(
+        narrow_network, drive):
+    """A full batch with a queue waiting admits no one until a bucket
+    frees a slot, so the executor sleeps to it and accepts do not wake
+    it. Prefix batches of 32 into a decode batch of 4 keep the queue
+    full."""
+    pm, schedule = narrow_network
+    trace = poisson_trace(150.0, 4.0, seed=23, mean_decode_len=64)
+    fast, _ = _assert_bit_identical(pm, schedule, trace, drive=drive)
+    step = fast._decode.step_latency
+    held = [r for r in fast.records
+            if r.queue_waits[Stage.DECODE] > 2 * step]
+    assert len(held) > trace.num_requests // 3
+    assert _advances(fast) < fast._decode._step_index / 2
+
+
+class _DyadicPerfModel:
+    """Stub stage costs in dyadic rationals (exact in binary floating
+    point): step boundaries and pipeline event times add up exactly, so
+    a request can reach decode exactly on a decode step boundary."""
+
+    STEP = 0.25
+    LATENCY = {Stage.RETRIEVAL: 0.5, Stage.PREFIX: 1.0}
+
+    def __init__(self):
+        self.schema = case_i_hyperscale("8B")
+
+    def perf(self, stage, batch, amount, plan=None):
+        if stage is Stage.DECODE:
+            latency = self.STEP * self.schema.sequences.decode_len
+        else:
+            latency = self.LATENCY[stage]
+        return SimpleNamespace(latency=latency, request_qps=batch / latency)
+
+
+@pytest.mark.parametrize("admission", [None, "priority"])
+def test_accept_exactly_on_a_skipped_boundary_joins_there(wakes,
+                                                          admission):
+    """Tie rule: a request reaching decode exactly on a boundary the
+    sleeping executor skipped joins at that boundary, as in the
+    per-step reference (whose advance there was scheduled after the
+    triggering prefix completion) -- whether greedy admission takes it
+    on the spot or priority admission schedules an advance at the
+    current time."""
+    pm = _DyadicPerfModel()
+    schedule = Schedule(
+        groups=(PlacementGroup((Stage.PREFIX,), 1),
+                PlacementGroup((Stage.DECODE,), 1)),
+        batches={Stage.RETRIEVAL: 1, Stage.PREFIX: 1, Stage.DECODE: 4},
+        retrieval_servers=1)
+    # A reaches decode at 1.5 and sleeps towards its finish at step 64;
+    # B reaches it at 3.5, boundary 8; C at 11.625, between boundaries.
+    trace = trace_from_arrivals([0.0, 2.0, 10.125],
+                                decode_lens=[64, 16, 8])
+    fast, _ = _assert_bit_identical(pm, schedule, trace,
+                                    admission=admission)
+    a, b, c = fast.records
+    assert wakes == [3.5, 11.625]
+    assert b.stage_enqueues[Stage.DECODE] == 3.5
+    assert b.queue_waits[Stage.DECODE] == 0.0
+    assert b.completion_time == 3.5 + 16 * pm.STEP
+    assert c.stage_enqueues[Stage.DECODE] == 11.625
+    assert c.queue_waits[Stage.DECODE] == 0.125
+    assert a.completion_time == 1.5 + 64 * pm.STEP
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +408,6 @@ def test_closed_loop_fast_path_bit_identical(network, admission):
         ref_engine.report(ref_trace, slo=slo)
     assert [_record_key(r) for r in fast_engine.records] == \
         [_record_key(r) for r in ref_engine.records]
-    assert fast_engine.events_processed == ref_engine.events_processed
+    assert per_step_events(fast_engine) == ref_engine.events_processed
     assert fast_driver.tier_counts() == ref_driver.tier_counts()
     assert fast_driver.submitted == fast_driver.completed > 0
