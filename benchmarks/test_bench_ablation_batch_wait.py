@@ -1,17 +1,17 @@
 """Ablation: batch-dispatch wait policy in the serving simulator.
 
 Stations dispatch when their batch fills or a partial batch has waited
-``max_wait``. This bench sweeps the wait bound at moderate load and
-shows the throughput/latency tradeoff the policy controls: tiny waits
-dispatch small inefficient batches; long waits add queueing latency for
-no throughput once batches already fill.
+the dispatch policy's ``max_wait``. This bench sweeps the wait bound at
+moderate load and shows the throughput/latency tradeoff the policy
+controls: tiny waits dispatch small inefficient batches; long waits add
+queueing latency for no throughput once batches already fill.
 """
 
 from repro.hardware import ClusterSpec
 from repro.pipeline import PlacementGroup, RAGPerfModel, Schedule, assemble
 from repro.reporting.tables import format_table
 from repro.schema import Stage, case_i_hyperscale
-from repro.sim import ServingSimulator
+from repro.sim import DeadlineFlushPolicy, ServingSimulator
 from repro.workloads import poisson_arrivals, trace_from_arrivals
 
 
@@ -29,7 +29,8 @@ def _sweep():
     rows = []
     ttfts = {}
     for max_wait in (0.001, 0.01, 0.1, 1.0):
-        sim = ServingSimulator(pm, schedule, max_wait=max_wait)
+        sim = ServingSimulator(
+            pm, schedule, dispatch=DeadlineFlushPolicy(max_wait=max_wait))
         report = sim.run(trace)
         rows.append((max_wait, report.throughput, report.ttft["mean"],
                      report.ttft["p99"]))

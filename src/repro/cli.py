@@ -759,24 +759,18 @@ def _wants_fleet(replicas: int, routing: Optional[str], autoscale) -> bool:
 def _build_target(session: OptimizerSession, chosen,
                   args: argparse.Namespace, admission, replicas: int,
                   routing: Optional[str], autoscale, slo: SLOTarget):
-    """The engine or fleet to drive, plus its autoscaler (or None).
-
-    An autoscaled fleet starts at its floor (``min_replicas``) with an
-    :class:`~repro.sim.autoscale.Autoscaler` attached.
-    """
-    from repro.sim.autoscale import Autoscaler
+    """The engine or fleet to drive, plus its autoscaler (or None):
+    one engine, else :func:`~repro.sim.autoscale.build_fleet`'s pair."""
+    from repro.sim.autoscale import build_fleet
 
     if not _wants_fleet(replicas, routing, autoscale):
         return session.serving_engine(chosen.schedule,
                                       dispatch=args.dispatch,
                                       admission=admission), None
-    fleet = session.fleet_engine(
-        chosen.schedule,
-        replicas=replicas if autoscale is None else autoscale.min_replicas,
-        routing=routing, dispatch=args.dispatch, admission=admission)
-    if autoscale is None:
-        return fleet, None
-    return fleet, Autoscaler.from_config(fleet, autoscale, slo=slo)
+    return build_fleet(session.perf_model, chosen.schedule,
+                       replicas=replicas, routing=routing,
+                       dispatch=args.dispatch, admission=admission,
+                       autoscale=autoscale, slo=slo)
 
 
 def _serving_payload(args: argparse.Namespace, report, session, chosen,
@@ -844,8 +838,7 @@ def _print_serving(report, target, autoscaler, autoscale,
 
 
 def _command_replay(args: argparse.Namespace) -> int:
-    from repro.sim.autoscale import parse_autoscale_spec
-    from repro.sim.engine import submit_trace
+    from repro.sim.autoscale import parse_autoscale_spec, replay_open_loop
     from repro.workloads import RequestTrace, scenario_trace
     from repro.workloads.sessions import parse_tiers_spec
 
@@ -950,12 +943,8 @@ def _command_replay(args: argparse.Namespace) -> int:
                 population=population_spec(population),
                 tiers=tiers_spec(population.tiers))
             print(f"observed: {trace.describe()}")
-        elif autoscaler is not None:
-            # The control loop tracks the trace's rate curve.
-            autoscaler.run_trace(trace)
         else:
-            submit_trace(target, trace)
-            target.drain()
+            replay_open_loop(target, autoscaler, trace)
         report = target.report(trace, slo=slo)
     payload = _serving_payload(args, report, session, chosen, trace,
                                admission)

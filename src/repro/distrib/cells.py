@@ -98,9 +98,11 @@ def whatif_runner(context: Dict[str, Any]) -> Runner:
     from repro import config
     from repro.pipeline.assembly import assemble
     from repro.pipeline.stage_perf import RAGPerfModel
-    from repro.sim.autoscale import Autoscaler, parse_autoscale_spec
-    from repro.sim.engine import submit_trace
-    from repro.sim.fleet import FleetEngine
+    from repro.sim.autoscale import (
+        build_fleet,
+        parse_autoscale_spec,
+        replay_open_loop,
+    )
     from repro.sim.metrics import SLOTarget
 
     schema = config.from_config(context["schema"])
@@ -116,19 +118,12 @@ def whatif_runner(context: Dict[str, Any]) -> Runner:
             schedule = config.from_config(payload["schedule"])
             perf = assemble(perf_model, schedule)
             autoscale = payload.get("autoscale")
-            if autoscale is not None:
-                controller = parse_autoscale_spec(autoscale)
-                fleet = FleetEngine(perf_model, schedule,
-                                    replicas=controller.min_replicas,
-                                    routing=payload.get("routing"))
-                Autoscaler.from_config(fleet, controller,
-                                       slo=slo).run_trace(trace)
-            else:
-                fleet = FleetEngine(perf_model, schedule,
-                                    replicas=payload.get("replicas") or 1,
-                                    routing=payload.get("routing"))
-                submit_trace(fleet, trace)
-                fleet.drain()
+            fleet, autoscaler = build_fleet(
+                perf_model, schedule, replicas=payload.get("replicas") or 1,
+                routing=payload.get("routing"),
+                autoscale=None if autoscale is None
+                else parse_autoscale_spec(autoscale), slo=slo)
+            replay_open_loop(fleet, autoscaler, trace)
             report = fleet.report(trace, slo=slo)
         except ReproError as error:
             return error_outcome(error)

@@ -110,8 +110,8 @@ def simulate_iterative_decode(decode_batch: int, iterative_batch: int,
     """
     if decode_batch <= 0 or iterative_batch <= 0:
         raise ConfigError("batch sizes must be positive")
-    if decode_len <= 1:
-        raise ConfigError("decode_len must exceed 1")
+    if decode_len < 1:
+        raise ConfigError("decode_len must be positive")
     if retrievals_per_seq < 0:
         raise ConfigError("retrievals_per_seq must be non-negative")
     if retrievals_per_seq > decode_len - 1:

@@ -279,7 +279,6 @@ class OptimizerSession:
 
     def evaluate_trace(self, schedule: Schedule, trace: RequestTrace,
                        slo: Optional[SLOTarget] = None,
-                       max_wait: Optional[float] = None,
                        dispatch: Union[None, str, DispatchPolicy] = None,
                        admission: Union[None, str, AdmissionPolicy] = None,
                        ) -> ServingReport:
@@ -300,10 +299,9 @@ class OptimizerSession:
             slo: Latency targets for attainment accounting; None
                 derives targets from this session's accumulated
                 constraints (unconstrained dimensions stay unscored).
-            max_wait: Optional partial-batch deadline override passed
-                to the simulator.
             dispatch: Optional dispatch policy (instance or registry
-                name) for the pre-decode stations.
+                name) for the pre-decode stations; it carries any
+                partial-batch deadline (``max_wait``).
             admission: Optional decode admission policy (instance or
                 registry name).
 
@@ -325,11 +323,9 @@ class OptimizerSession:
                             tpot=self._objective.max_tpot)
         policy = resolve_dispatch_policy(dispatch)
         admit = resolve_admission_policy(admission)
-        key = self._trace_key(schedule, trace, slo, max_wait, policy,
-                              admit)
+        key = self._trace_key(schedule, trace, slo, policy, admit)
         if key not in self._trace_reports:
             simulator = ServingSimulator(self._perf_model, schedule,
-                                         max_wait=max_wait,
                                          dispatch=policy,
                                          admission=admit)
             self._trace_reports[key] = simulator.run(trace, slo=slo)
@@ -352,8 +348,8 @@ class OptimizerSession:
         )
 
     def _trace_key(self, schedule: Schedule, trace: RequestTrace,
-                   slo: SLOTarget, max_wait: Optional[float],
-                   policy: DispatchPolicy, admit: AdmissionPolicy) -> str:
+                   slo: SLOTarget, policy: DispatchPolicy,
+                   admit: AdmissionPolicy) -> str:
         """Memo key of one :meth:`evaluate_trace` cell.
 
         The trace enters as its cached requests digest (a recorded
@@ -366,12 +362,10 @@ class OptimizerSession:
                             trace.requests_digest,
                             json.dumps(trace.metadata),
                             f"slo={slo.ttft}:{slo.tpot}",
-                            f"max_wait={max_wait}",
                             f"dispatch={policy!r}",
                             f"admission={admit!r}"))
 
     def serving_engine(self, schedule: Optional[Schedule] = None,
-                       max_wait: Optional[float] = None, seed: int = 0,
                        dispatch: Union[None, str, DispatchPolicy] = None,
                        admission: Union[None, str, AdmissionPolicy] = None,
                        ) -> ServingEngine:
@@ -390,7 +384,7 @@ class OptimizerSession:
                 accumulated constraints -- the balanced
                 latency/throughput point a live deployment usually
                 wants.
-            max_wait / seed / dispatch / admission: Engine knobs, as in
+            dispatch / admission: Engine policies, as in
                 :meth:`evaluate_trace`.
         """
         from repro.sim.engine import ServingEngine
@@ -399,7 +393,6 @@ class OptimizerSession:
             schedule = _constrained_knee(self.optimize(),
                                          self._objective).schedule
         return ServingEngine(self._perf_model, schedule,
-                             max_wait=max_wait, seed=seed,
                              dispatch=dispatch, admission=admission)
 
     def provision(self, target_qps: float,
@@ -433,7 +426,6 @@ class OptimizerSession:
     def fleet_engine(self, schedule: Optional[Schedule] = None,
                      replicas: Optional[int] = None,
                      routing: Union[None, str, RoutingPolicy] = None,
-                     max_wait: Optional[float] = None, seed: int = 0,
                      dispatch: Union[None, str, DispatchPolicy] = None,
                      admission: Union[None, str, AdmissionPolicy] = None,
                      provisioning: Optional[ProvisioningResult] = None,
@@ -457,13 +449,13 @@ class OptimizerSession:
                 replica count (or 1).
             routing: Request-routing policy instance or registry name
                 (round robin when None).
-            max_wait / seed / dispatch / admission: Per-replica engine
-                knobs, as in :meth:`evaluate_trace`.
+            dispatch / admission: Per-replica engine policies, as in
+                :meth:`evaluate_trace`.
             provisioning: Optional sizing to realize; explicit
                 ``schedule`` / ``replicas`` arguments override its
                 fields individually.
         """
-        from repro.sim.fleet import FleetEngine
+        from repro.sim.autoscale import build_fleet
 
         if provisioning is not None:
             if schedule is None:
@@ -473,16 +465,16 @@ class OptimizerSession:
         if schedule is None:
             schedule = _constrained_knee(self.optimize(),
                                          self._objective).schedule
-        return FleetEngine(self._perf_model, schedule,
-                           replicas=1 if replicas is None else replicas,
-                           routing=routing, max_wait=max_wait, seed=seed,
-                           dispatch=dispatch, admission=admission)
+        fleet, _ = build_fleet(
+            self._perf_model, schedule,
+            replicas=1 if replicas is None else replicas, routing=routing,
+            dispatch=dispatch, admission=admission)
+        return fleet
 
     def autoscaled_fleet(self, trough_qps: float, peak_qps: float,
                          autoscale: Optional[AutoscaleConfig] = None,
                          routing: Union[None, str, RoutingPolicy] = None,
                          slo: Optional[SLOTarget] = None,
-                         max_wait: Optional[float] = None, seed: int = 0,
                          dispatch: Union[None, str, DispatchPolicy] = None,
                          admission: Union[None, str,
                                           AdmissionPolicy] = None,
@@ -512,14 +504,13 @@ class OptimizerSession:
             slo: Targets behind the controller's windowed attainment
                 statistic; None derives them from this session's
                 accumulated constraints.
-            max_wait / seed / dispatch / admission: Per-replica
-                engine knobs, as in :meth:`evaluate_trace`.
+            dispatch / admission: Per-replica engine policies, as in
+                :meth:`evaluate_trace`.
 
         Raises:
             ConfigError: on a non-positive or inverted load band.
         """
-        from repro.sim.autoscale import Autoscaler, AutoscaleConfig
-        from repro.sim.fleet import FleetEngine
+        from repro.sim.autoscale import AutoscaleConfig, build_fleet
         from repro.sim.metrics import SLOTarget
 
         if trough_qps <= 0 or peak_qps <= 0:
@@ -532,17 +523,17 @@ class OptimizerSession:
         schedule = peak.perf.schedule
         min_replicas = min(math.ceil(trough_qps / peak.perf.qps),
                            peak.replicas)
-        config = autoscale or AutoscaleConfig()
-        config = replace(config, min_replicas=min_replicas,
+        config = replace(autoscale or AutoscaleConfig(),
+                         min_replicas=min_replicas,
                          max_replicas=peak.replicas)
-        fleet = FleetEngine(self._perf_model, schedule,
-                            replicas=min_replicas, routing=routing,
-                            max_wait=max_wait, seed=seed,
-                            dispatch=dispatch, admission=admission)
         if slo is None:
             slo = SLOTarget(ttft=self._objective.max_ttft,
                             tpot=self._objective.max_tpot)
-        return Autoscaler.from_config(fleet, config, slo=slo)
+        _, autoscaler = build_fleet(
+            self._perf_model, schedule, routing=routing,
+            dispatch=dispatch, admission=admission, autoscale=config,
+            slo=slo)
+        return autoscaler
 
     def cache_info(self) -> Dict[str, int]:
         """Memo sizes (searches, schedule evaluations and trace replays

@@ -37,7 +37,9 @@ _EXPORTS = {
     "SLOAttainmentPolicy": "repro.sim.autoscale",
     "TargetUtilizationPolicy": "repro.sim.autoscale",
     "autoscale_spec": "repro.sim.autoscale",
+    "build_fleet": "repro.sim.autoscale",
     "parse_autoscale_spec": "repro.sim.autoscale",
+    "replay_open_loop": "repro.sim.autoscale",
     "resolve_autoscale_policy": "repro.sim.autoscale",
     "EventQueue": "repro.sim.engine",
     "ServingEngine": "repro.sim.engine",
@@ -123,4 +125,6 @@ __all__ = [
     "ScalingEvent",
     "FleetView",
     "Autoscaler",
+    "build_fleet",
+    "replay_open_loop",
 ]

@@ -24,9 +24,13 @@ thresholds; the driver owns min/max replicas and the cooldown):
   must match the offered QPS".
 
 :class:`AutoscaleConfig` is the serializable envelope behind
-``repro serve|replay --autoscale policy=...,min=...,max=...``;
-:func:`parse_autoscale_spec` / :func:`autoscale_spec` convert the CLI
-spelling to and from it exactly.
+``repro serve|replay --autoscale policy=...,min=...,max=...`` and the
+autoscaler's only configuration; :func:`parse_autoscale_spec` /
+:func:`autoscale_spec` convert the CLI spelling to and from it
+exactly. :func:`build_fleet` is the one fleet setup behind ``replay``,
+``serve``, ``whatif`` and the session: a fleet, at ``min_replicas``
+plus an autoscaler when a config is given, which
+:func:`replay_open_loop` drives through a trace.
 """
 
 from __future__ import annotations
@@ -36,8 +40,14 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigError
+from repro.pipeline.assembly import Schedule
+from repro.pipeline.stage_perf import RAGPerfModel
+from repro.sim.engine import DispatchSelection, submit_trace
 from repro.sim.fleet import FleetEngine
 from repro.sim.metrics import RequestRecord, SLOTarget
+from repro.sim.policies import AdmissionPolicy
+from repro.sim.routing import RoutingPolicy
+from repro.workloads.traces import RequestTrace
 
 __all__ = [
     "FleetView",
@@ -52,6 +62,8 @@ __all__ = [
     "autoscale_spec",
     "ScalingEvent",
     "Autoscaler",
+    "build_fleet",
+    "replay_open_loop",
 ]
 
 
@@ -456,58 +468,32 @@ class Autoscaler:
         fleet: The :class:`~repro.sim.fleet.FleetEngine` to scale
             (its constructed size should sit within [min, max]; the
             first decisions pull it into range otherwise).
-        policy: Controller instance or registry name (queue-depth
-            when None).
-        min_replicas / max_replicas / interval / cooldown: Driver
-            knobs, as in :class:`AutoscaleConfig`.
+        config: The controller (policy and thresholds), the
+            [min_replicas, max_replicas] clamp, the control interval
+            and the cooldown; validated when the config is built.
         slo: Targets behind the windowed attainment statistic (an
             unconstrained target scores every completion as met).
     """
 
     def __init__(self, fleet: FleetEngine,
-                 policy: Union[None, str, AutoscalePolicy] = None, *,
-                 min_replicas: int = 1, max_replicas: int = 4,
-                 interval: float = 1.0, cooldown: float = 3.0,
+                 config: AutoscaleConfig = AutoscaleConfig(), *,
                  slo: Optional[SLOTarget] = None) -> None:
         if not isinstance(fleet, FleetEngine):
             raise ConfigError(
                 "the autoscaler drives a FleetEngine; wrap a single "
                 "engine in a fleet of one replica first")
-        if min_replicas < 1:
-            raise ConfigError("min_replicas must be at least 1")
-        if max_replicas < min_replicas:
-            raise ConfigError(
-                f"max_replicas={max_replicas} must be at least "
-                f"min_replicas={min_replicas}")
-        if interval <= 0:
-            raise ConfigError("control interval must be positive")
-        if cooldown < 0:
-            raise ConfigError("cooldown must be non-negative")
         self._fleet = fleet
-        self._policy = resolve_autoscale_policy(policy)
-        self._min = min_replicas
-        self._max = max_replicas
-        self._interval = interval
-        self._cooldown = cooldown
+        self._config = config
+        self._policy = config.build_policy()
         self._slo = slo or SLOTarget()
         self._events: List[ScalingEvent] = []
-        self._next_control = interval
+        self._next_control = config.interval
         self._last_control = 0.0
         self._last_action = -math.inf
         self._last_offered = fleet.offered
         self._window_completions = 0
         self._window_slo_met = 0
         fleet.add_listener(self._on_complete)
-
-    @classmethod
-    def from_config(cls, fleet: FleetEngine, config: AutoscaleConfig,
-                    slo: Optional[SLOTarget] = None) -> "Autoscaler":
-        """Build the driver an :class:`AutoscaleConfig` describes."""
-        return cls(fleet, config.build_policy(),
-                   min_replicas=config.min_replicas,
-                   max_replicas=config.max_replicas,
-                   interval=config.interval,
-                   cooldown=config.cooldown, slo=slo)
 
     # -- introspection -------------------------------------------------
 
@@ -524,17 +510,17 @@ class Autoscaler:
     @property
     def interval(self) -> float:
         """Simulated seconds between control decisions."""
-        return self._interval
+        return self._config.interval
 
     @property
     def min_replicas(self) -> int:
         """Lower fleet-size clamp."""
-        return self._min
+        return self._config.min_replicas
 
     @property
     def max_replicas(self) -> int:
         """Upper fleet-size clamp."""
-        return self._max
+        return self._config.max_replicas
 
     @property
     def events(self) -> List[ScalingEvent]:
@@ -623,10 +609,10 @@ class Autoscaler:
                               "in time")
         view = self._view(now)
         desired = self._policy.desired_replicas(view)
-        desired = min(max(desired, self._min), self._max)
+        desired = min(max(desired, self.min_replicas), self.max_replicas)
         current = view.replicas
         if desired == current \
-                or now - self._last_action < self._cooldown:
+                or now - self._last_action < self._config.cooldown:
             return None
         before = set(self._fleet.active_slots)
         while self._fleet.replicas < desired:
@@ -663,8 +649,9 @@ class Autoscaler:
         """
         if now < self._next_control:
             return None
-        missed = math.floor((now - self._next_control) / self._interval)
-        self._next_control += (missed + 1) * self._interval
+        interval = self._config.interval
+        missed = math.floor((now - self._next_control) / interval)
+        self._next_control += (missed + 1) * interval
         return self.control(now)
 
     def run_trace(self, trace) -> FleetEngine:
@@ -703,3 +690,43 @@ class Autoscaler:
         self._fleet.drain()
         self.finalize(self._fleet.now)
         return self._fleet
+
+
+def build_fleet(perf_model: RAGPerfModel, schedule: Schedule,
+                replicas: int = 1,
+                routing: Union[None, str, RoutingPolicy] = None,
+                dispatch: DispatchSelection = None,
+                admission: Union[None, str, AdmissionPolicy] = None,
+                autoscale: Optional[AutoscaleConfig] = None,
+                slo: Optional[SLOTarget] = None,
+                ) -> Tuple[FleetEngine, Optional[Autoscaler]]:
+    """The one way to set up a fleet: ``(fleet, autoscaler)``.
+
+    A fixed fleet has ``replicas`` slots and no autoscaler. With an
+    ``autoscale`` config the fleet starts at its floor
+    (``min_replicas``; ``replicas`` is ignored) and an
+    :class:`Autoscaler` scoring against ``slo`` is attached. Routing
+    and the dispatch/admission policies are as in
+    :class:`~repro.sim.fleet.FleetEngine`.
+    """
+    if autoscale is not None:
+        replicas = autoscale.min_replicas
+    fleet = FleetEngine(perf_model, schedule, replicas=replicas,
+                        routing=routing, dispatch=dispatch,
+                        admission=admission)
+    if autoscale is None:
+        return fleet, None
+    return fleet, Autoscaler(fleet, autoscale, slo=slo)
+
+
+def replay_open_loop(fleet: FleetEngine, autoscaler: Optional[Autoscaler],
+                     trace: RequestTrace) -> None:
+    """Replay ``trace`` open loop through a :func:`build_fleet` pair:
+    with the control loop interleaved (:meth:`Autoscaler.run_trace`)
+    when there is an autoscaler, else every request submitted up front
+    (:func:`~repro.sim.engine.submit_trace`) and the fleet drained."""
+    if autoscaler is not None:
+        autoscaler.run_trace(trace)
+    else:
+        submit_trace(fleet, trace)
+        fleet.drain()

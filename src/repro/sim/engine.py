@@ -808,13 +808,11 @@ class ServingEngine:
     Args:
         perf_model: Calibrated stage cost models.
         schedule: The deployment under test.
-        max_wait: Legacy global partial-batch deadline; fills in any
-            dispatch policy whose own ``max_wait`` is unset (per-stage
-            batch latency when both are None).
-        seed: Seed for the iterative retrieval-position sampler.
         dispatch: Dispatch policy for the pre-decode stations -- a
             policy instance, a registry name, or a per-stage mapping
-            (deadline flush when omitted).
+            (deadline flush when omitted). A partial-batch deadline is
+            the policy's own ``max_wait``; unset, it defaults to the
+            stage's batch latency.
         admission: Decode admission policy instance or registry name
             (greedy when omitted).
         on_complete: Optional listener invoked synchronously (during
@@ -827,7 +825,6 @@ class ServingEngine:
     _simulation = Simulation
 
     def __init__(self, perf_model: RAGPerfModel, schedule: Schedule,
-                 max_wait: Optional[float] = None, seed: int = 0,
                  dispatch: DispatchSelection = None,
                  admission: Union[None, str, AdmissionPolicy] = None,
                  on_complete: Optional[CompletionFn] = None, *,
@@ -838,8 +835,6 @@ class ServingEngine:
         self._servers = schedule.retrieval_servers
         if self._servers is None:
             self._servers = derive_retrieval_servers(perf_model, schedule)
-        self._max_wait = max_wait
-        self._seed = seed
         self._dispatch = dispatch
         self._admission = resolve_admission_policy(admission)
         self._listeners: List[CompletionFn] = \
@@ -892,19 +887,12 @@ class ServingEngine:
 
     def _station_policy(self, stage: Stage,
                         default_wait: float) -> DispatchPolicy:
-        """The stage's dispatch policy, resolved against its deadline.
-
-        Deadline precedence: the policy's own ``max_wait``, then the
-        engine-wide ``max_wait`` argument, then the stage's batch
-        latency.
-        """
+        """The stage's dispatch policy, its unset deadline filled with
+        ``default_wait`` (the stage's batch latency)."""
         selection = self._dispatch
         if isinstance(selection, Mapping):
             selection = selection.get(stage)
-        policy = resolve_dispatch_policy(selection)
-        if self._max_wait is not None:
-            default_wait = self._max_wait
-        return policy.resolve(default_wait)
+        return resolve_dispatch_policy(selection).resolve(default_wait)
 
     def _build(self) -> None:
         schema = self._schema
@@ -985,7 +973,6 @@ class ServingEngine:
                 iter_retrieval_policy, sets_first_token=False)
             retrieval_hook = iter_retrieval.accept
             retrievals = schema.retrieval_frequency - 1
-            base_seed = self._seed
 
             def positions_fn(record: RequestRecord):
                 from repro.workloads.sequences import (
@@ -994,7 +981,7 @@ class ServingEngine:
                 length = record.decode_len or schema.sequences.decode_len
                 count = min(retrievals, max(length - 1, 0))
                 return sample_retrieval_positions(
-                    length, count, seed=base_seed + record.request_id)
+                    length, count, seed=record.request_id)
 
         self._decode = self._new_decode(
             capacity=decode_batch, step_latency=step_latency,

@@ -108,9 +108,8 @@ class FleetEngine:
         routing: Request-routing policy -- an instance, a registry
             name from :data:`~repro.sim.routing.ROUTING_POLICIES`, or
             None for round robin.
-        max_wait / seed / dispatch / admission: Per-engine knobs,
-            passed through to every replica (see
-            :class:`~repro.sim.engine.ServingEngine`).
+        dispatch / admission: Per-engine policies, passed through to
+            every replica (see :class:`~repro.sim.engine.ServingEngine`).
         on_complete: Optional listener invoked with each finished
             request's record, in the shared clock's ``(time, seq)``
             order (see the module docstring).
@@ -124,7 +123,6 @@ class FleetEngine:
                  schedule: Union[Schedule, Sequence[Schedule]],
                  replicas: Optional[int] = None,
                  routing: Union[None, str, RoutingPolicy] = None,
-                 max_wait: Optional[float] = None, seed: int = 0,
                  dispatch: DispatchSelection = None,
                  admission: Union[None, str, AdmissionPolicy] = None,
                  on_complete: Optional[CompletionFn] = None) -> None:
@@ -144,8 +142,7 @@ class FleetEngine:
         self._perf_model = perf_model
         self._schema = perf_model.schema
         self._routing = resolve_routing_policy(routing)
-        self._engine_knobs = dict(max_wait=max_wait, seed=seed,
-                                  dispatch=dispatch, admission=admission)
+        self._engine_knobs = dict(dispatch=dispatch, admission=admission)
         self._listeners: List[CompletionFn] = \
             [on_complete] if on_complete is not None else []
         self._sim = Simulation()
@@ -368,7 +365,7 @@ class FleetEngine:
         # must not collide. Safe to overwrite here: no event has run
         # yet, and the engine only reads the id from decode admission
         # onward. (Iterative schemas sample retrieval positions from
-        # seed + request_id, so a fleet replica's draws differ from a
+        # the request_id, so a fleet replica's draws differ from a
         # standalone engine replaying the same subtrace -- ids are
         # fleet-scoped by design.)
         record.request_id = self._accumulator.offered

@@ -42,27 +42,21 @@ class ServingSimulator:
     Args:
         perf_model: Calibrated stage cost models.
         schedule: The deployment under test.
-        max_wait: Legacy global partial-batch deadline; fills in any
-            dispatch policy whose own ``max_wait`` is unset (per-stage
-            batch latency when both are None).
-        seed: Seed for the iterative retrieval-position sampler.
         dispatch: Dispatch policy for the pre-decode stations -- a
             policy instance, a registry name, or a per-stage mapping
-            (deadline flush when omitted).
+            (deadline flush when omitted); a partial-batch deadline is
+            the policy's own ``max_wait``.
         admission: Decode admission policy instance or registry name
             (greedy when omitted).
     """
 
     def __init__(self, perf_model: RAGPerfModel, schedule: Schedule,
-                 max_wait: Optional[float] = None, seed: int = 0,
                  dispatch: DispatchSelection = None,
                  admission: Union[None, str, AdmissionPolicy] = None,
                  ) -> None:
         self._perf_model = perf_model
         self._schedule = schedule
         self._schema = perf_model.schema
-        self._max_wait = max_wait
-        self._seed = seed
         self._dispatch = dispatch
         self._admission = admission
         # Engines are single-use; build one eagerly so schedule/schema
@@ -71,7 +65,6 @@ class ServingSimulator:
 
     def _fresh_engine(self) -> ServingEngine:
         return ServingEngine(self._perf_model, self._schedule,
-                             max_wait=self._max_wait, seed=self._seed,
                              dispatch=self._dispatch,
                              admission=self._admission)
 

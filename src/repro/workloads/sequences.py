@@ -59,14 +59,19 @@ def sample_retrieval_positions(decode_len: int, num_retrievals: int,
 
     Positions are distinct, uniform over ``[1, decode_len - 1]`` and
     sorted, matching §5.3's uniform-at-random trigger model. The initial
-    (pre-decode) retrieval is not included.
+    (pre-decode) retrieval is not included. Zero retrievals place
+    nothing (``[]``), whatever the length.
     """
     import numpy as np
 
-    if decode_len <= 1:
-        raise ConfigError("decode_len must exceed 1")
+    if decode_len < 1:
+        raise ConfigError("decode_len must be positive")
     if num_retrievals < 0:
         raise ConfigError("num_retrievals must be non-negative")
+    if num_retrievals == 0:
+        return []
+    if decode_len == 1:
+        raise ConfigError("decode_len must exceed 1 to place a retrieval")
     count = min(num_retrievals, decode_len - 1)
     rng = np.random.default_rng(seed)
     positions = rng.choice(np.arange(1, decode_len), size=count,

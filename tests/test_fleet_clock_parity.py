@@ -22,7 +22,7 @@ import pytest
 from repro.hardware import ClusterSpec
 from repro.pipeline import PlacementGroup, RAGPerfModel, Schedule
 from repro.schema import Stage, case_i_hyperscale
-from repro.sim.autoscale import Autoscaler
+from repro.sim.autoscale import AutoscaleConfig, Autoscaler
 from repro.sim.fleet import FleetEngine
 from repro.workloads import (
     ClosedLoopDriver,
@@ -90,8 +90,9 @@ def autoscaled(pm, schedule):
     trace = poisson_trace(400.0, 3.0, seed=9, mean_decode_len=64)
     fleet = FleetEngine(pm, schedule, replicas=1,
                         routing="least-in-flight")
-    scaler = Autoscaler(fleet, "queue-depth", min_replicas=1,
-                        max_replicas=3, interval=0.25, cooldown=0.5)
+    scaler = Autoscaler(fleet, AutoscaleConfig(
+        policy="queue-depth", min_replicas=1, max_replicas=3,
+        interval=0.25, cooldown=0.5))
     scaler.run_trace(trace)
     assert fleet.completed == fleet.offered == trace.num_requests
     assert {event.action for event in scaler.events} == {"up", "down"}

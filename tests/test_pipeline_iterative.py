@@ -85,11 +85,19 @@ def test_partial_batch_flush_prevents_deadlock():
     assert result.dispatches >= 1
 
 
+def test_one_token_cohort_without_retrievals():
+    result = simulate_iterative_decode(4, 1, 1, 0, step_latency=0.5)
+    assert result.total_time == 0.5
+    assert result.dispatches == 0
+
+
 def test_validation():
     with pytest.raises(ConfigError):
         simulate_iterative_decode(0, 1, 64, 1)
     with pytest.raises(ConfigError):
-        simulate_iterative_decode(1, 1, 1, 0)
+        simulate_iterative_decode(1, 1, 0, 0)
+    with pytest.raises(ConfigError):
+        simulate_iterative_decode(1, 1, 1, 1)
     with pytest.raises(ConfigError):
         simulate_iterative_decode(1, 1, 64, 64)
     with pytest.raises(ConfigError):

@@ -419,8 +419,8 @@ def test_live_server_with_autoscaler(setup):
 
     async def scenario():
         fleet = FleetEngine(pm, schedule, replicas=1)
-        autoscaler = Autoscaler.from_config(
-            fleet, config, slo=ServeConfig(**_FAST).slo)
+        autoscaler = Autoscaler(fleet, config,
+                                slo=ServeConfig(**_FAST).slo)
         server = LiveServer(fleet, ServeConfig(autoscale=config,
                                                **_FAST),
                             autoscaler=autoscaler)
@@ -451,11 +451,11 @@ def test_live_server_with_autoscaler(setup):
 
 
 def test_live_server_rejects_foreign_autoscaler(setup):
-    from repro.sim import Autoscaler, FleetEngine
+    from repro.sim import Autoscaler, AutoscaleConfig, FleetEngine
 
     pm, schedule = setup
     fleet = FleetEngine(pm, schedule, replicas=1)
     other = FleetEngine(pm, schedule, replicas=1)
-    autoscaler = Autoscaler(other)
+    autoscaler = Autoscaler(other, AutoscaleConfig())
     with pytest.raises(ConfigError, match="must control"):
         LiveServer(fleet, ServeConfig(**_FAST), autoscaler=autoscaler)

@@ -108,7 +108,7 @@ def test_fast_path_bit_identical_on_registered_scenarios(
 def test_fast_path_bit_identical_on_iterative_schema(iterative_network):
     pm, schedule = iterative_network
     trace = poisson_trace(20.0, 20.0, seed=11, mean_decode_len=64)
-    _assert_bit_identical(pm, schedule, trace, seed=3)
+    _assert_bit_identical(pm, schedule, trace)
 
 
 def test_fast_path_bit_identical_under_token_budget_admission(network):

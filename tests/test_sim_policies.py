@@ -157,15 +157,6 @@ def test_unknown_policy_name_rejected_at_build(setup):
         ServingSimulator(pm, schedule, admission="warp-speed")
 
 
-def test_explicit_max_wait_fills_policy_deadline(setup, trace):
-    pm, schedule = setup
-    legacy = ServingSimulator(pm, schedule, max_wait=0.01).run(trace)
-    modern = ServingSimulator(
-        pm, schedule,
-        dispatch=DeadlineFlushPolicy(max_wait=0.01)).run(trace)
-    assert legacy == modern
-
-
 def test_token_budget_oversized_request_fails_loudly(setup):
     """A decode length that can never fit the budget must raise, not
     silently wedge the executor and strand the queue behind it."""

@@ -131,6 +131,53 @@ def test_autoscaled_cell_replays(planning):
     assert cell.metrics["replica_seconds"] > 0
 
 
+@pytest.mark.parametrize("replicas, routing, autoscale", [
+    (2, "least-in-flight", None),
+    (None, "least-in-flight", "policy=queue-depth,min=1,max=3,up=8,down=2"),
+])
+def test_whatif_cell_matches_a_directly_built_fleet(planning, replicas,
+                                                    routing, autoscale):
+    """A whatif cell and ``build_fleet`` + ``replay_open_loop`` on the
+    same schedule, trace and SLO are one setup path: same metrics, bit
+    for bit (the cell's envelopes round-trip exactly)."""
+    from repro.sim.autoscale import (
+        build_fleet,
+        parse_autoscale_spec,
+        replay_open_loop,
+    )
+    from repro.workloads.traces import diurnal_trace
+
+    session, schedules, _, slo = planning
+    schedule = schedules[0]
+    perf = session.evaluate(schedule)
+    trace = diurnal_trace(1.5 * perf.qps, duration=3.0, seed=4,
+                          mean_decode_len=64)
+    grid = WhatIfGrid(schedules=(schedule,),
+                      replicas=(replicas or 1,), routing=(routing,),
+                      autoscale=(autoscale,))
+    (cell,) = run_whatif(session.schema, session.cluster, trace, grid,
+                         slo).cells
+    assert cell.ok, cell.error
+    fleet, autoscaler = build_fleet(
+        session.perf_model, schedule, replicas=replicas or 1,
+        routing=routing,
+        autoscale=autoscale and parse_autoscale_spec(autoscale), slo=slo)
+    replay_open_loop(fleet, autoscaler, trace)
+    if autoscaler is not None:
+        assert autoscaler.events  # the controller did act
+    report = fleet.report(trace, slo=slo)
+    direct = {
+        "qps": report.throughput,
+        "attainment": report.slo_attainment["joint"],
+        "attainment_ttft": report.slo_attainment["ttft"],
+        "attainment_tpot": report.slo_attainment["tpot"],
+        "p95_ttft": report.ttft["p95"],
+        "p95_tpot": report.tpot["p95"],
+        "replica_seconds": fleet.replica_seconds,
+    }
+    assert {name: cell.metrics[name] for name in direct} == direct
+
+
 def test_session_whatif_defaults_slo_from_objective(planning):
     session, schedules, trace, slo = planning
     grid = WhatIfGrid(schedules=schedules[:1], replicas=(1,))

@@ -109,6 +109,10 @@ class TestSamplers:
         positions = sample_retrieval_positions(4, 10, seed=5)
         assert len(positions) == 3
 
+    def test_retrieval_positions_none_to_place(self):
+        assert sample_retrieval_positions(1, 0) == []
+        assert sample_retrieval_positions(64, 0, seed=3) == []
+
     def test_sampler_validation(self):
         with pytest.raises(ConfigError):
             sample_question_lengths(0)
