@@ -6,13 +6,17 @@ performance points across thousands of candidates; the caches inside
 times a representative search and asserts the caches actually absorb
 the repeat traffic, so a regression that silently bypasses them (or a
 search rewrite that stops reusing points) fails loudly instead of just
-getting slower.
+getting slower. It also guards the running Pareto staircase: nearly
+every plan's corner is already dominated, so its options are never
+offered and no placement groups are built for it.
 """
 
 import time
 
 from repro.hardware.cluster import ClusterSpec
+from repro.pipeline.assembly import PlacementGroup
 from repro.pipeline.stage_perf import RAGPerfModel
+from repro.rago import search as search_module
 from repro.rago.search import SearchConfig, search_schedules
 from repro.schema.paradigms import case_i_hyperscale, case_iv_rewriter_reranker
 
@@ -40,6 +44,50 @@ def test_bench_search_walltime_case_iv_70b(benchmark):
 
     result = benchmark.pedantic(run, iterations=1, rounds=3)
     assert result.frontier
+
+
+def test_bench_search_walltime_case_iv_70b_64_servers(benchmark):
+    """Time the Case IV 70B search on 64 servers (~40k plans). Timing
+    only: no wall-clock bound."""
+    cluster = ClusterSpec(num_servers=64)
+
+    def run():
+        perf_model = RAGPerfModel(case_iv_rewriter_reranker("70B"), cluster)
+        return search_schedules(perf_model)
+
+    result = benchmark.pedantic(run, iterations=1, rounds=3)
+    assert result.frontier
+
+
+def test_search_skips_dominated_plans(monkeypatch):
+    """Guard: on Case IV 70B, at most 5 % of plans get past the
+    staircase's corner test (0.6 % when written), and placement groups
+    are built once per placement plus once per final-front candidate,
+    not once per plan (42,068 constructions before the staircase)."""
+    offered_plans = set()
+
+    class CountingStaircase(search_module._Staircase):
+        def offer(self, ttft, qps, item):
+            placement, allocation = item[:2]
+            offered_plans.add((placement, allocation))
+            super().offer(ttft, qps, item)
+
+    constructions = 0
+    check_stages = PlacementGroup.__post_init__
+
+    def counting_check(group):
+        nonlocal constructions
+        constructions += 1
+        check_stages(group)
+
+    monkeypatch.setattr(search_module, "_Staircase", CountingStaircase)
+    monkeypatch.setattr(PlacementGroup, "__post_init__", counting_check)
+    result = search_schedules(
+        RAGPerfModel(case_iv_rewriter_reranker("70B"), _CLUSTER))
+    print(f"\nplans={result.num_plans} past-corner={len(offered_plans)} "
+          f"placement-groups={constructions}")
+    assert len(offered_plans) <= 0.05 * result.num_plans
+    assert constructions <= 1_000
 
 
 def test_search_reuses_stage_evaluations():

@@ -20,7 +20,8 @@ from repro.inference.parallelism import ShardingPlan
 from repro.pipeline.assembly import PipelinePerf
 from repro.pipeline.stage_perf import StagePerf
 from repro.rago.objectives import ServiceObjective
-from repro.rago.search import PlanFrontier, SearchConfig, SearchResult
+from repro.rago.search import (PlanFrontier, SearchConfig, SearchResult,
+                               _check_positive_int)
 from repro.schema.serialization import (
     schedule_from_dict,
     schedule_to_dict,
@@ -111,13 +112,11 @@ def search_config_to_dict(config: SearchConfig) -> Dict:
         "placements": placements,
         "allocations": allocations,
         "collect_per_plan": config.collect_per_plan,
-        "max_frontier_points": config.max_frontier_points,
     }
 
 
 _SEARCH_CONFIG_FIELDS = ("budget_xpus", "max_batch", "max_decode_batch",
-                         "placements", "allocations", "collect_per_plan",
-                         "max_frontier_points")
+                         "placements", "allocations", "collect_per_plan")
 
 
 def search_config_from_dict(data: Dict) -> SearchConfig:
@@ -127,10 +126,13 @@ def search_config_from_dict(data: Dict) -> SearchConfig:
     Unknown keys are rejected -- a typo'd knob in a hand-edited
     experiment file must not silently fall back to a default.
     """
-    unknown = set(data) - set(_SEARCH_CONFIG_FIELDS)
+    unknown = set(data) - {*_SEARCH_CONFIG_FIELDS, "max_frontier_points"}
     if unknown:
         raise ConfigError(
             f"unknown search config fields: {sorted(unknown)}")
+    if "max_frontier_points" in data:  # retired: validated, then dropped
+        _check_positive_int("max_frontier_points",
+                            data["max_frontier_points"])
     try:
         # Only keys present in the payload are passed through, so the
         # dataclass itself supplies defaults for everything omitted.

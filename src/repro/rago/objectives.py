@@ -8,6 +8,7 @@ efficiency within them, or trade the two off explicitly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -34,8 +35,9 @@ class ServiceObjective:
         for name, value in (("max_ttft", self.max_ttft),
                             ("max_tpot", self.max_tpot),
                             ("min_qps_per_chip", self.min_qps_per_chip)):
-            if value is not None and value <= 0:
-                raise ConfigError(f"{name} must be positive when set")
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive when "
+                                  f"set, got {value}")
 
     def admits(self, perf: PipelinePerf) -> bool:
         """Whether a schedule's performance satisfies every constraint."""

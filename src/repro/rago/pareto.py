@@ -16,27 +16,19 @@ def pareto_front(items: Sequence[T], cost: Callable[[T], float],
                  value: Callable[[T], float]) -> List[T]:
     """Non-dominated subset of ``items``, sorted by ascending cost.
 
-    Minimizes ``cost`` and maximizes ``value``. Duplicate-cost points keep
-    only the best value; a point equal on both axes to a kept point is
-    dropped (any one representative suffices).
+    Minimizes ``cost`` and maximizes ``value``. The stable sort by
+    ``(cost, -value)`` puts each duplicate-cost group's best value
+    first, so keeping every point whose value beats all before it keeps
+    one point per cost; of points equal on both axes, the first given.
     """
-    if not items:
-        return []
     ordered = sorted(items, key=lambda item: (cost(item), -value(item)))
     front: List[T] = []
     best_value = float("-inf")
-    last_cost = None
     for item in ordered:
-        item_cost = cost(item)
         item_value = value(item)
-        if item_value <= best_value:
-            continue
-        if last_cost is not None and item_cost == last_cost:
-            # Same cost, higher value than kept? impossible given sort.
-            continue
-        front.append(item)
-        best_value = item_value
-        last_cost = item_cost
+        if item_value > best_value:
+            front.append(item)
+            best_value = item_value
     return front
 
 

@@ -34,14 +34,25 @@ product keeps, choices included.
 Within a placement, allocations come in lexicographic order, so
 consecutive plans share a prefix of (group, chips) choices; the merged
 options of each prefix sit on a stack of one entry per group and are
-reused. Candidates carry only their plan's groups and the per-stage
-choices; a :class:`Schedule` is built for the final front alone.
+reused.
+
+Candidates never pile up: a running Pareto staircase
+(:class:`_Staircase`) keeps the front of those seen so far. The stable
+``(ttft, -qps)`` sort in :func:`pareto_front` drops a candidate exactly
+when another strictly dominates it or an earlier one weakly dominates
+it, so exact ties keep the first seen. Every candidate seen is weakly
+dominated by a kept point, so dropping a new point that a kept point
+weakly dominates, and evicting the kept points it dominates, applies
+that rule online and ends with the same points, as the same objects.
+A plan whose corner (smallest TTFT, largest QPS/chip) is covered is
+skipped whole; groups and :class:`Schedule` objects are built for the
+final front alone.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -57,10 +68,6 @@ from repro.schema.stages import Stage, spans_retrieval, ttft_stages
 #: Partial-schedule option:
 #: (ttft seconds, qps, ((stage, batch, sharding plan or None), ...)).
 _Option = Tuple[float, float, Tuple[Tuple[Stage, int, object], ...]]
-#: Whole-schedule candidate: (ttft seconds, qps per chip, placement
-#: groups, retrieval servers or None, per-stage choices).
-_Candidate = Tuple[float, float, Tuple[PlacementGroup, ...], Optional[int],
-                   Tuple[Tuple[Stage, int, object], ...]]
 
 
 @dataclass(frozen=True)
@@ -79,8 +86,6 @@ class SearchConfig:
             the LLM-extension baseline's fixed 1:1 prefix:decode split.
         collect_per_plan: Also return a per-(placement, allocation)
             Pareto frontier for the composition analyses (Figs. 16, 18).
-        max_frontier_points: Safety cap on retained candidates between
-            pruning passes.
     """
 
     budget_xpus: Optional[int] = None
@@ -89,12 +94,11 @@ class SearchConfig:
     placements: Optional[Sequence[Placement]] = None
     allocations: Optional[Sequence[Tuple[int, ...]]] = None
     collect_per_plan: bool = False
-    max_frontier_points: int = 4096
 
     def __post_init__(self) -> None:
         if self.budget_xpus is not None:
             _check_positive_int("budget_xpus", self.budget_xpus)
-        for name in ("max_batch", "max_decode_batch", "max_frontier_points"):
+        for name in ("max_batch", "max_decode_batch"):
             _check_positive_int(name, getattr(self, name))
         if not isinstance(self.collect_per_plan, bool):
             raise ConfigError(f"search config collect_per_plan must be a "
@@ -251,6 +255,31 @@ class _Profiler:
         return pruned
 
 
+class _Staircase:
+    """Running Pareto front (min TTFT, max QPS/chip) of offered points:
+    ``ttft`` and ``qps`` strictly increase; ``items`` are payloads."""
+
+    def __init__(self) -> None:
+        self.ttft: List[float] = []
+        self.qps: List[float] = []
+        self.items: List[object] = []
+
+    def covers(self, ttft: float, qps: float) -> bool:
+        """Whether a kept point weakly dominates ``(ttft, qps)``."""
+        index = bisect_right(self.ttft, ttft)
+        return index > 0 and self.qps[index - 1] >= qps
+
+    def offer(self, ttft: float, qps: float, item: object) -> None:
+        """Keep the point unless covered; evict the points it dominates."""
+        if self.covers(ttft, qps):
+            return
+        start = bisect_left(self.ttft, ttft)
+        stop = bisect_right(self.qps, qps, start)
+        self.ttft[start:stop] = [ttft]
+        self.qps[start:stop] = [qps]
+        self.items[start:stop] = [item]
+
+
 def _serial_merge(left: List[_Option], right: List[_Option]) -> List[_Option]:
     """Compose two disaggregated segments: TTFT adds, QPS takes the min.
 
@@ -314,7 +343,7 @@ def search_schedules(perf_model: RAGPerfModel,
                       else enumerate_placements(schema))
     profiler = _Profiler(perf_model, config)
 
-    candidates: List[_Candidate] = []
+    front = _Staircase()
     per_plan: List[PlanFrontier] = []
     num_plans = 0
     num_candidates = 0
@@ -353,6 +382,7 @@ def search_schedules(perf_model: RAGPerfModel,
             (index for index, group in enumerate(placement)
              if len(group) > 1 and spans_retrieval(group, schema)),
             None)
+        checked = False
         # Merged options of the last plan's allocation prefix, one entry
         # per group: ((chips, servers if the group spans retrieval),
         # options through that group).
@@ -396,36 +426,32 @@ def search_schedules(perf_model: RAGPerfModel,
                 continue
             if schema.has_retrieval and spanning_index is None:
                 options = _serial_merge(options, retrieval_opts)
+            if not checked:  # the placement's stage rules, once
+                for group, chips in zip(placement, allocation):
+                    PlacementGroup(stages=group, num_xpus=chips)
+                checked = True
             charged_chips = max(total_xpus,
                                 servers * cluster.xpus_per_server)
-            groups = tuple(PlacementGroup(stages=group, num_xpus=chips)
-                           for group, chips in zip(placement, allocation))
-            retrieval_servers = servers if schema.has_retrieval else None
             num_candidates += len(options)
-            plan_points: List[Tuple[float, float]] = []
+            if config.collect_per_plan:
+                points = [(ttft, qps / charged_chips)
+                          for ttft, qps, _ in options]
+                per_plan.append(PlanFrontier(
+                    placement=placement, allocation=allocation,
+                    points=tuple(pareto_front(points, cost=lambda p: p[0],
+                                              value=lambda p: p[1]))))
+            # Options run from the smallest TTFT to the largest QPS.
+            if front.covers(options[0][0], options[-1][1] / charged_chips):
+                continue
+            retrieval_servers = servers if schema.has_retrieval else None
             for ttft, qps, choices in options:
-                qps_per_chip = qps / charged_chips
-                candidates.append((ttft, qps_per_chip, groups,
-                                   retrieval_servers, choices))
-                plan_points.append((ttft, qps_per_chip))
-            if config.collect_per_plan and plan_points:
-                front = pareto_front(plan_points,
-                                     cost=lambda p: p[0],
-                                     value=lambda p: p[1])
-                per_plan.append(PlanFrontier(placement=placement,
-                                             allocation=allocation,
-                                             points=tuple(front)))
-            if len(candidates) > config.max_frontier_points:
-                candidates = pareto_front(candidates,
-                                          cost=lambda c: c[0],
-                                          value=lambda c: c[1])
+                front.offer(ttft, qps / charged_chips, (
+                    placement, allocation, retrieval_servers, choices))
 
-    if not candidates:
+    if not front.items:
         raise ScheduleError(
             f"no feasible schedule for {schema.name} within {budget} XPUs"
         )
-    front = pareto_front(candidates, cost=lambda c: c[0],
-                         value=lambda c: c[1])
 
     # Re-assemble the surviving schedules through the authoritative
     # composition path (adds TPOT and iterative-retrieval effects). For
@@ -437,9 +463,10 @@ def search_schedules(perf_model: RAGPerfModel,
     if schema.is_iterative:
         iterative_options = list(batch_options(
             Stage.RETRIEVAL, config.max_batch, config.max_decode_batch))
-    for _, _, groups, retrieval_servers, choices in front:
+    for placement, allocation, retrieval_servers, choices in front.items:
         schedule = Schedule(
-            groups=groups,
+            groups=tuple(PlacementGroup(stages=group, num_xpus=chips)
+                         for group, chips in zip(placement, allocation)),
             batches={stage: batch for stage, batch, _ in choices},
             retrieval_servers=retrieval_servers,
             shard_plans={stage: plan for stage, _, plan in choices

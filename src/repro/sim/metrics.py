@@ -12,6 +12,7 @@ computed after the fact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
@@ -178,8 +179,9 @@ class SLOTarget:
 
     def __post_init__(self) -> None:
         for name, value in (("ttft", self.ttft), ("tpot", self.tpot)):
-            if value is not None and value <= 0:
-                raise ConfigError(f"SLO {name} must be positive when set")
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"SLO {name} must be finite and positive "
+                                  f"when set, got {value}")
 
     def check(self, record: RequestRecord) -> Dict[str, Optional[bool]]:
         """Per-dimension verdict for one completed request.

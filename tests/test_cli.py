@@ -780,6 +780,32 @@ def test_non_finite_traffic_flags_fail_fast(tmp_path, argv, message):
     assert run.stdout.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["optimize", "--servers", "16", "--max-ttft", "nan"],
+     "max_ttft must be finite and positive when set, got nan"),
+    (["optimize", "--servers", "16", "--max-ttft", "inf"],
+     "max_ttft must be finite and positive when set, got inf"),
+    (["provision", "--qps", "100", "--max-ttft", "nan"],
+     "max_ttft must be finite and positive when set, got nan"),
+    (["provision", "--qps", "100", "--max-ttft", "inf"],
+     "max_ttft must be finite and positive when set, got inf"),
+    (["replay", "--servers", "16", "--duration", "0.5", "--slo-ttft", "nan"],
+     "SLO ttft must be finite and positive when set, got nan"),
+    (["whatif", "--servers", "16", "--duration", "0.5", "--backend",
+      "serial", "--slo-ttft", "nan"],
+     "SLO ttft must be finite and positive when set, got nan"),
+], ids=["optimize-nan", "optimize-inf", "provision-nan", "provision-inf",
+        "replay-nan", "whatif-nan"])
+def test_non_finite_bounds_are_rejected(capsys, argv, message):
+    """Regression: a NaN bound passed the ``<= 0`` check, so ``optimize``
+    returned the unconstrained schedule "under TTFT <= nan s" and
+    ``replay`` reported a "nan ms" target with 0 % attainment."""
+    assert main(argv + ["--case", "i", "--llm", "1B"]) == 1
+    errors = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: {message}"]
+
+
 def test_search_forbidden_fixture_catches_a_search(search_forbidden):
     with pytest.raises(AssertionError, match="search ran"):
         main(["optimize", "--case", "i", "--llm", "1B", "--servers", "16"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_search import reference_serial_merge
+from reference_search import CollectAllFront, reference_serial_merge
 from repro.hardware import XPU_C
 from repro.hardware.roofline import all_reduce_time, roofline_time
 from repro.inference import DecodeModel, PrefillModel
@@ -16,7 +16,7 @@ from repro.models import LLAMA3_8B
 from repro.pipeline import microbatch_ttft, simulate_iterative_decode
 from repro.rago import pareto_front
 from repro.rago.pareto import dominates
-from repro.rago.search import _prune, _serial_merge
+from repro.rago.search import _prune, _serial_merge, _Staircase
 from repro.retrieval import BruteForceIndex, ProductQuantizer
 from repro.retrieval.scann_model import ScaNNPerfModel
 from repro.hardware.cpu import EPYC_MILAN
@@ -84,6 +84,43 @@ def _merge_front(tag, points):
 def test_serial_merge_equals_cross_product_then_prune(left, right):
     left, right = _merge_front("left", left), _merge_front("right", right)
     assert _serial_merge(left, right) == reference_serial_merge(left, right)
+
+
+# Plans' option lists from small pools, divided by a per-plan chip
+# count: equal TTFTs across plans, zero TTFTs, equal QPS/chip from
+# different plans (2 / 1 == 4 / 2), and whole duplicate plans.
+_stream_plans = st.lists(
+    st.tuples(st.lists(st.tuples(_merge_ttfts, _merge_qps), min_size=1,
+                       max_size=6),
+              st.sampled_from([1, 2, 4])),
+    max_size=12)
+
+
+@settings(max_examples=300)
+@example(plans=[([(0.0, 2.0)], 1), ([(0.0, 4.0)], 2), ([(0.0, 2.0)], 1)])
+@example(plans=[([(1.0, 2.0), (2.0, 8.0)], 1), ([(0.0, 1.0)], 1),
+                ([(1.0, 8.0)], 1)])
+@given(plans=_stream_plans)
+def test_staircase_keeps_exactly_the_pareto_front(plans):
+    """Streaming plans through the staircase as the search does (skip a
+    plan whose corner is covered, else offer each option) keeps exactly
+    the items one Pareto pass over every candidate keeps, as the same
+    objects."""
+    staircase, pile = _Staircase(), CollectAllFront()
+    for points, chips in plans:
+        options = [(ttft, qps / chips, object())
+                   for ttft, qps, _ in _merge_front("plan", points)]
+        for candidate in options:
+            pile.offer(*candidate)
+        if staircase.covers(options[0][0], options[-1][1]):
+            continue
+        for candidate in options:
+            staircase.offer(*candidate)
+    kept, expected = staircase.items, pile.items
+    assert len(kept) == len(expected)
+    assert all(a is b for a, b in zip(kept, expected))
+    assert staircase.ttft == sorted(set(staircase.ttft))
+    assert staircase.qps == sorted(set(staircase.qps))
 
 
 @settings(deadline=None, max_examples=20)

@@ -55,6 +55,12 @@ def test_knee_point_is_on_frontier(result):
 def test_objective_validation():
     with pytest.raises(ConfigError):
         ServiceObjective(max_ttft=0)
+    # Regression: NaN passed the old ``value <= 0`` check.
+    for name in ("max_ttft", "max_tpot", "min_qps_per_chip"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=f"^{name} must be finite "
+                               f"and positive when set, got {value}$"):
+                ServiceObjective(**{name: value})
 
 
 def test_tpot_slo(result):

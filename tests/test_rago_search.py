@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from reference_search import reference_serial_merge
+from reference_search import CollectAllFront, reference_serial_merge
 from repro.errors import ConfigError, ScheduleError
 from repro.hardware import ClusterSpec
 from repro.pipeline import RAGPerfModel, assemble
@@ -157,30 +157,65 @@ def test_iterative_schema_search_sweeps_iterative_batch(cluster):
         plain.max_qps_per_chip.qps_per_chip
 
 
-@pytest.mark.parametrize("schema", [
+_PARITY_SCHEMAS = pytest.mark.parametrize("schema", [
     case_i_hyperscale("8B"),
     case_ii_long_context(1_000_000, "8B"),
     case_iii_iterative("8B", retrieval_frequency=4),
     case_iv_rewriter_reranker("8B"),
 ], ids=["case-i", "case-ii", "case-iii", "case-iv"])
-@pytest.mark.parametrize("knobs", [
+_PARITY_KNOBS = pytest.mark.parametrize("knobs", [
     {},
-    {"collect_per_plan": True, "max_frontier_points": 8},
-], ids=["plain", "per-plan-capped"])
-def test_search_matches_cross_product_merge(schema, knobs, monkeypatch):
-    """The shipped merge and the brute-force cross product give equal
-    searches: frontier schedules, plan and candidate counts, per-plan
-    fronts, and perf-model cache traffic."""
+    {"collect_per_plan": True},
+], ids=["plain", "per-plan"])
+
+
+def _assert_search_unchanged(schema, knobs, monkeypatch, name, reference):
+    """A search with ``search_module.<name>`` swapped for ``reference``
+    is equal to the shipped one: frontier schedules, plan and candidate
+    counts, per-plan fronts, and perf-model cache traffic."""
     cluster = ClusterSpec(num_servers=16)
     config = SearchConfig(max_batch=32, max_decode_batch=256, **knobs)
     shipped_model = RAGPerfModel(schema, cluster)
     shipped = search_schedules(shipped_model, config)
-    monkeypatch.setattr(search_module, "_serial_merge",
-                        reference_serial_merge)
+    monkeypatch.setattr(search_module, name, reference)
     reference_model = RAGPerfModel(schema, cluster)
-    reference = search_schedules(reference_model, config)
-    assert shipped == reference
+    assert search_schedules(reference_model, config) == shipped
     assert shipped_model.cache_stats == reference_model.cache_stats
+
+
+@_PARITY_SCHEMAS
+@_PARITY_KNOBS
+def test_search_matches_cross_product_merge(schema, knobs, monkeypatch):
+    """The shipped merge and the brute-force cross product give equal
+    searches."""
+    _assert_search_unchanged(schema, knobs, monkeypatch, "_serial_merge",
+                             reference_serial_merge)
+
+
+@_PARITY_SCHEMAS
+@_PARITY_KNOBS
+def test_search_matches_collect_all_front(schema, knobs, monkeypatch):
+    """The running staircase, plan-corner skips included, and one
+    Pareto pass over every candidate give equal searches."""
+    _assert_search_unchanged(schema, knobs, monkeypatch, "_Staircase",
+                             CollectAllFront)
+
+
+def test_placement_rules_checked_once_per_placement(cluster):
+    """A user placement breaking a stage rule still fails with the
+    group's one-line ConfigError when a valid placement precedes it,
+    even though its one-chip plan never reaches the front (so no
+    placement group is built for it there)."""
+    schema = case_iv_rewriter_reranker("8B")
+    stages = fully_disaggregated(schema)
+    # Decode shares the last group with its predecessor.
+    decode_collocated = stages[:-2] + (stages[-2] + stages[-1],)
+    config = SearchConfig(placements=[stages, decode_collocated],
+                          allocations=[(4, 4, 4, 4, 4), (1, 1, 1, 1)],
+                          max_batch=32, max_decode_batch=256)
+    with pytest.raises(ConfigError, match="^decode is always "
+                       r"disaggregated \(paper §6.1\)$"):
+        search_schedules(RAGPerfModel(schema, cluster), config)
 
 
 @pytest.mark.parametrize("schema", [

@@ -399,6 +399,12 @@ def test_invalid_slo_target_rejected():
         SLOTarget(ttft=0.0)
     with pytest.raises(ConfigError):
         SLOTarget(tpot=-1.0)
+    # Regression: NaN passed the old ``value <= 0`` check.
+    for name in ("ttft", "tpot"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=f"^SLO {name} must be "
+                               f"finite and positive when set, got {value}$"):
+                SLOTarget(**{name: value})
 
 
 def test_metrics_and_report_share_one_p99_estimator(setup):
