@@ -13,8 +13,13 @@ searched max-QPS/chip schedule, 4 session-affine replicas -- the shape
 of the ``bench/`` ``closed-loop`` workload, with fewer users) and
 counts calls: zero ``ServingEngine.step``, zero ``next_event_time`` on
 engines or the fleet, zero ``FleetEngine.step`` and at most one
-``FleetEngine.drain``. Counts are deterministic, so the guard cannot
-flake on a noisy host. The wall time is printed, not bounded.
+``FleetEngine.drain``. It also counts the metrics feed: the fleet's one
+accumulator records each request once (``MetricsAccumulator.add`` and
+``.finish`` equal the request count; replicas only count, in a
+``ReplicaTally``), and priority admission takes the executor's
+slot-greedy closed form (zero ``PriorityAdmission.admit`` calls).
+Counts are deterministic, so the guard cannot flake on a noisy host.
+The wall time is printed, not bounded.
 """
 
 import time
@@ -25,6 +30,8 @@ from repro.rago.session import OptimizerSession
 from repro.schema.paradigms import case_i_hyperscale
 from repro.sim.engine import ServingEngine
 from repro.sim.fleet import FleetEngine
+from repro.sim.metrics import MetricsAccumulator
+from repro.sim.policies import PriorityAdmission
 from repro.workloads import (
     ClosedLoopDriver,
     UserPopulation,
@@ -33,7 +40,8 @@ from repro.workloads import (
 
 COUNTED = ((ServingEngine, "step"), (ServingEngine, "next_event_time"),
            (FleetEngine, "step"), (FleetEngine, "next_event_time"),
-           (FleetEngine, "drain"))
+           (FleetEngine, "drain"), (MetricsAccumulator, "add"),
+           (MetricsAccumulator, "finish"), (PriorityAdmission, "admit"))
 
 
 def test_closed_loop_fleet_runs_on_one_clock(monkeypatch):
@@ -64,6 +72,9 @@ def test_closed_loop_fleet_runs_on_one_clock(monkeypatch):
     assert calls["FleetEngine.next_event_time"] == 0
     assert calls["FleetEngine.step"] == 0
     assert calls["FleetEngine.drain"] <= 1
+    assert calls["MetricsAccumulator.add"] == driver.submitted
+    assert calls["MetricsAccumulator.finish"] == driver.submitted
+    assert calls["PriorityAdmission.admit"] == 0
     events = sum(engine.events_processed for engine in fleet.engines)
     print(f"\nrequests={driver.submitted} events={events} "
           f"closed loop={seconds:.3f}s")

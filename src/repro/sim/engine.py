@@ -66,6 +66,7 @@ from repro.schema.stages import Stage, pipeline_stages
 from repro.sim.metrics import (
     LiveSnapshot,
     MetricsAccumulator,
+    ReplicaTally,
     RequestRecord,
     ServingReport,
     SLOTarget,
@@ -74,6 +75,7 @@ from repro.sim.policies import (
     AdmissionPolicy,
     DispatchPolicy,
     GreedyAdmission,
+    PriorityAdmission,
     TokenBudgetAdmission,
     resolve_admission_policy,
     resolve_dispatch_policy,
@@ -425,15 +427,16 @@ class _DecodeExecutor:
       only the bucket due at that step instead of walking the whole
       batch.
     * When no boundary before the next bucketed step can admit anyone
-      -- nothing is waiting, or greedy admission is full -- the
-      executor *sleeps*: its one advance event goes straight to that
-      step (a min-heap of bucket steps names it), and each skipped step
-      costs one float add instead of a heap event. Boundary times are
+      -- nothing is waiting, or slot-greedy admission (greedy or
+      priority) is full -- the executor *sleeps*: its one advance
+      event goes straight to that step (a min-heap of bucket steps
+      names it), and each skipped step costs one float add instead of
+      a heap event. Boundary times are
       the same ``t += step_latency`` chain a per-step loop builds, so
       every timestamp is bit-identical; each bucket step's time is
       chained once and kept until the step is crossed. Other admission
-      policies step every boundary while a queue waits, because their
-      inputs change every step.
+      policies (token budget, custom) step every boundary while a
+      queue waits, because their inputs change every step.
     * A request reaching decode mid-sleep *wakes* the executor at the
       first boundary at or after its arrival (exactly on a skipped
       boundary, it joins there). Under greedy admission with a free
@@ -444,7 +447,7 @@ class _DecodeExecutor:
     * Admission inputs are reconstructed arithmetically
       (``remaining(s) = target + base - s``; the summed token debt is
       an O(1) running counter), with closed-form fast paths for the
-      stock greedy / token-budget policies and an exact
+      stock greedy / priority / token-budget policies and an exact
       materialized-list fallback for custom policies.
 
     ``_step_index`` counts the decode steps crossed so far, which is the
@@ -500,6 +503,11 @@ class _DecodeExecutor:
         self._progress: Dict[int, int] = {}
         self._positions: Dict[int, List[int]] = {}
         self._greedy = type(admission) is GreedyAdmission
+        # Policies that admit exactly the free slots (priority only
+        # reorders the queue): their count is closed-form, and a queue
+        # left waiting after admission means the batch is full.
+        self._slot_greedy = self._greedy \
+            or type(admission) is PriorityAdmission
         self._budget = admission \
             if type(admission) is TokenBudgetAdmission else None
         # Priority-aware policies reorder the waiting queue at accept;
@@ -530,9 +538,9 @@ class _DecodeExecutor:
             self.running = True
             sim.schedule_event(0.0, self._eng._k_kick, None)
         elif self._pending > self._wake_j and not (
-                self._greedy and len(self._live) >= self.capacity):
-            # Asleep past the next boundary, and (unlike a full greedy
-            # batch) able to admit before the pending step.
+                self._slot_greedy and len(self._live) >= self.capacity):
+            # Asleep past the next boundary, and (unlike a full
+            # slot-greedy batch) able to admit before the pending step.
             self._wake(sim.now)
 
     def _on_kick(self, sim: Simulation, _: None) -> None:
@@ -666,7 +674,7 @@ class _DecodeExecutor:
             lens = self._waiting_lens
             capacity = self.capacity
             live_count = len(self._live)
-            if self._greedy:
+            if self._slot_greedy:
                 admitted = capacity - live_count
                 if len(waiting) < admitted:
                     admitted = len(waiting)
@@ -703,10 +711,10 @@ class _DecodeExecutor:
             self._wake_j = s
             return
         t = sim.now + self.step_latency
-        if waiting and not self._greedy:
-            # The policy's inputs change every step. (After a greedy
-            # admission, anyone still waiting means the batch is full:
-            # nobody joins before a bucket frees a slot.)
+        if waiting and not self._slot_greedy:
+            # The policy's inputs change every step. (After a
+            # slot-greedy admission, anyone still waiting means the
+            # batch is full: nobody joins before a bucket frees a slot.)
             self._wake_t = t
             self._wake_j = s + 1
             self._push_adv(t, s + 1)
@@ -805,6 +813,15 @@ class ServingEngine:
     :mod:`repro.serve` derives arrivals from a monotonic wall clock,
     so its streams always satisfy this).
 
+    A fleet builds its replicas with the private ``_clock=`` keyword
+    (its shared :class:`Simulation`). That also selects the replica's
+    metrics feed: a :class:`~repro.sim.metrics.ReplicaTally` that only
+    counts, since the fleet's own accumulator holds the reservoirs.
+    The replica's :meth:`report`, :meth:`tier_counts` and
+    :meth:`recorded_trace` fold its records into a fresh accumulator
+    on demand, with the same results; a standalone engine keeps its
+    full :class:`~repro.sim.metrics.MetricsAccumulator`.
+
     Args:
         perf_model: Calibrated stage cost models.
         schedule: The deployment under test.
@@ -845,7 +862,10 @@ class ServingEngine:
         self._shared = _clock is not None
         self._sim = _clock if self._shared else self._simulation()
         first_kind = len(self._sim._handlers) if self._shared else 0
-        self._accumulator = MetricsAccumulator(self._schema)
+        # A fleet replica's fleet keeps the full accumulator; the
+        # replica only counts (see ReplicaTally).
+        self._accumulator = (ReplicaTally if self._shared
+                             else MetricsAccumulator)(self._schema)
         self._next_id = 0
         self._stations: Dict[Stage, Any] = {}
         self._decode: Optional[Any] = None

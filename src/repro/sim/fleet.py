@@ -33,13 +33,19 @@ grows it by a routable slot mid-run and :meth:`remove_replica`
 shrinks it without dropping in-flight work -- the two primitives the
 autoscaling control loop (:mod:`repro.sim.autoscale`) drives.
 
-Merged artifacts (:meth:`snapshot` / :meth:`report`) fold every
-replica's request records into one
-:class:`~repro.sim.metrics.MetricsAccumulator`, so fleet-level
-latency percentiles, SLO attainment and throughput use exactly the
-same estimators as a single engine; utilization fractions are
-fleet-slot averages (summed busy seconds over all engines that ever
-occupied a slot, divided by the slot count).
+**One accumulator per fleet.** Every request is folded into the
+fleet's one :class:`~repro.sim.metrics.MetricsAccumulator` as it is
+submitted and as it finishes, so the merged artifacts
+(:meth:`snapshot` / :meth:`report`) use exactly the same estimators as
+a single engine: fleet-level latency percentiles, SLO attainment and
+throughput. A replica only counts, in a
+:class:`~repro.sim.metrics.ReplicaTally`: its records, offered /
+completed / in-flight ints (routing reads the in-flight count per
+arrival) and the running sums behind :meth:`replica_stats`. A
+replica's own ``report()`` folds its records into a fresh accumulator
+when asked. Utilization fractions are fleet-slot averages (summed busy
+seconds over all engines that ever occupied a slot, divided by the
+slot count).
 """
 
 from __future__ import annotations
@@ -83,12 +89,15 @@ _REPLICA_EVENT_BUDGET = 10_000_000
 class _ReplicaEntry:
     """One engine generation occupying a fleet slot."""
 
-    __slots__ = ("slot", "engine", "state", "weight")
+    __slots__ = ("slot", "engine", "tally", "state", "weight")
 
     def __init__(self, slot: int, engine: ServingEngine,
                  weight: float) -> None:
         self.slot = slot
         self.engine = engine
+        # The replica's counter-only ReplicaTally (routing reads its
+        # in_flight on every arrival).
+        self.tally = engine._accumulator
         self.state = _ACTIVE
         self.weight = weight
 
@@ -339,7 +348,7 @@ class FleetEngine:
         del candidates[:]
         for slot in self._order:
             entry = self._active[slot]
-            in_flight = entry.engine.in_flight
+            in_flight = entry.tally.in_flight
             submitted = self._submitted[slot]
             view = views.get(slot)
             if view is None or view.in_flight != in_flight \
@@ -445,7 +454,7 @@ class FleetEngine:
             raise ConfigError(
                 f"no active replica at slot {slot}; active slots: "
                 f"{known or 'none'}")
-        entry.state = _RETIRED if entry.engine.in_flight == 0 \
+        entry.state = _RETIRED if entry.tally.in_flight == 0 \
             else _DRAINING
         del self._active[slot]
         self._membership_changed(slot)
@@ -503,7 +512,7 @@ class FleetEngine:
                 "keep at least one")
         if slot is None:
             slot = min(self._active,
-                       key=lambda s: (self._active[s].engine.in_flight,
+                       key=lambda s: (self._active[s].tally.in_flight,
                                       -s))
         entry = self._active.get(slot)
         if entry is None:
@@ -511,7 +520,7 @@ class FleetEngine:
             raise ConfigError(
                 f"no active replica at slot {slot}; active slots: "
                 f"{known or 'none'}")
-        entry.state = _RETIRED if entry.engine.in_flight == 0 \
+        entry.state = _RETIRED if entry.tally.in_flight == 0 \
             else _DRAINING
         del self._active[slot]
         self._membership_changed(slot)
@@ -521,7 +530,7 @@ class FleetEngine:
     def _settle(self) -> None:
         """Retire draining replicas whose in-flight work finished."""
         for entry in self._engines:
-            if entry.state == _DRAINING and entry.engine.in_flight == 0:
+            if entry.state == _DRAINING and entry.tally.in_flight == 0:
                 entry.state = _RETIRED
 
     # -- results -------------------------------------------------------
@@ -552,9 +561,11 @@ class FleetEngine:
                slo: Optional[SLOTarget] = None) -> ServingReport:
         """The merged fleet-level :class:`ServingReport`.
 
-        Same estimators as a single engine's report, fed with every
-        replica's records; per-replica drill-down comes from
-        :meth:`replica_stats` or each engine's own ``report``.
+        Same estimators as a single engine's report, built from the
+        fleet's one accumulator, which every replica's submissions and
+        completions feed. Per-replica drill-down comes from
+        :meth:`replica_stats` (running counters) or each engine's own
+        ``report``, which folds that replica's records on demand.
         """
         return self._accumulator.report(trace, slo or SLOTarget(),
                                         self.busy_times())

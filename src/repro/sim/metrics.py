@@ -7,7 +7,9 @@ run artifact (:class:`ServingReport`), and the
 completion is folded in as it happens, so a live front-end can snapshot
 running statistics mid-flight (:class:`LiveSnapshot`) while a batch
 replay still gets the exact aggregates the pre-refactor simulator
-computed after the fact.
+computed after the fact. A fleet replica keeps a counter-only
+:class:`ReplicaTally` instead; its fleet's accumulator is the one
+that builds the reservoirs.
 """
 
 from __future__ import annotations
@@ -438,9 +440,9 @@ class MetricsAccumulator:
             self._ttft_sum += ttft
             self._ttft_count += 1
             self._tpot_sum += tpot
-            self._lat.append((self._index[id(record)], ttft, tpot))
+            entry = (self._index[id(record)], ttft, tpot)
+            self._lat.append(entry)
             if tier is not None:
-                entry = (self._index[id(record)], ttft, tpot)
                 bucket = self._tier_lat.get(tier)
                 if bucket is None:
                     self._tier_lat[tier] = [entry]
@@ -519,20 +521,7 @@ class MetricsAccumulator:
 
     def snapshot(self, now: float) -> LiveSnapshot:
         """Running statistics at simulated time ``now`` (O(1))."""
-        elapsed = 0.0
-        if self._first_arrival is not None:
-            elapsed = max(now - self._first_arrival, 0.0)
-        return LiveSnapshot(
-            now=now,
-            offered=self.offered,
-            completed=self._completed,
-            in_flight=self.offered - self._completed,
-            throughput=self._completed / elapsed if elapsed > 0 else 0.0,
-            mean_ttft=(self._ttft_sum / self._ttft_count
-                       if self._ttft_count else 0.0),
-            mean_tpot=(self._tpot_sum / self._ttft_count
-                       if self._ttft_count else 0.0),
-        )
+        return _live_snapshot(self, now, len(self._records), self._completed)
 
     # -- final artifacts -----------------------------------------------
 
@@ -663,3 +652,118 @@ class MetricsAccumulator:
                 "worst_user_p95_ttft": worst_user_p95,
             }
         return sections
+
+
+def _live_snapshot(source: Any, now: float, offered: int,
+                   completed: int) -> LiveSnapshot:
+    """The :class:`LiveSnapshot` over ``source``'s running sums (an
+    accumulator or a tally: both keep the same private fields)."""
+    elapsed = 0.0
+    if source._first_arrival is not None:
+        elapsed = max(now - source._first_arrival, 0.0)
+    count = source._ttft_count
+    return LiveSnapshot(
+        now=now,
+        offered=offered,
+        completed=completed,
+        in_flight=offered - completed,
+        throughput=completed / elapsed if elapsed > 0 else 0.0,
+        mean_ttft=source._ttft_sum / count if count else 0.0,
+        mean_tpot=source._tpot_sum / count if count else 0.0,
+    )
+
+
+class ReplicaTally:
+    """The counter-only metrics feed of a fleet replica.
+
+    A :class:`~repro.sim.fleet.FleetEngine` folds every completion into
+    its own :class:`MetricsAccumulator`, so its replicas keep no second
+    copy of the reservoirs, tier/user maps or wait lists. A tally takes
+    the same :meth:`add` / :meth:`finish` feed and keeps only the
+    replica's records, ``offered`` / ``completed`` / ``in_flight`` as
+    plain ints (the fleet's routing reads ``in_flight`` per arrival)
+    and the running sums behind :meth:`snapshot`. Those sums are added
+    in completion order, as an accumulator adds them, so a replica's
+    snapshot is bit-identical to the one a full accumulator gives.
+
+    The final artifacts (:meth:`report`, :meth:`tier_counts`,
+    :meth:`recorded_trace`) replay that feed -- submissions, then
+    completions in the order they happened -- into a fresh accumulator
+    on demand (:meth:`accumulator`), so they equal what a full
+    accumulator on the replica would have built.
+    """
+
+    __slots__ = ("_schema", "_records", "_done", "_first_arrival",
+                 "offered", "completed", "in_flight", "_ttft_sum",
+                 "_ttft_count", "_tpot_sum")
+
+    def __init__(self, schema: "RAGSchema") -> None:
+        self._schema = schema
+        self._records: List[RequestRecord] = []
+        self._done: List[RequestRecord] = []  # completion order
+        self._first_arrival: Optional[float] = None
+        self.offered = 0
+        self.completed = 0
+        self.in_flight = 0
+        self._ttft_sum = 0.0
+        self._ttft_count = 0
+        self._tpot_sum = 0.0
+
+    def add(self, record: RequestRecord) -> None:
+        """Register a submitted request (see
+        :meth:`MetricsAccumulator.add`)."""
+        self._records.append(record)
+        self.offered += 1
+        self.in_flight += 1
+        arrival = record.arrival
+        if self._first_arrival is None or arrival < self._first_arrival:
+            self._first_arrival = arrival
+
+    def finish(self, record: RequestRecord) -> None:
+        """Count one completed request and fold its latencies into the
+        running sums (the arithmetic of
+        :meth:`MetricsAccumulator.finish`)."""
+        self._done.append(record)
+        self.completed += 1
+        self.in_flight -= 1
+        first_token = record.first_token_time
+        if first_token is not None:
+            decode_len = record.decode_len
+            self._ttft_sum += first_token - record.arrival
+            self._ttft_count += 1
+            self._tpot_sum += (record.completion_time - first_token) \
+                / (decode_len if decode_len > 1 else 1)
+
+    @property
+    def records(self) -> Tuple[RequestRecord, ...]:
+        """All registered records, in submission order."""
+        return tuple(self._records)
+
+    def snapshot(self, now: float) -> LiveSnapshot:
+        """Running statistics at simulated time ``now`` (O(1))."""
+        return _live_snapshot(self, now, self.offered, self.completed)
+
+    def accumulator(self) -> MetricsAccumulator:
+        """A full accumulator over the records so far: every record
+        added in submission order, the completed ones finished in
+        completion order (the feed a standalone accumulator gets)."""
+        accumulator = MetricsAccumulator(self._schema)
+        for record in self._records:
+            accumulator.add(record)
+        for record in self._done:
+            accumulator.finish(record)
+        return accumulator
+
+    def tier_counts(self) -> Dict[str, Dict[str, int]]:
+        """See :meth:`MetricsAccumulator.tier_counts`."""
+        return self.accumulator().tier_counts()
+
+    def recorded_trace(self, **metadata: Any) -> "RequestTrace":
+        """See :meth:`MetricsAccumulator.recorded_trace`."""
+        return self.accumulator().recorded_trace(**metadata)
+
+    def report(self, trace: "RequestTrace", slo: SLOTarget,
+               utilization_of: Optional[Dict[str, float]] = None,
+               ) -> ServingReport:
+        """See :meth:`MetricsAccumulator.report`."""
+        return self.accumulator().report(trace, slo, utilization_of)

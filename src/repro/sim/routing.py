@@ -264,6 +264,15 @@ class PowerOfTwoChoicesRouting(RoutingPolicy):
         if rng is None:
             rng = DeterministicRNG(self.seed)
             self._state["rng"] = rng
+        if self.stale_after == 0:
+            # Live depths: draw straight from the views, which arrive
+            # in slot order.
+            if len(replicas) == 1:
+                return replicas[0].index
+            i, j = rng.sample_pair(len(replicas))
+            return min(replicas[i], replicas[j],
+                       key=lambda r: (r.in_flight, r.submitted,
+                                      r.index)).index
         depths = self._snapshot(replicas, now)
         by_index = {view.index: view for view in replicas}
         indices = sorted(by_index)

@@ -496,8 +496,8 @@ def test_decode_skip_ahead_matches_per_step_reference(requests, admission,
                                                       kind):
     """Bursts of up to 40 requests within a quarter second fill the
     6-slot decode batch, so the executor sleeps with nothing waiting,
-    sleeps full with a queue (greedy), steps per boundary (token
-    budget, priority) and wakes on arrivals mid-sleep."""
+    sleeps full with a queue (greedy, priority), steps per boundary
+    (token budget) and wakes on arrivals mid-sleep."""
     from reference_engine import ReferenceServingEngine, per_step_events
     from repro.sim import ServingEngine
 
@@ -515,3 +515,151 @@ def test_decode_skip_ahead_matches_per_step_reference(requests, admission,
     trace = fast.recorded_trace()
     assert fast.report(trace) == reference.report(trace)
     assert per_step_events(fast) == reference.events_processed
+
+
+# ---------------------------------------------------------------------------
+# Fleet replicas count; the fleet's one accumulator records.
+# ---------------------------------------------------------------------------
+
+
+def _accumulator_over(schema, records, finish_order):
+    """A full accumulator: ``records`` added in order, then the ones in
+    ``finish_order`` finished in that order."""
+    from repro.sim.metrics import MetricsAccumulator
+
+    accumulator = MetricsAccumulator(schema)
+    for record in records:
+        accumulator.add(record)
+    for record in finish_order:
+        accumulator.finish(record)
+    return accumulator
+
+
+@st.composite
+def _identity_traces(draw):
+    from repro.workloads import Request, RequestTrace
+
+    count = draw(st.integers(1, 30))
+    arrivals = sorted(draw(st.lists(st.floats(0.0, 0.5, allow_nan=False),
+                                    min_size=count, max_size=count)))
+    requests = []
+    for arrival in arrivals:
+        user = draw(st.sampled_from([None, "u0", "u1", "u2", "u3"]))
+        requests.append(Request(
+            arrival=arrival, decode_len=draw(st.integers(1, 96)),
+            user_id=user,
+            session_id=None if user is None else f"s-{user}",
+            tier=draw(st.sampled_from([None, "free", "paid"]))))
+    return RequestTrace(requests=tuple(requests),
+                        metadata={"scenario": "property"})
+
+
+def _identity_trace(*requests):
+    from repro.workloads import Request, RequestTrace
+
+    return RequestTrace(
+        requests=tuple(Request(arrival=arrival, decode_len=length,
+                               user_id=user, session_id=user, tier=tier)
+                       for arrival, length, user, tier in requests),
+        metadata={"scenario": "property"})
+
+
+@settings(deadline=None, max_examples=30)
+# One user on two tiers, finishing out of submission order: the per-user
+# tier is the tier of the user's last completion.
+@example(trace=_identity_trace((0.0, 2, "u0", None), (0.0, 1, None, None),
+                               (0.0, 1, "u0", "free")),
+         replicas=1, routing="round-robin", admission=None)
+@given(trace=_identity_traces(), replicas=st.integers(1, 4),
+       routing=st.sampled_from(["round-robin", "least-in-flight",
+                                "session-affine"]),
+       admission=st.sampled_from([None, "priority"]))
+def test_fleet_replica_artifacts_equal_full_accumulator_fold(
+        trace, replicas, routing, admission):
+    """A fleet replica keeps only counters, yet its replica_stats row,
+    its own report() and the fleet's report() equal full accumulators
+    over the same records, finished in the order the fleet saw them
+    complete -- mid-run and after the drain."""
+    from repro.sim import FleetEngine, SLOTarget, submit_trace
+
+    pm, schedule = _decode_network("plain")
+    fleet = FleetEngine(pm, schedule, replicas=replicas, routing=routing,
+                        admission=admission)
+    done = []
+    fleet.add_listener(done.append)
+    submit_trace(fleet, trace)
+    slo = SLOTarget(ttft=0.05, tpot=0.002)
+
+    def oracle(records):
+        ids = {id(record) for record in records}
+        return _accumulator_over(
+            pm.schema, records,
+            [record for record in done if id(record) in ids])
+
+    for horizon in (0.3, None):
+        if horizon is None:
+            fleet.drain()
+        else:
+            fleet.step(horizon)
+        for engine, row in zip(fleet.engines, fleet.replica_stats()):
+            expected = oracle(engine.records).snapshot(engine.now)
+            assert row["offered"] == expected.offered
+            assert row["completed"] == expected.completed
+            assert row["in_flight"] == expected.in_flight
+            assert (row["throughput"], row["mean_ttft"],
+                    row["mean_tpot"]) == (expected.throughput,
+                                          expected.mean_ttft,
+                                          expected.mean_tpot)
+    for engine in fleet.engines:
+        full = oracle(engine.records)
+        assert engine.tier_counts() == full.tier_counts()
+        if engine.offered:
+            assert engine.recorded_trace() == full.recorded_trace()
+        if engine.completed:
+            assert engine.report(trace, slo=slo) == full.report(
+                trace, slo, engine.busy_times())
+    merged = oracle(fleet.records)
+    assert fleet.report(trace, slo=slo) == merged.report(
+        trace, slo, fleet.busy_times())
+    assert fleet.snapshot() == merged.snapshot(fleet.now)
+
+
+def _old_power_of_two_select(rng, replicas):
+    """``PowerOfTwoChoicesRouting.select`` on live depths as it was
+    before the ``stale_after == 0`` path drew straight from the views:
+    depth and view maps, candidates indexed over the sorted slots."""
+    depths = {view.index: view.in_flight for view in replicas}
+    by_index = {view.index: view for view in replicas}
+    indices = sorted(by_index)
+    if len(indices) == 1:
+        return indices[0]
+    first, second = (indices[slot]
+                     for slot in rng.sample_pair(len(indices)))
+    return min((first, second),
+               key=lambda i: (depths[i], by_index[i].submitted, i))
+
+
+# Small pools force ties on in-flight depth and submitted counts.
+_routing_views = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**31), decisions=st.lists(
+    st.tuples(st.sets(st.integers(0, 9), min_size=1, max_size=6),
+              _routing_views), min_size=1, max_size=20))
+def test_power_of_two_live_choices_equal_the_old_selection(seed,
+                                                           decisions):
+    from repro.sim.rng import DeterministicRNG
+    from repro.sim.routing import PowerOfTwoChoicesRouting, ReplicaView
+
+    policy = PowerOfTwoChoicesRouting(seed=seed)
+    rng = DeterministicRNG(seed)
+    for step, (slots, states) in enumerate(decisions):
+        views = [ReplicaView(index=slot, in_flight=in_flight,
+                             submitted=submitted)
+                 for slot, (in_flight, submitted)
+                 in zip(sorted(slots), states * len(slots))]
+        assert policy.select(views, now=0.01 * step) \
+            == _old_power_of_two_select(rng, views)

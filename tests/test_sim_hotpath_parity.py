@@ -233,6 +233,36 @@ def test_greedy_admission_held_at_capacity_bit_identical(
     assert _advances(fast) < fast._decode._step_index / 2
 
 
+def _replay_tiered(engine_cls, pm, schedule, trace, **knobs):
+    """Bulk replay with every third request on the paid tier."""
+    engine = engine_cls(pm, schedule, **knobs)
+    for index, (arrival, length) in enumerate(
+            zip(trace.arrivals, trace.decode_lens)):
+        engine.submit(arrival, decode_len=length,
+                      tier="paid" if index % 3 == 0 else "free")
+    engine.drain()
+    return engine
+
+
+def test_priority_admission_held_at_capacity_bit_identical(
+        narrow_network):
+    """Priority admission fills exactly the free slots (it only reorders
+    the queue), so a full batch with a queue waiting sleeps to the next
+    bucket as greedy does, and paid sequences still jump the queue."""
+    pm, schedule = narrow_network
+    trace = poisson_trace(150.0, 4.0, seed=23, mean_decode_len=64)
+    fast, _ = _assert_bit_identical(pm, schedule, trace,
+                                    drive=_replay_tiered,
+                                    admission="priority")
+    step = fast._decode.step_latency
+    waits = {tier: [r.queue_waits[Stage.DECODE] for r in fast.records
+                    if r.tier == tier] for tier in ("free", "paid")}
+    assert sum(w > 2 * step for w in waits["free"]) \
+        > trace.num_requests // 3
+    assert max(waits["paid"]) < max(waits["free"])
+    assert _advances(fast) < fast._decode._step_index / 2
+
+
 class _DyadicPerfModel:
     """Stub stage costs in dyadic rationals (exact in binary floating
     point): step boundaries and pipeline event times add up exactly, so
