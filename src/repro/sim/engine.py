@@ -813,14 +813,14 @@ class ServingEngine:
     :mod:`repro.serve` derives arrivals from a monotonic wall clock,
     so its streams always satisfy this).
 
-    A fleet builds its replicas with the private ``_clock=`` keyword
-    (its shared :class:`Simulation`). That also selects the replica's
-    metrics feed: a :class:`~repro.sim.metrics.ReplicaTally` that only
-    counts, since the fleet's own accumulator holds the reservoirs.
-    The replica's :meth:`report`, :meth:`tier_counts` and
-    :meth:`recorded_trace` fold its records into a fresh accumulator
-    on demand, with the same results; a standalone engine keeps its
-    full :class:`~repro.sim.metrics.MetricsAccumulator`.
+    A fleet builds its replicas with two private keywords: ``_clock=``
+    (its shared :class:`Simulation`) and ``_tally=``, a
+    :class:`~repro.sim.metrics.ReplicaTally` the fleet keeps and that
+    replaces the replica's own accumulator. A tally only counts, since
+    the fleet's accumulator holds the reservoirs; the replica's
+    :meth:`report` and :meth:`tier_counts` fold its records into a
+    fresh accumulator on demand, with the same results. A standalone
+    engine keeps its full :class:`~repro.sim.metrics.MetricsAccumulator`.
 
     Args:
         perf_model: Calibrated stage cost models.
@@ -845,7 +845,8 @@ class ServingEngine:
                  dispatch: DispatchSelection = None,
                  admission: Union[None, str, AdmissionPolicy] = None,
                  on_complete: Optional[CompletionFn] = None, *,
-                 _clock: Optional[Simulation] = None) -> None:
+                 _clock: Optional[Simulation] = None,
+                 _tally: Optional[ReplicaTally] = None) -> None:
         self._perf_model = perf_model
         self._schedule = schedule
         self._schema = perf_model.schema
@@ -862,10 +863,8 @@ class ServingEngine:
         self._shared = _clock is not None
         self._sim = _clock if self._shared else self._simulation()
         first_kind = len(self._sim._handlers) if self._shared else 0
-        # A fleet replica's fleet keeps the full accumulator; the
-        # replica only counts (see ReplicaTally).
-        self._accumulator = (ReplicaTally if self._shared
-                             else MetricsAccumulator)(self._schema)
+        self._accumulator = _tally if _tally is not None \
+            else MetricsAccumulator(self._schema)
         self._next_id = 0
         self._stations: Dict[Stage, Any] = {}
         self._decode: Optional[Any] = None

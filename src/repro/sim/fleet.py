@@ -39,13 +39,13 @@ submitted and as it finishes, so the merged artifacts
 (:meth:`snapshot` / :meth:`report`) use exactly the same estimators as
 a single engine: fleet-level latency percentiles, SLO attainment and
 throughput. A replica only counts, in a
-:class:`~repro.sim.metrics.ReplicaTally`: its records, offered /
-completed / in-flight ints (routing reads the in-flight count per
-arrival) and the running sums behind :meth:`replica_stats`. A
-replica's own ``report()`` folds its records into a fresh accumulator
-when asked. Utilization fractions are fleet-slot averages (summed busy
-seconds over all engines that ever occupied a slot, divided by the
-slot count).
+:class:`~repro.sim.metrics.ReplicaTally` the fleet builds and hands to
+its engine: its records in submission and completion order, an
+in-flight int (routing reads it per arrival) and the running sums
+behind :meth:`replica_stats`. A replica's own ``report()`` folds its
+records into a fresh accumulator when asked. Utilization fractions
+are fleet-slot averages (summed busy seconds over all engines that
+ever occupied a slot, divided by the slot count).
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from repro.sim.engine import (
 from repro.sim.metrics import (
     LiveSnapshot,
     MetricsAccumulator,
+    ReplicaTally,
     RequestRecord,
     ServingReport,
     SLOTarget,
@@ -92,12 +93,12 @@ class _ReplicaEntry:
     __slots__ = ("slot", "engine", "tally", "state", "weight")
 
     def __init__(self, slot: int, engine: ServingEngine,
-                 weight: float) -> None:
+                 tally: ReplicaTally, weight: float) -> None:
         self.slot = slot
         self.engine = engine
-        # The replica's counter-only ReplicaTally (routing reads its
-        # in_flight on every arrival).
-        self.tally = engine._accumulator
+        # The engine's metrics feed (routing reads its in_flight on
+        # every arrival).
+        self.tally = tally
         self.state = _ACTIVE
         self.weight = weight
 
@@ -181,14 +182,16 @@ class FleetEngine:
     # -- construction --------------------------------------------------
 
     def _install(self, slot: int, schedule: Schedule) -> _ReplicaEntry:
+        tally = ReplicaTally(self._schema)
         engine = ServingEngine(self._perf_model, schedule,
                                on_complete=self._request_done,
-                               _clock=self._sim, **self._engine_knobs)
+                               _clock=self._sim, _tally=tally,
+                               **self._engine_knobs)
         try:
             weight = assemble(self._perf_model, schedule).qps
         except ReproError:
             weight = 1.0
-        entry = _ReplicaEntry(slot, engine, weight)
+        entry = _ReplicaEntry(slot, engine, tally, weight)
         self._engines.append(entry)
         self._active[slot] = entry
         self._membership_changed(slot)

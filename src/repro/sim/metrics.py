@@ -332,7 +332,121 @@ class LiveSnapshot:
     mean_tpot: float
 
 
-class MetricsAccumulator:
+class _RunningSums:
+    """The feed both metrics sinks share: the records in submission
+    order, the earliest arrival and the TTFT/TPOT running sums behind
+    :meth:`snapshot`.
+
+    Sums are added in completion order by :meth:`_fold_latencies`, so
+    a :class:`ReplicaTally` and a :class:`MetricsAccumulator` fed the
+    same completions give bit-identical snapshots. Subclasses supply
+    ``completed``.
+    """
+
+    __slots__ = ("_schema", "_records", "_first_arrival", "_ttft_sum",
+                 "_ttft_count", "_tpot_sum")
+
+    def __init__(self, schema: "RAGSchema") -> None:
+        self._schema = schema
+        self._records: List[RequestRecord] = []
+        self._first_arrival: Optional[float] = None
+        self._ttft_sum = 0.0
+        self._ttft_count = 0
+        self._tpot_sum = 0.0
+
+    def add(self, record: RequestRecord) -> None:
+        """Register a submitted request.
+
+        Submission order is not guaranteed to be arrival order (an
+        engine accepts any arrival at or after its simulated clock), so
+        the earliest arrival is tracked as a running minimum rather
+        than assumed to be the first record's.
+        """
+        self._records.append(record)
+        if self._first_arrival is None \
+                or record.arrival < self._first_arrival:
+            self._first_arrival = record.arrival
+
+    def _fold_latencies(self, record: RequestRecord
+                        ) -> Optional[Tuple[float, float]]:
+        """Add a completed record's ``(ttft, tpot)`` to the running
+        sums and return it (None when it never produced a token)."""
+        first_token = record.first_token_time
+        if first_token is None:
+            return None
+        # Same arithmetic as the ttft/tpot properties, inlined: this
+        # runs once per completion on the hot path.
+        ttft = first_token - record.arrival
+        decode_len = record.decode_len
+        tpot = (record.completion_time - first_token) \
+            / (decode_len if decode_len > 1 else 1)
+        self._ttft_sum += ttft
+        self._ttft_count += 1
+        self._tpot_sum += tpot
+        return ttft, tpot
+
+    @property
+    def offered(self) -> int:
+        """Requests registered so far."""
+        return len(self._records)
+
+    @property
+    def records(self) -> Tuple[RequestRecord, ...]:
+        """All registered records, in submission order (a snapshot:
+        the sink's own list is never handed out)."""
+        return tuple(self._records)
+
+    def snapshot(self, now: float) -> LiveSnapshot:
+        """Running statistics at simulated time ``now`` (O(1))."""
+        offered, completed = self.offered, self.completed
+        elapsed = 0.0
+        if self._first_arrival is not None:
+            elapsed = max(now - self._first_arrival, 0.0)
+        count = self._ttft_count
+        return LiveSnapshot(
+            now=now,
+            offered=offered,
+            completed=completed,
+            in_flight=offered - completed,
+            throughput=completed / elapsed if elapsed > 0 else 0.0,
+            mean_ttft=self._ttft_sum / count if count else 0.0,
+            mean_tpot=self._tpot_sum / count if count else 0.0,
+        )
+
+    def recorded_trace(self, **metadata: Any) -> "RequestTrace":
+        """The registered submissions as one replayable trace.
+
+        Every engine submission carries an explicit decode length, so
+        the trace replays to the same per-request lifecycles. Requests
+        come out in arrival order (a stable sort, so same-instant
+        submissions keep their tie-break rank); submission order may
+        differ when the caller injected out-of-order timestamps.
+        Metadata defaults to ``{"scenario": "live"}``; keyword
+        arguments merge on top.
+
+        Raises:
+            ConfigError: when nothing has been submitted (an empty
+                trace is not representable).
+        """
+        from repro.workloads.traces import Request, RequestTrace
+
+        if not self._records:
+            raise ConfigError("no submissions recorded; an empty trace "
+                              "cannot be built")
+        merged: Dict[str, Any] = {"scenario": "live"}
+        merged.update(metadata)
+        ordered = sorted(self._records, key=lambda r: r.arrival)
+        return RequestTrace(
+            requests=tuple(
+                Request(arrival=r.arrival, decode_len=r.decode_len,
+                        user_id=r.user_id, session_id=r.session_id,
+                        tier=r.tier)
+                for r in ordered),
+            metadata=merged,
+        )
+
+
+class MetricsAccumulator(_RunningSums):
     """Folds request lifecycles into serving statistics incrementally.
 
     The engine calls :meth:`add` at submission and :meth:`finish` at
@@ -352,13 +466,8 @@ class MetricsAccumulator:
     """
 
     def __init__(self, schema: "RAGSchema") -> None:
-        self._schema = schema
-        self._records: List[RequestRecord] = []
-        self._first_arrival: Optional[float] = None
+        super().__init__(schema)
         self._completed = 0
-        self._ttft_sum = 0.0
-        self._ttft_count = 0
-        self._tpot_sum = 0.0
         self._last_completion = 0.0
         self._utilization_fn = None
         # id(record) -> submission index (records are held in
@@ -393,18 +502,10 @@ class MetricsAccumulator:
     # -- engine feed ---------------------------------------------------
 
     def add(self, record: RequestRecord) -> None:
-        """Register a submitted request.
-
-        Submission order is not guaranteed to be arrival order (an
-        engine accepts any arrival at or after its simulated clock), so
-        the earliest arrival is tracked as a running minimum rather
-        than assumed to be the first record's.
-        """
+        """Register a submitted request (see :meth:`_RunningSums.add`)
+        and count it under its tier."""
         self._index[id(record)] = len(self._records)
-        self._records.append(record)
-        if self._first_arrival is None \
-                or record.arrival < self._first_arrival:
-            self._first_arrival = record.arrival
+        super().add(record)
         tier = self._identity_tier(record)
         if tier is not None:
             self._tier_offered[tier] = self._tier_offered.get(tier, 0) + 1
@@ -429,17 +530,9 @@ class MetricsAccumulator:
                 self._user_completed[user] = \
                     self._user_completed.get(user, 0) + 1
                 self._user_tier[user] = tier
-        first_token = record.first_token_time
-        if first_token is not None:
-            # Same arithmetic as the ttft/tpot properties, inlined:
-            # finish() runs once per completion on the hot path.
-            ttft = first_token - record.arrival
-            decode_len = record.decode_len
-            tpot = (completion - first_token) \
-                / (decode_len if decode_len > 1 else 1)
-            self._ttft_sum += ttft
-            self._ttft_count += 1
-            self._tpot_sum += tpot
+        latencies = self._fold_latencies(record)
+        if latencies is not None:
+            ttft, tpot = latencies
             entry = (self._index[id(record)], ttft, tpot)
             self._lat.append(entry)
             if tier is not None:
@@ -465,20 +558,9 @@ class MetricsAccumulator:
     # -- introspection -------------------------------------------------
 
     @property
-    def offered(self) -> int:
-        """Requests registered so far."""
-        return len(self._records)
-
-    @property
     def completed(self) -> int:
         """Requests finished so far."""
         return self._completed
-
-    @property
-    def records(self) -> Tuple[RequestRecord, ...]:
-        """All registered records, in submission order (a snapshot:
-        the accumulator's own list is never handed out)."""
-        return tuple(self._records)
 
     def tier_counts(self) -> Dict[str, Dict[str, int]]:
         """Per-tier offered/completed counts so far, sorted by tier
@@ -486,42 +568,6 @@ class MetricsAccumulator:
         return {tier: {"offered": self._tier_offered.get(tier, 0),
                        "completed": self._tier_completed.get(tier, 0)}
                 for tier in sorted(self._tier_offered)}
-
-    def recorded_trace(self, **metadata: Any) -> "RequestTrace":
-        """The registered submissions as one replayable trace.
-
-        Every engine submission carries an explicit decode length, so
-        the trace replays to the same per-request lifecycles. Requests
-        come out in arrival order (a stable sort, so same-instant
-        submissions keep their tie-break rank); submission order may
-        differ when the caller injected out-of-order timestamps.
-        Metadata defaults to ``{"scenario": "live"}``; keyword
-        arguments merge on top.
-
-        Raises:
-            ConfigError: when nothing has been submitted (an empty
-                trace is not representable).
-        """
-        from repro.workloads.traces import Request, RequestTrace
-
-        if not self._records:
-            raise ConfigError("no submissions recorded; an empty trace "
-                              "cannot be built")
-        merged: Dict[str, Any] = {"scenario": "live"}
-        merged.update(metadata)
-        ordered = sorted(self._records, key=lambda r: r.arrival)
-        return RequestTrace(
-            requests=tuple(
-                Request(arrival=r.arrival, decode_len=r.decode_len,
-                        user_id=r.user_id, session_id=r.session_id,
-                        tier=r.tier)
-                for r in ordered),
-            metadata=merged,
-        )
-
-    def snapshot(self, now: float) -> LiveSnapshot:
-        """Running statistics at simulated time ``now`` (O(1))."""
-        return _live_snapshot(self, now, len(self._records), self._completed)
 
     # -- final artifacts -----------------------------------------------
 
@@ -654,94 +700,46 @@ class MetricsAccumulator:
         return sections
 
 
-def _live_snapshot(source: Any, now: float, offered: int,
-                   completed: int) -> LiveSnapshot:
-    """The :class:`LiveSnapshot` over ``source``'s running sums (an
-    accumulator or a tally: both keep the same private fields)."""
-    elapsed = 0.0
-    if source._first_arrival is not None:
-        elapsed = max(now - source._first_arrival, 0.0)
-    count = source._ttft_count
-    return LiveSnapshot(
-        now=now,
-        offered=offered,
-        completed=completed,
-        in_flight=offered - completed,
-        throughput=completed / elapsed if elapsed > 0 else 0.0,
-        mean_ttft=source._ttft_sum / count if count else 0.0,
-        mean_tpot=source._tpot_sum / count if count else 0.0,
-    )
-
-
-class ReplicaTally:
+class ReplicaTally(_RunningSums):
     """The counter-only metrics feed of a fleet replica.
 
     A :class:`~repro.sim.fleet.FleetEngine` folds every completion into
     its own :class:`MetricsAccumulator`, so its replicas keep no second
     copy of the reservoirs, tier/user maps or wait lists. A tally takes
-    the same :meth:`add` / :meth:`finish` feed and keeps only the
-    replica's records, ``offered`` / ``completed`` / ``in_flight`` as
-    plain ints (the fleet's routing reads ``in_flight`` per arrival)
-    and the running sums behind :meth:`snapshot`. Those sums are added
-    in completion order, as an accumulator adds them, so a replica's
-    snapshot is bit-identical to the one a full accumulator gives.
+    the same :meth:`add` / :meth:`finish` feed and keeps the replica's
+    records, its completions in order, the running sums behind
+    :meth:`snapshot` and an ``in_flight`` int (the fleet's routing
+    reads it on every arrival).
 
-    The final artifacts (:meth:`report`, :meth:`tier_counts`,
-    :meth:`recorded_trace`) replay that feed -- submissions, then
-    completions in the order they happened -- into a fresh accumulator
-    on demand (:meth:`accumulator`), so they equal what a full
-    accumulator on the replica would have built.
+    :meth:`report` and :meth:`tier_counts` replay that feed --
+    submissions, then completions in the order they happened -- into a
+    fresh accumulator on demand (:meth:`accumulator`), so they equal
+    what a full accumulator on the replica would have built.
     """
 
-    __slots__ = ("_schema", "_records", "_done", "_first_arrival",
-                 "offered", "completed", "in_flight", "_ttft_sum",
-                 "_ttft_count", "_tpot_sum")
+    __slots__ = ("_done", "in_flight")
 
     def __init__(self, schema: "RAGSchema") -> None:
-        self._schema = schema
-        self._records: List[RequestRecord] = []
+        super().__init__(schema)
         self._done: List[RequestRecord] = []  # completion order
-        self._first_arrival: Optional[float] = None
-        self.offered = 0
-        self.completed = 0
         self.in_flight = 0
-        self._ttft_sum = 0.0
-        self._ttft_count = 0
-        self._tpot_sum = 0.0
 
     def add(self, record: RequestRecord) -> None:
-        """Register a submitted request (see
-        :meth:`MetricsAccumulator.add`)."""
-        self._records.append(record)
-        self.offered += 1
+        """Register a submitted request."""
+        super().add(record)
         self.in_flight += 1
-        arrival = record.arrival
-        if self._first_arrival is None or arrival < self._first_arrival:
-            self._first_arrival = arrival
 
     def finish(self, record: RequestRecord) -> None:
         """Count one completed request and fold its latencies into the
-        running sums (the arithmetic of
-        :meth:`MetricsAccumulator.finish`)."""
+        running sums."""
         self._done.append(record)
-        self.completed += 1
         self.in_flight -= 1
-        first_token = record.first_token_time
-        if first_token is not None:
-            decode_len = record.decode_len
-            self._ttft_sum += first_token - record.arrival
-            self._ttft_count += 1
-            self._tpot_sum += (record.completion_time - first_token) \
-                / (decode_len if decode_len > 1 else 1)
+        self._fold_latencies(record)
 
     @property
-    def records(self) -> Tuple[RequestRecord, ...]:
-        """All registered records, in submission order."""
-        return tuple(self._records)
-
-    def snapshot(self, now: float) -> LiveSnapshot:
-        """Running statistics at simulated time ``now`` (O(1))."""
-        return _live_snapshot(self, now, self.offered, self.completed)
+    def completed(self) -> int:
+        """Requests finished so far."""
+        return len(self._done)
 
     def accumulator(self) -> MetricsAccumulator:
         """A full accumulator over the records so far: every record
@@ -757,10 +755,6 @@ class ReplicaTally:
     def tier_counts(self) -> Dict[str, Dict[str, int]]:
         """See :meth:`MetricsAccumulator.tier_counts`."""
         return self.accumulator().tier_counts()
-
-    def recorded_trace(self, **metadata: Any) -> "RequestTrace":
-        """See :meth:`MetricsAccumulator.recorded_trace`."""
-        return self.accumulator().recorded_trace(**metadata)
 
     def report(self, trace: "RequestTrace", slo: SLOTarget,
                utilization_of: Optional[Dict[str, float]] = None,

@@ -264,25 +264,19 @@ class PowerOfTwoChoicesRouting(RoutingPolicy):
         if rng is None:
             rng = DeterministicRNG(self.seed)
             self._state["rng"] = rng
-        if self.stale_after == 0:
-            # Live depths: draw straight from the views, which arrive
-            # in slot order.
-            if len(replicas) == 1:
-                return replicas[0].index
-            i, j = rng.sample_pair(len(replicas))
-            return min(replicas[i], replicas[j],
-                       key=lambda r: (r.in_flight, r.submitted,
-                                      r.index)).index
-        depths = self._snapshot(replicas, now)
-        by_index = {view.index: view for view in replicas}
-        indices = sorted(by_index)
-        if len(indices) == 1:
-            return indices[0]
-        first, second = (indices[slot]
-                         for slot in rng.sample_pair(len(indices)))
-        return min(
-            (first, second),
-            key=lambda i: (depths[i], by_index[i].submitted, i))
+        # Live depths are read off the views; stale ones off the
+        # cached snapshot.
+        depths = self._snapshot(replicas, now) if self.stale_after \
+            else None
+        if len(replicas) == 1:
+            return replicas[0].index
+        # The views arrive in slot order, so sampled positions are
+        # slot ranks.
+        i, j = rng.sample_pair(len(replicas))
+        return min(replicas[i], replicas[j],
+                   key=lambda r: (r.in_flight if depths is None
+                                  else depths[r.index],
+                                  r.submitted, r.index)).index
 
 
 @dataclass(frozen=True)

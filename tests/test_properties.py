@@ -624,11 +624,10 @@ def test_fleet_replica_artifacts_equal_full_accumulator_fold(
     assert fleet.snapshot() == merged.snapshot(fleet.now)
 
 
-def _old_power_of_two_select(rng, replicas):
-    """``PowerOfTwoChoicesRouting.select`` on live depths as it was
-    before the ``stale_after == 0`` path drew straight from the views:
-    depth and view maps, candidates indexed over the sorted slots."""
-    depths = {view.index: view.in_flight for view in replicas}
+def _old_power_of_two_select(rng, replicas, depths):
+    """``PowerOfTwoChoicesRouting.select`` as it was before one tail
+    served live and stale depths: a view map, candidates indexed over
+    the sorted slots, ``depths`` the policy's snapshot."""
     by_index = {view.index: view for view in replicas}
     indices = sorted(by_index)
     if len(indices) == 1:
@@ -646,20 +645,26 @@ _routing_views = st.lists(
 
 
 @settings(max_examples=200)
-@given(seed=st.integers(0, 2**31), decisions=st.lists(
-    st.tuples(st.sets(st.integers(0, 9), min_size=1, max_size=6),
-              _routing_views), min_size=1, max_size=20))
-def test_power_of_two_live_choices_equal_the_old_selection(seed,
-                                                           decisions):
+@given(seed=st.integers(0, 2**31),
+       stale_after=st.sampled_from([0.0, 0.015]),
+       decisions=st.lists(
+           st.tuples(st.sets(st.integers(0, 9), min_size=1, max_size=6),
+                     _routing_views), min_size=1, max_size=20))
+def test_power_of_two_choices_equal_the_old_selection(seed, stale_after,
+                                                      decisions):
     from repro.sim.rng import DeterministicRNG
     from repro.sim.routing import PowerOfTwoChoicesRouting, ReplicaView
 
-    policy = PowerOfTwoChoicesRouting(seed=seed)
+    policy = PowerOfTwoChoicesRouting(seed=seed, stale_after=stale_after)
+    # A twin policy supplies the snapshot the old code read (live
+    # depths when stale_after == 0).
+    twin = PowerOfTwoChoicesRouting(seed=seed, stale_after=stale_after)
     rng = DeterministicRNG(seed)
     for step, (slots, states) in enumerate(decisions):
         views = [ReplicaView(index=slot, in_flight=in_flight,
                              submitted=submitted)
                  for slot, (in_flight, submitted)
                  in zip(sorted(slots), states * len(slots))]
-        assert policy.select(views, now=0.01 * step) \
-            == _old_power_of_two_select(rng, views)
+        now = 0.01 * step
+        assert policy.select(views, now=now) == _old_power_of_two_select(
+            rng, views, twin._snapshot(views, now))
