@@ -24,7 +24,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, decoder
 from repro.analysis.index import (
     CodebaseIndex,
     ModuleIndex,
@@ -397,6 +397,7 @@ def module_graph_to_dict(graph: ModuleGraph) -> Dict[str, Any]:
     }
 
 
+@decoder("cached module graph")
 def module_graph_from_dict(payload: Dict[str, Any]) -> ModuleGraph:
     """Inverse of :func:`module_graph_to_dict`.
 
@@ -404,37 +405,33 @@ def module_graph_from_dict(payload: Dict[str, Any]) -> ModuleGraph:
         ConfigError: on a version or shape mismatch (the cache layer
             treats that as a miss and re-extracts).
     """
-    try:
-        if payload["version"] != GRAPH_VERSION:
-            raise ConfigError(
-                f"module graph version {payload['version']!r} != "
-                f"{GRAPH_VERSION}")
-        graph = ModuleGraph(module=payload["module"],
-                            path=payload["path"],
-                            imports=dict(payload["imports"]))
-        for raw in payload["functions"]:
-            fn = FunctionNode(
-                qualname=raw["qualname"], module=raw["module"],
-                name=raw["name"], cls=raw["cls"], line=raw["line"],
-                is_async=raw["is_async"],
-                calls=tuple(CallSite(target=c[0], line=c[1],
-                                     has_args=c[2],
-                                     caught=tuple(c[3]))
-                            for c in raw["calls"]),
-                raises=tuple(RaiseSite(exception=r[0], line=r[1],
-                                       caught=tuple(r[2]))
-                             for r in raw["raises"]),
-                mutated_globals=tuple(raw["mutated_globals"]))
-            graph.functions[fn.qualname] = fn
-        for raw in payload["classes"]:
-            graph.classes[raw["name"]] = ClassNode(
-                name=raw["name"], module=raw["module"],
-                line=raw["line"], bases=tuple(raw["bases"]),
-                methods=tuple(raw["methods"]))
-        return graph
-    except (KeyError, IndexError, TypeError) as error:
+    if payload["version"] != GRAPH_VERSION:
         raise ConfigError(
-            f"malformed cached module graph: {error!r}") from error
+            f"module graph version {payload['version']!r} != "
+            f"{GRAPH_VERSION}")
+    graph = ModuleGraph(module=payload["module"],
+                        path=payload["path"],
+                        imports=dict(payload["imports"]))
+    for raw in payload["functions"]:
+        fn = FunctionNode(
+            qualname=raw["qualname"], module=raw["module"],
+            name=raw["name"], cls=raw["cls"], line=raw["line"],
+            is_async=raw["is_async"],
+            calls=tuple(CallSite(target=c[0], line=c[1],
+                                 has_args=c[2],
+                                 caught=tuple(c[3]))
+                        for c in raw["calls"]),
+            raises=tuple(RaiseSite(exception=r[0], line=r[1],
+                                   caught=tuple(r[2]))
+                         for r in raw["raises"]),
+            mutated_globals=tuple(raw["mutated_globals"]))
+        graph.functions[fn.qualname] = fn
+    for raw in payload["classes"]:
+        graph.classes[raw["name"]] = ClassNode(
+            name=raw["name"], module=raw["module"],
+            line=raw["line"], bases=tuple(raw["bases"]),
+            methods=tuple(raw["methods"]))
+    return graph
 
 
 # -- linking -----------------------------------------------------------

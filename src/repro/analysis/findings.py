@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, decoder, reject_unknown
 
 #: Severity ladder, mildest first. ``error`` findings are determinism /
 #: correctness hazards; ``warning`` findings are reproducibility smells.
@@ -95,36 +95,27 @@ def finding_to_dict(finding: Finding) -> Dict:
     return payload
 
 
+@decoder("finding")
 def finding_from_dict(data: Dict) -> Finding:
     """Reconstruct a finding written by :func:`finding_to_dict`."""
-    if not isinstance(data, dict):
-        raise ConfigError("finding payload must be a mapping")
-    unknown = set(data) - {"path", "line", "rule", "severity",
-                           "message", "evidence"}
-    if unknown:
-        raise ConfigError(f"unknown finding fields: {sorted(unknown)}")
-    try:
-        line = data["line"]
-        # bool is an int subclass; a baseline with "line": true is
-        # corrupt, not line 1.
-        if isinstance(line, bool) or not isinstance(line, int):
+    reject_unknown(data, ("path", "line", "rule", "severity", "message",
+                          "evidence"), "finding")
+    line = data["line"]
+    # bool is an int subclass; a baseline with "line": true is corrupt,
+    # not line 1.
+    if isinstance(line, bool) or not isinstance(line, int):
+        raise ConfigError(f"finding line must be an integer, got {line!r}")
+    for field_name in ("path", "rule", "severity", "message"):
+        if not isinstance(data[field_name], str):
             raise ConfigError(
-                f"finding line must be an integer, got {line!r}")
-        for field_name in ("path", "rule", "severity", "message"):
-            if not isinstance(data[field_name], str):
-                raise ConfigError(
-                    f"finding {field_name} must be a string, got "
-                    f"{data[field_name]!r}")
-        evidence = data.get("evidence", [])
-        if not isinstance(evidence, list) \
-                or not all(isinstance(step, str) for step in evidence):
-            raise ConfigError(
-                f"finding evidence must be a list of strings, got "
-                f"{evidence!r}")
-        return Finding(path=data["path"], line=line,
-                       rule_id=data["rule"], severity=data["severity"],
-                       message=data["message"],
-                       evidence=tuple(evidence))
-    except KeyError as missing:
+                f"finding {field_name} must be a string, got "
+                f"{data[field_name]!r}")
+    evidence = data.get("evidence", [])
+    if not isinstance(evidence, list) \
+            or not all(isinstance(step, str) for step in evidence):
         raise ConfigError(
-            f"finding payload is missing {missing}") from missing
+            f"finding evidence must be a list of strings, got "
+            f"{evidence!r}")
+    return Finding(path=data["path"], line=line, rule_id=data["rule"],
+                   severity=data["severity"], message=data["message"],
+                   evidence=tuple(evidence))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Union
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, lookup
 from repro.analysis.findings import SEVERITIES, Finding
 from repro.analysis.index import CodebaseIndex, ModuleIndex
 
@@ -91,12 +91,7 @@ def resolve_lint_rules(
         if isinstance(rule, LintRule):
             resolved.append(rule)
             continue
-        try:
-            resolved.append(LINT_RULES[rule]())
-        except KeyError:
-            known = ", ".join(sorted(LINT_RULES))
-            raise ConfigError(
-                f"unknown lint rule {rule!r}; known: {known}") from None
+        resolved.append(lookup(LINT_RULES, rule, "lint rule")())
     if not resolved:
         raise ConfigError("empty rule selection")
     return resolved

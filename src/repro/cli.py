@@ -56,7 +56,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, ReproError, lookup
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import OptimizationConfig
@@ -1202,10 +1202,8 @@ def _parse_whatif_axes(args: argparse.Namespace):
     routing = tuple(None if token == "none" else token
                     for token in _split_tokens(args.routing, ";"))
     for name in routing:
-        if name is not None and name not in ROUTING_POLICIES:
-            raise ConfigError(
-                f"unknown routing policy {name!r}; known: "
-                f"{', '.join(sorted(ROUTING_POLICIES))} (or 'none')")
+        if name is not None:
+            lookup(ROUTING_POLICIES, name, "routing policy", " (or 'none')")
     autoscale = tuple(None if token == "none" else token
                       for token in _split_tokens(args.autoscale, ";"))
     for spec in autoscale:

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, decoder, lookup
 from repro.config.serializers import (
     autoscale_config_from_dict,
     autoscale_config_to_dict,
@@ -98,11 +98,10 @@ def _optimization_config_to_dict(config: OptimizationConfig) -> Dict:
     }
 
 
+@decoder("optimization config")
 def _optimization_config_from_dict(data: Dict) -> OptimizationConfig:
-    try:
-        schema_payload = data["schema"]
-    except KeyError as missing:
-        raise ConfigError("optimization config needs a schema") from missing
+    if "schema" not in data:
+        raise ConfigError("optimization config needs a schema")
     # `is not None` (not truthiness): an empty {} sub-payload is a
     # malformed file and must fail that section's validation, not
     # silently fall back to library defaults.
@@ -110,7 +109,7 @@ def _optimization_config_from_dict(data: Dict) -> OptimizationConfig:
     search = data.get("search")
     objective = data.get("objective")
     return OptimizationConfig(
-        schema=schema_from_dict(schema_payload),
+        schema=schema_from_dict(data["schema"]),
         cluster=(cluster_from_dict(cluster)
                  if cluster is not None else None),
         search=(search_config_from_dict(search)
@@ -189,7 +188,7 @@ def from_config(data: Dict) -> Any:
     version = data.get("config_version")
     if version is None:
         raise ConfigError("config envelope is missing config_version")
-    if not isinstance(version, int) or version < 1:
+    if type(version) is not int or version < 1:  # bool is not a version
         raise ConfigError(f"invalid config_version {version!r}")
     if version > CONFIG_VERSION:
         raise ConfigError(
@@ -197,15 +196,11 @@ def from_config(data: Dict) -> Any:
             f"{CONFIG_VERSION}; upgrade the library"
         )
     kind = data.get("kind")
-    if kind not in _KINDS:
-        raise ConfigError(
-            f"unknown config kind {kind!r}; supported: "
-            f"{', '.join(sorted(_KINDS))}"
-        )
+    decode = lookup(_KINDS, kind, "config kind")[3]
     spec = data.get("spec")
     if not isinstance(spec, dict):
         raise ConfigError(f"config envelope for {kind!r} has no spec")
-    return _KINDS[kind][3](spec)
+    return decode(spec)
 
 
 def dumps(obj: Any, indent: Optional[int] = 1) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.errors import ConfigError
+from repro.errors import decoder, reject_unknown
 from repro.hardware.accelerator import XPUSpec
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.cpu import CPUServerSpec
@@ -76,24 +76,20 @@ _CLUSTER_FIELDS = ("num_servers", "xpus_per_server", "xpu", "cpu",
                    "pcie_bandwidth")
 
 
+@decoder("cluster")
 def cluster_from_dict(data: Dict) -> ClusterSpec:
     """Reconstruct a ClusterSpec serialized by :func:`cluster_to_dict`.
 
     Unknown keys are rejected (same strictness as the search-config and
     objective loaders)."""
-    unknown = set(data) - set(_CLUSTER_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown cluster fields: {sorted(unknown)}")
-    try:
-        return ClusterSpec(
-            num_servers=data["num_servers"],
-            xpus_per_server=data["xpus_per_server"],
-            xpu=XPUSpec(**data["xpu"]),
-            cpu=CPUServerSpec(**data["cpu"]),
-            pcie_bandwidth=data["pcie_bandwidth"],
-        )
-    except (KeyError, TypeError) as error:
-        raise ConfigError(f"malformed cluster dict: {error}") from error
+    reject_unknown(data, _CLUSTER_FIELDS, "cluster")
+    return ClusterSpec(
+        num_servers=data["num_servers"],
+        xpus_per_server=data["xpus_per_server"],
+        xpu=XPUSpec(**data["xpu"]),
+        cpu=CPUServerSpec(**data["cpu"]),
+        pcie_bandwidth=data["pcie_bandwidth"],
+    )
 
 
 def search_config_to_dict(config: SearchConfig) -> Dict:
@@ -119,6 +115,7 @@ _SEARCH_CONFIG_FIELDS = ("budget_xpus", "max_batch", "max_decode_batch",
                          "placements", "allocations", "collect_per_plan")
 
 
+@decoder("search config")
 def search_config_from_dict(data: Dict) -> SearchConfig:
     """Reconstruct a SearchConfig serialized by
     :func:`search_config_to_dict`.
@@ -126,29 +123,24 @@ def search_config_from_dict(data: Dict) -> SearchConfig:
     Unknown keys are rejected -- a typo'd knob in a hand-edited
     experiment file must not silently fall back to a default.
     """
-    unknown = set(data) - {*_SEARCH_CONFIG_FIELDS, "max_frontier_points"}
-    if unknown:
-        raise ConfigError(
-            f"unknown search config fields: {sorted(unknown)}")
+    reject_unknown(data, (*_SEARCH_CONFIG_FIELDS, "max_frontier_points"),
+                   "search config")
     if "max_frontier_points" in data:  # retired: validated, then dropped
         _check_positive_int("max_frontier_points",
                             data["max_frontier_points"])
-    try:
-        # Only keys present in the payload are passed through, so the
-        # dataclass itself supplies defaults for everything omitted.
-        kwargs = {key: data[key] for key in _SEARCH_CONFIG_FIELDS
-                  if key in data}
-        if kwargs.get("placements") is not None:
-            kwargs["placements"] = [
-                tuple(tuple(Stage(name) for name in group)
-                      for group in placement)
-                for placement in kwargs["placements"]]
-        if kwargs.get("allocations") is not None:
-            kwargs["allocations"] = [tuple(allocation)
-                                     for allocation in kwargs["allocations"]]
-        return SearchConfig(**kwargs)
-    except (TypeError, ValueError) as error:
-        raise ConfigError(f"malformed search config dict: {error}") from error
+    # Only keys present in the payload are passed through, so the
+    # dataclass itself supplies defaults for everything omitted.
+    kwargs = {key: data[key] for key in _SEARCH_CONFIG_FIELDS
+              if key in data}
+    if kwargs.get("placements") is not None:
+        kwargs["placements"] = [
+            tuple(tuple(Stage(name) for name in group)
+                  for group in placement)
+            for placement in kwargs["placements"]]
+    if kwargs.get("allocations") is not None:
+        kwargs["allocations"] = [tuple(allocation)
+                                 for allocation in kwargs["allocations"]]
+    return SearchConfig(**kwargs)
 
 
 def objective_to_dict(objective: ServiceObjective) -> Dict:
@@ -156,11 +148,10 @@ def objective_to_dict(objective: ServiceObjective) -> Dict:
     return {name: getattr(objective, name) for name in _OBJECTIVE_FIELDS}
 
 
+@decoder("objective")
 def objective_from_dict(data: Dict) -> ServiceObjective:
     """Reconstruct a ServiceObjective."""
-    unknown = set(data) - set(_OBJECTIVE_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown objective fields: {sorted(unknown)}")
+    reject_unknown(data, _OBJECTIVE_FIELDS, "objective")
     return ServiceObjective(**data)
 
 
@@ -232,28 +223,26 @@ def search_result_to_dict(result: SearchResult) -> Dict:
     }
 
 
+@decoder("search result")
 def search_result_from_dict(data: Dict) -> SearchResult:
     """Reconstruct a SearchResult serialized by
     :func:`search_result_to_dict`."""
-    try:
-        per_plan = [
-            PlanFrontier(
-                placement=tuple(tuple(Stage(name) for name in group)
-                                for group in frontier["placement"]),
-                allocation=tuple(frontier["allocation"]),
-                points=tuple(tuple(point) for point in frontier["points"]),
-            )
-            for frontier in data.get("per_plan", [])
-        ]
-        return SearchResult(
-            frontier=[_pipeline_perf_from_dict(perf)
-                      for perf in data["frontier"]],
-            num_plans=data.get("num_plans", 0),
-            num_candidates=data.get("num_candidates", 0),
-            per_plan=per_plan,
+    per_plan = [
+        PlanFrontier(
+            placement=tuple(tuple(Stage(name) for name in group)
+                            for group in frontier["placement"]),
+            allocation=tuple(frontier["allocation"]),
+            points=tuple(tuple(point) for point in frontier["points"]),
         )
-    except (KeyError, TypeError, ValueError) as error:
-        raise ConfigError(f"malformed search result dict: {error}") from error
+        for frontier in data.get("per_plan", [])
+    ]
+    return SearchResult(
+        frontier=[_pipeline_perf_from_dict(perf)
+                  for perf in data["frontier"]],
+        num_plans=data.get("num_plans", 0),
+        num_candidates=data.get("num_candidates", 0),
+        per_plan=per_plan,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +275,7 @@ def trace_to_dict(trace: RequestTrace) -> Dict:
 def _request_kwargs(row: Dict) -> Dict:
     """The :class:`~repro.workloads.traces.Request` fields of one
     serialized request record."""
-    unknown = set(row) - set(_REQUEST_FIELDS)
-    if unknown:
-        raise ConfigError(
-            f"unknown trace request fields: {sorted(unknown)}")
+    reject_unknown(row, _REQUEST_FIELDS, "trace request")
     decode_len = row.get("decode_len")
     return dict(
         arrival=float(row["arrival"]),
@@ -300,6 +286,7 @@ def _request_kwargs(row: Dict) -> Dict:
     )
 
 
+@decoder("trace")
 def trace_from_dict(data: Dict) -> RequestTrace:
     """Reconstruct a RequestTrace serialized by :func:`trace_to_dict`.
 
@@ -310,28 +297,18 @@ def trace_from_dict(data: Dict) -> RequestTrace:
                                         requests_from_arrays)
 
     if "requests" in data:
-        unknown = set(data) - set(_TRACE_FIELDS)
-        if unknown:
-            raise ConfigError(f"unknown trace fields: {sorted(unknown)}")
-        try:
-            return RequestTrace(
-                requests=tuple(Request(**_request_kwargs(row))
-                               for row in data["requests"]),
-                metadata=dict(data.get("metadata") or {}),
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ConfigError(f"malformed trace dict: {error}") from error
-    unknown = set(data) - set(_LEGACY_TRACE_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown trace fields: {sorted(unknown)}")
-    try:
+        reject_unknown(data, _TRACE_FIELDS, "trace")
         return RequestTrace(
-            requests=requests_from_arrays(data["arrivals"],
-                                          data.get("decode_lens")),
+            requests=tuple(Request(**_request_kwargs(row))
+                           for row in data["requests"]),
             metadata=dict(data.get("metadata") or {}),
         )
-    except (KeyError, TypeError, ValueError) as error:
-        raise ConfigError(f"malformed trace dict: {error}") from error
+    reject_unknown(data, _LEGACY_TRACE_FIELDS, "trace")
+    return RequestTrace(
+        requests=requests_from_arrays(data["arrivals"],
+                                      data.get("decode_lens")),
+        metadata=dict(data.get("metadata") or {}),
+    )
 
 
 _REPORT_FIELDS = ("scenario", "offered", "completed", "duration",
@@ -363,6 +340,7 @@ def serving_report_to_dict(report: ServingReport) -> Dict:
     }
 
 
+@decoder("serving report")
 def serving_report_from_dict(data: Dict) -> ServingReport:
     """Reconstruct a ServingReport serialized by
     :func:`serving_report_to_dict` (records come back empty; the
@@ -370,33 +348,26 @@ def serving_report_from_dict(data: Dict) -> ServingReport:
     unchanged)."""
     from repro.sim.metrics import ServingReport, SLOTarget
 
-    unknown = set(data) - set(_REPORT_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown serving report fields: "
-                          f"{sorted(unknown)}")
-    try:
-        slo = data["slo"]
-        return ServingReport(
-            scenario=data["scenario"],
-            offered=data["offered"],
-            completed=data["completed"],
-            duration=data["duration"],
-            throughput=data["throughput"],
-            slo=SLOTarget(ttft=slo.get("ttft"), tpot=slo.get("tpot")),
-            slo_attainment=dict(data["slo_attainment"]),
-            ttft=dict(data["ttft"]),
-            tpot=dict(data["tpot"]),
-            queueing={stage: dict(stats)
-                      for stage, stats in data["queueing"].items()},
-            utilization=dict(data["utilization"]),
-            trace_metadata=dict(data.get("trace_metadata") or {}),
-            tiers={tier: dict(stats)
-                   for tier, stats in (data.get("tiers") or {}).items()},
-            fairness=dict(data.get("fairness") or {}),
-        )
-    except (KeyError, TypeError, AttributeError) as error:
-        raise ConfigError(
-            f"malformed serving report dict: {error}") from error
+    reject_unknown(data, _REPORT_FIELDS, "serving report")
+    slo = data["slo"]
+    return ServingReport(
+        scenario=data["scenario"],
+        offered=data["offered"],
+        completed=data["completed"],
+        duration=data["duration"],
+        throughput=data["throughput"],
+        slo=SLOTarget(ttft=slo.get("ttft"), tpot=slo.get("tpot")),
+        slo_attainment=dict(data["slo_attainment"]),
+        ttft=dict(data["ttft"]),
+        tpot=dict(data["tpot"]),
+        queueing={stage: dict(stats)
+                  for stage, stats in data["queueing"].items()},
+        utilization=dict(data["utilization"]),
+        trace_metadata=dict(data.get("trace_metadata") or {}),
+        tiers={tier: dict(stats)
+               for tier, stats in (data.get("tiers") or {}).items()},
+        fairness=dict(data.get("fairness") or {}),
+    )
 
 
 _AUTOSCALE_CONFIG_FIELDS = ("policy", "min_replicas", "max_replicas",
@@ -410,6 +381,7 @@ def autoscale_config_to_dict(config: AutoscaleConfig) -> Dict:
             for name in _AUTOSCALE_CONFIG_FIELDS}
 
 
+@decoder("autoscale config")
 def autoscale_config_from_dict(data: Dict) -> AutoscaleConfig:
     """Reconstruct an AutoscaleConfig serialized by
     :func:`autoscale_config_to_dict`.
@@ -419,15 +391,8 @@ def autoscale_config_from_dict(data: Dict) -> AutoscaleConfig:
     config)."""
     from repro.sim.autoscale import AutoscaleConfig
 
-    unknown = set(data) - set(_AUTOSCALE_CONFIG_FIELDS)
-    if unknown:
-        raise ConfigError(
-            f"unknown autoscale config fields: {sorted(unknown)}")
-    try:
-        return AutoscaleConfig(**data)
-    except TypeError as error:
-        raise ConfigError(
-            f"malformed autoscale config dict: {error}") from error
+    reject_unknown(data, _AUTOSCALE_CONFIG_FIELDS, "autoscale config")
+    return AutoscaleConfig(**data)
 
 
 _SERVE_CONFIG_FIELDS = ("host", "port", "tick", "time_scale",
@@ -445,6 +410,7 @@ def serve_config_to_dict(config: ServeConfig) -> Dict:
     return payload
 
 
+@decoder("serve config")
 def serve_config_from_dict(data: Dict) -> ServeConfig:
     """Reconstruct a ServeConfig serialized by
     :func:`serve_config_to_dict`.
@@ -453,17 +419,12 @@ def serve_config_from_dict(data: Dict) -> ServeConfig:
     defaults, so hand-written server configs stay terse."""
     from repro.serve import ServeConfig
 
-    unknown = set(data) - set(_SERVE_CONFIG_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown serve config fields: {sorted(unknown)}")
+    reject_unknown(data, _SERVE_CONFIG_FIELDS, "serve config")
     kwargs = dict(data)
     autoscale = kwargs.get("autoscale")
     if autoscale is not None:
         kwargs["autoscale"] = autoscale_config_from_dict(autoscale)
-    try:
-        return ServeConfig(**kwargs)
-    except TypeError as error:
-        raise ConfigError(f"malformed serve config dict: {error}") from error
+    return ServeConfig(**kwargs)
 
 
 def sweep_result_to_dict(result) -> Dict:
@@ -483,25 +444,23 @@ def sweep_result_to_dict(result) -> Dict:
     }
 
 
+@decoder("sweep result")
 def sweep_result_from_dict(data: Dict):
     """Reconstruct a SweepResult serialized by
     :func:`sweep_result_to_dict`."""
     from repro.rago.session import SweepCell, SweepResult
 
-    try:
-        cells = []
-        for cell in data["cells"]:
-            result = cell.get("result")
-            cells.append(SweepCell(
-                schema=schema_from_dict(cell["schema"]),
-                cluster=cluster_from_dict(cell["cluster"]),
-                result=(None if result is None
-                        else search_result_from_dict(result)),
-                error=cell.get("error"),
-            ))
-        return SweepResult(cells=tuple(cells))
-    except (KeyError, TypeError) as error:
-        raise ConfigError(f"malformed sweep result dict: {error}") from error
+    cells = []
+    for cell in data["cells"]:
+        result = cell.get("result")
+        cells.append(SweepCell(
+            schema=schema_from_dict(cell["schema"]),
+            cluster=cluster_from_dict(cell["cluster"]),
+            result=(None if result is None
+                    else search_result_from_dict(result)),
+            error=cell.get("error"),
+        ))
+    return SweepResult(cells=tuple(cells))
 
 
 def whatif_result_to_dict(result) -> Dict:
@@ -524,27 +483,24 @@ def whatif_result_to_dict(result) -> Dict:
     }
 
 
+@decoder("whatif result")
 def whatif_result_from_dict(data: Dict):
     """Reconstruct a WhatIfResult serialized by
     :func:`whatif_result_to_dict`."""
     from repro.rago.whatif import WhatIfCell, WhatIfResult
 
-    try:
-        cells = []
-        for cell in data["cells"]:
-            cells.append(WhatIfCell(
-                schedule=schedule_from_dict(cell["schedule"]),
-                replicas=cell.get("replicas"),
-                routing=cell.get("routing"),
-                autoscale=cell.get("autoscale"),
-                metrics=cell.get("metrics"),
-                error=cell.get("error"),
-            ))
-        slo = data.get("slo") or {}
-        return WhatIfResult(cells=tuple(cells),
-                            slo_ttft=slo.get("ttft"),
-                            slo_tpot=slo.get("tpot"),
-                            trace_digest=data.get("trace_digest", ""))
-    except (KeyError, TypeError) as error:
-        raise ConfigError(
-            f"malformed whatif result dict: {error}") from error
+    cells = []
+    for cell in data["cells"]:
+        cells.append(WhatIfCell(
+            schedule=schedule_from_dict(cell["schedule"]),
+            replicas=cell.get("replicas"),
+            routing=cell.get("routing"),
+            autoscale=cell.get("autoscale"),
+            metrics=cell.get("metrics"),
+            error=cell.get("error"),
+        ))
+    slo = data.get("slo") or {}
+    return WhatIfResult(cells=tuple(cells),
+                        slo_ttft=slo.get("ttft"),
+                        slo_tpot=slo.get("tpot"),
+                        trace_digest=data.get("trace_digest", ""))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, lookup
 
 __all__ = [
     "parse_kv_spec",
@@ -96,11 +96,7 @@ def parse_kv_spec(spec: str, keys: SpecKeys, *, label: str,
             # A bare token is a shortcut for the designated key; its
             # own converter still validates the value.
             key, value = bare_key, key
-        field_name, convert = keys.get(key, (None, None))
-        if field_name is None or convert is None:
-            known = ", ".join(sorted(keys))
-            raise ConfigError(
-                f"unknown {label} key {key!r}; known: {known}")
+        field_name, convert = lookup(keys, key, f"{label} key")
         if field_name in kwargs:
             raise ConfigError(f"duplicate {label} key {key!r}")
         kwargs[field_name] = convert_spec_value(

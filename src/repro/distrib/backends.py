@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
-from repro.errors import ConfigError, DistribError
+from repro.errors import ConfigError, DistribError, lookup
 # Importing cells registers the built-in task runners.
 from repro.distrib import cells as _cells  # noqa: F401
 from repro.distrib.protocol import (
@@ -328,11 +328,4 @@ def resolve_sweep_backend(backend: Any = None,
         return backend
     if backend is None:
         backend = "process" if workers > 1 else "serial"
-    try:
-        factory = SWEEP_BACKENDS[backend]
-    except (KeyError, TypeError):
-        known = ", ".join(sorted(SWEEP_BACKENDS))
-        raise ConfigError(
-            f"unknown sweep backend {backend!r}; known: {known}"
-        ) from None
-    return factory(workers)
+    return lookup(SWEEP_BACKENDS, backend, "sweep backend")(workers)

@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict
 
-from repro.errors import ConfigError, DistribError
+from repro.errors import ConfigError, DistribError, lookup
 
 __all__ = [
     "TaskSpec",
@@ -125,12 +125,7 @@ def resolve_task_runner(kind: str) -> RunnerFactory:
     Raises:
         ConfigError: on an unknown kind (lists the known ones).
     """
-    try:
-        return TASK_RUNNERS[kind]
-    except KeyError:
-        known = ", ".join(sorted(TASK_RUNNERS))
-        raise ConfigError(
-            f"unknown task kind {kind!r}; known: {known}") from None
+    return lookup(TASK_RUNNERS, kind, "task kind")
 
 
 def encode_line(payload: Dict[str, Any]) -> bytes:

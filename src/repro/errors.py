@@ -4,9 +4,21 @@ All library-raised exceptions derive from :class:`ReproError` so callers can
 catch everything from this package with a single ``except`` clause while
 still being able to distinguish configuration mistakes from infeasible
 schedules.
+
+It also owns the one rejection path every external input shares: a
+named choice resolves through :func:`lookup` and every ``*_from_dict``
+envelope decoder is wrapped by :func:`decoder`, so a bad name or a
+malformed payload fails with a one-line :class:`ConfigError`, never a
+traceback.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Any, Callable, Iterable, Mapping, TypeVar
+
+_V = TypeVar("_V")
+_Decoded = TypeVar("_Decoded")
 
 
 class ReproError(Exception):
@@ -42,3 +54,55 @@ class DistribError(ReproError):
     outstanding) -- never for a cell whose *search* failed; those are
     recorded as error cells in the result table instead.
     """
+
+
+def lookup(table: Mapping[str, _V], key: Any, what: str,
+           hint: str = "") -> _V:
+    """``table[key]``, or a :class:`ConfigError` listing the known keys.
+
+    Any key the table lacks is rejected the same way, an unhashable one
+    (a list or dict from a hand-edited file) included; ``hint`` is
+    appended to the message.
+    """
+    try:
+        return table[key]
+    except (KeyError, TypeError):
+        known = ", ".join(sorted(table))
+        raise ConfigError(
+            f"unknown {what} {key!r}; known: {known}{hint}") from None
+
+
+def reject_unknown(data: Any, fields: Iterable[str], label: str) -> None:
+    """Raise :class:`ConfigError` when ``data`` is not a mapping or has
+    keys outside ``fields`` (a typo'd knob must not silently fall back
+    to its default)."""
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"malformed {label} dict: expected a mapping, "
+                          f"got {type(data).__name__}")
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown {label} fields: {sorted(unknown)}")
+
+
+def decoder(label: str) -> Callable[[Callable[[Any], _Decoded]],
+                                    Callable[[Any], _Decoded]]:
+    """Wrap a ``*_from_dict`` decoder so a ``LookupError`` (a missing
+    key or a short list), ``TypeError``, ``ValueError`` or
+    ``AttributeError`` raised while decoding becomes
+    ``ConfigError("malformed <label> dict: ...")``.
+
+    A :class:`ConfigError` raised inside passes through unchanged, so
+    the innermost decoder's label names the broken section.
+    """
+    def decorate(decode: Callable[[Any], _Decoded]
+                 ) -> Callable[[Any], _Decoded]:
+        @functools.wraps(decode)
+        def wrapped(data: Any) -> _Decoded:
+            try:
+                return decode(data)
+            except (LookupError, TypeError, ValueError,
+                    AttributeError) as error:
+                raise ConfigError(
+                    f"malformed {label} dict: {error}") from error
+        return wrapped
+    return decorate

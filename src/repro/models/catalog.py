@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.errors import ConfigError
+from repro.errors import lookup
 from repro.models.transformer import TransformerConfig
 
 LLAMA3_1B = TransformerConfig(
@@ -90,8 +90,5 @@ def model_by_params(label: str) -> TransformerConfig:
     Raises:
         ConfigError: for unknown labels.
     """
-    key = label.strip().upper()
-    if key not in MODEL_CATALOG:
-        known = ", ".join(sorted(MODEL_CATALOG))
-        raise ConfigError(f"unknown model label {label!r}; known: {known}")
-    return MODEL_CATALOG[key]
+    key = label.strip().upper() if isinstance(label, str) else label
+    return lookup(MODEL_CATALOG, key, "model label")

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple, Union)
 
-from repro.errors import ConfigError, ScheduleError
+from repro.errors import ConfigError, ScheduleError, lookup
 from repro.hardware.cluster import ClusterSpec
 from repro.inference.memory import MemoryModel
 from repro.pipeline.assembly import PipelinePerf, Schedule, assemble
@@ -216,13 +216,8 @@ class OptimizerSession:
         """
         if callable(selector):
             return self._derive(_selector=selector)
-        try:
-            return self._derive(_selector=_SELECTORS[selector])
-        except KeyError:
-            known = ", ".join(sorted(_SELECTORS))
-            raise ConfigError(
-                f"unknown objective {selector!r}; known: {known}"
-            ) from None
+        return self._derive(
+            _selector=lookup(_SELECTORS, selector, "objective"))
 
     def with_search(self, config: Optional[SearchConfig] = None,
                     **overrides: Any) -> "OptimizerSession":

@@ -12,7 +12,7 @@ import importlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import lookup
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,5 @@ def get_experiment(exp_id: str) -> Experiment:
     Raises:
         ConfigError: for unknown identifiers.
     """
-    key = exp_id.strip().lower()
-    if key not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ConfigError(f"unknown experiment {exp_id!r}; known: {known}")
-    return EXPERIMENTS[key]
+    key = exp_id.strip().lower() if isinstance(exp_id, str) else exp_id
+    return lookup(EXPERIMENTS, key, "experiment")

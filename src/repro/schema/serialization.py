@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.errors import ConfigError
+from repro.errors import decoder
 from repro.inference.parallelism import ShardingPlan
 from repro.models.transformer import TransformerConfig
 from repro.pipeline.assembly import PlacementGroup, Schedule
@@ -61,28 +61,26 @@ def schema_to_dict(schema: RAGSchema) -> Dict:
     }
 
 
+@decoder("schema")
 def schema_from_dict(data: Dict) -> RAGSchema:
     """Reconstruct a RAGSchema serialized by :func:`schema_to_dict`.
 
     Raises:
-        ConfigError: on missing required fields.
+        ConfigError: on missing or malformed fields.
     """
-    try:
-        return RAGSchema(
-            name=data["name"],
-            generative_llm=_model_from_dict(data["generative_llm"]),
-            database=(DatabaseConfig(**data["database"])
-                      if data.get("database") else None),
-            document_encoder=_model_from_dict(data.get("document_encoder")),
-            query_rewriter=_model_from_dict(data.get("query_rewriter")),
-            query_reranker=_model_from_dict(data.get("query_reranker")),
-            retrieval_frequency=data.get("retrieval_frequency", 1),
-            queries_per_retrieval=data.get("queries_per_retrieval", 1),
-            brute_force_retrieval=data.get("brute_force_retrieval", False),
-            sequences=SequenceProfile(**data["sequences"]),
-        )
-    except KeyError as missing:
-        raise ConfigError(f"schema dict is missing {missing}") from missing
+    return RAGSchema(
+        name=data["name"],
+        generative_llm=_model_from_dict(data["generative_llm"]),
+        database=(DatabaseConfig(**data["database"])
+                  if data.get("database") else None),
+        document_encoder=_model_from_dict(data.get("document_encoder")),
+        query_rewriter=_model_from_dict(data.get("query_rewriter")),
+        query_reranker=_model_from_dict(data.get("query_reranker")),
+        retrieval_frequency=data.get("retrieval_frequency", 1),
+        queries_per_retrieval=data.get("queries_per_retrieval", 1),
+        brute_force_retrieval=data.get("brute_force_retrieval", False),
+        sequences=SequenceProfile(**data["sequences"]),
+    )
 
 
 def schedule_to_dict(schedule: Schedule) -> Dict:
@@ -105,32 +103,30 @@ def schedule_to_dict(schedule: Schedule) -> Dict:
     }
 
 
+@decoder("schedule")
 def schedule_from_dict(data: Dict) -> Schedule:
     """Reconstruct a Schedule serialized by :func:`schedule_to_dict`.
 
     Raises:
         ConfigError: on malformed input.
     """
-    try:
-        groups = tuple(
-            PlacementGroup(
-                stages=tuple(Stage(name) for name in group["stages"]),
-                num_xpus=group["num_xpus"])
-            for group in data["groups"])
-        batches = {Stage(name): batch
-                   for name, batch in data["batches"].items()}
-        shard_plans = {
-            Stage(name): ShardingPlan(
-                tensor_parallel=plan["tensor_parallel"],
-                pipeline_parallel=plan["pipeline_parallel"])
-            for name, plan in data.get("shard_plans", {}).items()
-        }
-        return Schedule(
-            groups=groups,
-            batches=batches,
-            retrieval_servers=data.get("retrieval_servers"),
-            iterative_batch=data.get("iterative_batch"),
-            shard_plans=shard_plans,
-        )
-    except (KeyError, ValueError) as error:
-        raise ConfigError(f"malformed schedule dict: {error}") from error
+    groups = tuple(
+        PlacementGroup(
+            stages=tuple(Stage(name) for name in group["stages"]),
+            num_xpus=group["num_xpus"])
+        for group in data["groups"])
+    batches = {Stage(name): batch
+               for name, batch in data["batches"].items()}
+    shard_plans = {
+        Stage(name): ShardingPlan(
+            tensor_parallel=plan["tensor_parallel"],
+            pipeline_parallel=plan["pipeline_parallel"])
+        for name, plan in data.get("shard_plans", {}).items()
+    }
+    return Schedule(
+        groups=groups,
+        batches=batches,
+        retrieval_servers=data.get("retrieval_servers"),
+        iterative_batch=data.get("iterative_batch"),
+        shard_plans=shard_plans,
+    )

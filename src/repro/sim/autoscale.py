@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, lookup
 from repro.pipeline.assembly import Schedule
 from repro.pipeline.stage_perf import RAGPerfModel
 from repro.sim.engine import DispatchSelection, submit_trace
@@ -283,13 +283,7 @@ def resolve_autoscale_policy(
         return QueueDepthPolicy()
     if isinstance(policy, AutoscalePolicy):
         return policy
-    try:
-        return AUTOSCALE_POLICIES[policy]()
-    except KeyError:
-        known = ", ".join(sorted(AUTOSCALE_POLICIES))
-        raise ConfigError(
-            f"unknown autoscale policy {policy!r}; known: {known}"
-        ) from None
+    return lookup(AUTOSCALE_POLICIES, policy, "autoscale policy")()
 
 
 @dataclass(frozen=True)

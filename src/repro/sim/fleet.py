@@ -451,16 +451,7 @@ class FleetEngine:
         Raises:
             ConfigError: for an unknown or already-draining slot.
         """
-        entry = self._active.get(slot)
-        if entry is None:
-            known = ", ".join(str(s) for s in sorted(self._active))
-            raise ConfigError(
-                f"no active replica at slot {slot}; active slots: "
-                f"{known or 'none'}")
-        entry.state = _RETIRED if entry.tally.in_flight == 0 \
-            else _DRAINING
-        del self._active[slot]
-        self._membership_changed(slot)
+        self._retire(slot)
         return self._install(slot, schedule).engine
 
     def add_replica(self, schedule: Optional[Schedule] = None) -> int:
@@ -517,6 +508,13 @@ class FleetEngine:
             slot = min(self._active,
                        key=lambda s: (self._active[s].tally.in_flight,
                                       -s))
+        entry = self._retire(slot)
+        self._resized = True
+        return entry.engine
+
+    def _retire(self, slot: int) -> _ReplicaEntry:
+        """Stop routing to ``slot``; its engine keeps draining the
+        in-flight work (retired at once when there is none)."""
         entry = self._active.get(slot)
         if entry is None:
             known = ", ".join(str(s) for s in sorted(self._active))
@@ -527,8 +525,7 @@ class FleetEngine:
             else _DRAINING
         del self._active[slot]
         self._membership_changed(slot)
-        self._resized = True
-        return entry.engine
+        return entry
 
     def _settle(self) -> None:
         """Retire draining replicas whose in-flight work finished."""

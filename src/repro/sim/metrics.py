@@ -236,6 +236,22 @@ def jain_index(values: Sequence[float]) -> float:
     return (total * total) / (len(values) * square_sum)
 
 
+def _attainment(entries: Sequence[tuple],
+                slo: SLOTarget) -> Dict[str, float]:
+    """SLO attainment of non-empty ``(index, ttft, tpot)`` entries:
+    the TTFT, TPOT and joint (both met) fractions."""
+    count = len(entries)
+    met_ttft = [slo.ttft is None or entry[1] <= slo.ttft
+                for entry in entries]
+    met_tpot = [slo.tpot is None or entry[2] <= slo.tpot
+                for entry in entries]
+    return {
+        "ttft": sum(met_ttft) / count,
+        "tpot": sum(met_tpot) / count,
+        "joint": sum(a and b for a, b in zip(met_ttft, met_tpot)) / count,
+    }
+
+
 def _latency_summary(sorted_values: Sequence[float]) -> Dict[str, float]:
     return {
         "mean": sum(sorted_values) / len(sorted_values),
@@ -604,18 +620,9 @@ class MetricsAccumulator(_RunningSums):
         if utilization_of:
             utilization = {name: min(busy / duration, 1.0)
                            for name, busy in utilization_of.items()}  # simlint: allow[unsorted-dict-iteration-in-reporting]
-        n = len(lat)
         ttfts = sorted(entry[1] for entry in lat)
         tpots = sorted(entry[2] for entry in lat)
-        met_ttft = [slo.ttft is None or entry[1] <= slo.ttft
-                    for entry in lat]
-        met_tpot = [slo.tpot is None or entry[2] <= slo.tpot
-                    for entry in lat]
-        attainment = {
-            "ttft": sum(met_ttft) / n,
-            "tpot": sum(met_tpot) / n,
-            "joint": sum(a and b for a, b in zip(met_ttft, met_tpot)) / n,
-        }
+        attainment = _attainment(lat, slo)
         tiers = self._tier_sections(slo)
         fairness: Dict[str, float] = {}
         if self._user_completed:
@@ -667,13 +674,8 @@ class MetricsAccumulator(_RunningSums):
         sections: Dict[str, Dict[str, Any]] = {}
         for tier in sorted(self._tier_lat):
             entries = self._tier_lat[tier]
-            count = len(entries)
             ttfts = sorted(entry[1] for entry in entries)
             tpots = sorted(entry[2] for entry in entries)
-            met_ttft = [slo.ttft is None or entry[1] <= slo.ttft
-                        for entry in entries]
-            met_tpot = [slo.tpot is None or entry[2] <= slo.tpot
-                        for entry in entries]
             users = sorted(user for user, user_tier
                            in self._user_tier.items() if user_tier == tier)
             worst_user_p95 = 0.0
@@ -687,12 +689,7 @@ class MetricsAccumulator(_RunningSums):
                 "offered": self._tier_offered.get(tier, 0),
                 "completed": self._tier_completed.get(tier, 0),
                 "users": len(users),
-                "slo_attainment": {
-                    "ttft": sum(met_ttft) / count,
-                    "tpot": sum(met_tpot) / count,
-                    "joint": sum(a and b for a, b
-                                 in zip(met_ttft, met_tpot)) / count,
-                },
+                "slo_attainment": _attainment(entries, slo),
                 "ttft_p95": _interpolated_percentile(ttfts, 0.95),
                 "tpot_p95": _interpolated_percentile(tpots, 0.95),
                 "worst_user_p95_ttft": worst_user_p95,

@@ -39,7 +39,7 @@ from typing import (
     Union,
 )
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, lookup
 
 __all__ = [
     "DispatchPolicy",
@@ -346,13 +346,7 @@ def resolve_dispatch_policy(
         return DeadlineFlushPolicy()
     if isinstance(policy, DispatchPolicy):
         return policy
-    try:
-        return DISPATCH_POLICIES[policy]()
-    except KeyError:
-        known = ", ".join(sorted(DISPATCH_POLICIES))
-        raise ConfigError(
-            f"unknown dispatch policy {policy!r}; known: {known}"
-        ) from None
+    return lookup(DISPATCH_POLICIES, policy, "dispatch policy")()
 
 
 def resolve_admission_policy(
@@ -362,15 +356,9 @@ def resolve_admission_policy(
         return GreedyAdmission()
     if isinstance(policy, AdmissionPolicy):
         return policy
-    try:
-        return ADMISSION_POLICIES[policy]()
-    except KeyError:
-        known = ", ".join(sorted(ADMISSION_POLICIES))
-        hint = ("; parameterized: token-budget=<int>"
-                if policy.partition("=")[0] == "token-budget" else "")
-        raise ConfigError(
-            f"unknown admission policy {policy!r}; known: {known}{hint}"
-        ) from None
+    hint = ("; parameterized: token-budget=<int>"
+            if str(policy).partition("=")[0] == "token-budget" else "")
+    return lookup(ADMISSION_POLICIES, policy, "admission policy", hint)()
 
 
 def _tier_priority_value(value: str) -> Tuple[Tuple[str, int], ...]:

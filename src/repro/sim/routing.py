@@ -57,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Union
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, lookup
 from repro.sim.rng import DeterministicRNG
 
 __all__ = [
@@ -372,10 +372,4 @@ def resolve_routing_policy(
         return RoundRobinRouting()
     if isinstance(policy, RoutingPolicy):
         return policy
-    try:
-        return ROUTING_POLICIES[policy]()
-    except KeyError:
-        known = ", ".join(sorted(ROUTING_POLICIES))
-        raise ConfigError(
-            f"unknown routing policy {policy!r}; known: {known}"
-        ) from None
+    return lookup(ROUTING_POLICIES, policy, "routing policy")()

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Tuple, Union)
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, lookup
 from repro.workloads.traces import Request, RequestTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -172,12 +172,7 @@ def resolve_tier_policy(
         return single_tier_policy()
     if isinstance(policy, TierPolicy):
         return policy
-    try:
-        return TIER_POLICIES[policy]()
-    except KeyError:
-        known = ", ".join(sorted(TIER_POLICIES))
-        raise ConfigError(
-            f"unknown tier policy {policy!r}; known: {known}") from None
+    return lookup(TIER_POLICIES, policy, "tier policy")()
 
 
 def _tier_list_value(value: str) -> Tuple[Tuple[str, int, Optional[float]],

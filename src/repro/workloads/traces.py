@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
                     Sequence, Tuple)
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, lookup
 from repro.workloads.sequences import sample_decode_lengths
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -362,6 +362,27 @@ def _check_rate_duration(rate_qps: float, duration: float) -> None:
     _check_positive(rate_qps=rate_qps, duration=duration)
 
 
+def _scenario_result(scenario: str, arrivals: List[float],
+                     rate_qps: float, duration: float, seed: int,
+                     mean_decode_len: Optional[int],
+                     **knobs: Any) -> RequestTrace:
+    """The shared tail of every scenario generator: reject an empty
+    draw, then pack the arrivals with their decode lengths and the
+    generator's metadata (core knobs first, then ``knobs`` in order)."""
+    if not arrivals:
+        raise ConfigError(
+            f"{scenario} scenario produced no arrivals (rate {rate_qps} "
+            f"over {duration}s with seed {seed}); raise rate or duration")
+    return RequestTrace(
+        requests=requests_from_arrays(
+            arrivals, _decode_lens_for(len(arrivals), mean_decode_len,
+                                       seed)),
+        metadata={"scenario": scenario, "rate_qps": rate_qps,
+                  "duration": duration, "seed": seed,
+                  "mean_decode_len": mean_decode_len, **knobs},
+    )
+
+
 def poisson_trace(rate_qps: float, duration: float, seed: int = 0,
                   mean_decode_len: Optional[int] = None) -> RequestTrace:
     """A homogeneous Poisson request stream.
@@ -384,18 +405,8 @@ def poisson_trace(rate_qps: float, duration: float, seed: int = 0,
         if now >= duration:
             break
         arrivals.append(now)
-    if not arrivals:
-        raise ConfigError(
-            f"poisson scenario produced no arrivals (rate {rate_qps} over "
-            f"{duration}s with seed {seed}); raise rate or duration")
-    return RequestTrace(
-        requests=requests_from_arrays(
-            arrivals, _decode_lens_for(len(arrivals), mean_decode_len,
-                                       seed)),
-        metadata={"scenario": "poisson", "rate_qps": rate_qps,
-                  "duration": duration, "seed": seed,
-                  "mean_decode_len": mean_decode_len},
-    )
+    return _scenario_result("poisson", arrivals, rate_qps, duration, seed,
+                            mean_decode_len)
 
 
 def bursty_trace(rate_qps: float, duration: float, seed: int = 0,
@@ -454,20 +465,9 @@ def bursty_trace(rate_qps: float, duration: float, seed: int = 0,
                 arrivals.append(t)
         now = end
         bursting = not bursting
-    if not arrivals:
-        raise ConfigError(
-            f"bursty scenario produced no arrivals (rate {rate_qps} over "
-            f"{duration}s with seed {seed}); raise rate or duration")
-    return RequestTrace(
-        requests=requests_from_arrays(
-            arrivals, _decode_lens_for(len(arrivals), mean_decode_len,
-                                       seed)),
-        metadata={"scenario": "bursty", "rate_qps": rate_qps,
-                  "duration": duration, "seed": seed,
-                  "mean_decode_len": mean_decode_len,
-                  "burst_factor": burst_factor,
-                  "on_fraction": on_fraction, "mean_cycle": mean_cycle},
-    )
+    return _scenario_result("bursty", arrivals, rate_qps, duration, seed,
+                            mean_decode_len, burst_factor=burst_factor,
+                            on_fraction=on_fraction, mean_cycle=mean_cycle)
 
 
 def diurnal_trace(rate_qps: float, duration: float, seed: int = 0,
@@ -510,19 +510,9 @@ def diurnal_trace(rate_qps: float, duration: float, seed: int = 0,
                            * math.sin(2.0 * math.pi * now / cycle))
         if rng.uniform() <= rate / peak:
             arrivals.append(now)
-    if not arrivals:
-        raise ConfigError(
-            f"diurnal scenario produced no arrivals (rate {rate_qps} over "
-            f"{duration}s with seed {seed}); raise rate or duration")
-    return RequestTrace(
-        requests=requests_from_arrays(
-            arrivals, _decode_lens_for(len(arrivals), mean_decode_len,
-                                       seed)),
-        metadata={"scenario": "diurnal", "rate_qps": rate_qps,
-                  "duration": duration, "seed": seed,
-                  "mean_decode_len": mean_decode_len,
-                  "amplitude": amplitude, "period": cycle},
-    )
+    return _scenario_result("diurnal", arrivals, rate_qps, duration, seed,
+                            mean_decode_len, amplitude=amplitude,
+                            period=cycle)
 
 
 #: Scenario name -> generator; every generator shares the
@@ -548,12 +538,7 @@ def scenario_trace(name: str, rate_qps: float, duration: float,
     Raises:
         ConfigError: for unknown scenario names or bad knobs.
     """
-    try:
-        generator = SCENARIOS[name]
-    except KeyError:
-        known = ", ".join(sorted(SCENARIOS))
-        raise ConfigError(
-            f"unknown scenario {name!r}; known: {known}") from None
+    generator = lookup(SCENARIOS, name, "scenario")
     try:
         return generator(rate_qps, duration, seed=seed,
                          mean_decode_len=mean_decode_len, **knobs)

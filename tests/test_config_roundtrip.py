@@ -209,6 +209,46 @@ def test_future_version_rejected():
         config.from_config(payload)
 
 
+@pytest.mark.parametrize("version", [True, 0, "2", 2.0],
+                         ids=["bool", "zero", "str", "float"])
+def test_invalid_version_rejected(version):
+    """``true`` is an int to isinstance, not a config version."""
+    payload = config.to_config(llm_only("8B"))
+    payload["config_version"] = version
+    with pytest.raises(ConfigError, match="invalid config_version"):
+        config.from_config(payload)
+
+
+def _schedule_envelope():
+    session = OptimizerSession(case_i_hyperscale("1B"), _CLUSTER)
+    return config.to_config(session.optimize().max_qps_per_chip.schedule)
+
+
+@pytest.mark.parametrize("envelope, path, junk, label", [
+    (lambda: config.to_config(llm_only("8B")),
+     ("spec", "generative_llm", "d_model"), "4096", "malformed schema dict"),
+    (lambda: config.to_config(llm_only("8B")),
+     ("spec", "document_encoder"), "encoder", "malformed schema dict"),
+    (_schedule_envelope, ("spec", "groups", 0, "num_xpus"), "4",
+     "malformed schedule dict"),
+    (lambda: config.to_config(config.OptimizationConfig(
+        schema=llm_only("8B"))), ("spec", "schema", "sequences"), [],
+     "malformed schema dict"),
+], ids=["str-d_model", "str-document_encoder",
+        "str-num_xpus", "nested-schema-sequences"])
+def test_hostile_envelope_fails_in_one_line(envelope, path, junk, label):
+    """Each row once escaped ``from_config`` as a TypeError traceback;
+    the innermost decoder's label names the broken section."""
+    payload = envelope()
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = junk
+    with pytest.raises(ConfigError, match=label) as error:
+        config.from_config(payload)
+    assert "\n" not in str(error.value)
+
+
 def test_missing_version_rejected():
     with pytest.raises(ConfigError, match="config_version"):
         config.from_config({"kind": "rag_schema", "spec": {}})

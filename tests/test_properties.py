@@ -668,3 +668,105 @@ def test_power_of_two_choices_equal_the_old_selection(seed, stale_after,
         now = 0.01 * step
         assert policy.select(views, now=now) == _old_power_of_two_select(
             rng, views, twin._snapshot(views, now))
+
+
+# ---------------------------------------------------------------------------
+# Hostile envelopes: a valid envelope with one leaf (or its kind)
+# replaced by junk must load or fail with a one-line ConfigError --
+# never a TypeError traceback out of `repro optimize --config`.
+# ---------------------------------------------------------------------------
+
+def _fuzzed_artifacts():
+    from repro import config
+    from repro.hardware.cluster import ClusterSpec
+    from repro.pipeline import PlacementGroup, Schedule
+    from repro.rago.search import SearchConfig
+    from repro.schema import case_i_hyperscale, case_iii_iterative
+    from repro.serve import ServeConfig
+    from repro.sim.autoscale import AutoscaleConfig
+    from repro.workloads import Request, RequestTrace
+
+    cluster = ClusterSpec(num_servers=16)
+    schedule = Schedule(
+        groups=(PlacementGroup((Stage.PREFIX,), 4),
+                PlacementGroup((Stage.DECODE,), 8)),
+        batches={Stage.PREFIX: 8, Stage.RETRIEVAL: 8, Stage.DECODE: 64},
+        retrieval_servers=2,
+        shard_plans={Stage.PREFIX: ShardingPlan(2, 2)})
+    return {
+        "rag_schema-i": case_i_hyperscale("1B"),
+        "rag_schema-iii": case_iii_iterative("8B"),
+        "cluster_spec": cluster,
+        "schedule": schedule,
+        "search_config": SearchConfig(max_batch=8, allocations=[(2, 4)]),
+        "serve_config": ServeConfig(replicas=2, routing="least-in-flight",
+                                    autoscale=AutoscaleConfig()),
+        "autoscale_config": AutoscaleConfig(policy="slo-attainment"),
+        "request_trace": RequestTrace(requests=(
+            Request(0.0, 8, user_id="u0", session_id="s0", tier="paid"),
+            Request(0.5, 4))),
+        "optimization_config": config.OptimizationConfig(
+            schema=case_i_hyperscale("1B"), cluster=cluster,
+            search=SearchConfig(max_batch=8)),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_envelopes():
+    """Envelope JSON text per fuzzed artifact (parsed afresh per case)."""
+    import json
+
+    from repro import config
+
+    return {name: json.dumps(config.to_config(artifact))
+            for name, artifact in _fuzzed_artifacts().items()}
+
+
+def _leaf_paths(node, path=()):
+    """Key paths to every scalar or empty container under ``node``."""
+    if isinstance(node, dict) and node:
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list) and node:
+        for index, value in enumerate(node):
+            yield from _leaf_paths(value, path + (index,))
+    else:
+        yield path
+
+
+_junk_values = st.one_of(
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.none(),
+    st.text(max_size=4),
+    st.integers(max_value=-1),
+    st.sampled_from([1e308, 10**30, float("nan")]),
+)
+
+
+@pytest.mark.parametrize("name", [
+    "rag_schema-i", "rag_schema-iii", "cluster_spec", "schedule",
+    "search_config", "serve_config", "autoscale_config", "request_trace",
+    "optimization_config"])
+@settings(deadline=None, max_examples=40)
+@example(pick=0, junk=[])  # path 0 is the (then unhashable) kind
+@given(pick=st.integers(min_value=0, max_value=10_000), junk=_junk_values)
+def test_envelope_with_one_junk_leaf_loads_or_fails_in_one_line(name, pick,
+                                                                 junk):
+    import json
+
+    from repro import config
+    from repro.errors import ConfigError
+
+    envelope = json.loads(_valid_envelopes()[name])
+    paths = [("kind",)] + [("spec",) + path
+                           for path in _leaf_paths(envelope["spec"])]
+    path = paths[pick % len(paths)]
+    node = envelope
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = junk
+    try:
+        config.from_config(envelope)
+    except ConfigError as error:
+        assert "\n" not in str(error)
