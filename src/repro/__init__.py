@@ -77,8 +77,6 @@ _EXPORTS = {
     "DatabaseConfig": "repro.retrieval.scann_model",
     "IVFPQIndex": "repro.retrieval.ivf",
     "ProductQuantizer": "repro.retrieval.pq",
-    "RetrievalSimulator": "repro.retrieval.simulator",
-    "InferenceSimulator": "repro.inference.simulator",
     "PipelineBuilder": "repro.schema.builder",
     "RAGSchema": "repro.schema.ragschema",
     "Stage": "repro.schema.stages",
@@ -130,88 +128,4 @@ __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ReproError",
-    "ConfigError",
-    "CapacityError",
-    "ScheduleError",
-    "CalibrationError",
-    # hardware
-    "XPUSpec",
-    "XPU_A",
-    "XPU_B",
-    "XPU_C",
-    "CPUServerSpec",
-    "EPYC_MILAN",
-    "ClusterSpec",
-    # models
-    "TransformerConfig",
-    "LLAMA3_1B",
-    "LLAMA3_8B",
-    "LLAMA3_70B",
-    "LLAMA3_405B",
-    "ENCODER_120M",
-    "model_by_params",
-    # retrieval
-    "ProductQuantizer",
-    "IVFPQIndex",
-    "BruteForceIndex",
-    "DatabaseConfig",
-    "RetrievalSimulator",
-    # inference
-    "InferenceSimulator",
-    # schema
-    "RAGSchema",
-    "PipelineBuilder",
-    "register_stage_type",
-    "Stage",
-    "SequenceProfile",
-    # workload traces
-    "RequestTrace",
-    "poisson_trace",
-    "bursty_trace",
-    "diurnal_trace",
-    "scenario_trace",
-    "case_i_hyperscale",
-    "case_ii_long_context",
-    "case_iii_iterative",
-    "case_iv_rewriter_reranker",
-    "llm_only",
-    # pipeline
-    "RAGPerfModel",
-    "Schedule",
-    "PlacementGroup",
-    "PipelinePerf",
-    "assemble",
-    "time_breakdown",
-    "simulate_iterative_decode",
-    # rago
-    "OptimizerSession",
-    "SweepCell",
-    "SweepResult",
-    "SearchConfig",
-    "SearchResult",
-    # config
-    "config",
-    "OptimizationConfig",
-    "pareto_front",
-    "ServiceObjective",
-    "PriceBook",
-    "estimate_cost",
-    "provision",
-    "ProvisioningResult",
-    # extensions
-    "PowerProfile",
-    "estimate_energy",
-    "ServingSimulator",
-    "ServingEngine",
-    "FleetEngine",
-    "RoutingPolicy",
-    "ServingReport",
-    "SLOTarget",
-    "LiveSnapshot",
-    "LiveServer",
-    "ServeConfig",
-]
+__all__ = [*_EXPORTS, "__version__"]

@@ -197,15 +197,3 @@ def long_context_llm_perf(model: TransformerConfig, context_len: int,
     return LongContextPerf(ttft=ttft, qps_per_chip=qps_per_chip,
                            max_decode_batch=max_batch, num_chips=num_chips)
 
-
-def chips_for_model(model: TransformerConfig, xpu: XPUSpec,
-                    memory: Optional[MemoryModel] = None) -> int:
-    """Smallest power-of-two chip count holding the model's weights."""
-    memory = memory or MemoryModel()
-    per_chip = xpu.hbm_bytes * memory.usable_fraction
-    chips = 1
-    while model.weight_bytes / chips > per_chip:
-        chips *= 2
-        if chips > 1 << 20:  # pragma: no cover - absurd model size guard
-            raise ConfigError("model does not fit on any sane chip count")
-    return chips

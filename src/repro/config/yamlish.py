@@ -268,7 +268,11 @@ def loads(text: str) -> Any:
     if not lines:
         return None
     parser = _Parser(lines)
-    root = parser.parse_block(lines[0].indent)
+    try:
+        root = parser.parse_block(lines[0].indent)
+    except RecursionError:
+        raise ConfigError("yamlish: the document nests too deeply") \
+            from None
     leftover = parser._peek()
     if leftover is not None:
         raise _fail(leftover.number,

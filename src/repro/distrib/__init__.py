@@ -39,20 +39,4 @@ _EXPORTS = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "TaskSpec",
-    "SweepJob",
-    "TASK_RUNNERS",
-    "register_task_runner",
-    "resolve_task_runner",
-    "memory_to_payload",
-    "memory_from_payload",
-    "BackendRun",
-    "SweepBackend",
-    "SerialBackend",
-    "ProcessBackend",
-    "SocketsBackend",
-    "SWEEP_BACKENDS",
-    "resolve_sweep_backend",
-    "SweepCoordinator",
-]
+__all__ = [*_EXPORTS]

@@ -31,16 +31,4 @@ _EXPORTS = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "XPUSpec",
-    "XPU_A",
-    "XPU_B",
-    "XPU_C",
-    "XPU_GENERATIONS",
-    "CPUServerSpec",
-    "EPYC_MILAN",
-    "EPYC_7R13_CALIBRATION",
-    "ClusterSpec",
-    "roofline_time",
-    "communication_time",
-]
+__all__ = [*_EXPORTS]

@@ -19,17 +19,7 @@ _EXPORTS = {
     "PrefillPerf": "repro.inference.prefill",
     "DecodeModel": "repro.inference.decode",
     "DecodePerf": "repro.inference.decode",
-    "InferenceSimulator": "repro.inference.simulator",
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "ShardingPlan",
-    "enumerate_plans",
-    "MemoryModel",
-    "PrefillModel",
-    "PrefillPerf",
-    "DecodeModel",
-    "DecodePerf",
-    "InferenceSimulator",
-]
+__all__ = [*_EXPORTS]

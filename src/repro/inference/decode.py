@@ -112,21 +112,17 @@ class DecodeModel:
         )
 
     def best_perf(self, model: TransformerConfig, num_chips: int, batch: int,
-                  prefix_len: int, decode_len: int,
-                  optimize_for: str = "throughput") -> DecodePerf:
+                  prefix_len: int, decode_len: int) -> DecodePerf:
         """Decode performance on ``num_chips`` chips.
 
         Decode shards tensor-parallel across the whole allocation: its
         per-step communication payload is tiny (one token's activations),
         so TP minimizes TPOT, and pipeline-parallel decode would multiply
-        the in-flight batch without improving per-chip throughput. The
-        ``optimize_for`` argument is accepted for interface symmetry; the
-        TP-only plan is optimal for both objectives here.
+        the in-flight batch without improving per-chip throughput; the
+        TP-only plan is optimal for latency and throughput alike.
 
         Raises:
             CapacityError: when the weights or KV cache do not fit.
         """
-        if optimize_for not in ("latency", "throughput"):
-            raise ConfigError(f"unknown objective {optimize_for!r}")
         plan = ShardingPlan(tensor_parallel=num_chips, pipeline_parallel=1)
         return self.plan_perf(model, plan, batch, prefix_len, decode_len)

@@ -59,6 +59,23 @@ class MemoryModel:
                 f"{xpu.hbm_bytes * self.usable_fraction / 1e9:.1f} GB usable"
             )
 
+    def min_chips(self, model: TransformerConfig, xpu: XPUSpec) -> int:
+        """Smallest power-of-two chip count whose usable HBM holds the
+        model's weights.
+
+        Raises:
+            CapacityError: past 2**20 chips (also the answer for
+                non-finite weight bytes, which fit nowhere).
+        """
+        chips = 1
+        while not self.weights_fit(model, ShardingPlan(chips, 1), xpu):
+            chips *= 2
+            if chips > 1 << 20:
+                raise CapacityError(
+                    f"{model.name} does not fit on any chip count up to "
+                    f"{1 << 20:,} x {xpu.name}")
+        return chips
+
     def kv_bytes_per_sequence(self, model: TransformerConfig,
                               context_len: float) -> float:
         """KV-cache bytes one sequence occupies at a context length."""

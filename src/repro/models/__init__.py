@@ -26,18 +26,4 @@ _EXPORTS = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "TransformerConfig",
-    "LLAMA3_1B",
-    "LLAMA3_8B",
-    "LLAMA3_70B",
-    "LLAMA3_405B",
-    "ENCODER_120M",
-    "REWRITER_8B",
-    "RERANKER_120M",
-    "MODEL_CATALOG",
-    "model_by_params",
-    "Operator",
-    "prefill_operators",
-    "decode_step_operators",
-]
+__all__ = [*_EXPORTS]

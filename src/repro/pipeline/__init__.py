@@ -29,18 +29,4 @@ _EXPORTS = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "RAGPerfModel",
-    "StagePerf",
-    "PlacementGroup",
-    "Schedule",
-    "PipelinePerf",
-    "assemble",
-    "time_breakdown",
-    "simulate_iterative_decode",
-    "IterativeDecodeResult",
-    "microbatch_ttft",
-    "ttft_reduction",
-    "simulate_collocated_order",
-    "OrderResult",
-]
+__all__ = [*_EXPORTS]

@@ -165,7 +165,7 @@ def derive_retrieval_servers(perf_model: RAGPerfModel,
         )
     if not perf_model.schema.has_retrieval:
         return 0
-    floor = perf_model.retrieval.min_servers()
+    floor = perf_model.min_resource(Stage.RETRIEVAL)
     if floor > cluster.num_servers:
         raise CapacityError(
             f"database needs {floor} servers; cluster has "

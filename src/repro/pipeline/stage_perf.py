@@ -6,22 +6,26 @@ throughput can this stage deliver?" -- the quantity Algorithm 1's step 1
 profiles. Prefill-flavoured stages return a small Pareto frontier over
 sharding plans (tensor-parallel plans minimize latency, pipeline-parallel
 plans maximize throughput); decode and retrieval return a single point.
-Results are cached; RAGO's exhaustive search hits the same points
-repeatedly.
+The model calls the phase models (:class:`PrefillModel`,
+:class:`DecodeModel`, :class:`DistributedRetrievalModel`) directly and
+is the one memo above them: RAGO's exhaustive search hits the same
+points repeatedly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.hardware.cluster import ClusterSpec
+from repro.inference.decode import DecodeModel
 from repro.inference.memory import MemoryModel
 from repro.inference.parallelism import ShardingPlan
-from repro.inference.simulator import InferenceSimulator
+from repro.inference.prefill import PrefillModel
 from repro.models.transformer import TransformerConfig
-from repro.retrieval.simulator import RetrievalSimulator
+from repro.retrieval.distributed import DistributedRetrievalModel
 from repro.schema.ragschema import RAGSchema
 from repro.schema.stages import Stage
 
@@ -61,18 +65,21 @@ class RAGPerfModel:
     """Stage-level cost model for one schema on one cluster."""
 
     def __init__(self, schema: RAGSchema, cluster: ClusterSpec,
-                 memory: Optional[MemoryModel] = None,
-                 retrieval_base_latency: float = 1e-4) -> None:
+                 memory: Optional[MemoryModel] = None) -> None:
         self._schema = schema
         self._cluster = cluster
-        self._inference = InferenceSimulator(cluster.xpu, memory)
-        self._retrieval: Optional[RetrievalSimulator] = None
+        self._memory = memory or MemoryModel()
+        self._prefill = PrefillModel(cluster.xpu, self._memory)
+        self._decode = DecodeModel(cluster.xpu, self._memory)
+        self._retrieval: Optional[DistributedRetrievalModel] = None
         if schema.has_retrieval:
-            self._retrieval = RetrievalSimulator(
-                schema.database, cluster.cpu,
-                brute_force=schema.brute_force_retrieval,
-                base_latency=retrieval_base_latency,
-            )
+            database = schema.database
+            if schema.brute_force_retrieval:
+                # Brute-force kNN scans every vector: no tree levels.
+                database = dataclasses.replace(database, scan_fraction=1.0,
+                                               tree_levels=1)
+            self._retrieval = DistributedRetrievalModel(database,
+                                                        cluster.cpu)
         self._cache: Dict[Tuple[Stage, int, int],
                           Tuple[StagePerf, ...]] = {}
         self._plan_cache: Dict[Tuple[Stage, int, int, ShardingPlan],
@@ -89,16 +96,6 @@ class RAGPerfModel:
     def cluster(self) -> ClusterSpec:
         """Hardware pool being modelled."""
         return self._cluster
-
-    @property
-    def inference(self) -> InferenceSimulator:
-        """Underlying inference simulator (shared caches)."""
-        return self._inference
-
-    @property
-    def retrieval(self) -> Optional[RetrievalSimulator]:
-        """Underlying retrieval simulator, if the schema retrieves."""
-        return self._retrieval
 
     def stage_model(self, stage: Stage) -> TransformerConfig:
         """The transformer a given XPU stage runs.
@@ -120,12 +117,12 @@ class RAGPerfModel:
         raise ConfigError(f"stage {stage} is not part of {schema.name}")
 
     def min_resource(self, stage: Stage) -> int:
-        """Smallest resource count at which the stage is feasible."""
+        """Smallest resource count at which the stage is feasible:
+        servers holding the database, or chips holding the weights."""
         if stage is Stage.RETRIEVAL:
-            if self._retrieval is None:
-                raise ConfigError("schema has no retrieval stage")
-            return self._retrieval.min_servers()
-        return self._inference.min_chips(self.stage_model(stage))
+            return self._retrieval_model().min_servers()
+        return self._memory.min_chips(self.stage_model(stage),
+                                      self._cluster.xpu)
 
     def perf_options(self, stage: Stage, batch: int,
                      resource: int) -> Tuple[StagePerf, ...]:
@@ -206,23 +203,27 @@ class RAGPerfModel:
             return 1, seq.prefix_len
         raise ConfigError(f"{stage} is not a prefill stage")
 
+    def _retrieval_model(self) -> DistributedRetrievalModel:
+        if self._retrieval is None:
+            raise ConfigError("schema has no retrieval stage")
+        return self._retrieval
+
     def _evaluate(self, stage: Stage, batch: int,
                   resource: int) -> Tuple[StagePerf, ...]:
         seq = self._schema.sequences
         if stage is Stage.RETRIEVAL:
-            if self._retrieval is None:
-                raise ConfigError("schema has no retrieval stage")
-            perf = self._retrieval.perf(
-                batch, resource,
-                queries_per_request=self._schema.queries_per_retrieval)
-            return (StagePerf(stage=stage, latency=perf.latency,
-                              request_qps=perf.request_qps, batch=batch,
-                              resource_amount=resource,
+            # Each request fans out to queries_per_retrieval query
+            # vectors in one physical search batch.
+            search = self._retrieval_model().search_perf(
+                batch * self._schema.queries_per_retrieval, resource)
+            return (StagePerf(stage=stage, latency=search.latency,
+                              request_qps=batch / search.latency,
+                              batch=batch, resource_amount=resource,
                               resource_type="cpu_server"),)
         model = self.stage_model(stage)
         if stage in _PREFILL_STAGES:
             per_request, tokens = self._prefill_seq(stage)
-            frontier = self._inference.prefill_options(
+            frontier = self._prefill.pareto_perfs(
                 model, resource, batch * per_request, tokens)
             return tuple(
                 StagePerf(stage=stage, latency=pf.latency,
@@ -230,17 +231,13 @@ class RAGPerfModel:
                           batch=batch, resource_amount=resource,
                           resource_type="xpu", plan=pf.plan)
                 for pf in frontier)
-        if stage is Stage.REWRITE_DECODE:
-            decode = self._inference.decode(model, resource, batch,
-                                            seq.question_len,
-                                            seq.rewrite_output_len)
-            return (StagePerf(stage=stage, latency=decode.sequence_latency,
-                              request_qps=decode.throughput, batch=batch,
-                              resource_amount=resource, resource_type="xpu",
-                              plan=decode.plan, tpot=decode.tpot),)
-        if stage is Stage.DECODE:
-            decode = self._inference.decode(model, resource, batch,
-                                            seq.prefix_len, seq.decode_len)
+        if stage in (Stage.REWRITE_DECODE, Stage.DECODE):
+            if stage is Stage.REWRITE_DECODE:
+                prompt, output = seq.question_len, seq.rewrite_output_len
+            else:
+                prompt, output = seq.prefix_len, seq.decode_len
+            decode = self._decode.best_perf(model, resource, batch, prompt,
+                                            output)
             return (StagePerf(stage=stage, latency=decode.sequence_latency,
                               request_qps=decode.throughput, batch=batch,
                               resource_amount=resource, resource_type="xpu",
@@ -256,8 +253,8 @@ class RAGPerfModel:
             )
         model = self.stage_model(stage)
         per_request, tokens = self._prefill_seq(stage)
-        pf = self._inference.prefill(model, resource, batch * per_request,
-                                     tokens, plan=plan)
+        pf = self._prefill.plan_perf(model, plan, batch * per_request,
+                                     tokens)
         return StagePerf(stage=stage, latency=pf.latency,
                          request_qps=pf.throughput / per_request,
                          batch=batch, resource_amount=resource,

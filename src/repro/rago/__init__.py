@@ -44,24 +44,4 @@ _EXPORTS = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "pareto_front",
-    "enumerate_placements",
-    "enumerate_allocations",
-    "power_of_two_options",
-    "batch_options",
-    "SearchConfig",
-    "SearchResult",
-    "search_schedules",
-    "OptimizerSession",
-    "SweepCell",
-    "SweepResult",
-    "ServiceObjective",
-    "select_max_throughput",
-    "select_min_ttft",
-    "knee_point",
-    "PriceBook",
-    "CostEstimate",
-    "estimate_cost",
-    "cheapest_point",
-]
+__all__ = [*_EXPORTS]

@@ -126,7 +126,7 @@ def split_generation_search(schema: RAGSchema, cluster: ClusterSpec,
                  for name, model in perf_models.items()}
     budget = cluster.total_xpus
     placements = enumerate_placements(schema)
-    retrieval_floor = (perf_models[XPU_C.name].retrieval.min_servers()
+    retrieval_floor = (perf_models[XPU_C.name].min_resource(Stage.RETRIEVAL)
                        if schema.has_retrieval else 0)
 
     points: List[Tuple[float, float, HeteroPoint]] = []

@@ -348,7 +348,7 @@ def search_schedules(perf_model: RAGPerfModel,
     num_plans = 0
     num_candidates = 0
 
-    retrieval_floor = (perf_model.retrieval.min_servers()
+    retrieval_floor = (perf_model.min_resource(Stage.RETRIEVAL)
                        if schema.has_retrieval else 0)
 
     for placement in placements:

@@ -23,20 +23,4 @@ _EXPORTS = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "format_table",
-    "format_serving_report",
-    "format_live_summary",
-    "format_fleet_breakdown",
-    "format_scaling_timeline",
-    "format_explanations",
-    "format_findings",
-    "format_whatif_table",
-    "format_worker_utilization",
-    "format_series",
-    "format_heatmap",
-    "ascii_scatter",
-    "Experiment",
-    "EXPERIMENTS",
-    "get_experiment",
-]
+__all__ = [*_EXPORTS]

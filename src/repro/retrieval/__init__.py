@@ -28,8 +28,6 @@ _EXPORTS = {
     "DatabaseConfig": "repro.retrieval.scann_model",
     "ScaNNPerfModel": "repro.retrieval.scann_model",
     "DistributedRetrievalModel": "repro.retrieval.distributed",
-    "RetrievalPerf": "repro.retrieval.simulator",
-    "RetrievalSimulator": "repro.retrieval.simulator",
     "CalibrationResult": "repro.retrieval.calibration",
     "calibrate_scan_rate": "repro.retrieval.calibration",
     "TuningPoint": "repro.retrieval.tuning",
@@ -38,19 +36,4 @@ _EXPORTS = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "TuningPoint",
-    "TuningResult",
-    "tune_scan_fraction",
-    "ProductQuantizer",
-    "IVFPQIndex",
-    "TreePQIndex",
-    "BruteForceIndex",
-    "DatabaseConfig",
-    "ScaNNPerfModel",
-    "DistributedRetrievalModel",
-    "RetrievalPerf",
-    "RetrievalSimulator",
-    "CalibrationResult",
-    "calibrate_scan_rate",
-]
+__all__ = [*_EXPORTS]

@@ -33,24 +33,4 @@ _EXPORTS = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "schema_to_dict",
-    "schema_from_dict",
-    "schedule_to_dict",
-    "schedule_from_dict",
-    "RAGSchema",
-    "PipelineBuilder",
-    "pipeline",
-    "register_stage_type",
-    "unregister_stage_type",
-    "stage_types",
-    "Stage",
-    "pipeline_stages",
-    "ttft_stages",
-    "xpu_stages",
-    "case_i_hyperscale",
-    "case_ii_long_context",
-    "case_iii_iterative",
-    "case_iv_rewriter_reranker",
-    "llm_only",
-]
+__all__ = [*_EXPORTS]

@@ -78,53 +78,4 @@ _EXPORTS = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "EventQueue",
-    "Simulation",
-    "ServingEngine",
-    "submit_trace",
-    "FleetEngine",
-    "ServingSimulator",
-    "ServingReport",
-    "SLOTarget",
-    "RequestRecord",
-    "LiveSnapshot",
-    "MetricsAccumulator",
-    "jain_index",
-    "DispatchPolicy",
-    "DeadlineFlushPolicy",
-    "FullBatchPolicy",
-    "SizeCappedPolicy",
-    "AdmissionPolicy",
-    "GreedyAdmission",
-    "TokenBudgetAdmission",
-    "PriorityAdmission",
-    "DISPATCH_POLICIES",
-    "ADMISSION_POLICIES",
-    "parse_admission_policy",
-    "admission_spec",
-    "RoutingPolicy",
-    "ReplicaView",
-    "RoundRobinRouting",
-    "LeastInFlightRouting",
-    "WeightedQPSRouting",
-    "PowerOfTwoChoicesRouting",
-    "JoinIdleQueueRouting",
-    "SessionAffineRouting",
-    "ROUTING_POLICIES",
-    "resolve_routing_policy",
-    "AutoscalePolicy",
-    "TargetUtilizationPolicy",
-    "QueueDepthPolicy",
-    "SLOAttainmentPolicy",
-    "AUTOSCALE_POLICIES",
-    "resolve_autoscale_policy",
-    "AutoscaleConfig",
-    "parse_autoscale_spec",
-    "autoscale_spec",
-    "ScalingEvent",
-    "FleetView",
-    "Autoscaler",
-    "build_fleet",
-    "replay_open_loop",
-]
+__all__ = [*_EXPORTS]

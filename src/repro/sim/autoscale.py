@@ -318,10 +318,11 @@ class AutoscaleConfig:
             raise ConfigError(
                 f"max_replicas={self.max_replicas} must be at least "
                 f"min_replicas={self.min_replicas}")
-        if self.interval <= 0:
-            raise ConfigError("control interval must be positive")
-        if self.cooldown < 0:
-            raise ConfigError("cooldown must be non-negative")
+        if not (math.isfinite(self.interval) and self.interval > 0):
+            raise ConfigError("control interval must be finite and "
+                              "positive")
+        if not (math.isfinite(self.cooldown) and self.cooldown >= 0):
+            raise ConfigError("cooldown must be finite and non-negative")
         self.build_policy()  # validates name and threshold overrides
 
     def build_policy(self) -> AutoscalePolicy:

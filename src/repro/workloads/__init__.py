@@ -41,37 +41,4 @@ _EXPORTS = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "SequenceProfile",
-    "poisson_arrivals",
-    "burst_arrivals",
-    "Request",
-    "RequestTrace",
-    "SCENARIOS",
-    "poisson_trace",
-    "bursty_trace",
-    "diurnal_trace",
-    "scenario_trace",
-    "trace_from_arrivals",
-    "requests_from_arrays",
-    "rate_curve",
-    "burstiness_cv",
-    "trace_stats",
-    "tier_stats",
-    "session_stats",
-    "Tier",
-    "TierPolicy",
-    "TIER_POLICIES",
-    "resolve_tier_policy",
-    "parse_tiers_spec",
-    "tiers_spec",
-    "UserPopulation",
-    "parse_population_spec",
-    "population_spec",
-    "ClosedLoopDriver",
-    "sample_question_lengths",
-    "sample_decode_lengths",
-    "sample_retrieval_positions",
-    "gaussian_vectors",
-    "clustered_vectors",
-]
+__all__ = [*_EXPORTS]

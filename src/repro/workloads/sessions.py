@@ -295,8 +295,8 @@ class UserPopulation:
     def __post_init__(self) -> None:
         if self.users <= 0:
             raise ConfigError("population size must be positive")
-        if self.think_time < 0:
-            raise ConfigError("think time must be non-negative")
+        if not (math.isfinite(self.think_time) and self.think_time >= 0):
+            raise ConfigError("think time must be finite and non-negative")
         if self.concurrency <= 0:
             raise ConfigError("per-user concurrency must be positive")
         if self.session_len <= 0:

@@ -264,7 +264,7 @@ class RequestTrace:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 lines = handle.readlines()
-        except OSError as error:
+        except (OSError, UnicodeDecodeError) as error:
             raise ConfigError(f"cannot read trace file: {error}") from error
         for number, line in enumerate(lines, start=1):
             line = line.strip()
@@ -272,7 +272,9 @@ class RequestTrace:
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as error:
+            except (ValueError, RecursionError) as error:
+                # ValueError: a JSONDecodeError, or an integer literal
+                # past the int-conversion digit limit.
                 raise ConfigError(
                     f"{path}:{number}: invalid JSON: {error}") from error
             if not isinstance(row, dict):

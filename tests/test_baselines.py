@@ -7,13 +7,17 @@ from repro.baselines import (
     llm_only_search,
     long_context_llm_perf,
 )
-from repro.baselines.llm_only import chips_for_model
 from repro.errors import ConfigError
 from repro.hardware import ClusterSpec, XPU_C
-from repro.models import LLAMA3_8B, LLAMA3_70B, LLAMA3_405B
+from repro.models import LLAMA3_70B
 from repro.pipeline import RAGPerfModel
 from repro.rago import search_schedules
-from repro.schema import case_ii_long_context, case_iv_rewriter_reranker
+from repro.schema import (
+    Stage,
+    case_ii_long_context,
+    case_iv_rewriter_reranker,
+    llm_only,
+)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +91,11 @@ def test_long_context_validation():
         long_context_llm_perf(LLAMA3_70B, 0, 8, XPU_C)
 
 
-def test_chips_for_model():
-    assert chips_for_model(LLAMA3_8B, XPU_C) == 1
-    assert chips_for_model(LLAMA3_405B, XPU_C) == 8
+def test_chips_for_model(cluster):
+    # The LLM-only baseline sizes its model by the smallest chip count
+    # holding the weights, the same rule every RAG stage uses.
+    def chips(size):
+        return RAGPerfModel(llm_only(size), cluster).min_resource(Stage.PREFIX)
+
+    assert chips("8B") == 1
+    assert chips("405B") == 8

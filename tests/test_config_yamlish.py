@@ -136,6 +136,14 @@ def test_content_after_root_rejected():
         yamlish.loads(doc)
 
 
+@pytest.mark.parametrize("step", ["k{}:", "-"])
+def test_deep_nesting_rejected(step):
+    text = "".join(" " * depth + step.format(depth) + "\n"
+                   for depth in range(3000))
+    with pytest.raises(ConfigError, match="nests too deeply"):
+        yamlish.loads(text + " " * 3000 + "v: 1")
+
+
 def test_load_reads_files(tmp_path):
     path = tmp_path / "grid.yaml"
     path.write_text("case: i\nservers: [16]\n", encoding="utf-8")

@@ -64,8 +64,3 @@ def test_invalid_lengths_rejected(model):
         model.plan_perf(LLAMA3_8B, ShardingPlan(1, 1), 1, -1, 256)
     with pytest.raises(ConfigError):
         model.plan_perf(LLAMA3_8B, ShardingPlan(1, 1), 1, 512, 0)
-
-
-def test_unknown_objective_rejected(model):
-    with pytest.raises(ConfigError):
-        model.best_perf(LLAMA3_8B, 1, 1, 512, 256, optimize_for="cost")

@@ -1,5 +1,7 @@
 """RAGPerfModel per-stage evaluation tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import CapacityError, ConfigError
@@ -65,6 +67,50 @@ def test_retrieval_stage_resource_type(case_i):
     perf = case_i.perf(Stage.RETRIEVAL, 8, 16)
     assert perf.resource_type == "cpu_server"
     assert perf.plan is None
+
+
+def test_multi_query_divides_request_qps(cluster, case_i):
+    multi = RAGPerfModel(case_i_hyperscale("8B", queries_per_retrieval=4),
+                         cluster)
+    single = case_i.perf(Stage.RETRIEVAL, 16, 16)
+    fanned = multi.perf(Stage.RETRIEVAL, 16, 16)
+    # Query-level throughput (4 vectors per request) can only improve
+    # with the bigger physical batch, but request throughput drops by
+    # roughly the query fan-out.
+    assert 4 * fanned.request_qps >= single.request_qps
+    assert fanned.request_qps < single.request_qps / 2
+
+
+def test_query_qps_equals_request_qps_times_queries(cluster, case_i):
+    multi = RAGPerfModel(case_i_hyperscale("8B", queries_per_retrieval=4),
+                         cluster)
+    # 8 requests of 4 query vectors run the same 32-vector search as 32
+    # single-query requests: query throughput is 4x request throughput.
+    fanned = multi.perf(Stage.RETRIEVAL, 8, 16)
+    single = case_i.perf(Stage.RETRIEVAL, 32, 16)
+    assert 4 * fanned.request_qps == pytest.approx(single.request_qps)
+
+
+def test_brute_force_scans_everything(cluster):
+    exact = case_ii_long_context()  # brute-force kNN, scan_fraction 1
+    sparse = dataclasses.replace(
+        exact, database=exact.database.with_scan_fraction(0.01))
+    ann = dataclasses.replace(sparse, brute_force_retrieval=False)
+
+    def latency(schema):
+        return RAGPerfModel(schema, cluster).perf(Stage.RETRIEVAL, 1,
+                                                  1).latency
+
+    assert latency(sparse) == latency(exact)
+    assert latency(sparse) > latency(ann)
+
+
+def test_case_ii_retrieval_is_fast(cluster):
+    # 7,813 chunk vectors x 1,536 B = 12 MB: brute-force kNN on one
+    # server in well under 10 ms.
+    pm = RAGPerfModel(case_ii_long_context(1_000_000), cluster)
+    assert pm.min_resource(Stage.RETRIEVAL) == 1
+    assert pm.perf(Stage.RETRIEVAL, 1, 1).latency < 0.01
 
 
 def test_decode_stage_has_tpot(case_i):

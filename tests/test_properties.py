@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -714,8 +715,6 @@ def _fuzzed_artifacts():
 @functools.lru_cache(maxsize=None)
 def _valid_envelopes():
     """Envelope JSON text per fuzzed artifact (parsed afresh per case)."""
-    import json
-
     from repro import config
 
     return {name: json.dumps(config.to_config(artifact))
@@ -753,8 +752,6 @@ _junk_values = st.one_of(
 @given(pick=st.integers(min_value=0, max_value=10_000), junk=_junk_values)
 def test_envelope_with_one_junk_leaf_loads_or_fails_in_one_line(name, pick,
                                                                  junk):
-    import json
-
     from repro import config
     from repro.errors import ConfigError
 
@@ -770,3 +767,86 @@ def test_envelope_with_one_junk_leaf_loads_or_fails_in_one_line(name, pick,
         config.from_config(envelope)
     except ConfigError as error:
         assert "\n" not in str(error)
+
+
+# ---------------------------------------------------------------------------
+# Hostile text: the CLI spec parsers, the yamlish loader and the JSONL
+# trace loader either load arbitrary text or fail with a one-line
+# ConfigError.
+# ---------------------------------------------------------------------------
+
+_any_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=30)
+
+
+def _spliced(tokens):
+    """Arbitrary text, or text spliced from a grammar's own tokens (so
+    draws get past the first syntax check)."""
+    return st.one_of(
+        _any_text,
+        st.lists(st.sampled_from(tokens), max_size=12).map("".join))
+
+
+def _loads_or_fails_in_one_line(parse, text):
+    from repro.errors import ConfigError
+
+    try:
+        parse(text)
+    except ConfigError as error:
+        assert "\n" not in str(error)
+
+
+_SPEC_TOKENS = [
+    "=", ",", ":", "|", " ", "policy", "queue-depth", "slo-attainment",
+    "min", "max", "interval", "cooldown", "up", "down", "token-budget",
+    "priority", "greedy", "custom", "free", "paid", "free-paid", "users",
+    "think", "concurrency", "session", "decode", "seed", "tiers", "0", "1",
+    "2.5", "-1", "nan", "inf", "1e308", "x"]
+
+
+@pytest.mark.parametrize("parser", ["autoscale", "admission", "tiers",
+                                    "population"])
+@settings(max_examples=150)
+@given(spec=_spliced(_SPEC_TOKENS))
+def test_spec_parser_loads_or_fails_in_one_line(parser, spec):
+    from repro.sim.autoscale import parse_autoscale_spec
+    from repro.sim.policies import parse_admission_policy
+    from repro.workloads.sessions import (parse_population_spec,
+                                          parse_tiers_spec)
+
+    parse = {"autoscale": parse_autoscale_spec,
+             "admission": parse_admission_policy,
+             "tiers": parse_tiers_spec,
+             "population": parse_population_spec}[parser]
+    _loads_or_fails_in_one_line(parse, spec)
+
+
+_YAML_TOKENS = [
+    "\n", "  ", " ", "-", ":", "#", "'", '"', "[", "]", "{", "}", ",", "&",
+    "*", "!", "|", ">", "%", "---", "...", "\t", "key", "a", "1", "1.5",
+    "null", "true", "~", "nan", "1e999"]
+
+
+@settings(max_examples=300)
+@given(text=_spliced(_YAML_TOKENS))
+def test_yamlish_loads_or_fails_in_one_line(text):
+    from repro.config import yamlish
+
+    _loads_or_fails_in_one_line(yamlish.loads, text)
+
+
+_jsonl_rows = st.dictionaries(
+    st.sampled_from(["arrival", "decode_len", "user_id", "session_id",
+                     "tier", "metadata"]),
+    st.one_of(_junk_values, st.floats(0, 10), st.integers(1, 64)),
+    max_size=4).map(json.dumps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.lists(st.one_of(_jsonl_rows, _any_text),
+                     max_size=6).map("\n".join))
+def test_jsonl_trace_loads_or_fails_in_one_line(tmp_path_factory, text):
+    from repro.workloads import RequestTrace
+
+    path = tmp_path_factory.getbasetemp() / "hostile.jsonl"
+    path.write_text(text, encoding="utf-8")
+    _loads_or_fails_in_one_line(RequestTrace.from_jsonl, str(path))

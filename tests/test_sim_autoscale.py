@@ -150,8 +150,14 @@ def test_autoscale_config_validation():
         AutoscaleConfig(min_replicas=3, max_replicas=2)
     with pytest.raises(ConfigError, match="interval"):
         AutoscaleConfig(interval=0.0)
+    # Non-finite knobs used to load and crash the control loop.
+    for interval in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="interval"):
+            AutoscaleConfig(interval=interval)
     with pytest.raises(ConfigError, match="cooldown"):
         AutoscaleConfig(cooldown=-1.0)
+    with pytest.raises(ConfigError, match="cooldown"):
+        AutoscaleConfig(cooldown=float("nan"))
     with pytest.raises(ConfigError, match="unknown autoscale policy"):
         AutoscaleConfig(policy="bogus")
     # Threshold overrides flow into the policy's own validation.

@@ -164,6 +164,8 @@ def test_population_validation():
         UserPopulation(users=0)
     with pytest.raises(ConfigError):
         UserPopulation(think_time=-1.0)
+    with pytest.raises(ConfigError, match="finite"):
+        UserPopulation(think_time=float("nan"))
     with pytest.raises(ConfigError):
         UserPopulation(concurrency=0)
     with pytest.raises(ConfigError):

@@ -198,6 +198,11 @@ def test_jsonl_bad_line_rejected(tmp_path):
     ('{"arrival": null}', "arrival must be a number"),
     ('{"arrival": false}', "arrival must be a number"),
     ('{"arrival": [1.0]}', "arrival must be a number"),
+    # Past the int-conversion digit limit and the recursion limit.
+    pytest.param('{"arrival": ' + "1" * 5000 + "}", "invalid JSON",
+                 id="huge-int"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "invalid JSON",
+                 id="deep-nesting"),
 ])
 def test_jsonl_malformed_field_types_rejected(tmp_path, row, message):
     """Wrong-typed fields fail with the offending line, never with a
@@ -205,6 +210,13 @@ def test_jsonl_malformed_field_types_rejected(tmp_path, row, message):
     path = tmp_path / "typed.jsonl"
     path.write_text('{"arrival": 0.0, "decode_len": 8}\n' + row + "\n")
     with pytest.raises(ConfigError, match=f":2: {message}"):
+        RequestTrace.from_jsonl(str(path))
+
+
+def test_jsonl_non_utf8_file_rejected(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b'{"arrival": 0.0, "tier": "\xe9"}\n')
+    with pytest.raises(ConfigError, match="cannot read trace file"):
         RequestTrace.from_jsonl(str(path))
 
 
