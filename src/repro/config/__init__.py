@@ -226,8 +226,12 @@ def save(path: str, obj: Any, indent: Optional[int] = 1) -> None:
 
 def load(path: str) -> Any:
     """Load an artifact written by :func:`save`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as error:
+        raise ConfigError(f"cannot read {path}: {error}") from error
+    return loads(text)
 
 
 __all__ = [

@@ -283,5 +283,9 @@ def loads(text: str) -> Any:
 
 def load(path: str) -> Any:
     """Parse one yamlish file (see :func:`loads`)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as error:
+        raise ConfigError(f"cannot read {path}: {error}") from error
+    return loads(text)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError
+from repro.hardware.accelerator import XPUSpec
 from repro.hardware.cluster import ClusterSpec
 from repro.inference.decode import DecodeModel
 from repro.inference.memory import MemoryModel
@@ -62,15 +63,23 @@ class StagePerf:
 
 
 class RAGPerfModel:
-    """Stage-level cost model for one schema on one cluster."""
+    """Stage-level cost model for one schema on one cluster.
+
+    ``decode_xpu`` puts :attr:`Stage.DECODE` alone on another accelerator
+    generation (a split-generation fleet); every other stage, the
+    rewriter's decode included, runs on ``cluster.xpu``. None means
+    ``cluster.xpu``.
+    """
 
     def __init__(self, schema: RAGSchema, cluster: ClusterSpec,
-                 memory: Optional[MemoryModel] = None) -> None:
+                 memory: Optional[MemoryModel] = None, *,
+                 decode_xpu: Optional[XPUSpec] = None) -> None:
         self._schema = schema
         self._cluster = cluster
         self._memory = memory or MemoryModel()
         self._prefill = PrefillModel(cluster.xpu, self._memory)
-        self._decode = DecodeModel(cluster.xpu, self._memory)
+        self._rewrite_decode = DecodeModel(cluster.xpu, self._memory)
+        self._decode = DecodeModel(decode_xpu or cluster.xpu, self._memory)
         self._retrieval: Optional[DistributedRetrievalModel] = None
         if schema.has_retrieval:
             database = schema.database
@@ -121,8 +130,8 @@ class RAGPerfModel:
         servers holding the database, or chips holding the weights."""
         if stage is Stage.RETRIEVAL:
             return self._retrieval_model().min_servers()
-        return self._memory.min_chips(self.stage_model(stage),
-                                      self._cluster.xpu)
+        xpu = self._decode.xpu if stage is Stage.DECODE else self._cluster.xpu
+        return self._memory.min_chips(self.stage_model(stage), xpu)
 
     def perf_options(self, stage: Stage, batch: int,
                      resource: int) -> Tuple[StagePerf, ...]:
@@ -234,10 +243,11 @@ class RAGPerfModel:
         if stage in (Stage.REWRITE_DECODE, Stage.DECODE):
             if stage is Stage.REWRITE_DECODE:
                 prompt, output = seq.question_len, seq.rewrite_output_len
+                phase = self._rewrite_decode
             else:
                 prompt, output = seq.prefix_len, seq.decode_len
-            decode = self._decode.best_perf(model, resource, batch, prompt,
-                                            output)
+                phase = self._decode
+            decode = phase.best_perf(model, resource, batch, prompt, output)
             return (StagePerf(stage=stage, latency=decode.sequence_latency,
                               request_qps=decode.throughput, batch=batch,
                               resource_amount=resource, resource_type="xpu",

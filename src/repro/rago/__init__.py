@@ -15,7 +15,10 @@ searches over three scheduling decisions:
 The search (:mod:`repro.rago.search`) composes cached per-stage profiles
 with Pareto pruning and returns the TTFT vs. QPS/chip frontier with the
 schedules that achieve it; :class:`~repro.rago.session.OptimizerSession`
-is the user-facing front-end.
+is the user-facing front-end. Split-generation search
+(:mod:`repro.rago.hetero`) also picks the resource *type*: it runs the
+same search once per (prefill, decode) XPU generation pair and ranks
+plans by QPS per dollar.
 """
 
 from repro._lazy import lazy_exports

@@ -8,6 +8,11 @@ decode (memory-bandwidth-bound) on another. Because different chips cost
 differently, plans are compared by QPS per dollar rather than QPS per
 chip.
 
+It adds no search of its own: each (prefill, decode) generation pair is
+one run of the one Algorithm 1 loop,
+:func:`~repro.rago.search.search_schedules`, on a perf model with decode
+on its own generation, charged in dollars instead of chips.
+
 The motivating insight is the paper's own Fig. 7a: faster accelerators
 mostly shift the bottleneck, so spending premium chips where the
 workload is compute-bound and cheaper high-bandwidth-per-dollar chips on
@@ -16,21 +21,16 @@ decode can beat a homogeneous fleet.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, ScheduleError
-from repro.hardware.accelerator import XPU_A, XPU_B, XPU_C, XPUSpec
+from repro.hardware.accelerator import XPU_GENERATIONS
 from repro.hardware.cluster import ClusterSpec
 from repro.pipeline.stage_perf import RAGPerfModel
-from repro.rago.search import (
-    SearchConfig,
-    _Profiler,
-    _prune,
-    _serial_merge,
-)
-from repro.rago.allocation import enumerate_allocations
-from repro.rago.placement import enumerate_placements
+from repro.rago.pareto import pareto_front
+from repro.rago.search import SearchConfig, search_schedules
 from repro.schema.ragschema import RAGSchema
 from repro.schema.stages import Stage
 
@@ -42,8 +42,6 @@ DEFAULT_XPU_PRICES: Dict[str, float] = {
 }
 #: Retrieval-host hourly price.
 DEFAULT_SERVER_PRICE = 5.00
-
-GENERATIONS: Tuple[XPUSpec, ...] = (XPU_A, XPU_B, XPU_C)
 
 
 @dataclass(frozen=True)
@@ -91,22 +89,19 @@ class HeteroResult:
         return self.best.qps_per_dollar / self.best_homogeneous.qps_per_dollar
 
 
-def _cluster_with(base: ClusterSpec, xpu: XPUSpec) -> ClusterSpec:
-    return ClusterSpec(num_servers=base.num_servers,
-                       xpus_per_server=base.xpus_per_server, xpu=xpu,
-                       cpu=base.cpu, pcie_bandwidth=base.pcie_bandwidth)
-
-
 def split_generation_search(schema: RAGSchema, cluster: ClusterSpec,
                             prices: Optional[Dict[str, float]] = None,
                             server_price: float = DEFAULT_SERVER_PRICE,
                             config: Optional[SearchConfig] = None) -> HeteroResult:
     """Search split-generation plans for a schema.
 
-    For every (prefill generation, decode generation) pair, composes the
-    pre-prefix stage options on the prefill generation with decode
-    options on the decode generation, prices the result, and returns the
-    (TTFT, QPS/$) frontier.
+    For every (prefill generation, decode generation) pair, runs
+    :func:`~repro.rago.search.search_schedules` with the decode group on
+    the decode generation and every other group on the prefill one,
+    prices each plan, and returns the (TTFT, QPS/$) frontier. The
+    search honours ``config`` (budget and placement restrictions
+    included); placements must end with the decode group, as
+    :func:`~repro.rago.placement.enumerate_placements` builds them.
 
     Raises:
         ScheduleError: when no feasible plan exists.
@@ -114,108 +109,56 @@ def split_generation_search(schema: RAGSchema, cluster: ClusterSpec,
     """
     prices = dict(DEFAULT_XPU_PRICES if prices is None else prices)
     config = config or SearchConfig(max_batch=64, max_decode_batch=512)
-    for xpu in GENERATIONS:
+    for xpu in XPU_GENERATIONS:
         if xpu.name not in prices:
             raise ConfigError(f"no price for generation {xpu.name}")
     if server_price <= 0:
         raise ConfigError("server_price must be positive")
+    for placement in config.placements or ():
+        if placement[-1:] != ((Stage.DECODE,),):
+            raise ConfigError(f"placement {placement} does not end with "
+                              f"the decode group")
 
-    perf_models = {xpu.name: RAGPerfModel(schema, _cluster_with(cluster, xpu))
-                   for xpu in GENERATIONS}
-    profilers = {name: _Profiler(model, config)
-                 for name, model in perf_models.items()}
-    budget = cluster.total_xpus
-    placements = enumerate_placements(schema)
-    retrieval_floor = (perf_models[XPU_C.name].min_resource(Stage.RETRIEVAL)
-                       if schema.has_retrieval else 0)
+    points: List[HeteroPoint] = []
+    for prefill in XPU_GENERATIONS:
+        for decode in XPU_GENERATIONS:
+            def dollars(allocation: Tuple[int, ...], servers: int) -> float:
+                hosts = max(servers, cluster.servers_for_xpus(sum(allocation)))
+                return (sum(allocation[:-1]) * prices[prefill.name]
+                        + allocation[-1] * prices[decode.name]
+                        + hosts * server_price)
 
-    points: List[Tuple[float, float, HeteroPoint]] = []
-    for prefill_xpu in GENERATIONS:
-        prefill_profiler = profilers[prefill_xpu.name]
-        prefill_model = perf_models[prefill_xpu.name]
-        for decode_xpu in GENERATIONS:
-            decode_profiler = profilers[decode_xpu.name]
-            decode_model = perf_models[decode_xpu.name]
-            for placement in placements:
-                pre_groups = placement[:-1]
-                try:
-                    minimums = [max(prefill_model.min_resource(stage)
-                                    for stage in group)
-                                for group in pre_groups]
-                    minimums.append(
-                        decode_model.min_resource(Stage.DECODE))
-                except Exception:  # infeasible model/chip combination
-                    continue
-                try:
-                    allocations = list(enumerate_allocations(minimums,
-                                                             budget))
-                except ConfigError:
-                    continue
-                for allocation in allocations:
-                    total = sum(allocation)
-                    servers = max(retrieval_floor,
-                                  cluster.servers_for_xpus(total))
-                    if servers > cluster.num_servers:
-                        continue
-                    options = None
-                    feasible = True
-                    for group, chips in zip(pre_groups, allocation[:-1]):
-                        group_opts = prefill_profiler.group_options(group,
-                                                                    chips)
-                        if not group_opts:
-                            feasible = False
-                            break
-                        options = group_opts if options is None else \
-                            _serial_merge(options, group_opts)
-                    if not feasible:
-                        continue
-                    decode_opts = decode_profiler.stage_options(
-                        Stage.DECODE, allocation[-1])
-                    if not decode_opts:
-                        continue
-                    options = decode_opts if options is None else \
-                        _serial_merge(options, decode_opts)
-                    if schema.has_retrieval:
-                        retr_opts = prefill_profiler.stage_options(
-                            Stage.RETRIEVAL, servers)
-                        if not retr_opts:
-                            continue
-                        options = _serial_merge(options, retr_opts)
-                    prefill_chips = sum(allocation[:-1])
-                    decode_chips = allocation[-1]
-                    dollars = (prefill_chips * prices[prefill_xpu.name]
-                               + decode_chips * prices[decode_xpu.name]
-                               + servers * server_price)
-                    for ttft, qps, _ in _prune(options):
-                        point = HeteroPoint(
-                            prefill_xpu=prefill_xpu.name,
-                            decode_xpu=decode_xpu.name,
-                            ttft=ttft,
-                            qps=qps,
-                            dollars_per_hour=dollars,
-                            qps_per_dollar=qps / dollars,
-                            prefill_chips=prefill_chips,
-                            decode_chips=decode_chips,
-                            servers=servers,
-                        )
-                        points.append((ttft, qps / dollars, point))
+            perf_model = RAGPerfModel(
+                schema, dataclasses.replace(cluster, xpu=prefill),
+                decode_xpu=decode)
+            try:
+                result = search_schedules(perf_model, config, charge=dollars)
+            except ScheduleError:  # no feasible plan on this pair
+                continue
+            for perf in result.frontier:
+                allocation = tuple(group.num_xpus
+                                   for group in perf.schedule.groups)
+                price = dollars(allocation, perf.retrieval_servers)
+                points.append(HeteroPoint(
+                    prefill_xpu=prefill.name,
+                    decode_xpu=decode.name,
+                    ttft=perf.ttft,
+                    qps=perf.qps,
+                    dollars_per_hour=price,
+                    qps_per_dollar=perf.qps / price,
+                    prefill_chips=sum(allocation[:-1]),
+                    decode_chips=allocation[-1],
+                    servers=max(perf.retrieval_servers,
+                                cluster.servers_for_xpus(perf.total_xpus)),
+                ))
 
     if not points:
         raise ScheduleError(f"no feasible hetero plan for {schema.name}")
-
-    # Pareto over (ttft, qps_per_dollar).
-    points.sort(key=lambda entry: (entry[0], -entry[1]))
-    frontier: List[HeteroPoint] = []
-    best_value = -1.0
-    for ttft, value, point in points:
-        if value > best_value:
-            frontier.append(point)
-            best_value = value
-
-    best = max(frontier, key=lambda p: p.qps_per_dollar)
-    homogeneous = [entry[2] for entry in points
-                   if entry[2].prefill_xpu == entry[2].decode_xpu]
-    best_homogeneous = max(homogeneous,
-                           key=lambda p: p.qps_per_dollar)
+    frontier = pareto_front(points, cost=lambda point: point.ttft,
+                            value=lambda point: point.qps_per_dollar)
+    best = max(frontier, key=lambda point: point.qps_per_dollar)
+    best_homogeneous = max(
+        (point for point in points if point.prefill_xpu == point.decode_xpu),
+        key=lambda point: point.qps_per_dollar)
     return HeteroResult(frontier=frontier,
                         best_homogeneous=best_homogeneous, best=best)

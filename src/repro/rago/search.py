@@ -44,9 +44,14 @@ it, so exact ties keep the first seen. Every candidate seen is weakly
 dominated by a kept point, so dropping a new point that a kept point
 weakly dominates, and evicting the kept points it dominates, applies
 that rule online and ends with the same points, as the same objects.
-A plan whose corner (smallest TTFT, largest QPS/chip) is covered is
-skipped whole; groups and :class:`Schedule` objects are built for the
-final front alone.
+A plan whose corner (smallest TTFT, largest QPS per charge) is covered
+is skipped whole; groups and :class:`Schedule` objects are built for
+the final front alone.
+
+The ranked value is QPS per *charge*, a function of a plan's per-group
+chips and retrieval servers. The default charges chips (QPS/chip, the
+paper's metric); split-generation search (:mod:`repro.rago.hetero`)
+charges dollars, pricing each group's chips by its generation.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CapacityError, ConfigError, ScheduleError
 from repro.pipeline.assembly import PipelinePerf, PlacementGroup, Schedule, assemble
@@ -68,6 +73,9 @@ from repro.schema.stages import Stage, spans_retrieval, ttft_stages
 #: Partial-schedule option:
 #: (ttft seconds, qps, ((stage, batch, sharding plan or None), ...)).
 _Option = Tuple[float, float, Tuple[Tuple[Stage, int, object], ...]]
+
+#: What a plan costs: ``charge(allocation, retrieval servers)``.
+Charge = Callable[[Tuple[int, ...], int], float]
 
 
 @dataclass(frozen=True)
@@ -130,7 +138,7 @@ class PlanFrontier:
 
     placement: Placement
     allocation: Tuple[int, ...]
-    points: Tuple[Tuple[float, float], ...]  # (ttft, qps_per_chip)
+    points: Tuple[Tuple[float, float], ...]  # (ttft, qps / charge)
 
 
 @dataclass
@@ -256,7 +264,7 @@ class _Profiler:
 
 
 class _Staircase:
-    """Running Pareto front (min TTFT, max QPS/chip) of offered points:
+    """Running Pareto front (min TTFT, max QPS per charge) of offered points:
     ``ttft`` and ``qps`` strictly increase; ``items`` are payloads."""
 
     def __init__(self) -> None:
@@ -323,8 +331,16 @@ def _harmonic_merge(left: List[_Option],
 
 
 def search_schedules(perf_model: RAGPerfModel,
-                     config: Optional[SearchConfig] = None) -> SearchResult:
-    """Run Algorithm 1 and return the TTFT vs. QPS/chip frontier.
+                     config: Optional[SearchConfig] = None, *,
+                     charge: Optional[Charge] = None) -> SearchResult:
+    """Run Algorithm 1 and return the TTFT vs. QPS-per-charge frontier.
+
+    Args:
+        charge: ``charge(allocation, servers)``, what a plan with those
+            per-group chips and retrieval servers (0 without retrieval)
+            costs; the search ranks ``qps / charge``. None charges the
+            chips, never fewer than the retrieval hosts' XPU slots, so
+            the value is :attr:`PipelinePerf.qps_per_chip`.
 
     Raises:
         ScheduleError: when no feasible schedule exists in the budget.
@@ -333,6 +349,9 @@ def search_schedules(perf_model: RAGPerfModel,
     config = config or SearchConfig()
     schema = perf_model.schema
     cluster = perf_model.cluster
+    if charge is None:
+        def charge(allocation: Tuple[int, ...], servers: int) -> float:
+            return max(sum(allocation), servers * cluster.xpus_per_server)
     budget = config.budget_xpus or cluster.total_xpus
     if budget > cluster.total_xpus:
         raise ConfigError(
@@ -430,22 +449,20 @@ def search_schedules(perf_model: RAGPerfModel,
                 for group, chips in zip(placement, allocation):
                     PlacementGroup(stages=group, num_xpus=chips)
                 checked = True
-            charged_chips = max(total_xpus,
-                                servers * cluster.xpus_per_server)
+            charged = charge(allocation, servers)
             num_candidates += len(options)
             if config.collect_per_plan:
-                points = [(ttft, qps / charged_chips)
-                          for ttft, qps, _ in options]
+                points = [(ttft, qps / charged) for ttft, qps, _ in options]
                 per_plan.append(PlanFrontier(
                     placement=placement, allocation=allocation,
                     points=tuple(pareto_front(points, cost=lambda p: p[0],
                                               value=lambda p: p[1]))))
             # Options run from the smallest TTFT to the largest QPS.
-            if front.covers(options[0][0], options[-1][1] / charged_chips):
+            if front.covers(options[0][0], options[-1][1] / charged):
                 continue
             retrieval_servers = servers if schema.has_retrieval else None
             for ttft, qps, choices in options:
-                front.offer(ttft, qps / charged_chips, (
+                front.offer(ttft, qps / charged, (
                     placement, allocation, retrieval_servers, choices))
 
     if not front.items:
@@ -481,9 +498,11 @@ def search_schedules(perf_model: RAGPerfModel,
                 shard_plans=schedule.shard_plans,
             )
             performances.append(assemble(perf_model, candidate))
-    performances = pareto_front(performances,
-                                cost=lambda perf: perf.ttft,
-                                value=lambda perf: perf.qps_per_chip)
+    performances = pareto_front(
+        performances, cost=lambda perf: perf.ttft,
+        value=lambda perf: perf.qps / charge(
+            tuple(group.num_xpus for group in perf.schedule.groups),
+            perf.retrieval_servers))
     performances.sort(key=lambda perf: perf.ttft)
     return SearchResult(frontier=performances, num_plans=num_plans,
                         num_candidates=num_candidates, per_plan=per_plan)

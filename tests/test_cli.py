@@ -866,6 +866,31 @@ def test_sweep_config_bad_backend_rejected(tmp_path, capsys):
     assert "bad backend" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["optimize", "sweep"])
+def test_non_utf8_config_file_fails_in_one_line(tmp_path, command):
+    """Regression: a config file that is not UTF-8 text escaped
+    ``config.load``/``yamlish.load`` as a ``UnicodeDecodeError`` and the
+    CLI printed a traceback."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(b"case: i\n\xff\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    run = subprocess.run(
+        [sys.executable, "-m", "repro", command, "--config", str(path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    assert run.stderr == ""
+    lines = run.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(path) in lines[0]
+
+
 @pytest.mark.parametrize("flags", [["--rate", "5"], ["--seed", "9"],
                                    ["--duration", "3"]],
                          ids=["rate", "seed", "duration"])

@@ -182,3 +182,30 @@ def test_encode_without_context_rejected(cluster):
     pm = RAGPerfModel(preset("8B"), cluster)
     with pytest.raises(ConfigError):
         pm.perf(Stage.DATABASE_ENCODE, 1, 4)
+
+
+def test_decode_xpu_moves_decode_alone(cluster):
+    """``decode_xpu`` costs and sizes ``Stage.DECODE`` on its generation;
+    every other stage, the rewriter's decode included, stays on the
+    cluster's XPU."""
+    from repro.hardware.accelerator import XPU_A
+
+    schema = case_iv_rewriter_reranker("70B")
+    split = RAGPerfModel(schema, cluster, decode_xpu=XPU_A)
+    on_a = RAGPerfModel(schema, dataclasses.replace(cluster, xpu=XPU_A))
+    on_c = RAGPerfModel(schema, cluster)
+    assert cluster.xpu is not XPU_A
+    assert split.min_resource(Stage.DECODE) == on_a.min_resource(Stage.DECODE)
+    assert split.min_resource(Stage.DECODE) != on_c.min_resource(Stage.DECODE)
+    chips = 16
+    assert split.perf(Stage.DECODE, 64, chips) \
+        == on_a.perf(Stage.DECODE, 64, chips)
+    assert split.perf(Stage.DECODE, 64, chips) \
+        != on_c.perf(Stage.DECODE, 64, chips)
+    for stage in (Stage.PREFIX, Stage.REWRITE_DECODE):
+        assert split.min_resource(stage) == on_c.min_resource(stage)
+        assert split.perf(stage, 8, chips) == on_c.perf(stage, 8, chips)
+    default = RAGPerfModel(schema, cluster, decode_xpu=None)
+    for stage in (Stage.PREFIX, Stage.REWRITE_DECODE, Stage.DECODE):
+        assert default.min_resource(stage) == on_c.min_resource(stage)
+        assert default.perf(stage, 8, chips) == on_c.perf(stage, 8, chips)

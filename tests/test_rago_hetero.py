@@ -85,3 +85,38 @@ def test_case_iv_hetero_search_runs(cluster):
                                      cluster)
     assert result.frontier
     assert result.hetero_gain >= 1.0
+
+
+def test_search_config_budget_and_placements_honoured(cluster):
+    """The split search runs the main search, so it honours the budget
+    and the placement restriction of its ``SearchConfig``."""
+    from repro.rago.placement import fully_collocated
+    from repro.rago.search import SearchConfig
+    from repro.schema import case_iv_rewriter_reranker
+
+    budget = SearchConfig(budget_xpus=16, max_batch=64, max_decode_batch=512)
+    result = split_generation_search(llm_only("8B"), cluster, config=budget)
+    assert result.frontier
+    for point in result.frontier:
+        assert point.prefill_chips + point.decode_chips <= 16
+
+    schema = case_iv_rewriter_reranker("8B")
+    collocated = SearchConfig(budget_xpus=32, max_batch=64,
+                              max_decode_batch=512,
+                              placements=[fully_collocated(schema)])
+    result = split_generation_search(schema, cluster, config=collocated)
+    assert result.frontier
+    for point in result.frontier:
+        # One pre-decode group: its chips are one power-of-two share.
+        chips = point.prefill_chips
+        assert chips & (chips - 1) == 0
+        assert chips + point.decode_chips <= 32
+
+
+def test_placement_without_trailing_decode_rejected(cluster):
+    from repro.rago.search import SearchConfig
+    from repro.schema import Stage
+
+    config = SearchConfig(placements=[((Stage.DECODE,), (Stage.PREFIX,))])
+    with pytest.raises(ConfigError, match="decode group"):
+        split_generation_search(llm_only("8B"), cluster, config=config)
