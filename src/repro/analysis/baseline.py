@@ -18,7 +18,7 @@ import json
 from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, read_json
 from repro.analysis.findings import (
     Finding,
     finding_from_dict,
@@ -52,11 +52,7 @@ def load_baseline(path: str) -> List[Finding]:
         ConfigError: on malformed JSON, a missing findings list, or a
             version newer than this library understands.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as error:
-        raise ConfigError(f"{path}: invalid JSON: {error}") from error
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: baseline must be a JSON object")
     version = data.get("baseline_version")

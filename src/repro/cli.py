@@ -56,7 +56,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.errors import ConfigError, ReproError, lookup
+from repro.errors import ConfigError, ReproError, lookup, read_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import OptimizationConfig
@@ -577,11 +577,7 @@ def _load_schedule(path: str, session: OptimizerSession):
     from repro import config as config_module
     from repro.pipeline.assembly import Schedule
 
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as error:
-        raise ConfigError(f"{path}: invalid JSON: {error}") from error
+    data = read_json(path)
     if isinstance(data, dict) and "config_version" in data:
         loaded = config_module.from_config(data)
     elif isinstance(data, dict) and isinstance(data.get("schedule"), dict):

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
-from repro.errors import ConfigError, decoder, lookup
+from repro.errors import ConfigError, decoder, lookup, parse_json, read_json
 from repro.config.serializers import (
     autoscale_config_from_dict,
     autoscale_config_to_dict,
@@ -210,11 +210,7 @@ def dumps(obj: Any, indent: Optional[int] = 1) -> str:
 
 def loads(text: str) -> Any:
     """Reconstruct an artifact from :func:`dumps` output."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ConfigError(f"invalid JSON: {error}") from error
-    return from_config(data)
+    return from_config(parse_json(text))
 
 
 def save(path: str, obj: Any, indent: Optional[int] = 1) -> None:
@@ -226,12 +222,7 @@ def save(path: str, obj: Any, indent: Optional[int] = 1) -> None:
 
 def load(path: str) -> Any:
     """Load an artifact written by :func:`save`."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except UnicodeDecodeError as error:
-        raise ConfigError(f"cannot read {path}: {error}") from error
-    return loads(text)
+    return from_config(read_json(path))
 
 
 __all__ = [

@@ -9,7 +9,11 @@ Two kinds of grid cell exist today:
 * ``whatif`` -- one (schedule, replicas, routing, autoscale) cell of
   ``repro whatif``: replay the shared recorded trace through a fleet
   built to the cell's policy knobs and return the scalar metrics the
-  Pareto table needs.
+  Pareto table needs. A whatif cell frees its fleet before it returns:
+  the serving graph is full of reference cycles (clock handlers bound
+  to engines, a fleet and autoscaler that listen to each other), so
+  without a collection at the cell boundary every finished fleet would
+  stay resident until the grid ends.
 
 Both factories deserialize the task context (search knobs, trace,
 memory override) **once per worker**; the per-cell runner only parses
@@ -24,6 +28,7 @@ load the search or serving stack to do it.
 
 from __future__ import annotations
 
+import gc
 from typing import Any, Dict, Optional
 
 from repro.errors import ReproError
@@ -113,7 +118,7 @@ def whatif_runner(context: Dict[str, Any]) -> Runner:
     memory = memory_from_payload(context.get("memory"))
     perf_model = RAGPerfModel(schema, cluster, memory)
 
-    def run(payload: Dict[str, Any]):
+    def replay_cell(payload: Dict[str, Any]):
         try:
             schedule = config.from_config(payload["schedule"])
             perf = assemble(perf_model, schedule)
@@ -138,5 +143,18 @@ def whatif_runner(context: Dict[str, Any]) -> Runner:
             "chip_seconds": float(fleet.replica_seconds
                                   * perf.charged_chips),
         })
+
+    def run(payload: Dict[str, Any]):
+        try:
+            return replay_cell(payload)
+        finally:
+            # The finished fleet is cyclic garbage (clock handlers are
+            # bound methods of the engines owning the clock; fleet and
+            # autoscaler listen to each other) that a full collection
+            # rarely reaches on its own. Collect it once replay_cell's
+            # locals are gone, so a grid peaks at one cell's memory.
+            # Breaking the cycles instead would rewire the DES event
+            # and listener paths themselves.
+            gc.collect()
 
     return run

@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict
 
-from repro.errors import ConfigError, DistribError, lookup
+from repro.errors import ConfigError, DistribError, lookup, parse_json
 
 __all__ = [
     "TaskSpec",
@@ -141,10 +141,7 @@ def decode_line(line: bytes) -> Dict[str, Any]:
         DistribError: on malformed JSON or a non-object payload (a
             protocol violation, not a cell failure).
     """
-    try:
-        payload = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise DistribError(f"malformed protocol line: {error}") from error
+    payload = parse_json(line, "malformed protocol line", DistribError)
     if not isinstance(payload, dict):
         raise DistribError(
             f"protocol messages must be objects, got "

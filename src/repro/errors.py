@@ -6,16 +6,19 @@ still being able to distinguish configuration mistakes from infeasible
 schedules.
 
 It also owns the one rejection path every external input shares: a
-named choice resolves through :func:`lookup` and every ``*_from_dict``
-envelope decoder is wrapped by :func:`decoder`, so a bad name or a
-malformed payload fails with a one-line :class:`ConfigError`, never a
+named choice resolves through :func:`lookup`, every ``*_from_dict``
+envelope decoder is wrapped by :func:`decoder`, and every JSON text
+(a file, a socket line, a cache entry) is parsed by :func:`parse_json`,
+so a bad name, a malformed payload or hostile JSON fails with a
+one-line :class:`ConfigError` (or the caller's error type), never a
 traceback.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Iterable, Mapping, TypeVar
+import json
+from typing import Any, Callable, Iterable, Mapping, Type, TypeVar, Union
 
 _V = TypeVar("_V")
 _Decoded = TypeVar("_Decoded")
@@ -106,3 +109,28 @@ def decoder(label: str) -> Callable[[Callable[[Any], _Decoded]],
                     f"malformed {label} dict: {error}") from error
         return wrapped
     return decorate
+
+
+def parse_json(data: Union[bytes, str], label: str = "invalid JSON",
+               error: Type[Exception] = ConfigError) -> Any:
+    """``json.loads(data)``, or ``error(f"{label}: ...")``.
+
+    Bytes are decoded as UTF-8 here, so every way a hostile text fails
+    takes this one path: ``ValueError`` covers a ``JSONDecodeError``, a
+    ``UnicodeDecodeError`` and an integer literal past the
+    int-conversion digit limit, and ``RecursionError`` a document
+    nested deeper than the interpreter's recursion limit.
+    """
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{label}: {exc}") from exc
+
+
+def read_json(path: str) -> Any:
+    """Parse the JSON file at ``path`` with :func:`parse_json`, its
+    errors labelled with the path; an ``OSError`` passes through."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    return parse_json(data, f"{path}: invalid JSON")

@@ -27,7 +27,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, read_json
 from repro.distrib import (
     SweepJob,
     TaskSpec,
@@ -237,16 +237,23 @@ class WhatIfCache:
         return os.path.join(self.root, f"{key}.json")
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The cached outcome for ``key``, or None on a miss."""
+        """The cached outcome for ``key``, or None on a miss.
+
+        A hit holds exactly one of a metrics dict (:data:`METRIC_NAMES`
+        to floats) and an error string; any other entry, unreadable
+        bytes and hostile JSON included, is a miss.
+        """
         try:
-            with open(self._path(key), "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+            data = read_json(self._path(key))
+        except (OSError, ConfigError):
             return None
-        if not isinstance(data, dict) or "result" not in data \
-                or "error" not in data:
+        if not isinstance(data, dict):
             return None
-        return {"result": data["result"], "error": data["error"]}
+        result, error = data.get("result"), data.get("error")
+        if error is None and _is_metrics(result) \
+                or result is None and isinstance(error, str):
+            return {"result": result, "error": error}
+        return None
 
     def put(self, key: str, outcome: Dict[str, Any]) -> None:
         """Store one outcome (atomic rename, so a crash mid-write
@@ -261,6 +268,14 @@ class WhatIfCache:
     def __len__(self) -> int:
         return sum(1 for name in os.listdir(self.root)
                    if name.endswith(".json"))
+
+
+def _is_metrics(result: Any) -> bool:
+    """Whether ``result`` is a cell's metrics: a dict of
+    :data:`METRIC_NAMES` to floats."""
+    return isinstance(result, dict) and all(
+        name in METRIC_NAMES and type(value) is float
+        for name, value in result.items())
 
 
 def _digest(text: str) -> str:

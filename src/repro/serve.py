@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, parse_json
 from repro.sim.autoscale import Autoscaler, AutoscaleConfig
 from repro.sim.engine import ServingEngine
 from repro.sim.fleet import FleetEngine
@@ -429,9 +429,9 @@ class LiveServer:
     def _dispatch_op(self, line: bytes, writer: asyncio.StreamWriter,
                      ) -> Optional[Dict[str, Any]]:
         try:
-            message = json.loads(line)
-        except json.JSONDecodeError as error:
-            return {"op": "error", "error": f"invalid JSON: {error}"}
+            message = parse_json(line)
+        except ConfigError as error:
+            return {"op": "error", "error": str(error)}
         if not isinstance(message, dict):
             return {"op": "error", "error": "expected a JSON object"}
         op = message.get("op")

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
                     Sequence, Tuple)
 
-from repro.errors import ConfigError, lookup
+from repro.errors import ConfigError, lookup, parse_json
 from repro.workloads.sequences import sample_decode_lengths
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -270,13 +270,7 @@ class RequestTrace:
             line = line.strip()
             if not line:
                 continue
-            try:
-                row = json.loads(line)
-            except (ValueError, RecursionError) as error:
-                # ValueError: a JSONDecodeError, or an integer literal
-                # past the int-conversion digit limit.
-                raise ConfigError(
-                    f"{path}:{number}: invalid JSON: {error}") from error
+            row = parse_json(line, f"{path}:{number}: invalid JSON")
             if not isinstance(row, dict):
                 raise ConfigError(f"{path}:{number}: expected an object")
             if "metadata" in row:

@@ -866,27 +866,55 @@ def test_sweep_config_bad_backend_rejected(tmp_path, capsys):
     assert "bad backend" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["optimize", "sweep"])
-def test_non_utf8_config_file_fails_in_one_line(tmp_path, command):
-    """Regression: a config file that is not UTF-8 text escaped
-    ``config.load``/``yamlish.load`` as a ``UnicodeDecodeError`` and the
-    CLI printed a traceback."""
+_NON_UTF8 = b"case: i\n\xff\n"
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+_BIG_INT = b'{"config_version": ' + b"1" * 5000 + b"}"
+# replay prints its workload and cluster lines before it loads the
+# schedule, so its error is the third line.
+_REPLAY = ["replay", "--case", "i", "--llm", "1B", "--servers", "16",
+           "--duration", "1", "--schedule"]
+_LINT = ["lint", "mod.py", "--baseline"]
+
+
+@pytest.mark.parametrize("argv, content", [
+    pytest.param(["optimize", "--config"], _NON_UTF8, id="optimize"),
+    pytest.param(["sweep", "--config"], _NON_UTF8, id="sweep"),
+    pytest.param(["optimize", "--config"], _DEEP, id="optimize-deep"),
+    pytest.param(["optimize", "--config"], _BIG_INT, id="optimize-big-int"),
+    pytest.param(_REPLAY, _NON_UTF8, id="replay-schedule"),
+    pytest.param(_REPLAY, _DEEP, id="replay-schedule-deep"),
+    pytest.param(_REPLAY, _BIG_INT, id="replay-schedule-big-int"),
+    pytest.param(_LINT, _NON_UTF8, id="lint-baseline"),
+    pytest.param(_LINT, _DEEP, id="lint-baseline-deep"),
+    pytest.param(_LINT, _BIG_INT, id="lint-baseline-big-int"),
+])
+def test_non_utf8_config_file_fails_in_one_line(tmp_path, argv, content):
+    """Regression: an input file that is not UTF-8 text, nests deeper
+    than the recursion limit or holds an integer past the digit limit
+    escaped the JSON/yamlish loaders (``UnicodeDecodeError``,
+    ``RecursionError``, ``ValueError``) and the CLI printed a
+    traceback."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     path = tmp_path / "bad.yaml"
-    path.write_bytes(b"case: i\n\xff\n")
+    path.write_bytes(content)
+    (tmp_path / "mod.py").write_text("x = 1\n", encoding="utf-8")
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH")))))
     run = subprocess.run(
-        [sys.executable, "-m", "repro", command, "--config", str(path)],
+        [sys.executable, "-m", "repro", *argv, str(path)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 1
     assert run.stderr == ""
     lines = run.stdout.splitlines()
+    if argv[0] == "replay":
+        assert [line.split()[0] for line in lines[:2]] \
+            == ["workload:", "cluster"]
+        lines = lines[2:]
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert str(path) in lines[0]
 

@@ -282,6 +282,18 @@ def test_resolve_sweep_backend_defaults_names_and_instances():
         SocketsBackend(workers=0)
 
 
+@pytest.mark.parametrize("line", [
+    b'{"op": "\xff"}\n',
+    b"[" * 100_000 + b"]" * 100_000 + b"\n",
+    b'{"op": "cell", "index": ' + b"1" * 5000 + b"}\n",
+], ids=["non-utf8", "deep", "big-int"])
+def test_decode_line_rejects_hostile_json(line):
+    """Every undecodable line is one DistribError, never a
+    RecursionError or a bare ValueError."""
+    with pytest.raises(DistribError, match="malformed protocol line"):
+        decode_line(line)
+
+
 def test_task_runner_registry_contract():
     assert {"search", "whatif"} <= set(TASK_RUNNERS)
     with pytest.raises(ConfigError, match="duplicate"):

@@ -625,6 +625,43 @@ def test_fleet_replica_artifacts_equal_full_accumulator_fold(
     assert fleet.snapshot() == merged.snapshot(fleet.now)
 
 
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2**16), replicas=st.integers(1, 4),
+       routing=st.sampled_from([None, "round-robin", "least-in-flight",
+                                "session-affine", "power-of-two-choices"]),
+       autoscale=st.sampled_from([
+           None, "policy=queue-depth,min=1,max=3,interval=0.05,up=4,down=1",
+           "policy=slo-attainment,min=1,max=4,interval=0.1"]))
+def test_open_loop_fleet_replay_repeats_exactly(seed, replicas, routing,
+                                                autoscale):
+    """Determinism under a seed: two fresh build_fleet +
+    replay_open_loop runs over one trace give the same report JSON,
+    byte for byte, and the same scaling timeline."""
+    from repro import config
+    from repro.sim.autoscale import (
+        build_fleet,
+        parse_autoscale_spec,
+        replay_open_loop,
+    )
+    from repro.sim.metrics import SLOTarget
+    from repro.workloads.traces import diurnal_trace
+
+    pm, schedule = _decode_network("plain")
+    trace = diurnal_trace(200.0, 1.5, seed=seed, mean_decode_len=64)
+    slo = SLOTarget(ttft=0.05, tpot=0.002)
+
+    def replay():
+        fleet, autoscaler = build_fleet(
+            pm, schedule, replicas=replicas, routing=routing,
+            autoscale=autoscale and parse_autoscale_spec(autoscale),
+            slo=slo)
+        replay_open_loop(fleet, autoscaler, trace)
+        return (config.dumps(fleet.report(trace, slo=slo)),
+                autoscaler and autoscaler.timeline())
+
+    assert replay() == replay()
+
+
 def _old_power_of_two_select(rng, replicas, depths):
     """``PowerOfTwoChoicesRouting.select`` as it was before one tail
     served live and stale depths: a view map, candidates indexed over

@@ -172,6 +172,20 @@ def test_malformed_ops_answer_errors_without_dropping(setup):
     assert ack["id"] == "ok"
 
 
+@pytest.mark.parametrize("line", [
+    b'{"op": "\xff"}\n',
+    b"[" * 100_000 + b"]" * 100_000 + b"\n",
+    b'{"op": "submit", "decode_len": ' + b"1" * 5000 + b"}\n",
+], ids=["non-utf8", "deep", "big-int"])
+def test_hostile_json_line_answers_an_error_op(setup, line):
+    """Regression: these lines escaped the JSON decode and killed the
+    connection handler; each must answer one error op instead."""
+    server = LiveServer(_engine(setup), ServeConfig(**_FAST))
+    response = server._dispatch_op(line, None)
+    assert response["op"] == "error"
+    assert response["error"].startswith("invalid JSON: ")
+
+
 def test_shutdown_op_streams_final_report_to_requester(setup):
     async def scenario():
         server = LiveServer(_engine(setup), ServeConfig(**_FAST))

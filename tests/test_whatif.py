@@ -178,6 +178,41 @@ def test_whatif_cell_matches_a_directly_built_fleet(planning, replicas,
     assert {name: cell.metrics[name] for name in direct} == direct
 
 
+def test_whatif_cells_free_their_fleets(planning):
+    """A finished cell's fleet is cyclic garbage; the cell collects it
+    before returning, so a grid never holds more than one cell's
+    serving graph (with automatic GC off, nothing else would)."""
+    import gc
+
+    from repro.sim.autoscale import Autoscaler
+    from repro.sim.engine import ServingEngine
+    from repro.sim.fleet import FleetEngine
+
+    def serving_objects():
+        return {id(obj): type(obj).__name__ for obj in gc.get_objects()
+                if isinstance(obj, (FleetEngine, ServingEngine,
+                                    Autoscaler))}
+
+    session, schedules, trace, slo = planning
+    grid = WhatIfGrid(schedules=schedules[:1], replicas=(1, 3),
+                      autoscale=(None, "policy=queue-depth,min=1,max=3",
+                                 "policy=bogus,min=1,max=2"))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = serving_objects()
+        result = run_whatif(session.schema, session.cluster, trace, grid,
+                            slo, backend="serial")
+        left = sorted(name for key, name in serving_objects().items()
+                      if key not in before)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(result.ok_cells) == 3 and len(result.errors) == 1
+    assert left == []
+
+
 def test_session_whatif_defaults_slo_from_objective(planning):
     session, schedules, trace, slo = planning
     grid = WhatIfGrid(schedules=schedules[:1], replicas=(1,))
@@ -270,6 +305,21 @@ def test_corrupt_cache_entry_is_a_miss_not_an_error(planning, tmp_path):
                         slo, cache=cache)
     assert healed == first
     assert healed.cache_hits == 0
+    # Unreadable bytes, hostile JSON and outcomes of the wrong shape
+    # are misses too (each once raised or was served as a hit).
+    for content in (b'{"result": {"qps": 1.0}, "error": "\xff"}',
+                    b"[" * 100_000 + b"]" * 100_000,
+                    b'{"result": "x", "error": null}',
+                    b'{"result": ' + b"1" * 5000 + b', "error": null}',
+                    b'{"result": null, "error": null}'):
+        for entry in entries:
+            with open(os.path.join(cache.root, entry), "wb") as handle:
+                handle.write(content)
+        healed = run_whatif(session.schema, session.cluster, trace, grid,
+                            slo, cache=cache)
+        assert healed == first
+        assert healed.cache_hits == 0
+        assert healed.frontier() == first.frontier()
     # The recomputed outcomes were re-cached over the corrupt files.
     assert run_whatif(session.schema, session.cluster, trace, grid,
                       slo, cache=cache).cache_hits == 2
