@@ -8,7 +8,9 @@ the repeat traffic, so a regression that silently bypasses them (or a
 search rewrite that stops reusing points) fails loudly instead of just
 getting slower. It also guards the running Pareto staircase: nearly
 every plan's corner is already dominated, so its options are never
-offered and no placement groups are built for it.
+offered and no placement groups are built for it. And it counts the
+serial merges, which reusing each allocation prefix keeps to about
+two per plan.
 """
 
 import time
@@ -88,6 +90,27 @@ def test_search_skips_dominated_plans(monkeypatch):
           f"placement-groups={constructions}")
     assert len(offered_plans) <= 0.05 * result.num_plans
     assert constructions <= 1_000
+
+
+def test_search_reuses_allocation_prefixes(monkeypatch):
+    """Guard: on Case IV 70B, the search runs at most 19,222 serial
+    merges (the count when written). Consecutive plans share their
+    allocation prefix's merged options, so a rewrite that drops that
+    reuse fails here as a count, not as a slower run."""
+    merges = 0
+    serial_merge = search_module._serial_merge
+
+    def counting_merge(left, right):
+        nonlocal merges
+        merges += 1
+        return serial_merge(left, right)
+
+    monkeypatch.setattr(search_module, "_serial_merge", counting_merge)
+    result = search_schedules(
+        RAGPerfModel(case_iv_rewriter_reranker("70B"), _CLUSTER))
+    print(f"\nplans={result.num_plans} serial-merges={merges}")
+    assert result.frontier
+    assert merges <= 19_222
 
 
 def test_search_reuses_stage_evaluations():

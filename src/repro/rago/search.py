@@ -17,19 +17,17 @@ retrieval adjustments).
 
 A serial merge never builds the cross product. Both inputs are
 :func:`_prune` outputs, so TTFT and QPS strictly increase along each.
-A pair's QPS is ``min(a.qps, b.qps)``, set by one side, say ``a``. Among
-the partners ``b`` with ``b.qps >= a.qps`` -- all giving the pair the
-same QPS -- the first has the smallest TTFT, so its sum is no larger
-(float addition is monotone). Every later partner is thus either
-dominated by it or, when the float sums tie exactly, carries the same
-``(ttft, -qps)`` key and loses the tie to it, since the first partner
-comes earlier in the cross product's ``(i, j)`` order that the stable
-sort of the full product keeps. So only each point's first
-QPS-covering partner on the other side can reach the frontier: at most
-``n + m`` pairs. Their QPS values are pairwise distinct (a value both
-sides share yields the same pair from either side), so sorting them by
-``(ttft, -qps)`` and pruning keeps exactly what pruning the full
-product keeps, choices included.
+A pair's QPS is ``min(a.qps, b.qps)``, set by one side, say ``a``. Of
+the partners ``b`` with ``b.qps >= a.qps``, the first has the smallest
+TTFT, so each later one is dominated by it or, on an exact float tie,
+loses to it in the stable ``(ttft, -qps)`` sort of the ``(i, j)``-
+ordered cross product. A two-pointer walk visits exactly these pairs
+in ascending QPS: pair the heads, advance the lower-QPS side (both on
+a shared value). Both indices only move forward and float addition is
+monotone, so TTFT never decreases along the walk, and pruning keeps
+the last pair walked of each run of equal TTFT: a new sum that ties
+the last kept one replaces it. That is the pruned cross product,
+choices included, with no bisect, pair list or sort.
 
 Within a placement, allocations come in lexicographic order, so
 consecutive plans share a prefix of (group, chips) choices; the merged
@@ -292,28 +290,24 @@ def _serial_merge(left: List[_Option], right: List[_Option]) -> List[_Option]:
     """Compose two disaggregated segments: TTFT adds, QPS takes the min.
 
     Both inputs must be :func:`_prune` outputs. Returns what pruning the
-    full cross product returns, choices included, from each point's
-    first QPS-covering partner alone (see the module docstring).
+    full cross product returns, choices included, in one two-pointer
+    walk (see the module docstring).
     """
-    left_qps = [qps for _, qps, _ in left]
-    right_qps = [qps for _, qps, _ in right]
-    num_left, num_right = len(left), len(right)
-    pairs = []
-    for i, (ttft, qps, _) in enumerate(left):
-        j = bisect_left(right_qps, qps)
-        if j < num_right:
-            pairs.append((ttft + right[j][0], -qps, i, j))
-    for j, (ttft, qps, _) in enumerate(right):
-        i = bisect_left(left_qps, qps)
-        if i < num_left:
-            pairs.append((left[i][0] + ttft, -qps, i, j))
-    pairs.sort()
     merged: List[_Option] = []
-    best_qps = -math.inf
-    for ttft, neg_qps, i, j in pairs:
-        if -neg_qps > best_qps:
-            best_qps = -neg_qps
-            merged.append((ttft, best_qps, left[i][2] + right[j][2]))
+    i = j = 0
+    num_left, num_right = len(left), len(right)
+    while i < num_left and j < num_right:
+        a_ttft, a_qps, a_choices = left[i]
+        b_ttft, b_qps, b_choices = right[j]
+        ttft = a_ttft + b_ttft
+        option = (ttft, a_qps if a_qps < b_qps else b_qps,
+                  a_choices + b_choices)
+        i += a_qps <= b_qps  # advance the lower QPS, both on a tie
+        j += b_qps <= a_qps
+        if merged and merged[-1][0] == ttft:  # same TTFT, larger QPS
+            merged[-1] = option
+        else:
+            merged.append(option)
     return merged
 
 
@@ -367,8 +361,14 @@ def search_schedules(perf_model: RAGPerfModel,
     num_plans = 0
     num_candidates = 0
 
+    # Bound once: the plan loop below is the search's hot path.
+    has_retrieval = schema.has_retrieval
+    num_servers = cluster.num_servers
+    collect_per_plan = config.collect_per_plan
+    stage_options = profiler.stage_options
+    group_options = profiler.group_options
     retrieval_floor = (perf_model.min_resource(Stage.RETRIEVAL)
-                       if schema.has_retrieval else 0)
+                       if has_retrieval else 0)
 
     for placement in placements:
         group_minimums = []
@@ -408,31 +408,29 @@ def search_schedules(perf_model: RAGPerfModel,
         prefix: List[Tuple[Tuple[int, Optional[int]], List[_Option]]] = []
         for allocation in allocations:
             num_plans += 1
-            total_xpus = sum(allocation)
             servers = 0
-            if schema.has_retrieval:
-                servers = max(retrieval_floor,
-                              cluster.servers_for_xpus(total_xpus))
-                if servers > cluster.num_servers:
-                    continue
             retrieval_opts: List[_Option] = []
-            if schema.has_retrieval:
-                retrieval_opts = profiler.stage_options(Stage.RETRIEVAL,
-                                                        servers)
+            if has_retrieval:
+                servers = max(retrieval_floor,
+                              cluster.servers_for_xpus(sum(allocation)))
+                if servers > num_servers:
+                    continue
+                retrieval_opts = stage_options(Stage.RETRIEVAL, servers)
                 if not retrieval_opts:
                     continue
-            keys = [(chips, servers if index == spanning_index else None)
-                    for index, chips in enumerate(allocation)]
             shared = 0
-            while shared < len(prefix) and prefix[shared][0] == keys[shared]:
+            for key, _ in prefix:
+                if key != (allocation[shared], servers
+                           if shared == spanning_index else None):
+                    break
                 shared += 1
             del prefix[shared:]
             options = prefix[-1][1] if prefix else None
             for index in range(shared, len(placement)):
                 if options == []:  # an earlier group has no options
                     break
-                group_opts = profiler.group_options(placement[index],
-                                                    allocation[index])
+                group_opts = group_options(placement[index],
+                                           allocation[index])
                 if group_opts and index == spanning_index:
                     # §6.1: chips idle during retrieval between the
                     # group's stages -- retrieval joins its cycle.
@@ -440,10 +438,12 @@ def search_schedules(perf_model: RAGPerfModel,
                                                  retrieval_opts)
                 options = group_opts if options is None or not group_opts \
                     else _serial_merge(options, group_opts)
-                prefix.append((keys[index], options))
+                prefix.append(((allocation[index], servers
+                                if index == spanning_index else None),
+                               options))
             if not options:
                 continue
-            if schema.has_retrieval and spanning_index is None:
+            if has_retrieval and spanning_index is None:
                 options = _serial_merge(options, retrieval_opts)
             if not checked:  # the placement's stage rules, once
                 for group, chips in zip(placement, allocation):
@@ -451,7 +451,7 @@ def search_schedules(perf_model: RAGPerfModel,
                 checked = True
             charged = charge(allocation, servers)
             num_candidates += len(options)
-            if config.collect_per_plan:
+            if collect_per_plan:
                 points = [(ttft, qps / charged) for ttft, qps, _ in options]
                 per_plan.append(PlanFrontier(
                     placement=placement, allocation=allocation,
@@ -460,7 +460,7 @@ def search_schedules(perf_model: RAGPerfModel,
             # Options run from the smallest TTFT to the largest QPS.
             if front.covers(options[0][0], options[-1][1] / charged):
                 continue
-            retrieval_servers = servers if schema.has_retrieval else None
+            retrieval_servers = servers if has_retrieval else None
             for ttft, qps, choices in options:
                 front.offer(ttft, qps / charged, (
                     placement, allocation, retrieval_servers, choices))

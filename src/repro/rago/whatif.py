@@ -239,9 +239,10 @@ class WhatIfCache:
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached outcome for ``key``, or None on a miss.
 
-        A hit holds exactly one of a metrics dict (:data:`METRIC_NAMES`
-        to floats) and an error string; any other entry, unreadable
-        bytes and hostile JSON included, is a miss.
+        A hit holds exactly one of a metrics dict (each of the
+        :data:`METRIC_NAMES` to a float, no more, no fewer) and an
+        error string; any other entry, unreadable bytes, hostile JSON
+        and partial metrics included, is a miss.
         """
         try:
             data = read_json(self._path(key))
@@ -271,11 +272,10 @@ class WhatIfCache:
 
 
 def _is_metrics(result: Any) -> bool:
-    """Whether ``result`` is a cell's metrics: a dict of
-    :data:`METRIC_NAMES` to floats."""
-    return isinstance(result, dict) and all(
-        name in METRIC_NAMES and type(value) is float
-        for name, value in result.items())
+    """Whether ``result`` is a cell's metrics: a dict mapping exactly
+    the :data:`METRIC_NAMES` to floats."""
+    return isinstance(result, dict) and result.keys() == set(METRIC_NAMES) \
+        and all(type(value) is float for value in result.values())
 
 
 def _digest(text: str) -> str:

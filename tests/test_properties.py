@@ -70,7 +70,7 @@ def test_every_point_dominated_by_or_on_front(points):
 # round to a tie (1e16 + 1 == 1e16), and equal QPS values on both sides.
 _merge_ttfts = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0, 2.0, 3.0, 1e16])
 _merge_qps = st.sampled_from([1.0, 2.0, 3.0, 5.0, 8.0])
-_merge_points = st.lists(st.tuples(_merge_ttfts, _merge_qps), max_size=10)
+_merge_points = st.lists(st.tuples(_merge_ttfts, _merge_qps), max_size=40)
 
 
 def _merge_front(tag, points):
@@ -81,6 +81,14 @@ def _merge_front(tag, points):
 @settings(max_examples=300)
 @example(left=[(1e16, 1.0)], right=[(0.0, 2.0), (1.0, 3.0)])
 @example(left=[(0.0, 2.0), (1.0, 3.0)], right=[(1.0, 2.0), (2.0, 3.0)])
+# The walk's boundaries: the left side runs out first (its top QPS is
+# below every right QPS), a single-point side, a QPS value both sides
+# share at their last index, and a sum that rounds to a tie with the
+# last kept one (1e16 + 1 == 1e16), which replaces it.
+@example(left=[(0.0, 1.0), (1.0, 2.0)], right=[(0.1, 3.0), (2.0, 8.0)])
+@example(left=[(0.3, 5.0)], right=[(0.0, 1.0), (0.1, 2.0), (1.0, 8.0)])
+@example(left=[(0.0, 2.0), (1.0, 5.0)], right=[(0.2, 3.0), (0.3, 5.0)])
+@example(left=[(1e16, 5.0)], right=[(0.0, 1.0), (1.0, 2.0)])
 @given(left=_merge_points, right=_merge_points)
 def test_serial_merge_equals_cross_product_then_prune(left, right):
     left, right = _merge_front("left", left), _merge_front("right", right)

@@ -169,18 +169,23 @@ _PARITY_KNOBS = pytest.mark.parametrize("knobs", [
 ], ids=["plain", "per-plan"])
 
 
-def _assert_search_unchanged(schema, knobs, monkeypatch, name, reference):
+def _assert_search_unchanged(schema, config, monkeypatch, name, reference):
     """A search with ``search_module.<name>`` swapped for ``reference``
     is equal to the shipped one: frontier schedules, plan and candidate
-    counts, per-plan fronts, and perf-model cache traffic."""
+    counts, per-plan fronts, and perf-model cache traffic. Returns the
+    shipped search."""
     cluster = ClusterSpec(num_servers=16)
-    config = SearchConfig(max_batch=32, max_decode_batch=256, **knobs)
     shipped_model = RAGPerfModel(schema, cluster)
     shipped = search_schedules(shipped_model, config)
     monkeypatch.setattr(search_module, name, reference)
     reference_model = RAGPerfModel(schema, cluster)
     assert search_schedules(reference_model, config) == shipped
     assert shipped_model.cache_stats == reference_model.cache_stats
+    return shipped
+
+
+def _parity_config(knobs):
+    return SearchConfig(max_batch=32, max_decode_batch=256, **knobs)
 
 
 @_PARITY_SCHEMAS
@@ -188,8 +193,19 @@ def _assert_search_unchanged(schema, knobs, monkeypatch, name, reference):
 def test_search_matches_cross_product_merge(schema, knobs, monkeypatch):
     """The shipped merge and the brute-force cross product give equal
     searches."""
-    _assert_search_unchanged(schema, knobs, monkeypatch, "_serial_merge",
-                             reference_serial_merge)
+    _assert_search_unchanged(schema, _parity_config(knobs), monkeypatch,
+                             "_serial_merge", reference_serial_merge)
+
+
+def test_full_granularity_search_matches_cross_product_merge(monkeypatch):
+    """The bench ``search`` argv (Case IV 70B, default granularity, 16
+    servers): the brute-force cross product gives an equal search, and
+    its plan, candidate and frontier counts stay pinned."""
+    shipped = _assert_search_unchanged(
+        case_iv_rewriter_reranker("70B"), SearchConfig(), monkeypatch,
+        "_serial_merge", reference_serial_merge)
+    assert (shipped.num_plans, shipped.num_candidates,
+            len(shipped.frontier)) == (9_319, 55_726, 132)
 
 
 @_PARITY_SCHEMAS
@@ -197,8 +213,8 @@ def test_search_matches_cross_product_merge(schema, knobs, monkeypatch):
 def test_search_matches_collect_all_front(schema, knobs, monkeypatch):
     """The running staircase, plan-corner skips included, and one
     Pareto pass over every candidate give equal searches."""
-    _assert_search_unchanged(schema, knobs, monkeypatch, "_Staircase",
-                             CollectAllFront)
+    _assert_search_unchanged(schema, _parity_config(knobs), monkeypatch,
+                             "_Staircase", CollectAllFront)
 
 
 def test_placement_rules_checked_once_per_placement(cluster):

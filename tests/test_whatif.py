@@ -311,7 +311,8 @@ def test_corrupt_cache_entry_is_a_miss_not_an_error(planning, tmp_path):
                     b"[" * 100_000 + b"]" * 100_000,
                     b'{"result": "x", "error": null}',
                     b'{"result": ' + b"1" * 5000 + b', "error": null}',
-                    b'{"result": null, "error": null}'):
+                    b'{"result": null, "error": null}',
+                    b'{"result": {"qps": 1.0}, "error": null}'):
         for entry in entries:
             with open(os.path.join(cache.root, entry), "wb") as handle:
                 handle.write(content)
@@ -328,8 +329,9 @@ def test_corrupt_cache_entry_is_a_miss_not_an_error(planning, tmp_path):
 def test_cache_get_put_unit_contract(tmp_path):
     cache = WhatIfCache(str(tmp_path / "cells"))
     assert cache.get("missing") is None
-    cache.put("key", {"result": {"qps": 1.0}, "error": None})
-    assert cache.get("key") == {"result": {"qps": 1.0}, "error": None}
+    metrics = {name: float(index) for index, name in enumerate(METRIC_NAMES)}
+    cache.put("key", {"result": metrics, "error": None})
+    assert cache.get("key") == {"result": metrics, "error": None}
     assert len(cache) == 1
 
 
