@@ -12,7 +12,7 @@ from repro.pipeline import PlacementGroup, RAGPerfModel, Schedule, assemble
 from repro.reporting.tables import format_table
 from repro.schema import Stage, case_i_hyperscale
 from repro.sim import DeadlineFlushPolicy, ServingSimulator
-from repro.workloads import poisson_arrivals, trace_from_arrivals
+from repro.workloads import poisson_trace
 
 
 def _sweep():
@@ -24,8 +24,7 @@ def _sweep():
         batches={Stage.PREFIX: 32, Stage.DECODE: 512, Stage.RETRIEVAL: 64},
     )
     analytical = assemble(pm, schedule)
-    trace = trace_from_arrivals(
-        poisson_arrivals(0.6 * analytical.qps, duration=10.0, seed=21))
+    trace = poisson_trace(0.6 * analytical.qps, duration=10.0, seed=21)
     rows = []
     ttfts = {}
     for max_wait in (0.001, 0.01, 0.1, 1.0):

@@ -12,7 +12,7 @@ from repro.pipeline import PlacementGroup, RAGPerfModel, Schedule, assemble
 from repro.reporting.tables import format_table
 from repro.schema import Stage, case_i_hyperscale, case_iv_rewriter_reranker
 from repro.sim import ServingSimulator
-from repro.workloads import poisson_arrivals, trace_from_arrivals
+from repro.workloads import poisson_trace
 
 
 def _case_i_schedule():
@@ -46,10 +46,10 @@ def _validate():
     rows = []
     for name, pm, schedule in cases:
         analytical = assemble(pm, schedule)
-        saturated = ServingSimulator(pm, schedule).run(trace_from_arrivals(
-            poisson_arrivals(1.5 * analytical.qps, duration=12.0, seed=13)))
-        light = ServingSimulator(pm, schedule).run(trace_from_arrivals(
-            poisson_arrivals(0.3 * analytical.qps, duration=8.0, seed=13)))
+        saturated = ServingSimulator(pm, schedule).run(poisson_trace(
+            1.5 * analytical.qps, duration=12.0, seed=13))
+        light = ServingSimulator(pm, schedule).run(poisson_trace(
+            0.3 * analytical.qps, duration=8.0, seed=13))
         rows.append((name, analytical.qps, saturated.throughput,
                      saturated.throughput / analytical.qps,
                      analytical.ttft, light.ttft["mean"]))

@@ -14,7 +14,7 @@ Run:
 
 from repro import ClusterSpec, OptimizerSession, case_i_hyperscale
 from repro.sim import ServingSimulator
-from repro.workloads import poisson_arrivals, trace_from_arrivals
+from repro.workloads import poisson_trace
 
 
 def main() -> None:
@@ -33,12 +33,11 @@ def main() -> None:
           f"{'p99 TTFT':>10} {'TPOT':>7}")
     for load in (0.3, 0.6, 0.9, 1.1, 1.5):
         simulator = ServingSimulator(session.perf_model, chosen.schedule)
-        arrivals = poisson_arrivals(load * chosen.qps, duration=15.0,
-                                    seed=11)
-        report = simulator.run(trace_from_arrivals(arrivals))
+        trace = poisson_trace(load * chosen.qps, duration=15.0, seed=11)
+        report = simulator.run(trace)
         busiest = max(report.utilization.items(),
                       key=lambda item: item[1])
-        print(f"{load:>6.1f} {len(arrivals):>8d} "
+        print(f"{load:>6.1f} {trace.num_requests:>8d} "
               f"{report.throughput:>8.0f}/s "
               f"{report.ttft['mean'] * 1e3:>8.1f}ms "
               f"{report.ttft['p99'] * 1e3:>8.1f}ms "

@@ -16,6 +16,9 @@ Fault handling, in order of appearance:
   flight, an idle worker is handed a duplicate of the
   smallest-indexed unresolved cell (end-of-grid duplicate dispatch).
   First result wins; late duplicates are ignored.
+* **Malformed results**: a ``result`` message that fails
+  :func:`~repro.distrib.protocol.decode_result` is a protocol
+  violation; the sender is dropped and its cell requeued.
 
 The server itself follows the :class:`repro.serve.LiveServer` idiom --
 ``asyncio.start_server``, one reader loop per client, newline-framed
@@ -35,6 +38,7 @@ from repro.distrib.protocol import (
     SweepJob,
     TaskSpec,
     decode_line,
+    decode_result,
     encode_line,
 )
 
@@ -193,10 +197,10 @@ class SweepCoordinator:
                         "op": "cell", "index": index,
                         "payload": self._payloads[index]})
                 elif op == "result":
-                    index = int(message["index"])
+                    index, outcome = decode_result(message)
                     if index == assigned:
                         assigned = None
-                    self._record(worker, index, message["outcome"])
+                    self._record(worker, index, outcome)
                 else:
                     raise DistribError(
                         f"worker {worker!r} sent unknown op {op!r}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Tuple
 
 from repro.errors import ConfigError, DistribError, lookup, parse_json
 
@@ -40,6 +40,7 @@ __all__ = [
     "resolve_task_runner",
     "encode_line",
     "decode_line",
+    "decode_result",
     "ok_outcome",
     "error_outcome",
 ]
@@ -147,3 +148,24 @@ def decode_line(line: bytes) -> Dict[str, Any]:
             f"protocol messages must be objects, got "
             f"{type(payload).__name__}")
     return payload
+
+
+def decode_result(message: Dict[str, Any]) -> Tuple[int, Outcome]:
+    """The ``(index, outcome)`` a worker's ``result`` message carries.
+
+    Raises:
+        DistribError: unless the index is an int (not a bool) and the
+            outcome has exactly the keys ``result`` and ``error``,
+            exactly one of them non-None, with ``error`` a string.
+    """
+    index, outcome = message.get("index"), message.get("outcome")
+    if not isinstance(index, int) or isinstance(index, bool):
+        raise DistribError(f"result index must be an int, got {index!r}")
+    if not (isinstance(outcome, dict)
+            and outcome.keys() == {"result", "error"}
+            and (outcome["result"] is None) != (outcome["error"] is None)
+            and (outcome["error"] is None
+                 or isinstance(outcome["error"], str))):
+        raise DistribError(
+            f"malformed outcome for cell {index}: {outcome!r}")
+    return index, outcome

@@ -12,9 +12,13 @@ Two complementary pieces, mirroring the paper's methodology (§4b):
    per-core-throughput + memory-bandwidth roofline, for databases far too
    large to instantiate (64 billion vectors).
 
-:mod:`repro.retrieval.calibration` connects them: it measures the
-functional engine's PQ scan rate to populate the analytical model's
-parameters, replicating the paper's two-step calibration.
+Two modules connect them: :mod:`repro.retrieval.calibration` measures
+the functional engine's PQ scan rate to populate the analytical model's
+parameters, replicating the paper's two-step calibration, and
+:mod:`repro.retrieval.tuning` picks the scanned fraction ``p_scan``
+that meets a recall target (§3.3). The schedule search itself costs
+retrieval with the paper's calibrated per-core rate
+(:mod:`repro.hardware.cpu`), not with anything measured here.
 """
 
 from repro._lazy import lazy_exports
@@ -23,7 +27,6 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "ProductQuantizer": "repro.retrieval.pq",
     "IVFPQIndex": "repro.retrieval.ivf",
-    "TreePQIndex": "repro.retrieval.tree",
     "BruteForceIndex": "repro.retrieval.bruteforce",
     "DatabaseConfig": "repro.retrieval.scann_model",
     "ScaNNPerfModel": "repro.retrieval.scann_model",

@@ -1,5 +1,5 @@
-"""Workload generation: sequence-length profiles, request arrival
-processes, request traces (seeded traffic scenarios + replay files),
+"""Workload generation: sequence-length profiles, request traces
+(seeded arrival scenarios + replay files), closed-loop user sessions,
 and synthetic vector datasets for the functional retrieval engine."""
 
 from repro._lazy import lazy_exports
@@ -7,8 +7,6 @@ from repro._lazy import lazy_exports
 #: Public name -> defining module, resolved when read.
 _EXPORTS = {
     "SequenceProfile": "repro.workloads.profile",
-    "burst_arrivals": "repro.workloads.arrivals",
-    "poisson_arrivals": "repro.workloads.arrivals",
     "sample_decode_lengths": "repro.workloads.sequences",
     "sample_question_lengths": "repro.workloads.sequences",
     "sample_retrieval_positions": "repro.workloads.sequences",

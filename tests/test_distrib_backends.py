@@ -23,6 +23,7 @@ from repro.distrib.coordinator import SweepCoordinator
 from repro.distrib.protocol import (
     TASK_RUNNERS,
     decode_line,
+    decode_result,
     encode_line,
     error_outcome,
     ok_outcome,
@@ -134,6 +135,7 @@ class _Worker:
 
     def __init__(self, name):
         self.name = name
+        self.writer = None
 
     async def connect(self, host, port):
         self.reader, self.writer = await asyncio.open_connection(
@@ -159,6 +161,8 @@ class _Worker:
                          "outcome": outcome})
 
     async def close(self):
+        if self.writer is None:
+            return
         self.writer.close()
         try:
             await self.writer.wait_closed()
@@ -243,6 +247,71 @@ def test_coordinator_requeues_dead_workers_cell():
     assert stats["doomed"]["requeued"] == 1
     assert stats["doomed"]["cells"] == 0
     assert stats["survivor"]["cells"] == 2
+
+
+@pytest.mark.parametrize("message", [
+    {"op": "result", "index": 0, "outcome": "not an outcome"},
+    {"op": "result", "index": [0], "outcome": ok_outcome("rogue")},
+    {"op": "result", "index": 0.9, "outcome": ok_outcome("rogue")},
+], ids=["outcome-not-a-dict", "index-a-list", "index-a-float"])
+def test_coordinator_forfeits_a_malformed_result(message):
+    """A malformed ``result`` is a protocol violation: the coordinator
+    hangs up on the sender without an unhandled exception and requeues
+    its cell, which an honest worker then resolves."""
+    async def scenario():
+        handler_errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: handler_errors.append(context))
+        coordinator = SweepCoordinator(
+            TaskSpec(kind="whatif", context={}),
+            [SweepJob(index=0, payload={"cell": 0})])
+        host, port = await coordinator.start()
+        rogue, honest = _Worker("rogue"), _Worker("honest")
+        try:
+            await rogue.connect(host, port)
+            assert (await rogue.ask())["index"] == 0
+            await rogue.send(message)
+            # The coordinator hangs up instead of waiting for more.
+            assert await asyncio.wait_for(rogue.reader.readline(), 5) \
+                == b""
+            await honest.connect(host, port)
+            assert (await honest.ask())["index"] == 0
+            await honest.answer(0, ok_outcome("honest"))
+            assert (await honest.ask())["op"] == "done"
+        finally:
+            await rogue.close()
+            await honest.close()
+            await coordinator.close()
+        return coordinator, handler_errors
+
+    coordinator, handler_errors = asyncio.run(scenario())
+    assert handler_errors == []
+    assert coordinator.outcome_map() == {0: ok_outcome("honest")}
+    stats = {row["worker"]: row for row in coordinator.worker_stats()}
+    assert (stats["rogue"]["cells"], stats["rogue"]["requeued"]) == (0, 1)
+
+
+@pytest.mark.parametrize("message", [
+    {"index": 0},
+    {"index": True, "outcome": ok_outcome(1)},
+    {"index": "0", "outcome": ok_outcome(1)},
+    {"index": 0, "outcome": {"result": 1}},
+    {"index": 0, "outcome": {"result": 1, "error": None, "extra": 2}},
+    {"index": 0, "outcome": {"result": None, "error": None}},
+    {"index": 0, "outcome": {"result": 1, "error": "boom"}},
+    {"index": 0, "outcome": {"result": None, "error": 7}},
+], ids=["no-outcome", "bool-index", "str-index", "missing-key",
+        "extra-key", "neither", "both", "non-str-error"])
+def test_decode_result_rejects_malformed_messages(message):
+    with pytest.raises(DistribError):
+        decode_result(message)
+
+
+def test_decode_result_accepts_runner_outcomes():
+    for outcome in (ok_outcome({"qps": 1.0}), ok_outcome(0),
+                    error_outcome(ValueError("nope"))):
+        assert decode_result({"op": "result", "index": 3,
+                              "outcome": outcome}) == (3, outcome)
 
 
 def test_coordinator_rejects_duplicate_job_indices():

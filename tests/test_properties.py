@@ -230,7 +230,7 @@ def test_serving_des_conservation(seed, rate):
     from repro.pipeline import PlacementGroup, RAGPerfModel, Schedule
     from repro.schema import Stage as S, case_i_hyperscale
     from repro.sim import ServingSimulator
-    from repro.workloads import poisson_arrivals, trace_from_arrivals
+    from repro.workloads import poisson_trace
 
     cluster = ClusterSpec(num_servers=32)
     pm = RAGPerfModel(case_i_hyperscale("8B"), cluster)
@@ -240,10 +240,9 @@ def test_serving_des_conservation(seed, rate):
         batches={S.PREFIX: 8, S.DECODE: 128, S.RETRIEVAL: 16},
     )
     sim = ServingSimulator(pm, schedule)
-    arrivals = poisson_arrivals(rate, duration=1.0, seed=seed)
-    if not arrivals:
-        return
-    report = sim.run(trace_from_arrivals(arrivals))
+    # rate >= 10 over 1 s: no seed in 0..50 draws an empty trace (the
+    # first Exp(1) draw of each seed is below 5).
+    report = sim.run(poisson_trace(rate, duration=1.0, seed=seed))
     assert report.completed == report.offered
     for record in report.records:
         assert record.first_token_time is not None
@@ -895,3 +894,39 @@ def test_jsonl_trace_loads_or_fails_in_one_line(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "hostile.jsonl"
     path.write_text(text, encoding="utf-8")
     _loads_or_fails_in_one_line(RequestTrace.from_jsonl, str(path))
+
+
+_identity = st.none() | st.text(max_size=8)
+
+
+@st.composite
+def _request_lists(draw):
+    """Sorted ``Request`` lists with arbitrary identity fields;
+    ``decode_len`` is drawn for every request or for none, the only
+    mix a ``RequestTrace`` accepts."""
+    from repro.workloads import Request
+
+    arrivals = sorted(draw(st.lists(
+        st.floats(0, 1e9, allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=20)))
+    with_lens = draw(st.booleans())
+    return [Request(arrival=arrival,
+                    decode_len=draw(st.integers(1, 10**6))
+                    if with_lens else None,
+                    user_id=draw(_identity), session_id=draw(_identity),
+                    tier=draw(_identity))
+            for arrival in arrivals]
+
+
+@settings(max_examples=100, deadline=None)
+@given(requests=_request_lists())
+def test_request_lists_round_trip(tmp_path_factory, requests):
+    """JSONL files and config envelopes give back the same requests."""
+    from repro import config
+    from repro.workloads import RequestTrace
+
+    trace = RequestTrace(requests, metadata={"scenario": "drawn"})
+    path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
+    trace.to_jsonl(str(path))
+    assert RequestTrace.from_jsonl(str(path)).requests == trace.requests
+    assert config.loads(config.dumps(trace)).requests == trace.requests

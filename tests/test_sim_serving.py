@@ -13,11 +13,9 @@ from repro.schema import (
     case_iv_rewriter_reranker,
 )
 from repro.sim import ServingSimulator
-from repro.workloads import (
-    burst_arrivals,
-    poisson_arrivals,
-    trace_from_arrivals,
-)
+from repro.workloads import poisson_trace, trace_from_arrivals
+
+from workload_helpers import burst_arrivals
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +33,9 @@ def setup():
 def test_all_requests_complete(setup):
     pm, schedule, _ = setup
     sim = ServingSimulator(pm, schedule)
-    arrivals = poisson_arrivals(100, duration=2.0, seed=1)
-    report = sim.run(trace_from_arrivals(arrivals))
-    assert report.completed == report.offered == len(arrivals)
+    trace = poisson_trace(100, duration=2.0, seed=1)
+    report = sim.run(trace)
+    assert report.completed == report.offered == trace.num_requests
 
 
 def test_throughput_validates_analytical_model(setup):
@@ -45,8 +43,8 @@ def test_throughput_validates_analytical_model(setup):
     # within ~15% of the analytical bottleneck QPS.
     pm, schedule, analytical = setup
     sim = ServingSimulator(pm, schedule)
-    arrivals = poisson_arrivals(1.5 * analytical.qps, duration=15.0, seed=2)
-    report = sim.run(trace_from_arrivals(arrivals))
+    trace = poisson_trace(1.5 * analytical.qps, duration=15.0, seed=2)
+    report = sim.run(trace)
     assert report.throughput == pytest.approx(analytical.qps, rel=0.15)
 
 
@@ -55,8 +53,8 @@ def test_underload_ttft_near_analytical(setup):
     # batching wait (at most one batch per stage).
     pm, schedule, analytical = setup
     sim = ServingSimulator(pm, schedule)
-    arrivals = poisson_arrivals(0.3 * analytical.qps, duration=10.0, seed=3)
-    report = sim.run(trace_from_arrivals(arrivals))
+    trace = poisson_trace(0.3 * analytical.qps, duration=10.0, seed=3)
+    report = sim.run(trace)
     assert report.ttft["mean"] >= analytical.ttft * 0.5
     assert report.ttft["mean"] <= analytical.ttft * 3.0
 
@@ -64,18 +62,16 @@ def test_underload_ttft_near_analytical(setup):
 def test_overload_inflates_latency(setup):
     pm, schedule, analytical = setup
     sim = ServingSimulator(pm, schedule)
-    light = sim.run(trace_from_arrivals(
-        poisson_arrivals(0.5 * analytical.qps, 10.0, seed=4)))
+    light = sim.run(poisson_trace(0.5 * analytical.qps, 10.0, seed=4))
     sim2 = ServingSimulator(pm, schedule)
-    heavy = sim2.run(trace_from_arrivals(
-        poisson_arrivals(1.5 * analytical.qps, 10.0, seed=4)))
+    heavy = sim2.run(poisson_trace(1.5 * analytical.qps, 10.0, seed=4))
     assert heavy.ttft["mean"] > 3 * light.ttft["mean"]
 
 
 def test_tpot_matches_decode_model(setup):
     pm, schedule, analytical = setup
     sim = ServingSimulator(pm, schedule)
-    report = sim.run(trace_from_arrivals(poisson_arrivals(100, 2.0, seed=5)))
+    report = sim.run(poisson_trace(100, 2.0, seed=5))
     assert report.tpot["mean"] == pytest.approx(analytical.tpot, rel=0.25)
 
 
@@ -103,7 +99,7 @@ def test_case_iv_pipeline_runs():
                  Stage.DECODE: 256},
     )
     sim = ServingSimulator(pm, schedule)
-    report = sim.run(trace_from_arrivals(poisson_arrivals(50, 2.0, seed=6)))
+    report = sim.run(poisson_trace(50, 2.0, seed=6))
     assert report.completed == report.offered
     # Every completed request passed through all five pre-decode stages.
     record = report.records[0]
@@ -134,7 +130,7 @@ def _iterative_setup(retrieval_frequency=4, iterative_batch=8):
 def test_iterative_serving_completes():
     pm, schedule = _iterative_setup()
     sim = ServingSimulator(pm, schedule)
-    report = sim.run(trace_from_arrivals(poisson_arrivals(20, 2.0, seed=8)))
+    report = sim.run(poisson_trace(20, 2.0, seed=8))
     assert report.completed == report.offered
     assert report.tpot["mean"] > 0
 
@@ -142,25 +138,25 @@ def test_iterative_serving_completes():
 def test_iterative_serving_slower_than_single_retrieval():
     # The same schedule serving the same arrivals takes longer per token
     # when sequences pause for mid-generation retrievals.
-    arrivals = trace_from_arrivals(poisson_arrivals(20, 2.0, seed=8))
+    trace = poisson_trace(20, 2.0, seed=8)
     pm_iter, schedule = _iterative_setup(retrieval_frequency=4)
-    iterative = ServingSimulator(pm_iter, schedule).run(arrivals)
+    iterative = ServingSimulator(pm_iter, schedule).run(trace)
     cluster = ClusterSpec(num_servers=32)
     pm_plain = RAGPerfModel(case_i_hyperscale("8B"), cluster)
     plain_schedule = Schedule(
         groups=schedule.groups,
         batches=schedule.batches,
     )
-    plain = ServingSimulator(pm_plain, plain_schedule).run(arrivals)
+    plain = ServingSimulator(pm_plain, plain_schedule).run(trace)
     assert iterative.tpot["mean"] > plain.tpot["mean"]
 
 
 def test_iterative_frequency_increases_tpot():
-    arrivals = trace_from_arrivals(poisson_arrivals(20, 2.0, seed=8))
+    trace = poisson_trace(20, 2.0, seed=8)
     low_pm, low_schedule = _iterative_setup(retrieval_frequency=2)
     high_pm, high_schedule = _iterative_setup(retrieval_frequency=8)
-    low = ServingSimulator(low_pm, low_schedule).run(arrivals)
-    high = ServingSimulator(high_pm, high_schedule).run(arrivals)
+    low = ServingSimulator(low_pm, low_schedule).run(trace)
+    high = ServingSimulator(high_pm, high_schedule).run(trace)
     assert high.tpot["mean"] > low.tpot["mean"]
 
 
@@ -194,8 +190,8 @@ def test_unsorted_arrivals_rejected():
 def test_horizon_cuts_off(setup):
     pm, schedule, _ = setup
     sim = ServingSimulator(pm, schedule)
-    arrivals = poisson_arrivals(200, duration=10.0, seed=7)
-    report = sim.run(trace_from_arrivals(arrivals), horizon=1.0)
+    trace = poisson_trace(200, duration=10.0, seed=7)
+    report = sim.run(trace, horizon=1.0)
     assert report.completed < report.offered
 
 
@@ -229,7 +225,7 @@ def test_sampled_decode_lengths_with_workload():
         batches={Stage.PREFIX: 16, Stage.DECODE: 256, Stage.RETRIEVAL: 32},
     )
     sim = ServingSimulator(pm, schedule)
-    arrivals = poisson_arrivals(50, 2.0, seed=9)
+    arrivals = poisson_trace(50, 2.0, seed=9).arrivals
     lengths = sample_decode_lengths(len(arrivals), mean=256, seed=9)
     report = sim.run(trace_from_arrivals(
         arrivals, decode_lens=[int(x) for x in lengths]))
@@ -240,8 +236,7 @@ def test_sampled_decode_lengths_with_workload():
 def test_utilization_reported(setup):
     pm, schedule, analytical = setup
     sim = ServingSimulator(pm, schedule)
-    report = sim.run(trace_from_arrivals(
-        poisson_arrivals(0.9 * analytical.qps, 10.0, seed=14)))
+    report = sim.run(poisson_trace(0.9 * analytical.qps, 10.0, seed=14))
     assert report.utilization
     for name, value in report.utilization.items():
         assert 0.0 <= value <= 1.0
@@ -251,10 +246,10 @@ def test_utilization_reported(setup):
 
 def test_utilization_grows_with_load(setup):
     pm, schedule, analytical = setup
-    light = ServingSimulator(pm, schedule).run(trace_from_arrivals(
-        poisson_arrivals(0.2 * analytical.qps, 10.0, seed=15)))
-    heavy = ServingSimulator(pm, schedule).run(trace_from_arrivals(
-        poisson_arrivals(0.9 * analytical.qps, 10.0, seed=15)))
+    light = ServingSimulator(pm, schedule).run(
+        poisson_trace(0.2 * analytical.qps, 10.0, seed=15))
+    heavy = ServingSimulator(pm, schedule).run(
+        poisson_trace(0.9 * analytical.qps, 10.0, seed=15))
     for name in light.utilization:
         assert heavy.utilization[name] >= light.utilization[name] - 0.05
 
@@ -276,8 +271,8 @@ def test_refactored_des_reproduces_pre_refactor_metrics():
                 PlacementGroup((Stage.DECODE,), 32)),
         batches={Stage.PREFIX: 32, Stage.DECODE: 512, Stage.RETRIEVAL: 64},
     )
-    arrivals = poisson_arrivals(120.0, duration=5.0, seed=1234)
-    report = ServingSimulator(pm, schedule).run(trace_from_arrivals(arrivals))
+    trace = poisson_trace(120.0, duration=5.0, seed=1234)
+    report = ServingSimulator(pm, schedule).run(trace)
     assert report.completed == report.offered == 601
     assert report.duration == pytest.approx(5.6208622567079285, rel=1e-12)
     assert report.throughput == pytest.approx(106.9230969470507, rel=1e-12)
@@ -296,8 +291,7 @@ def test_refactored_des_reproduces_pre_refactor_iterative_metrics():
     """Same pin for the iterative (Case III) path, which exercises the
     retrieval-hook and re-prefix stations."""
     pm, schedule = _iterative_setup()
-    report = ServingSimulator(pm, schedule).run(
-        trace_from_arrivals(poisson_arrivals(20, 2.0, seed=8)))
+    report = ServingSimulator(pm, schedule).run(poisson_trace(20, 2.0, seed=8))
     assert report.completed == report.offered == 46
     assert report.duration == pytest.approx(2.412382197544141, rel=1e-12)
     assert report.ttft["mean"] == pytest.approx(0.11044916152702101,
@@ -326,7 +320,6 @@ def test_identical_seed_trace_schedule_is_bit_identical(setup):
 
 def test_trace_run_returns_report(setup):
     from repro.sim import ServingReport, SLOTarget
-    from repro.workloads import poisson_trace
 
     pm, schedule, analytical = setup
     trace = poisson_trace(0.5 * analytical.qps, 4.0, seed=13)
@@ -351,7 +344,6 @@ def test_trace_run_returns_report(setup):
 
 def test_tight_slo_lowers_attainment(setup):
     from repro.sim import SLOTarget
-    from repro.workloads import poisson_trace
 
     pm, schedule, analytical = setup
     trace = poisson_trace(0.9 * analytical.qps, 6.0, seed=17)
@@ -363,8 +355,6 @@ def test_tight_slo_lowers_attainment(setup):
 
 
 def test_trace_with_decode_lengths_and_no_double_pass(setup):
-    from repro.workloads import poisson_trace
-
     pm, schedule, _ = setup
     trace = poisson_trace(50, 2.0, seed=19, mean_decode_len=256)
     # Per-request lengths travel inside the trace; run() takes no
@@ -384,8 +374,6 @@ def test_slo_requires_trace_workload(setup):
 
 
 def test_zero_finished_replay_is_config_error(setup):
-    from repro.workloads import poisson_trace
-
     pm, schedule, _ = setup
     trace = poisson_trace(50, 2.0, seed=23)
     with pytest.raises(ConfigError):

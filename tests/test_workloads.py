@@ -6,14 +6,15 @@ import pytest
 from repro.errors import ConfigError
 from repro.workloads import (
     SequenceProfile,
-    burst_arrivals,
     clustered_vectors,
     gaussian_vectors,
-    poisson_arrivals,
+    poisson_trace,
     sample_decode_lengths,
     sample_question_lengths,
     sample_retrieval_positions,
 )
+
+from workload_helpers import burst_arrivals
 
 
 class TestSequenceProfile:
@@ -58,19 +59,19 @@ class TestSequenceProfile:
 
 class TestArrivals:
     def test_poisson_rate(self):
-        times = poisson_arrivals(rate_qps=100, duration=50, seed=1)
+        times = poisson_trace(rate_qps=100, duration=50, seed=1).arrivals
         assert len(times) == pytest.approx(5000, rel=0.1)
-        assert times == sorted(times)
+        assert times == tuple(sorted(times))
         assert all(0 <= t < 50 for t in times)
 
     def test_poisson_deterministic(self):
-        a = poisson_arrivals(10, 5, seed=7)
-        b = poisson_arrivals(10, 5, seed=7)
+        a = poisson_trace(10, 5, seed=7).requests
+        b = poisson_trace(10, 5, seed=7).requests
         assert a == b
 
     def test_poisson_validation(self):
         with pytest.raises(ConfigError):
-            poisson_arrivals(0, 1)
+            poisson_trace(0, 1)
 
     def test_burst_counts(self):
         times = burst_arrivals(burst_size=16, period=1.0, num_bursts=3)

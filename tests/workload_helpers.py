@@ -1,41 +1,10 @@
-"""Request arrival processes.
-
-The micro-batching analysis (§7.2, Fig. 19) models bursts of user
-requests; the serving-level discrete-event experiments use Poisson
-arrivals. Both are seeded for reproducibility.
-"""
-
-from __future__ import annotations
+"""Arrival patterns the tests build by hand (not a library surface)."""
 
 from typing import List
 
 import numpy as np
 
 from repro.errors import ConfigError
-
-
-def poisson_arrivals(rate_qps: float, duration: float,
-                     seed: int = 0) -> List[float]:
-    """Arrival timestamps of a Poisson process.
-
-    Args:
-        rate_qps: Mean requests per second.
-        duration: Observation window in seconds.
-        seed: RNG seed.
-
-    Returns:
-        Sorted arrival times in ``[0, duration)``.
-    """
-    if rate_qps <= 0 or duration <= 0:
-        raise ConfigError("rate_qps and duration must be positive")
-    rng = np.random.default_rng(seed)
-    times: List[float] = []
-    now = 0.0
-    while True:
-        now += rng.exponential(1.0 / rate_qps)
-        if now >= duration:
-            return times
-        times.append(now)
 
 
 def burst_arrivals(burst_size: int, period: float, num_bursts: int = 1,
