@@ -28,7 +28,7 @@ from repro.reporting import (
     format_serving_report,
     format_table,
 )
-from repro.sim import AutoscaleConfig, SLOTarget, submit_trace
+from repro.sim import AutoscaleConfig, SLOTarget, build_fleet, submit_trace
 from repro.workloads import diurnal_trace
 
 TROUGH_QPS = 300.0   # the night shift the fleet must not over-serve
@@ -40,8 +40,8 @@ SLO = SLOTarget(ttft=0.5, tpot=0.005)
 def replay_static(session, schedule, replicas, trace):
     """Replay the trace through a fixed-size fleet; return (report,
     replica-seconds)."""
-    fleet = session.fleet_engine(schedule, replicas=replicas,
-                                 routing="join-idle-queue")
+    fleet = build_fleet(session.perf_model, schedule, replicas=replicas,
+                        routing="join-idle-queue")[0]
     submit_trace(fleet, trace)
     fleet.drain()
     return fleet.report(trace, slo=SLO), replicas * fleet.now

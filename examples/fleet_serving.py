@@ -4,7 +4,7 @@
 The provisioning model answers "how many replicas sustain this load"
 analytically; this example puts the answer on trial. It sizes a fleet
 with ``OptimizerSession.provision``, builds exactly that fleet as a
-multi-replica DES (``OptimizerSession.fleet_engine``), replays a
+multi-replica DES (``repro.sim.autoscale.build_fleet``), replays a
 bursty trace offered *above* the fleet's rated capacity, and asserts
 the attained throughput lands within tolerance of the provisioning
 model's ``total_qps`` -- the saturation check that turns a sizing
@@ -17,7 +17,7 @@ Run:
 
 from repro import ClusterSpec, OptimizerSession, case_i_hyperscale
 from repro.reporting import format_fleet_breakdown, format_serving_report
-from repro.sim import submit_trace
+from repro.sim import build_fleet, submit_trace
 from repro.workloads import bursty_trace
 
 TARGET_QPS = 1000.0
@@ -45,8 +45,9 @@ def main() -> None:
     #    The burst shape keeps even the off-state rate above the
     #    fleet's rating (2x mean, 1.5x bursts, 40% duty), so attained
     #    throughput measures capacity, not the generator.
-    fleet = session.fleet_engine(provisioning=sizing,
-                                 routing="least-in-flight")
+    fleet = build_fleet(session.perf_model, sizing.perf.schedule,
+                        replicas=sizing.replicas,
+                        routing="least-in-flight")[0]
     trace = bursty_trace(2.0 * sizing.total_qps, duration=8.0, seed=7,
                          mean_decode_len=64, burst_factor=1.5,
                          on_fraction=0.4)
@@ -72,8 +73,9 @@ def main() -> None:
     print()
 
     # 4. Bonus: a rolling schedule swap mid-fleet loses nothing.
-    swap_fleet = session.fleet_engine(provisioning=sizing,
-                                      routing="round-robin")
+    swap_fleet = build_fleet(session.perf_model, sizing.perf.schedule,
+                             replicas=sizing.replicas,
+                             routing="round-robin")[0]
     pairs = list(zip(trace.arrivals, trace.decode_lens))
     half = len(pairs) // 2
     for arrival, decode_len in pairs[:half]:

@@ -31,6 +31,7 @@ import json
 from repro import ClusterSpec, OptimizerSession, case_i_hyperscale
 from repro.reporting import format_live_summary, format_serving_report
 from repro.serve import LiveServer, ServeConfig
+from repro.sim import ServingEngine
 
 BURSTS = 3
 BURST_SIZE = 16
@@ -72,7 +73,8 @@ async def bursty_client(host: str, port: int) -> int:
 async def main() -> None:
     session = OptimizerSession(case_i_hyperscale("8B"),
                                ClusterSpec(num_servers=16))
-    engine = session.serving_engine()  # knee of the searched frontier
+    knee = session.with_objective("knee").best().schedule
+    engine = ServingEngine(session.perf_model, knee)
     print("serving the knee schedule of the searched frontier:")
     print(f"  {engine.schedule.describe()}")
 

@@ -24,7 +24,7 @@ import tempfile
 
 from repro import case_i_hyperscale
 from repro.rago.session import OptimizerSession
-from repro.rago.whatif import WhatIfGrid
+from repro.rago.whatif import WhatIfGrid, run_whatif
 from repro.sim.metrics import SLOTarget
 from repro.workloads.traces import diurnal_trace
 
@@ -63,7 +63,8 @@ def main() -> None:
           f"(replicas x routing x autoscale)")
 
     with tempfile.TemporaryDirectory() as cache_dir:
-        result = session.whatif(trace, grid, slo=slo, cache=cache_dir)
+        result = run_whatif(session.schema, session.cluster, trace, grid,
+                            slo, cache=cache_dir)
         print()
         print(result.to_table())
 
@@ -87,7 +88,8 @@ def main() -> None:
 
         # The cache makes iteration cheap: the same study again is
         # pure cache hits, bit-identical to the fresh run.
-        again = session.whatif(trace, grid, slo=slo, cache=cache_dir)
+        again = run_whatif(session.schema, session.cluster, trace, grid,
+                           slo, cache=cache_dir)
         assert again == result
         assert again.cache_hits == grid.num_cells
         print(f"  -> re-run: {again.cache_hits}/{grid.num_cells} "

@@ -758,11 +758,12 @@ def _build_target(session: OptimizerSession, chosen,
     """The engine or fleet to drive, plus its autoscaler (or None):
     one engine, else :func:`~repro.sim.autoscale.build_fleet`'s pair."""
     from repro.sim.autoscale import build_fleet
+    from repro.sim.engine import ServingEngine
 
     if not _wants_fleet(replicas, routing, autoscale):
-        return session.serving_engine(chosen.schedule,
-                                      dispatch=args.dispatch,
-                                      admission=admission), None
+        return ServingEngine(session.perf_model, chosen.schedule,
+                             dispatch=args.dispatch,
+                             admission=admission), None
     return build_fleet(session.perf_model, chosen.schedule,
                        replicas=replicas, routing=routing,
                        dispatch=args.dispatch, admission=admission,
@@ -1212,7 +1213,7 @@ def _parse_whatif_axes(args: argparse.Namespace):
 
 def _command_whatif(args: argparse.Namespace) -> int:
     from repro import config as config_module
-    from repro.rago.whatif import WhatIfGrid
+    from repro.rago.whatif import WhatIfGrid, run_whatif
     from repro.reporting import (
         format_whatif_table,
         format_worker_utilization,
@@ -1257,8 +1258,9 @@ def _command_whatif(args: argparse.Namespace) -> int:
                       routing=routing, autoscale=autoscale)
     print(f"grid    : {len(schedules)} schedule(s) x policies = "
           f"{grid.num_cells} cell(s)")
-    result = session.whatif(trace, grid, slo=slo, backend=args.backend,
-                            workers=args.workers, cache=args.cache_dir)
+    result = run_whatif(session.schema, session.cluster, trace, grid, slo,
+                        backend=args.backend, workers=args.workers,
+                        cache=args.cache_dir)
     print()
     print(format_whatif_table(result))
     if result.workers:
@@ -1403,6 +1405,7 @@ def _command_provision(args: argparse.Namespace) -> int:
     from repro.rago.objectives import ServiceObjective
     from repro.rago.provisioning import provision
 
+    _check_finite(args, ("qps",))
     schema = _schema_for(args)
     cluster = ClusterSpec(num_servers=args.servers)
     objective = ServiceObjective(max_ttft=args.max_ttft) \

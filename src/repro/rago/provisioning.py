@@ -62,11 +62,12 @@ def provision(perf_model: RAGPerfModel, target_qps: float,
             skip the search.
 
     Raises:
-        ConfigError: on a non-positive target.
+        ConfigError: on a non-positive or non-finite target.
         ScheduleError: when no admissible replica set fits the cluster.
     """
-    if target_qps <= 0:
-        raise ConfigError("target_qps must be positive")
+    if not 0 < target_qps < math.inf:
+        raise ConfigError(
+            f"target_qps must be finite and positive, got {target_qps}")
     objective = objective or ServiceObjective()
     if result is None:
         result = search_schedules(perf_model, config)

@@ -61,8 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     # imported by the methods that use them: searching a schedule
     # never loads the DES, asyncio or numpy.
     from repro.sim.autoscale import Autoscaler, AutoscaleConfig
-    from repro.sim.engine import ServingEngine
-    from repro.sim.fleet import FleetEngine
     from repro.sim.metrics import ServingReport, SLOTarget
     from repro.sim.policies import AdmissionPolicy, DispatchPolicy
     from repro.sim.routing import RoutingPolicy
@@ -360,36 +358,6 @@ class OptimizerSession:
                             f"dispatch={policy!r}",
                             f"admission={admit!r}"))
 
-    def serving_engine(self, schedule: Optional[Schedule] = None,
-                       dispatch: Union[None, str, DispatchPolicy] = None,
-                       admission: Union[None, str, AdmissionPolicy] = None,
-                       ) -> ServingEngine:
-        """An incremental DES engine serving one schedule live.
-
-        The entry point behind ``repro serve``: where
-        :meth:`evaluate_trace` replays a pre-built trace open loop,
-        the returned :class:`~repro.sim.ServingEngine` accepts
-        interleaved ``submit``/``step`` calls, so a live front-end
-        (:class:`repro.serve.LiveServer`) can feed it requests as they
-        arrive on a socket. Engines are single-use and never memoized.
-
-        Args:
-            schedule: The deployment to serve; None serves the **knee**
-                of this session's (memoized) search frontier under the
-                accumulated constraints -- the balanced
-                latency/throughput point a live deployment usually
-                wants.
-            dispatch / admission: Engine policies, as in
-                :meth:`evaluate_trace`.
-        """
-        from repro.sim.engine import ServingEngine
-
-        if schedule is None:
-            schedule = _constrained_knee(self.optimize(),
-                                         self._objective).schedule
-        return ServingEngine(self._perf_model, schedule,
-                             dispatch=dispatch, admission=admission)
-
     def provision(self, target_qps: float,
                   objective: Optional[ServiceObjective] = None,
                   search: Optional[SearchConfig] = None,
@@ -411,60 +379,13 @@ class OptimizerSession:
         Returns:
             The cheapest admissible
             :class:`~repro.rago.provisioning.ProvisioningResult`;
-            feed it to :meth:`fleet_engine` to test the replica count
-            under replayed or live traffic.
+            feed its schedule and replica count to
+            :func:`~repro.sim.autoscale.build_fleet` to test it under
+            replayed or live traffic.
         """
         return provision(self._perf_model, target_qps,
                          objective=objective or self._objective,
                          result=self.optimize(search))
-
-    def fleet_engine(self, schedule: Optional[Schedule] = None,
-                     replicas: Optional[int] = None,
-                     routing: Union[None, str, RoutingPolicy] = None,
-                     dispatch: Union[None, str, DispatchPolicy] = None,
-                     admission: Union[None, str, AdmissionPolicy] = None,
-                     provisioning: Optional[ProvisioningResult] = None,
-                     ) -> FleetEngine:
-        """A multi-replica DES fleet serving this session's workload.
-
-        The scale-out sibling of :meth:`serving_engine` -- and the
-        bridge from the analytical provisioning model to live load:
-        pass a :class:`~repro.rago.provisioning.ProvisioningResult`
-        (usually straight from :meth:`provision`) and the fleet is
-        built with exactly the schedule and replica count the model
-        chose, ready to be validated against a replayed trace or a
-        live socket session. Fleets are single-use and never memoized.
-
-        Args:
-            schedule: Per-replica deployment; None uses the
-                provisioning result's schedule (or, lacking one, the
-                knee of the memoized frontier, as in
-                :meth:`serving_engine`).
-            replicas: Slot count; None uses the provisioning result's
-                replica count (or 1).
-            routing: Request-routing policy instance or registry name
-                (round robin when None).
-            dispatch / admission: Per-replica engine policies, as in
-                :meth:`evaluate_trace`.
-            provisioning: Optional sizing to realize; explicit
-                ``schedule`` / ``replicas`` arguments override its
-                fields individually.
-        """
-        from repro.sim.autoscale import build_fleet
-
-        if provisioning is not None:
-            if schedule is None:
-                schedule = provisioning.perf.schedule
-            if replicas is None:
-                replicas = provisioning.replicas
-        if schedule is None:
-            schedule = _constrained_knee(self.optimize(),
-                                         self._objective).schedule
-        fleet, _ = build_fleet(
-            self._perf_model, schedule,
-            replicas=1 if replicas is None else replicas, routing=routing,
-            dispatch=dispatch, admission=admission)
-        return fleet
 
     def autoscaled_fleet(self, trough_qps: float, peak_qps: float,
                          autoscale: Optional[AutoscaleConfig] = None,
@@ -476,9 +397,8 @@ class OptimizerSession:
                          ) -> Autoscaler:
         """An elastic fleet sized by the provisioning model.
 
-        The autoscaling counterpart of :meth:`fleet_engine`: the
-        replica bounds come from :meth:`provision` -- the peak load
-        fixes the schedule and the ``max_replicas`` ceiling, the
+        The replica bounds come from :meth:`provision` -- the peak
+        load fixes the schedule and the ``max_replicas`` ceiling, the
         trough fixes ``min_replicas`` (the floor a diurnal night
         shift can shrink to) -- and the fleet is built at the floor,
         ready for :meth:`~repro.sim.autoscale.Autoscaler.run_trace`
@@ -630,37 +550,6 @@ class OptimizerSession:
                       error=error)
             for (schema, cluster), (result, error) in zip(cells, outcomes)
         ), workers=workers)
-
-    def whatif(self, trace: RequestTrace, grid,
-               slo: Optional[SLOTarget] = None,
-               backend: Optional[Any] = None, workers: int = 1,
-               cache: Optional[Any] = None):
-        """Replay one recorded trace against a policy grid.
-
-        Convenience wrapper over :func:`repro.rago.whatif.run_whatif`
-        bound to this session's schema, cluster and memory override.
-        The SLO defaults to this session's objective ceilings.
-
-        Args:
-            trace: The recorded trace every cell replays.
-            grid: A :class:`~repro.rago.whatif.WhatIfGrid`.
-            slo: Attainment targets; None uses the session objective.
-            backend / workers: Executor selection, as in :meth:`sweep`.
-            cache: A :class:`~repro.rago.whatif.WhatIfCache`, a cache
-                directory path, or None to recompute every cell.
-
-        Returns:
-            A :class:`~repro.rago.whatif.WhatIfResult`.
-        """
-        from repro.rago.whatif import run_whatif
-        from repro.sim.metrics import SLOTarget
-
-        if slo is None:
-            slo = SLOTarget(ttft=self._objective.max_ttft,
-                            tpot=self._objective.max_tpot)
-        return run_whatif(self.schema, self._cluster, trace, grid,
-                          slo, memory=self._memory, backend=backend,
-                          workers=workers, cache=cache)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import time
 from dataclasses import dataclass
@@ -103,10 +104,11 @@ class ServeConfig:
             raise ConfigError("host must be non-empty")
         if not 0 <= self.port <= 65535:
             raise ConfigError("port must be in [0, 65535]")
-        if self.tick <= 0:
-            raise ConfigError("tick must be positive")
-        if self.time_scale <= 0:
-            raise ConfigError("time_scale must be positive")
+        for name in ("tick", "time_scale"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(
+                    f"{name} must be finite and positive, got {value}")
         if self.default_decode_len is not None \
                 and self.default_decode_len <= 0:
             raise ConfigError("default_decode_len must be positive")

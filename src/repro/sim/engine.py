@@ -76,7 +76,6 @@ from repro.sim.policies import (
     DispatchPolicy,
     GreedyAdmission,
     PriorityAdmission,
-    TokenBudgetAdmission,
     resolve_admission_policy,
     resolve_dispatch_policy,
 )
@@ -445,10 +444,9 @@ class _DecodeExecutor:
       a fresh advance there. Each advance carries a unique token, and
       one superseded by an earlier advance does nothing when it fires.
     * Admission inputs are reconstructed arithmetically
-      (``remaining(s) = target + base - s``; the summed token debt is
-      an O(1) running counter), with closed-form fast paths for the
-      stock greedy / priority / token-budget policies and an exact
-      materialized-list fallback for custom policies.
+      (``remaining(s) = target + base - s``), with a closed-form fast
+      path for the stock greedy / priority policies; every other policy
+      (token budget, custom) gets the exact materialized lists.
 
     ``_step_index`` counts the decode steps crossed so far, which is the
     per-step loop's count of advance events.
@@ -491,7 +489,6 @@ class _DecodeExecutor:
         # Boundary times of the bucket steps slept to so far, so a wake
         # does not make the next sleep chain the same span again.
         self._key_t: Dict[int, float] = {}
-        self._tb_sum = 0  # sum(target + base) over live entries
         self._step_index = 0  # step boundary the clock last crossed
         # The live advance event: its step and token (older tokens are
         # stale). The wake cache is a boundary (time, step) at or before
@@ -508,8 +505,6 @@ class _DecodeExecutor:
         # left waiting after admission means the batch is full.
         self._slot_greedy = self._greedy \
             or type(admission) is PriorityAdmission
-        self._budget = admission \
-            if type(admission) is TokenBudgetAdmission else None
         # Priority-aware policies reorder the waiting queue at accept;
         # stock policies keep the plain appends on the hot path.
         self._reorders = admission.reorders_waiting
@@ -580,7 +575,6 @@ class _DecodeExecutor:
                 on_complete = self.on_complete
                 for entry in fin:
                     del live[entry[3]]
-                    self._tb_sum -= entry[1] + entry[2]
                     record = entry[0]
                     if track:
                         progress[record.request_id] = s - entry[2]
@@ -593,7 +587,6 @@ class _DecodeExecutor:
                 hook = self.retrieval_hook
                 for entry in dep:
                     del live[entry[3]]
-                    self._tb_sum -= entry[1] + entry[2]
                     progress[entry[0].request_id] = s - entry[2]
                     hook(sim, entry[0])
                 del dep[:]
@@ -673,28 +666,12 @@ class _DecodeExecutor:
         if waiting:
             lens = self._waiting_lens
             capacity = self.capacity
-            live_count = len(self._live)
             if self._slot_greedy:
-                admitted = capacity - live_count
+                admitted = capacity - len(self._live)
                 if len(waiting) < admitted:
                     admitted = len(waiting)
                 if admitted < 0:
                     admitted = 0
-            elif self._budget is not None:
-                policy = self._budget
-                budget = policy.max_tokens
-                if lens[0] > budget:
-                    # Delegate to the real policy so the head-of-line
-                    # overflow raises its exact ConfigError.
-                    policy.admit(list(lens), self._remaining(s), capacity)
-                slots = capacity - live_count
-                debt = self._tb_sum - live_count * s
-                admitted = 0
-                for length in lens:
-                    if admitted >= slots or debt + length > budget:
-                        break
-                    debt += length
-                    admitted += 1
             else:
                 admitted = self.admission.admit(
                     list(lens), self._remaining(s), capacity)
@@ -756,7 +733,6 @@ class _DecodeExecutor:
         self._serial = serial + 1
         entry = [record, length, base, serial, positions]
         self._live[serial] = entry
-        self._tb_sum += length + base
         key = s + k_evt
         bucket = self._buckets.get(key)
         if bucket is None:

@@ -3,9 +3,11 @@
 :class:`ServingSimulator` is the batch front door to the request-level
 DES: it submits every request of a
 :class:`~repro.workloads.traces.RequestTrace` to a fresh
-:class:`~repro.sim.engine.ServingEngine`, drains it, and returns the
-trace's :class:`~repro.sim.metrics.ServingReport` (the artifact behind
-``repro replay``). Loose arrival lists become a trace through
+:class:`~repro.sim.engine.ServingEngine`, drains it to the last
+completion, and returns the trace's
+:class:`~repro.sim.metrics.ServingReport` (the artifact behind
+``repro replay`` via ``OptimizerSession.evaluate_trace``). Loose arrival
+lists become a trace through
 :func:`~repro.workloads.traces.trace_from_arrivals`.
 
 The queueing network itself -- placement-group resources, batch
@@ -75,22 +77,22 @@ class ServingSimulator:
             engine = self._fresh_engine()
         return engine
 
-    def run(self, trace: RequestTrace, horizon: Optional[float] = None,
+    def run(self, trace: RequestTrace,
             slo: Optional[SLOTarget] = None) -> ServingReport:
-        """Inject every request of ``trace`` and simulate to completion.
+        """Inject every request of ``trace`` and drain the engine.
+
+        Every submitted request finishes; to stop a replay part way,
+        step a :class:`~repro.sim.engine.ServingEngine` directly.
 
         Args:
             trace: The traffic to replay; per-request decode lengths and
                 identity travel inside it.
-            horizon: Optional hard stop; unfinished requests are dropped
-                from the completed statistics.
             slo: Latency targets for attainment accounting (defaults to
                 unconstrained).
 
         Raises:
             ConfigError: when ``trace`` is not a
-                :class:`~repro.workloads.traces.RequestTrace`, or zero
-                requests finish before the horizon.
+                :class:`~repro.workloads.traces.RequestTrace`.
         """
         if not isinstance(trace, RequestTrace):
             raise ConfigError(
@@ -98,8 +100,5 @@ class ServingSimulator:
                 f"; wrap loose arrivals with trace_from_arrivals()")
         engine = self._take_engine()
         submit_trace(engine, trace)
-        if horizon is not None:
-            engine.step(until=horizon)
-        else:
-            engine.drain()
+        engine.drain()
         return engine.report(trace, slo)

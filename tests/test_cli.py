@@ -537,10 +537,41 @@ def test_serve_bad_serve_config_kind_fails_cleanly(tmp_path, capsys):
     assert "error:" in out and "serve_config" in out
 
 
+def _run_cli_with_timeout(tmp_path, argv):
+    """``python -m repro <argv>`` in a child process, whose 60 s timeout
+    turns a hang into a failure."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv, "--case", "i", "--llm", "8B",
+         "--servers", "16"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+
+
 def test_serve_rejects_bad_tick(capsys):
     assert main(["serve", "--case", "i", "--llm", "1B", "--servers", "16",
                  "--tick", "-1"]) == 1
     assert "error:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--tick", "nan"], "tick must be finite and positive, got nan"),
+    (["--time-scale", "inf"],
+     "time_scale must be finite and positive, got inf"),
+], ids=["tick-nan", "time-scale-inf"])
+def test_serve_rejects_non_finite_clock(tmp_path, argv, message):
+    """Regression: a NaN tick made the pump's ``asyncio.sleep`` never
+    return, so ``serve`` acked submits it never completed; an infinite
+    or NaN time scale broke the wall-to-simulated clock mapping."""
+    run = _run_cli_with_timeout(tmp_path, ["serve", *argv])
+    assert run.returncode == 1
+    assert run.stdout.splitlines() == [f"error: {message}"]
 
 
 def test_replay_json_payload_is_self_contained(tmp_path):
@@ -764,18 +795,7 @@ def test_non_finite_traffic_flags_fail_fast(tmp_path, argv, message):
     generators, whose sampling loops never terminated. Each command must
     now print one error line and exit 1 (the timeout turns a hang into
     a failure)."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
-    run = subprocess.run(
-        [sys.executable, "-m", "repro", *argv, "--case", "i", "--llm", "8B",
-         "--servers", "16"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    run = _run_cli_with_timeout(tmp_path, argv)
     assert run.returncode == 1
     assert run.stdout.splitlines() == [f"error: {message}"]
 
@@ -789,13 +809,16 @@ def test_non_finite_traffic_flags_fail_fast(tmp_path, argv, message):
      "max_ttft must be finite and positive when set, got nan"),
     (["provision", "--qps", "100", "--max-ttft", "inf"],
      "max_ttft must be finite and positive when set, got inf"),
+    (["provision", "--qps", "nan"], "--qps must be finite, got nan"),
+    (["provision", "--qps", "inf"], "--qps must be finite, got inf"),
     (["replay", "--servers", "16", "--duration", "0.5", "--slo-ttft", "nan"],
      "SLO ttft must be finite and positive when set, got nan"),
     (["whatif", "--servers", "16", "--duration", "0.5", "--backend",
       "serial", "--slo-ttft", "nan"],
      "SLO ttft must be finite and positive when set, got nan"),
 ], ids=["optimize-nan", "optimize-inf", "provision-nan", "provision-inf",
-        "replay-nan", "whatif-nan"])
+        "provision-qps-nan", "provision-qps-inf", "replay-nan",
+        "whatif-nan"])
 def test_non_finite_bounds_are_rejected(capsys, argv, message):
     """Regression: a NaN bound passed the ``<= 0`` check, so ``optimize``
     returned the unconstrained schedule "under TTFT <= nan s" and

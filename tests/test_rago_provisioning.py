@@ -62,6 +62,14 @@ def test_invalid_target_rejected(perf_model):
         provision(perf_model, target_qps=0)
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf])
+def test_non_finite_target_rejected(perf_model, target):
+    """Regression: NaN and inf passed the ``<= 0`` check and crashed
+    in the replica count after the whole search."""
+    with pytest.raises(ConfigError, match="finite and positive"):
+        provision(perf_model, target_qps=target)
+
+
 def test_retrieval_workload_provisioning():
     pm = RAGPerfModel(case_i_hyperscale("8B"), ClusterSpec(num_servers=32))
     result = provision(pm, target_qps=500.0)

@@ -421,8 +421,7 @@ def test_evaluate_trace_jsonl_round_trip_hits_memo(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Fleet sizing: provision() and fleet_engine() close the loop between
-# the analytical provisioning model and the DES.
+# Fleet sizing: provision() sizes a fleet on the memoized frontier.
 # ---------------------------------------------------------------------------
 
 
@@ -446,28 +445,3 @@ def test_provision_uses_session_constraints():
     # The constrained session admits fewer schedules, so its fleet can
     # only cost the same or more chips.
     assert tight_result.budget_xpus >= loose_result.budget_xpus
-
-
-def test_fleet_engine_from_provisioning_result():
-    from repro.sim import FleetEngine
-
-    session = OptimizerSession(case_i_hyperscale("1B"), _CLUSTER)
-    sizing = session.provision(150.0, search=_small_search())
-    fleet = session.fleet_engine(provisioning=sizing,
-                                 routing="least-in-flight")
-    assert isinstance(fleet, FleetEngine)
-    assert fleet.replicas == sizing.replicas
-    assert all(schedule == sizing.perf.schedule
-               for schedule in fleet.schedules)
-    # Explicit arguments override the sizing field by field.
-    wider = session.fleet_engine(provisioning=sizing,
-                                 replicas=sizing.replicas + 2)
-    assert wider.replicas == sizing.replicas + 2
-
-
-def test_fleet_engine_defaults_to_knee_schedule():
-    session = (OptimizerSession(case_i_hyperscale("1B"), _CLUSTER)
-               .with_search(_small_search()))
-    fleet = session.fleet_engine(replicas=2)
-    knee = session.with_objective("knee").best().schedule
-    assert all(schedule == knee for schedule in fleet.schedules)

@@ -8,6 +8,7 @@ mid-request, zero submissions before shutdown, malformed ops.
 
 import asyncio
 import json
+import math
 
 import pytest
 
@@ -302,6 +303,12 @@ def test_serve_config_validation():
         ServeConfig(tick=0.0)
     with pytest.raises(ConfigError):
         ServeConfig(time_scale=-1.0)
+    # Regression: NaN/inf passed the ``<= 0`` checks; a NaN tick hung
+    # the pump and a NaN time scale made the simulated clock NaN.
+    for name in ("tick", "time_scale"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="finite and positive"):
+                ServeConfig(**{name: value})
     with pytest.raises(ConfigError):
         ServeConfig(port=70000)
     with pytest.raises(ConfigError):

@@ -27,6 +27,7 @@ from repro.sim import (
     SLOTarget,
     TargetUtilizationPolicy,
     autoscale_spec,
+    build_fleet,
     parse_autoscale_spec,
     resolve_autoscale_policy,
 )
@@ -464,8 +465,9 @@ def test_diurnal_autoscale_beats_both_static_fleets():
     schedule = fleet.schedules[0]
 
     def static(replicas):
-        static_fleet = session.fleet_engine(schedule, replicas=replicas,
-                                            routing="join-idle-queue")
+        static_fleet = build_fleet(session.perf_model, schedule,
+                                   replicas=replicas,
+                                   routing="join-idle-queue")[0]
         for arrival, decode_len in zip(trace.arrivals,
                                        trace.decode_lens):
             static_fleet.submit(arrival, decode_len=decode_len)

@@ -12,7 +12,7 @@ from repro.schema import (
     case_iii_iterative,
     case_iv_rewriter_reranker,
 )
-from repro.sim import ServingSimulator
+from repro.sim import ServingEngine, ServingSimulator, submit_trace
 from repro.workloads import poisson_trace, trace_from_arrivals
 
 from workload_helpers import burst_arrivals
@@ -185,14 +185,6 @@ def test_unsorted_arrivals_rejected():
         trace_from_arrivals([1.0, 0.5])
     with pytest.raises(ConfigError):
         trace_from_arrivals([])
-
-
-def test_horizon_cuts_off(setup):
-    pm, schedule, _ = setup
-    sim = ServingSimulator(pm, schedule)
-    trace = poisson_trace(200, duration=10.0, seed=7)
-    report = sim.run(trace, horizon=1.0)
-    assert report.completed < report.offered
 
 
 def test_variable_decode_lengths(setup):
@@ -376,8 +368,11 @@ def test_slo_requires_trace_workload(setup):
 def test_zero_finished_replay_is_config_error(setup):
     pm, schedule, _ = setup
     trace = poisson_trace(50, 2.0, seed=23)
+    engine = ServingEngine(pm, schedule)
+    submit_trace(engine, trace)
+    engine.step(until=1e-9)
     with pytest.raises(ConfigError):
-        ServingSimulator(pm, schedule).run(trace, horizon=1e-9)
+        engine.report(trace)
 
 
 def test_invalid_slo_target_rejected():

@@ -213,17 +213,6 @@ def test_whatif_cells_free_their_fleets(planning):
     assert left == []
 
 
-def test_session_whatif_defaults_slo_from_objective(planning):
-    session, schedules, trace, slo = planning
-    grid = WhatIfGrid(schedules=schedules[:1], replicas=(1,))
-    direct = run_whatif(session.schema, session.cluster, trace, grid,
-                        slo)
-    assert session.whatif(trace, grid, slo=slo) == direct
-    relaxed = session.with_constraint(max_ttft=5.0).whatif(trace, grid)
-    assert relaxed.slo_ttft == 5.0
-    assert relaxed.slo_tpot is None
-
-
 # ---------------------------------------------------------------------------
 # the content-keyed cell cache
 # ---------------------------------------------------------------------------
