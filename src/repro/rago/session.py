@@ -423,13 +423,16 @@ class OptimizerSession:
                 :meth:`evaluate_trace`.
 
         Raises:
-            ConfigError: on a non-positive or inverted load band.
+            ConfigError: on a non-positive, non-finite or inverted
+                load band.
         """
         from repro.sim.autoscale import AutoscaleConfig, build_fleet
         from repro.sim.metrics import SLOTarget
 
-        if trough_qps <= 0 or peak_qps <= 0:
-            raise ConfigError("trough_qps and peak_qps must be positive")
+        if not (0 < trough_qps < math.inf and 0 < peak_qps < math.inf):
+            raise ConfigError(
+                f"trough_qps and peak_qps must be finite and positive, "
+                f"got {trough_qps} and {peak_qps}")
         if trough_qps > peak_qps:
             raise ConfigError(
                 f"trough_qps={trough_qps} must not exceed "

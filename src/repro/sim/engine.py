@@ -27,16 +27,22 @@ the pre-refactor replay bit for bit (pinned by tests).
 
 The network runs on a slab-backed event queue (integer event kinds
 dispatched through a handler table, timestamps drained in batches),
-flat per-stage bookkeeping slabs instead of per-request dicts, and a
-bucketized decode executor that is O(1) amortized per step and
-schedules an advance event only at the steps where a sequence leaves
-the batch or a waiting request can join, sleeping through the rest.
+flat ``array('d')`` per-stage timing slabs instead of per-request
+dicts, and a bucketized decode executor that is O(1) amortized per
+step and schedules an advance event only at the steps where a sequence
+leaves the batch or a waiting request can join, sleeping through the
+rest.
 The original closure-per-event wiring, one event per decode step,
 survives only as the test reference (``tests/reference_engine.py``);
 parity tests pin the engine to bit-identical
 :class:`~repro.sim.metrics.ServingReport`\\ s against it on every
 registered scenario, and its event count to the reference's once each
 advance is counted as the decode steps it crossed.
+
+The timing slabs are the only store of per-request stage times: they
+live in a holder that references no engine, every record reads its
+row from it, and a record's ``stage_enqueues`` / ``stage_completions``
+/ ``queue_waits`` are read-only dicts built from that row on access.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ from repro.sim.metrics import (
     RequestRecord,
     ServingReport,
     SLOTarget,
+    _StageTimings,
 )
 from repro.sim.policies import (
     AdmissionPolicy,
@@ -295,8 +302,9 @@ class _BatchStation:
     :class:`~repro.sim.policies.DispatchPolicy` (already resolved
     against this stage's default deadline). Free/complete/flush events
     are scheduled through integer kinds, and per-request bookkeeping
-    writes the engine's flat per-stage slabs (NaN = untouched) instead
-    of per-record dicts.
+    writes the engine's flat ``array('d')`` per-stage timing slabs
+    (NaN = untouched), which the records read their stage maps from;
+    no record holds a dict of its own.
     """
 
     __slots__ = ("stage", "batch_size", "perf_fn", "resource", "policy",
@@ -319,7 +327,7 @@ class _BatchStation:
         self._flush_scheduled = False
         self._eng = engine
         self._si = engine._stage_slot[stage]
-        # The slab lists are extended in place and never reassigned, so
+        # The slab arrays are extended in place and never reassigned, so
         # stations can hold direct references (one attribute load per
         # hot-path touch instead of two).
         self._enq = engine._slab_enq
@@ -844,19 +852,19 @@ class ServingEngine:
         self._next_id = 0
         self._stations: Dict[Stage, Any] = {}
         self._decode: Optional[Any] = None
-        # Per-request, per-stage bookkeeping slabs: three flat float
-        # lists with stride == number of pipeline stages, NaN = never
-        # touched. Materialized into the record's dicts once, at
-        # completion.
-        stages_all = pipeline_stages(self._schema)
+        # Per-request, per-stage timing slabs: three flat float arrays
+        # with stride == number of pipeline stages, NaN = never
+        # touched. The records read their stage maps from them, so
+        # they are the only store of those times.
+        stages_all = tuple(pipeline_stages(self._schema))
         self._stage_slot = {stage: i
                             for i, stage in enumerate(stages_all)}
-        self._stage_items = tuple(self._stage_slot.items())
         self._nstages = len(stages_all)
-        self._slab_enq: List[float] = []
-        self._slab_comp: List[float] = []
-        self._slab_wait: List[float] = []
-        self._slab_pad = [math.nan] * self._nstages
+        self._timings = _StageTimings(stages_all)
+        self._slab_enq = self._timings.enq
+        self._slab_comp = self._timings.comp
+        self._slab_wait = self._timings.wait
+        self._slab_pad = array("d", [math.nan]) * self._nstages
         self._slab_n = 0  # requests slabbed so far (the next slab index)
         self._queue = self._sim._queue  # direct arrival pushes in submit
         self._build()
@@ -1008,35 +1016,7 @@ class ServingEngine:
     def _on_arrival(self, sim: Simulation, record: RequestRecord) -> None:
         self._entry(sim, record)
 
-    def _materialize(self, record: RequestRecord) -> None:
-        """Fill the record's per-stage dicts from the engine slabs.
-
-        Runs once per request, at completion, before the accumulator
-        and listeners observe the record -- the engine's only
-        per-request dict work. NaN marks a stage never touched
-        (NaN != NaN, so ``v == v`` is the "was set" test).
-        """
-        base = record.slab * self._nstages
-        enq = self._slab_enq
-        comp = self._slab_comp
-        wait = self._slab_wait
-        enqueues = record.stage_enqueues
-        completions = record.stage_completions
-        waits = record.queue_waits
-        for stage, offset in self._stage_items:
-            i = base + offset
-            v = enq[i]
-            if v == v:
-                enqueues[stage] = v
-            v = comp[i]
-            if v == v:
-                completions[stage] = v
-            v = wait[i]
-            if v == v:
-                waits[stage] = v
-
     def _request_done(self, sim: Simulation, record: RequestRecord) -> None:
-        self._materialize(record)
         # Finished records are immutable from here on, so reports and
         # memos share them instead of copying.
         record.seal()
@@ -1163,6 +1143,7 @@ class ServingEngine:
         # request_id (FleetEngine rewrites request_id to the fleet-wide
         # arrival index after submission).
         record.slab = self._slab_n
+        record._timings = self._timings
         self._slab_n += 1
         pad = self._slab_pad
         self._slab_enq.extend(pad)

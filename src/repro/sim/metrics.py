@@ -15,8 +15,18 @@ that builds the reservoirs.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import FrozenInstanceError, dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ConfigError
 from repro.schema.stages import Stage, pipeline_stages
@@ -27,9 +37,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class _StageMap(dict):
-    """A sealed record's per-stage map: a dict that rejects writes.
+    """A record's per-stage map: a dict that rejects writes.
 
-    Unlike a bare ``MappingProxyType`` it pickles and deep-copies
+    Built on access from the record's timing row, so a write could
+    only ever change a throwaway copy; rejecting it says so. Unlike a
+    bare ``MappingProxyType`` it pickles and deep-copies
     (``__reduce__`` rebuilds it from a plain dict, never through the
     rejecting ``__setitem__``), and it still compares equal to a dict
     with the same items.
@@ -38,8 +50,7 @@ class _StageMap(dict):
     __slots__ = ()
 
     def _read_only(self, *args: Any, **kwargs: Any) -> None:
-        raise TypeError("a sealed RequestRecord's stage maps are "
-                        "read-only")
+        raise TypeError("a RequestRecord's stage maps are read-only")
 
     __setitem__ = __delitem__ = __ior__ = _read_only
     clear = pop = popitem = setdefault = update = _read_only
@@ -48,8 +59,68 @@ class _StageMap(dict):
         return (_StageMap, (dict(self),))
 
 
-@dataclass(slots=True)
-class RequestRecord:
+class _StageTimings:
+    """The one store of per-stage timings: enqueue, completion and
+    queue-wait times, one row of ``len(stages)`` floats per request.
+
+    The three columns are flat ``array('d')`` slabs, NaN marking a
+    stage the request never reached. An engine owns one holder, writes
+    its arrays in place as the simulation advances, and every record
+    it submits reads row ``slab`` from it. A record rebuilt by pickle
+    or copy, or handed its times by a caller (:meth:`one_row`), owns a
+    one-row holder whose single row is its ``slab`` (``first``). The
+    attributes are never reassigned (an engine's arrays only grow in
+    place), and a holder refers to no engine or fleet, so finished
+    records keep their times after the serving graph is freed.
+    """
+
+    __slots__ = ("stages", "first", "enq", "comp", "wait")
+
+    def __init__(self, stages: Tuple[Stage, ...], first: int = 0) -> None:
+        self.stages = stages
+        self.first = first
+        self.enq = array("d")
+        self.comp = array("d")
+        self.wait = array("d")
+
+    @classmethod
+    def one_row(cls, slab: int, enqueues: Mapping[Stage, float],
+                completions: Mapping[Stage, float],
+                waits: Mapping[Stage, float]) -> "_StageTimings":
+        """A holder of one row, ``slab``, holding the three maps."""
+        stages = tuple(dict.fromkeys((*enqueues, *completions, *waits)))
+        timings = cls(stages, first=slab)
+        for column, values in ((timings.enq, enqueues),
+                               (timings.comp, completions),
+                               (timings.wait, waits)):
+            column.extend([values.get(stage, math.nan)
+                           for stage in stages])
+        return timings
+
+    def row(self, column: array, slab: int) -> List[Tuple[Stage, float]]:
+        """The ``(stage, value)`` pairs set in row ``slab`` of
+        ``column`` (NaN != NaN, so ``v == v`` is the "was set" test)."""
+        n = len(self.stages)
+        start = (slab - self.first) * n
+        return [(stage, value) for stage, value
+                in zip(self.stages, column[start:start + n])
+                if value == value]
+
+
+#: The holder of a record no engine has submitted: no stages.
+_UNTIMED = _StageTimings(())
+
+
+class _TimingSlot:
+    """Gives :class:`RequestRecord` the slot that points at its timing
+    holder without making the holder a dataclass field (fields are
+    what records compare, copy and pickle by value)."""
+
+    __slots__ = ("_timings",)
+
+
+@dataclass(slots=True, eq=False)
+class RequestRecord(_TimingSlot):
     """Lifecycle of one request through the simulated deployment.
 
     A record has two phases. While its request is **in flight**, the
@@ -58,21 +129,30 @@ class RequestRecord:
     finishes, the engine **seals** it (:meth:`seal`) before the
     metrics accumulator and any completion listener see it: from then
     on assigning any field raises
-    :class:`~dataclasses.FrozenInstanceError` and the three per-stage
-    maps reject writes. A sealed record never changes again, so
-    reports and the session's trace memo share finished records
-    instead of copying them. Sealed records still pickle, copy and
-    deep-copy (to sealed records) and compare equal field for field.
+    :class:`~dataclasses.FrozenInstanceError`. A sealed record never
+    changes again, so reports and the session's trace memo share
+    finished records instead of copying them. Sealed records still
+    pickle, copy and deep-copy (to sealed records) and compare equal
+    field for field, stage maps included.
+
+    The three per-stage maps are not stored on the record. Each is a
+    read-only property that builds a fresh dict from the record's row
+    in the submitting engine's timing slabs (``slab``), which are the
+    only store of those times. A live record's maps therefore list
+    exactly the stages it has reached so far; writing to one raises
+    :class:`TypeError`. Pickling or copying a record gives the copy a
+    one-row store of its own, so a copy never carries the whole run.
 
     Attributes:
         request_id: Arrival index.
         arrival: Arrival time in seconds.
         decode_len: Tokens this request generates (the workload profile's
             decode length unless per-request lengths were supplied).
-        stage_completions: Completion time per pipeline stage.
-        stage_enqueues: Last enqueue time per stage (queueing bookkeeping).
+        stage_completions: Completion time per pipeline stage
+            (read-only).
+        stage_enqueues: Last enqueue time per stage (read-only).
         queue_waits: Accumulated queueing delay per stage (a stage visited
-            repeatedly, e.g. iterative re-prefix, accumulates).
+            repeatedly, e.g. iterative re-prefix, accumulates; read-only).
         first_token_time: When the prefix stage finished (first token).
         completion_time: When the last decode step finished.
         user_id: Issuing user, when the workload carries identity
@@ -84,9 +164,9 @@ class RequestRecord:
         tier: SLO tier label (e.g. ``"free"``/``"paid"``) used by
             tier-aware admission and per-tier reporting; None when
             anonymous.
-        slab: Engine-local index into the engine's per-stage
-            bookkeeping slabs (-1 until submitted). Deliberately
-            separate from ``request_id``, which a fleet rewrites to the
+        slab: Engine-local row of the request in the engine's per-stage
+            timing slabs (-1 until submitted). Deliberately separate
+            from ``request_id``, which a fleet rewrites to the
             fleet-wide arrival index after submission; excluded from
             equality so records compare on lifecycle alone.
     """
@@ -97,12 +177,30 @@ class RequestRecord:
     user_id: Optional[str] = None
     session_id: Optional[str] = None
     tier: Optional[str] = None
-    stage_completions: Dict[Stage, float] = field(default_factory=dict)
-    stage_enqueues: Dict[Stage, float] = field(default_factory=dict)
-    queue_waits: Dict[Stage, float] = field(default_factory=dict)
     first_token_time: Optional[float] = None
     completion_time: Optional[float] = None
     slab: int = field(default=-1, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._timings = _UNTIMED
+
+    @property
+    def stage_completions(self) -> Mapping[Stage, float]:
+        """Completion time per pipeline stage reached (read-only)."""
+        timings = self._timings
+        return _StageMap(timings.row(timings.comp, self.slab))
+
+    @property
+    def stage_enqueues(self) -> Mapping[Stage, float]:
+        """Last enqueue time per stage reached (read-only)."""
+        timings = self._timings
+        return _StageMap(timings.row(timings.enq, self.slab))
+
+    @property
+    def queue_waits(self) -> Mapping[Stage, float]:
+        """Accumulated queueing delay per stage reached (read-only)."""
+        timings = self._timings
+        return _StageMap(timings.row(timings.wait, self.slab))
 
     @property
     def ttft(self) -> Optional[float]:
@@ -123,15 +221,38 @@ class RequestRecord:
         """Make the finished record read-only (once; the engine calls
         this when the request completes).
 
-        The per-stage maps become read-only copies and the record
-        switches to a subclass with the same slots whose
-        ``__setattr__`` raises. In-flight writes therefore cost
-        nothing extra: only a sealed record checks anything.
+        The record switches to a subclass with the same slots whose
+        ``__setattr__`` raises. Nothing is copied, and in-flight
+        writes cost nothing extra: only a sealed record checks
+        anything.
         """
-        self.stage_completions = _StageMap(self.stage_completions)
-        self.stage_enqueues = _StageMap(self.stage_enqueues)
-        self.queue_waits = _StageMap(self.queue_waits)
         self.__class__ = _SealedRecord
+
+    def _hold_stage_times(self, enqueues: Mapping[Stage, float],
+                          completions: Mapping[Stage, float],
+                          waits: Mapping[Stage, float]) -> None:
+        """Store these per-stage maps in a one-row holder of the
+        record's own (before it is sealed)."""
+        self._timings = _StageTimings.one_row(self.slab, enqueues,
+                                              completions, waits)
+
+    def _compared(self) -> tuple:
+        return (*(getattr(self, name) for name in _COMPARED_FIELDS),
+                self.stage_completions, self.stage_enqueues,
+                self.queue_waits)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __reduce__(self):
+        # Carry the stage maps by value: the copy gets a one-row holder
+        # of its own instead of the submitting engine's whole slabs.
+        return (_rebuilt_record,
+                (self.__class__ is _SealedRecord, self.stage_enqueues,
+                 self.stage_completions, self.queue_waits,
+                 *(getattr(self, name) for name in _RECORD_FIELDS)))
 
 
 class _SealedRecord(RequestRecord):
@@ -147,23 +268,25 @@ class _SealedRecord(RequestRecord):
         raise FrozenInstanceError(
             f"cannot delete field {name!r} of a sealed RequestRecord")
 
-    def __reduce__(self):
-        # The default slot-state protocol restores fields by setattr,
-        # which a sealed record rejects: rebuild and re-seal instead.
-        return (_sealed_record, tuple(getattr(self, name)
-                                      for name in _RECORD_FIELDS))
-
 
 # repr reads like the live record's; pickling goes through __reduce__,
 # so the class is never looked up by this name.
 _SealedRecord.__qualname__ = RequestRecord.__qualname__
 _RECORD_FIELDS = tuple(spec.name for spec in fields(RequestRecord))
+_COMPARED_FIELDS = tuple(spec.name for spec in fields(RequestRecord)
+                         if spec.compare)
 
 
-def _sealed_record(*values: Any) -> RequestRecord:
-    """Unpickle/deep-copy target: a sealed record from field values."""
+def _rebuilt_record(sealed: bool, enqueues: Mapping[Stage, float],
+                    completions: Mapping[Stage, float],
+                    waits: Mapping[Stage, float],
+                    *values: Any) -> RequestRecord:
+    """Unpickle/copy target: a record from its field values and stage
+    maps (sealed again when the original was)."""
     record = RequestRecord(*values)
-    record.seal()
+    record._hold_stage_times(enqueues, completions, waits)
+    if sealed:
+        record.seal()
     return record
 
 
@@ -475,7 +598,7 @@ class MetricsAccumulator(_RunningSums):
     Internally the report is built from **incremental
     reservoirs** fed at :meth:`finish` -- latency triples tagged with
     the submission index and per-stage wait lists -- rather than by
-    re-walking every record's dicts at report time. The reproduced
+    re-walking every record's stage maps at report time. The reproduced
     float arithmetic is order-exact: latency summaries sum over the
     sorted samples, and attainment walks completions in submission
     order, exactly as the record-walking implementation did.
@@ -530,8 +653,9 @@ class MetricsAccumulator(_RunningSums):
         """Fold in one completed request (completion_time set).
 
         The record's latency and queue-wait values are captured into
-        the reservoirs here; the engine seals the record first, so
-        nothing can change them afterwards.
+        the reservoirs here (the waits straight from its timing row);
+        the engine seals the record first, so nothing can change them
+        afterwards.
         """
         self._completed += 1
         completion = record.completion_time
@@ -564,7 +688,8 @@ class MetricsAccumulator(_RunningSums):
                     else:
                         sample.append(ttft)
             stage_waits = self._stage_waits
-            for stage, wait in record.queue_waits.items():
+            timings = record._timings
+            for stage, wait in timings.row(timings.wait, record.slab):
                 bucket = stage_waits.get(stage)
                 if bucket is None:
                     stage_waits[stage] = [wait]

@@ -5,11 +5,13 @@
 decode executor are the straightforward implementations below: every
 resource free, batch completion, flush, and decode step is a fresh
 closure scheduled on the engine's kernel, per-request bookkeeping goes
-straight into each record's dicts, and every decode step is one advance
-event that walks the whole running batch. It shares the engine's
-topology, arrivals, and reporting, so ``tests/test_sim_hotpath_parity.py``
-can pin the shipping slab engine to bit-identical reports, busy times
-and per-record lifecycles against it.
+into per-request dicts the reference engine keeps itself (handed to
+each record once, when it finishes), and every decode step is one
+advance event that walks the whole running batch. It shares the
+engine's topology, arrivals, and reporting, so
+``tests/test_sim_hotpath_parity.py`` can pin the shipping slab engine
+to bit-identical reports, busy times and per-record lifecycles against
+it.
 
 The shipping decode executor schedules an advance only at steps where
 something can happen, so its event count is lower by design;
@@ -19,7 +21,7 @@ one-advance-per-step terms, which must match exactly.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.schema import Stage
 from repro.sim.engine import ServingEngine, Simulation, _Resource
@@ -28,6 +30,10 @@ from repro.sim.policies import AdmissionPolicy, DispatchPolicy
 
 #: An event callback receives the simulation so it can schedule more.
 EventFn = Callable[[Simulation], None]
+
+#: One request's per-stage (enqueue, completion, queue-wait) dicts.
+StageTimes = Tuple[Dict[Stage, float], Dict[Stage, float],
+                   Dict[Stage, float]]
 
 
 def _run_callback(sim: Simulation, callback: EventFn) -> None:
@@ -69,13 +75,15 @@ class _BatchStation:
     def __init__(self, stage: Stage, batch_size: int,
                  perf_fn: Callable[[int], "object"], resource: _Resource,
                  deliver: Callable[[Simulation, RequestRecord], None],
-                 policy: DispatchPolicy) -> None:
+                 policy: DispatchPolicy,
+                 times: Callable[[RequestRecord], StageTimes]) -> None:
         self.stage = stage
         self.batch_size = batch_size
         self.perf_fn = perf_fn
         self.resource = resource
         self.deliver = deliver
         self.policy = policy
+        self.times = times
         self.queue: List[RequestRecord] = []
         self._oldest_enqueue: Optional[float] = None
         self._flush_scheduled = False
@@ -83,7 +91,7 @@ class _BatchStation:
 
     def accept(self, sim: Simulation, record: RequestRecord) -> None:
         self.queue.append(record)
-        record.stage_enqueues[self.stage] = sim.now
+        self.times(record)[0][self.stage] = sim.now
         if self._oldest_enqueue is None:
             self._oldest_enqueue = sim.now
         self.try_dispatch(sim)
@@ -113,10 +121,10 @@ class _BatchStation:
         batch = self.queue[:take]
         del self.queue[:take]
         for record in batch:
-            enqueued = record.stage_enqueues.get(self.stage, sim.now)
-            record.queue_waits[self.stage] = \
-                record.queue_waits.get(self.stage, 0.0) \
-                + (sim.now - enqueued)
+            enqueues, _, waits = self.times(record)
+            enqueued = enqueues.get(self.stage, sim.now)
+            waits[self.stage] = \
+                waits.get(self.stage, 0.0) + (sim.now - enqueued)
         self._oldest_enqueue = sim.now if self.queue else None
         self.resource.busy = True
         perf = self.perf_fn(take)
@@ -129,7 +137,7 @@ class _BatchStation:
 
         def complete(sim_: Simulation, batch_=batch) -> None:
             for record in batch_:
-                record.stage_completions[self.stage] = sim_.now
+                self.times(record)[1][self.stage] = sim_.now
             for record in batch_:
                 self.deliver(sim_, record)
 
@@ -154,6 +162,7 @@ class _DecodeExecutor:
     def __init__(self, capacity: int, step_latency: float, decode_len: int,
                  on_complete: Callable[[Simulation, RequestRecord], None],
                  admission: AdmissionPolicy,
+                 times: Callable[[RequestRecord], StageTimes],
                  retrieval_hook: Optional[
                      Callable[[Simulation, RequestRecord], None]] = None,
                  positions_fn: Optional[
@@ -165,6 +174,7 @@ class _DecodeExecutor:
         self.admission = admission
         self.retrieval_hook = retrieval_hook
         self.positions_fn = positions_fn
+        self.times = times
         self.waiting: List[RequestRecord] = []
         self.remaining: List[List] = []  # [record, target]
         self.running = False
@@ -188,7 +198,7 @@ class _DecodeExecutor:
             prio.insert(idx, rank)
         else:
             self.waiting.append(record)
-        record.stage_enqueues[Stage.DECODE] = sim.now
+        self.times(record)[0][Stage.DECODE] = sim.now
         if not self.running:
             self.running = True
             sim.schedule(0.0, self._step)
@@ -201,9 +211,10 @@ class _DecodeExecutor:
                     self.positions_fn(record))
             else:
                 self._positions[record.request_id] = []
-        enqueued = record.stage_enqueues.get(Stage.DECODE, now)
-        record.queue_waits[Stage.DECODE] = \
-            record.queue_waits.get(Stage.DECODE, 0.0) + (now - enqueued)
+        enqueues, _, waits = self.times(record)
+        enqueued = enqueues.get(Stage.DECODE, now)
+        waits[Stage.DECODE] = \
+            waits.get(Stage.DECODE, 0.0) + (now - enqueued)
         target = record.decode_len or self.decode_len
         self.remaining.append([record, target])
 
@@ -271,9 +282,24 @@ def per_step_events(engine: ServingEngine) -> int:
 
 
 class ReferenceServingEngine(ServingEngine):
-    """:class:`ServingEngine` wired with the closure-per-event network."""
+    """:class:`ServingEngine` wired with the closure-per-event network.
+
+    It keeps each in-flight request's per-stage times in dicts of its
+    own (keyed by the record's ``slab``) and hands them to the record
+    once, at completion, through the record's one-row timing holder.
+    """
 
     _simulation = _ClosureSimulation
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        self._stage_times: Dict[int, StageTimes] = {}
+        super().__init__(*args, **kwargs)
+
+    def _times(self, record: RequestRecord) -> StageTimes:
+        times = self._stage_times.get(record.slab)
+        if times is None:
+            times = self._stage_times[record.slab] = ({}, {}, {})
+        return times
 
     def _new_station(self, stage, batch_size, perf_fn, resource, downstream,
                      policy, sets_first_token):
@@ -281,7 +307,12 @@ class ReferenceServingEngine(ServingEngine):
             else downstream
         return _BatchStation(stage=stage, batch_size=batch_size,
                              perf_fn=perf_fn, resource=resource,
-                             deliver=deliver, policy=policy)
+                             deliver=deliver, policy=policy,
+                             times=self._times)
 
     def _new_decode(self, **knobs: Any) -> "_DecodeExecutor":
-        return _DecodeExecutor(**knobs)
+        return _DecodeExecutor(times=self._times, **knobs)
+
+    def _request_done(self, sim: Simulation, record: RequestRecord) -> None:
+        record._hold_stage_times(*self._stage_times.pop(record.slab))
+        super()._request_done(sim, record)

@@ -335,9 +335,14 @@ def test_trace_memo_key_matches_config_envelope(left, right):
 
 
 def _fields(record):
+    """Every dataclass field of ``record`` plus its three stage maps
+    (read-only properties over the engine's timing slabs, not
+    fields)."""
     from dataclasses import fields
 
-    return tuple(getattr(record, spec.name) for spec in fields(record))
+    return (*(getattr(record, spec.name) for spec in fields(record)),
+            record.stage_completions, record.stage_enqueues,
+            record.queue_waits)
 
 
 def test_trace_replay_is_byte_identical_across_memo_and_sessions():

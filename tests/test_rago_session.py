@@ -445,3 +445,16 @@ def test_provision_uses_session_constraints():
     # The constrained session admits fewer schedules, so its fleet can
     # only cost the same or more chips.
     assert tight_result.budget_xpus >= loose_result.budget_xpus
+
+
+@pytest.mark.parametrize("trough_qps, peak_qps", [
+    (float("nan"), 2000.0), (float("inf"), 2000.0),
+    (300.0, float("nan")), (300.0, float("inf"))])
+def test_autoscaled_fleet_rejects_non_finite_loads(trough_qps, peak_qps):
+    """A NaN or infinite load is a one-line ConfigError, raised before
+    any provisioning search (a NaN trough used to reach math.ceil)."""
+    session = OptimizerSession(case_i_hyperscale("1B"), _CLUSTER)
+    with pytest.raises(ConfigError, match="trough_qps and peak_qps must "
+                                          "be finite and positive"):
+        session.autoscaled_fleet(trough_qps, peak_qps)
+    assert session.cache_info()["results"] == 0

@@ -373,6 +373,75 @@ def test_records_are_sealed_before_listeners_see_them(network):
     assert Stage.PREFIX in record.stage_completions
 
 
+def test_live_record_maps_are_read_only_and_list_reached_stages(network):
+    """A live record's stage maps are built from the engine's timing
+    slabs on access: they list only the stages reached so far and
+    reject writes like a sealed record's."""
+    pm, schedule = network
+    engine = ServingEngine(pm, schedule)
+    record = engine.submit(0.0, decode_len=8)
+    assert record.stage_enqueues == record.stage_completions \
+        == record.queue_waits == {}
+    engine.step(0.0)  # arrives and queues at retrieval, not dispatched
+    assert record.completion_time is None
+    assert record.stage_enqueues == {Stage.RETRIEVAL: 0.0}
+    assert record.stage_completions == record.queue_waits == {}
+    with pytest.raises(TypeError):
+        record.stage_enqueues[Stage.PREFIX] = 1.0
+    with pytest.raises(TypeError):
+        record.queue_waits.update({Stage.RETRIEVAL: 1.0})
+    engine.drain()
+    assert set(record.stage_enqueues) == set(record.queue_waits) \
+        == {Stage.RETRIEVAL, Stage.PREFIX, Stage.DECODE}
+    assert set(record.stage_completions) == {Stage.RETRIEVAL,
+                                             Stage.PREFIX}
+
+
+def test_records_keep_their_stage_maps_after_the_engine_is_freed(network):
+    """The timing holder references no engine: a report's records keep
+    equal stage maps once their engine is collected."""
+    import gc
+    import weakref
+
+    pm, schedule = network
+    engine = ServingEngine(pm, schedule)
+    for index in range(20):
+        engine.submit(index * 0.005, decode_len=64)
+    engine.drain()
+    report = engine.report(engine.recorded_trace())
+
+    def maps():
+        return [(dict(r.stage_enqueues), dict(r.stage_completions),
+                 dict(r.queue_waits)) for r in report.records]
+
+    before = maps()
+    assert all(all(triple) for triple in before)
+    engine_ref = weakref.ref(engine)
+    del engine
+    gc.collect()
+    assert engine_ref() is None
+    assert maps() == before
+
+
+def test_pickled_record_size_does_not_grow_with_trace_length(network):
+    """A pickled record carries its own row, never the engine's whole
+    timing slabs."""
+    import pickle
+
+    pm, schedule = network
+    sizes = []
+    for count in (4, 400):
+        engine = ServingEngine(pm, schedule)
+        for index in range(count):
+            engine.submit(index * 0.005, decode_len=8)
+        engine.drain()
+        record = engine.records[0]
+        clone = pickle.loads(pickle.dumps(record))
+        assert clone == record and clone.queue_waits == record.queue_waits
+        sizes.append(len(pickle.dumps(record)))
+    assert sizes[0] == sizes[1]
+
+
 def test_recorded_trace_replays_identically(network):
     pm, schedule = network
     engine = ServingEngine(pm, schedule)
