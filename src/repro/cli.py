@@ -45,6 +45,11 @@ burstiness, decode-length stats) before replay;
 sim paths, listener rebinds, registry drift -- with per-line
 ``# simlint: allow[rule-id]`` suppressions and a committed baseline so
 CI fails only on *new* findings.
+
+``replay`` and ``serve`` share one serving setup (``_serving_setup``
+returns a frozen ``_ServingSetup`` that builds the engine or fleet and
+emits the report), and ``replay`` and ``whatif`` one open-loop traffic
+path (``_traffic_flags``, ``_check_traffic``, ``_open_loop_trace``).
 """
 
 from __future__ import annotations
@@ -54,15 +59,19 @@ import dataclasses
 import json
 import math
 import sys
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, NamedTuple, Optional
 
 from repro.errors import ConfigError, ReproError, lookup, read_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.config import OptimizationConfig
     from repro.hardware.cluster import ClusterSpec
+    from repro.pipeline.assembly import PipelinePerf
     from repro.rago.session import OptimizerSession
+    from repro.sim.autoscale import AutoscaleConfig
     from repro.sim.metrics import SLOTarget
+    from repro.sim.policies import AdmissionPolicy
+    from repro.workloads import RequestTrace
+    from repro.workloads.sessions import TierPolicy
 
 # Subcommands import what they use inside their handlers and helpers:
 # `repro optimize` must never load the serving stack, asyncio or numpy,
@@ -78,16 +87,21 @@ _GRID_LIST_SEPARATORS = {"llms": ",", "servers": ",", "replicas": ",",
 # -- flag declarations (see _build_parser) -------------------------------
 
 
+def _preset_flags(preset: argparse.ArgumentParser) -> None:
+    """The paradigm preset every searching subcommand takes."""
+    preset.add_argument("--case", choices=("i", "ii", "iii", "iv"),
+                        default="i", help="paradigm (Table 3)")
+    preset.add_argument("--context", type=int, default=1_000_000,
+                        help="context length for case ii")
+    preset.add_argument("--retrievals", type=int, default=4,
+                        help="retrieval frequency for case iii")
+
+
 def _workload_flags(workload: argparse.ArgumentParser) -> None:
     """The preset workload and its cluster (--case, --llm, ...)."""
-    workload.add_argument("--case", choices=("i", "ii", "iii", "iv"),
-                          default="i", help="paradigm (Table 3)")
+    _preset_flags(workload)
     workload.add_argument("--llm", default="8B",
                           help="generative LLM size label (1B/8B/70B/405B)")
-    workload.add_argument("--context", type=int, default=1_000_000,
-                          help="context length for case ii")
-    workload.add_argument("--retrievals", type=int, default=4,
-                          help="retrieval frequency for case iii")
     workload.add_argument("--servers", type=int, default=None,
                           help="cluster host servers (4 XPUs each, "
                                "default 32)")
@@ -161,6 +175,31 @@ def _serving_flags(serving: argparse.ArgumentParser) -> None:
                               "force, else 2x analytical TPOT)")
 
 
+def _traffic_flags(traffic: argparse.ArgumentParser,
+                   duration: float) -> None:
+    """Open-loop traffic of replay and whatif: a recorded trace or a
+    seeded scenario, ``duration`` seconds long by default."""
+    from repro.workloads.traces import SCENARIOS
+
+    traffic.add_argument("--trace", dest="trace_path", default=None,
+                         help="replay a recorded JSONL trace (exclusive "
+                              "with the generator flags)")
+    traffic.add_argument("--scenario", choices=sorted(SCENARIOS),
+                         default=None,
+                         help="built-in traffic scenario to generate "
+                              "(default poisson)")
+    traffic.add_argument("--rate", type=float, default=None,
+                         help="absolute offered QPS of a generated "
+                              "scenario (default: a fraction of the "
+                              "schedule's analytical saturation QPS -- "
+                              "replay's --load, whatif's 0.7)")
+    traffic.add_argument("--duration", type=float, default=duration,
+                         help=f"generated scenario length in seconds "
+                              f"(default {duration:g})")
+    traffic.add_argument("--seed", type=int, default=0,
+                         help="scenario RNG seed")
+
+
 def _run_flags(run: argparse.ArgumentParser) -> None:
     run.add_argument("experiment", help="artifact id, e.g. fig5 or table4")
     run.add_argument("--full", action="store_true",
@@ -178,19 +217,18 @@ def _optimize_flags(optimize: argparse.ArgumentParser) -> None:
 
 
 def _sweep_flags(sweep: argparse.ArgumentParser) -> None:
-    sweep.add_argument("--case", choices=("i", "ii", "iii", "iv"),
-                       default="i")
+    from repro.distrib import SWEEP_BACKENDS
+
+    _preset_flags(sweep)
     sweep.add_argument("--llms", default="1B,8B",
                        help="comma-separated LLM size labels")
     sweep.add_argument("--servers", default="32",
                        help="comma-separated host-server counts")
-    sweep.add_argument("--context", type=int, default=1_000_000)
-    sweep.add_argument("--retrievals", type=int, default=4)
     sweep.add_argument("--xpu", choices=("A", "B", "C"), default="C")
     sweep.add_argument("--processes", type=int, default=1,
                        help="worker processes for the sweep executor")
-    sweep.add_argument("--backend", choices=("serial", "process",
-                                             "sockets"), default=None,
+    sweep.add_argument("--backend", choices=tuple(SWEEP_BACKENDS),
+                       default=None,
                        help="sweep executor backend (default: process "
                             "when --processes > 1, else serial); all "
                             "backends produce identical tables")
@@ -203,25 +241,10 @@ def _sweep_flags(sweep: argparse.ArgumentParser) -> None:
 
 
 def _whatif_flags(whatif: argparse.ArgumentParser) -> None:
-    from repro.workloads.traces import SCENARIOS
+    from repro.distrib import SWEEP_BACKENDS
 
     _workload_flags(whatif)
-    whatif.add_argument("--trace", dest="trace_path", default=None,
-                        help="recorded JSONL trace to replay (exclusive "
-                             "with the generator flags)")
-    whatif.add_argument("--scenario", choices=sorted(SCENARIOS),
-                        default=None,
-                        help="generate this traffic scenario instead of "
-                             "replaying a recording (default poisson)")
-    whatif.add_argument("--rate", type=float, default=None,
-                        help="offered QPS for a generated scenario "
-                             "(default: 0.7x the best schedule's "
-                             "saturation QPS)")
-    whatif.add_argument("--duration", type=float, default=20.0,
-                        help="generated scenario length in seconds "
-                             "(default 20)")
-    whatif.add_argument("--seed", type=int, default=0,
-                        help="scenario RNG seed")
+    _traffic_flags(whatif, duration=20.0)
     whatif.add_argument("--schedules", type=int, default=3,
                         help="grid over the top-N frontier schedules by "
                              "QPS/chip (default 3)")
@@ -242,8 +265,8 @@ def _whatif_flags(whatif: argparse.ArgumentParser) -> None:
     whatif.add_argument("--slo-tpot", type=float, default=None,
                         help="TPOT target in seconds (default: 2x "
                              "analytical TPOT)")
-    whatif.add_argument("--backend", choices=("serial", "process",
-                                              "sockets"), default=None,
+    whatif.add_argument("--backend", choices=tuple(SWEEP_BACKENDS),
+                        default=None,
                         help="executor backend (default: process when "
                              "--workers > 1, else serial)")
     whatif.add_argument("--workers", type=int, default=1,
@@ -261,27 +284,14 @@ def _whatif_flags(whatif: argparse.ArgumentParser) -> None:
 
 
 def _replay_flags(replay: argparse.ArgumentParser) -> None:
-    from repro.workloads.traces import SCENARIOS
-
     _workload_flags(replay)
     _config_flags(replay)
     _serving_flags(replay)
-    replay.add_argument("--scenario", choices=sorted(SCENARIOS),
-                        default=None,
-                        help="built-in traffic scenario to generate "
-                             "(default poisson; exclusive with --trace)")
-    replay.add_argument("--trace", dest="trace_path", default=None,
-                        help="replay a recorded JSONL trace instead of "
-                             "generating a scenario")
+    _traffic_flags(replay, duration=10.0)
     replay.add_argument("--load", type=float, default=0.7,
                         help="offered load as a fraction of the schedule's "
-                             "analytical saturation QPS (default 0.7)")
-    replay.add_argument("--rate", type=float, default=None,
-                        help="absolute offered QPS; overrides --load")
-    replay.add_argument("--duration", type=float, default=10.0,
-                        help="scenario length in seconds (default 10)")
-    replay.add_argument("--seed", type=int, default=0,
-                        help="scenario RNG seed")
+                             "analytical saturation QPS (default 0.7; "
+                             "--rate overrides it)")
     replay.add_argument("--population", default=None, metavar="SPEC",
                         help="closed-loop user population: users=N"
                              "[,think=S,concurrency=N,session=N,decode=N,"
@@ -372,57 +382,12 @@ def _lint_flags(lint: argparse.ArgumentParser) -> None:
 
 
 def _provision_flags(prov: argparse.ArgumentParser) -> None:
-    prov.add_argument("--case", choices=("i", "ii", "iii", "iv"),
-                      default="i")
+    _preset_flags(prov)
     prov.add_argument("--llm", default="8B")
-    prov.add_argument("--context", type=int, default=1_000_000)
-    prov.add_argument("--retrievals", type=int, default=4)
     prov.add_argument("--servers", type=int, default=32)
     prov.add_argument("--qps", type=float, required=True,
                       help="target requests per second")
     prov.add_argument("--max-ttft", type=float, default=None)
-
-
-#: Subcommand -> (help line, flag declarer), in ``repro --help`` order.
-_COMMANDS = {
-    "list": ("list regenerable paper artifacts", None),
-    "run": ("regenerate one table/figure", _run_flags),
-    "optimize": ("run RAGO on a preset or config file", _optimize_flags),
-    "sweep": ("search a grid of LLM sizes x cluster sizes", _sweep_flags),
-    "whatif": ("replay a recorded trace against a policy grid",
-               _whatif_flags),
-    "replay": ("replay live traffic through a searched schedule",
-               _replay_flags),
-    "serve": ("serve a live request stream over a socket", _serve_flags),
-    "trace": ("inspect/compare recorded JSONL traces", _trace_flags),
-    "lint": ("run the determinism & drift linter (simlint)", _lint_flags),
-    "provision": ("size a fleet for a target load", _provision_flags),
-}
-
-
-def _build_parser(command: Optional[str]) -> argparse.ArgumentParser:
-    """The CLI parser, with flags declared for ``command`` only.
-
-    Every subcommand is listed, so ``repro --help`` and unknown-command
-    errors read as before. Flags are declared for the running
-    subcommand alone: some spell registry names in their choices or
-    help, and parsing ``optimize`` must not import the serving stack
-    to list them.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="RAGO reproduction: experiments and schedule search",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_flags) in _COMMANDS.items():
-        command_parser = commands.add_parser(name, help=help_text)
-        if name == command and add_flags is not None:
-            add_flags(command_parser)
-        # Commands read their own flag table back (grid-file keys,
-        # dead-flag defaults), so each namespace carries its
-        # subcommand's parser.
-        command_parser.set_defaults(subparser=command_parser)
-    return parser
 
 
 def _schema_for(args: argparse.Namespace, llm: Optional[str] = None):
@@ -443,7 +408,7 @@ def _schema_for(args: argparse.Namespace, llm: Optional[str] = None):
     return case_iv_rewriter_reranker(llm)
 
 
-def _command_list() -> int:
+def _command_list(args: argparse.Namespace) -> int:
     from repro.reporting.experiments import EXPERIMENTS
 
     width = max(len(exp_id) for exp_id in EXPERIMENTS)
@@ -481,22 +446,19 @@ def _command_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_optimization_config(path: str) -> OptimizationConfig:
-    """Load an optimize --config file: either a bare schema envelope or
-    a full optimization config."""
+def _load_envelope(path: str, kinds, data=None):
+    """The artifact of the config envelope in ``path`` (or ``data``, an
+    envelope already read from it), refused unless its kind is one of
+    ``kinds``."""
     from repro import config as config_module
-    from repro.config import OptimizationConfig
-    from repro.schema.ragschema import RAGSchema
 
-    loaded = config_module.load(path)
-    if isinstance(loaded, OptimizationConfig):
-        return loaded
-    if isinstance(loaded, RAGSchema):
-        return OptimizationConfig(schema=loaded)
-    raise ConfigError(
-        f"{path} holds a {type(loaded).__name__}; optimize expects a "
-        f"rag_schema or optimization_config"
-    )
+    if data is None:
+        data = read_json(path)
+    loaded = config_module.from_config(data)
+    if data["kind"] not in kinds:
+        raise ConfigError(f"{path} holds a {data['kind']}; expected a "
+                          f"{' or '.join(kinds)}")
+    return loaded
 
 
 def _xpu(letter: str):
@@ -545,7 +507,13 @@ def _resolve_session(args: argparse.Namespace) -> OptimizerSession:
     search = None
     objective = None
     if args.config_path:
-        loaded = _load_optimization_config(args.config_path)
+        from repro.config import OptimizationConfig
+
+        # A full optimization config, or a bare workload schema.
+        loaded = _load_envelope(args.config_path,
+                                ("optimization_config", "rag_schema"))
+        if not isinstance(loaded, OptimizationConfig):
+            loaded = OptimizationConfig(schema=loaded)
         schema = loaded.schema
         cluster = _resolve_cluster(args, loaded.cluster)
         search = loaded.search
@@ -574,22 +542,14 @@ def _load_schedule(path: str, session: OptimizerSession):
     recorded session closes the loop without extracting envelopes by
     hand.
     """
-    from repro import config as config_module
-    from repro.pipeline.assembly import Schedule
-
     data = read_json(path)
-    if isinstance(data, dict) and "config_version" in data:
-        loaded = config_module.from_config(data)
-    elif isinstance(data, dict) and isinstance(data.get("schedule"), dict):
-        loaded = config_module.from_config(data["schedule"])
-    else:
+    if isinstance(data, dict) and "config_version" not in data:
+        data = data.get("schedule")
+    if not isinstance(data, dict):
         raise ConfigError(
             f"{path} holds neither a schedule envelope nor a --json "
             f"artifact with a 'schedule' key")
-    if not isinstance(loaded, Schedule):
-        raise ConfigError(
-            f"{path} holds a {type(loaded).__name__}; expected a schedule")
-    return session.evaluate(loaded)
+    return session.evaluate(_load_envelope(path, ("schedule",), data))
 
 
 def _session_constrained(session: OptimizerSession) -> bool:
@@ -678,58 +638,79 @@ def _reject_dead_flags(args: argparse.Namespace, names, context: str,
 
 
 def _check_finite(args: argparse.Namespace, names) -> None:
-    """Refuse a NaN or infinite traffic knob before the search: no
-    generated scenario can cover an unbounded window or rate."""
+    """Refuse a NaN or infinite knob before the search: no generated
+    scenario can cover an unbounded window or rate. Names the
+    subcommand lacks are skipped."""
     for name in names:
-        value = getattr(args, name)
+        value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"--{name} must be finite, got {value}")
 
 
-# -- the serving setup replay and serve share -----------------------------
+# -- the open-loop traffic replay and whatif share ------------------------
 
 
-def _check_replicas(args: argparse.Namespace, autoscaled: bool) -> None:
-    """``--replicas`` is positive and never sizes an autoscaled fleet."""
-    if autoscaled and args.replicas is not None:
-        raise ConfigError(
-            "--autoscale manages the fleet size (min/max in the "
-            "spec); drop --replicas")
-    if args.replicas is not None and args.replicas < 1:
-        raise ConfigError("--replicas must be at least 1")
+def _check_traffic(args: argparse.Namespace,
+                   closed_loop: bool = False) -> None:
+    """Refuse traffic flags the argv already proves wrong, before the
+    (expensive) search: dead generator flags, then non-finite values,
+    then a non-positive rate or window or a negative seed."""
+    if closed_loop:
+        # Closed-loop traffic self-generates against the live engine,
+        # so open-loop generator knobs (and recorded traces) cannot mix
+        # in. --duration doubles as the submission horizon.
+        _reject_dead_flags(
+            args, ("scenario", "rate", "load", "seed"),
+            "--population drives a closed loop", "open-loop traffic",
+            clashing=["--trace"] if args.trace_path else [])
+    elif args.trace_path:
+        # A recorded trace fixes the traffic entirely.
+        _reject_dead_flags(args, _GENERATOR_FLAGS,
+                           "--trace replays a recorded stream",
+                           "generated scenarios")
+    _check_finite(args, ("rate", "load", "duration"))
+    if closed_loop and not args.duration > 0:
+        raise ConfigError("closed-loop horizon must be positive and finite")
+    if closed_loop or args.trace_path:
+        return
+    # A generated scenario: --load scales the schedule's (positive)
+    # saturation QPS, so the offered rate's sign and the window are
+    # known before the search.
+    if "load" in vars(args):
+        offered = args.rate if args.rate is not None else args.load
+        if offered <= 0:
+            raise ConfigError("offered rate must be positive; pass a "
+                              "positive --rate or --load")
+    elif args.rate is not None and args.rate <= 0:
+        raise ConfigError("offered --rate must be positive")
+    if args.duration <= 0:
+        raise ConfigError("rate_qps and duration must be positive")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
 
 
-def _decode_admission(args: argparse.Namespace, tiers):
-    """Decode admission: an explicit ``--admission`` wins; otherwise a
-    multi-tier set derives priority admission by tier rank."""
-    from repro.sim.policies import PriorityAdmission, parse_admission_policy
+def _open_loop_trace(args: argparse.Namespace, session: OptimizerSession,
+                     saturation_qps: float, load: float) -> RequestTrace:
+    """The --trace recording, else the --scenario at --rate or ``load``
+    x ``saturation_qps``; announced on a ``traffic :`` line."""
+    from repro.workloads import RequestTrace, scenario_trace
 
-    if args.admission is None and tiers is not None \
-            and len(tiers.tiers) > 1:
-        return PriorityAdmission(tier_priority=tuple(
-            (tier.name, tier.rank) for tier in tiers.tiers))
-    return parse_admission_policy(args.admission)
-
-
-def _choose_schedule(args: argparse.Namespace, session: OptimizerSession,
-                     knee: bool = False):
-    """The schedule to run, printed with its analytical numbers:
-    ``--schedule``'s, else the knee of the admissible frontier
-    (``knee``, live serving's balanced point), else the best
-    admissible point (throughput-optimal when unconstrained)."""
-    if args.schedule_path:
-        chosen = _load_schedule(args.schedule_path, session)
-    elif knee:
-        chosen = session.with_objective("knee").best()
-    elif _session_constrained(session):
-        chosen = session.best()
+    if args.trace_path:
+        trace = RequestTrace.from_jsonl(args.trace_path)
     else:
-        chosen = session.optimize().max_qps_per_chip
-    print(f"schedule: {chosen.schedule.describe()}")
-    print(f"analytical: qps={chosen.qps:.1f}  "
-          f"ttft={chosen.ttft * 1e3:.1f} ms  "
-          f"tpot={chosen.tpot * 1e3:.2f} ms")
-    return chosen
+        rate = args.rate if args.rate is not None \
+            else load * saturation_qps
+        # Generators fall back to fixed lengths for means too small for
+        # the geometric sampler, so the schema's length passes through.
+        trace = scenario_trace(
+            args.scenario or "poisson", rate_qps=rate,
+            duration=args.duration, seed=args.seed,
+            mean_decode_len=session.schema.sequences.decode_len)
+    print(f"traffic : {trace.describe()}")
+    return trace
+
+
+# -- the serving setup replay and serve share -----------------------------
 
 
 def _slo(ttft: Optional[float], tpot: Optional[float],
@@ -746,97 +727,157 @@ def _slo(ttft: Optional[float], tpot: Optional[float],
         else (objective.max_tpot or 2.0 * chosen.tpot))
 
 
-def _wants_fleet(replicas: int, routing: Optional[str], autoscale) -> bool:
-    """A fleet, not one engine: several replicas, a named routing
-    policy (never silently ignored), or an elastic fleet."""
-    return replicas > 1 or routing is not None or autoscale is not None
+class _ServingSetup(NamedTuple):
+    """What replay and serve run: the session, the chosen schedule, its
+    SLO and the engine/fleet policies, resolved once (a NamedTuple: a
+    frozen dataclass would cost ``import repro.cli`` a millisecond)."""
 
+    session: OptimizerSession
+    chosen: PipelinePerf
+    slo: SLOTarget
+    dispatch: Optional[str]
+    admission: AdmissionPolicy
+    replicas: int
+    routing: Optional[str]
+    autoscale: Optional[AutoscaleConfig]
+    json_path: Optional[str]
 
-def _build_target(session: OptimizerSession, chosen,
-                  args: argparse.Namespace, admission, replicas: int,
-                  routing: Optional[str], autoscale, slo: SLOTarget):
-    """The engine or fleet to drive, plus its autoscaler (or None):
-    one engine, else :func:`~repro.sim.autoscale.build_fleet`'s pair."""
-    from repro.sim.autoscale import build_fleet
-    from repro.sim.engine import ServingEngine
+    @property
+    def fleet(self) -> bool:
+        """A fleet, not one engine: several replicas, a named routing
+        policy (never silently ignored), or an elastic fleet."""
+        return self.replicas > 1 or self.routing is not None \
+            or self.autoscale is not None
 
-    if not _wants_fleet(replicas, routing, autoscale):
-        return ServingEngine(session.perf_model, chosen.schedule,
-                             dispatch=args.dispatch,
-                             admission=admission), None
-    return build_fleet(session.perf_model, chosen.schedule,
-                       replicas=replicas, routing=routing,
-                       dispatch=args.dispatch, admission=admission,
-                       autoscale=autoscale, slo=slo)
+    def build(self):
+        """The engine or fleet to drive, plus its autoscaler (or None):
+        one engine, else :func:`~repro.sim.autoscale.build_fleet`'s
+        pair."""
+        from repro.sim.autoscale import build_fleet
+        from repro.sim.engine import ServingEngine
 
+        if not self.fleet:
+            return ServingEngine(self.session.perf_model,
+                                 self.chosen.schedule,
+                                 dispatch=self.dispatch,
+                                 admission=self.admission), None
+        return build_fleet(self.session.perf_model, self.chosen.schedule,
+                           replicas=self.replicas, routing=self.routing,
+                           dispatch=self.dispatch, admission=self.admission,
+                           autoscale=self.autoscale, slo=self.slo)
 
-def _serving_payload(args: argparse.Namespace, report, session, chosen,
-                     trace, admission, serve_config=None):
-    """The ``--json`` envelopes replay and serve share (None without
-    ``--json``): the workload, cluster, schedule and trace ride along
-    so the report can be regenerated from the file alone."""
-    from repro import config as config_module
-    from repro.sim.policies import admission_spec
+    def emit(self, report, trace: RequestTrace, target=None,
+             autoscaler=None, serve=None, population=None) -> None:
+        """Print the report, a fleet's per-replica breakdown and the
+        scaling timeline. With ``--json``, write them too, next to the
+        workload, cluster, schedule and trace envelopes, so the report
+        can be regenerated from the file alone (serve's config and
+        replay's ``population`` section ride along)."""
+        from repro import config as config_module
+        from repro.reporting import (
+            format_fleet_breakdown,
+            format_scaling_timeline,
+            format_serving_report,
+        )
+        from repro.sim.autoscale import autoscale_spec
+        from repro.sim.policies import admission_spec
 
-    if not args.json_path:
-        return None
-    payload = {
-        "report": config_module.to_config(report),
-        "workload": config_module.to_config(session.schema),
-        "cluster": config_module.to_config(session.cluster),
-        "schedule": config_module.to_config(chosen.schedule),
-        "trace": config_module.to_config(trace),
-    }
-    if serve_config is not None:
-        payload["serve"] = config_module.to_config(serve_config)
-    payload["policies"] = {
-        "dispatch": args.dispatch or "deadline-flush",
-        "admission": admission_spec(admission),
-    }
-    return payload
-
-
-def _print_serving(report, target, autoscaler, autoscale,
-                   payload: Optional[dict]) -> None:
-    """Print the report, a fleet's per-replica breakdown and the
-    scaling timeline, filling the matching ``--json`` sections."""
-    from repro import config as config_module
-    from repro.reporting import (
-        format_fleet_breakdown,
-        format_scaling_timeline,
-        format_serving_report,
-    )
-    from repro.sim.autoscale import autoscale_spec
-    from repro.sim.fleet import FleetEngine
-
-    print()
-    print(format_serving_report(report))
-    if isinstance(target, FleetEngine):
-        per_replica = target.replica_stats()
-        print()
-        print(format_fleet_breakdown(per_replica))
-        if payload is not None:
-            payload["policies"]["routing"] = target.routing.name
-            payload["fleet"] = {"replicas": target.replicas,
-                                "routing": target.routing.name,
-                                "per_replica": per_replica}
-    if autoscaler is not None:
-        timeline = autoscaler.timeline()
-        print()
-        print(format_scaling_timeline(
-            timeline, replica_seconds=autoscaler.replica_seconds))
-        if payload is not None:
-            payload["autoscale"] = {
-                "spec": autoscale_spec(autoscale),
-                "config": config_module.to_config(autoscale),
-                "replica_seconds": autoscaler.replica_seconds,
-                "events": timeline,
+        payload = None
+        if self.json_path:
+            payload = {
+                "report": config_module.to_config(report),
+                "workload": config_module.to_config(self.session.schema),
+                "cluster": config_module.to_config(self.session.cluster),
+                "schedule": config_module.to_config(self.chosen.schedule),
+                "trace": config_module.to_config(trace),
             }
+            if serve is not None:
+                payload["serve"] = config_module.to_config(serve)
+            payload["policies"] = {
+                "dispatch": self.dispatch or "deadline-flush",
+                "admission": admission_spec(self.admission),
+            }
+        print()
+        print(format_serving_report(report))
+        if self.fleet:
+            per_replica = target.replica_stats()
+            print()
+            print(format_fleet_breakdown(per_replica))
+            if payload is not None:
+                payload["policies"]["routing"] = target.routing.name
+                payload["fleet"] = {"replicas": target.replicas,
+                                    "routing": target.routing.name,
+                                    "per_replica": per_replica}
+        if autoscaler is not None:
+            timeline = autoscaler.timeline()
+            print()
+            print(format_scaling_timeline(
+                timeline, replica_seconds=autoscaler.replica_seconds))
+            if payload is not None:
+                payload["autoscale"] = {
+                    "spec": autoscale_spec(self.autoscale),
+                    "config": config_module.to_config(self.autoscale),
+                    "replica_seconds": autoscaler.replica_seconds,
+                    "events": timeline,
+                }
+        if payload is not None:
+            if population is not None:
+                payload["population"] = population
+            _write_json(self.json_path, payload)
+
+
+def _serving_setup(args: argparse.Namespace, *,
+                   tiers: Optional[TierPolicy], replicas: int,
+                   routing: Optional[str],
+                   autoscale: Optional[AutoscaleConfig],
+                   slo_ttft: Optional[float], slo_tpot: Optional[float],
+                   knee: bool = False) -> _ServingSetup:
+    """Resolve replay's or serve's serving setup.
+
+    ``--replicas`` and decode admission are checked before the
+    (expensive) search. Then the session, the schedule and the SLO are
+    resolved: the schedule is ``--schedule``'s, else the knee of the
+    admissible frontier (``knee``, live serving's balanced point), else
+    the best admissible point (throughput-optimal when unconstrained).
+    """
+    from repro.sim.policies import PriorityAdmission, parse_admission_policy
+
+    if autoscale is not None and args.replicas is not None:
+        raise ConfigError(
+            "--autoscale manages the fleet size (min/max in the "
+            "spec); drop --replicas")
+    if args.replicas is not None and args.replicas < 1:
+        raise ConfigError("--replicas must be at least 1")
+    # An explicit --admission wins; otherwise a multi-tier set derives
+    # priority admission by tier rank.
+    if args.admission is None and tiers is not None \
+            and len(tiers.tiers) > 1:
+        admission = PriorityAdmission(tier_priority=tuple(
+            (tier.name, tier.rank) for tier in tiers.tiers))
+    else:
+        admission = parse_admission_policy(args.admission)
+    session = _resolve_session(args)
+    if args.schedule_path:
+        chosen = _load_schedule(args.schedule_path, session)
+    elif knee:
+        chosen = session.with_objective("knee").best()
+    elif _session_constrained(session):
+        chosen = session.best()
+    else:
+        chosen = session.optimize().max_qps_per_chip
+    print(f"schedule: {chosen.schedule.describe()}")
+    print(f"analytical: qps={chosen.qps:.1f}  "
+          f"ttft={chosen.ttft * 1e3:.1f} ms  "
+          f"tpot={chosen.tpot * 1e3:.2f} ms")
+    return _ServingSetup(
+        session=session, chosen=chosen,
+        slo=_slo(slo_ttft, slo_tpot, session, chosen),
+        dispatch=args.dispatch, admission=admission, replicas=replicas,
+        routing=routing, autoscale=autoscale, json_path=args.json_path)
 
 
 def _command_replay(args: argparse.Namespace) -> int:
     from repro.sim.autoscale import parse_autoscale_spec, replay_open_loop
-    from repro.workloads import RequestTrace, scenario_trace
     from repro.workloads.sessions import parse_tiers_spec
 
     # Policy/fleet/traffic knobs must fail before the (expensive)
@@ -849,26 +890,11 @@ def _command_replay(args: argparse.Namespace) -> int:
         if args.tiers is not None:
             population = dataclasses.replace(
                 population, tiers=parse_tiers_spec(args.tiers))
-        # Closed-loop traffic self-generates against the live engine,
-        # so open-loop generator knobs (and recorded traces) cannot mix
-        # in. --duration doubles as the submission horizon.
-        _reject_dead_flags(
-            args, ("scenario", "rate", "load", "seed"),
-            "--population drives a closed loop", "open-loop traffic",
-            clashing=["--trace"] if args.trace_path else [])
     elif args.tiers is not None:
         raise ConfigError(
             "--tiers shapes a closed-loop population; pass --population "
             "too")
-    elif args.trace_path:
-        # A recorded trace fixes the traffic entirely.
-        _reject_dead_flags(args, _GENERATOR_FLAGS,
-                           "--trace replays a recorded stream",
-                           "generated scenarios")
-    _check_finite(args, ("rate", "load", "duration"))
-    admission = _decode_admission(
-        args, None if population is None else population.tiers)
-    _check_replicas(args, autoscaled=args.autoscale is not None)
+    _check_traffic(args, closed_loop=population is not None)
     autoscale = None
     if args.autoscale is not None:
         if population is not None:
@@ -876,107 +902,64 @@ def _command_replay(args: argparse.Namespace) -> int:
                 "--autoscale replays an open-loop trace; a closed-loop "
                 "--population drives the engine directly -- drop one")
         autoscale = parse_autoscale_spec(args.autoscale)
-    if population is not None:
-        if not args.duration > 0 or not math.isfinite(args.duration):
-            raise ConfigError(
-                "closed-loop horizon must be positive and finite")
-    elif not args.trace_path:
-        # A generated scenario: --load scales the schedule's (positive)
-        # saturation QPS, so the offered rate's sign and the window are
-        # known before the search.
-        offered = args.rate if args.rate is not None else args.load
-        if offered <= 0:
-            raise ConfigError("offered rate must be positive; pass a "
-                              "positive --rate or --load")
-        if args.duration <= 0:
-            raise ConfigError("rate_qps and duration must be positive")
-    replicas = args.replicas or 1
-    session = _resolve_session(args)
-    chosen = _choose_schedule(args, session)
+    setup = _serving_setup(
+        args, tiers=None if population is None else population.tiers,
+        replicas=args.replicas or 1, routing=args.routing,
+        autoscale=autoscale, slo_ttft=args.slo_ttft,
+        slo_tpot=args.slo_tpot)
 
     if population is not None:
-        trace = None
+        # The population submits, thinks, and resubmits through the
+        # target's completion listeners; the recorded (identity-
+        # carrying) trace becomes the report's traffic.
+        from repro.workloads import (ClosedLoopDriver, population_spec,
+                                     tiers_spec)
+
         print(f"traffic : closed loop, {population.users} user(s), "
               f"tiers {population.tiers.name}, horizon "
               f"{args.duration:g}s")
-    elif args.trace_path:
-        trace = RequestTrace.from_jsonl(args.trace_path)
-    else:
-        rate = args.rate if args.rate is not None \
-            else args.load * chosen.qps
-        # Generators fall back to fixed lengths for means too small for
-        # the geometric sampler, so the schema's length passes through.
-        trace = scenario_trace(
-            args.scenario or "poisson", rate_qps=rate,
-            duration=args.duration, seed=args.seed,
-            mean_decode_len=session.schema.sequences.decode_len)
-    if trace is not None:
-        print(f"traffic : {trace.describe()}")
-
-    slo = _slo(args.slo_ttft, args.slo_tpot, session, chosen)
-    target = autoscaler = driver = None
-    if population is None \
-            and not _wants_fleet(replicas, args.routing, autoscale):
+        target, autoscaler = setup.build()
+        driver = ClosedLoopDriver(population, target, horizon=args.duration)
+        driver.run()
+        trace = target.recorded_trace(
+            scenario="sessions", population=population_spec(population),
+            tiers=tiers_spec(population.tiers))
+        print(f"observed: {trace.describe()}")
+        setup.emit(target.report(trace, slo=setup.slo), trace, target,
+                   autoscaler, population={
+                       "spec": population_spec(population),
+                       "tiers": tiers_spec(population.tiers),
+                       "per_tier": driver.tier_counts(),
+                   })
+        return 0
+    trace = _open_loop_trace(args, setup.session, setup.chosen.qps,
+                             args.load)
+    if not setup.fleet:
         # One engine, open loop: the session's memoized replay.
-        report = session.evaluate_trace(chosen.schedule, trace, slo=slo,
-                                        dispatch=args.dispatch,
-                                        admission=admission)
-    else:
-        target, autoscaler = _build_target(session, chosen, args,
-                                           admission, replicas,
-                                           args.routing, autoscale, slo)
-        if population is not None:
-            # The population submits, thinks, and resubmits through the
-            # target's completion listeners; the recorded
-            # (identity-carrying) trace becomes the report's traffic.
-            from repro.workloads import (ClosedLoopDriver, population_spec,
-                                         tiers_spec)
-
-            driver = ClosedLoopDriver(population, target,
-                                      horizon=args.duration)
-            driver.run()
-            trace = target.recorded_trace(
-                scenario="sessions",
-                population=population_spec(population),
-                tiers=tiers_spec(population.tiers))
-            print(f"observed: {trace.describe()}")
-        else:
-            replay_open_loop(target, autoscaler, trace)
-        report = target.report(trace, slo=slo)
-    payload = _serving_payload(args, report, session, chosen, trace,
-                               admission)
-    _print_serving(report, target, autoscaler, autoscale, payload)
-    if payload is not None:
-        if driver is not None:
-            payload["population"] = {
-                "spec": population_spec(population),
-                "tiers": tiers_spec(population.tiers),
-                "per_tier": driver.tier_counts(),
-            }
-        _write_json(args.json_path, payload)
+        setup.emit(setup.session.evaluate_trace(
+            setup.chosen.schedule, trace, slo=setup.slo,
+            dispatch=setup.dispatch, admission=setup.admission), trace)
+        return 0
+    target, autoscaler = setup.build()
+    replay_open_loop(target, autoscaler, trace)
+    setup.emit(target.report(trace, slo=setup.slo), trace, target,
+               autoscaler)
     return 0
 
 
 def _command_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro import config as config_module
     from repro.reporting import format_live_summary
     from repro.serve import LiveServer, ServeConfig
     from repro.sim.autoscale import parse_autoscale_spec
-    from repro.sim.fleet import FleetEngine
     from repro.workloads.sessions import parse_tiers_spec
 
     # Resolve and validate the server settings before the (expensive)
     # schedule search: a bad --tick must fail in milliseconds.
     base = ServeConfig()
     if args.serve_config_path:
-        loaded = config_module.load(args.serve_config_path)
-        if not isinstance(loaded, ServeConfig):
-            raise ConfigError(
-                f"{args.serve_config_path} holds a "
-                f"{type(loaded).__name__}; serve expects a serve_config")
-        base = loaded
+        base = _load_envelope(args.serve_config_path, ("serve_config",))
     overrides = {
         name: value for name, value in (
             ("host", args.host), ("port", args.port),
@@ -988,32 +971,28 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.autoscale is not None:
         overrides["autoscale"] = parse_autoscale_spec(args.autoscale)
     serve_config = dataclasses.replace(base, **overrides)
-    # Checked against the resolved config, not just the flags: an
-    # autoscale envelope inside --serve-config must also refuse an
-    # explicit --replicas rather than silently discarding it.
-    autoscale = serve_config.autoscale
-    _check_replicas(args, autoscaled=autoscale is not None)
-    admission = _decode_admission(args, parse_tiers_spec(args.tiers))
-
-    session = _resolve_session(args)
-    chosen = _choose_schedule(args, session, knee=True)
-    slo = _slo(serve_config.slo_ttft, serve_config.slo_tpot, session,
-               chosen)
-    serve_config = dataclasses.replace(serve_config, slo_ttft=slo.ttft,
-                                       slo_tpot=slo.tpot)
-    engine, autoscaler = _build_target(session, chosen, args, admission,
-                                       serve_config.replicas,
-                                       serve_config.routing, autoscale, slo)
-    server = LiveServer(engine, serve_config, autoscaler=autoscaler)
+    # The fleet shape comes from the resolved config, not just the
+    # flags: an autoscale envelope inside --serve-config must also
+    # refuse an explicit --replicas rather than silently discarding it.
+    setup = _serving_setup(
+        args, tiers=parse_tiers_spec(args.tiers),
+        replicas=serve_config.replicas, routing=serve_config.routing,
+        autoscale=serve_config.autoscale, slo_ttft=serve_config.slo_ttft,
+        slo_tpot=serve_config.slo_tpot, knee=True)
+    serve_config = dataclasses.replace(serve_config, slo_ttft=setup.slo.ttft,
+                                       slo_tpot=setup.slo.tpot)
+    target, autoscaler = setup.build()
+    server = LiveServer(target, serve_config, autoscaler=autoscaler)
 
     def ready(host: str, port: int) -> None:
         routing = serve_config.routing or "round-robin"
+        autoscale = serve_config.autoscale
         fleet_note = ""
         if autoscale is not None:
             fleet_note = (f"; autoscaled fleet {autoscale.min_replicas}.."
                           f"{autoscale.max_replicas} replica(s) "
                           f"({autoscale.policy}), {routing} routing")
-        elif isinstance(engine, FleetEngine):
+        elif setup.fleet:
             fleet_note = (f"; fleet of {serve_config.replicas} "
                           f"replica(s), {routing} routing")
         print(f"serving on {host}:{port} "
@@ -1037,11 +1016,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         return 0
     print()
     print(format_live_summary(server.snapshot()))
-    payload = _serving_payload(args, report, session, chosen, server.trace,
-                               admission, serve_config)
-    _print_serving(report, engine, autoscaler, autoscale, payload)
-    if payload is not None:
-        _write_json(args.json_path, payload)
+    setup.emit(report, server.trace, target, autoscaler, serve=serve_config)
     return 0
 
 
@@ -1218,7 +1193,6 @@ def _command_whatif(args: argparse.Namespace) -> int:
         format_whatif_table,
         format_worker_utilization,
     )
-    from repro.workloads import RequestTrace, scenario_trace
 
     if args.grid_config_path:
         _apply_grid_config(args)
@@ -1227,15 +1201,7 @@ def _command_whatif(args: argparse.Namespace) -> int:
         raise ConfigError("--schedules must be at least 1")
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
-    if args.trace_path:
-        _reject_dead_flags(args, _GENERATOR_FLAGS,
-                           "--trace replays a recorded stream",
-                           "generated scenarios")
-    elif args.rate is not None and args.rate <= 0:
-        raise ConfigError("offered --rate must be positive")
-    elif args.duration <= 0:
-        raise ConfigError("rate_qps and duration must be positive")
-    _check_finite(args, ("rate", "duration"))
+    _check_traffic(args)
     session = _open_session(_schema_for(args),
                             _resolve_cluster(args, None))
     optimized = session.optimize()
@@ -1244,15 +1210,7 @@ def _command_whatif(args: argparse.Namespace) -> int:
                         key=lambda perf: perf.qps_per_chip,
                         reverse=True)[:args.schedules]
     schedules = tuple(perf.schedule for perf in candidates)
-    if args.trace_path:
-        trace = RequestTrace.from_jsonl(args.trace_path)
-    else:
-        rate = args.rate if args.rate is not None else 0.7 * best.qps
-        trace = scenario_trace(
-            args.scenario or "poisson", rate_qps=rate,
-            duration=args.duration, seed=args.seed,
-            mean_decode_len=session.schema.sequences.decode_len)
-    print(f"traffic : {trace.describe()}")
+    trace = _open_loop_trace(args, session, best.qps, load=0.7)
     slo = _slo(args.slo_ttft, args.slo_tpot, session, best)
     grid = WhatIfGrid(schedules=schedules, replicas=replicas,
                       routing=routing, autoscale=autoscale)
@@ -1427,6 +1385,55 @@ def _command_provision(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Subcommand -> (help line, flag declarer, handler), in ``repro
+#: --help`` order.
+_COMMANDS = {
+    "list": ("list regenerable paper artifacts", None, _command_list),
+    "run": ("regenerate one table/figure", _run_flags, _command_run),
+    "optimize": ("run RAGO on a preset or config file", _optimize_flags,
+                 _command_optimize),
+    "sweep": ("search a grid of LLM sizes x cluster sizes", _sweep_flags,
+              _command_sweep),
+    "whatif": ("replay a recorded trace against a policy grid",
+               _whatif_flags, _command_whatif),
+    "replay": ("replay live traffic through a searched schedule",
+               _replay_flags, _command_replay),
+    "serve": ("serve a live request stream over a socket", _serve_flags,
+              _command_serve),
+    "trace": ("inspect/compare recorded JSONL traces", _trace_flags,
+              _command_trace),
+    "lint": ("run the determinism & drift linter (simlint)", _lint_flags,
+             _command_lint),
+    "provision": ("size a fleet for a target load", _provision_flags,
+                  _command_provision),
+}
+
+
+def _build_parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The CLI parser, with flags declared for ``command`` only.
+
+    Every subcommand is listed, so ``repro --help`` and unknown-command
+    errors read as before. Flags are declared for the running
+    subcommand alone: some spell registry names in their choices or
+    help, and parsing ``optimize`` must not import the serving stack
+    to list them.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="RAGO reproduction: experiments and schedule search",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, _) in _COMMANDS.items():
+        command_parser = commands.add_parser(name, help=help_text)
+        if name == command and add_flags is not None:
+            add_flags(command_parser)
+        # Commands read their own flag table back (grid-file keys,
+        # dead-flag defaults), so each namespace carries its
+        # subcommand's parser.
+        command_parser.set_defaults(subparser=command_parser)
+    return parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -1437,28 +1444,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                    None)
     args = _build_parser(command).parse_args(argv)
     try:
-        if args.command == "list":
-            return _command_list()
-        if args.command == "run":
-            return _command_run(args)
-        if args.command == "sweep":
-            return _command_sweep(args)
-        if args.command == "whatif":
-            return _command_whatif(args)
-        if args.command == "replay":
-            return _command_replay(args)
-        if args.command == "serve":
-            return _command_serve(args)
-        if args.command == "trace":
-            return _command_trace(args)
-        if args.command == "lint":
-            return _command_lint(args)
-        if args.command == "provision":
-            return _command_provision(args)
-        return _command_optimize(args)
-    except ReproError as error:
-        print(f"error: {error}")
-        return 1
-    except OSError as error:
+        return _COMMANDS[args.command][2](args)
+    except (ReproError, OSError) as error:
         print(f"error: {error}")
         return 1

@@ -354,8 +354,12 @@ def _check_positive(**knobs: float) -> None:
                               f"got {value}")
 
 
-def _check_rate_duration(rate_qps: float, duration: float) -> None:
+def _check_core_knobs(rate_qps: float, duration: float, seed: int) -> None:
+    """The knobs every generator shares; numpy's RNG refuses a
+    negative seed with a bare ``ValueError``."""
     _check_positive(rate_qps=rate_qps, duration=duration)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
 
 def _scenario_result(scenario: str, arrivals: List[float],
@@ -392,7 +396,7 @@ def poisson_trace(rate_qps: float, duration: float, seed: int = 0,
     """
     import numpy as np
 
-    _check_rate_duration(rate_qps, duration)
+    _check_core_knobs(rate_qps, duration, seed)
     rng = np.random.default_rng(seed)
     arrivals = []
     now = 0.0
@@ -429,7 +433,7 @@ def bursty_trace(rate_qps: float, duration: float, seed: int = 0,
     """
     import numpy as np
 
-    _check_rate_duration(rate_qps, duration)
+    _check_core_knobs(rate_qps, duration, seed)
     if burst_factor <= 1.0:
         raise ConfigError("burst_factor must exceed 1")
     if not 0.0 < on_fraction < 1.0:
@@ -489,7 +493,7 @@ def diurnal_trace(rate_qps: float, duration: float, seed: int = 0,
     """
     import numpy as np
 
-    _check_rate_duration(rate_qps, duration)
+    _check_core_knobs(rate_qps, duration, seed)
     if not 0.0 <= amplitude < 1.0:
         raise ConfigError("amplitude must be in [0, 1)")
     cycle = duration if period is None else period

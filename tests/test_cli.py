@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _COMMANDS, _build_parser, main
 
 
 def test_list_shows_all_artifacts(capsys):
@@ -49,6 +49,26 @@ def test_optimize_impossible_slo_reports_error(capsys):
     assert main(["optimize", "--case", "i", "--llm", "8B",
                  "--max-ttft", "0.000001"]) == 1
     assert "error:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(_COMMANDS))
+def test_every_command_builds_its_parser(name, capsys):
+    """Flags are declared for the running subcommand only, so each
+    subcommand's declarer runs here once."""
+    with pytest.raises(SystemExit) as exited:
+        main([name, "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: repro {name}")
+
+
+@pytest.mark.parametrize("name", ["sweep", "whatif"])
+def test_backend_choices_follow_the_registry(name):
+    from repro.distrib import SWEEP_BACKENDS
+
+    args = _build_parser(name).parse_args([name])
+    backend, = [action for action in args.subparser._actions
+                if action.dest == "backend"]
+    assert backend.choices == tuple(SWEEP_BACKENDS)
 
 
 def test_unknown_command_exits():
@@ -772,6 +792,8 @@ def search_forbidden(monkeypatch):
      "offered rate must be positive; pass a positive --rate or --load"),
     (["replay", "--duration", "0", "--population", "users=4"],
      "closed-loop horizon must be positive and finite"),
+    (["replay", "--seed", "-1"], "--seed must be non-negative, got -1"),
+    (["whatif", "--seed", "-1"], "--seed must be non-negative, got -1"),
 ])
 def test_bad_traffic_flags_fail_before_the_search(search_forbidden, capsys,
                                                   argv, message):
@@ -827,6 +849,24 @@ def test_non_finite_bounds_are_rejected(capsys, argv, message):
     errors = [line for line in capsys.readouterr().out.splitlines()
               if line.startswith("error:")]
     assert errors == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("command", ["replay", "serve"])
+@pytest.mark.parametrize("flags", [
+    ["--replicas", "0"],
+    ["--replicas", "2", "--autoscale", "policy=queue-depth"],
+    ["--admission", "bogus"],
+    ["--tiers", "bogus"],
+], ids=["replicas-0", "replicas-with-autoscale", "admission", "tiers"])
+def test_serving_setup_flags_fail_before_the_search(search_forbidden, capsys,
+                                                    command, flags):
+    """replay and serve share one serving setup, which refuses a bad
+    fleet size or admission policy before it opens a session."""
+    assert main([command, "--case", "i", "--llm", "1B", "--servers", "16"]
+                + flags) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("error: ")
+    assert "workload:" not in out
 
 
 def test_search_forbidden_fixture_catches_a_search(search_forbidden):

@@ -102,6 +102,15 @@ def test_scenarios_reject_non_finite_rate_and_duration(name, value, knob):
         SCENARIOS[name](knobs["rate_qps"], knobs["duration"], seed=0)
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenarios_reject_a_negative_seed(name):
+    """Regression: numpy's RNG refused a negative seed with a bare
+    ``ValueError``, which the CLI printed as a traceback."""
+    with pytest.raises(ConfigError, match="seed must be non-negative, "
+                                          "got -1"):
+        scenario_trace(name, rate_qps=50.0, duration=2.0, seed=-1)
+
+
 @pytest.mark.parametrize("generator, knob", [
     (bursty_trace, "mean_cycle"), (diurnal_trace, "period")])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
