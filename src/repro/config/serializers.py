@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.errors import decoder, reject_unknown
+from repro.errors import ConfigError, decoder, reject_unknown
 from repro.hardware.accelerator import XPUSpec
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.cpu import CPUServerSpec
@@ -261,29 +261,8 @@ _REQUEST_FIELDS = ("arrival", "decode_len", "user_id", "session_id",
 def trace_to_dict(trace: RequestTrace) -> Dict:
     """Serialize a RequestTrace as request records (identity fields
     only appear when set, keeping anonymous traces compact)."""
-    rows = []
-    for request in trace.requests:
-        row: Dict = {"arrival": request.arrival}
-        for key in ("decode_len", "user_id", "session_id", "tier"):
-            value = getattr(request, key)
-            if value is not None:
-                row[key] = value
-        rows.append(row)
-    return {"requests": rows, "metadata": dict(trace.metadata)}
-
-
-def _request_kwargs(row: Dict) -> Dict:
-    """The :class:`~repro.workloads.traces.Request` fields of one
-    serialized request record."""
-    reject_unknown(row, _REQUEST_FIELDS, "trace request")
-    decode_len = row.get("decode_len")
-    return dict(
-        arrival=float(row["arrival"]),
-        decode_len=None if decode_len is None else int(decode_len),
-        user_id=row.get("user_id"),
-        session_id=row.get("session_id"),
-        tier=row.get("tier"),
-    )
+    return {"requests": list(trace.row_dicts()),
+            "metadata": dict(trace.metadata)}
 
 
 @decoder("trace")
@@ -292,23 +271,30 @@ def trace_from_dict(data: Dict) -> RequestTrace:
 
     Accepts both the request-record shape and the version-1 parallel
     ``arrivals`` / ``decode_lens`` tuples, which reconstruct
-    bit-identically (anonymous requests)."""
-    from repro.workloads.traces import (Request, RequestTrace,
-                                        requests_from_arrays)
+    bit-identically (anonymous requests). Both go through the JSONL
+    loader's row and metadata checks."""
+    from repro.workloads.traces import (RequestTrace, check_metadata,
+                                        request_row)
 
     if "requests" in data:
         reject_unknown(data, _TRACE_FIELDS, "trace")
-        return RequestTrace(
-            requests=tuple(Request(**_request_kwargs(row))
-                           for row in data["requests"]),
-            metadata=dict(data.get("metadata") or {}),
-        )
-    reject_unknown(data, _LEGACY_TRACE_FIELDS, "trace")
-    return RequestTrace(
-        requests=requests_from_arrays(data["arrivals"],
-                                      data.get("decode_lens")),
-        metadata=dict(data.get("metadata") or {}),
-    )
+        records = data["requests"]
+    else:
+        reject_unknown(data, _LEGACY_TRACE_FIELDS, "trace")
+        arrivals = data["arrivals"]
+        lens = data.get("decode_lens")
+        if lens is not None and len(lens) != len(arrivals):
+            raise ConfigError("decode_lens must match arrivals in length")
+        records = [{"arrival": arrival} if lens is None
+                   else {"arrival": arrival, "decode_len": lens[index]}
+                   for index, arrival in enumerate(arrivals)]
+    rows = []
+    for index, record in enumerate(records):
+        reject_unknown(record, _REQUEST_FIELDS, "trace request")
+        rows.append(request_row(record, f"trace request {index}"))
+    metadata = dict(data.get("metadata") or {})
+    check_metadata(metadata, "trace")
+    return RequestTrace.from_rows(rows, metadata)
 
 
 _REPORT_FIELDS = ("scenario", "offered", "completed", "duration",

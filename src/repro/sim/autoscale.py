@@ -664,16 +664,14 @@ class Autoscaler:
         Returns:
             The drained fleet (build reports from it as usual).
         """
-        for request in trace.requests:
-            arrival = request.arrival
+        for arrival, decode_len, user_id, session_id, tier in trace.rows():
             while self._next_control <= arrival:
                 boundary = self._next_control
                 self._fleet.step(until=boundary)
                 self.maybe_control(boundary)
-            self._fleet.submit(arrival, decode_len=request.decode_len,
-                               user_id=request.user_id,
-                               session_id=request.session_id,
-                               tier=request.tier)
+            self._fleet.submit(arrival, decode_len=decode_len,
+                               user_id=user_id, session_id=session_id,
+                               tier=tier)
         stalled = 0
         while self._fleet.in_flight and stalled < 1000:
             completed = self._fleet.completed

@@ -1254,7 +1254,6 @@ def submit_trace(target: Any, trace: RequestTrace) -> None:
     steps the target afterwards.
     """
     submit = target.submit
-    for request in trace.requests:
-        submit(request.arrival, decode_len=request.decode_len,
-               user_id=request.user_id, session_id=request.session_id,
-               tier=request.tier)
+    for arrival, decode_len, user_id, session_id, tier in trace.rows():
+        submit(arrival, decode_len=decode_len, user_id=user_id,
+               session_id=session_id, tier=tier)

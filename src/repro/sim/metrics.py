@@ -359,15 +359,13 @@ def jain_index(values: Sequence[float]) -> float:
     return (total * total) / (len(values) * square_sum)
 
 
-def _attainment(entries: Sequence[tuple],
+def _attainment(ttfts: Sequence[float], tpots: Sequence[float],
                 slo: SLOTarget) -> Dict[str, float]:
-    """SLO attainment of non-empty ``(index, ttft, tpot)`` entries:
-    the TTFT, TPOT and joint (both met) fractions."""
-    count = len(entries)
-    met_ttft = [slo.ttft is None or entry[1] <= slo.ttft
-                for entry in entries]
-    met_tpot = [slo.tpot is None or entry[2] <= slo.tpot
-                for entry in entries]
+    """SLO attainment of non-empty parallel TTFT/TPOT columns: the
+    TTFT, TPOT and joint (both met) fractions."""
+    count = len(ttfts)
+    met_ttft = [slo.ttft is None or ttft <= slo.ttft for ttft in ttfts]
+    met_tpot = [slo.tpot is None or tpot <= slo.tpot for tpot in tpots]
     return {
         "ttft": sum(met_ttft) / count,
         "tpot": sum(met_tpot) / count,
@@ -567,7 +565,7 @@ class _RunningSums:
             ConfigError: when nothing has been submitted (an empty
                 trace is not representable).
         """
-        from repro.workloads.traces import Request, RequestTrace
+        from repro.workloads.traces import RequestTrace
 
         if not self._records:
             raise ConfigError("no submissions recorded; an empty trace "
@@ -575,14 +573,11 @@ class _RunningSums:
         merged: Dict[str, Any] = {"scenario": "live"}
         merged.update(metadata)
         ordered = sorted(self._records, key=lambda r: r.arrival)
-        return RequestTrace(
-            requests=tuple(
-                Request(arrival=r.arrival, decode_len=r.decode_len,
-                        user_id=r.user_id, session_id=r.session_id,
-                        tier=r.tier)
-                for r in ordered),
-            metadata=merged,
-        )
+        return RequestTrace.from_columns(
+            *([getattr(r, name) for r in ordered]
+              for name in ("arrival", "decode_len", "user_id",
+                           "session_id", "tier")),
+            metadata=merged)
 
 
 class MetricsAccumulator(_RunningSums):
@@ -596,12 +591,13 @@ class MetricsAccumulator(_RunningSums):
     stays bit-identical.
 
     Internally the report is built from **incremental
-    reservoirs** fed at :meth:`finish` -- latency triples tagged with
-    the submission index and per-stage wait lists -- rather than by
-    re-walking every record's stage maps at report time. The reproduced
-    float arithmetic is order-exact: latency summaries sum over the
-    sorted samples, and attainment walks completions in submission
-    order, exactly as the record-walking implementation did.
+    reservoirs** fed at :meth:`finish` -- parallel ``array('d')``
+    columns of TTFT and TPOT (one pair overall and one per tier) and
+    one column of waits per stage, all in completion order -- rather
+    than by re-walking every record's stage maps at report time. No
+    report value depends on that order: latency and wait summaries sum
+    over the sorted samples, and attainment is a count, so the floats
+    equal the record-walking implementation's bit for bit.
     """
 
     def __init__(self, schema: "RAGSchema") -> None:
@@ -609,23 +605,20 @@ class MetricsAccumulator(_RunningSums):
         self._completed = 0
         self._last_completion = 0.0
         self._utilization_fn = None
-        # id(record) -> submission index (records are held in
-        # _records forever, so ids stay live and unique).
-        self._index: Dict[int, int] = {}
-        # (submission index, ttft, tpot) per completed-with-first-token
-        # request, appended in completion order; submission indices are
-        # unique ints, so sorting never compares the float fields.
-        self._lat: List[tuple] = []
+        # TTFT and TPOT of each completed-with-first-token request,
+        # parallel columns in completion order.
+        self._ttfts = array("d")
+        self._tpots = array("d")
         # stage -> waits of completed requests, in completion order.
-        self._stage_waits: Dict[Stage, List[float]] = {}
+        self._stage_waits: Dict[Stage, array] = {}
         # Identity reservoirs, fed only for records that carry
         # user/session/tier identity; all stay empty on anonymous
         # workloads so the anonymous report shape is untouched.
         self._tier_offered: Dict[str, int] = {}
         self._tier_completed: Dict[str, int] = {}
-        # tier -> (submission index, ttft, tpot), completion order.
-        self._tier_lat: Dict[str, List[tuple]] = {}
-        self._user_ttfts: Dict[str, List[float]] = {}
+        # tier -> (ttfts, tpots) columns, completion order.
+        self._tier_lat: Dict[str, Tuple[array, array]] = {}
+        self._user_ttfts: Dict[str, array] = {}
         self._user_completed: Dict[str, int] = {}
         self._user_tier: Dict[str, str] = {}
 
@@ -643,7 +636,6 @@ class MetricsAccumulator(_RunningSums):
     def add(self, record: RequestRecord) -> None:
         """Register a submitted request (see :meth:`_RunningSums.add`)
         and count it under its tier."""
-        self._index[id(record)] = len(self._records)
         super().add(record)
         tier = self._identity_tier(record)
         if tier is not None:
@@ -673,28 +665,28 @@ class MetricsAccumulator(_RunningSums):
         latencies = self._fold_latencies(record)
         if latencies is not None:
             ttft, tpot = latencies
-            entry = (self._index[id(record)], ttft, tpot)
-            self._lat.append(entry)
+            self._ttfts.append(ttft)
+            self._tpots.append(tpot)
             if tier is not None:
-                bucket = self._tier_lat.get(tier)
-                if bucket is None:
-                    self._tier_lat[tier] = [entry]
-                else:
-                    bucket.append(entry)
+                columns = self._tier_lat.get(tier)
+                if columns is None:
+                    columns = self._tier_lat[tier] = (array("d"),
+                                                      array("d"))
+                columns[0].append(ttft)
+                columns[1].append(tpot)
                 if record.user_id is not None:
                     sample = self._user_ttfts.get(record.user_id)
                     if sample is None:
-                        self._user_ttfts[record.user_id] = [ttft]
-                    else:
-                        sample.append(ttft)
+                        sample = self._user_ttfts[record.user_id] = \
+                            array("d")
+                    sample.append(ttft)
             stage_waits = self._stage_waits
             timings = record._timings
             for stage, wait in timings.row(timings.wait, record.slab):
                 bucket = stage_waits.get(stage)
                 if bucket is None:
-                    stage_waits[stage] = [wait]
-                else:
-                    bucket.append(wait)
+                    bucket = stage_waits[stage] = array("d")
+                bucket.append(wait)
 
     # -- introspection -------------------------------------------------
 
@@ -727,11 +719,9 @@ class MetricsAccumulator(_RunningSums):
             ConfigError: when zero requests finished -- a degenerate run
                 must surface as a configuration error, not bad math.
         """
-        # The reservoir holds exactly the completed-with-first-token
-        # requests; sorting by submission index restores the records
-        # order the record-walking implementation iterated in.
-        lat = sorted(self._lat)
-        if not lat:
+        # The columns hold exactly the completed-with-first-token
+        # requests.
+        if not self._ttfts:
             raise ConfigError(
                 "zero requests finished the replay; raise the horizon or "
                 "lower the offered load before asking for a report")
@@ -745,9 +735,9 @@ class MetricsAccumulator(_RunningSums):
         if utilization_of:
             utilization = {name: min(busy / duration, 1.0)
                            for name, busy in utilization_of.items()}  # simlint: allow[unsorted-dict-iteration-in-reporting]
-        ttfts = sorted(entry[1] for entry in lat)
-        tpots = sorted(entry[2] for entry in lat)
-        attainment = _attainment(lat, slo)
+        ttfts = sorted(self._ttfts)
+        tpots = sorted(self._tpots)
+        attainment = _attainment(self._ttfts, self._tpots, slo)
         tiers = self._tier_sections(slo)
         fairness: Dict[str, float] = {}
         if self._user_completed:
@@ -798,9 +788,9 @@ class MetricsAccumulator(_RunningSums):
         """
         sections: Dict[str, Dict[str, Any]] = {}
         for tier in sorted(self._tier_lat):
-            entries = self._tier_lat[tier]
-            ttfts = sorted(entry[1] for entry in entries)
-            tpots = sorted(entry[2] for entry in entries)
+            tier_ttfts, tier_tpots = self._tier_lat[tier]
+            ttfts = sorted(tier_ttfts)
+            tpots = sorted(tier_tpots)
             users = sorted(user for user, user_tier
                            in self._user_tier.items() if user_tier == tier)
             worst_user_p95 = 0.0
@@ -814,7 +804,8 @@ class MetricsAccumulator(_RunningSums):
                 "offered": self._tier_offered.get(tier, 0),
                 "completed": self._tier_completed.get(tier, 0),
                 "users": len(users),
-                "slo_attainment": _attainment(entries, slo),
+                "slo_attainment": _attainment(tier_ttfts, tier_tpots,
+                                              slo),
                 "ttft_p95": _interpolated_percentile(ttfts, 0.95),
                 "tpot_p95": _interpolated_percentile(tpots, 0.95),
                 "worst_user_p95_ttft": worst_user_p95,

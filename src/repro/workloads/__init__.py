@@ -18,7 +18,6 @@ _EXPORTS = {
     "diurnal_trace": "repro.workloads.traces",
     "poisson_trace": "repro.workloads.traces",
     "rate_curve": "repro.workloads.traces",
-    "requests_from_arrays": "repro.workloads.traces",
     "scenario_trace": "repro.workloads.traces",
     "session_stats": "repro.workloads.traces",
     "tier_stats": "repro.workloads.traces",

@@ -43,7 +43,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Tuple, Union)
 
 from repro.errors import ConfigError, lookup
-from repro.workloads.traces import Request, RequestTrace
+from repro.workloads.traces import RequestTrace, Row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Simulation
@@ -261,6 +261,11 @@ def _exponential(rng: "DeterministicRNG", mean: float) -> float:
     return -mean * math.log1p(-u)
 
 
+def _session_label(user_id: str, session: int) -> str:
+    """The id of ``user_id``'s ``session``-th session."""
+    return f"{user_id}-s{session:03d}"
+
+
 @dataclass(frozen=True)
 class UserPopulation:
     """A seeded population of closed-loop users.
@@ -339,7 +344,7 @@ class UserPopulation:
         if not horizon > 0 or not math.isfinite(horizon):
             raise ConfigError("trace horizon must be positive and finite")
         assignments = self.assignments()
-        rows: List[Tuple[float, int, Request]] = []
+        rows: List[Tuple[float, int, Row]] = []
         for index in range(self.users):
             rng = self.user_rng(index)
             uid = self.user_id(index)
@@ -347,11 +352,10 @@ class UserPopulation:
             time = _exponential(rng, self.think_time)
             position = 0
             while time < horizon:
-                session = position // self.session_len
-                rows.append((time, index, Request(
-                    arrival=time, decode_len=self.decode_len,
-                    user_id=uid, session_id=f"{uid}-s{session:03d}",
-                    tier=tier)))
+                if position % self.session_len == 0:
+                    label = _session_label(uid, position // self.session_len)
+                rows.append((time, index, (time, self.decode_len, uid,
+                                           label, tier)))
                 position += 1
                 time += _exponential(rng, self.think_time)
         if not rows:
@@ -359,8 +363,8 @@ class UserPopulation:
                 "horizon too short: no user issued a request; raise "
                 "the horizon or lower the think time")
         rows.sort(key=lambda row: (row[0], row[1]))
-        return RequestTrace(
-            requests=tuple(row[2] for row in rows),
+        return RequestTrace.from_rows(
+            [row[2] for row in rows],
             metadata={"scenario": "sessions",
                       "population": population_spec(self),
                       "tiers": tiers_spec(self.tiers),
@@ -457,6 +461,11 @@ class ClosedLoopDriver:
         self._rngs = [population.user_rng(index)
                       for index in range(population.users)]
         self._positions = [0] * population.users
+        # Each user's id, and the label of its current session, built
+        # once and shared by every record, trace row and fleet map.
+        self._user_ids = [population.user_id(index)
+                          for index in range(population.users)]
+        self._sessions: List[Optional[str]] = [None] * population.users
         self.submitted_by_user = [0] * population.users
         self.completed_by_user = [0] * population.users
         # id(record) -> issuing user; records live in the engine's
@@ -475,13 +484,15 @@ class ClosedLoopDriver:
         """Handler: submit ``user``'s request at the clock's now."""
         when = sim.now
         population = self._population
-        uid = population.user_id(user)
+        uid = self._user_ids[user]
         position = self._positions[user]
         self._positions[user] = position + 1
-        session = position // population.session_len
+        if position % population.session_len == 0:
+            self._sessions[user] = _session_label(
+                uid, position // population.session_len)
         record = self._engine.submit(
             when, decode_len=population.decode_len, user_id=uid,
-            session_id=f"{uid}-s{session:03d}",
+            session_id=self._sessions[user],
             tier=self._assignments[user].name)
         self._owner[id(record)] = user
         self.submitted_by_user[user] += 1

@@ -1,17 +1,20 @@
 """Request traces: first-class workloads for the serving simulator.
 
-A :class:`RequestTrace` is a tuple of :class:`Request` records -- each
-an arrival timestamp, an optional decode length, and optional identity
-(``user_id`` / ``session_id`` / ``tier``) -- plus metadata recording
-how the trace was generated (scenario name, rate, seed). Traces are the
-currency of the traffic subsystem -- every scenario is a seeded
-generator returning one, :meth:`ServingSimulator.run
+A :class:`RequestTrace` stores one stream of requests as columns, one
+entry per request in arrival order: ``arrivals``, ``decode_lens``
+(None when the workload profile's default length applies to every
+request) and the identity columns ``user_ids`` / ``session_ids`` /
+``tiers`` (each None when no request carries that field). Metadata
+records how the trace was generated (scenario name, rate, seed).
+Traces are the currency of the traffic subsystem -- every scenario is
+a seeded generator returning one, :meth:`ServingSimulator.run
 <repro.sim.ServingSimulator.run>` consumes one, and
 :mod:`repro.config` round-trips one, so an experiment's exact traffic
-is a reproducible artifact. The parallel-tuple views
-(``trace.arrivals`` / ``trace.decode_lens``) are cached read-only
-properties; :func:`trace_from_arrivals` builds a trace from loose
-arrival (and decode-length) arrays.
+is a reproducible artifact. The columns are the only store: a
+:class:`Request` record per request exists only while a caller reads
+:attr:`RequestTrace.requests`, and :meth:`RequestTrace.rows` walks the
+columns as plain tuples. :func:`trace_from_arrivals` builds a trace
+from loose arrival (and decode-length) arrays.
 
 Built-in scenario generators (all seeded):
 
@@ -31,9 +34,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
-                    Sequence, Tuple)
+from dataclasses import dataclass
+from itertools import islice, repeat, starmap
+from operator import gt
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
+                    Mapping, Optional, Sequence, Tuple)
 
 from repro.errors import ConfigError, lookup, parse_json
 from repro.workloads.sequences import sample_decode_lengths
@@ -72,125 +77,214 @@ class Request:
         if self.decode_len is not None and self.decode_len <= 0:
             raise ConfigError("decode lengths must be positive")
 
-    @property
-    def has_identity(self) -> bool:
-        """Whether any identity field travels with the request."""
-        return (self.user_id is not None or self.session_id is not None
-                or self.tier is not None)
+
+#: One request as a row of a trace's columns: ``(arrival, decode_len,
+#: user_id, session_id, tier)``, None where unset.
+Row = Tuple[float, Optional[int], Optional[str], Optional[str],
+            Optional[str]]
+
+#: The optional fields of a row, after ``arrival``, in column order.
+_OPTIONAL_FIELDS = ("decode_len", "user_id", "session_id", "tier")
+
+#: Rows per ``json.dumps`` call while digesting: bounds the transient
+#: text without one encoder call per row.
+_DIGEST_CHUNK = 1024
 
 
-def requests_from_arrays(
-        arrivals: Iterable[float],
-        decode_lens: Optional[Sequence[int]] = None,
-) -> Tuple[Request, ...]:
-    """Zip parallel arrival/length arrays into anonymous requests.
-
-    The bulk-construction path behind :func:`trace_from_arrivals`, the
-    scenario generators and version-1 trace envelopes.
-    """
-    times = [float(t) for t in arrivals]
-    if decode_lens is None:
-        return tuple(Request(arrival=t) for t in times)
-    lens = [int(n) for n in decode_lens]
-    if len(lens) != len(times):
-        raise ConfigError("decode_lens must match arrivals in length")
-    return tuple(Request(arrival=t, decode_len=n)
-                 for t, n in zip(times, lens))
+def _transpose(rows: Sequence[Row]) -> Tuple[Sequence[Any], ...]:
+    """Five columns from a list of rows (five empty ones from none)."""
+    return tuple(zip(*rows)) if rows else ((),) * 5
 
 
 @dataclass(frozen=True, init=False)
 class RequestTrace:
-    """One stream of requests plus how it was produced.
+    """One stream of requests plus how it was produced, as columns.
 
     Attributes:
-        requests: The :class:`Request` records, sorted by arrival.
+        arrivals: Arrival timestamps in seconds, sorted.
+        decode_lens: Per-request decode lengths, or None when no
+            request carries one (the profile default applies).
+        user_ids / session_ids / tiers: Per-request identity, one
+            column per field; a column is None when no request
+            carries that field, so anonymous traces hold arrivals
+            (and decode lengths) only.
         metadata: How the trace was produced (scenario name, rate,
             seed, source file ...). JSON-scalar values only, so traces
             serialize exactly.
 
-    ``trace.arrivals`` and ``trace.decode_lens`` are cached read-only
-    parallel-tuple views of the requests. :attr:`requests_digest`
-    caches a content digest of ``requests`` (not of the mutable
-    ``metadata``); it takes no part in equality, repr or the config
-    envelope.
+    ``RequestTrace(requests, metadata)`` transposes :class:`Request`
+    records into the columns; :meth:`from_columns` and
+    :meth:`from_rows` take them directly. Every way in checks the
+    columns once. :attr:`requests` builds the records on each read and
+    keeps none. :attr:`requests_digest` caches a content digest of the
+    requests (not of the mutable ``metadata``); it takes no part in
+    equality, repr or the config envelope.
     """
 
-    requests: Tuple[Request, ...]
-    metadata: Dict[str, Any] = field(default_factory=dict)
+    arrivals: Tuple[float, ...]
+    decode_lens: Optional[Tuple[int, ...]]
+    user_ids: Optional[Tuple[Optional[str], ...]]
+    session_ids: Optional[Tuple[Optional[str], ...]]
+    tiers: Optional[Tuple[Optional[str], ...]]
+    metadata: Dict[str, Any]
 
     def __init__(self, requests: Iterable[Request],
                  metadata: Optional[Dict[str, Any]] = None) -> None:
-        records = tuple(requests)
-        for record in records:
+        rows = []
+        for record in requests:
             if not isinstance(record, Request):
                 raise ConfigError(
                     f"requests must be Request records, got "
                     f"{type(record).__name__}")
-        if not records:
+            rows.append((record.arrival, record.decode_len,
+                         record.user_id, record.session_id, record.tier))
+        self._fill(*_transpose(rows), metadata)
+
+    @classmethod
+    def from_columns(cls, arrivals: Iterable[float],
+                     decode_lens: Optional[Iterable[Optional[int]]] = None,
+                     user_ids: Optional[Iterable[Optional[str]]] = None,
+                     session_ids: Optional[Iterable[Optional[str]]] = None,
+                     tiers: Optional[Iterable[Optional[str]]] = None,
+                     metadata: Optional[Dict[str, Any]] = None,
+                     ) -> "RequestTrace":
+        """A trace from its columns, checked once.
+
+        Every column other than ``arrivals`` may be None (no request
+        carries the field) or hold None entries; a column whose
+        entries are all None is stored as None.
+
+        Raises:
+            ConfigError: on a column longer or shorter than
+                ``arrivals``, a negative or non-finite arrival, a
+                non-positive decode length, no requests, unsorted
+                arrivals, or decode lengths on some requests only.
+        """
+        trace = cls.__new__(cls)
+        trace._fill(arrivals, decode_lens, user_ids, session_ids, tiers,
+                    metadata)
+        return trace
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Row],
+                  metadata: Optional[Dict[str, Any]] = None,
+                  ) -> "RequestTrace":
+        """A trace from ``(arrival, decode_len, user_id, session_id,
+        tier)`` rows, transposed into the columns (see
+        :meth:`from_columns`)."""
+        return cls.from_columns(*_transpose(rows), metadata=metadata)
+
+    def _fill(self, arrivals: Iterable[float],
+              decode_lens: Optional[Iterable[Optional[int]]],
+              user_ids: Optional[Iterable[Optional[str]]],
+              session_ids: Optional[Iterable[Optional[str]]],
+              tiers: Optional[Iterable[Optional[str]]],
+              metadata: Optional[Dict[str, Any]]) -> None:
+        """Check the columns and store them (the one column check)."""
+        arrivals = tuple(arrivals)
+        count = len(arrivals)
+        columns = {}
+        for name, column in (("decode_lens", decode_lens),
+                             ("user_ids", user_ids),
+                             ("session_ids", session_ids),
+                             ("tiers", tiers)):
+            if column is not None:
+                column = tuple(column)
+                if len(column) != count:
+                    raise ConfigError(
+                        f"{name} must match arrivals in length")
+                if column.count(None) == count:
+                    column = None
+            columns[name] = column
+        lens = columns["decode_lens"]
+        if not all(0.0 <= arrival < math.inf for arrival in arrivals):
+            raise ConfigError("arrival times must be finite and "
+                              "non-negative")
+        with_lens = 0 if lens is None else count - lens.count(None)
+        if with_lens and any(length is not None and length <= 0
+                             for length in lens):
+            raise ConfigError("decode lengths must be positive")
+        if not count:
             raise ConfigError("a trace needs at least one request")
-        previous = 0.0
-        for record in records:
-            if record.arrival < previous:
-                raise ConfigError("arrivals must be sorted")
-            previous = record.arrival
-        with_lens = sum(1 for record in records
-                        if record.decode_len is not None)
-        if with_lens not in (0, len(records)):
+        if any(map(gt, arrivals, islice(arrivals, 1, None))):
+            raise ConfigError("arrivals must be sorted")
+        if with_lens not in (0, count):
             raise ConfigError(
                 f"either every request carries decode_len or none does "
-                f"({with_lens} of {len(records)} do)")
-        object.__setattr__(self, "requests", records)
+                f"({with_lens} of {count} do)")
+        object.__setattr__(self, "arrivals", arrivals)
+        for name, column in columns.items():
+            object.__setattr__(self, name, column)
         object.__setattr__(self, "metadata",
                            {} if metadata is None else metadata)
-        # Cached parallel-tuple views: computed once here so replay
-        # loops iterating trace.arrivals pay no per-access rebuild.
-        object.__setattr__(self, "_arrivals",
-                           tuple(record.arrival for record in records))
-        object.__setattr__(
-            self, "_decode_lens",
-            tuple(record.decode_len for record in records)
-            if with_lens else None)
 
     # -- introspection -------------------------------------------------
 
-    @property
-    def arrivals(self) -> Tuple[float, ...]:
-        """Sorted arrival timestamps (the historical tuple view)."""
-        return self._arrivals
+    def rows(self) -> Iterator[Row]:
+        """The requests as ``(arrival, decode_len, user_id,
+        session_id, tier)`` tuples in arrival order, read off the
+        columns (None where a field is unset)."""
+        unset = repeat(None)
+        return zip(self.arrivals,
+                   *(unset if column is None else column
+                     for column in (self.decode_lens, self.user_ids,
+                                    self.session_ids, self.tiers)))
+
+    def row_dicts(self) -> Iterator[Dict[str, Any]]:
+        """The requests as JSON objects: ``arrival`` plus each other
+        field that is set, in column order (the row shape of JSONL
+        files and config envelopes)."""
+        for row in self.rows():
+            entry: Dict[str, Any] = {"arrival": row[0]}
+            for key, value in zip(_OPTIONAL_FIELDS, row[1:]):
+                if value is not None:
+                    entry[key] = value
+            yield entry
 
     @property
-    def decode_lens(self) -> Optional[Tuple[int, ...]]:
-        """Per-request decode lengths, or None when unset (the
-        historical tuple view)."""
-        return self._decode_lens
+    def requests(self) -> Tuple[Request, ...]:
+        """The :class:`Request` records, sorted by arrival (built from
+        the columns on each read, not kept)."""
+        return tuple(starmap(Request, self.rows()))
 
     @property
     def requests_digest(self) -> str:
-        """SHA-256 hex digest of the ``requests`` tuple, computed once.
+        """SHA-256 hex digest of the requests, computed once.
 
         Two traces share a digest exactly when their requests
-        serialize identically in the config envelope: each request
-        digests as the JSON list of its five fields, so ``None``
-        (JSON ``null``) stays apart from ``""``, an unset
-        ``decode_len`` from a set one, and ``-0.0`` from ``0.0``.
-        Safe to cache because ``requests`` is an immutable tuple of
-        frozen records; ``metadata`` is a mutable dict and is not
+        serialize identically in the config envelope: the digest is
+        that of the JSON list of rows, each the list of its five
+        fields, so ``None`` (JSON ``null``) stays apart from ``""``,
+        an unset ``decode_len`` from a set one, and ``-0.0`` from
+        ``0.0``. The text is hashed in chunks of rows, so the whole
+        list is never built. Safe to cache because the columns are
+        immutable tuples; ``metadata`` is a mutable dict and is not
         covered.
         """
         digest = self.__dict__.get("_requests_digest")
         if digest is None:
-            rows = [[request.arrival, request.decode_len, request.user_id,
-                     request.session_id, request.tier]
-                    for request in self.requests]
-            digest = hashlib.sha256(
-                json.dumps(rows).encode("ascii")).hexdigest()
+            hasher = hashlib.sha256(b"[")
+            rows = self.rows()
+            separator = b""
+            while True:
+                chunk = list(islice(rows, _DIGEST_CHUNK))
+                if not chunk:
+                    break
+                # json.dumps(rows)'s text, split between rows: drop
+                # each chunk's brackets and rejoin with its separator.
+                hasher.update(separator
+                              + json.dumps(chunk)[1:-1].encode("ascii"))
+                separator = b", "
+            hasher.update(b"]")
+            digest = hasher.hexdigest()
             object.__setattr__(self, "_requests_digest", digest)
         return digest
 
     @property
     def has_identity(self) -> bool:
         """Whether any request carries user/session/tier identity."""
-        return any(record.has_identity for record in self.requests)
+        return not (self.user_ids is None and self.session_ids is None
+                    and self.tiers is None)
 
     @property
     def num_requests(self) -> int:
@@ -224,7 +318,9 @@ class RequestTrace:
         """A copy with extra metadata entries merged in."""
         merged = dict(self.metadata)
         merged.update(entries)
-        return replace(self, metadata=merged)
+        return RequestTrace.from_columns(
+            self.arrivals, self.decode_lens, self.user_ids,
+            self.session_ids, self.tiers, metadata=merged)
 
     # -- replay files --------------------------------------------------
 
@@ -238,14 +334,7 @@ class RequestTrace:
         """
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(json.dumps({"metadata": self.metadata}) + "\n")
-            for request in self.requests:
-                row: Dict[str, Any] = {"arrival": request.arrival}
-                if request.decode_len is not None:
-                    row["decode_len"] = request.decode_len
-                for key in ("user_id", "session_id", "tier"):
-                    value = getattr(request, key)
-                    if value is not None:
-                        row[key] = value
+            for row in self.row_dicts():
                 handle.write(json.dumps(row) + "\n")
 
     @classmethod
@@ -255,12 +344,12 @@ class RequestTrace:
         ``decode_len`` rows -- load bit-identically.
 
         Raises:
-            ConfigError: on malformed lines, unsorted arrivals, or a
-                mix of requests with and without ``decode_len``.
+            ConfigError: on malformed lines (see :func:`request_row`),
+                a malformed metadata ``duration``, unsorted arrivals,
+                or a mix of requests with and without ``decode_len``.
         """
         metadata: Dict[str, Any] = {}
-        records = []
-        lengths = 0
+        rows: List[Row] = []
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 lines = handle.readlines()
@@ -279,43 +368,75 @@ class RequestTrace:
                         f"{path}:{number}: metadata must be an object")
                 metadata.update(row["metadata"])
                 continue
-            if "arrival" not in row:
-                raise ConfigError(
-                    f"{path}:{number}: request line needs an 'arrival'")
-            arrival = row["arrival"]
-            if isinstance(arrival, bool) \
-                    or not isinstance(arrival, (int, float)):
-                raise ConfigError(
-                    f"{path}:{number}: arrival must be a number, got "
-                    f"{arrival!r}")
-            decode_len = None
-            if "decode_len" in row:
-                decode_len = row["decode_len"]
-                if isinstance(decode_len, bool) \
-                        or not isinstance(decode_len, int):
-                    raise ConfigError(
-                        f"{path}:{number}: decode_len must be an integer, "
-                        f"got {decode_len!r}")
-                lengths += 1
-            records.append(Request(
-                arrival=float(arrival),
-                decode_len=decode_len,
-                user_id=None if row.get("user_id") is None
-                else str(row["user_id"]),
-                session_id=None if row.get("session_id") is None
-                else str(row["session_id"]),
-                tier=None if row.get("tier") is None
-                else str(row["tier"]),
-            ))
-        if lengths and lengths != len(records):
-            raise ConfigError(
-                f"{path}: either every request line carries decode_len "
-                f"or none does ({lengths} of {len(records)} do)")
-        if not records:
+            rows.append(request_row(row, f"{path}:{number}"))
+        if not rows:
             raise ConfigError(f"{path}: trace file holds no requests")
+        check_metadata(metadata, path)
         metadata.setdefault("scenario", "replay")
         metadata.setdefault("source", path)
-        return cls(requests=tuple(records), metadata=metadata)
+        try:
+            return cls.from_rows(rows, metadata)
+        except ConfigError as error:
+            raise ConfigError(f"{path}: {error}") from None
+
+
+def request_row(row: Mapping[str, Any], where: str) -> Row:
+    """One serialized request -- a JSONL line or a config-envelope
+    record -- checked and converted to a :data:`Row`.
+
+    ``arrival`` must be a number that fits a float; ``decode_len``,
+    when present, an integer; identity fields are kept as strings
+    (None when absent or null). Unknown keys are ignored here (the
+    envelope decoder rejects them itself).
+
+    Raises:
+        ConfigError: naming ``where`` (the file line or record) on a
+            missing or malformed field.
+    """
+    if "arrival" not in row:
+        raise ConfigError(f"{where}: request needs an 'arrival'")
+    arrival = row["arrival"]
+    if isinstance(arrival, bool) or not isinstance(arrival, (int, float)):
+        raise ConfigError(
+            f"{where}: arrival must be a number, got {arrival!r}")
+    try:
+        arrival = float(arrival)
+    except OverflowError:
+        raise ConfigError(
+            f"{where}: arrival is too large for a float") from None
+    decode_len = None
+    if "decode_len" in row:
+        decode_len = row["decode_len"]
+        if isinstance(decode_len, bool) or not isinstance(decode_len, int):
+            raise ConfigError(
+                f"{where}: decode_len must be an integer, got "
+                f"{decode_len!r}")
+    return (arrival, decode_len,
+            *(None if row.get(key) is None else str(row[key])
+              for key in _OPTIONAL_FIELDS[1:]))
+
+
+def check_metadata(metadata: Mapping[str, Any], where: str) -> None:
+    """Reject loaded trace metadata whose ``duration`` (the observation
+    window rates are taken over) is not a finite non-negative number.
+
+    Raises:
+        ConfigError: naming ``where`` on a bool, non-number, NaN,
+            infinite, too-large or negative ``duration``.
+    """
+    if "duration" not in metadata:
+        return
+    span = metadata["duration"]
+    try:
+        valid = (not isinstance(span, bool)
+                 and isinstance(span, (int, float))
+                 and math.isfinite(span) and span >= 0)
+    except OverflowError:
+        valid = False
+    if not valid:
+        raise ConfigError(
+            f"{where}: metadata duration must be a finite non-negative "
+            f"number, got {span!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +494,10 @@ def _scenario_result(scenario: str, arrivals: List[float],
         raise ConfigError(
             f"{scenario} scenario produced no arrivals (rate {rate_qps} "
             f"over {duration}s with seed {seed}); raise rate or duration")
-    return RequestTrace(
-        requests=requests_from_arrays(
-            arrivals, _decode_lens_for(len(arrivals), mean_decode_len,
-                                       seed)),
-        metadata={"scenario": scenario, "rate_qps": rate_qps,
-                  "duration": duration, "seed": seed,
-                  "mean_decode_len": mean_decode_len, **knobs},
-    )
+    return trace_from_arrivals(
+        arrivals, _decode_lens_for(len(arrivals), mean_decode_len, seed),
+        scenario=scenario, rate_qps=rate_qps, duration=duration,
+        seed=seed, mean_decode_len=mean_decode_len, **knobs)
 
 
 def poisson_trace(rate_qps: float, duration: float, seed: int = 0,
@@ -551,11 +668,13 @@ def trace_from_arrivals(arrivals: Iterable[float],
                         decode_lens: Optional[Sequence[int]] = None,
                         **metadata: Any) -> RequestTrace:
     """Wrap loose arrival (and optional decode-length) arrays into a
-    trace; keyword arguments become its metadata."""
-    return RequestTrace(
-        requests=requests_from_arrays(arrivals, decode_lens),
-        metadata=metadata,
-    )
+    trace; keyword arguments become its metadata. Arrivals convert
+    with ``float`` and lengths with ``int`` (numpy samples included)."""
+    return RequestTrace.from_columns(
+        tuple(float(arrival) for arrival in arrivals),
+        None if decode_lens is None
+        else tuple(int(length) for length in decode_lens),
+        metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -701,16 +820,13 @@ def session_stats(trace: RequestTrace) -> Dict[str, Any]:
     """
     sessions: Dict[str, int] = {}
     user_sessions: Dict[str, set] = {}
-    for request in trace.requests:
-        if request.session_id is None:
+    for _, _, user_id, session_id, _ in trace.rows():
+        if session_id is None:
             continue
-        sessions[request.session_id] = \
-            sessions.get(request.session_id, 0) + 1
-        if request.user_id is not None:
-            user_sessions.setdefault(request.user_id, set()).add(
-                request.session_id)
-    users = {request.user_id for request in trace.requests
-             if request.user_id is not None}
+        sessions[session_id] = sessions.get(session_id, 0) + 1
+        if user_id is not None:
+            user_sessions.setdefault(user_id, set()).add(session_id)
+    users = set(trace.user_ids or ()) - {None}
     if not sessions:
         return {"users": len(users), "sessions": 0,
                 "sessions_per_user": 0.0, "requests_per_session": 0.0,

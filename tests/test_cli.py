@@ -521,7 +521,9 @@ def test_trace_missing_file_fails_cleanly(capsys):
 
 
 @pytest.mark.parametrize("row", ['{"arrival": 0.0, "decode_len": null}',
-                                 '{"arrival": "soon"}'])
+                                 '{"arrival": "soon"}',
+                                 pytest.param('{"arrival": ' + "9" * 400
+                                              + "}", id="int-past-float")])
 def test_trace_malformed_field_fails_cleanly(tmp_path, capsys, row):
     path = tmp_path / "typed.jsonl"
     path.write_text(row + "\n")
@@ -529,6 +531,22 @@ def test_trace_malformed_field_fails_cleanly(tmp_path, capsys, row):
     out = capsys.readouterr().out
     assert out.startswith("error:") and out.count("\n") == 1
     assert f"{path}:1:" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace"],
+    ["replay", "--case", "i", "--llm", "1B", "--servers", "16", "--trace"],
+])
+@pytest.mark.parametrize("duration", ['"abc"', "null"])
+def test_trace_bad_metadata_duration_fails_cleanly(tmp_path, capsys, argv,
+                                                   duration):
+    path = tmp_path / "window.jsonl"
+    path.write_text('{"metadata": {"duration": ' + duration + '}}\n'
+                    '{"arrival": 0.0}\n')
+    assert main([*argv, str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1].startswith(
+        f"error: {path}: metadata duration must be")
 
 
 def test_trace_bad_bins_fails_cleanly(tmp_path, capsys):

@@ -363,6 +363,43 @@ def test_trace_malformed_decode_lens_rejected():
                          "decode_lens": ["8", "x"]})
 
 
+@pytest.mark.parametrize("row, message", [
+    pytest.param({"arrival": 10 ** 400}, "arrival is too large for a float",
+                 id="int-past-float"),
+    pytest.param({"arrival": 0.5, "decode_len": float("inf")},
+                 "decode_len must be an integer", id="decode-len-1e400"),
+    pytest.param({"arrival": True}, "arrival must be a number",
+                 id="bool-arrival"),
+    pytest.param({"arrival": 0.5, "decode_len": 2.5},
+                 "decode_len must be an integer", id="fractional-decode-len"),
+])
+def test_trace_dict_rows_checked_like_jsonl(row, message):
+    from repro.config import trace_from_dict
+
+    with pytest.raises(ConfigError, match=f"trace request 1: {message}"):
+        trace_from_dict({"requests": [{"arrival": 0.0}, row]})
+
+
+def test_trace_dict_identity_loads_as_strings_like_jsonl():
+    from repro.config import trace_from_dict
+
+    trace = trace_from_dict({"requests": [
+        {"arrival": 0.0, "user_id": 7, "session_id": 7.5, "tier": "free"}]})
+    assert trace.requests[0].user_id == "7"
+    assert trace.requests[0].session_id == "7.5"
+
+
+@pytest.mark.parametrize("duration", [
+    "abc", None, True, float("nan"), float("inf"), -1.0,
+    pytest.param(10 ** 400, id="int-past-float")])
+def test_trace_dict_metadata_duration_checked(duration):
+    from repro.config import trace_from_dict
+
+    with pytest.raises(ConfigError, match="metadata duration must be"):
+        trace_from_dict({"requests": [{"arrival": 0.0}],
+                         "metadata": {"duration": duration}})
+
+
 # ---------------------------------------------------------------------------
 # Version-1 envelope compatibility: parallel-tuple traces and reports
 # without the per-tier sections must load bit-identically.

@@ -935,3 +935,87 @@ def test_request_lists_round_trip(tmp_path_factory, requests):
     trace.to_jsonl(str(path))
     assert RequestTrace.from_jsonl(str(path)).requests == trace.requests
     assert config.loads(config.dumps(trace)).requests == trace.requests
+
+
+# -- per-request data in columns -----------------------------------------
+
+
+@st.composite
+def _one_tier_per_user_traces(draw):
+    """Identity traces where each user keeps one tier (a user seen on
+    two tiers reports under the tier of its last completion)."""
+    from repro.workloads import RequestTrace
+
+    tiers = [None, "free", "paid"]
+    tier_of = {f"u{index}": draw(st.sampled_from(tiers))
+               for index in range(4)}
+    count = draw(st.integers(1, 30))
+    arrivals = sorted(draw(st.lists(st.floats(0.0, 0.5, allow_nan=False),
+                                    min_size=count, max_size=count)))
+    rows = []
+    for arrival in arrivals:
+        user = draw(st.sampled_from([None, *tier_of]))
+        rows.append((arrival, draw(st.integers(1, 96)), user,
+                     None if user is None else f"s-{user}",
+                     draw(st.sampled_from(tiers)) if user is None
+                     else tier_of[user]))
+    return RequestTrace.from_rows(rows, {"scenario": "property"})
+
+
+@settings(deadline=None, max_examples=30)
+@given(trace=_one_tier_per_user_traces(), tiered=st.booleans(),
+       seed=st.randoms(),
+       slo=st.sampled_from([(None, None), (0.05, 0.002), (0.02, None)]))
+def test_report_is_independent_of_completion_order(trace, tiered, seed,
+                                                   slo):
+    """The accumulator keeps its reservoirs in completion order and
+    nothing else: finishing the same completions in a shuffled order
+    gives an equal report, tiered and anonymous alike."""
+    from repro.sim import ServingEngine, SLOTarget, submit_trace
+    from repro.workloads import RequestTrace
+
+    if not tiered:
+        trace = RequestTrace.from_columns(trace.arrivals, trace.decode_lens,
+                                          metadata=trace.metadata)
+    pm, schedule = _decode_network("plain")
+    engine = ServingEngine(pm, schedule)
+    done = []
+    engine.add_listener(done.append)
+    submit_trace(engine, trace)
+    engine.drain()
+    shuffled = list(done)
+    seed.shuffle(shuffled)
+    target = SLOTarget(*slo)
+    report = _accumulator_over(pm.schema, engine.records, done).report(
+        trace, target)
+    assert report == _accumulator_over(
+        pm.schema, engine.records, shuffled).report(trace, target)
+    assert bool(report.tiers) == trace.has_identity
+
+
+@settings(max_examples=100, deadline=None)
+@given(requests=_request_lists())
+def test_column_and_record_traces_agree(tmp_path_factory, requests):
+    """A trace built from columns equals the one built from the same
+    Request records, shares its digest, and both round-trip through
+    the config envelope and JSONL to an equal trace."""
+    from repro import config
+    from repro.workloads import RequestTrace
+
+    metadata = {"scenario": "drawn"}
+    from_records = RequestTrace(requests, metadata=dict(metadata))
+    from_columns = RequestTrace.from_columns(
+        *(list(column) for column in zip(*(
+            (r.arrival, r.decode_len, r.user_id, r.session_id, r.tier)
+            for r in requests))),
+        metadata=dict(metadata))
+    assert from_columns == from_records
+    assert from_columns.requests_digest == from_records.requests_digest
+    assert from_columns.requests == tuple(requests)
+    path = tmp_path_factory.getbasetemp() / "columns.jsonl"
+    for trace in (from_records, from_columns):
+        assert config.loads(config.dumps(trace)) == trace
+        trace.to_jsonl(str(path))
+        back = RequestTrace.from_jsonl(str(path))
+        assert back == trace.with_metadata(scenario="drawn",
+                                           source=str(path))

@@ -207,6 +207,8 @@ def test_jsonl_bad_line_rejected(tmp_path):
     ('{"arrival": null}', "arrival must be a number"),
     ('{"arrival": false}', "arrival must be a number"),
     ('{"arrival": [1.0]}', "arrival must be a number"),
+    pytest.param('{"arrival": ' + "9" * 400 + "}",
+                 "arrival is too large for a float", id="int-past-float"),
     # Past the int-conversion digit limit and the recursion limit.
     pytest.param('{"arrival": ' + "1" * 5000 + "}", "invalid JSON",
                  id="huge-int"),
@@ -219,6 +221,19 @@ def test_jsonl_malformed_field_types_rejected(tmp_path, row, message):
     path = tmp_path / "typed.jsonl"
     path.write_text('{"arrival": 0.0, "decode_len": 8}\n' + row + "\n")
     with pytest.raises(ConfigError, match=f":2: {message}"):
+        RequestTrace.from_jsonl(str(path))
+
+
+@pytest.mark.parametrize("duration", [
+    '"abc"', "null", "true", "NaN", "Infinity", "-1", "1e400",
+    pytest.param("9" * 400, id="int-past-float")])
+def test_jsonl_metadata_duration_checked(tmp_path, duration):
+    """The observation window rates are taken over must be a finite
+    non-negative number, refused at load, not by describe()."""
+    path = tmp_path / "window.jsonl"
+    path.write_text('{"metadata": {"duration": ' + duration + '}}\n'
+                    '{"arrival": 0.0}\n')
+    with pytest.raises(ConfigError, match="metadata duration must be"):
         RequestTrace.from_jsonl(str(path))
 
 
@@ -338,12 +353,12 @@ def test_trace_stats_survives_undefined_cv():
 
 
 def test_compat_tuple_construction_is_bit_identical():
-    from repro.workloads import Request, requests_from_arrays
+    from repro.workloads import Request
 
     legacy = trace_from_arrivals((0.0, 1.0, 2.5), decode_lens=(8, 16, 32),
                                  scenario="custom")
     modern = RequestTrace(
-        requests=requests_from_arrays((0.0, 1.0, 2.5), (8, 16, 32)),
+        requests=(Request(0.0, 8), Request(1.0, 16), Request(2.5, 32)),
         metadata={"scenario": "custom"})
     assert legacy == modern
     assert legacy.arrivals == (0.0, 1.0, 2.5)
