@@ -27,7 +27,7 @@ import time
 from repro.hardware import ClusterSpec
 from repro.pipeline import PlacementGroup, RAGPerfModel, Schedule
 from repro.schema import Stage, case_i_hyperscale
-from repro.sim import ServingEngine
+from repro.sim import ServingEngine, submit_trace
 from repro.workloads import poisson_trace
 
 #: Absolute floor, roughly half the slowest replay observed on a
@@ -59,13 +59,12 @@ def _canonical_network():
 
 
 def _replay(perf_model, schedule, trace):
-    """Submit the whole trace, drain, and time it: (completed, events,
-    decode steps, wall seconds)."""
+    """Feed the whole trace the way ``ServingSimulator.run`` does
+    (streamed by ``submit_trace``), drain, and time it: (completed,
+    events, decode steps, wall seconds)."""
     engine = ServingEngine(perf_model, schedule)
-    submit = engine.submit
     start = time.perf_counter()
-    for arrival, length in zip(trace.arrivals, trace.decode_lens):
-        submit(arrival, decode_len=length)
+    submit_trace(engine, trace)
     engine.drain()
     wall = max(time.perf_counter() - start, 1e-9)
     return (engine.completed, engine.events_processed,

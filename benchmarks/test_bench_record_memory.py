@@ -1,9 +1,12 @@
 """Per-request memory guards for a replay and for a trace.
 
 The engine keeps every request's per-stage enqueue, completion and
-queue-wait times in three flat ``array('d')`` slabs, and a finished
-:class:`~repro.sim.metrics.RequestRecord` reads its stage maps from
-its row there on access instead of holding three dicts of its own.
+queue-wait times in three flat ``array('d')`` slabs, and its
+first-token and completion times in two per-request ``array('d')``
+columns; a :class:`~repro.sim.metrics.RequestRecord` reads its stage
+maps and both times from its row there on access instead of holding
+dicts and floats of its own. ``submit_trace`` streams the trace into
+the engine, so only one arrival event is queued at a time.
 The :class:`~repro.sim.metrics.MetricsAccumulator` keeps its TTFT,
 TPOT and per-stage wait reservoirs as ``array('d')`` columns, and a
 :class:`~repro.workloads.RequestTrace` stores its requests as columns
@@ -26,8 +29,9 @@ All are byte counts, not timings, so the guards cannot flake on a
 noisy host. Storing the stage maps as per-record dicts cost about
 1,400 and 1,000 B/request; slab-backed records with index-tagged
 latency tuples and boxed waits about 720 and 300; the column
-reservoirs about 550 and 300. A trace of ``Request`` records holds
-about 190 B/request; the columns about 72.
+reservoirs about 550 and 300; the streamed feed with both lifecycle
+times in columns about 400 and 230. A trace of ``Request`` records
+holds about 190 B/request; the columns about 72.
 """
 
 import gc
@@ -40,8 +44,8 @@ from repro.sim import ServingEngine, submit_trace
 from repro.workloads import trace_from_arrivals
 
 REQUESTS = 8_000
-PEAK_BYTES_PER_REQUEST = 650
-HELD_BYTES_PER_REQUEST = 500
+PEAK_BYTES_PER_REQUEST = 480
+HELD_BYTES_PER_REQUEST = 270
 TRACE_BYTES_PER_REQUEST = 100
 
 

@@ -102,6 +102,13 @@ class ServeConfig:
                               "(or None)")
         if not self.host:
             raise ConfigError("host must be non-empty")
+        for name in ("port", "replicas", "default_decode_len"):
+            value = getattr(self, name)
+            if value is None and name == "default_decode_len":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(
+                    f"{name} must be an integer, got {value!r}")
         if not 0 <= self.port <= 65535:
             raise ConfigError("port must be in [0, 65535]")
         for name in ("tick", "time_scale"):

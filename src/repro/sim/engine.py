@@ -23,7 +23,13 @@ Two layers live here:
 trace, drains, and returns the trace's
 :class:`~repro.sim.metrics.ServingReport` -- the one run result an
 engine or fleet produces (:meth:`ServingEngine.report`) -- reproducing
-the pre-refactor replay bit for bit (pinned by tests).
+the pre-refactor replay bit for bit (pinned by tests). Into a
+standalone engine the trace *streams*: one arrival event is queued at
+a time and queues the next row when it runs, under sequence numbers
+reserved up front, so ties break as if every row had been submitted
+at once while the queue and the records grow only with the arrivals
+so far. A fleet routes each request at submission, so it still gets
+one ``submit`` per row up front.
 
 The network runs on a slab-backed event queue (integer event kinds
 dispatched through a handler table, timestamps drained in batches),
@@ -39,10 +45,12 @@ parity tests pin the engine to bit-identical
 registered scenario, and its event count to the reference's once each
 advance is counted as the decode steps it crossed.
 
-The timing slabs are the only store of per-request stage times: they
-live in a holder that references no engine, every record reads its
-row from it, and a record's ``stage_enqueues`` / ``stage_completions``
-/ ``queue_waits`` are read-only dicts built from that row on access.
+The timing slabs are the only store of per-request times: they live
+in a holder that references no engine, every record reads its row
+from it, a record's ``stage_enqueues`` / ``stage_completions`` /
+``queue_waits`` are read-only dicts built from that row on access, and
+its ``first_token_time`` / ``completion_time`` read the holder's two
+per-request time columns.
 """
 
 from __future__ import annotations
@@ -133,6 +141,30 @@ class EventQueue:
         self._kinds[slot] = kind
         self._args[slot] = arg
         heapq.heappush(self._heap, (time, next(self._counter), slot))
+
+    def reserve(self, count: int) -> int:
+        """Set aside ``count`` consecutive sequence numbers and return
+        the first; later pushes number on after them.
+
+        An event pushed later with :meth:`push_reserved` under a
+        reserved number ties exactly as it would have, had it been
+        pushed at reservation time.
+        """
+        first = next(self._counter)
+        self._counter = itertools.count(first + count)
+        return first
+
+    def push_reserved(self, time: float, sequence: int, kind: int,
+                      arg: Any) -> None:
+        """Schedule an event under a sequence number from
+        :meth:`reserve` (``time`` is the caller's to check)."""
+        free = self._free
+        if not free:
+            self._grow()
+        slot = free.pop()
+        self._kinds[slot] = kind
+        self._args[slot] = arg
+        heapq.heappush(self._heap, (time, sequence, slot))
 
     def peek_time(self) -> float:
         """The earliest scheduled time without removing the event.
@@ -309,8 +341,8 @@ class _BatchStation:
 
     __slots__ = ("stage", "batch_size", "perf_fn", "resource", "policy",
                  "queue", "_oldest_enqueue", "_flush_scheduled", "_eng",
-                 "_si", "_enq", "_comp", "_wait", "_n", "_downstream",
-                 "_sets_first_token")
+                 "_si", "_enq", "_comp", "_wait", "_first_token", "_n",
+                 "_downstream", "_sets_first_token")
 
     def __init__(self, stage: Stage, batch_size: int,
                  perf_fn: Callable[[int], "object"], resource: _Resource,
@@ -333,6 +365,7 @@ class _BatchStation:
         self._enq = engine._slab_enq
         self._comp = engine._slab_comp
         self._wait = engine._slab_wait
+        self._first_token = engine._slab_first_token
         self._n = engine._nstages
         self._downstream = downstream
         self._sets_first_token = sets_first_token
@@ -404,9 +437,11 @@ class _BatchStation:
             comp[record.slab * n + si] = now
         downstream = self._downstream
         if self._sets_first_token:
+            first_token = self._first_token
             for record in batch:
-                if record.first_token_time is None:
-                    record.first_token_time = now
+                slab = record.slab
+                if first_token[slab] != first_token[slab]:  # NaN: unset
+                    first_token[slab] = now
                 downstream(sim, record)
         else:
             for record in batch:
@@ -481,6 +516,7 @@ class _DecodeExecutor:
         self._si = engine._stage_slot[Stage.DECODE]
         self._enq = engine._slab_enq
         self._wait = engine._slab_wait
+        self._completion = engine._slab_completion
         self._n = engine._nstages
         # Progress/position bookkeeping only matters when requests can
         # leave decode for iterative retrieval and come back; the plain
@@ -580,13 +616,14 @@ class _DecodeExecutor:
                 progress = self._progress
                 track = self._track
                 now = sim.now
+                completion = self._completion
                 on_complete = self.on_complete
                 for entry in fin:
                     del live[entry[3]]
                     record = entry[0]
                     if track:
                         progress[record.request_id] = s - entry[2]
-                    record.completion_time = now
+                    completion[record.slab] = now
                     on_complete(sim, record)
                 del fin[:]
             if dep:
@@ -781,8 +818,12 @@ class ServingEngine:
     is explicit so callers choose the driving mode:
 
     * **open loop** (what :class:`~repro.sim.serving.ServingSimulator`
-      does): submit every request of a trace with :func:`submit_trace`,
-      then :meth:`drain` and read :meth:`report`;
+      does): feed a trace with :func:`submit_trace`, then :meth:`drain`
+      and read :meth:`report`. The trace streams in one arrival at a
+      time, so until it is drained :attr:`offered`, :attr:`records`
+      and :meth:`snapshot` count only the arrivals the clock has
+      reached (a fleet, which routes at submission, takes every row up
+      front);
     * **incremental / live**: interleave :meth:`submit` and
       :meth:`step` as requests arrive in wall time, reading
       :meth:`snapshot` for running statistics and streaming completions
@@ -849,13 +890,13 @@ class ServingEngine:
         first_kind = len(self._sim._handlers) if self._shared else 0
         self._accumulator = _tally if _tally is not None \
             else MetricsAccumulator(self._schema)
-        self._next_id = 0
         self._stations: Dict[Stage, Any] = {}
         self._decode: Optional[Any] = None
-        # Per-request, per-stage timing slabs: three flat float arrays
-        # with stride == number of pipeline stages, NaN = never
-        # touched. The records read their stage maps from them, so
-        # they are the only store of those times.
+        # Per-request timing slabs: three flat float arrays with
+        # stride == number of pipeline stages, and the first-token and
+        # completion columns with one float per request; NaN = never
+        # touched. The records read their stage maps and times from
+        # them, so they are the only store of those times.
         stages_all = tuple(pipeline_stages(self._schema))
         self._stage_slot = {stage: i
                             for i, stage in enumerate(stages_all)}
@@ -864,9 +905,13 @@ class ServingEngine:
         self._slab_enq = self._timings.enq
         self._slab_comp = self._timings.comp
         self._slab_wait = self._timings.wait
+        self._slab_first_token = self._timings.first_token
+        self._slab_completion = self._timings.completion
         self._slab_pad = array("d", [math.nan]) * self._nstages
-        self._slab_n = 0  # requests slabbed so far (the next slab index)
-        self._queue = self._sim._queue  # direct arrival pushes in submit
+        # Requests slabbed so far: the next request's slab row, which is
+        # also its request_id.
+        self._slab_n = 0
+        self._queue = self._sim._queue  # direct arrival pushes
         self._build()
         self._kinds = slice(first_kind, len(self._sim._handlers))
 
@@ -901,6 +946,7 @@ class ServingEngine:
         schema = self._schema
         sim = self._sim
         self._k_arrival = sim.register_handler(self._on_arrival)
+        self._k_feed = sim.register_handler(self._on_feed)
         self._k_free = sim.register_handler(_release_resource)
         self._k_complete = sim.register_handler(_complete_batch)
         self._k_flush = sim.register_handler(_flush_station)
@@ -1016,6 +1062,20 @@ class ServingEngine:
     def _on_arrival(self, sim: Simulation, record: RequestRecord) -> None:
         self._entry(sim, record)
 
+    def _on_feed(self, sim: Simulation, feed: "_Feed") -> None:
+        """Handler for a streamed trace's arrival event: the row's
+        request enters (with every check :meth:`submit` makes), and the
+        next row's arrival is queued under its reserved number."""
+        self._entry(sim, self._new_record(*feed.row))
+        row = next(feed.rows, None)
+        if row is None:
+            return
+        self._check_submittable(row[0])
+        feed.row = row
+        sequence = feed.sequence
+        feed.sequence = sequence + 1
+        self._queue.push_reserved(row[0], sequence, self._k_feed, feed)
+
     def _request_done(self, sim: Simulation, record: RequestRecord) -> None:
         # Finished records are immutable from here on, so reports and
         # memos share them instead of copying.
@@ -1112,6 +1172,24 @@ class ServingEngine:
                 non-positive decode length, or an engine that has
                 already been drained (single-use lifecycle).
         """
+        record = self._new_record(arrival, decode_len, user_id,
+                                  session_id, tier)
+        # Inline schedule_event_at(arrival, ...): arrival >= now was
+        # checked, and fleet callers submit whole traces, so the call
+        # layers matter.
+        q = self._queue
+        free = q._free
+        if not free:
+            q._grow()
+        slot = free.pop()
+        q._kinds[slot] = self._k_arrival
+        q._args[slot] = record
+        heapq.heappush(q._heap, (arrival, next(q._counter), slot))
+        return record
+
+    def _check_submittable(self, arrival: Any) -> None:
+        """Refuse a drained engine, and an arrival that is not a finite
+        non-negative number at or after the clock."""
         if self._drained:
             raise ConfigError(
                 "engine already drained; a ServingEngine is single-use "
@@ -1127,40 +1205,50 @@ class ServingEngine:
             raise ConfigError(
                 f"out-of-order timestamp: arrival {arrival} is in the "
                 f"engine's past (simulated time {self._sim.now})")
+
+    def _new_record(self, arrival: float, decode_len: Optional[int],
+                    user_id: Optional[str], session_id: Optional[str],
+                    tier: Optional[str]) -> RequestRecord:
+        """Check one submission (see :meth:`submit`), then register its
+        record and give it its row in the timing slabs."""
+        self._check_submittable(arrival)
         if decode_len is None:
             decode_len = self._schema.sequences.decode_len
         elif type(decode_len) is not int:
             decode_len = _token_count(decode_len)
         if decode_len <= 0:
             raise ConfigError("decode lengths must be positive")
-        record = RequestRecord(request_id=self._next_id, arrival=arrival,
+        # request_id and slab start as one int: the slab row is
+        # engine-local, and a fleet rewrites request_id to the
+        # fleet-wide arrival index after submission.
+        slab = self._slab_n
+        record = RequestRecord(request_id=slab, arrival=arrival,
                                decode_len=decode_len,
                                user_id=user_id, session_id=session_id,
-                               tier=tier)
-        self._next_id += 1
-        self._accumulator.add(record)
-        # The slab index is engine-local and deliberately separate from
-        # request_id (FleetEngine rewrites request_id to the fleet-wide
-        # arrival index after submission).
-        record.slab = self._slab_n
+                               tier=tier, slab=slab)
         record._timings = self._timings
-        self._slab_n += 1
+        self._accumulator.add(record)
+        self._slab_n = slab + 1
         pad = self._slab_pad
         self._slab_enq.extend(pad)
         self._slab_comp.extend(pad)
         self._slab_wait.extend(pad)
-        # Inline schedule_event_at(arrival, ...): arrival >= now was
-        # validated above, and replay-heavy callers submit whole traces,
-        # so the call layers matter.
-        q = self._queue
-        free = q._free
-        if not free:
-            q._grow()
-        slot = free.pop()
-        q._kinds[slot] = self._k_arrival
-        q._args[slot] = record
-        heapq.heappush(q._heap, (arrival, next(q._counter), slot))
+        self._slab_first_token.append(math.nan)
+        self._slab_completion.append(math.nan)
         return record
+
+    def _stream(self, trace: RequestTrace) -> None:
+        """Queue ``trace``'s first arrival as a streamed feed (see
+        :func:`submit_trace`): its first row is checked here, each row
+        enters when its arrival event runs, and the next row is queued
+        then."""
+        rows = trace.rows()
+        row = next(rows)  # a trace holds at least one request
+        self._check_submittable(row[0])
+        queue = self._queue
+        first = queue.reserve(trace.num_requests)
+        feed = _Feed(rows, row, first + 1)
+        queue.push_reserved(row[0], first, self._k_feed, feed)
 
     def step(self, until: float) -> float:
         """Advance simulated time to ``until``, processing due events.
@@ -1243,16 +1331,52 @@ class ServingEngine:
         return self._accumulator.recorded_trace(**metadata)
 
 
+class _Feed:
+    """A trace streaming into one engine: the rows still to come, the
+    row whose arrival event is queued, and the sequence number reserved
+    for the next row."""
+
+    __slots__ = ("rows", "row", "sequence")
+
+    def __init__(self, rows: Any, row: Tuple, sequence: int) -> None:
+        self.rows = rows
+        self.row = row
+        self.sequence = sequence
+
+
 def submit_trace(target: Any, trace: RequestTrace) -> None:
     """Open-loop feed: submit every request of ``trace`` to ``target``.
 
-    The one submit loop behind every open-loop replay. ``target`` is a
+    The one open-loop feeder behind every replay. ``target`` is a
     :class:`ServingEngine` or a :class:`~repro.sim.fleet.FleetEngine`
     (the same ``submit`` surface); each request's decode length and
     identity (user, session, tier) ride along, so per-tier reports and
     session-affine routing see the trace's users. The caller drains or
     steps the target afterwards.
+
+    A standalone engine **streams** the trace: only one arrival event
+    is queued at a time, and its handler builds that row's record
+    (running every check :meth:`ServingEngine.submit` runs) and then
+    queues the next row. The N rows take the N queue sequence numbers
+    reserved here, row ``i`` at ``(arrival_i, first + i)``, so every
+    same-time tie breaks exactly as N up-front submissions would break
+    it, events already queued included, and the event count is the
+    same. A row's record exists only once its arrival event has run:
+    until the trace is drained, the engine's ``offered``, ``records``
+    and :meth:`~ServingEngine.snapshot` count only the arrivals so far,
+    and a bad row raises from the :meth:`~ServingEngine.step` or
+    :meth:`~ServingEngine.drain` that reaches it. The first row's
+    arrival and a drained engine are checked here, before anything is
+    queued.
+
+    A fleet (and a fleet's replica) gets one ``submit`` per row, up
+    front: a fleet routes each request when it is submitted, and its
+    static replays are defined by that up-front routing (routing on
+    live state would be a control event of its own).
     """
+    if isinstance(target, ServingEngine) and not target._shared:
+        target._stream(trace)
+        return
     submit = target.submit
     for arrival, decode_len, user_id, session_id, tier in trace.rows():
         submit(arrival, decode_len=decode_len, user_id=user_id,

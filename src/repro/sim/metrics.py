@@ -60,21 +60,24 @@ class _StageMap(dict):
 
 
 class _StageTimings:
-    """The one store of per-stage timings: enqueue, completion and
-    queue-wait times, one row of ``len(stages)`` floats per request.
+    """The one store of per-request timings: per-stage enqueue,
+    completion and queue-wait times, one row of ``len(stages)`` floats
+    per request, plus each request's first-token and completion time.
 
-    The three columns are flat ``array('d')`` slabs, NaN marking a
-    stage the request never reached. An engine owns one holder, writes
-    its arrays in place as the simulation advances, and every record
-    it submits reads row ``slab`` from it. A record rebuilt by pickle
-    or copy, or handed its times by a caller (:meth:`one_row`), owns a
-    one-row holder whose single row is its ``slab`` (``first``). The
-    attributes are never reassigned (an engine's arrays only grow in
-    place), and a holder refers to no engine or fleet, so finished
-    records keep their times after the serving graph is freed.
+    The five columns are flat ``array('d')`` slabs, NaN marking a
+    stage the request never reached or a moment not yet reached. An
+    engine owns one holder, writes its arrays in place as the
+    simulation advances, and every record it submits reads row
+    ``slab`` from it. A record rebuilt by pickle or copy, or handed
+    its times by a caller (:meth:`one_row`), owns a one-row holder
+    whose single row is its ``slab`` (``first``). The attributes are
+    never reassigned (an engine's arrays only grow in place), and a
+    holder refers to no engine or fleet, so finished records keep
+    their times after the serving graph is freed.
     """
 
-    __slots__ = ("stages", "first", "enq", "comp", "wait")
+    __slots__ = ("stages", "first", "enq", "comp", "wait", "first_token",
+                 "completion")
 
     def __init__(self, stages: Tuple[Stage, ...], first: int = 0) -> None:
         self.stages = stages
@@ -82,12 +85,17 @@ class _StageTimings:
         self.enq = array("d")
         self.comp = array("d")
         self.wait = array("d")
+        self.first_token = array("d")
+        self.completion = array("d")
 
     @classmethod
     def one_row(cls, slab: int, enqueues: Mapping[Stage, float],
                 completions: Mapping[Stage, float],
-                waits: Mapping[Stage, float]) -> "_StageTimings":
-        """A holder of one row, ``slab``, holding the three maps."""
+                waits: Mapping[Stage, float],
+                first_token: Optional[float],
+                completion: Optional[float]) -> "_StageTimings":
+        """A holder of one row, ``slab``, holding the three maps and
+        the two lifecycle times (None = unset)."""
         stages = tuple(dict.fromkeys((*enqueues, *completions, *waits)))
         timings = cls(stages, first=slab)
         for column, values in ((timings.enq, enqueues),
@@ -95,6 +103,9 @@ class _StageTimings:
                                (timings.wait, waits)):
             column.extend([values.get(stage, math.nan)
                            for stage in stages])
+        for column, value in ((timings.first_token, first_token),
+                              (timings.completion, completion)):
+            column.append(math.nan if value is None else value)
         return timings
 
     def row(self, column: array, slab: int) -> List[Tuple[Stage, float]]:
@@ -106,8 +117,21 @@ class _StageTimings:
                 in zip(self.stages, column[start:start + n])
                 if value == value]
 
+    def moments(self, slab: int
+                ) -> Tuple[Optional[float], Optional[float]]:
+        """Row ``slab``'s first-token and completion times, None where
+        unset or when the holder has no such row (a record no engine
+        has submitted)."""
+        index = slab - self.first
+        if not 0 <= index < len(self.completion):
+            return None, None
+        first_token = self.first_token[index]
+        completion = self.completion[index]
+        return (first_token if first_token == first_token else None,
+                completion if completion == completion else None)
 
-#: The holder of a record no engine has submitted: no stages.
+
+#: The holder of a record no engine has submitted: no stages, no rows.
 _UNTIMED = _StageTimings(())
 
 
@@ -135,13 +159,19 @@ class RequestRecord(_TimingSlot):
     pickle, copy and deep-copy (to sealed records) and compare equal
     field for field, stage maps included.
 
-    The three per-stage maps are not stored on the record. Each is a
-    read-only property that builds a fresh dict from the record's row
-    in the submitting engine's timing slabs (``slab``), which are the
-    only store of those times. A live record's maps therefore list
-    exactly the stages it has reached so far; writing to one raises
-    :class:`TypeError`. Pickling or copying a record gives the copy a
-    one-row store of its own, so a copy never carries the whole run.
+    The record stores no times of its own. The three per-stage maps
+    are read-only properties that build a fresh dict from the record's
+    row in the submitting engine's timing slabs (``slab``), and
+    ``first_token_time`` / ``completion_time`` are read-only
+    properties over the same row of the engine's two per-request time
+    columns (NaN there reads as None). Those columns are the only
+    store of the times. A live record's maps therefore list exactly
+    the stages it has reached so far, and its times turn from None to
+    a float as the simulation reaches them; writing to a map raises
+    :class:`TypeError`, and assigning a time raises
+    :class:`AttributeError` (the engine writes the columns directly).
+    Pickling or copying a record gives the copy a one-row store of its
+    own, so a copy never carries the whole run.
 
     Attributes:
         request_id: Arrival index.
@@ -153,8 +183,10 @@ class RequestRecord(_TimingSlot):
         stage_enqueues: Last enqueue time per stage (read-only).
         queue_waits: Accumulated queueing delay per stage (a stage visited
             repeatedly, e.g. iterative re-prefix, accumulates; read-only).
-        first_token_time: When the prefix stage finished (first token).
-        completion_time: When the last decode step finished.
+        first_token_time: When the prefix stage finished (first token;
+            None until then; read-only).
+        completion_time: When the last decode step finished (None
+            until then; read-only).
         user_id: Issuing user, when the workload carries identity
             (closed-loop populations); None for anonymous open-loop
             arrivals.
@@ -164,11 +196,13 @@ class RequestRecord(_TimingSlot):
         tier: SLO tier label (e.g. ``"free"``/``"paid"``) used by
             tier-aware admission and per-tier reporting; None when
             anonymous.
-        slab: Engine-local row of the request in the engine's per-stage
-            timing slabs (-1 until submitted). Deliberately separate
-            from ``request_id``, which a fleet rewrites to the
-            fleet-wide arrival index after submission; excluded from
-            equality so records compare on lifecycle alone.
+        slab: Engine-local row of the request in the engine's timing
+            slabs (-1 until submitted). The engine submits a request
+            with ``request_id`` and ``slab`` both set to that row, but
+            the field is deliberately separate: a fleet rewrites
+            ``request_id`` to the fleet-wide arrival index after
+            submission. Excluded from equality so records compare on
+            lifecycle alone.
     """
 
     request_id: int
@@ -177,8 +211,6 @@ class RequestRecord(_TimingSlot):
     user_id: Optional[str] = None
     session_id: Optional[str] = None
     tier: Optional[str] = None
-    first_token_time: Optional[float] = None
-    completion_time: Optional[float] = None
     slab: int = field(default=-1, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -203,19 +235,30 @@ class RequestRecord(_TimingSlot):
         return _StageMap(timings.row(timings.wait, self.slab))
 
     @property
+    def first_token_time(self) -> Optional[float]:
+        """When the prefix stage finished (None until it has)."""
+        return self._timings.moments(self.slab)[0]
+
+    @property
+    def completion_time(self) -> Optional[float]:
+        """When the last decode step finished (None until it has)."""
+        return self._timings.moments(self.slab)[1]
+
+    @property
     def ttft(self) -> Optional[float]:
         """Seconds from arrival to first token (None if unfinished)."""
-        if self.first_token_time is None:
+        first_token = self._timings.moments(self.slab)[0]
+        if first_token is None:
             return None
-        return self.first_token_time - self.arrival
+        return first_token - self.arrival
 
     @property
     def tpot(self) -> Optional[float]:
         """Mean seconds per generated token (None if unfinished)."""
-        if self.completion_time is None or self.first_token_time is None:
+        first_token, completion = self._timings.moments(self.slab)
+        if completion is None or first_token is None:
             return None
-        return (self.completion_time - self.first_token_time) \
-            / max(self.decode_len, 1)
+        return (completion - first_token) / max(self.decode_len, 1)
 
     def seal(self) -> None:
         """Make the finished record read-only (once; the engine calls
@@ -230,14 +273,18 @@ class RequestRecord(_TimingSlot):
 
     def _hold_stage_times(self, enqueues: Mapping[Stage, float],
                           completions: Mapping[Stage, float],
-                          waits: Mapping[Stage, float]) -> None:
-        """Store these per-stage maps in a one-row holder of the
-        record's own (before it is sealed)."""
-        self._timings = _StageTimings.one_row(self.slab, enqueues,
-                                              completions, waits)
+                          waits: Mapping[Stage, float],
+                          first_token: Optional[float],
+                          completion: Optional[float]) -> None:
+        """Store these per-stage maps and lifecycle times in a one-row
+        holder of the record's own (before it is sealed)."""
+        self._timings = _StageTimings.one_row(
+            self.slab, enqueues, completions, waits, first_token,
+            completion)
 
     def _compared(self) -> tuple:
         return (*(getattr(self, name) for name in _COMPARED_FIELDS),
+                self.first_token_time, self.completion_time,
                 self.stage_completions, self.stage_enqueues,
                 self.queue_waits)
 
@@ -247,11 +294,12 @@ class RequestRecord(_TimingSlot):
         return self._compared() == other._compared()
 
     def __reduce__(self):
-        # Carry the stage maps by value: the copy gets a one-row holder
-        # of its own instead of the submitting engine's whole slabs.
+        # Carry the timings by value: the copy gets a one-row holder of
+        # its own instead of the submitting engine's whole slabs.
         return (_rebuilt_record,
                 (self.__class__ is _SealedRecord, self.stage_enqueues,
                  self.stage_completions, self.queue_waits,
+                 self.first_token_time, self.completion_time,
                  *(getattr(self, name) for name in _RECORD_FIELDS)))
 
 
@@ -280,11 +328,14 @@ _COMPARED_FIELDS = tuple(spec.name for spec in fields(RequestRecord)
 def _rebuilt_record(sealed: bool, enqueues: Mapping[Stage, float],
                     completions: Mapping[Stage, float],
                     waits: Mapping[Stage, float],
+                    first_token: Optional[float],
+                    completion: Optional[float],
                     *values: Any) -> RequestRecord:
-    """Unpickle/copy target: a record from its field values and stage
-    maps (sealed again when the original was)."""
+    """Unpickle/copy target: a record from its field values, stage
+    maps and lifecycle times (sealed again when the original was)."""
     record = RequestRecord(*values)
-    record._hold_stage_times(enqueues, completions, waits)
+    record._hold_stage_times(enqueues, completions, waits, first_token,
+                             completion)
     if sealed:
         record.seal()
     return record
@@ -317,9 +368,11 @@ class SLOTarget:
         ttft_ok: Optional[bool] = None
         tpot_ok: Optional[bool] = None
         if self.ttft is not None:
-            ttft_ok = record.ttft is not None and record.ttft <= self.ttft
+            ttft = record.ttft
+            ttft_ok = ttft is not None and ttft <= self.ttft
         if self.tpot is not None:
-            tpot_ok = record.tpot is not None and record.tpot <= self.tpot
+            tpot = record.tpot
+            tpot_ok = tpot is not None and tpot <= self.tpot
         return {"ttft": ttft_ok, "tpot": tpot_ok,
                 "joint": (None if ttft_ok is None and tpot_ok is None
                           else ttft_ok is not False and tpot_ok is not False)}
@@ -504,18 +557,19 @@ class _RunningSums:
                 or record.arrival < self._first_arrival:
             self._first_arrival = record.arrival
 
-    def _fold_latencies(self, record: RequestRecord
-                        ) -> Optional[Tuple[float, float]]:
+    def _fold_latencies(self, record: RequestRecord, timings: _StageTimings,
+                        row: int) -> Optional[Tuple[float, float]]:
         """Add a completed record's ``(ttft, tpot)`` to the running
-        sums and return it (None when it never produced a token)."""
-        first_token = record.first_token_time
-        if first_token is None:
+        sums and return it (None when it never produced a token).
+        ``row`` is the record's index in its ``timings`` columns."""
+        first_token = timings.first_token[row]
+        if first_token != first_token:
             return None
-        # Same arithmetic as the ttft/tpot properties, inlined: this
-        # runs once per completion on the hot path.
+        # Same arithmetic as the ttft/tpot properties, inlined over the
+        # columns: this runs once per completion on the hot path.
         ttft = first_token - record.arrival
         decode_len = record.decode_len
-        tpot = (record.completion_time - first_token) \
+        tpot = (timings.completion[row] - first_token) \
             / (decode_len if decode_len > 1 else 1)
         self._ttft_sum += ttft
         self._ttft_count += 1
@@ -650,7 +704,9 @@ class MetricsAccumulator(_RunningSums):
         afterwards.
         """
         self._completed += 1
-        completion = record.completion_time
+        timings = record._timings
+        row = record.slab - timings.first
+        completion = timings.completion[row]
         if completion > self._last_completion:
             self._last_completion = completion
         tier = self._identity_tier(record)
@@ -662,7 +718,7 @@ class MetricsAccumulator(_RunningSums):
                 self._user_completed[user] = \
                     self._user_completed.get(user, 0) + 1
                 self._user_tier[user] = tier
-        latencies = self._fold_latencies(record)
+        latencies = self._fold_latencies(record, timings, row)
         if latencies is not None:
             ttft, tpot = latencies
             self._ttfts.append(ttft)
@@ -681,7 +737,6 @@ class MetricsAccumulator(_RunningSums):
                             array("d")
                     sample.append(ttft)
             stage_waits = self._stage_waits
-            timings = record._timings
             for stage, wait in timings.row(timings.wait, record.slab):
                 bucket = stage_waits.get(stage)
                 if bucket is None:
@@ -847,7 +902,8 @@ class ReplicaTally(_RunningSums):
         running sums."""
         self._done.append(record)
         self.in_flight -= 1
-        self._fold_latencies(record)
+        timings = record._timings
+        self._fold_latencies(record, timings, record.slab - timings.first)
 
     @property
     def completed(self) -> int:

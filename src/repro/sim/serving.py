@@ -1,9 +1,10 @@
 """Open-loop driver over the incremental serving engine.
 
 :class:`ServingSimulator` is the batch front door to the request-level
-DES: it submits every request of a
-:class:`~repro.workloads.traces.RequestTrace` to a fresh
-:class:`~repro.sim.engine.ServingEngine`, drains it to the last
+DES: it streams every request of a
+:class:`~repro.workloads.traces.RequestTrace` into a fresh
+:class:`~repro.sim.engine.ServingEngine`
+(:func:`~repro.sim.engine.submit_trace`), drains it to the last
 completion, and returns the trace's
 :class:`~repro.sim.metrics.ServingReport` (the artifact behind
 ``repro replay`` via ``OptimizerSession.evaluate_trace``). Loose arrival

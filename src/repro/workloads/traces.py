@@ -156,7 +156,7 @@ class RequestTrace:
 
         Raises:
             ConfigError: on a column longer or shorter than
-                ``arrivals``, a negative or non-finite arrival, a
+                ``arrivals``, a bool, negative or non-finite arrival, a
                 non-positive decode length, no requests, unsorted
                 arrivals, or decode lengths on some requests only.
         """
@@ -197,6 +197,11 @@ class RequestTrace:
                     column = None
             columns[name] = column
         lens = columns["decode_lens"]
+        if bool in set(map(type, arrivals)):
+            arrival = next(value for value in arrivals
+                           if type(value) is bool)
+            raise ConfigError(
+                f"arrival must be a number, got {arrival!r}")
         if not all(0.0 <= arrival < math.inf for arrival in arrivals):
             raise ConfigError("arrival times must be finite and "
                               "non-negative")

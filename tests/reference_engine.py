@@ -4,9 +4,10 @@
 :class:`~repro.sim.engine.ServingEngine` whose batch stations and
 decode executor are the straightforward implementations below: every
 resource free, batch completion, flush, and decode step is a fresh
-closure scheduled on the engine's kernel, per-request bookkeeping goes
-into per-request dicts the reference engine keeps itself (handed to
-each record once, when it finishes), and every decode step is one
+closure scheduled on the engine's kernel, per-request bookkeeping
+(per-stage times, first-token and completion time) goes into
+per-request dicts and lists the reference engine keeps itself (handed
+to each record once, when it finishes), and every decode step is one
 advance event that walks the whole running batch. It shares the
 engine's topology, arrivals, and reporting, so
 ``tests/test_sim_hotpath_parity.py`` can pin the shipping slab engine
@@ -31,9 +32,10 @@ from repro.sim.policies import AdmissionPolicy, DispatchPolicy
 #: An event callback receives the simulation so it can schedule more.
 EventFn = Callable[[Simulation], None]
 
-#: One request's per-stage (enqueue, completion, queue-wait) dicts.
-StageTimes = Tuple[Dict[Stage, float], Dict[Stage, float],
-                   Dict[Stage, float]]
+#: One request's per-stage (enqueue, completion, queue-wait) dicts and
+#: its ``[first_token_time, completion_time]`` (None until reached).
+RequestTimes = Tuple[Dict[Stage, float], Dict[Stage, float],
+                     Dict[Stage, float], List[Optional[float]]]
 
 
 def _run_callback(sim: Simulation, callback: EventFn) -> None:
@@ -76,7 +78,7 @@ class _BatchStation:
                  perf_fn: Callable[[int], "object"], resource: _Resource,
                  deliver: Callable[[Simulation, RequestRecord], None],
                  policy: DispatchPolicy,
-                 times: Callable[[RequestRecord], StageTimes]) -> None:
+                 times: Callable[[RequestRecord], RequestTimes]) -> None:
         self.stage = stage
         self.batch_size = batch_size
         self.perf_fn = perf_fn
@@ -121,7 +123,7 @@ class _BatchStation:
         batch = self.queue[:take]
         del self.queue[:take]
         for record in batch:
-            enqueues, _, waits = self.times(record)
+            enqueues, _, waits, _ = self.times(record)
             enqueued = enqueues.get(self.stage, sim.now)
             waits[self.stage] = \
                 waits.get(self.stage, 0.0) + (sim.now - enqueued)
@@ -162,7 +164,7 @@ class _DecodeExecutor:
     def __init__(self, capacity: int, step_latency: float, decode_len: int,
                  on_complete: Callable[[Simulation, RequestRecord], None],
                  admission: AdmissionPolicy,
-                 times: Callable[[RequestRecord], StageTimes],
+                 times: Callable[[RequestRecord], RequestTimes],
                  retrieval_hook: Optional[
                      Callable[[Simulation, RequestRecord], None]] = None,
                  positions_fn: Optional[
@@ -211,7 +213,7 @@ class _DecodeExecutor:
                     self.positions_fn(record))
             else:
                 self._positions[record.request_id] = []
-        enqueues, _, waits = self.times(record)
+        enqueues, _, waits, _ = self.times(record)
         enqueued = enqueues.get(Stage.DECODE, now)
         waits[Stage.DECODE] = \
             waits.get(Stage.DECODE, 0.0) + (now - enqueued)
@@ -251,7 +253,7 @@ class _DecodeExecutor:
                     departing.append(entry)
             for entry in finished:
                 self.remaining.remove(entry)
-                entry[0].completion_time = sim_.now
+                self.times(entry[0])[3][1] = sim_.now
                 self.on_complete(sim_, entry[0])
             for entry in departing:
                 self.remaining.remove(entry)
@@ -262,12 +264,13 @@ class _DecodeExecutor:
 
 
 
-def _first_token_deliver(downstream):
+def _first_token_deliver(downstream, times):
     """Wrap the prefix station's delivery to stamp the first token."""
 
     def deliver(sim: Simulation, record: RequestRecord) -> None:
-        if record.first_token_time is None:
-            record.first_token_time = sim.now
+        lifecycle = times(record)[3]
+        if lifecycle[0] is None:
+            lifecycle[0] = sim.now
         downstream(sim, record)
 
     return deliver
@@ -285,26 +288,29 @@ class ReferenceServingEngine(ServingEngine):
     """:class:`ServingEngine` wired with the closure-per-event network.
 
     It keeps each in-flight request's per-stage times in dicts of its
-    own (keyed by the record's ``slab``) and hands them to the record
-    once, at completion, through the record's one-row timing holder.
+    own, and its first-token and completion time in a list, keyed by
+    the record's ``slab``. It hands all five to the record once, at
+    completion, through the record's one-row timing holder, so the
+    engine's own timing columns stay NaN for its records.
     """
 
     _simulation = _ClosureSimulation
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
-        self._stage_times: Dict[int, StageTimes] = {}
+        self._stage_times: Dict[int, RequestTimes] = {}
         super().__init__(*args, **kwargs)
 
-    def _times(self, record: RequestRecord) -> StageTimes:
+    def _times(self, record: RequestRecord) -> RequestTimes:
         times = self._stage_times.get(record.slab)
         if times is None:
-            times = self._stage_times[record.slab] = ({}, {}, {})
+            times = self._stage_times[record.slab] = ({}, {}, {},
+                                                      [None, None])
         return times
 
     def _new_station(self, stage, batch_size, perf_fn, resource, downstream,
                      policy, sets_first_token):
-        deliver = _first_token_deliver(downstream) if sets_first_token \
-            else downstream
+        deliver = _first_token_deliver(downstream, self._times) \
+            if sets_first_token else downstream
         return _BatchStation(stage=stage, batch_size=batch_size,
                              perf_fn=perf_fn, resource=resource,
                              deliver=deliver, policy=policy,
@@ -314,5 +320,8 @@ class ReferenceServingEngine(ServingEngine):
         return _DecodeExecutor(times=self._times, **knobs)
 
     def _request_done(self, sim: Simulation, record: RequestRecord) -> None:
-        record._hold_stage_times(*self._stage_times.pop(record.slab))
+        enqueues, completions, waits, (first_token, completion) = \
+            self._stage_times.pop(record.slab)
+        record._hold_stage_times(enqueues, completions, waits, first_token,
+                                 completion)
         super()._request_done(sim, record)

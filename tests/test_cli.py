@@ -592,6 +592,27 @@ def _run_cli_with_timeout(tmp_path, argv):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
 
 
+def test_serve_rejects_fractional_replicas_envelope(tmp_path):
+    """Regression: ``"replicas": 2.5`` in a --serve-config envelope
+    reached `build_fleet` and died with a TypeError traceback."""
+    import json
+
+    from repro import config
+    from repro.serve import ServeConfig
+
+    path = tmp_path / "serve.json"
+    config.save(str(path), ServeConfig())
+    envelope = json.loads(path.read_text())
+    envelope["spec"]["replicas"] = 2.5
+    path.write_text(json.dumps(envelope))
+    run = _run_cli_with_timeout(tmp_path,
+                                ["serve", "--serve-config", str(path)])
+    assert run.returncode == 1
+    assert run.stdout.splitlines() == [
+        "error: replicas must be an integer, got 2.5"]
+    assert "Traceback" not in run.stderr
+
+
 def test_serve_rejects_bad_tick(capsys):
     assert main(["serve", "--case", "i", "--llm", "1B", "--servers", "16",
                  "--tick", "-1"]) == 1

@@ -335,12 +335,13 @@ def test_trace_memo_key_matches_config_envelope(left, right):
 
 
 def _fields(record):
-    """Every dataclass field of ``record`` plus its three stage maps
-    (read-only properties over the engine's timing slabs, not
-    fields)."""
+    """Every dataclass field of ``record`` plus its first-token and
+    completion times and its three stage maps (read-only properties
+    over the engine's timing columns, not fields)."""
     from dataclasses import fields
 
     return (*(getattr(record, spec.name) for spec in fields(record)),
+            record.first_token_time, record.completion_time,
             record.stage_completions, record.stage_enqueues,
             record.queue_waits)
 
@@ -991,6 +992,76 @@ def test_report_is_independent_of_completion_order(trace, tiered, seed,
     assert report == _accumulator_over(
         pm.schema, engine.records, shuffled).report(trace, target)
     assert bool(report.tiers) == trace.has_identity
+
+
+def _event_instants(pm, schedule):
+    """The times one request at 0.0 meets events on its way through
+    the network (batch dispatches, completions, its first token and
+    its end), plus 0.0: arrivals drawn from these tie with queued
+    flush and completion events."""
+    from repro.sim import ServingEngine
+
+    probe = ServingEngine(pm, schedule)
+    record = probe.submit(0.0, decode_len=8)
+    probe.drain()
+    enqueues = record.stage_enqueues
+    instants = {0.0, record.first_token_time, record.completion_time,
+                *record.stage_completions.values(), *enqueues.values(),
+                *(enqueues[stage] + wait
+                  for stage, wait in record.queue_waits.items())}
+    return sorted(instants)
+
+
+@st.composite
+def _tied_traces(draw, instants):
+    """Sorted traces whose arrivals repeat and tie with the network's
+    own events: drawn from ``instants`` (and some free floats)."""
+    from repro.workloads import RequestTrace
+
+    count = draw(st.integers(1, 30))
+    arrivals = sorted(draw(st.lists(
+        st.sampled_from(instants)
+        | st.floats(0.0, instants[-1], allow_nan=False),
+        min_size=count, max_size=count)))
+    rows = [(arrival, draw(st.integers(1, 96)), None, None,
+             draw(st.sampled_from([None, "free", "paid"])))
+            for arrival in arrivals]
+    return RequestTrace.from_rows(rows, {"scenario": "tied"})
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(),
+       admission=st.sampled_from(["greedy", "token-budget", "priority"]),
+       kind=st.sampled_from(["plain", "iterative"]))
+def test_streamed_trace_matches_per_row_submits(data, admission, kind):
+    """A trace streamed into an engine (one arrival queued at a time,
+    under sequence numbers reserved up front) runs exactly like one
+    submit per row made before any event: equal records, report and
+    event count, ties and already-queued requests included."""
+    from repro.sim import ServingEngine, submit_trace
+
+    pm, schedule = _decode_network(kind)
+    instants = _event_instants(pm, schedule)
+    trace = data.draw(_tied_traces(instants))
+    queued = data.draw(st.lists(
+        st.tuples(st.sampled_from(instants), st.integers(1, 96)),
+        max_size=4))
+    streamed, looped = (
+        ServingEngine(pm, schedule, admission=_decode_admission(admission))
+        for _ in range(2))
+    for engine in (streamed, looped):
+        for arrival, length in queued:
+            engine.submit(arrival, decode_len=length)
+    submit_trace(streamed, trace)
+    for arrival, length, user, session, tier in trace.rows():
+        looped.submit(arrival, decode_len=length, user_id=user,
+                      session_id=session, tier=tier)
+    streamed.drain()
+    looped.drain()
+    assert [_fields(r) for r in streamed.records] \
+        == [_fields(r) for r in looped.records]
+    assert streamed.report(trace) == looped.report(trace)
+    assert streamed.events_processed == looped.events_processed
 
 
 @settings(max_examples=100, deadline=None)

@@ -321,6 +321,17 @@ def test_serve_config_validation():
         ServeConfig(replicas=0)
     with pytest.raises(ConfigError):
         ServeConfig(routing="bogus")
+    # Regression: fractional, bool and NaN integers were accepted, and
+    # a fractional replica count died later with a TypeError.
+    for name, value in (("replicas", 2.5), ("replicas", True),
+                        ("port", True), ("port", 80.0),
+                        ("default_decode_len", math.nan),
+                        ("default_decode_len", True),
+                        ("default_decode_len", 2.5)):
+        with pytest.raises(ConfigError,
+                           match=f"^{name} must be an integer, got "):
+            ServeConfig(**{name: value})
+    assert ServeConfig(default_decode_len=None).default_decode_len is None
 
 
 def test_serve_config_envelope_roundtrip():

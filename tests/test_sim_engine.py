@@ -470,3 +470,151 @@ def test_empty_engine_report_is_config_error(network):
     trace = engine.recorded_trace()
     with pytest.raises(ConfigError):
         engine.report(trace)
+
+
+# -- streamed open-loop feed ---------------------------------------------
+
+
+def _per_row(engine, trace):
+    """The per-row loop a streamed feed must match: one submit per row,
+    all before any event runs."""
+    for arrival, length, user, session, tier in trace.rows():
+        engine.submit(arrival, decode_len=length, user_id=user,
+                      session_id=session, tier=tier)
+
+
+def _assert_same_run(streamed, looped, trace):
+    assert [_record_key(r) for r in streamed.records] \
+        == [_record_key(r) for r in looped.records]
+    assert streamed.report(trace) == looped.report(trace)
+    assert streamed.events_processed == looped.events_processed
+
+
+def test_submit_trace_queues_one_arrival_at_a_time(network):
+    from repro.sim import submit_trace
+
+    pm, schedule = network
+    trace = poisson_trace(100, 1.0, seed=3, mean_decode_len=64)
+    engine = ServingEngine(pm, schedule)
+    submit_trace(engine, trace)
+    assert len(engine.clock._queue) == 1
+    assert engine.next_event_time() == trace.arrivals[0]
+    assert engine.offered == 0 and engine.records == ()
+    assert engine.snapshot().offered == 0
+    middle = trace.arrivals[trace.num_requests // 2]
+    engine.step(middle)
+    # Only the rows the clock has reached have records so far.
+    assert engine.offered == sum(arrival <= middle
+                                 for arrival in trace.arrivals)
+    assert engine.snapshot().offered == engine.offered
+    engine.drain()
+    assert engine.offered == engine.completed == trace.num_requests
+
+
+def test_streamed_arrivals_tied_with_queued_events(network):
+    """Rows arriving exactly when the first retrieval batch is flushed
+    and when it completes run in the order N up-front submits give
+    them: before the flush and the completion, whose events were
+    queued after every reserved arrival. (Behind the flush instead,
+    the first tied row would miss the batch.)"""
+    from repro.sim import submit_trace
+    from repro.workloads import trace_from_arrivals
+
+    pm, schedule = network
+    probe = ServingEngine(pm, schedule)
+    probe.submit(0.0, decode_len=16)
+    probe.drain()
+    flushed = probe.records[0].queue_waits[Stage.RETRIEVAL]
+    retrieved = probe.records[0].stage_completions[Stage.RETRIEVAL]
+    assert 0.0 < flushed < retrieved
+    trace = trace_from_arrivals(
+        [0.0, flushed, flushed, retrieved, retrieved],
+        decode_lens=[16, 8, 24, 8, 16])
+    streamed, looped = ServingEngine(pm, schedule), \
+        ServingEngine(pm, schedule)
+    submit_trace(streamed, trace)
+    _per_row(looped, trace)
+    streamed.drain()
+    looped.drain()
+    _assert_same_run(streamed, looped, trace)
+    # The first tied row made the flushed batch.
+    assert streamed.records[1].stage_completions[Stage.RETRIEVAL] \
+        == retrieved
+
+
+def test_submit_trace_after_submit_and_step_matches_per_row(network):
+    from repro.sim import submit_trace
+    from repro.workloads import RequestTrace
+
+    pm, schedule = network
+    base = poisson_trace(150, 1.0, seed=5, mean_decode_len=64)
+    trace = RequestTrace.from_columns(
+        [arrival + 0.2 for arrival in base.arrivals], base.decode_lens)
+    engines = ServingEngine(pm, schedule), ServingEngine(pm, schedule)
+    for engine in engines:
+        engine.submit(0.05, decode_len=32)
+        # Still queued when the trace comes, tied with its first row.
+        engine.submit(trace.arrivals[0], decode_len=48)
+        engine.step(0.1)
+    streamed, looped = engines
+    submit_trace(streamed, trace)
+    _per_row(looped, trace)
+    streamed.drain()
+    looped.drain()
+    _assert_same_run(streamed, looped, trace)
+
+
+def test_submit_trace_checks_before_queueing(network):
+    from repro.sim import submit_trace
+    from repro.workloads import trace_from_arrivals
+
+    pm, schedule = network
+    drained = ServingEngine(pm, schedule)
+    drained.drain()
+    behind = ServingEngine(pm, schedule)
+    behind.step(2.0)
+    bool_trace = trace_from_arrivals([0.0, 1.0])
+    # A trace refuses a bool arrival; set one past that check to see
+    # the engine's own.
+    object.__setattr__(bool_trace, "arrivals", (True, 1.0))
+    cases = ((drained, trace_from_arrivals([0.0]), "already drained"),
+             (behind, trace_from_arrivals([1.0, 3.0]), "out-of-order"),
+             (ServingEngine(pm, schedule), bool_trace,
+              "arrival must be a finite number, got True"))
+    for engine, trace, message in cases:
+        with pytest.raises(ConfigError, match=message):
+            submit_trace(engine, trace)
+        assert len(engine.clock._queue) == 0 and engine.offered == 0
+
+
+def test_streamed_row_is_checked_when_it_arrives(network):
+    """A later row's decode length is checked (as submit checks it)
+    when its arrival event runs, with the rows before it in flight."""
+    from repro.sim import submit_trace
+    from repro.workloads import RequestTrace
+
+    pm, schedule = network
+    trace = RequestTrace.from_columns([0.0, 0.5, 1.0], [8, 2.5, 8])
+    engine = ServingEngine(pm, schedule)
+    submit_trace(engine, trace)
+    with pytest.raises(ConfigError, match="decode_len must be an integer"):
+        engine.drain()
+    assert engine.offered == 1
+
+
+def test_lifecycle_times_live_in_the_engine_columns(network):
+    """First-token and completion times read the engine's per-request
+    columns: None until reached, and not assignable on a live record."""
+    pm, schedule = network
+    engine = ServingEngine(pm, schedule)
+    record = engine.submit(0.0, decode_len=8)
+    assert record.request_id is record.slab
+    assert record.first_token_time is None and record.completion_time is None
+    assert record.ttft is None and record.tpot is None
+    with pytest.raises(AttributeError):
+        record.first_token_time = 1.0
+    engine.drain()
+    columns = engine._timings
+    assert record.first_token_time == columns.first_token[record.slab]
+    assert record.completion_time == columns.completion[record.slab]
+    assert record.completion_time > record.first_token_time > 0.0

@@ -32,6 +32,18 @@ def test_trace_rejects_negative_times():
         trace_from_arrivals((-1.0, 0.5))
 
 
+@pytest.mark.parametrize("arrivals", [[True, 2.0], [0.0, False],
+                                      (0.5, 1, True)])
+def test_trace_columns_reject_bool_arrivals(arrivals):
+    """Regression: the column check took ``True`` as 1.0, while JSONL
+    files and envelopes refuse ``"arrival": true``; the column check
+    now says what the row check says."""
+    culprit = next(value for value in arrivals if type(value) is bool)
+    with pytest.raises(ConfigError, match=f"^arrival must be a number, "
+                                          f"got {culprit!r}$"):
+        RequestTrace.from_columns(arrivals)
+
+
 def test_trace_rejects_mismatched_decode_lens():
     with pytest.raises(ConfigError):
         trace_from_arrivals((0.0, 1.0), decode_lens=(32,))
