@@ -149,7 +149,7 @@ class SeededRngRequired(LintRule):
                 yield self.finding(
                     module, call.lineno,
                     f"{resolved}() uses numpy's global RandomState; "
-                    f"use numpy.random.default_rng(seed)")
+                    f"draw from a seeded repro.sim.rng stream")
 
     def _import_findings(self,
                          module: ModuleIndex) -> Iterator[Finding]:

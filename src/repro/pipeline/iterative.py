@@ -24,11 +24,10 @@ has not arrived by the time it reaches the position.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigError
+from repro.sim.rng import PCG64Stream
 
 
 @dataclass(frozen=True)
@@ -123,13 +122,12 @@ def simulate_iterative_decode(decode_batch: int, iterative_batch: int,
     if prefetch_tokens < 0:
         raise ConfigError("prefetch_tokens must be non-negative")
 
-    rng = np.random.default_rng(seed)
+    rng = PCG64Stream(seed)
     sequences: List[_Sequence] = []
     for _ in range(decode_batch):
         if retrievals_per_seq:
-            chosen = rng.choice(np.arange(1, decode_len),
-                                size=retrievals_per_seq, replace=False)
-            sequences.append(_Sequence(sorted(int(p) for p in chosen)))
+            chosen = rng.choice(decode_len - 1, retrievals_per_seq)
+            sequences.append(_Sequence(sorted(p + 1 for p in chosen)))
         else:
             sequences.append(_Sequence([]))
 
@@ -212,12 +210,40 @@ def simulate_iterative_decode(decode_batch: int, iterative_batch: int,
 
     baseline = decode_len * step_latency
     completions = [seq.completion for seq in sequences]
+    mean_completion = _pairwise_sum(completions) / len(completions)
     total = now
     return IterativeDecodeResult(
         total_time=total,
         normalized_latency=total / baseline,
-        mean_tpot=float(np.mean(completions)) / decode_len,
+        mean_tpot=mean_completion / decode_len,
         worst_tpot=total / decode_len,
         idle_sequence_steps=idle_steps,
         dispatches=dispatches,
     )
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """The sum of ``values`` in numpy's pairwise order, so a mean
+    rounds exactly as ``numpy.mean`` does: a plain left-to-right loop
+    below 8 values, eight interleaved partial sums up to 128, and a
+    split at a multiple of 8 near the middle above that."""
+    count = len(values)
+    if count < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if count <= 128:
+        partial = list(values[:8])
+        tail = count - count % 8
+        for start in range(8, tail, 8):
+            for lane in range(8):
+                partial[lane] += values[start + lane]
+        total = (((partial[0] + partial[1]) + (partial[2] + partial[3]))
+                 + ((partial[4] + partial[5]) + (partial[6] + partial[7])))
+        for value in values[tail:]:
+            total += value
+        return total
+    half = count // 2
+    half -= half % 8
+    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])

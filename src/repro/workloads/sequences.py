@@ -10,47 +10,40 @@ positions" (§5.3).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+import math
+from typing import List
 
 from repro.errors import ConfigError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    # numpy is imported inside the samplers, so importing this module
-    # (every trace type does) stays cheap.
-    import numpy as np
+from repro.sim.rng import PCG64Stream
 
 
 def sample_question_lengths(count: int, low: int = 6, high: int = 42,
-                            seed: int = 0) -> np.ndarray:
+                            seed: int = 0) -> List[int]:
     """Question lengths drawn uniformly from the QA-dataset range."""
-    import numpy as np
-
     if count <= 0:
         raise ConfigError("count must be positive")
     if not 0 < low <= high:
         raise ConfigError("need 0 < low <= high")
-    rng = np.random.default_rng(seed)
-    return rng.integers(low, high + 1, size=count)
+    rng = PCG64Stream(seed)
+    return [rng.integers(low, high + 1) for _ in range(count)]
 
 
 def sample_decode_lengths(count: int, mean: int = 256, minimum: int = 16,
-                          seed: int = 0) -> np.ndarray:
+                          seed: int = 0) -> List[int]:
     """Generation lengths with a geometric tail around the mean.
 
     Long-form QA / chatbot generation lengths are right-skewed; a shifted
     geometric distribution reproduces that while keeping the configured
     mean.
     """
-    import numpy as np
-
     if count <= 0:
         raise ConfigError("count must be positive")
-    if minimum <= 0 or mean <= minimum:
-        raise ConfigError("need 0 < minimum < mean")
-    rng = np.random.default_rng(seed)
-    tail_mean = mean - minimum
-    tail = rng.geometric(1.0 / tail_mean, size=count) - 1
-    return minimum + tail
+    if not 0 < minimum < mean < math.inf:
+        raise ConfigError("need 0 < minimum < mean (finite)")
+    rng = PCG64Stream(seed)
+    p = 1.0 / (mean - minimum)
+    # A geometric draw counts trials from 1, so the tail starts at 0.
+    return [minimum - 1 + rng.geometric(p) for _ in range(count)]
 
 
 def sample_retrieval_positions(decode_len: int, num_retrievals: int,
@@ -62,8 +55,6 @@ def sample_retrieval_positions(decode_len: int, num_retrievals: int,
     (pre-decode) retrieval is not included. Zero retrievals place
     nothing (``[]``), whatever the length.
     """
-    import numpy as np
-
     if decode_len < 1:
         raise ConfigError("decode_len must be positive")
     if num_retrievals < 0:
@@ -73,7 +64,5 @@ def sample_retrieval_positions(decode_len: int, num_retrievals: int,
     if decode_len == 1:
         raise ConfigError("decode_len must exceed 1 to place a retrieval")
     count = min(num_retrievals, decode_len - 1)
-    rng = np.random.default_rng(seed)
-    positions = rng.choice(np.arange(1, decode_len), size=count,
-                           replace=False)
-    return sorted(int(p) for p in positions)
+    picks = PCG64Stream(seed).choice(decode_len - 1, count)
+    return sorted(pick + 1 for pick in picks)

@@ -37,16 +37,12 @@ import math
 from dataclasses import dataclass
 from itertools import islice, repeat, starmap
 from operator import gt
-from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
-                    Mapping, Optional, Sequence, Tuple)
+from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import ConfigError, lookup, parse_json
+from repro.sim.rng import PCG64Stream
 from repro.workloads.sequences import sample_decode_lengths
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    # numpy is imported inside the functions that draw samples or take
-    # percentiles, so a recorded or closed-loop trace never loads it.
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -464,10 +460,9 @@ def _decode_lens_for(count: int, mean_decode_len: Optional[int],
         return (int(mean_decode_len),) * count
     # minimum is passed explicitly so this floor and the sampler's can
     # never drift apart.
-    lengths = sample_decode_lengths(count, mean=mean_decode_len,
-                                    minimum=_MIN_SAMPLED_DECODE_LEN,
-                                    seed=seed)
-    return tuple(int(n) for n in lengths)
+    return tuple(sample_decode_lengths(count, mean=mean_decode_len,
+                                       minimum=_MIN_SAMPLED_DECODE_LEN,
+                                       seed=seed))
 
 
 def _check_positive(**knobs: float) -> None:
@@ -481,9 +476,12 @@ def _check_positive(**knobs: float) -> None:
 
 
 def _check_core_knobs(rate_qps: float, duration: float, seed: int) -> None:
-    """The knobs every generator shares; numpy's RNG refuses a
-    negative seed with a bare ``ValueError``."""
+    """The knobs every generator shares. The seed must be a
+    non-negative integer: :class:`~repro.sim.rng.PCG64Stream` would
+    refuse anything else with a bare ``TypeError`` or ``ValueError``."""
     _check_positive(rate_qps=rate_qps, duration=duration)
+    if isinstance(seed, bool) or not hasattr(type(seed), "__index__"):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
@@ -516,10 +514,8 @@ def poisson_trace(rate_qps: float, duration: float, seed: int = 0,
         mean_decode_len: When set, sample per-request decode lengths
             with this mean instead of using the workload default.
     """
-    import numpy as np
-
     _check_core_knobs(rate_qps, duration, seed)
-    rng = np.random.default_rng(seed)
+    rng = PCG64Stream(seed)
     arrivals = []
     now = 0.0
     while True:
@@ -553,8 +549,6 @@ def bursty_trace(rate_qps: float, duration: float, seed: int = 0,
             (0, 1).
         mean_cycle: Mean seconds of one on+off cycle.
     """
-    import numpy as np
-
     _check_core_knobs(rate_qps, duration, seed)
     if burst_factor <= 1.0:
         raise ConfigError("burst_factor must exceed 1")
@@ -570,7 +564,7 @@ def bursty_trace(rate_qps: float, duration: float, seed: int = 0,
             "cannot have a negative rate)")
     mean_on = on_fraction * mean_cycle
     mean_off = (1.0 - on_fraction) * mean_cycle
-    rng = np.random.default_rng(seed)
+    rng = PCG64Stream(seed)
     arrivals = []
     now = 0.0
     bursting = False
@@ -613,15 +607,13 @@ def diurnal_trace(rate_qps: float, duration: float, seed: int = 0,
         period: Seconds per day/night cycle; defaults to ``duration``
             (one full cycle inside the window).
     """
-    import numpy as np
-
     _check_core_knobs(rate_qps, duration, seed)
     if not 0.0 <= amplitude < 1.0:
         raise ConfigError("amplitude must be in [0, 1)")
     cycle = duration if period is None else period
     _check_positive(period=cycle)
     peak = rate_qps * (1.0 + amplitude)
-    rng = np.random.default_rng(seed)
+    rng = PCG64Stream(seed)
     arrivals = []
     now = 0.0
     while True:
@@ -630,7 +622,7 @@ def diurnal_trace(rate_qps: float, duration: float, seed: int = 0,
             break
         rate = rate_qps * (1.0 + amplitude
                            * math.sin(2.0 * math.pi * now / cycle))
-        if rng.uniform() <= rate / peak:
+        if rng.random() <= rate / peak:
             arrivals.append(now)
     return _scenario_result("diurnal", arrivals, rate_qps, duration, seed,
                             mean_decode_len, amplitude=amplitude,
@@ -674,7 +666,7 @@ def trace_from_arrivals(arrivals: Iterable[float],
                         **metadata: Any) -> RequestTrace:
     """Wrap loose arrival (and optional decode-length) arrays into a
     trace; keyword arguments become its metadata. Arrivals convert
-    with ``float`` and lengths with ``int`` (numpy samples included)."""
+    with ``float`` and lengths with ``int``."""
     return RequestTrace.from_columns(
         tuple(float(arrival) for arrival in arrivals),
         None if decode_lens is None

@@ -128,7 +128,7 @@ def test_numpy_global_randomstate_flagged(tmp_path):
     """)
     findings = lint_paths([path], rules=["seeded-rng-required"])
     assert rule_ids(findings) == ["seeded-rng-required"]
-    assert "default_rng" in findings[0].message
+    assert "repro.sim.rng" in findings[0].message
 
 
 def test_rng_rules_ignore_non_sim_paths(tmp_path):

@@ -88,3 +88,43 @@ def test_replay_run_loads_no_asyncio(tmp_path):
         "             '--servers', '16', '--duration', '1']) == 0",
         tmp_path)
     assert "asyncio" not in modules
+
+
+#: Serving runs whose traces draw from ``repro.sim.rng`` rather than
+#: numpy: a seeded replay on the CLI's default (sampled) decode-length
+#: path, a small what-if grid, and a Case III replay, which samples
+#: retrieval positions per request.
+NUMPY_FREE_RUNS = {
+    "replay": ["replay", "--case", "i", "--llm", "8B", "--servers", "16",
+               "--scenario", "poisson", "--duration", "2", "--seed", "3"],
+    "whatif": ["whatif", "--case", "i", "--llm", "8B", "--servers", "16",
+               "--scenario", "diurnal", "--duration", "2", "--seed", "1",
+               "--schedules", "2", "--replicas", "2", "--backend",
+               "serial", "--workers", "1"],
+    "case-iii": ["replay", "--case", "iii", "--llm", "8B", "--servers",
+                 "16", "--duration", "2"],
+}
+
+
+def test_rng_import_defers_the_exponential_tables(tmp_path):
+    """Routing imports ``repro.sim.rng`` on every serving path, closed
+    loops included; the ziggurat tables (built with ``decimal``) wait
+    for the first exponential draw."""
+    modules = loaded_modules(
+        "import repro.sim.rng as rng\n"
+        "assert rng._exp_tables is None", tmp_path)
+    assert "decimal" not in modules
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_FREE_RUNS))
+def test_serving_runs_without_numpy(tmp_path, name):
+    """With numpy made unimportable the run still succeeds, and no numpy
+    module loads."""
+    modules = loaded_modules(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from repro.cli import main\n"
+        f"assert main({NUMPY_FREE_RUNS[name]!r}) == 0\n"
+        "del sys.modules['numpy']",
+        tmp_path)
+    assert [m for m in modules if m.partition(".")[0] == "numpy"] == []

@@ -123,6 +123,15 @@ def test_scenarios_reject_a_negative_seed(name):
         scenario_trace(name, rate_qps=50.0, duration=2.0, seed=-1)
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("seed", [1.5, "3", True, None])
+def test_scenarios_reject_a_non_integer_seed(name, seed):
+    """Regression: a float or string seed reached the RNG's seeding and
+    failed with a bare ``TypeError``."""
+    with pytest.raises(ConfigError, match="seed must be an integer, got "):
+        SCENARIOS[name](50.0, 2.0, seed=seed)
+
+
 @pytest.mark.parametrize("generator, knob", [
     (bursty_trace, "mean_cycle"), (diurnal_trace, "period")])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
