@@ -1,5 +1,5 @@
 """Setup shim for environments whose pip/setuptools predate PEP 660
-editable installs (metadata lives in pyproject.toml)."""
+editable installs; the package metadata lives in pyproject.toml."""
 
 from setuptools import setup
 

@@ -8,8 +8,7 @@ implements the paper end to end:
   with presets for the paper's four case-study paradigms.
 * :mod:`repro.hardware`, :mod:`repro.models`, :mod:`repro.inference`,
   :mod:`repro.retrieval` -- the calibrated analytical cost models
-  (operator-roofline XPU inference; ScaNN-style scan-roofline retrieval)
-  plus a functional numpy IVF-PQ engine.
+  (operator-roofline XPU inference; ScaNN-style scan-roofline retrieval).
 * :mod:`repro.pipeline` -- end-to-end TTFT/TPOT/QPS assembly, breakdowns,
   the iterative-retrieval discrete-event model and micro-batching.
 * :mod:`repro.rago` -- the scheduling-policy search (placement x
@@ -42,9 +41,10 @@ for reproducible experiment files.
 Start-up: this package and its subpackages resolve their public names
 when they are read (:mod:`repro._lazy`), so ``import repro`` loads no
 submodule and ``from repro import ClusterSpec`` loads only the modules
-``ClusterSpec`` needs. A schedule search never imports numpy, asyncio
-or the serving simulator; they load when a trace is generated or a
-replay, sweep or live server runs.
+``ClusterSpec`` needs. A schedule search never imports asyncio or the
+serving simulator; they load when a trace is generated or a replay,
+sweep or live server runs. The package has no third-party runtime
+dependency: numpy is used by the test suite only.
 """
 
 from repro._lazy import lazy_exports
@@ -54,7 +54,6 @@ from repro._lazy import lazy_exports
 #: only: binding it here would shadow the repro.pipeline submodule
 #: attribute on this package.
 _EXPORTS = {
-    "CalibrationError": "repro.errors",
     "CapacityError": "repro.errors",
     "ConfigError": "repro.errors",
     "ReproError": "repro.errors",
@@ -73,10 +72,7 @@ _EXPORTS = {
     "LLAMA3_405B": "repro.models.catalog",
     "TransformerConfig": "repro.models.transformer",
     "model_by_params": "repro.models.catalog",
-    "BruteForceIndex": "repro.retrieval.bruteforce",
     "DatabaseConfig": "repro.retrieval.scann_model",
-    "IVFPQIndex": "repro.retrieval.ivf",
-    "ProductQuantizer": "repro.retrieval.pq",
     "PipelineBuilder": "repro.schema.builder",
     "RAGSchema": "repro.schema.ragschema",
     "Stage": "repro.schema.stages",

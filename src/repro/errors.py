@@ -45,10 +45,6 @@ class ScheduleError(ReproError):
     """No feasible schedule exists for the given constraints."""
 
 
-class CalibrationError(ReproError):
-    """A calibration run produced unusable measurements."""
-
-
 class DistribError(ReproError):
     """A distributed sweep failed at the transport layer.
 

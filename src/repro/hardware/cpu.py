@@ -68,18 +68,6 @@ class CPUServerSpec:
         """
         return self.cores * self.pq_scan_rate_per_core
 
-    def recalibrated(self, pq_scan_rate_per_core: float,
-                     mem_utilization: float) -> "CPUServerSpec":
-        """Return a copy with measured calibration parameters installed."""
-        return CPUServerSpec(
-            name=self.name,
-            cores=self.cores,
-            memory_bytes=self.memory_bytes,
-            mem_bandwidth=self.mem_bandwidth,
-            pq_scan_rate_per_core=pq_scan_rate_per_core,
-            mem_utilization=mem_utilization,
-        )
-
 
 EPYC_MILAN = CPUServerSpec(
     name="EPYC-Milan",

@@ -1,6 +1,6 @@
 """Workload generation: sequence-length profiles, request traces
-(seeded arrival scenarios + replay files), closed-loop user sessions,
-and synthetic vector datasets for the functional retrieval engine."""
+(seeded arrival scenarios + replay files) and closed-loop user
+sessions."""
 
 from repro._lazy import lazy_exports
 
@@ -33,8 +33,6 @@ _EXPORTS = {
     "population_spec": "repro.workloads.sessions",
     "resolve_tier_policy": "repro.workloads.sessions",
     "tiers_spec": "repro.workloads.sessions",
-    "clustered_vectors": "repro.workloads.vectors",
-    "gaussian_vectors": "repro.workloads.vectors",
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 

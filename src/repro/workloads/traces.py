@@ -716,19 +716,49 @@ def burstiness_cv(trace: RequestTrace) -> float:
             sample) or a zero mean inter-arrival (all arrivals
             coincident).
     """
-    import numpy as np
+    from statistics import fmean
 
     if trace.num_requests < 2:
         raise ConfigError(
             "burstiness needs at least two arrivals to form an "
             "inter-arrival sample")
-    gaps = np.diff(np.asarray(trace.arrivals, dtype=float))
-    mean = float(gaps.mean())
+    arrivals = trace.arrivals
+    gaps = [later - earlier
+            for earlier, later in zip(arrivals, islice(arrivals, 1, None))]
+    mean = fmean(gaps)
     if mean <= 0:
         raise ConfigError(
             "all arrivals are coincident; inter-arrival burstiness is "
             "undefined")
-    return float(gaps.std() / mean)
+    # Population variance as the fsum-exact mean of squared deviations:
+    # as close to numpy's std/mean as statistics.pstdev, without its
+    # per-element rational arithmetic.
+    variance = fmean([(gap - mean) ** 2 for gap in gaps])
+    return math.sqrt(variance) / mean
+
+
+def _percentile(values: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of ``values`` by linear interpolation.
+
+    numpy's default method to the last bit: virtual index ``(n - 1) *
+    q / 100`` between the two order statistics around it, blended with
+    numpy's lerp (from the upper neighbour when the fraction is at
+    least one half). ``sim.metrics._interpolated_percentile`` blends
+    as a weighted sum of the two neighbours, which can differ from
+    numpy in the last bit; it is not changed to match because serving
+    payloads report its values, and ``repro trace`` keeps printing
+    exactly what it printed when these statistics came from numpy.
+    """
+    ordered = sorted(values)
+    index = (len(ordered) - 1) * (q / 100)
+    low = math.floor(index)
+    below = ordered[low]
+    above = ordered[min(low + 1, len(ordered) - 1)]
+    frac = index - low
+    diff = above - below
+    if frac >= 0.5:
+        return above - diff * (1 - frac)
+    return below + diff * frac
 
 
 def trace_stats(trace: RequestTrace, bins: int = 24) -> Dict[str, Any]:
@@ -740,7 +770,7 @@ def trace_stats(trace: RequestTrace, bins: int = 24) -> Dict[str, Any]:
     -- ``decode_mean`` / ``decode_p50`` / ``decode_p95`` /
     ``decode_max``.
     """
-    import numpy as np
+    from statistics import fmean
 
     curve = rate_curve(trace, bins=bins)
     try:
@@ -760,12 +790,12 @@ def trace_stats(trace: RequestTrace, bins: int = 24) -> Dict[str, Any]:
         "decode_max": None,
     }
     if trace.decode_lens is not None:
-        lens = np.asarray(trace.decode_lens, dtype=float)
+        lens = [float(length) for length in trace.decode_lens]
         stats.update(
-            decode_mean=float(lens.mean()),
-            decode_p50=float(np.percentile(lens, 50)),
-            decode_p95=float(np.percentile(lens, 95)),
-            decode_max=float(lens.max()),
+            decode_mean=fmean(lens),
+            decode_p50=_percentile(lens, 50),
+            decode_p95=_percentile(lens, 95),
+            decode_max=max(lens),
         )
     return stats
 
@@ -779,7 +809,7 @@ def tier_stats(trace: RequestTrace) -> Dict[str, Dict[str, Any]]:
     Requests without a tier are grouped under ``(untiered)``. Empty
     when the trace carries no identity at all.
     """
-    import numpy as np
+    from statistics import fmean
 
     grouped: Dict[str, List[Request]] = {}
     if trace.has_identity:
@@ -795,14 +825,12 @@ def tier_stats(trace: RequestTrace) -> Dict[str, Dict[str, Any]]:
                  if request.user_id is not None}
         lens = [request.decode_len for request in requests
                 if request.decode_len is not None]
-        arr = np.asarray(lens, dtype=float) if lens else None
         stats[tier] = {
             "requests": len(requests),
             "share": len(requests) / total,
             "users": len(users),
-            "decode_mean": None if arr is None else float(arr.mean()),
-            "decode_p95": None if arr is None
-            else float(np.percentile(arr, 95)),
+            "decode_mean": fmean(lens) if lens else None,
+            "decode_p95": _percentile(lens, 95) if lens else None,
         }
     return stats
 

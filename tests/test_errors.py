@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import (
-    CalibrationError,
     CapacityError,
     ConfigError,
     ReproError,
@@ -11,8 +10,7 @@ from repro.errors import (
 )
 
 
-@pytest.mark.parametrize("exc", [ConfigError, CapacityError, ScheduleError,
-                                 CalibrationError])
+@pytest.mark.parametrize("exc", [ConfigError, CapacityError, ScheduleError])
 def test_all_errors_derive_from_repro_error(exc):
     assert issubclass(exc, ReproError)
 

@@ -26,14 +26,6 @@ def test_calibration_server_has_24_cores():
     assert EPYC_7R13_CALIBRATION.cores == 24
 
 
-def test_recalibrated_returns_new_spec():
-    spec = EPYC_MILAN.recalibrated(pq_scan_rate_per_core=5e9,
-                                   mem_utilization=0.5)
-    assert spec.pq_scan_rate_per_core == pytest.approx(5e9)
-    assert spec.mem_utilization == pytest.approx(0.5)
-    assert EPYC_MILAN.pq_scan_rate_per_core == pytest.approx(18e9)
-
-
 def test_invalid_core_count_rejected():
     with pytest.raises(ConfigError):
         CPUServerSpec(name="bad", cores=0, memory_bytes=1e9,

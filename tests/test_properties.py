@@ -3,7 +3,6 @@
 import functools
 import json
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +17,6 @@ from repro.pipeline import microbatch_ttft, simulate_iterative_decode
 from repro.rago import pareto_front
 from repro.rago.pareto import dominates
 from repro.rago.search import _prune, _serial_merge, _Staircase
-from repro.retrieval import BruteForceIndex, ProductQuantizer
 from repro.retrieval.scann_model import ScaNNPerfModel
 from repro.hardware.cpu import EPYC_MILAN
 from repro.schema import Stage
@@ -193,32 +191,6 @@ def test_microbatch_full_batch_is_upper_bound_for_linear_stages(
     full = microbatch_ttft(stages, burst, burst)
     micro_ttft = microbatch_ttft(stages, burst, micro)
     assert micro_ttft <= full + 1e-9
-
-
-@settings(deadline=None, max_examples=10)
-@given(seed=st.integers(0, 100))
-def test_pq_roundtrip_beats_random_guess(seed):
-    rng = np.random.default_rng(seed)
-    data = rng.standard_normal((800, 16)).astype(np.float32)
-    pq = ProductQuantizer(num_subspaces=8, train_iterations=3, seed=seed)
-    pq.train(data)
-    recon = pq.decode(pq.encode(data[:100]))
-    err = ((recon - data[:100]) ** 2).mean()
-    baseline = (data[:100] ** 2).mean()  # guessing the origin
-    assert err < baseline
-
-
-@settings(deadline=None, max_examples=10)
-@given(seed=st.integers(0, 100), k=st.integers(1, 10))
-def test_bruteforce_top1_is_global_min(seed, k):
-    rng = np.random.default_rng(seed)
-    data = rng.standard_normal((300, 8)).astype(np.float32)
-    query = rng.standard_normal(8).astype(np.float32)
-    index = BruteForceIndex(data)
-    dist, idx = index.search(query, k=k)
-    naive = ((data - query) ** 2).sum(axis=1)
-    assert idx[0, 0] == np.argmin(naive)
-    assert np.all(np.diff(dist[0]) >= -1e-5)
 
 
 @settings(deadline=None, max_examples=8)

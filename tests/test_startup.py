@@ -90,11 +90,14 @@ def test_replay_run_loads_no_asyncio(tmp_path):
     assert "asyncio" not in modules
 
 
-#: Serving runs whose traces draw from ``repro.sim.rng`` rather than
-#: numpy: a seeded replay on the CLI's default (sampled) decode-length
-#: path, a small what-if grid, and a Case III replay, which samples
-#: retrieval positions per request.
+#: Runs that need no numpy. Serving runs whose traces draw from
+#: ``repro.sim.rng``: a seeded replay on the CLI's default (sampled)
+#: decode-length path, a small what-if grid, and a Case III replay,
+#: which samples retrieval positions per request. And ``repro trace``'s
+#: analytics (burstiness, decode percentiles, the per-tier table) on an
+#: identity-carrying file that ``NUMPY_FREE_SETUP`` writes first.
 NUMPY_FREE_RUNS = {
+    "trace": ["trace", "tiered.jsonl"],
     "replay": ["replay", "--case", "i", "--llm", "8B", "--servers", "16",
                "--scenario", "poisson", "--duration", "2", "--seed", "3"],
     "whatif": ["whatif", "--case", "i", "--llm", "8B", "--servers", "16",
@@ -103,6 +106,20 @@ NUMPY_FREE_RUNS = {
                "serial", "--workers", "1"],
     "case-iii": ["replay", "--case", "iii", "--llm", "8B", "--servers",
                  "16", "--duration", "2"],
+}
+
+#: Code a case runs first, in the same numpy-blocked interpreter.
+NUMPY_FREE_SETUP = {
+    "trace": (
+        "import json\n"
+        "with open('tiered.jsonl', 'w') as handle:\n"
+        "    for i in range(40):\n"
+        "        handle.write(json.dumps({\n"
+        "            'arrival': i * 0.25 + (i % 3) * 0.07,\n"
+        "            'decode_len': 16 + (i % 7) * 9,\n"
+        "            'user_id': f'u{i % 5}',\n"
+        "            'session_id': f'u{i % 5}-{i // 10}',\n"
+        "            'tier': ('free', 'paid')[i % 2]}) + '\\n')\n"),
 }
 
 
@@ -123,6 +140,7 @@ def test_serving_runs_without_numpy(tmp_path, name):
     modules = loaded_modules(
         "import sys\n"
         "sys.modules['numpy'] = None\n"
+        f"{NUMPY_FREE_SETUP.get(name, '')}"
         "from repro.cli import main\n"
         f"assert main({NUMPY_FREE_RUNS[name]!r}) == 0\n"
         "del sys.modules['numpy']",

@@ -370,6 +370,36 @@ def test_trace_stats_survives_undefined_cv():
     assert stats["requests"] == 1
 
 
+@pytest.mark.parametrize("scenario", ["poisson", "bursty", "diurnal"])
+@pytest.mark.parametrize("seed", [0, 7, 31])
+def test_trace_analytics_match_their_numpy_definitions(scenario, seed):
+    """The stdlib analytics reproduce numpy's: mean, max and linear
+    percentiles exactly, the CV to rounding (a ``:.4g`` cell cannot
+    tell the two apart). 24 small tiers give the per-tier p95 many
+    sample sizes, so both halves of numpy's lerp are reached."""
+    np = pytest.importorskip("numpy")
+    from repro.workloads import burstiness_cv, tier_stats, trace_stats
+
+    base = SCENARIOS[scenario](40.0, 5.0, seed=seed, mean_decode_len=96)
+    tiers = [f"tier-{(i * 7 + seed) % 24}"
+             for i in range(base.num_requests)]
+    trace = RequestTrace.from_columns(base.arrivals, base.decode_lens,
+                                      tiers=tiers)
+    lens = np.asarray(trace.decode_lens, dtype=float)
+    stats = trace_stats(trace)
+    assert stats["decode_p50"] == float(np.percentile(lens, 50))
+    assert stats["decode_p95"] == float(np.percentile(lens, 95))
+    assert stats["decode_mean"] == float(lens.mean())
+    assert stats["decode_max"] == float(lens.max())
+    for tier, entry in tier_stats(trace).items():
+        mine = lens[[label == tier for label in tiers]]
+        assert entry["decode_mean"] == float(mine.mean())
+        assert entry["decode_p95"] == float(np.percentile(mine, 95))
+    gaps = np.diff(np.asarray(trace.arrivals, dtype=float))
+    assert burstiness_cv(trace) == pytest.approx(gaps.std() / gaps.mean(),
+                                                 rel=1e-12, abs=0)
+
+
 # -- identity-carrying requests and parallel-array construction ---------
 
 

@@ -1,13 +1,10 @@
-"""Workload generator tests: profiles, arrivals, samplers, vectors."""
+"""Workload generator tests: profiles, arrivals, samplers."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.workloads import (
     SequenceProfile,
-    clustered_vectors,
-    gaussian_vectors,
     poisson_trace,
     sample_decode_lengths,
     sample_question_lengths,
@@ -127,31 +124,3 @@ class TestSamplers:
         with pytest.raises(ConfigError):
             sample_retrieval_positions(1, 1)
 
-
-class TestVectors:
-    def test_gaussian_shape_dtype(self):
-        vectors = gaussian_vectors(100, 16, seed=6)
-        assert vectors.shape == (100, 16)
-        assert vectors.dtype == np.float32
-
-    def test_clustered_labels(self):
-        vectors, labels = clustered_vectors(200, 8, num_clusters=4, seed=7)
-        assert vectors.shape == (200, 8)
-        assert set(labels) <= set(range(4))
-
-    def test_clustered_structure(self):
-        vectors, labels = clustered_vectors(400, 16, num_clusters=4,
-                                            spread=0.05, seed=8)
-        # Within-cluster distances should be far below between-cluster.
-        centroid = {c: vectors[labels == c].mean(axis=0) for c in range(4)}
-        within = np.mean([np.linalg.norm(v - centroid[c])
-                          for v, c in zip(vectors, labels)])
-        between = np.mean([np.linalg.norm(centroid[a] - centroid[b])
-                           for a in range(4) for b in range(a + 1, 4)])
-        assert within < between / 4
-
-    def test_vector_validation(self):
-        with pytest.raises(ConfigError):
-            gaussian_vectors(0, 8)
-        with pytest.raises(ConfigError):
-            clustered_vectors(10, 8, spread=0)
