@@ -22,11 +22,11 @@ and a re-extract; the cache can be deleted at any time.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from typing import Optional
 
+from repro._digest import sha256
 from repro.errors import ConfigError
 from repro.analysis.callgraph import (
     GRAPH_VERSION,
@@ -50,7 +50,7 @@ class SummaryCache:
 
     @staticmethod
     def key_for(module: ModuleIndex) -> str:
-        digest = hashlib.sha256()
+        digest = sha256()
         digest.update(f"v{GRAPH_VERSION}:{module.name}:".encode("utf-8"))
         digest.update(module.source.encode("utf-8"))
         return digest.hexdigest()

@@ -21,12 +21,12 @@ imports the session module; a module-level import would be circular).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro._digest import sha256
 from repro.errors import ConfigError, read_json
 from repro.distrib import (
     SweepJob,
@@ -279,7 +279,7 @@ def _is_metrics(result: Any) -> bool:
 
 
 def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
 def _canonical(payload: Any) -> str:

@@ -1064,9 +1064,12 @@ class ServingEngine:
 
     def _on_feed(self, sim: Simulation, feed: "_Feed") -> None:
         """Handler for a streamed trace's arrival event: the row's
-        request enters (with every check :meth:`submit` makes), and the
-        next row's arrival is queued under its reserved number."""
-        self._entry(sim, self._new_record(*feed.row))
+        request enters, and the next row's arrival is queued under its
+        reserved number. Each row was checked (as :meth:`submit` checks
+        an arrival) when it was queued, and still passes now: its event
+        runs at ``now == arrival``, and a drain ends only after the
+        queue is empty."""
+        self._entry(sim, self._register(*feed.row))
         row = next(feed.rows, None)
         if row is None:
             return
@@ -1172,8 +1175,9 @@ class ServingEngine:
                 non-positive decode length, or an engine that has
                 already been drained (single-use lifecycle).
         """
-        record = self._new_record(arrival, decode_len, user_id,
-                                  session_id, tier)
+        self._check_submittable(arrival)
+        record = self._register(arrival, decode_len, user_id,
+                                session_id, tier)
         # Inline schedule_event_at(arrival, ...): arrival >= now was
         # checked, and fleet callers submit whole traces, so the call
         # layers matter.
@@ -1206,12 +1210,12 @@ class ServingEngine:
                 f"out-of-order timestamp: arrival {arrival} is in the "
                 f"engine's past (simulated time {self._sim.now})")
 
-    def _new_record(self, arrival: float, decode_len: Optional[int],
-                    user_id: Optional[str], session_id: Optional[str],
-                    tier: Optional[str]) -> RequestRecord:
-        """Check one submission (see :meth:`submit`), then register its
-        record and give it its row in the timing slabs."""
-        self._check_submittable(arrival)
+    def _register(self, arrival: float, decode_len: Optional[int],
+                  user_id: Optional[str], session_id: Optional[str],
+                  tier: Optional[str]) -> RequestRecord:
+        """Register the record of one request whose arrival
+        :meth:`_check_submittable` passed: check its decode length (see
+        :meth:`submit`) and give it its row in the timing slabs."""
         if decode_len is None:
             decode_len = self._schema.sequences.decode_len
         elif type(decode_len) is not int:

@@ -31,7 +31,6 @@ replay`` front-end.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -40,6 +39,7 @@ from operator import gt
 from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
+from repro._digest import sha256
 from repro.errors import ConfigError, lookup, parse_json
 from repro.sim.rng import PCG64Stream
 from repro.workloads.sequences import sample_decode_lengths
@@ -264,7 +264,7 @@ class RequestTrace:
         """
         digest = self.__dict__.get("_requests_digest")
         if digest is None:
-            hasher = hashlib.sha256(b"[")
+            hasher = sha256(b"[")
             rows = self.rows()
             separator = b""
             while True:

@@ -602,6 +602,33 @@ def test_streamed_row_is_checked_when_it_arrives(network):
     assert engine.offered == 1
 
 
+def test_streamed_rows_are_checked_once_each(network, monkeypatch):
+    """A streamed row's arrival is checked when it is queued, not again
+    when its event runs; per-row submits check each once too."""
+    from repro.sim import submit_trace
+
+    pm, schedule = network
+    checked = []
+    original = ServingEngine._check_submittable
+
+    def counting(engine, arrival):
+        checked.append(arrival)
+        return original(engine, arrival)
+
+    monkeypatch.setattr(ServingEngine, "_check_submittable", counting)
+    trace = poisson_trace(120, 1.0, seed=9, mean_decode_len=64)
+    streamed, looped = ServingEngine(pm, schedule), \
+        ServingEngine(pm, schedule)
+    submit_trace(streamed, trace)
+    streamed.drain()
+    assert checked == list(trace.arrivals)
+    checked.clear()
+    _per_row(looped, trace)
+    looped.drain()
+    assert checked == list(trace.arrivals)
+    _assert_same_run(streamed, looped, trace)
+
+
 def test_lifecycle_times_live_in_the_engine_columns(network):
     """First-token and completion times read the engine's per-request
     columns: None until reached, and not assignable on a live record."""

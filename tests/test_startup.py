@@ -3,11 +3,13 @@
 Every package resolves its public names when read (repro._lazy)
 and the CLI imports a subcommand's dependencies inside its handler, so
 the schedule search never loads numpy, asyncio or the serving stack.
-Each check runs in a fresh interpreter -- this process has long since
-imported everything -- and module loading is deterministic, so the
-counts are exact.
+No command loads numpy, and no replay, what-if, trace, optimize or
+lint run loads OpenSSL. Each check runs in a fresh interpreter -- this
+process has long since imported everything -- and module loading is
+deterministic, so the counts are exact.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -123,6 +125,27 @@ NUMPY_FREE_SETUP = {
 }
 
 
+#: Runs that must not load OpenSSL: the numpy-free runs, a closed-loop
+#: population on a fleet, ``optimize``, and a cached ``lint`` (its
+#: summary cache keys entries by SHA-256). They hash traces, what-if
+#: cells and lint entries with ``repro._digest``'s built-in SHA-256.
+OPENSSL_FREE_RUNS = {
+    **NUMPY_FREE_RUNS,
+    "closed-loop": ["replay", "--case", "i", "--llm", "1B", "--servers",
+                    "16", "--duration", "2", "--replicas", "2",
+                    "--population", "users=8,think=0.3,tiers=free-paid"],
+    "optimize": ["optimize", "--case", "i", "--llm", "1B", "--servers",
+                 "16"],
+    "lint": ["lint", str(SRC / "repro" / "sim" / "rng.py")],
+}
+
+#: The modules through which OpenSSL would load.
+OPENSSL = ("_hashlib", "_ssl")
+
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) is not None
+                     for name in ("_sha2", "_sha256"))
+
+
 def test_rng_import_defers_the_exponential_tables(tmp_path):
     """Routing imports ``repro.sim.rng`` on every serving path, closed
     loops included; the ziggurat tables (built with ``decimal``) wait
@@ -146,3 +169,18 @@ def test_serving_runs_without_numpy(tmp_path, name):
         "del sys.modules['numpy']",
         tmp_path)
     assert [m for m in modules if m.partition(".")[0] == "numpy"] == []
+
+
+@pytest.mark.skipif(not BUILTIN_SHA256, reason=(
+    "this interpreter has no built-in SHA-256 (_sha2 or _sha256), so "
+    "repro._digest falls back to hashlib, which loads OpenSSL"))
+@pytest.mark.parametrize("name", sorted(OPENSSL_FREE_RUNS))
+def test_runs_load_no_openssl(tmp_path, name):
+    modules = loaded_modules(
+        f"{NUMPY_FREE_SETUP.get(name, '')}"
+        "from repro.cli import main\n"
+        f"assert main({OPENSSL_FREE_RUNS[name]!r}) == 0",
+        tmp_path)
+    assert [m for m in OPENSSL if m in modules] == []
+    if name == "lint":
+        assert (tmp_path / ".simlint-cache").is_dir()
