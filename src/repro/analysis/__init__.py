@@ -10,7 +10,10 @@ This package catches them mechanically, every PR:
 * :class:`LintRule` + :data:`LINT_RULES` -- a pluggable rule registry
   mirroring the :mod:`repro.sim.policies` idiom.
 * :class:`~repro.analysis.index.CodebaseIndex` -- a lightweight
-  symbol/callgraph index good enough for cross-module checks.
+  symbol/callgraph index good enough for cross-module checks. Each
+  module's callgraph is extracted once per run, in memory; the
+  interprocedural rules (:class:`EffectIndex`) and the suppression
+  audit share it, and a lint run leaves no cache on disk.
 * :class:`Finding` -- rule id, path, line, severity, message, with an
   exact JSON round-trip.
 * ``# simlint: allow[rule-id]`` -- per-line suppression grammar for
@@ -29,7 +32,6 @@ from repro.analysis.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.analysis.cache import SummaryCache
 from repro.analysis.callgraph import (
     Callgraph,
     FunctionNode,
@@ -108,7 +110,6 @@ __all__ = [
     "EFFECT_KINDS",
     "chain_text",
     "chain_evidence",
-    "SummaryCache",
     "BASELINE_VERSION",
     "baseline_payload",
     "write_baseline",

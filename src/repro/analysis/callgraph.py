@@ -12,21 +12,20 @@ via :meth:`ModuleIndex.resolved_name`, ``self.method()`` kept as a
 resolution through re-exports, method lookup through the class bases
 table, and exception-subclass queries for the contract rule.
 
-The split matters for the summary cache: a :class:`ModuleGraph` is a
-pure function of one module's source text (JSON round-trip via
-:func:`module_graph_to_dict`), so cached graphs stay valid when *other*
-modules change; everything cross-module is recomputed per run.
+A :class:`ModuleGraph` is a pure function of one module's syntax tree
+-- it never reads suppressions -- so
+:meth:`~repro.analysis.index.CodebaseIndex.callgraph` extracts each
+module once per lint run, and the suppression audit's blinded index
+links the same graphs.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ConfigError, decoder
 from repro.analysis.index import (
-    CodebaseIndex,
     ModuleIndex,
     _dotted,
     import_aliases,
@@ -34,7 +33,6 @@ from repro.analysis.index import (
 
 __all__ = [
     "CATCH_ALL",
-    "GRAPH_VERSION",
     "CallSite",
     "RaiseSite",
     "FunctionNode",
@@ -42,14 +40,7 @@ __all__ = [
     "ModuleGraph",
     "Callgraph",
     "extract_module_graph",
-    "module_graph_to_dict",
-    "module_graph_from_dict",
 ]
-
-#: Serialized module-graph layout version; part of the summary-cache
-#: key, so a layout change invalidates every cached entry at once.
-#: v2: call targets resolve through function-local imports too.
-GRAPH_VERSION = 2
 
 #: Handler sentinel for ``except:`` / ``except Exception`` / dynamic
 #: handler types -- treated as catching everything.
@@ -125,7 +116,7 @@ class ClassNode:
 
 @dataclass
 class ModuleGraph:
-    """The per-module half of the callgraph (cacheable unit)."""
+    """The per-module half of the callgraph."""
 
     module: str
     path: str
@@ -368,69 +359,6 @@ def extract_module_graph(module: ModuleIndex) -> ModuleGraph:
             graph.classes[node.name] = ClassNode(
                 name=node.name, module=module.name, line=node.lineno,
                 bases=tuple(bases), methods=tuple(methods))
-    return graph
-
-
-# -- serialization (the cacheable unit) --------------------------------
-
-
-def module_graph_to_dict(graph: ModuleGraph) -> Dict[str, Any]:
-    return {
-        "version": GRAPH_VERSION,
-        "module": graph.module,
-        "path": graph.path,
-        "imports": dict(graph.imports),
-        "functions": [
-            {"qualname": fn.qualname, "module": fn.module,
-             "name": fn.name, "cls": fn.cls, "line": fn.line,
-             "is_async": fn.is_async,
-             "calls": [[c.target, c.line, c.has_args, list(c.caught)]
-                       for c in fn.calls],
-             "raises": [[r.exception, r.line, list(r.caught)]
-                        for r in fn.raises],
-             "mutated_globals": list(fn.mutated_globals)}
-            for fn in graph.functions.values()],
-        "classes": [
-            {"name": cls.name, "module": cls.module, "line": cls.line,
-             "bases": list(cls.bases), "methods": list(cls.methods)}
-            for cls in graph.classes.values()],
-    }
-
-
-@decoder("cached module graph")
-def module_graph_from_dict(payload: Dict[str, Any]) -> ModuleGraph:
-    """Inverse of :func:`module_graph_to_dict`.
-
-    Raises:
-        ConfigError: on a version or shape mismatch (the cache layer
-            treats that as a miss and re-extracts).
-    """
-    if payload["version"] != GRAPH_VERSION:
-        raise ConfigError(
-            f"module graph version {payload['version']!r} != "
-            f"{GRAPH_VERSION}")
-    graph = ModuleGraph(module=payload["module"],
-                        path=payload["path"],
-                        imports=dict(payload["imports"]))
-    for raw in payload["functions"]:
-        fn = FunctionNode(
-            qualname=raw["qualname"], module=raw["module"],
-            name=raw["name"], cls=raw["cls"], line=raw["line"],
-            is_async=raw["is_async"],
-            calls=tuple(CallSite(target=c[0], line=c[1],
-                                 has_args=c[2],
-                                 caught=tuple(c[3]))
-                        for c in raw["calls"]),
-            raises=tuple(RaiseSite(exception=r[0], line=r[1],
-                                   caught=tuple(r[2]))
-                         for r in raw["raises"]),
-            mutated_globals=tuple(raw["mutated_globals"]))
-        graph.functions[fn.qualname] = fn
-    for raw in payload["classes"]:
-        graph.classes[raw["name"]] = ClassNode(
-            name=raw["name"], module=raw["module"],
-            line=raw["line"], bases=tuple(raw["bases"]),
-            methods=tuple(raw["methods"]))
     return graph
 
 

@@ -40,13 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.callgraph import (
-    Callgraph,
-    CallSite,
-    FunctionNode,
-    ModuleGraph,
-    extract_module_graph,
-)
+from repro.analysis.callgraph import CallSite, FunctionNode
 from repro.analysis.index import CodebaseIndex, ModuleIndex
 
 __all__ = [
@@ -239,29 +233,16 @@ def _tarjan_sccs(nodes: Sequence[str],
 class EffectIndex:
     """Per-function effect summaries for one :class:`CodebaseIndex`.
 
-    Module graphs come from the content-keyed cache when
-    ``cache_dir`` is set (see :mod:`repro.analysis.cache`); the
-    cross-module link + fixpoint always runs fresh, which is what
-    keeps cached per-module facts sound when *other* modules change.
+    The fixpoint runs over the index's memoized callgraph
+    (:meth:`CodebaseIndex.callgraph`) and is the only step that reads
+    suppressions, so indexes over the same modules can share one
+    callgraph and still infer their own summaries.
     """
 
-    def __init__(self, index: CodebaseIndex,
-                 cache_dir: Optional[str] = None) -> None:
+    def __init__(self, index: CodebaseIndex) -> None:
         self._modules: Dict[str, ModuleIndex] = {
             module.name: module for module in index.modules}
-        cache = None
-        if cache_dir is not None:
-            from repro.analysis.cache import SummaryCache
-            cache = SummaryCache(cache_dir)
-        graphs: Dict[str, ModuleGraph] = {}
-        for module in index.modules:
-            graph = cache.load(module) if cache is not None else None
-            if graph is None:
-                graph = extract_module_graph(module)
-                if cache is not None:
-                    cache.store(module, graph)
-            graphs[module.name] = graph
-        self.callgraph = Callgraph(graphs)
+        self.callgraph = index.callgraph()
         self.summaries: Dict[str, EffectSummary] = {}
         self._infer()
 

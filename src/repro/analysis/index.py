@@ -111,7 +111,6 @@ class ModuleIndex:
     path: str
     name: str  # dotted ("repro.sim.routing"); falls back to the stem
     tree: ast.Module
-    source: str
     bindings: Set[str] = field(default_factory=set)
     imports: Dict[str, str] = field(default_factory=dict)
     has_star_import: bool = False
@@ -158,11 +157,9 @@ class CodebaseIndex:
     """The modules of one lint run plus a cross-module symbol table."""
 
     def __init__(self, modules: Sequence[ModuleIndex],
-                 cache_dir: Optional[str] = None) -> None:
+                 callgraph: Optional["Callgraph"] = None) -> None:
         self.modules: List[ModuleIndex] = list(modules)
-        #: Where the interprocedural layer persists per-module
-        #: summaries (None disables the on-disk cache).
-        self.cache_dir: Optional[str] = cache_dir
+        self._callgraph = callgraph
         self._effects = None
         self.by_name: Dict[str, ModuleIndex] = {
             module.name: module for module in self.modules}
@@ -180,16 +177,42 @@ class CodebaseIndex:
         return sorted(name for name in self.functions
                       if pattern.match(name))
 
+    def callgraph(self) -> "Callgraph":
+        """The linked callgraph over this index's modules.
+
+        Each module's graph is extracted once, on first use, and
+        memoized for the run. Imported inside the method:
+        :mod:`repro.analysis.callgraph` consumes this module.
+        """
+        if self._callgraph is None:
+            from repro.analysis.callgraph import (
+                Callgraph,
+                extract_module_graph,
+            )
+            self._callgraph = Callgraph({
+                module.name: extract_module_graph(module)
+                for module in self.modules})
+        return self._callgraph
+
+    def twin(self) -> "CodebaseIndex":
+        """An index over the same modules that shares this one's
+        callgraph (if already built) but infers its own effects.
+
+        Extraction never reads suppressions; only the effect fixpoint
+        does, so a twin with its suppressions blinded re-runs the
+        fixpoint without re-extracting a single graph.
+        """
+        return CodebaseIndex(self.modules, callgraph=self._callgraph)
+
     def effects(self) -> "EffectIndex":
         """The interprocedural effect summaries for this index.
 
         Built lazily on first use (only the dataflow rules pay for
-        the fixpoint) and memoized for the run. Imported inside the
-        method: :mod:`repro.analysis.effects` consumes this module.
+        the fixpoint) and memoized for the run.
         """
         if self._effects is None:
             from repro.analysis.effects import EffectIndex
-            self._effects = EffectIndex(self, cache_dir=self.cache_dir)
+            self._effects = EffectIndex(self)
         return self._effects
 
 
@@ -372,25 +395,41 @@ def _index_body(module: ModuleIndex, body: Sequence[ast.stmt]) -> None:
     module.registries = tuple(registries)
 
 
+def _read_source(path: str) -> str:
+    """A file's text, decoded the way the interpreter would: by its
+    PEP 263 coding cookie or BOM, else as UTF-8.
+
+    Raises:
+        ConfigError: when the bytes do not decode.
+    """
+    try:
+        with tokenize.open(path) as handle:
+            return handle.read()
+    except (SyntaxError, UnicodeDecodeError) as error:
+        raise ConfigError(
+            f"{path}: cannot lint undecodable file: {error}") from error
+
+
 def index_module(path: str, source: Optional[str] = None) -> ModuleIndex:
     """Parse and index one Python file.
 
     Raises:
-        ConfigError: when the file does not parse (the linted tree
-            must at least be syntactically valid Python).
+        ConfigError: when the file does not decode or parse (the
+            linted tree must at least be syntactically valid Python).
     """
     if source is None:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
+        source = _read_source(path)
     try:
         tree = ast.parse(source, filename=path)
-    except SyntaxError as error:
-        raise ConfigError(
-            f"{path}:{error.lineno}: cannot lint unparseable file: "
-            f"{error.msg}") from error
+    except (SyntaxError, ValueError) as error:
+        # A NUL byte raises a SyntaxError without a line number (a
+        # ValueError on older interpreters).
+        line = getattr(error, "lineno", None)
+        where = path if line is None else f"{path}:{line}"
+        raise ConfigError(f"{where}: cannot lint unparseable file: "
+                          f"{getattr(error, 'msg', error)}") from error
     comments = _comment_tokens(source)
     module = ModuleIndex(path=path, name=_module_name(path), tree=tree,
-                         source=source,
                          suppressions=_parse_suppressions(comments),
                          hotpath_lines=_parse_hotpath_lines(comments))
     _index_body(module, tree.body)
@@ -416,12 +455,10 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
     return sorted(dict.fromkeys(found))
 
 
-def build_index(paths: Sequence[str],
-                cache_dir: Optional[str] = None) -> CodebaseIndex:
+def build_index(paths: Sequence[str]) -> CodebaseIndex:
     """Index every Python file reachable from ``paths``."""
     files = iter_python_files(paths)
     if not files:
         raise ConfigError(
             f"nothing to lint under {', '.join(paths) or '(no paths)'}")
-    return CodebaseIndex([index_module(path) for path in files],
-                         cache_dir=cache_dir)
+    return CodebaseIndex([index_module(path) for path in files])

@@ -17,7 +17,7 @@ exceptions quietly outlive their audits (``repro lint
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Sequence, Set, Tuple, Union
 
 from repro.analysis.index import CodebaseIndex, build_index
 from repro.analysis.findings import Finding
@@ -48,19 +48,14 @@ def run_rules(index: CodebaseIndex,
 def lint_paths(
         paths: Sequence[str],
         rules: Union[None, Sequence[Union[str, LintRule]]] = None,
-        cache_dir: Optional[str] = None,
 ) -> List[Finding]:
     """Lint files/directories with the selected rules (None = all).
 
-    ``cache_dir`` enables the content-keyed per-module summary cache
-    (:mod:`repro.analysis.cache`) used by the interprocedural rules.
-
     Raises:
         ConfigError: on unknown rules, missing paths, or a file that
-            does not parse.
+            does not decode or parse.
     """
-    return run_rules(build_index(paths, cache_dir=cache_dir),
-                     resolve_lint_rules(rules))
+    return run_rules(build_index(paths), resolve_lint_rules(rules))
 
 
 def audit_suppressions(
@@ -80,9 +75,9 @@ def audit_suppressions(
     # Taint sanitization consults the same allow[] grammar, so the
     # effect summaries must be rebuilt with suppressions blinded --
     # otherwise a suppressed atom never taints its line and every
-    # transitive allowance audits as stale.
-    blinded = CodebaseIndex(list(index.modules),
-                            cache_dir=index.cache_dir)
+    # transitive allowance audits as stale. The callgraph itself is
+    # shared: extraction never reads suppressions.
+    blinded = index.twin()
     saved = [module.suppressions for module in blinded.modules]
     try:
         for module in blinded.modules:

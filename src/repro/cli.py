@@ -44,7 +44,8 @@ burstiness, decode-length stats) before replay;
 (simlint) over the source tree -- wall-clock/unseeded-RNG leaks into
 sim paths, listener rebinds, registry drift -- with per-line
 ``# simlint: allow[rule-id]`` suppressions and a committed baseline so
-CI fails only on *new* findings.
+CI fails only on *new* findings; it extracts each module's callgraph
+once per run, in memory, and leaves no cache on disk.
 
 ``replay`` and ``serve`` share one serving setup (``_serving_setup``
 returns a frozen ``_ServingSetup`` that builds the engine or fleet and
@@ -372,13 +373,6 @@ def _lint_flags(lint: argparse.ArgumentParser) -> None:
     lint.add_argument("--strict", action="store_true",
                       help="exit 1 on stale suppressions too (with "
                            "--audit-suppressions)")
-    lint.add_argument("--cache", dest="cache_dir",
-                      default=".simlint-cache", metavar="DIR",
-                      help="content-keyed per-module summary cache "
-                           "for the interprocedural rules (default "
-                           ".simlint-cache)")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="disable the summary cache for this run")
 
 
 def _provision_flags(prov: argparse.ArgumentParser) -> None:
@@ -1307,9 +1301,11 @@ def _command_lint(args: argparse.Namespace) -> int:
              for rule in iter_rule_table()],
             title="simlint rules"))
         return 0
-    cache_dir = None if args.no_cache else args.cache_dir
-    index = build_index(args.paths, cache_dir=cache_dir)
-    findings = run_rules(index, resolve_lint_rules(args.rules))
+    rules = resolve_lint_rules(args.rules)
+    if args.explain_rule:  # an unknown id fails here, as --rule's does
+        resolve_lint_rules([args.explain_rule])
+    index = build_index(args.paths)
+    findings = run_rules(index, rules)
     if args.write_baseline:
         if not args.baseline_path:
             raise ConfigError("--write-baseline needs --baseline FILE")

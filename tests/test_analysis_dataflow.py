@@ -1,6 +1,6 @@
 """The interprocedural simlint layer: callgraph extraction, fixpoint
 effect inference, the transitive/async-race/exception-contract rules,
-the per-module summary cache, and the suppression audit.
+re-linting, and the suppression audit.
 
 Fixture snippets are written under a ``repro/...`` directory layout in
 tmp_path so the scope-limited rules see the same dotted module names
@@ -15,20 +15,15 @@ import pytest
 
 from repro.analysis import (
     Callgraph,
-    EffectIndex,
     STALE_SUPPRESSION_ID,
-    SummaryCache,
     audit_suppressions,
     build_index,
     extract_module_graph,
     finding_from_dict,
     finding_to_dict,
     lint_paths,
-)
-from repro.analysis.callgraph import (
-    GRAPH_VERSION,
-    module_graph_from_dict,
-    module_graph_to_dict,
+    resolve_lint_rules,
+    run_rules,
 )
 from repro.analysis.findings import Finding
 from repro.cli import main
@@ -187,28 +182,6 @@ def test_callgraph_constructor_edges(tmp_path):
                       for site in build.calls)
     assert resolved == ["repro.ctor.Cfg.__post_init__",
                         "repro.ctor.Plain.__init__"]
-
-
-def test_module_graph_json_round_trip(tmp_path):
-    _, graph = graph_of(tmp_path, "repro/rt.py", """\
-        import time
-
-        def ticking():
-            try:
-                return time.time()
-            except OSError:
-                raise ValueError("clock")
-    """)
-    payload = json.loads(json.dumps(module_graph_to_dict(graph)))
-    assert module_graph_from_dict(payload) == graph
-
-
-def test_module_graph_version_skew_rejected(tmp_path):
-    _, graph = graph_of(tmp_path, "repro/vv.py", "X = 1\n")
-    payload = module_graph_to_dict(graph)
-    payload["version"] = GRAPH_VERSION + 1
-    with pytest.raises(ConfigError):
-        module_graph_from_dict(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -593,49 +566,11 @@ def test_contract_exempts_abstract_guards_and_private_fns(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# summary cache
+# re-linting and one extraction per module
 # ---------------------------------------------------------------------------
 
 
-def test_cache_hit_for_unchanged_source(tmp_path):
-    path = write(tmp_path, "repro/util/h.py", """\
-        import time
-
-        def read():
-            return time.time()
-    """)
-    module = build_index([path]).modules[0]
-    root = str(tmp_path / "cache")
-    cache = SummaryCache(root)
-    assert cache.load(module) is None and cache.misses == 1
-    stored = cache.warm(module)
-    rewarmed = SummaryCache(root)
-    assert rewarmed.load(module) == stored
-    assert rewarmed.hits == 1 and rewarmed.misses == 0
-
-
-def test_cache_busted_by_content_change(tmp_path):
-    path = write(tmp_path, "repro/util/h.py", "def read():\n    return 1\n")
-    root = str(tmp_path / "cache")
-    SummaryCache(root).warm(build_index([path]).modules[0])
-    write(tmp_path, "repro/util/h.py", "def read():\n    return 2\n")
-    fresh = SummaryCache(root)
-    assert fresh.load(build_index([path]).modules[0]) is None
-
-
-def test_cache_corrupt_entry_degrades_to_miss(tmp_path):
-    path = write(tmp_path, "repro/util/h.py", "X = 1\n")
-    module = build_index([path]).modules[0]
-    root = tmp_path / "cache"
-    cache = SummaryCache(str(root))
-    cache.warm(module)
-    entry = root / f"{SummaryCache.key_for(module)}.json"
-    entry.write_text("{not json", encoding="utf-8")
-    assert cache.load(module) is None
-
-
 def test_warm_relint_reflects_cross_module_edit(tmp_path):
-    cache_dir = str(tmp_path / "cache")
     write(tmp_path, "repro/util/h.py", """\
         import time
 
@@ -649,26 +584,41 @@ def test_warm_relint_reflects_cross_module_edit(tmp_path):
             return read()
     """)
     tree = str(tmp_path / "repro")
-    first = lint_paths([tree], rules=["transitive-wallclock-in-sim"],
-                       cache_dir=cache_dir)
+    first = lint_paths([tree], rules=["transitive-wallclock-in-sim"])
     assert rule_ids(first) == ["transitive-wallclock-in-sim"]
-    # Fix the helper: only its cache entry changes; the sim module's
-    # entry still hits, and the warm re-lint sees the taint gone.
+    # Fix the helper: the re-lint sees the taint gone from its caller.
     write(tmp_path, "repro/util/h.py", """\
         def read():
             return 0.0
     """)
-    assert lint_paths([tree], rules=["transitive-wallclock-in-sim"],
-                      cache_dir=cache_dir) == []
+    assert lint_paths([tree], rules=["transitive-wallclock-in-sim"]) == []
 
 
-def test_effect_index_equal_with_and_without_cache(tmp_path):
+def test_lint_and_audit_extract_each_module_once(tmp_path, monkeypatch):
+    import repro.analysis.callgraph as callgraph
+
     three_hop_fixture(tmp_path)
+    write(tmp_path, "repro/sim/quiet.py", """\
+        import time
+
+        def stamp():
+            return time.time()  # simlint: allow[no-wallclock-in-sim]
+    """)
+    extracted = []
+    real = callgraph.extract_module_graph
+
+    def counting(module):
+        extracted.append(module.name)
+        return real(module)
+
+    monkeypatch.setattr(callgraph, "extract_module_graph", counting)
     index = build_index([str(tmp_path)])
-    cold = EffectIndex(index)
-    warm = EffectIndex(index, cache_dir=str(tmp_path / "cache"))
-    rewarm = EffectIndex(index, cache_dir=str(tmp_path / "cache"))
-    assert cold.summaries == warm.summaries == rewarm.summaries
+    findings = run_rules(index, resolve_lint_rules(None))
+    assert "transitive-wallclock-in-sim" in rule_ids(findings)
+    assert audit_suppressions(index) == []
+    assert sorted(extracted) == sorted(
+        module.name for module in index.modules)
+    assert len(extracted) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +754,7 @@ def test_audit_skips_ids_outside_an_explicit_selection(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# CLI: --audit-suppressions / --strict / --explain / --cache
+# CLI: --audit-suppressions / --strict / --explain
 # ---------------------------------------------------------------------------
 
 
@@ -813,11 +763,9 @@ def test_cli_audit_strict_exit_codes(tmp_path, capsys):
         def f():
             return 1  # simlint: allow[no-wallclock-in-sim]
     """)
-    assert main(["lint", path, "--no-cache",
-                 "--audit-suppressions"]) == 0
+    assert main(["lint", path, "--audit-suppressions"]) == 0
     assert "stale-suppression" in capsys.readouterr().out
-    assert main(["lint", path, "--no-cache",
-                 "--audit-suppressions", "--strict"]) == 1
+    assert main(["lint", path, "--audit-suppressions", "--strict"]) == 1
 
 
 def test_cli_audit_clean_tree_stays_green(tmp_path, capsys):
@@ -827,15 +775,14 @@ def test_cli_audit_clean_tree_stays_green(tmp_path, capsys):
         def f():
             return time.time()  # simlint: allow[no-wallclock-in-sim]
     """)
-    assert main(["lint", path, "--no-cache",
-                 "--audit-suppressions", "--strict"]) == 0
+    assert main(["lint", path, "--audit-suppressions", "--strict"]) == 0
     assert ("every allow[...] comment still shields a finding"
             in capsys.readouterr().out)
 
 
 def test_cli_explain_prints_evidence_chain(tmp_path, capsys):
     three_hop_fixture(tmp_path)
-    code = main(["lint", str(tmp_path), "--no-cache",
+    code = main(["lint", str(tmp_path),
                  "--rule", "transitive-wallclock-in-sim",
                  "--explain", "transitive-wallclock-in-sim"])
     assert code == 1  # the finding is real
@@ -846,29 +793,24 @@ def test_cli_explain_prints_evidence_chain(tmp_path, capsys):
 
 def test_cli_explain_without_findings(tmp_path, capsys):
     path = write(tmp_path, "repro/sim/clean.py", "X = 1\n")
-    assert main(["lint", path, "--no-cache",
+    assert main(["lint", path,
                  "--explain", "transitive-wallclock-in-sim"]) == 0
     assert ("no findings from this rule"
             in capsys.readouterr().out)
 
 
-def test_cli_cache_flag_writes_and_reuses_entries(tmp_path, capsys):
-    three_hop_fixture(tmp_path)
-    cache_dir = tmp_path / "lintcache"
-    argv = ["lint", str(tmp_path / "repro"), "--cache", str(cache_dir),
-            "--rule", "transitive-wallclock-in-sim"]
-    assert main(argv) == 1
-    entries = sorted(cache_dir.glob("*.json"))
-    assert len(entries) == 2  # one per fixture module
-    assert main(argv) == 1  # warm run, same verdict
-    assert sorted(cache_dir.glob("*.json")) == entries
-    capsys.readouterr()
+def test_cli_explain_rejects_an_unknown_rule(tmp_path, capsys):
+    path = write(tmp_path, "repro/sim/clean.py", "X = 1\n")
+    assert main(["lint", path, "--explain", "NOPE"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("error: unknown lint rule 'NOPE'; known: ")
+    assert "no findings from this rule" not in out
 
 
 def test_cli_json_report_carries_evidence(tmp_path):
     three_hop_fixture(tmp_path)
     report = tmp_path / "lint-report.json"
-    main(["lint", str(tmp_path / "repro"), "--no-cache",
+    main(["lint", str(tmp_path / "repro"),
           "--rule", "transitive-wallclock-in-sim",
           "--json", str(report)])
     payload = json.loads(report.read_text(encoding="utf-8"))

@@ -709,6 +709,43 @@ def test_cli_lint_rejects_missing_path(tmp_path, capsys):
     assert "no such file" in capsys.readouterr().out
 
 
+def test_cli_lint_honours_a_coding_cookie(tmp_path, capsys):
+    path = tmp_path / "repro" / "sim" / "latin.py"
+    path.parent.mkdir(parents=True)
+    path.write_bytes(b'# -*- coding: latin-1 -*-\nNAME = "caf\xe9"\n')
+    assert lint_paths([str(path)]) == []
+    assert main(["lint", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("payload", [
+    b"\xff\xfeX = 1\n",
+    b"X = 1\nY = 2\nZ = '\xff'\n",
+], ids=["first-line", "past-the-cookie-lines"])
+def test_cli_lint_undecodable_file_is_one_error_line(tmp_path, capsys,
+                                                     payload):
+    path = tmp_path / "bad.py"
+    path.write_bytes(payload)
+    assert main(["lint", str(path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {path}: cannot lint ")
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_unparseable_file_without_a_line_number(tmp_path):
+    path = tmp_path / "nul.py"
+    path.write_bytes(b"X = 1\n\x00\n")
+    with pytest.raises(ConfigError) as excinfo:
+        build_index([str(path)])
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}:")
+    assert "cannot lint unparseable file" in message
+    assert "None" not in message
+
+
 # ---------------------------------------------------------------------------
 # the acceptance pin: the shipped tree lints clean
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """SHA-256 parity: ``repro._digest`` against ``hashlib``.
 
-Trace digests key the ``evaluate_trace`` memo, what-if digests key the
-cell cache and tie a saved result to its trace, and lint keys its
-summary cache by content. All of them hash with the interpreter's
-built-in SHA-256 instead of OpenSSL's, so each must match what
-``hashlib.sha256`` gives for the same bytes, with or without the
-built-in module.
+Trace digests key the ``evaluate_trace`` memo, and what-if digests key
+the cell cache and tie a saved result to its trace. All of them hash
+with the interpreter's built-in SHA-256 instead of OpenSSL's, so each
+must match what ``hashlib.sha256`` gives for the same bytes, with or
+without the built-in module.
 """
 
 import hashlib
@@ -17,9 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.cache import SummaryCache
-from repro.analysis.callgraph import GRAPH_VERSION
-from repro.analysis.index import build_index
 from repro.rago import whatif
 from repro.workloads.traces import RequestTrace, poisson_trace
 
@@ -60,28 +56,10 @@ def hashlib_requests_digest(trace):
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def lint_module(tmp_path):
-    path = tmp_path / "repro" / "util" / "h.py"
-    path.parent.mkdir(parents=True)
-    path.write_text("def read():\n    return 'caf\u00e9'\n", encoding="utf-8")
-    return build_index([str(path)]).modules[0]
-
-
-def hashlib_key_for(module):
-    return hashlib.sha256(
-        f"v{GRAPH_VERSION}:{module.name}:{module.source}".encode("utf-8")
-    ).hexdigest()
-
-
 @pytest.mark.parametrize("name", sorted(TRACES))
 def test_requests_digest_matches_hashlib(name):
     trace = TRACES[name]()
     assert trace.requests_digest == hashlib_requests_digest(trace)
-
-
-def test_summary_cache_key_matches_hashlib(tmp_path):
-    module = lint_module(tmp_path)
-    assert SummaryCache.key_for(module) == hashlib_key_for(module)
 
 
 def test_whatif_digests_match_hashlib(tmp_path, monkeypatch):
@@ -111,22 +89,17 @@ def test_whatif_digests_match_hashlib(tmp_path, monkeypatch):
 def test_falls_back_to_hashlib_without_builtin_modules(tmp_path):
     """With ``_sha2`` and ``_sha256`` unimportable the helper is
     ``hashlib.sha256``, and every digest is unchanged."""
-    module = lint_module(tmp_path)
     script = (
         "import sys\n"
         "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
         "import hashlib, json\n"
         "from repro import _digest\n"
         "assert _digest.sha256 is hashlib.sha256\n"
-        "from repro.analysis.cache import SummaryCache\n"
-        "from repro.analysis.index import build_index\n"
         "from repro.rago import whatif\n"
         "from test_digest import TRACES\n"
-        f"module = build_index([{module.path!r}]).modules[0]\n"
         "print(json.dumps({\n"
         "    'traces': {name: make().requests_digest\n"
         "               for name, make in TRACES.items()},\n"
-        "    'key_for': SummaryCache.key_for(module),\n"
         "    'whatif': whatif._digest('cell \\u00e9')}))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
         str(SRC), str(Path(__file__).parent),
@@ -138,7 +111,6 @@ def test_falls_back_to_hashlib_without_builtin_modules(tmp_path):
     assert fallback == {
         "traces": {name: hashlib_requests_digest(make())
                    for name, make in TRACES.items()},
-        "key_for": hashlib_key_for(module),
         "whatif": hashlib.sha256("cell \u00e9".encode("utf-8")).hexdigest(),
     }
 

@@ -78,7 +78,7 @@ def test_lint_run_loads_no_heavy_module(tmp_path):
     target = SRC / "repro" / "units.py"
     modules = loaded_modules(
         "from repro.cli import main\n"
-        f"assert main(['lint', {str(target)!r}, '--no-cache']) == 0",
+        f"assert main(['lint', {str(target)!r}]) == 0",
         tmp_path)
     assert [name for name in HEAVY if name in modules] == []
 
@@ -126,9 +126,9 @@ NUMPY_FREE_SETUP = {
 
 
 #: Runs that must not load OpenSSL: the numpy-free runs, a closed-loop
-#: population on a fleet, ``optimize``, and a cached ``lint`` (its
-#: summary cache keys entries by SHA-256). They hash traces, what-if
-#: cells and lint entries with ``repro._digest``'s built-in SHA-256.
+#: population on a fleet, ``optimize``, and ``lint``. They hash traces
+#: and what-if cells with ``repro._digest``'s built-in SHA-256; lint
+#: hashes nothing and writes nothing.
 OPENSSL_FREE_RUNS = {
     **NUMPY_FREE_RUNS,
     "closed-loop": ["replay", "--case", "i", "--llm", "1B", "--servers",
@@ -183,4 +183,5 @@ def test_runs_load_no_openssl(tmp_path, name):
         tmp_path)
     assert [m for m in OPENSSL if m in modules] == []
     if name == "lint":
-        assert (tmp_path / ".simlint-cache").is_dir()
+        # A lint run leaves its working directory empty.
+        assert list(tmp_path.iterdir()) == []
