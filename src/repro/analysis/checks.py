@@ -23,8 +23,7 @@ hand:
   every event, exactly the churn the slab-backed DES loop removed.
 * ``no-blocking-io-in-coordinator`` -- synchronous socket / sleep /
   select calls inside ``async def`` bodies of the coordinator-side
-  modules stall the event loop that every connected sweep worker
-  shares.
+  modules stall the event loop that every connected client shares.
 
 The interprocedural family consumes the effect summaries of
 :mod:`repro.analysis.effects` (built lazily via
@@ -483,10 +482,10 @@ class NoPerEventAllocationInHotLoop(LintRule):
                         f"reuse a preallocated scratch buffer")
 
 
-#: Coordinator-side async modules: the sweep coordinator fleet and the
-#: live serving front-end. Worker-side code (repro.distrib.worker) is
-#: deliberately synchronous and contains no ``async def``, so scoping
-#: the whole package is safe.
+#: Coordinator-side async modules: the sweep executors and the live
+#: serving front-end. The sweep backends are synchronous today and
+#: contain no ``async def``, so scoping the whole package is free and
+#: guards any coroutine added there later.
 COORDINATOR_SCOPES: Tuple[str, ...] = ("repro.distrib", "repro.serve")
 
 

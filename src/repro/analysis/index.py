@@ -235,7 +235,7 @@ def _module_name(path: str) -> str:
     repo-relative and absolute invocations index identically.
 
     Files outside a ``repro`` tree keep their directory chain dotted
-    (``scripts/sweep_worker.py`` -> ``scripts.sweep_worker``) so two
+    (``scripts/serve_smoke.py`` -> ``scripts.serve_smoke``) so two
     same-stem files in different directories cannot collide in
     :attr:`CodebaseIndex.by_name` and so scope-gated rules never
     mistake a bare stem like ``serve.py`` for ``repro.serve``."""

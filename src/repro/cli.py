@@ -18,8 +18,8 @@ Subcommands::
 serialized :mod:`repro.config` file (a schema or a full optimization
 config) and prints the Pareto frontier plus the schedules selected for
 each objective; ``sweep`` searches a grid of (LLM size, cluster size)
-cells over any :mod:`repro.distrib` executor backend (``--backend
-serial/process/sockets``), with a hand-written grid file via
+cells over a :mod:`repro.distrib` executor backend (``--backend
+serial/process``, ``--workers N``), with a hand-written grid file via
 ``--config grid.yaml`` (the :mod:`repro.config.yamlish` subset);
 ``whatif`` replays one recorded trace against a policy grid
 (schedules x replicas x routing x autoscale) and prints the
@@ -226,12 +226,12 @@ def _sweep_flags(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--servers", default="32",
                        help="comma-separated host-server counts")
     sweep.add_argument("--xpu", choices=("A", "B", "C"), default="C")
-    sweep.add_argument("--processes", type=int, default=1,
-                       help="worker processes for the sweep executor")
+    sweep.add_argument("--workers", type=int, default=1,
+                       help="executor worker count (default 1)")
     sweep.add_argument("--backend", choices=tuple(SWEEP_BACKENDS),
                        default=None,
                        help="sweep executor backend (default: process "
-                            "when --processes > 1, else serial); all "
+                            "when --workers > 1, else serial); both "
                             "backends produce identical tables")
     sweep.add_argument("--config", dest="grid_config_path", default=None,
                        help="grid file (yamlish subset: scalars, nested "
@@ -1139,6 +1139,9 @@ def _apply_grid_config(args: argparse.Namespace) -> None:
             continue
         try:
             setattr(args, action.dest, _grid_value(key, action, value))
+        except ConfigError as error:
+            raise ConfigError(
+                f"{args.grid_config_path}: {error}") from error
         except (TypeError, ValueError) as error:
             raise ConfigError(
                 f"{args.grid_config_path}: bad value for "
@@ -1247,17 +1250,19 @@ def _command_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad sweep axis: {error}") from error
     if not llms or not server_counts:
         raise ConfigError("sweep needs at least one LLM and server count")
+    if args.workers < 1:
+        raise ConfigError("--workers must be at least 1")
     schemas = [_schema_for(args, llm) for llm in llms]
     clusters = [ClusterSpec(num_servers=count, xpu=_xpu(args.xpu))
                 for count in server_counts]
     session = OptimizerSession(schemas[0], clusters[0])
     sweep = session.sweep(schemas=schemas, clusters=clusters,
-                          processes=args.processes,
+                          workers=args.workers,
                           backend=args.backend)
     print(f"swept {len(sweep)} cells "
           f"({len(llms)} LLMs x {len(server_counts)} cluster sizes, "
           f"{args.backend or 'default'} backend, "
-          f"{args.processes} worker(s)):")
+          f"{args.workers} worker(s)):")
     print(sweep.to_table())
     if sweep.workers:
         from repro.reporting import format_worker_utilization

@@ -1,15 +1,13 @@
 """repro.distrib: pluggable executors for embarrassingly parallel grids.
 
-The cluster-scale layer under :meth:`OptimizerSession.sweep
+The parallel layer under :meth:`OptimizerSession.sweep
 <repro.rago.session.OptimizerSession.sweep>` and ``repro whatif``:
 a grid of cells (schema x cluster searches, schedule x policy trace
 replays) is described once as a :class:`~repro.distrib.protocol.TaskSpec`
 plus :class:`~repro.distrib.protocol.SweepJob` list, then executed by
 any registered :class:`~repro.distrib.backends.SweepBackend` --
-in-process (``serial``), a local pool (``process``), or a
-work-stealing socket fleet (``sockets``) whose workers may live on
-other machines. All backends produce bit-identical outcomes; only the
-wall-clock differs.
+in-process (``serial``) or a local process pool (``process``). Both
+produce bit-identical outcomes; only the wall-clock differs.
 """
 
 from repro._lazy import lazy_exports
@@ -31,11 +29,9 @@ _EXPORTS = {
     "BackendRun": "repro.distrib.backends",
     "ProcessBackend": "repro.distrib.backends",
     "SerialBackend": "repro.distrib.backends",
-    "SocketsBackend": "repro.distrib.backends",
     "SweepBackend": "repro.distrib.backends",
     "SWEEP_BACKENDS": "repro.distrib.backends",
     "resolve_sweep_backend": "repro.distrib.backends",
-    "SweepCoordinator": "repro.distrib.coordinator",
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 

@@ -46,12 +46,14 @@ class ScheduleError(ReproError):
 
 
 class DistribError(ReproError):
-    """A distributed sweep failed at the transport layer.
+    """A parallel sweep failed in its executor.
 
-    Raised by the :mod:`repro.distrib` backends on protocol violations
-    or an unrecoverable executor state (every worker dead with cells
-    outstanding) -- never for a cell whose *search* failed; those are
-    recorded as error cells in the result table instead.
+    Raised by the :mod:`repro.distrib` process backend when a worker
+    process dies mid-sweep (a crash, ``os._exit``, the OOM killer): its
+    chunk is lost, so the sweep stops with the count of cells still
+    outstanding instead of waiting for them. Never raised for a cell
+    whose *search* failed; those are recorded as error cells in the
+    result table instead.
     """
 
 

@@ -465,7 +465,7 @@ class OptimizerSession:
     def sweep(self, schemas: Optional[Sequence[RAGSchema]] = None,
               clusters: Optional[Sequence[ClusterSpec]] = None,
               search: Optional[SearchConfig] = None,
-              processes: int = 1,
+              workers: int = 1,
               backend: Optional[Any] = None) -> "SweepResult":
         """Search every (schema, cluster) cell of a grid.
 
@@ -474,22 +474,25 @@ class OptimizerSession:
             clusters: Hardware axis; defaults to this session's cluster.
             search: Search knobs for every cell (session default when
                 None).
-            processes: Worker count for the executor backend. With the
+            workers: Worker count for the executor backend. With the
                 default backend selection, 1 runs in-process and >1
-                fans cells out over a local multiprocessing pool.
+                fans cells out over a local process pool.
                 Either way every successful cell lands in this
                 session's memo, so repeated sweeps (and optimize()
                 calls overlapping the grid) reuse results.
             backend: Executor override -- a
                 :data:`~repro.distrib.SWEEP_BACKENDS` name
-                (``serial`` / ``process`` / ``sockets``) or a
-                :class:`~repro.distrib.SweepBackend` instance. All
+                (``serial`` / ``process``) or a
+                :class:`~repro.distrib.SweepBackend` instance. Both
                 backends produce bit-identical tables; None keeps the
-                processes-based default.
+                workers-based default.
 
         Returns:
             A :class:`SweepResult` table; infeasible cells carry an
             error string instead of aborting the sweep.
+
+        Raises:
+            DistribError: when a ``process`` worker dies mid-sweep.
         """
         from repro import config as config_module
         from repro.distrib import (
@@ -499,8 +502,8 @@ class OptimizerSession:
             resolve_sweep_backend,
         )
 
-        if processes < 1:
-            raise ConfigError("processes must be at least 1")
+        if workers < 1:
+            raise ConfigError("workers must be at least 1")
         schema_axis: List[RAGSchema] = list(schemas) if schemas is not None \
             else [self.schema]
         cluster_axis: List[ClusterSpec] = list(clusters) \
@@ -526,7 +529,7 @@ class OptimizerSession:
             if key not in by_key:
                 by_key[key] = (None, "pending")
                 pending.append((index, key))
-        workers: Tuple[Dict[str, Any], ...] = ()
+        utilization: Tuple[Dict[str, Any], ...] = ()
         if pending:
             task = TaskSpec(kind="search", context={
                 "search": config_module.to_config(config),
@@ -536,9 +539,9 @@ class OptimizerSession:
                 "schema": config_module.to_config(cells[index][0]),
                 "cluster": config_module.to_config(cells[index][1]),
             }) for index, _ in pending]
-            run = resolve_sweep_backend(backend, workers=processes) \
+            run = resolve_sweep_backend(backend, workers=workers) \
                 .run(task, jobs)
-            workers = tuple(run.workers)
+            utilization = tuple(run.workers)
             for (_, key), outcome in zip(pending, run.outcomes):
                 result = None if outcome["result"] is None \
                     else config_module.from_config(outcome["result"])
@@ -552,7 +555,7 @@ class OptimizerSession:
                       result=None if result is None else _copy_result(result),
                       error=error)
             for (schema, cluster), (result, error) in zip(cells, outcomes)
-        ), workers=workers)
+        ), workers=utilization)
 
 
 # ---------------------------------------------------------------------------

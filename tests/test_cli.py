@@ -968,6 +968,49 @@ def test_sweep_config_bad_backend_rejected(tmp_path, capsys):
     assert "bad backend" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["sweep", "whatif"])
+@pytest.mark.parametrize("backend", ["smoke-signals", "sockets"])
+def test_grid_config_bad_choice_names_the_file(tmp_path, capsys, name,
+                                               backend):
+    """Regression: a bad choice in a grid file printed its error
+    without the file's path, unlike a bad type in the same file."""
+    path = tmp_path / "grid.yaml"
+    path.write_text(f"backend: {backend}\n", encoding="utf-8")
+    assert main([name, "--config", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"error: {path}: bad backend {backend!r}; expected one of "
+        f"serial, process"]
+
+
+@pytest.mark.parametrize("name", ["sweep", "whatif"])
+def test_sockets_backend_flag_is_rejected(capsys, name):
+    with pytest.raises(SystemExit) as exited:
+        main([name, "--backend", "sockets"])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --backend: invalid choice: 'sockets'" in err
+    choices = err.split("choose from", 1)[1]
+    assert "serial" in choices and "process" in choices
+
+
+def test_sweep_config_processes_key_is_unknown(tmp_path, capsys):
+    path = tmp_path / "grid.yaml"
+    path.write_text("processes: 2\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1
+    assert out[0].startswith(
+        f"error: {path}: unknown sweep config key(s) processes; known: ")
+    assert "workers" in out[0]
+
+
+def test_sweep_rejects_non_positive_workers(capsys):
+    assert main(["sweep", "--case", "i", "--llms", "1B", "--servers", "16",
+                 "--workers", "0"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "error: --workers must be at least 1"]
+
+
 _NON_UTF8 = b"case: i\n\xff\n"
 _DEEP = b"[" * 100_000 + b"]" * 100_000
 _BIG_INT = b'{"config_version": ' + b"1" * 5000 + b"}"

@@ -227,7 +227,7 @@ def test_sweep_parallel_matches_serial():
     # the workers (job encoding, result deserialization and all).
     cold_session = OptimizerSession(case_i_hyperscale("1B"), _CLUSTER)
     parallel = cold_session.sweep(schemas=schemas, search=search,
-                                  processes=2)
+                                  workers=2)
     for cell_s, cell_p in zip(serial.cells, parallel.cells):
         assert cell_p.result.frontier == cell_s.result.frontier
     # The pooled results also land in the memo for reuse.
@@ -269,7 +269,7 @@ def test_sweep_carries_memory_override_to_every_cell():
     # the pickled MemoryModel, not a memoized serial result).
     pooled = OptimizerSession(schema, _CLUSTER, memory=strict) \
         .sweep(clusters=[_CLUSTER, other_cluster], search=search,
-               processes=2)
+               workers=2)
     assert pooled.cells[1].result.frontier == expected
 
 
@@ -283,8 +283,8 @@ def test_sweep_duplicate_cells_searched_once():
     assert sweep.cells[1].result == sweep.cells[0].result
     assert session.cache_info()["results"] == 1  # one search for both
     session = OptimizerSession(case_i_hyperscale("1B"), _CLUSTER)
-    with pytest.raises(ConfigError, match="processes"):
-        session.sweep(processes=0)
+    with pytest.raises(ConfigError, match="workers"):
+        session.sweep(workers=0)
     with pytest.raises(ConfigError, match="non-empty"):
         session.sweep(schemas=[])
     with pytest.raises(ConfigError, match="build"):

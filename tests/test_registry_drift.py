@@ -210,7 +210,7 @@ REGISTRY_KEYS = {
     ("repro.distrib", "repro.distrib.protocol", "TASK_RUNNERS"): [
         "search", "whatif"],
     ("repro.distrib", "repro.distrib.backends", "SWEEP_BACKENDS"): [
-        "process", "serial", "sockets"],
+        "process", "serial"],
     ("repro.schema", "repro.schema.builder", "stage_types"): [
         "encode", "generate", "rerank", "retrieve", "rewrite",
         "sequences"],

@@ -92,6 +92,18 @@ def test_replay_run_loads_no_asyncio(tmp_path):
     assert "asyncio" not in modules
 
 
+def test_serial_sweep_loads_no_process_pool(tmp_path):
+    """The process backend imports its pool inside ``run()``."""
+    modules = loaded_modules(
+        "from repro.cli import main\n"
+        "assert main(['sweep', '--case', 'i', '--llms', '1B',\n"
+        "             '--servers', '16', '--backend', 'serial']) == 0",
+        tmp_path)
+    assert [name for name in ("multiprocessing",
+                              "concurrent.futures.process")
+            if name in modules] == []
+
+
 #: Runs that need no numpy. Serving runs whose traces draw from
 #: ``repro.sim.rng``: a seeded replay on the CLI's default (sampled)
 #: decode-length path, a small what-if grid, and a Case III replay,
