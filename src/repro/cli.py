@@ -59,6 +59,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from typing import TYPE_CHECKING, List, NamedTuple, Optional
 
@@ -609,11 +610,130 @@ def _command_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_json_path(path: str) -> None:
+    """Refuse a ``--json`` path no write could use, before any work:
+    its directory must exist and the path must not be a directory."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"--json {path}: no such directory {directory}")
+    if os.path.isdir(path):
+        raise ConfigError(f"--json {path} is a directory")
+
+
 def _write_json(path: str, payload: dict) -> None:
-    """Dump a command's ``--json`` payload and say where it went."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
+    """Write a command's ``--json`` payload and say where it went.
+
+    The text is ``json.dump(payload, handle, indent=1)``'s, with a
+    :class:`~repro.workloads.RequestTrace` under ``"trace"`` written as
+    its config envelope (:func:`_dump_traced`). It goes to a temporary
+    file beside ``path`` that is renamed over it, so a failed write
+    leaves an earlier file at ``path`` whole.
+    """
+    temp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            # No trace exists before its module loads; a traceless
+            # command imports nothing for this test.
+            traces = sys.modules.get("repro.workloads.traces")
+            trace = payload.get("trace")
+            if traces is not None \
+                    and isinstance(trace, traces.RequestTrace):
+                _dump_traced(payload, trace, handle)
+            else:
+                json.dump(payload, handle, indent=1)
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.remove(temp)
+        raise
     print(f"wrote {path}")
+
+
+#: Stands in for a trace's request list while the rest of a payload is
+#: encoded; the rows are spliced in where it lands.
+_ROWS_MARKER = "<repro.cli: trace requests>"
+#: Request rows rendered per write.
+_ROW_CHUNK = 1024
+#: Row key, the value types the row template takes for it, and its
+#: encoder: everything else goes through the stock encoder.
+_ROW_FIELDS = (("arrival", {float, int}, repr),
+               ("decode_len", {int}, repr),
+               ("user_id", {str}, json.encoder.encode_basestring_ascii),
+               ("session_id", {str}, json.encoder.encode_basestring_ascii),
+               ("tier", {str}, json.encoder.encode_basestring_ascii))
+
+
+def _dump_traced(payload: dict, trace: RequestTrace, handle) -> None:
+    """Write ``json.dump(payload, handle, indent=1)``'s text, with
+    ``payload["trace"]`` replaced by ``to_config(trace)``, without
+    building a dict per request.
+
+    Everything but the request rows is the stock encoder's text, with
+    a marker string in the rows' place; the rows are rendered from the
+    trace's columns (:func:`_request_rows`) and spliced in at the
+    marker's indent. A payload whose text holds the marker more than
+    once takes the plain path.
+    """
+    from repro import config as config_module
+    from repro.workloads.traces import RequestTrace
+
+    # The envelope around the rows is to_config's, over a one-request
+    # stand-in with the trace's metadata.
+    envelope = config_module.to_config(RequestTrace.from_columns(
+        (0.0,), metadata=trace.metadata))
+    envelope["spec"]["requests"] = _ROWS_MARKER
+    text = json.dumps({**payload, "trace": envelope}, indent=1)
+    parts = text.split(json.dumps(_ROWS_MARKER))
+    if len(parts) != 2:
+        json.dump({**payload, "trace": config_module.to_config(trace)},
+                  handle, indent=1)
+        return
+    head, tail = parts
+    line = head[head.rfind("\n") + 1:]
+    depth = len(line) - len(line.lstrip(" "))
+    handle.write(head)
+    handle.write("[")
+    for index, chunk in enumerate(_request_rows(trace, depth)):
+        # Every row starts with its "," separator; the first has none.
+        handle.write(chunk[1:] if index == 0 else chunk)
+    handle.write(f"\n{' ' * depth}]")
+    handle.write(tail)
+
+
+def _request_rows(trace: RequestTrace, depth: int):
+    """The text of the trace's request rows, as ``indent=1`` places a
+    list at ``depth``: one string per :data:`_ROW_CHUNK` rows, each row
+    led by its ``,`` separator.
+
+    A row is one ``%`` template filled with ``repr`` of its numbers
+    and the stock encoder's ``encode_basestring_ascii`` of its
+    strings. A chunk holding any value whose type is not exactly one
+    the template takes (a None identity field included) is the stock
+    encoder's text for its row dicts, re-indented.
+    """
+    fields = [(name, types, encode, column)
+              for (name, types, encode), column in zip(
+                  _ROW_FIELDS, (trace.arrivals, trace.decode_lens,
+                                trace.user_ids, trace.session_ids,
+                                trace.tiers))
+              if column is not None]
+    names = [name for name, *_ in fields]
+    inner = "\n" + " " * (depth + 2)
+    template = (",\n" + " " * (depth + 1) + "{"
+                + ",".join(f'{inner}"{name}": %s' for name in names)
+                + "\n" + " " * (depth + 1) + "}")
+    for start in range(0, len(trace.arrivals), _ROW_CHUNK):
+        chunk = [column[start:start + _ROW_CHUNK] for *_, column in fields]
+        if all(set(map(type, values)) <= types
+               for (_, types, _, _), values in zip(fields, chunk)):
+            encoded = [map(encode, values)
+                       for (_, _, encode, _), values in zip(fields, chunk)]
+            yield "".join(map(template.__mod__, zip(*encoded)))
+        else:
+            rows = [{name: value for name, value in zip(names, row)
+                     if value is not None} for row in zip(*chunk)]
+            yield "," + json.dumps(rows, indent=1)[1:-2].replace(
+                "\n", "\n" + " " * depth)
 
 
 def _reject_dead_flags(args: argparse.Namespace, names, context: str,
@@ -783,7 +903,7 @@ class _ServingSetup(NamedTuple):
                 "workload": config_module.to_config(self.session.schema),
                 "cluster": config_module.to_config(self.session.cluster),
                 "schedule": config_module.to_config(self.chosen.schedule),
-                "trace": config_module.to_config(trace),
+                "trace": trace,
             }
             if serve is not None:
                 payload["serve"] = config_module.to_config(serve)
@@ -1226,7 +1346,7 @@ def _command_whatif(args: argparse.Namespace) -> int:
             "result": config_module.to_config(result),
             "workload": config_module.to_config(session.schema),
             "cluster": config_module.to_config(session.cluster),
-            "trace": config_module.to_config(trace),
+            "trace": trace,
         }
         _write_json(args.json_path, payload)
     if result.ok_cells:
@@ -1445,6 +1565,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                    None)
     args = _build_parser(command).parse_args(argv)
     try:
+        if getattr(args, "json_path", None) is not None:
+            _check_json_path(args.json_path)
         return _COMMANDS[args.command][2](args)
     except (ReproError, OSError) as error:
         print(f"error: {error}")

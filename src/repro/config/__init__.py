@@ -203,9 +203,9 @@ def from_config(data: Dict) -> Any:
     return decode(spec)
 
 
-def dumps(obj: Any, indent: Optional[int] = 1) -> str:
+def dumps(obj: Any) -> str:
     """Serialize an artifact to a JSON string (envelope included)."""
-    return json.dumps(to_config(obj), indent=indent)
+    return json.dumps(to_config(obj), indent=1)
 
 
 def loads(text: str) -> Any:
@@ -213,10 +213,10 @@ def loads(text: str) -> Any:
     return from_config(parse_json(text))
 
 
-def save(path: str, obj: Any, indent: Optional[int] = 1) -> None:
+def save(path: str, obj: Any) -> None:
     """Write one artifact to a JSON file."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(obj, indent=indent))
+        handle.write(dumps(obj))
         handle.write("\n")
 
 

@@ -92,7 +92,8 @@ def _config_key(*objects: Any) -> str:
     """Stable memo key: the concatenated config JSON of the inputs."""
     from repro import config
 
-    return "\x1e".join(config.dumps(obj, indent=None) for obj in objects)
+    return "\x1e".join(json.dumps(config.to_config(obj))
+                       for obj in objects)
 
 
 def _copy_result(result: SearchResult) -> SearchResult:

@@ -37,7 +37,8 @@ flat ``array('d')`` per-stage timing slabs instead of per-request
 dicts, and a bucketized decode executor that is O(1) amortized per
 step and schedules an advance event only at the steps where a sequence
 leaves the batch or a waiting request can join, sleeping through the
-rest.
+rest (a long sleep ends with a pre-advance one boundary early, so the
+advance ties with same-time events as a per-step loop's would).
 The original closure-per-event wiring, one event per decode step,
 survives only as the test reference (``tests/reference_engine.py``);
 parity tests pin the engine to bit-identical
@@ -475,8 +476,13 @@ class _DecodeExecutor:
       names it), and each skipped step costs one float add instead of
       a heap event. Boundary times are
       the same ``t += step_latency`` chain a per-step loop builds, so
-      every timestamp is bit-identical; each bucket step's time is
-      chained once and kept until the step is crossed. Other admission
+      every timestamp is bit-identical; the time of the boundary before
+      each bucket step is chained once and kept until the step is
+      crossed. A per-step loop pushes each advance one boundary ahead,
+      so its tie order against events at the same time is that of a
+      push there: a sleep past more than one boundary first lands a
+      *pre-advance* on the boundary before its step, which pushes the
+      advance itself from there (an event, not a step). Other admission
       policies (token budget, custom) step every boundary while a
       queue waits, because their inputs change every step.
     * A request reaching decode mid-sleep *wakes* the executor at the
@@ -530,12 +536,13 @@ class _DecodeExecutor:
         self._serial = 0
         self._buckets: Dict[int, list] = {}
         self._keys: List[int] = []  # min-heap of the bucket steps
-        # Boundary times of the bucket steps slept to so far, so a wake
-        # does not make the next sleep chain the same span again.
+        # Time of the boundary before each bucket step slept to so far,
+        # so a wake does not make the next sleep chain the same span
+        # again.
         self._key_t: Dict[int, float] = {}
         self._step_index = 0  # step boundary the clock last crossed
         # The live advance event: its step and token (older tokens are
-        # stale). The wake cache is a boundary (time, step) at or before
+        # stale; the negated token marks its pre-advance). The wake cache is a boundary (time, step) at or before
         # the first one a request reaching decode can join.
         self._pending = 0
         self._token = 0
@@ -592,10 +599,13 @@ class _DecodeExecutor:
 
         Entries land in their bucket exactly at their precomputed
         finish-or-depart step, so every bucketed entry leaves the
-        batch here; finishes resolve before departures. A superseded
-        advance (stale token) does nothing.
+        batch here; finishes resolve before departures. A pre-advance
+        (negated live token) pushes the advance one step on; a
+        superseded advance (stale token) does nothing.
         """
         if token != self._token:
+            if token == -self._token:
+                self._push(sim.now + self.step_latency, -token)
             return
         s = self._pending
         self._step_index = s
@@ -638,23 +648,27 @@ class _DecodeExecutor:
         if self.waiting or not self._live:
             self._boundary(sim)
         else:
-            self._sleep(sim.now + self.step_latency, s + 1)
+            self._sleep(sim.now + self.step_latency, s + 1, sim.now)
 
-    def _sleep(self, t: float, j: int) -> None:
+    def _sleep(self, t: float, j: int, now: float) -> None:
         """Schedule the advance at the next bucketed step, chaining the
         boundary times on from step ``j`` (at ``t``) the first time
-        that step is slept to."""
+        that step is slept to; a pre-advance goes first when the
+        boundary before that step lies after ``now``."""
         self._wake_t = t
         self._wake_j = j
         k = self._keys[0]
         if k > j:
-            t_k = self._key_t.get(k)
-            if t_k is None:
+            t_prev = self._key_t.get(k)
+            if t_prev is None:
                 step = self.step_latency
-                for _ in range(k - j):
+                for _ in range(k - j - 1):
                     t += step
-                self._key_t[k] = t_k = t
-            t = t_k
+                self._key_t[k] = t_prev = t
+            if t_prev > now:
+                self._push_adv(t_prev, k, pre=True)
+                return
+            t = t_prev + self.step_latency
         self._push_adv(t, k)
 
     def _wake(self, now: float) -> None:
@@ -680,14 +694,18 @@ class _DecodeExecutor:
         key = self._admit(t, j, self.waiting.popleft(),
                           self._waiting_lens.popleft())
         if key < self._pending:
-            self._sleep(t, j)
+            self._sleep(t, j, now)
 
-    def _push_adv(self, t: float, j: int) -> None:
-        """Push the advance for step ``j`` at time ``t`` straight into
-        the queue slabs; its token makes any earlier advance stale."""
+    def _push_adv(self, t: float, j: int, pre: bool = False) -> None:
+        """Push the advance (or its pre-advance) for step ``j`` at time
+        ``t``; its token makes any earlier advance stale."""
         token = self._token + 1
         self._token = token
         self._pending = j
+        self._push(t, -token if pre else token)
+
+    def _push(self, t: float, token: int) -> None:
+        """Push an advance event straight into the queue slabs."""
         q = self._q
         free = q._free
         if not free:
@@ -741,7 +759,7 @@ class _DecodeExecutor:
             self._wake_j = s + 1
             self._push_adv(t, s + 1)
         else:
-            self._sleep(t, s + 1)
+            self._sleep(t, s + 1, sim.now)
 
     def _admit(self, now: float, s: int, record: RequestRecord,
                length: int) -> int:

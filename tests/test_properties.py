@@ -478,6 +478,16 @@ def _decode_admission(name):
            min_size=1, max_size=40),
        admission=st.sampled_from(["greedy", "token-budget", "priority"]),
        kind=st.sampled_from(["plain", "iterative"]))
+# Two decode departures land on the iterative retrieval station at the
+# exact time its partial-batch flush fires; the flush was pushed after
+# the sleep began but before the boundary ahead, so it runs first.
+@example(requests=[(0.1875, 2, None), (0.1875, 3, None), (0.125, 10, None),
+                   (0.09375, 7, None), (0.046875, 4, None),
+                   (0.0625, 8, None), (0.0, 1, None), (0.0, 4, None),
+                   (0.0, 4, None), (0.0, 4, None), (0.125, 12, None),
+                   (0.1875, 2, None), (0.1875, 2, None), (0.0625, 4, None),
+                   (0.1875, 6, None)],
+         admission="greedy", kind="iterative")
 def test_decode_skip_ahead_matches_per_step_reference(requests, admission,
                                                       kind):
     """Bursts of up to 40 requests within a quarter second fill the

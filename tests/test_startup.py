@@ -70,6 +70,8 @@ def test_optimize_run_loads_no_heavy_module(tmp_path):
         tmp_path)
     assert (tmp_path / "out.json").exists()
     assert [name for name in HEAVY if name in modules] == []
+    # The --json write takes the plain path without the trace module.
+    assert "repro.workloads.traces" not in modules
     assert not any(name.startswith(("repro.sim", "repro.distrib"))
                    or name == "repro.serve" for name in modules)
 
