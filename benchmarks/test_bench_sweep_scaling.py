@@ -1,9 +1,9 @@
 """Sweep-executor scaling guard (the CI blocking gate).
 
 Replays one recorded trace over a 64-cell what-if policy grid twice --
-once through the in-process :class:`~repro.distrib.SerialBackend`
-oracle, once through :class:`~repro.distrib.ProcessBackend` with four
-workers -- and pins the parallel path's wall-time at <= 40% of the
+once through :func:`~repro.distrib.run_cells`' in-process ``serial``
+oracle, once through its ``process`` pool with four workers -- and
+pins the parallel path's wall-time at <= 40% of the
 serial wall (a >= 2.5x speedup on 4 cores; the slack absorbs pool
 start-up and the guided-chunking tail).
 
@@ -22,7 +22,6 @@ import time
 import pytest
 
 from repro import case_i_hyperscale
-from repro.distrib import ProcessBackend, SerialBackend
 from repro.rago.session import OptimizerSession
 from repro.rago.whatif import WhatIfGrid, run_whatif
 from repro.sim.metrics import SLOTarget
@@ -60,10 +59,10 @@ def _build_grid():
     return session, grid, trace, slo
 
 
-def _timed_whatif(session, grid, trace, slo, backend):
+def _timed_whatif(session, grid, trace, slo, backend, workers=1):
     started = time.monotonic()
     result = run_whatif(session.schema, session.cluster, trace, grid,
-                        slo, backend=backend)
+                        slo, backend=backend, workers=workers)
     return time.monotonic() - started, result
 
 
@@ -79,7 +78,7 @@ def test_bench_sweep_scaling(benchmark):
     serial_results = []
     for _ in range(2):
         wall, result = _timed_whatif(session, grid, trace, slo,
-                                     SerialBackend())
+                                     "serial")
         serial_walls.append(wall)
         serial_results.append(result)
     serial_wall = min(serial_walls)
@@ -93,8 +92,7 @@ def test_bench_sweep_scaling(benchmark):
 
     def run():
         wall, result = _timed_whatif(
-            session, grid, trace, slo,
-            ProcessBackend(workers=POOL_WORKERS))
+            session, grid, trace, slo, "process", workers=POOL_WORKERS)
         process_walls.append(wall)
         process_results.append(result)
         return result

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Compare the CLI's ``--json`` payloads of two source trees.
 
-A refactor must not move what the CLI computes. This runs the same 13
+A refactor must not move what the CLI computes. This runs the same 14
 commands -- replay (r1-r8: scenarios, a recorded trace, closed loops,
 fleets, autoscaling, routing and admission policies), whatif (w1),
-optimize (o1-o3) and a Case III replay (c3) -- once against each tree
+optimize (o1-o3), a Case III replay (c3) and a sweep on the process
+pool (s1) -- once against each tree
 and checks that every ``--json`` payload is byte-equal and that stdout
 is equal apart from ``wrote ...`` lines. It prints ``<name> same`` or
 ``<name> DIFF`` per payload and exits 1 on any DIFF that is not
@@ -52,6 +53,12 @@ COMMANDS = {
     "o3": ["optimize", "--case", "ii", "--llm", "70B", "--servers", "16"],
     "c3": ["replay", "--case", "iii", "--llm", "8B", "--servers", "16",
            "--duration", "3"],
+    # s1 runs OptimizerSession.sweep's cells through the process pool
+    # (pickling, the initializer, chunking). One worker keeps its
+    # worker table byte-stable: with two, the per-worker cell split
+    # varies from run to run.
+    "s1": ["sweep", "--case", "i", "--llms", "1B,8B", "--servers", "8,16",
+           "--backend", "process", "--workers", "1"],
 }
 
 

@@ -483,9 +483,9 @@ class NoPerEventAllocationInHotLoop(LintRule):
 
 
 #: Coordinator-side async modules: the sweep executors and the live
-#: serving front-end. The sweep backends are synchronous today and
-#: contain no ``async def``, so scoping the whole package is free and
-#: guards any coroutine added there later.
+#: serving front-end. The sweep executor is synchronous today and
+#: contains no ``async def``, so scoping it is free and guards any
+#: coroutine added there later.
 COORDINATOR_SCOPES: Tuple[str, ...] = ("repro.distrib", "repro.serve")
 
 

@@ -219,7 +219,7 @@ def _optimize_flags(optimize: argparse.ArgumentParser) -> None:
 
 
 def _sweep_flags(sweep: argparse.ArgumentParser) -> None:
-    from repro.distrib import SWEEP_BACKENDS
+    from repro.distrib import BACKENDS
 
     _preset_flags(sweep)
     sweep.add_argument("--llms", default="1B,8B",
@@ -229,7 +229,7 @@ def _sweep_flags(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--xpu", choices=("A", "B", "C"), default="C")
     sweep.add_argument("--workers", type=int, default=1,
                        help="executor worker count (default 1)")
-    sweep.add_argument("--backend", choices=tuple(SWEEP_BACKENDS),
+    sweep.add_argument("--backend", choices=BACKENDS,
                        default=None,
                        help="sweep executor backend (default: process "
                             "when --workers > 1, else serial); both "
@@ -243,7 +243,7 @@ def _sweep_flags(sweep: argparse.ArgumentParser) -> None:
 
 
 def _whatif_flags(whatif: argparse.ArgumentParser) -> None:
-    from repro.distrib import SWEEP_BACKENDS
+    from repro.distrib import BACKENDS
 
     _workload_flags(whatif)
     _traffic_flags(whatif, duration=20.0)
@@ -267,7 +267,7 @@ def _whatif_flags(whatif: argparse.ArgumentParser) -> None:
     whatif.add_argument("--slo-tpot", type=float, default=None,
                         help="TPOT target in seconds (default: 2x "
                              "analytical TPOT)")
-    whatif.add_argument("--backend", choices=tuple(SWEEP_BACKENDS),
+    whatif.add_argument("--backend", choices=BACKENDS,
                         default=None,
                         help="executor backend (default: process when "
                              "--workers > 1, else serial)")

@@ -12,8 +12,8 @@ a system configuration out), packaged as a stateful workflow object:
   triple, so interactive exploration never repeats a sweep;
 * **scale** -- :meth:`OptimizerSession.sweep` fans a grid of
   (schema, cluster) cells out over a pluggable executor backend
-  (:mod:`repro.distrib`: in-process, multiprocessing pool, or a
-  work-stealing socket fleet) and returns a tidy result table.
+  (:mod:`repro.distrib`: in-process or a local process pool) and
+  returns a tidy result table.
 
 Example::
 
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple, Union)
 
-from repro.errors import ConfigError, ScheduleError, lookup
+from repro.errors import ConfigError, ReproError, ScheduleError, lookup
 from repro.hardware.cluster import ClusterSpec
 from repro.inference.memory import MemoryModel
 from repro.pipeline.assembly import PipelinePerf, Schedule, assemble
@@ -467,7 +467,7 @@ class OptimizerSession:
               clusters: Optional[Sequence[ClusterSpec]] = None,
               search: Optional[SearchConfig] = None,
               workers: int = 1,
-              backend: Optional[Any] = None) -> "SweepResult":
+              backend: Optional[str] = None) -> "SweepResult":
         """Search every (schema, cluster) cell of a grid.
 
         Args:
@@ -482,29 +482,22 @@ class OptimizerSession:
                 session's memo, so repeated sweeps (and optimize()
                 calls overlapping the grid) reuse results.
             backend: Executor override -- a
-                :data:`~repro.distrib.SWEEP_BACKENDS` name
-                (``serial`` / ``process``) or a
-                :class:`~repro.distrib.SweepBackend` instance. Both
-                backends produce bit-identical tables; None keeps the
-                workers-based default.
+                :data:`~repro.distrib.BACKENDS` name (``serial`` /
+                ``process``). Both backends produce bit-identical
+                tables; None keeps the workers-based default.
 
         Returns:
             A :class:`SweepResult` table; infeasible cells carry an
             error string instead of aborting the sweep.
 
         Raises:
+            ConfigError: on fewer than 1 worker, an unknown backend, or
+                ``serial`` with more than 1 worker.
             DistribError: when a ``process`` worker dies mid-sweep.
         """
         from repro import config as config_module
-        from repro.distrib import (
-            SweepJob,
-            TaskSpec,
-            memory_to_payload,
-            resolve_sweep_backend,
-        )
+        from repro.distrib import run_cells
 
-        if workers < 1:
-            raise ConfigError("workers must be at least 1")
         schema_axis: List[RAGSchema] = list(schemas) if schemas is not None \
             else [self.schema]
         cluster_axis: List[ClusterSpec] = list(clusters) \
@@ -530,23 +523,17 @@ class OptimizerSession:
             if key not in by_key:
                 by_key[key] = (None, "pending")
                 pending.append((index, key))
-        utilization: Tuple[Dict[str, Any], ...] = ()
-        if pending:
-            task = TaskSpec(kind="search", context={
-                "search": config_module.to_config(config),
-                "memory": memory_to_payload(self._memory),
-            })
-            jobs = [SweepJob(index=index, payload={
-                "schema": config_module.to_config(cells[index][0]),
-                "cluster": config_module.to_config(cells[index][1]),
-            }) for index, _ in pending]
-            run = resolve_sweep_backend(backend, workers=workers) \
-                .run(task, jobs)
-            utilization = tuple(run.workers)
-            for (_, key), outcome in zip(pending, run.outcomes):
-                result = None if outcome["result"] is None \
-                    else config_module.from_config(outcome["result"])
-                by_key[key] = (result, outcome["error"])
+        context = {"search": config_module.to_config(config),
+                   "memory": memory_to_payload(self._memory)}
+        payloads = [{"schema": config_module.to_config(cells[index][0]),
+                     "cluster": config_module.to_config(cells[index][1])}
+                    for index, _ in pending]
+        outcomes, utilization = run_cells(search_runner, context, payloads,
+                                          backend=backend, workers=workers)
+        for (_, key), outcome in zip(pending, outcomes):
+            result = None if outcome["result"] is None \
+                else config_module.from_config(outcome["result"])
+            by_key[key] = (result, outcome["error"])
         for key, (result, _) in by_key.items():
             if result is not None:
                 self._results.setdefault(key, result)
@@ -560,8 +547,60 @@ class OptimizerSession:
 
 
 # ---------------------------------------------------------------------------
-# Sweep results. Execution lives in repro.distrib: cells travel as
-# config JSON, so jobs serialize cheaply over any backend transport.
+# Sweep cells. repro.distrib.run_cells executes them: cells travel as
+# config JSON, so they pickle cheaply into a process pool.
+# ---------------------------------------------------------------------------
+
+
+def memory_to_payload(memory: Optional[MemoryModel]
+                      ) -> Optional[Dict[str, float]]:
+    """A MemoryModel override as a tiny JSON payload (None passes
+    through)."""
+    if memory is None:
+        return None
+    return {"usable_fraction": memory.usable_fraction,
+            "kv_bytes_per_element": memory.kv_bytes_per_element}
+
+
+def memory_from_payload(payload: Optional[Dict[str, float]]
+                        ) -> Optional[MemoryModel]:
+    """Rebuild :func:`memory_to_payload`'s output (None passes
+    through)."""
+    if payload is None:
+        return None
+    return MemoryModel(usable_fraction=payload["usable_fraction"],
+                       kv_bytes_per_element=payload["kv_bytes_per_element"])
+
+
+def search_runner(context: Dict[str, Any]
+                  ) -> Callable[[Dict[str, Any]], Dict[str, Any]]:
+    """The :meth:`OptimizerSession.sweep` cell factory: the context
+    carries the grid-wide search config and memory override, parsed
+    once per worker; each payload is one (schema, cluster) pair of
+    config envelopes, and its outcome's result the search's config
+    envelope. An infeasible cell becomes an error outcome, never an
+    exception, so one impossible corner cannot abort a grid."""
+    from repro import config
+    from repro.distrib import error_outcome, ok_outcome
+
+    search = config.from_config(context["search"])
+    memory = memory_from_payload(context.get("memory"))
+
+    def run(payload: Dict[str, Any]) -> Dict[str, Any]:
+        try:
+            schema = config.from_config(payload["schema"])
+            cluster = config.from_config(payload["cluster"])
+            result = search_schedules(
+                RAGPerfModel(schema, cluster, memory), search)
+        except ReproError as error:
+            return error_outcome(error)
+        return ok_outcome(config.to_config(result))
+
+    return run
+
+
+# ---------------------------------------------------------------------------
+# Sweep results.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -593,10 +632,10 @@ class SweepResult:
     Attributes:
         cells: One :class:`SweepCell` per grid cell, grid order.
         workers: Executor utilization records (worker name, cells
-            resolved, duplicates, requeues) from the backend that ran
-            the non-memoized cells. Excluded from equality -- two
-            sweeps of the same grid are the same result no matter
-            which backend (or how many workers) computed them.
+            resolved) from the backend that ran the non-memoized
+            cells. Excluded from equality -- two sweeps of the same
+            grid are the same result no matter which backend (or how
+            many workers) computed them.
     """
 
     cells: Tuple[SweepCell, ...]

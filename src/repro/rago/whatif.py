@@ -5,9 +5,9 @@ asks: *for the traffic we recorded yesterday, which combination of
 schedule, replica count, routing policy and autoscale controller buys
 the highest SLO attainment per chip-second?* A :class:`WhatIfGrid`
 names the axes; :func:`run_whatif` replays the shared trace through a
-fleet per cell via any :mod:`repro.distrib` backend; the resulting
-:class:`WhatIfResult` exposes the Pareto frontier over
-(chip-seconds, SLO attainment).
+fleet per cell (:func:`whatif_runner`) on a :mod:`repro.distrib`
+backend; the resulting :class:`WhatIfResult` exposes the Pareto
+frontier over (chip-seconds, SLO attainment).
 
 Grids are edited and re-run far more often than they are designed, so
 cells are cached content-keyed on disk (:class:`WhatIfCache`): adding
@@ -21,21 +21,19 @@ imports the session module; a module-level import would be circular).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro._digest import sha256
-from repro.errors import ConfigError, read_json
-from repro.distrib import (
-    SweepJob,
-    TaskSpec,
-    memory_to_payload,
-    resolve_sweep_backend,
-)
-from repro.pipeline.assembly import Schedule
+from repro.distrib import error_outcome, ok_outcome, run_cells
+from repro.errors import ConfigError, ReproError, read_json
+from repro.pipeline.assembly import Schedule, assemble
+from repro.pipeline.stage_perf import RAGPerfModel
 from repro.rago.pareto import pareto_front
+from repro.rago.session import memory_from_payload, memory_to_payload
 from repro.sim.metrics import SLOTarget
 
 __all__ = [
@@ -286,9 +284,87 @@ def _canonical(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def whatif_runner(context: Dict[str, Any]
+                  ) -> Callable[[Dict[str, Any]], Dict[str, Any]]:
+    """The :func:`run_whatif` cell factory: the context fixes the
+    workload, cluster, recorded trace, SLO and memory override, parsed
+    once per worker; each payload is one policy cell (schedule
+    envelope, replica count, routing name, autoscale spec). An
+    infeasible cell becomes an error outcome, never an exception.
+
+    Metrics per cell (all floats, so outcomes serialize exactly):
+    ``qps``, ``attainment`` / ``attainment_ttft`` / ``attainment_tpot``
+    (joint and per-dimension SLO fractions), ``p95_ttft`` / ``p95_tpot``
+    (seconds), ``replica_seconds`` (integrated active replicas over sim
+    time) and ``chip_seconds`` (replica-seconds times the schedule's
+    charged chips -- the provisioning cost axis of the Pareto table).
+
+    A cell frees its fleet before it returns: the serving graph is full
+    of reference cycles (clock handlers bound to engines, a fleet and
+    autoscaler that listen to each other), so without a collection at
+    the cell boundary every finished fleet would stay resident until
+    the grid ends.
+    """
+    from repro import config
+    from repro.sim.autoscale import (
+        build_fleet,
+        parse_autoscale_spec,
+        replay_open_loop,
+    )
+
+    schema = config.from_config(context["schema"])
+    cluster = config.from_config(context["cluster"])
+    trace = config.from_config(context["trace"])
+    slo_spec = context.get("slo") or {}
+    slo = SLOTarget(ttft=slo_spec.get("ttft"), tpot=slo_spec.get("tpot"))
+    memory = memory_from_payload(context.get("memory"))
+    perf_model = RAGPerfModel(schema, cluster, memory)
+
+    def replay_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
+        try:
+            schedule = config.from_config(payload["schedule"])
+            perf = assemble(perf_model, schedule)
+            autoscale = payload.get("autoscale")
+            fleet, autoscaler = build_fleet(
+                perf_model, schedule, replicas=payload.get("replicas") or 1,
+                routing=payload.get("routing"),
+                autoscale=None if autoscale is None
+                else parse_autoscale_spec(autoscale), slo=slo)
+            replay_open_loop(fleet, autoscaler, trace)
+            report = fleet.report(trace, slo=slo)
+        except ReproError as error:
+            return error_outcome(error)
+        return ok_outcome({
+            "qps": float(report.throughput),
+            "attainment": float(report.slo_attainment["joint"]),
+            "attainment_ttft": float(report.slo_attainment["ttft"]),
+            "attainment_tpot": float(report.slo_attainment["tpot"]),
+            "p95_ttft": float(report.ttft["p95"]),
+            "p95_tpot": float(report.tpot["p95"]),
+            "replica_seconds": float(fleet.replica_seconds),
+            "chip_seconds": float(fleet.replica_seconds
+                                  * perf.charged_chips),
+        })
+
+    def run(payload: Dict[str, Any]) -> Dict[str, Any]:
+        try:
+            return replay_cell(payload)
+        finally:
+            # The finished fleet is cyclic garbage (clock handlers are
+            # bound methods of the engines owning the clock; fleet and
+            # autoscaler listen to each other) that a full collection
+            # rarely reaches on its own. Collect it once replay_cell's
+            # locals are gone, so a grid peaks at one cell's memory.
+            # Breaking the cycles instead would rewire the DES event
+            # and listener paths themselves.
+            gc.collect()
+
+    return run
+
+
 def run_whatif(schema, cluster, trace, grid: WhatIfGrid,
                slo: Optional[SLOTarget] = None, *,
-               memory=None, backend: Any = None, workers: int = 1,
+               memory=None, backend: Optional[str] = None, workers: int = 1,
                cache: Any = None) -> WhatIfResult:
     """Replay ``trace`` through every cell of ``grid``.
 
@@ -308,13 +384,15 @@ def run_whatif(schema, cluster, trace, grid: WhatIfGrid,
     Returns:
         A :class:`WhatIfResult` with one cell per grid cell, grid
         order; cache hits are marked ``cached``.
+
+    Raises:
+        ConfigError / DistribError: from
+            :func:`~repro.distrib.run_cells`.
     """
     from repro import config as config_module
 
     if slo is None:
         slo = SLOTarget()
-    if workers < 1:
-        raise ConfigError("whatif needs at least 1 worker")
     if isinstance(cache, (str, os.PathLike)):
         cache = WhatIfCache(cache)
     specs = grid.cells()
@@ -349,24 +427,21 @@ def run_whatif(schema, cluster, trace, grid: WhatIfGrid,
         keys.append(_digest(context_key + "\x1e" + _canonical(payload)))
     outcomes: List[Optional[Dict[str, Any]]] = [None] * len(specs)
     hits = [False] * len(specs)
-    jobs: List[SweepJob] = []
-    for index, payload in enumerate(payloads):
+    missing: List[int] = []
+    for index in range(len(payloads)):
         hit = cache.get(keys[index]) if cache is not None else None
         if hit is not None:
             outcomes[index] = hit
             hits[index] = True
         else:
-            jobs.append(SweepJob(index=index, payload=payload))
-    worker_stats: Tuple[Dict[str, Any], ...] = ()
-    if jobs:
-        task = TaskSpec(kind="whatif", context=context)
-        run = resolve_sweep_backend(backend, workers=workers).run(
-            task, jobs)
-        worker_stats = tuple(run.workers)
-        for job, outcome in zip(jobs, run.outcomes):
-            outcomes[job.index] = outcome
-            if cache is not None:
-                cache.put(keys[job.index], outcome)
+            missing.append(index)
+    computed, worker_stats = run_cells(
+        whatif_runner, context, [payloads[index] for index in missing],
+        backend=backend, workers=workers)
+    for index, outcome in zip(missing, computed):
+        outcomes[index] = outcome
+        if cache is not None:
+            cache.put(keys[index], outcome)
     cells = tuple(
         WhatIfCell(schedule=schedule, replicas=replicas,
                    routing=routing, autoscale=autoscale,

@@ -243,18 +243,17 @@ def format_worker_utilization(workers: Sequence[dict]) -> str:
     """Render a backend's per-worker utilization records as a table.
 
     Args:
-        workers: ``BackendRun.workers`` records (``worker``, ``cells``,
-            ``duplicates``, ``requeued``).
+        workers: :func:`repro.distrib.run_cells` worker records
+            (``worker``, ``cells``).
 
-    A serial or fully-memoized run has no worker records; that renders
-    as a one-line note instead of raising.
+    A fully-memoized run has no worker records; that renders as a
+    one-line note instead of raising.
     """
     if not workers:
         return "worker utilization: no workers ran"
     table = format_table(
-        ("worker", "cells", "duplicates", "requeued"),
-        [[row["worker"], row["cells"], row["duplicates"],
-          row["requeued"]] for row in workers],
+        ("worker", "cells"),
+        [[row["worker"], row["cells"]] for row in workers],
     )
     return f"worker utilization\n{table}"
 

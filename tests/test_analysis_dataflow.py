@@ -628,13 +628,13 @@ def test_lint_and_audit_extract_each_module_once(tmp_path, monkeypatch):
 
 def test_registry_suffixes_cover_backends_and_runners(tmp_path):
     path = write(tmp_path, "repro/plugins.py", """\
-        SWEEP_BACKENDS = {"thread": make_thread}
+        PLUGIN_BACKENDS = {"thread": make_thread}
     """)
     findings = lint_paths([path], rules=["registry-drift"])
     messages = " / ".join(f.message for f in findings)
-    assert "SWEEP_BACKENDS" in messages
+    assert "PLUGIN_BACKENDS" in messages
     assert "make_thread" in messages  # unbound factory
-    assert "parse_sweep" in messages  # no entry point anywhere
+    assert "parse_plugin" in messages  # no entry point anywhere
 
 
 def test_registry_with_entry_point_and_factories_is_clean(tmp_path):
@@ -642,10 +642,10 @@ def test_registry_with_entry_point_and_factories_is_clean(tmp_path):
         def run_local():
             return 0
 
-        def resolve_task_runner(name):
-            return TASK_RUNNERS[name]
+        def resolve_job_runner(name):
+            return JOB_RUNNERS[name]
 
-        TASK_RUNNERS = {"local": run_local}
+        JOB_RUNNERS = {"local": run_local}
     """)
     assert lint_paths([path], rules=["registry-drift"]) == []
 

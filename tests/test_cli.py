@@ -63,12 +63,12 @@ def test_every_command_builds_its_parser(name, capsys):
 
 @pytest.mark.parametrize("name", ["sweep", "whatif"])
 def test_backend_choices_follow_the_registry(name):
-    from repro.distrib import SWEEP_BACKENDS
+    from repro.distrib import BACKENDS
 
     args = _build_parser(name).parse_args([name])
     backend, = [action for action in args.subparser._actions
                 if action.dest == "backend"]
-    assert backend.choices == tuple(SWEEP_BACKENDS)
+    assert backend.choices == BACKENDS
 
 
 def test_unknown_command_exits():
@@ -1009,6 +1009,21 @@ def test_sweep_rejects_non_positive_workers(capsys):
                  "--workers", "0"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "error: --workers must be at least 1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--llms", "1B"],
+    ["whatif", "--llm", "1B", "--duration", "0.5"],
+], ids=["sweep", "whatif"])
+def test_serial_backend_refuses_more_than_one_worker(capsys, argv):
+    """Regression: ``--backend serial --workers 4`` silently ran one
+    in-process worker; ``--workers 1`` stays valid."""
+    assert main(argv + ["--case", "i", "--servers", "16", "--backend",
+                        "serial", "--workers", "4"]) == 1
+    errors = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("error:")]
+    assert errors == ["error: the serial backend runs 1 worker, got 4; "
+                      "use the process backend or 1 worker"]
 
 
 _NON_UTF8 = b"case: i\n\xff\n"

@@ -38,7 +38,7 @@ def test_lookup_names_the_known_keys_and_appends_the_hint():
 def _named_choices():
     from repro import config
     from repro.analysis import resolve_lint_rules
-    from repro.distrib import resolve_sweep_backend, resolve_task_runner
+    from repro.distrib import run_cells
     from repro.hardware import ClusterSpec
     from repro.models import model_by_params
     from repro.rago import OptimizerSession
@@ -62,8 +62,7 @@ def _named_choices():
         "experiment": get_experiment,
         "model": model_by_params,
         "lint-rule": lambda name: resolve_lint_rules([name]),
-        "task-runner": resolve_task_runner,
-        "sweep-backend": resolve_sweep_backend,
+        "sweep-backend": lambda name: run_cells(None, {}, [], backend=name),
         "config-kind": lambda kind: config.from_config(
             {"config_version": 2, "kind": kind, "spec": {}}),
     }
@@ -71,8 +70,8 @@ def _named_choices():
 
 @pytest.mark.parametrize("choice", [
     "dispatch", "admission", "routing", "autoscale", "tier", "scenario",
-    "objective", "experiment", "model", "lint-rule", "task-runner",
-    "sweep-backend", "config-kind"])
+    "objective", "experiment", "model", "lint-rule", "sweep-backend",
+    "config-kind"])
 @pytest.mark.parametrize("key", [["queue-depth"], {"a": 1}, "no-such"],
                          ids=["list", "dict", "unknown"])
 def test_every_named_choice_rejects_an_unknown_key_in_one_line(choice, key):

@@ -105,7 +105,6 @@ def test_serve_config_envelope_round_trips_every_routing_key(routing):
 #: Packages whose public names resolve when read (repro._lazy).
 LAZY_PACKAGES = [
     "repro",
-    "repro.distrib",
     "repro.hardware",
     "repro.inference",
     "repro.models",
@@ -122,6 +121,7 @@ LAZY_PACKAGES = [
 @pytest.mark.parametrize("module_name", sorted(set(LAZY_PACKAGES + [
     "repro.analysis",
     "repro.config",
+    "repro.distrib",
     "repro.sim.autoscale",
     "repro.sim.policies",
     "repro.sim.routing",
@@ -207,10 +207,6 @@ REGISTRY_KEYS = {
         "registry-drift", "seeded-rng-required", "transitive-unseeded-rng",
         "transitive-wallclock-in-sim",
         "unsorted-dict-iteration-in-reporting"],
-    ("repro.distrib", "repro.distrib.protocol", "TASK_RUNNERS"): [
-        "search", "whatif"],
-    ("repro.distrib", "repro.distrib.backends", "SWEEP_BACKENDS"): [
-        "process", "serial"],
     ("repro.schema", "repro.schema.builder", "stage_types"): [
         "encode", "generate", "rerank", "retrieve", "rewrite",
         "sequences"],
