@@ -31,10 +31,11 @@ at once while the queue and the records grow only with the arrivals
 so far. A fleet routes each request at submission, so it still gets
 one ``submit`` per row up front.
 
-The network runs on a slab-backed event queue (integer event kinds
-dispatched through a handler table, timestamps drained in batches),
-flat ``array('d')`` per-stage timing slabs instead of per-request
-dicts, and a bucketized decode executor that is O(1) amortized per
+The network runs on one heap of ``(time, sequence, kind, arg)``
+entries (integer event kinds dispatched through a handler table,
+timestamps drained in batches, the clock a plain attribute), flat
+``array('d')`` per-stage timing slabs instead of per-request dicts,
+and a bucketized decode executor that is O(1) amortized per
 step and schedules an advance event only at the steps where a sequence
 leaves the batch or a waiting request can join, sleeping through the
 rest (a long sleep ends with a pre-advance one boundary early, so the
@@ -85,6 +86,7 @@ from repro.sim.metrics import (
     RequestRecord,
     ServingReport,
     SLOTarget,
+    _SealedRecord,
     _StageTimings,
 )
 from repro.sim.policies import (
@@ -102,46 +104,28 @@ from repro.workloads.traces import RequestTrace
 DispatchSelection = Union[None, str, DispatchPolicy,
                           Mapping[Stage, Union[str, DispatchPolicy]]]
 
-_SLAB_GROW = 512
-
 
 class EventQueue:
-    """Slab-backed priority queue of kind-dispatched events.
+    """Priority queue of kind-dispatched events.
 
-    The heap itself holds only scalar ``(time, sequence, slot)``
-    triples -- ties break by insertion order, which keeps runs
-    deterministic. Per-event payloads live in preallocated parallel
-    slabs (an integer ``kind`` array and an ``arg`` payload list)
-    indexed by ``slot`` and recycled through a free list, so steady
-    state pushes allocate nothing but the heap tuple. Kinds are
-    registered on the owning :class:`Simulation`, whose
-    :meth:`~Simulation.run` drains the queue through its handler table.
+    The heap holds one ``(time, sequence, kind, arg)`` entry per event.
+    Every entry takes a unique sequence number (the next one, or one
+    set aside by :meth:`reserve`), so ties break by insertion order,
+    which keeps runs deterministic, and the heap never compares a
+    ``kind`` or an ``arg``. Kinds are registered on the owning
+    :class:`Simulation`, whose :meth:`~Simulation.run` drains the queue
+    through its handler table.
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, int]] = []
+        self._heap: List[Tuple[float, int, int, Any]] = []
         self._counter = itertools.count()
-        self._kinds = array("i")
-        self._args: List[Any] = []
-        self._free: List[int] = []
-
-    def _grow(self) -> None:
-        base = len(self._args)
-        self._kinds.extend([0] * _SLAB_GROW)
-        self._args.extend([None] * _SLAB_GROW)
-        self._free.extend(range(base + _SLAB_GROW - 1, base - 1, -1))
 
     def push_event(self, time: float, kind: int, arg: Any) -> None:
         """Schedule a kind-dispatched event at an absolute time."""
-        if time < 0:
+        if not (time >= 0):  # NaN too: it would never pop
             raise ConfigError("event time must be non-negative")
-        free = self._free
-        if not free:
-            self._grow()
-        slot = free.pop()
-        self._kinds[slot] = kind
-        self._args[slot] = arg
-        heapq.heappush(self._heap, (time, next(self._counter), slot))
+        heapq.heappush(self._heap, (time, next(self._counter), kind, arg))
 
     def reserve(self, count: int) -> int:
         """Set aside ``count`` consecutive sequence numbers and return
@@ -159,13 +143,7 @@ class EventQueue:
                       arg: Any) -> None:
         """Schedule an event under a sequence number from
         :meth:`reserve` (``time`` is the caller's to check)."""
-        free = self._free
-        if not free:
-            self._grow()
-        slot = free.pop()
-        self._kinds[slot] = kind
-        self._args[slot] = arg
-        heapq.heappush(self._heap, (time, sequence, slot))
+        heapq.heappush(self._heap, (time, sequence, kind, arg))
 
     def peek_time(self) -> float:
         """The earliest scheduled time without removing the event.
@@ -194,20 +172,19 @@ class Simulation:
     components register one handler per event kind via
     :meth:`register_handler` and schedule ``(kind, payload)`` pairs, so
     no event allocates a closure.
+
+    Attributes:
+        now: Current simulation time in seconds (only :meth:`run`
+            moves it).
     """
 
     def __init__(self) -> None:
         self._queue = EventQueue()
-        self._now = 0.0
+        self.now = 0.0
         self._handlers: List[Callable[["Simulation", Any], None]] = []
         # Events executed per kind, so components sharing one clock
         # (a fleet's replicas) each count only their own events.
         self._counts: List[int] = []
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -223,13 +200,13 @@ class Simulation:
 
     def schedule_event(self, delay: float, kind: int, arg: Any) -> None:
         """Schedule a kind-dispatched event ``delay`` seconds from now."""
-        if delay < 0:
+        if not (delay >= 0):  # NaN too: it would never pop
             raise ConfigError("delay must be non-negative")
-        self._queue.push_event(self._now + delay, kind, arg)
+        self._queue.push_event(self.now + delay, kind, arg)
 
     def schedule_event_at(self, time: float, kind: int, arg: Any) -> None:
         """Schedule a kind-dispatched event at an absolute time."""
-        if time < self._now:
+        if time < self.now:
             raise ConfigError("cannot schedule in the past")
         self._queue.push_event(time, kind, arg)
 
@@ -258,11 +235,7 @@ class Simulation:
                 a modelling bug such as a self-rescheduling zero-delay
                 event).
         """
-        queue = self._queue
-        heap = queue._heap
-        kinds = queue._kinds
-        args = queue._args
-        free = queue._free
+        heap = self._queue._heap
         handlers = self._handlers
         counts = self._counts
         heappop = heapq.heappop
@@ -270,24 +243,20 @@ class Simulation:
         while heap:
             time = heap[0][0]
             if until is not None and time > until:
-                self._now = until
+                self.now = until
                 return
-            self._now = time
+            self.now = time
             while heap and heap[0][0] == time:
                 if processed >= max_events:
                     raise ConfigError(
                         f"simulation exceeded {max_events} events; "
                         f"likely a zero-delay event loop")
-                slot = heappop(heap)[2]
-                kind = kinds[slot]
-                arg = args[slot]
-                args[slot] = None
-                free.append(slot)
+                _, _, kind, arg = heappop(heap)
                 counts[kind] += 1
                 processed += 1
                 handlers[kind](self, arg)
-        if until is not None and until > self._now:
-            self._now = until
+        if until is not None and until > self.now:
+            self.now = until
 
 
 class _Resource:
@@ -342,8 +311,8 @@ class _BatchStation:
 
     __slots__ = ("stage", "batch_size", "perf_fn", "resource", "policy",
                  "queue", "_oldest_enqueue", "_flush_scheduled", "_eng",
-                 "_si", "_enq", "_comp", "_wait", "_first_token", "_n",
-                 "_downstream", "_sets_first_token")
+                 "_q", "_si", "_enq", "_comp", "_wait", "_first_token",
+                 "_n", "_downstream", "_sets_first_token")
 
     def __init__(self, stage: Stage, batch_size: int,
                  perf_fn: Callable[[int], "object"], resource: _Resource,
@@ -359,6 +328,7 @@ class _BatchStation:
         self._oldest_enqueue: Optional[float] = None
         self._flush_scheduled = False
         self._eng = engine
+        self._q = engine._queue  # direct free/complete pushes
         self._si = engine._stage_slot[stage]
         # The slab arrays are extended in place and never reassigned, so
         # stations can hold direct references (one attribute load per
@@ -424,8 +394,16 @@ class _BatchStation:
         if occupancy > latency:
             occupancy = latency
         self.resource.busy_time += occupancy
-        sim.schedule_event(occupancy, eng._k_free, self.resource)
-        sim.schedule_event(latency, eng._k_complete, (self, batch))
+        # schedule_event's check, inlined: 0 <= occupancy <= latency
+        # covers both delays, NaN included.
+        if not (0.0 <= occupancy <= latency):
+            raise ConfigError("delay must be non-negative")
+        q = self._q
+        heap = q._heap
+        heapq.heappush(heap, (now + occupancy, next(q._counter),
+                              eng._k_free, self.resource))
+        heapq.heappush(heap, (now + latency, next(q._counter),
+                              eng._k_complete, (self, batch)))
 
     # simlint: hotpath
     def _complete(self, sim: Simulation,
@@ -705,15 +683,10 @@ class _DecodeExecutor:
         self._push(t, -token if pre else token)
 
     def _push(self, t: float, token: int) -> None:
-        """Push an advance event straight into the queue slabs."""
+        """Push an advance event straight onto the queue's heap."""
         q = self._q
-        free = q._free
-        if not free:
-            q._grow()
-        slot = free.pop()
-        q._kinds[slot] = self._eng._k_adv
-        q._args[slot] = token
-        heapq.heappush(q._heap, (t, next(q._counter), slot))
+        heapq.heappush(q._heap, (t, next(q._counter), self._eng._k_adv,
+                                 token))
 
     def _remaining(self, s: int) -> List[int]:
         """Materialized remaining-token list, in admission order."""
@@ -1099,8 +1072,8 @@ class ServingEngine:
 
     def _request_done(self, sim: Simulation, record: RequestRecord) -> None:
         # Finished records are immutable from here on, so reports and
-        # memos share them instead of copying.
-        record.seal()
+        # memos share them instead of copying (record.seal(), inlined).
+        record.__class__ = _SealedRecord
         self._accumulator.finish(record)
         for listener in self._listeners:
             listener(record)
@@ -1200,13 +1173,8 @@ class ServingEngine:
         # checked, and fleet callers submit whole traces, so the call
         # layers matter.
         q = self._queue
-        free = q._free
-        if not free:
-            q._grow()
-        slot = free.pop()
-        q._kinds[slot] = self._k_arrival
-        q._args[slot] = record
-        heapq.heappush(q._heap, (arrival, next(q._counter), slot))
+        heapq.heappush(q._heap, (arrival, next(q._counter),
+                                 self._k_arrival, record))
         return record
 
     def _check_submittable(self, arrival: Any) -> None:

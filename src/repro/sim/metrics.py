@@ -261,8 +261,8 @@ class RequestRecord(_TimingSlot):
         return (completion - first_token) / max(self.decode_len, 1)
 
     def seal(self) -> None:
-        """Make the finished record read-only (once; the engine calls
-        this when the request completes).
+        """Make the finished record read-only (once; the engine does
+        this, inlined, when the request completes).
 
         The record switches to a subclass with the same slots whose
         ``__setattr__`` raises. Nothing is copied, and in-flight
@@ -588,7 +588,9 @@ class _RunningSums:
         return tuple(self._records)
 
     def snapshot(self, now: float) -> LiveSnapshot:
-        """Running statistics at simulated time ``now`` (O(1))."""
+        """Running statistics at simulated time ``now`` (O(1); amortized
+        O(1) for a :class:`ReplicaTally`, which folds its latest
+        completions first)."""
         offered, completed = self.offered, self.completed
         elapsed = 0.0
         if self._first_arrival is not None:
@@ -736,12 +738,18 @@ class MetricsAccumulator(_RunningSums):
                         sample = self._user_ttfts[record.user_id] = \
                             array("d")
                     sample.append(ttft)
+            # The record's wait row, read in place (NaN: stage unset).
             stage_waits = self._stage_waits
-            for stage, wait in timings.row(timings.wait, record.slab):
-                bucket = stage_waits.get(stage)
-                if bucket is None:
-                    bucket = stage_waits[stage] = array("d")
-                bucket.append(wait)
+            column = timings.wait
+            index = row * len(timings.stages)
+            for stage in timings.stages:
+                wait = column[index]
+                index += 1
+                if wait == wait:
+                    bucket = stage_waits.get(stage)
+                    if bucket is None:
+                        bucket = stage_waits[stage] = array("d")
+                    bucket.append(wait)
 
     # -- introspection -------------------------------------------------
 
@@ -875,9 +883,12 @@ class ReplicaTally(_RunningSums):
     its own :class:`MetricsAccumulator`, so its replicas keep no second
     copy of the reservoirs, tier/user maps or wait lists. A tally takes
     the same :meth:`add` / :meth:`finish` feed and keeps the replica's
-    records, its completions in order, the running sums behind
-    :meth:`snapshot` and an ``in_flight`` int (the fleet's routing
-    reads it on every arrival).
+    records, its completions in order and an ``in_flight`` int (the
+    fleet's routing reads it on every arrival). Only :meth:`snapshot`
+    reads the TTFT/TPOT running sums, so :meth:`finish` leaves them
+    alone and :meth:`snapshot` first folds the completions recorded
+    since the last one, in completion order: the sums are bit-identical
+    to an eager fold's, and each completion is folded once.
 
     :meth:`report` and :meth:`tier_counts` replay that feed --
     submissions, then completions in the order they happened -- into a
@@ -885,11 +896,12 @@ class ReplicaTally(_RunningSums):
     what a full accumulator on the replica would have built.
     """
 
-    __slots__ = ("_done", "in_flight")
+    __slots__ = ("_done", "_folded", "in_flight")
 
     def __init__(self, schema: "RAGSchema") -> None:
         super().__init__(schema)
         self._done: List[RequestRecord] = []  # completion order
+        self._folded = 0  # completions folded into the running sums
         self.in_flight = 0
 
     def add(self, record: RequestRecord) -> None:
@@ -898,12 +910,20 @@ class ReplicaTally(_RunningSums):
         self.in_flight += 1
 
     def finish(self, record: RequestRecord) -> None:
-        """Count one completed request and fold its latencies into the
-        running sums."""
+        """Count one completed request (its latencies are folded by the
+        next :meth:`snapshot`)."""
         self._done.append(record)
         self.in_flight -= 1
-        timings = record._timings
-        self._fold_latencies(record, timings, record.slab - timings.first)
+
+    def snapshot(self, now: float) -> LiveSnapshot:
+        """See :meth:`_RunningSums.snapshot`."""
+        done = self._done
+        for record in done[self._folded:]:
+            timings = record._timings
+            self._fold_latencies(record, timings,
+                                 record.slab - timings.first)
+        self._folded = len(done)
+        return super().snapshot(now)
 
     @property
     def completed(self) -> int:

@@ -73,7 +73,7 @@ class DispatchPolicy:
     max_wait: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_wait is not None and self.max_wait < 0:
+        if self.max_wait is not None and not (self.max_wait >= 0):
             raise ConfigError("max_wait must be non-negative")
 
     @property

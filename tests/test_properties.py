@@ -566,6 +566,14 @@ def _identity_trace(*requests):
 @example(trace=_identity_trace((0.0, 2, "u0", None), (0.0, 1, None, None),
                                (0.0, 1, "u0", "free")),
          replicas=1, routing="round-robin", admission=None)
+# Two replicas, each finishing requests between the stepped horizons.
+@example(trace=_identity_trace((0.0, 8, "u0", "paid"), (0.02, 4, None, None),
+                               (0.12, 16, "u1", "free"),
+                               (0.15, 2, None, None),
+                               (0.25, 8, "u2", "free"),
+                               (0.28, 1, None, "paid"),
+                               (0.4, 4, "u0", "paid")),
+         replicas=2, routing="round-robin", admission=None)
 @given(trace=_identity_traces(), replicas=st.integers(1, 4),
        routing=st.sampled_from(["round-robin", "least-in-flight",
                                 "session-affine"]),
@@ -592,13 +600,21 @@ def test_fleet_replica_artifacts_equal_full_accumulator_fold(
             pm.schema, records,
             [record for record in done if id(record) in ids])
 
-    for horizon in (0.3, None):
+    # A replica folds its latencies lazily, at its next snapshot, over
+    # every completion since the last one: step in increments, one of
+    # them (0.2) read by no snapshot, so a fold spans two steps.
+    for horizon in (0.1, 0.2, 0.3, 0.45, None):
         if horizon is None:
             fleet.drain()
         else:
             fleet.step(horizon)
-        for engine, row in zip(fleet.engines, fleet.replica_stats()):
+        if horizon == 0.2:
+            continue
+        for entry, row in zip(fleet._engines, fleet.replica_stats()):
+            engine = entry.engine
             expected = oracle(engine.records).snapshot(engine.now)
+            assert engine.snapshot() == entry.tally.accumulator().snapshot(
+                engine.now) == expected
             assert row["offered"] == expected.offered
             assert row["completed"] == expected.completed
             assert row["in_flight"] == expected.in_flight

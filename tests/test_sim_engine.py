@@ -77,6 +77,60 @@ def test_negative_delay_rejected():
         sim.schedule_event(-1.0, kind, lambda s: None)
 
 
+def test_nan_event_times_rejected():
+    """NaN never equals the batch time in run(), so a NaN event would
+    spin the loop forever: every push path refuses it up front."""
+    nan = float("nan")
+    sim = Simulation()
+    kind = _call_kind(sim)
+    with pytest.raises(ConfigError, match="non-negative"):
+        sim.schedule_event(nan, kind, lambda s: None)
+    with pytest.raises(ConfigError, match="non-negative"):
+        sim.schedule_event_at(nan, kind, lambda s: None)
+    with pytest.raises(ConfigError, match="non-negative"):
+        EventQueue().push_event(nan, 0, None)
+    assert not sim._queue
+
+
+def test_nan_max_wait_rejected():
+    from repro.sim.policies import DeadlineFlushPolicy
+
+    with pytest.raises(ConfigError, match="max_wait must be non-negative"):
+        DeadlineFlushPolicy(max_wait=float("nan"))
+
+
+def test_ties_never_compare_payloads():
+    """Same-time events whose payloads cannot be ordered run in
+    insertion order: every heap entry has a unique sequence number, so
+    a tie never reaches the kind or the payload."""
+    sim = Simulation()
+    order = []
+    kinds = [sim.register_handler(lambda s, arg: order.append(arg))
+             for _ in range(2)]
+    queue = sim._queue
+    expected = []
+    for index in range(40):
+        payload = object() if index % 2 else {"index": index}
+        kind = kinds[index // 2 % 2]
+        if index % 4 == 0:
+            sim.schedule_event(1.0, kind, payload)
+        elif index % 4 == 1:
+            sim.schedule_event_at(1.0, kind, payload)
+        else:
+            # Reserve a number, push something else, then file the
+            # payload under the reserved (earlier) number.
+            sequence = queue.reserve(1)
+            between = {"between": index}
+            sim.schedule_event(1.0, kinds[0], between)
+            queue.push_reserved(1.0, sequence, kind, payload)
+            expected.append(payload)
+            payload = between
+        expected.append(payload)
+    sim.run()
+    assert len(order) == len(expected) == 60
+    assert all(got is want for got, want in zip(order, expected))
+
+
 def test_past_scheduling_rejected():
     sim = Simulation()
     kind = _call_kind(sim)
