@@ -14,24 +14,17 @@ This package catches them mechanically, every PR:
   module's callgraph is extracted once per run, in memory; the
   interprocedural rules (:class:`EffectIndex`) and the suppression
   audit share it, and a lint run leaves no cache on disk.
-* :class:`Finding` -- rule id, path, line, severity, message, with an
-  exact JSON round-trip.
+* :class:`Finding` -- rule id, path, line, severity, message, written
+  to the ``--json`` report by :func:`finding_to_dict`.
 * ``# simlint: allow[rule-id]`` -- per-line suppression grammar for
-  audited exceptions.
-* :mod:`~repro.analysis.baseline` -- committed snapshots so CI fails
-  only on *new* findings.
+  audited exceptions; :func:`audit_suppressions` reports the ones that
+  no longer shield anything.
 
 Front-ends: ``repro lint [paths] [--rule ID] [--json FILE]
-[--baseline FILE]`` and the CI ``lint`` job.
+[--audit-suppressions]`` and the CI ``lint`` job, which fails on any
+finding or stale suppression.
 """
 
-from repro.analysis.baseline import (
-    BASELINE_VERSION,
-    baseline_payload,
-    diff_against_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.callgraph import (
     Callgraph,
     FunctionNode,
@@ -53,7 +46,6 @@ from repro.analysis.effects import (
 from repro.analysis.findings import (
     SEVERITIES,
     Finding,
-    finding_from_dict,
     finding_to_dict,
 )
 from repro.analysis.index import (
@@ -82,7 +74,6 @@ __all__ = [
     "Finding",
     "SEVERITIES",
     "finding_to_dict",
-    "finding_from_dict",
     "LintRule",
     "LINT_RULES",
     "register_rule",
@@ -110,9 +101,4 @@ __all__ = [
     "EFFECT_KINDS",
     "chain_text",
     "chain_evidence",
-    "BASELINE_VERSION",
-    "baseline_payload",
-    "write_baseline",
-    "load_baseline",
-    "diff_against_baseline",
 ]

@@ -3,10 +3,10 @@
 :func:`extract_module_graph` lowers one :class:`ModuleIndex` into a
 :class:`ModuleGraph`: every function and method in the module becomes
 a :class:`FunctionNode` keyed by its qualified name
-(``repro.sim.engine.ServingEngine.step``), carrying the call sites,
-explicit raise sites, and declared-``global`` mutations found in its
-body. Call targets are recorded *locally* -- import aliases expanded
-via :meth:`ModuleIndex.resolved_name`, ``self.method()`` kept as a
+(``repro.sim.engine.ServingEngine.step``), carrying the call sites
+and explicit raise sites found in its body. Call targets are recorded
+*locally* -- import aliases expanded via
+:meth:`ModuleIndex.resolved_name`, ``self.method()`` kept as a
 ``self:method`` marker -- and only linked into cross-module edges by
 :class:`Callgraph`, which owns the whole-index views: dotted-name
 resolution through re-exports, method lookup through the class bases
@@ -91,10 +91,8 @@ class FunctionNode:
     name: str
     cls: Optional[str]
     line: int
-    is_async: bool
     calls: Tuple[CallSite, ...] = ()
     raises: Tuple[RaiseSite, ...] = ()
-    mutated_globals: Tuple[str, ...] = ()
 
     @property
     def is_nested(self) -> bool:
@@ -153,8 +151,8 @@ def _handler_names(module: ModuleIndex,
 
 
 class _BodyWalker:
-    """Collects calls / raises / global writes from one function body,
-    threading the enclosing-``try`` handler stack through recursion."""
+    """Collects the calls and raises of one function body, threading
+    the enclosing-``try`` handler stack through recursion."""
 
     def __init__(self, module: ModuleIndex, cls: Optional[str],
                  params: Set[str], local_funcs: Dict[str, str],
@@ -168,8 +166,6 @@ class _BodyWalker:
         self.top_names = top_names
         self.calls: List[CallSite] = []
         self.raises: List[RaiseSite] = []
-        self.declared_globals: Set[str] = set()
-        self.mutated_globals: Set[str] = set()
 
     def walk(self, node: ast.AST, caught: Tuple[str, ...]) -> None:
         if isinstance(node, _FUNC_TYPES + (ast.ClassDef,)):
@@ -185,20 +181,10 @@ class _BodyWalker:
             for stmt in list(node.orelse) + list(node.finalbody):
                 self.walk(stmt, caught)
             return
-        if isinstance(node, ast.Global):
-            self.declared_globals.update(node.names)
-            return
         if isinstance(node, ast.Raise):
             self._record_raise(node, caught)
         elif isinstance(node, ast.Call):
             self._record_call(node, caught)
-        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Name) \
-                        and target.id in self.declared_globals:
-                    self.mutated_globals.add(target.id)
         for child in ast.iter_child_nodes(node):
             self.walk(child, caught)
 
@@ -303,9 +289,8 @@ def _extract_function(graph: ModuleGraph, module: ModuleIndex,
         walker.walk(stmt, ())
     graph.functions[qualname] = FunctionNode(
         qualname=qualname, module=module.name, name=node.name, cls=cls,
-        line=node.lineno, is_async=isinstance(node, ast.AsyncFunctionDef),
-        calls=tuple(walker.calls), raises=tuple(walker.raises),
-        mutated_globals=tuple(sorted(walker.mutated_globals)))
+        line=node.lineno, calls=tuple(walker.calls),
+        raises=tuple(walker.raises))
     for child in sorted(nested, key=lambda n: n.lineno):
         _extract_function(graph, module, child, cls, qualname, top_names)
 

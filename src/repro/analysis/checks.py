@@ -24,6 +24,9 @@ hand:
 * ``no-blocking-io-in-coordinator`` -- synchronous socket / sleep /
   select calls inside ``async def`` bodies of the coordinator-side
   modules stall the event loop that every connected client shares.
+  It has no transitive upgrade, so its call table
+  (:data:`BLOCKING_CALLS`) lives here rather than among the effect
+  atoms.
 
 The interprocedural family consumes the effect summaries of
 :mod:`repro.analysis.effects` (built lazily via
@@ -51,8 +54,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 # Effect atoms are shared with the inference layer so the syntactic
 # and transitive rules cannot drift apart on what counts as a hazard.
 from repro.analysis.effects import (
-    BLOCKING_CALLS as _BLOCKING_CALLS,
-    BLOCKING_PREFIXES as _BLOCKING_PREFIXES,
     NUMPY_GLOBAL_FNS as _NUMPY_GLOBAL_FNS,
     RANDOM_GLOBAL_FNS as _RANDOM_GLOBAL_FNS,
     WALLCLOCK_CALLS as _WALLCLOCK_CALLS,
@@ -204,8 +205,8 @@ class ListenerRebind(LintRule):
                      cls: ast.ClassDef) -> Iterator[Finding]:
         # attr -> name of the method carrying the escape. The escape
         # line is deliberately not recorded: it would end up in the
-        # finding message, which the baseline differ keys on, and the
-        # key must stay stable when unrelated edits shift lines.
+        # finding message, which must stay stable when unrelated edits
+        # shift lines.
         escapes: Dict[str, str] = {}
         methods = [stmt for stmt in cls.body
                    if isinstance(stmt, (ast.FunctionDef,
@@ -488,6 +489,17 @@ class NoPerEventAllocationInHotLoop(LintRule):
 #: coroutine added there later.
 COORDINATOR_SCOPES: Tuple[str, ...] = ("repro.distrib", "repro.serve")
 
+#: Calls that block the thread (poison inside an asyncio loop).
+BLOCKING_CALLS = frozenset({
+    "time.sleep",
+    "select.select", "select.poll", "select.epoll", "select.kqueue",
+    "subprocess.run", "subprocess.check_output",
+    "subprocess.check_call", "subprocess.call",
+    "urllib.request.urlopen",
+})
+
+#: Any call under these dotted prefixes blocks too.
+BLOCKING_PREFIXES = ("socket.",)
 
 
 def _own_calls(fn: ast.AST) -> Iterator[ast.Call]:
@@ -527,8 +539,8 @@ class NoBlockingIoInCoordinator(LintRule):
                 resolved = module.resolved_name(call.func)
                 if resolved is None:
                     continue
-                if resolved in _BLOCKING_CALLS \
-                        or resolved.startswith(_BLOCKING_PREFIXES):
+                if resolved in BLOCKING_CALLS \
+                        or resolved.startswith(BLOCKING_PREFIXES):
                     hint = ("asyncio.sleep"
                             if resolved == "time.sleep"
                             else "asyncio streams/transports")

@@ -4,13 +4,13 @@ Each function gets an :class:`EffectSummary` -- a point in a finite
 product lattice with one component per effect kind plus one per
 escaping exception:
 
-* ``chains`` maps an effect kind (``wallclock``, ``unseeded-rng``,
-  ``blocking-io``, ``mutates-global``) to a **witness chain**: the
-  call path from the function down to a primitive effect atom
-  (``time.time()``, ``random.random()``, ``global X``). Absence of a
-  kind is the lattice bottom ("no evidence"); presence is ordered by
-  ``(len(chain), chain)`` so the join keeps the shortest (then
-  lexicographically first) witness. Atom sets live here
+* ``chains`` maps an effect kind (``wallclock``, ``unseeded-rng``:
+  one per transitive rule in :mod:`repro.analysis.checks`) to a
+  **witness chain**: the call path from the function down to a
+  primitive effect atom (``time.time()``, ``random.random()``).
+  Absence of a kind is the lattice bottom ("no evidence"); presence
+  is ordered by ``(len(chain), chain)`` so the join keeps the shortest
+  (then lexicographically first) witness. Atom sets live here
   (:data:`WALLCLOCK_CALLS` & co.) so the syntactic rules in
   :mod:`repro.analysis.checks` and the transitive rules cannot drift
   apart.
@@ -47,8 +47,6 @@ __all__ = [
     "WALLCLOCK_CALLS",
     "RANDOM_GLOBAL_FNS",
     "NUMPY_GLOBAL_FNS",
-    "BLOCKING_CALLS",
-    "BLOCKING_PREFIXES",
     "EFFECT_KINDS",
     "ChainStep",
     "EffectSummary",
@@ -81,18 +79,6 @@ NUMPY_GLOBAL_FNS = frozenset({
     "poisson", "exponential", "seed",
 })
 
-#: Calls that block the thread (poison inside an asyncio loop).
-BLOCKING_CALLS = frozenset({
-    "time.sleep",
-    "select.select", "select.poll", "select.epoll", "select.kqueue",
-    "subprocess.run", "subprocess.check_output",
-    "subprocess.check_call", "subprocess.call",
-    "urllib.request.urlopen",
-})
-
-#: Any call under these dotted prefixes blocks too.
-BLOCKING_PREFIXES = ("socket.",)
-
 #: The effect kinds summaries carry, with the rule ids whose
 #: ``allow[...]`` comments sanitize that kind's taint. The first id is
 #: the PR 6 syntactic rule (existing audited allowances keep working),
@@ -100,8 +86,6 @@ BLOCKING_PREFIXES = ("socket.",)
 EFFECT_KINDS: Dict[str, Tuple[str, ...]] = {
     "wallclock": ("no-wallclock-in-sim", "transitive-wallclock-in-sim"),
     "unseeded-rng": ("seeded-rng-required", "transitive-unseeded-rng"),
-    "blocking-io": ("no-blocking-io-in-coordinator",),
-    "mutates-global": (),
 }
 
 
@@ -111,7 +95,7 @@ class ChainStep:
 
     ``qualname`` is the function the step executes in, ``callee``
     what it reaches there: the next hop's qualname, an effect atom
-    spelled ``time.time()``, a ``global X`` write, or ``raise Exc``.
+    spelled ``time.time()``, or ``raise Exc``.
     """
 
     qualname: str
@@ -173,9 +157,6 @@ def _atom_kind(dotted: str, has_args: bool) -> Optional[str]:
     if dotted in ("random.Random", "numpy.random.default_rng") \
             and not has_args:
         return "unseeded-rng"  # constructed without a seed
-    if dotted in BLOCKING_CALLS \
-            or dotted.startswith(BLOCKING_PREFIXES):
-        return "blocking-io"
     return None
 
 
@@ -315,11 +296,6 @@ class EffectIndex:
             witness = (ChainStep(fn.qualname, fn_path(fn, module),
                                  site.line, f"{site.target}()"),)
             chains[kind] = _best(chains.get(kind), witness)
-        for name in fn.mutated_globals:
-            witness = (ChainStep(fn.qualname, fn_path(fn, module),
-                                 fn.line, f"global {name}"),)
-            chains["mutates-global"] = _best(
-                chains.get("mutates-global"), witness)
         for site in fn.raises:
             if self.callgraph.catches(site.exception, site.caught):
                 continue

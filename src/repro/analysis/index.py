@@ -283,10 +283,11 @@ def _parse_suppressions(
         match = _SUPPRESS_RE.search(text)
         if match is None:
             continue
-        rules = {token.strip() for token in match.group(1).split(",")
-                 if token.strip()}
-        if rules:
-            suppressions.setdefault(lineno, set()).update(rules)
+        # An empty allow[] shields nothing; it is kept (as an empty
+        # set) only so the suppression audit can report it.
+        suppressions.setdefault(lineno, set()).update(
+            token.strip() for token in match.group(1).split(",")
+            if token.strip())
     return suppressions
 
 

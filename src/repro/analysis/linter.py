@@ -66,9 +66,9 @@ def audit_suppressions(
 
     A suppression is *live* when some rule in the selection would
     fire on its line with its rule id (or when it is the wildcard and
-    anything fires on the line); everything else is stale and comes
-    back as a warning :class:`Finding` with rule id
-    :data:`STALE_SUPPRESSION_ID`.
+    anything fires on the line); everything else, an empty
+    ``allow[]`` included, is stale and comes back as a warning
+    :class:`Finding` with rule id :data:`STALE_SUPPRESSION_ID`.
     """
     resolved = resolve_lint_rules(rules)
     known_ids = {rule.rule_id for rule in resolved}
@@ -96,7 +96,10 @@ def audit_suppressions(
     stale: List[Finding] = []
     for module in index.modules:
         for line in sorted(module.suppressions):
-            for rule_id in sorted(module.suppressions[line]):
+            allowed = module.suppressions[line]
+            if not allowed:
+                stale.append(_stale(module.path, line, "allow[]"))
+            for rule_id in sorted(allowed):
                 if rule_id == "*":
                     live = (module.path, line) in fired_by_line
                     label = "allow[*]"
@@ -110,11 +113,13 @@ def audit_suppressions(
                         if rules is not None:
                             continue
                 if not live:
-                    stale.append(Finding(
-                        path=module.path, line=line,
-                        rule_id=STALE_SUPPRESSION_ID,
-                        severity="warning",
-                        message=f"suppression {label} no longer "
-                                f"shields any finding on this line; "
-                                f"remove it or re-audit the site"))
+                    stale.append(_stale(module.path, line, label))
     return sorted(stale)
+
+
+def _stale(path: str, line: int, label: str) -> Finding:
+    return Finding(path=path, line=line, rule_id=STALE_SUPPRESSION_ID,
+                   severity="warning",
+                   message=f"suppression {label} no longer shields any "
+                           f"finding on this line; remove it or re-audit "
+                           f"the site")

@@ -12,7 +12,7 @@ Subcommands::
     python -m repro serve --case i --port 8707 [--time-scale 100]
     python -m repro trace recorded.jsonl [other.jsonl ...]
     python -m repro provision --case i --qps 500
-    python -m repro lint src/repro [--baseline .simlint-baseline.json]
+    python -m repro lint src/repro [--audit-suppressions]
 
 ``optimize`` runs RAGO on one of the four paradigm presets or on a
 serialized :mod:`repro.config` file (a schema or a full optimization
@@ -43,9 +43,10 @@ burstiness, decode-length stats) before replay;
 ``lint`` runs the :mod:`repro.analysis` determinism & drift linter
 (simlint) over the source tree -- wall-clock/unseeded-RNG leaks into
 sim paths, listener rebinds, registry drift -- with per-line
-``# simlint: allow[rule-id]`` suppressions and a committed baseline so
-CI fails only on *new* findings; it extracts each module's callgraph
-once per run, in memory, and leaves no cache on disk.
+``# simlint: allow[rule-id]`` suppressions, and exits 1 on any finding
+(or, with ``--audit-suppressions``, any stale suppression); it
+extracts each module's callgraph once per run, in memory, and leaves
+no cache on disk.
 
 ``replay`` and ``serve`` share one serving setup (``_serving_setup``
 returns a frozen ``_ServingSetup`` that builds the engine or fleet and
@@ -354,26 +355,16 @@ def _lint_flags(lint: argparse.ArgumentParser) -> None:
                            "every registered rule)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule table and exit")
-    lint.add_argument("--baseline", dest="baseline_path", default=None,
-                      help="committed baseline JSON; only findings "
-                           "absent from it fail the run")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="snapshot the current findings into "
-                           "--baseline and exit 0 (adopting them)")
     lint.add_argument("--json", dest="json_path", default=None,
-                      help="dump the findings (and baseline verdict) "
-                           "to a JSON report file")
+                      help="dump the findings to a JSON report file")
     lint.add_argument("--explain", dest="explain_rule", default=None,
                       metavar="RULE-ID",
                       help="print the evidence chain behind every "
                            "finding of this rule (the call path an "
                            "interprocedural rule walked)")
     lint.add_argument("--audit-suppressions", action="store_true",
-                      help="also report stale # simlint: allow[...] "
+                      help="also fail on stale # simlint: allow[...] "
                            "comments that no longer shield a finding")
-    lint.add_argument("--strict", action="store_true",
-                      help="exit 1 on stale suppressions too (with "
-                           "--audit-suppressions)")
 
 
 def _provision_flags(prov: argparse.ArgumentParser) -> None:
@@ -767,8 +758,11 @@ def _check_finite(args: argparse.Namespace, names) -> None:
 def _check_traffic(args: argparse.Namespace,
                    closed_loop: bool = False) -> None:
     """Refuse traffic flags the argv already proves wrong, before the
-    (expensive) search: dead generator flags, then non-finite values,
-    then a non-positive rate or window or a negative seed."""
+    (expensive) search: dead generator flags, then non-finite values
+    and bad SLO targets, then a non-positive rate or window or a
+    negative seed."""
+    from repro.sim.metrics import SLOTarget
+
     if closed_loop:
         # Closed-loop traffic self-generates against the live engine,
         # so open-loop generator knobs (and recorded traces) cannot mix
@@ -783,6 +777,7 @@ def _check_traffic(args: argparse.Namespace,
                            "--trace replays a recorded stream",
                            "generated scenarios")
     _check_finite(args, ("rate", "load", "duration"))
+    SLOTarget(ttft=args.slo_ttft, tpot=args.slo_tpot)  # fail fast
     if closed_loop and not args.duration > 0:
         raise ConfigError("closed-loop horizon must be positive and finite")
     if closed_loop or args.trace_path:
@@ -1403,15 +1398,11 @@ def _command_sweep(args: argparse.Namespace) -> int:
 def _command_lint(args: argparse.Namespace) -> int:
     from repro.analysis import (
         audit_suppressions,
-        baseline_payload,
         build_index,
-        diff_against_baseline,
         finding_to_dict,
         iter_rule_table,
-        load_baseline,
         resolve_lint_rules,
         run_rules,
-        write_baseline,
     )
     from repro.reporting import (
         format_explanations,
@@ -1429,27 +1420,18 @@ def _command_lint(args: argparse.Namespace) -> int:
     rules = resolve_lint_rules(args.rules)
     if args.explain_rule:  # an unknown id fails here, as --rule's does
         resolve_lint_rules([args.explain_rule])
+        if args.explain_rule not in {rule.rule_id for rule in rules}:
+            raise ConfigError(
+                f"--explain {args.explain_rule} names a rule the --rule "
+                f"selection leaves out; add --rule {args.explain_rule}")
     index = build_index(args.paths)
     findings = run_rules(index, rules)
-    if args.write_baseline:
-        if not args.baseline_path:
-            raise ConfigError("--write-baseline needs --baseline FILE")
-        write_baseline(args.baseline_path, findings)
-        print(f"wrote {len(findings)} finding(s) to "
-              f"{args.baseline_path}")
-        return 0
-    new = findings
-    new_count = None
-    if args.baseline_path:
-        baseline = load_baseline(args.baseline_path)
-        new, _ = diff_against_baseline(findings, baseline)
-        new_count = len(new)
     stale = []
     if args.audit_suppressions:
         stale = audit_suppressions(index, rules=args.rules)
     print(f"linted {', '.join(args.paths)} with simlint")
     print()
-    print(format_findings(findings, new_count=new_count))
+    print(format_findings(findings))
     if args.explain_rule:
         print()
         print(format_explanations(findings, args.explain_rule))
@@ -1461,21 +1443,14 @@ def _command_lint(args: argparse.Namespace) -> int:
             print("suppression audit: every allow[...] comment still "
                   "shields a finding")
     if args.json_path:
-        payload = baseline_payload(findings)
-        payload["paths"] = list(args.paths)
-        if args.baseline_path:
-            payload["baseline"] = args.baseline_path
-            payload["new_findings"] = [finding_to_dict(finding)
-                                       for finding in new]
+        payload = {"findings": [finding_to_dict(finding)
+                                for finding in findings],
+                   "paths": list(args.paths)}
         if args.audit_suppressions:
             payload["stale_suppressions"] = [finding_to_dict(finding)
                                              for finding in stale]
         _write_json(args.json_path, payload)
-    if new:
-        return 1
-    if stale and args.strict:
-        return 1
-    return 0
+    return 1 if findings or stale else 0
 
 
 def _command_provision(args: argparse.Namespace) -> int:

@@ -258,15 +258,12 @@ def format_worker_utilization(workers: Sequence[dict]) -> str:
     return f"worker utilization\n{table}"
 
 
-def format_findings(findings: Sequence[object],
-                    new_count: Optional[int] = None) -> str:
+def format_findings(findings: Sequence[object]) -> str:
     """Render simlint findings as an aligned table.
 
     Args:
         findings: :class:`~repro.analysis.Finding` records, already
             sorted by the linter (path, line, rule).
-        new_count: When a baseline was diffed, how many of the
-            findings are *new*; annotates the summary footer.
 
     A clean tree renders as a one-line note instead of raising -- zero
     findings is the linter's success state, not a degenerate input.
@@ -278,10 +275,7 @@ def format_findings(findings: Sequence[object],
         [[finding.rule_id, finding.severity, finding.location,
           finding.message] for finding in findings],
     )
-    summary = f"{len(findings)} finding(s)"
-    if new_count is not None:
-        summary += f", {new_count} new vs baseline"
-    return f"simlint findings\n{table}\n{summary}"
+    return f"simlint findings\n{table}\n{len(findings)} finding(s)"
 
 
 def format_explanations(findings: Sequence[object],

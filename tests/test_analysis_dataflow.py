@@ -19,7 +19,6 @@ from repro.analysis import (
     audit_suppressions,
     build_index,
     extract_module_graph,
-    finding_from_dict,
     finding_to_dict,
     lint_paths,
     resolve_lint_rules,
@@ -716,6 +715,24 @@ def test_stale_suppression_reported(tmp_path):
     assert "allow[no-wallclock-in-sim]" in stale[0].message
 
 
+def test_empty_suppression_reported(tmp_path):
+    """An empty ``allow[]`` shields nothing, whatever the selection."""
+    path = write(tmp_path, "repro/sim/empty.py", """\
+        import time
+
+        def f():
+            return time.time()  # simlint: allow[]
+    """)
+    assert rule_ids(lint_paths([path], rules=["no-wallclock-in-sim"])) \
+        == ["no-wallclock-in-sim"]
+    index = build_index([path])
+    for rules in (None, ["registry-drift"]):
+        stale = audit_suppressions(index, rules=rules)
+        assert [(f.line, f.rule_id) for f in stale] \
+            == [(4, STALE_SUPPRESSION_ID)]
+        assert "allow[]" in stale[0].message
+
+
 def test_live_suppression_not_reported(tmp_path):
     path = write(tmp_path, "repro/sim/live.py", """\
         import time
@@ -754,18 +771,19 @@ def test_audit_skips_ids_outside_an_explicit_selection(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# CLI: --audit-suppressions / --strict / --explain
+# CLI: --audit-suppressions / --explain
 # ---------------------------------------------------------------------------
 
 
-def test_cli_audit_strict_exit_codes(tmp_path, capsys):
+def test_cli_audit_exit_codes(tmp_path, capsys):
     path = write(tmp_path, "repro/sim/ok.py", """\
         def f():
             return 1  # simlint: allow[no-wallclock-in-sim]
     """)
-    assert main(["lint", path, "--audit-suppressions"]) == 0
+    assert main(["lint", path]) == 0
+    capsys.readouterr()
+    assert main(["lint", path, "--audit-suppressions"]) == 1
     assert "stale-suppression" in capsys.readouterr().out
-    assert main(["lint", path, "--audit-suppressions", "--strict"]) == 1
 
 
 def test_cli_audit_clean_tree_stays_green(tmp_path, capsys):
@@ -775,7 +793,7 @@ def test_cli_audit_clean_tree_stays_green(tmp_path, capsys):
         def f():
             return time.time()  # simlint: allow[no-wallclock-in-sim]
     """)
-    assert main(["lint", path, "--audit-suppressions", "--strict"]) == 0
+    assert main(["lint", path, "--audit-suppressions"]) == 0
     assert ("every allow[...] comment still shields a finding"
             in capsys.readouterr().out)
 
@@ -807,6 +825,17 @@ def test_cli_explain_rejects_an_unknown_rule(tmp_path, capsys):
     assert "no findings from this rule" not in out
 
 
+def test_cli_explain_rejects_a_rule_outside_the_selection(tmp_path, capsys):
+    """Regression: ``--explain`` of a rule ``--rule`` leaves out printed
+    "no findings from this rule" for a rule that never ran."""
+    path = write(tmp_path, "repro/sim/clean.py", "X = 1\n")
+    assert main(["lint", path, "--rule", "mutable-default-arg",
+                 "--explain", "registry-drift"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "error: --explain registry-drift names a rule the --rule "
+        "selection leaves out; add --rule registry-drift"]
+
+
 def test_cli_json_report_carries_evidence(tmp_path):
     three_hop_fixture(tmp_path)
     report = tmp_path / "lint-report.json"
@@ -830,7 +859,7 @@ def test_finding_evidence_round_trips_through_json():
                       evidence=("a.py:3: f -> g", "b.py:9: g -> raise X"))
     payload = finding_to_dict(finding)
     assert payload["evidence"] == ["a.py:3: f -> g", "b.py:9: g -> raise X"]
-    assert finding_from_dict(payload) == finding
+    assert json.loads(json.dumps(payload)) == payload
 
 
 def test_finding_without_evidence_omits_the_key():
@@ -844,7 +873,7 @@ def test_finding_evidence_excluded_from_baseline_identity():
                    message="m")
     chained = Finding(path="a.py", line=3, rule_id="r", severity="error",
                       message="m", evidence=("a.py:3: f -> g",))
-    assert bare == chained  # compare=False: same baseline key
+    assert bare == chained  # compare=False: evidence is not identity
 
 
 def test_finding_rejects_non_string_evidence():

@@ -1,4 +1,4 @@
-"""The simlint rule corpus, suppression grammar, baseline differ, and
+"""The simlint rule corpus, suppression grammar, findings model, and
 ``repro lint`` CLI.
 
 Fixture snippets are written under a ``repro/...`` directory layout in
@@ -16,19 +16,17 @@ from repro.analysis import (
     Finding,
     LINT_RULES,
     build_index,
-    diff_against_baseline,
-    finding_from_dict,
     finding_to_dict,
     lint_paths,
-    load_baseline,
     resolve_lint_rules,
-    write_baseline,
 )
 from repro.cli import main
 from repro.errors import ConfigError
 
-#: The shipped source tree, independent of the test runner's cwd.
-SRC_REPRO = str(Path(__file__).resolve().parent.parent / "src" / "repro")
+#: The repository root, independent of the test runner's cwd.
+REPO = Path(__file__).resolve().parent.parent
+#: The shipped source tree.
+SRC_REPRO = str(REPO / "src" / "repro")
 
 
 def write(tmp_path, rel, source):
@@ -543,14 +541,20 @@ def test_wrong_rule_id_does_not_suppress(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# findings model, rule registry, baseline differ
+# findings model, rule registry
 # ---------------------------------------------------------------------------
 
 
 def test_finding_round_trips_and_orders():
     finding = Finding(path="a.py", line=3, rule_id="registry-drift",
                       severity="error", message="m")
-    assert finding_from_dict(finding_to_dict(finding)) == finding
+    payload = finding_to_dict(finding)
+    assert payload == {"path": "a.py", "line": 3,
+                       "rule": "registry-drift", "severity": "error",
+                       "message": "m"}
+    later = Finding(path="a.py", line=9, rule_id="registry-drift",
+                    severity="error", message="m")
+    assert sorted([later, finding]) == [finding, later]
     with pytest.raises(ConfigError):
         Finding(path="a.py", line=0, rule_id="x", severity="error",
                 message="m")
@@ -559,19 +563,9 @@ def test_finding_round_trips_and_orders():
                 message="m")
 
 
-def test_finding_from_dict_rejects_mistyped_fields():
-    good = finding_to_dict(Finding(path="a.py", line=3, rule_id="r",
-                                   severity="error", message="m"))
-    for corrupt in ({**good, "line": "7"}, {**good, "line": True},
-                    {**good, "line": 3.0}, {**good, "path": 7},
-                    {**good, "message": None}):
-        with pytest.raises(ConfigError):
-            finding_from_dict(corrupt)
-
-
 def test_listener_rebind_message_is_line_insensitive(tmp_path):
     # Shifting the escape site down a file must not change the finding
-    # message: the baseline differ keys on it.
+    # message: messages are meant to be stable across line shifts.
     snippet = """\
         class Server:
             def __init__(self, engine):
@@ -603,66 +597,17 @@ def test_rule_registry_resolves_names_and_rejects_unknown():
     assert "listener-rebind" in str(excinfo.value)
 
 
-def test_baseline_diff_is_line_insensitive_but_count_sensitive(tmp_path):
-    accepted = Finding(path="x.py", line=10, rule_id="r",
-                       severity="error", message="m")
-    moved = Finding(path="x.py", line=99, rule_id="r",
-                    severity="error", message="m")
-    fresh = Finding(path="x.py", line=12, rule_id="r",
-                    severity="error", message="new hazard")
-    baseline_path = str(tmp_path / "baseline.json")
-    write_baseline(baseline_path, [accepted])
-    baseline = load_baseline(baseline_path)
-    # The accepted finding moved lines: still absorbed.
-    new, old = diff_against_baseline([moved], baseline)
-    assert (new, old) == ([], [moved])
-    # A second instance of the same key exceeds the baseline budget.
-    new, old = diff_against_baseline([moved, accepted], baseline)
-    assert len(new) == 1 and len(old) == 1
-    # A genuinely new finding fails the gate -- the CI lint-job
-    # contract demonstrated against the differ.
-    new, old = diff_against_baseline([moved, fresh], baseline)
-    assert new == [fresh] and old == [moved]
-
-
-def test_baseline_loader_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_baseline(str(bad))
-    newer = tmp_path / "newer.json"
-    newer.write_text(json.dumps({"baseline_version": 99, "findings": []}),
-                     encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_baseline(str(newer))
-
-
 # ---------------------------------------------------------------------------
 # the repro lint CLI
 # ---------------------------------------------------------------------------
 
 
-def test_cli_lint_exit_codes_and_baseline_gate(tmp_path, capsys):
+def test_cli_lint_exit_codes_and_json_report(tmp_path, capsys):
+    clean = write(tmp_path, "repro/sim/clean.py", "X = 1\n")
+    assert main(["lint", clean]) == 0
+    assert "simlint: no findings" in capsys.readouterr().out
+    # Any finding fails the run: this is what the CI lint job enforces.
     dirty = write(tmp_path, "repro/sim/dirty.py", """\
-        import time
-
-        def stamp():
-            return time.time()
-    """)
-    # Findings without a baseline: exit 1, table printed.
-    assert main(["lint", dirty]) == 1
-    out = capsys.readouterr().out
-    assert "no-wallclock-in-sim" in out
-    # Adopt the current findings as the baseline: exit 0 afterwards.
-    baseline = str(tmp_path / "baseline.json")
-    assert main(["lint", dirty, "--baseline", baseline,
-                 "--write-baseline"]) == 0
-    assert main(["lint", dirty, "--baseline", baseline]) == 0
-    out = capsys.readouterr().out
-    assert "0 new vs baseline" in out
-    # A synthetically introduced new finding fails against the
-    # baseline -- exactly what the CI lint job enforces.
-    write(tmp_path, "repro/sim/dirty.py", """\
         import time
 
         def stamp():
@@ -672,14 +617,17 @@ def test_cli_lint_exit_codes_and_baseline_gate(tmp_path, capsys):
             return time.monotonic()
     """)
     json_path = str(tmp_path / "report.json")
-    assert main(["lint", dirty, "--baseline", baseline,
-                 "--json", json_path]) == 1
+    assert main(["lint", dirty, "--json", json_path]) == 1
+    out = capsys.readouterr().out
+    assert "no-wallclock-in-sim" in out
+    assert "2 finding(s)" in out
     with open(json_path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    assert len(payload["findings"]) == 2
-    assert len(payload["new_findings"]) == 1
-    assert payload["new_findings"][0]["rule"] == "no-wallclock-in-sim"
-    assert "monotonic" in payload["new_findings"][0]["message"]
+    assert list(payload) == ["findings", "paths"]
+    assert payload["paths"] == [dirty]
+    assert [finding["rule"] for finding in payload["findings"]] \
+        == ["no-wallclock-in-sim"] * 2
+    assert "monotonic" in payload["findings"][1]["message"]
 
 
 def test_cli_lint_rule_selection_and_unknown_rule(tmp_path, capsys):
@@ -751,10 +699,17 @@ def test_unparseable_file_without_a_line_number(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_shipped_tree_lints_clean():
+def test_shipped_tree_lints_clean(capsys):
     """`repro lint src/repro` exits 0: every real finding is fixed or
-    carries an audited inline suppression."""
+    carries an audited inline suppression. The CI lint gate's run over
+    ``src/repro scripts examples`` with the suppression audit exits 0
+    too."""
     assert lint_paths([SRC_REPRO]) == []
+    ci_paths = [SRC_REPRO, str(REPO / "scripts"), str(REPO / "examples")]
+    assert main(["lint", *ci_paths, "--audit-suppressions"]) == 0
+    out = capsys.readouterr().out
+    assert "simlint: no findings" in out
+    assert "every allow[...] comment still shields a finding" in out
 
 
 def test_shipped_tree_suppressions_are_audited():
