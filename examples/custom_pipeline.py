@@ -8,72 +8,39 @@ encoded long-context document base (Case II's encoder), a query
 rewriter and a reranker (Case IV's helpers), and iterative retrieval
 during decoding (Case III's loop) -- all around a 70B generator.
 
-It also registers a custom stage kind, ``summarize``, showing how new
-stage types plug into the builder without touching library code: the
-applier reshapes the sequence profile to model a summarization pass
-that compresses retrieved passages before the main prefill.
+It also models a summarization pass that compresses the retrieved
+passages before the main prefill. That is not a new stage: the builder
+expresses it as a shorter prompt, ``.sequences(prefix_len=...)``.
 
 Run:
     python examples/custom_pipeline.py
 """
 
-from repro import ClusterSpec, OptimizerSession, register_stage_type
+from repro import ClusterSpec, OptimizerSession, SequenceProfile
 from repro.schema import pipeline
+from repro.schema.paradigms import long_context_database
 
 
-def apply_summarize(spec, ratio: float = 0.5) -> None:
-    """Model a prompt-compression stage by shrinking the prefix the
-    generator must prefill (passages summarized to ``ratio`` length)."""
-    sequences = spec.sequences
-    passages = sequences.retrieved_passages * sequences.passage_len
-    question = sequences.question_len
-    compressed = question + max(int(passages * ratio), 1)
-    spec.sequences = sequences.with_lengths(
-        prefix_len=max(compressed, question))
-
-
-register_stage_type("summarize", apply_summarize, replace_existing=True)
+def summarized_prefix(profile: SequenceProfile, ratio: float = 0.5) -> int:
+    """Prompt length once the retrieved passages are summarized to
+    ``ratio`` of their length (the question stays whole)."""
+    passages = profile.retrieved_passages * profile.passage_len
+    return profile.question_len + max(int(passages * ratio), 1)
 
 
 def build_research_assistant():
     """Rewriter + fresh 200K-token context + rerank + iterative 70B."""
+    profile = SequenceProfile(context_len=200_000)
     return (pipeline("research-assistant-70b")
-            .sequences(context_len=200_000)
+            .sequences(profile=profile)
             .encode("120M")                    # embed the uploaded corpus
             .rewrite("8B")                     # clean up the user query
-            .retrieve_from_context()           # see below: derived database
+            .retrieve(long_context_database(profile),  # Case II's database
+                      brute_force=True)
             .rerank("120M", candidates=32)     # score 32 nearest chunks
-            .summarize(ratio=0.5)              # custom registered stage
+            .sequences(prefix_len=summarized_prefix(profile))  # summarize
             .generate("70B", iterative=2)      # retrieve again mid-decode
             .build())
-
-
-def retrieve_from_context():
-    """Derive the brute-force database from the declared context length
-    (the Case II construction, reusable for any context size)."""
-    from repro.retrieval.scann_model import DatabaseConfig
-    from repro.schema.builder import register_stage_type
-
-    def apply(spec) -> None:
-        num_vectors = max(spec.sequences.num_chunks, 1)
-        database = DatabaseConfig(
-            num_vectors=float(num_vectors),
-            dim=768,
-            bytes_per_vector=768 * 2.0,
-            scan_fraction=1.0,
-            tree_fanout=max(num_vectors, 2),
-            tree_levels=1,
-        )
-        spec.declare("retrieve")
-        spec.database = database
-        spec.retrieval_frequency = max(spec.retrieval_frequency, 1)
-        spec.brute_force_retrieval = True
-
-    register_stage_type("retrieve_from_context", apply,
-                        replace_existing=True)
-
-
-retrieve_from_context()
 
 
 def main() -> None:

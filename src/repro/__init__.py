@@ -81,7 +81,6 @@ _EXPORTS = {
     "case_iii_iterative": "repro.schema.paradigms",
     "case_iv_rewriter_reranker": "repro.schema.paradigms",
     "llm_only": "repro.schema.paradigms",
-    "register_stage_type": "repro.schema.builder",
     "RequestTrace": "repro.workloads.traces",
     "SequenceProfile": "repro.workloads.profile",
     "bursty_trace": "repro.workloads.traces",

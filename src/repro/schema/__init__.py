@@ -5,6 +5,10 @@ A :class:`RAGSchema` captures (1) which pipeline components exist
 performance-relevant configuration of each (model sizes, database size and
 dimensionality, queries per retrieval, iterative retrieval frequency) --
 Table 1 and Fig. 3 of the paper.
+
+:func:`pipeline` builds one with six verbs (rewrite, encode, retrieve,
+rerank, generate, sequences); the paper's case studies are presets
+over it. JSON encoding lives in :mod:`repro.config`.
 """
 
 from repro._lazy import lazy_exports
@@ -14,9 +18,6 @@ _EXPORTS = {
     "RAGSchema": "repro.schema.ragschema",
     "PipelineBuilder": "repro.schema.builder",
     "pipeline": "repro.schema.builder",
-    "register_stage_type": "repro.schema.builder",
-    "stage_types": "repro.schema.builder",
-    "unregister_stage_type": "repro.schema.builder",
     "Stage": "repro.schema.stages",
     "pipeline_stages": "repro.schema.stages",
     "ttft_stages": "repro.schema.stages",
@@ -26,10 +27,6 @@ _EXPORTS = {
     "case_iii_iterative": "repro.schema.paradigms",
     "case_iv_rewriter_reranker": "repro.schema.paradigms",
     "llm_only": "repro.schema.paradigms",
-    "schedule_from_dict": "repro.schema.serialization",
-    "schedule_to_dict": "repro.schema.serialization",
-    "schema_from_dict": "repro.schema.serialization",
-    "schema_to_dict": "repro.schema.serialization",
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 

@@ -15,18 +15,18 @@ front door::
               .generate("70B", iterative=4)
               .build())
 
-Every stage verb is looked up in a **stage-type registry**
-(:func:`register_stage_type`), so new stage kinds plug into the builder
-without touching this module: registering ``("compress", applier)``
-makes ``pipeline().compress(...)`` work immediately. The paper's four
-case-study presets (:mod:`repro.schema.paradigms`) are themselves thin
-builder programs.
+The verbs are the components of Table 1 and nothing else: the cost
+model, the search and the simulator know a fixed set of stages, so
+the builder is closed. :meth:`PipelineBuilder.build` hands the
+declared fields to :class:`RAGSchema`, which owns every cross-field
+rule (a rewriter needs a database, ...). The paper's four case-study
+presets (:mod:`repro.schema.paradigms`) are themselves thin builder
+programs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.models.catalog import model_by_params
@@ -47,291 +47,173 @@ def resolve_model(model: ModelLike) -> TransformerConfig:
     return model_by_params(model)
 
 
-@dataclass
-class PipelineSpec:
-    """Mutable accumulation state a builder program fills in.
-
-    Stage appliers mutate exactly one of these; :meth:`PipelineBuilder.
-    build` maps the finished spec onto an immutable :class:`RAGSchema`.
-    Custom stage kinds express themselves through the same fields (most
-    often by reshaping :attr:`sequences`).
-    """
-
-    name: Optional[str] = None
-    generative_llm: Optional[TransformerConfig] = None
-    database: Optional[DatabaseConfig] = None
-    document_encoder: Optional[TransformerConfig] = None
-    query_rewriter: Optional[TransformerConfig] = None
-    query_reranker: Optional[TransformerConfig] = None
-    retrieval_frequency: int = 0
-    queries_per_retrieval: int = 1
-    brute_force_retrieval: bool = False
-    sequences: SequenceProfile = field(default_factory=SequenceProfile)
-    declared: Tuple[str, ...] = ()
-
-    def declare(self, kind: str) -> None:
-        """Record that a stage verb ran (duplicate declarations are
-        configuration mistakes, not overrides)."""
-        if kind in self.declared:
-            raise ConfigError(f"stage {kind!r} declared twice")
-        self.declared += (kind,)
-
-
-#: A stage applier mutates the spec according to its verb's arguments.
-StageApplier = Callable[..., None]
-
-_STAGE_TYPES: Dict[str, StageApplier] = {}
-
-
-def register_stage_type(kind: str, applier: StageApplier,
-                        replace_existing: bool = False) -> None:
-    """Register a builder verb.
-
-    Args:
-        kind: Method name exposed on :class:`PipelineBuilder` (a valid
-            Python identifier).
-        applier: ``applier(spec, *args, **kwargs)``; mutates the
-            :class:`PipelineSpec`.
-        replace_existing: Allow overriding an existing registration.
-
-    Raises:
-        ConfigError: on invalid names or duplicate registration.
-    """
-    if not kind.isidentifier():
-        raise ConfigError(f"stage kind {kind!r} must be an identifier")
-    builder_cls = globals().get("PipelineBuilder")
-    if builder_cls is not None and hasattr(builder_cls, kind):
-        # Real attributes win over __getattr__, so a shadowed verb
-        # could never dispatch -- refuse it instead of going silent.
-        raise ConfigError(
-            f"stage kind {kind!r} collides with a PipelineBuilder "
-            f"attribute and would never be reachable"
-        )
-    if kind in _STAGE_TYPES and not replace_existing:
-        raise ConfigError(
-            f"stage kind {kind!r} is already registered; pass "
-            f"replace_existing=True to override"
-        )
-    _STAGE_TYPES[kind] = applier
-
-
-def unregister_stage_type(kind: str) -> None:
-    """Remove a registered stage kind (no-op for unknown kinds)."""
-    _STAGE_TYPES.pop(kind, None)
-
-
-def stage_types() -> Tuple[str, ...]:
-    """Registered stage kinds, sorted."""
-    return tuple(sorted(_STAGE_TYPES))
-
-
 class PipelineBuilder:
     """Fluent construction of one :class:`RAGSchema`.
 
     Every verb returns the builder, so programs chain; :meth:`build`
-    validates and freezes the result. Unknown attributes dispatch into
-    the stage-type registry, which is how both the built-in verbs below
-    and user-registered stage kinds are resolved.
+    freezes the result. The state is private: a public ``sequences``
+    attribute would shadow the :meth:`sequences` verb.
     """
 
     def __init__(self, name: Optional[str] = None) -> None:
-        self._spec = PipelineSpec(name=name)
+        self._name = name
+        self._generative_llm: Optional[TransformerConfig] = None
+        self._database: Optional[DatabaseConfig] = None
+        self._document_encoder: Optional[TransformerConfig] = None
+        self._query_rewriter: Optional[TransformerConfig] = None
+        self._query_reranker: Optional[TransformerConfig] = None
+        self._retrieval_frequency = 0
+        self._queries_per_retrieval = 1
+        self._brute_force_retrieval = False
+        self._sequences = SequenceProfile()
+        self._declared: Tuple[str, ...] = ()
 
-    @property
-    def spec(self) -> PipelineSpec:
-        """The accumulation state (read by appliers and tests)."""
-        return self._spec
+    def _declare(self, kind: str) -> None:
+        """Record that a stage verb ran (duplicate declarations are
+        configuration mistakes, not overrides)."""
+        if kind in self._declared:
+            raise ConfigError(f"stage {kind!r} declared twice")
+        self._declared += (kind,)
 
-    def __getattr__(self, kind: str):
-        try:
-            applier = _STAGE_TYPES[kind]
-        except KeyError:
-            known = ", ".join(stage_types())
-            raise AttributeError(
-                f"unknown pipeline stage kind {kind!r}; registered: {known}"
-            ) from None
+    def rewrite(self, model: ModelLike = "8B",
+                output_len: Optional[int] = None) -> "PipelineBuilder":
+        """Add a generative query rewriter (Case IV's front stage)."""
+        self._declare("rewrite")
+        self._query_rewriter = resolve_model(model)
+        if output_len is not None:
+            self._sequences = self._sequences.with_lengths(
+                rewrite_output_len=output_len)
+        return self
 
-        def verb(*args, **kwargs) -> "PipelineBuilder":
-            applier(self._spec, *args, **kwargs)
-            return self
+    def encode(self, model: ModelLike = "120M",
+               context_len: Optional[int] = None,
+               chunk_len: Optional[int] = None) -> "PipelineBuilder":
+        """Add a real-time document encoder (Case II's front stage).
 
-        verb.__name__ = kind
-        return verb
+        ``context_len`` sizes the uploaded document; it may also be
+        provided through ``.sequences(context_len=...)``.
+        """
+        self._declare("encode")
+        self._document_encoder = resolve_model(model)
+        overrides = {}
+        if context_len is not None:
+            overrides["context_len"] = context_len
+        if chunk_len is not None:
+            overrides["chunk_len"] = chunk_len
+        if overrides:
+            self._sequences = self._sequences.with_lengths(**overrides)
+        return self
 
-    def apply(self, kind: str, *args, **kwargs) -> "PipelineBuilder":
-        """Programmatic form of ``builder.<kind>(...)``."""
-        return getattr(self, kind)(*args, **kwargs)
+    def retrieve(self, database: DatabaseConfig,
+                 neighbors: Optional[int] = None,
+                 frequency: int = 1,
+                 queries_per_retrieval: int = 1,
+                 brute_force: bool = False) -> "PipelineBuilder":
+        """Add the vector-retrieval stage.
+
+        Args:
+            database: The database searched (size, quantization, tree).
+            neighbors: Passages appended to the prompt (top-k); defaults
+                to the sequence profile's.
+            frequency: Retrievals per sequence (>1 = iterative, Case III).
+            queries_per_retrieval: Query vectors per retrieval (Case I).
+            brute_force: Exact kNN instead of ANN (Case II).
+        """
+        self._declare("retrieve")
+        if frequency < 1:
+            raise ConfigError("retrieve frequency must be at least 1")
+        self._database = database
+        self._retrieval_frequency = max(self._retrieval_frequency, frequency)
+        self._queries_per_retrieval = queries_per_retrieval
+        self._brute_force_retrieval = brute_force
+        if neighbors is not None:
+            self._sequences = self._sequences.with_lengths(
+                retrieved_passages=neighbors)
+        return self
+
+    def rerank(self, model: ModelLike = "120M",
+               candidates: Optional[int] = None) -> "PipelineBuilder":
+        """Add a retrieval-result reranker (Case IV's back stage)."""
+        self._declare("rerank")
+        self._query_reranker = resolve_model(model)
+        if candidates is not None:
+            self._sequences = self._sequences.with_lengths(
+                rerank_candidates=candidates)
+        return self
+
+    def generate(self, model: ModelLike,
+                 iterative: Optional[int] = None,
+                 decode_len: Optional[int] = None) -> "PipelineBuilder":
+        """Set the main generative LLM.
+
+        Args:
+            model: Catalog label or TransformerConfig.
+            iterative: Retrievals interleaved with decoding (Case III);
+                requires a retrieve stage by build time.
+            decode_len: Generated tokens per sequence.
+        """
+        self._declare("generate")
+        self._generative_llm = resolve_model(model)
+        if iterative is not None:
+            if iterative < 1:
+                raise ConfigError("iterative must be at least 1")
+            self._retrieval_frequency = max(self._retrieval_frequency,
+                                            iterative)
+        if decode_len is not None:
+            self._sequences = self._sequences.with_lengths(
+                decode_len=decode_len)
+        return self
+
+    def sequences(self, profile: Optional[SequenceProfile] = None,
+                  **lengths: int) -> "PipelineBuilder":
+        """Replace the sequence profile and/or override individual
+        lengths."""
+        base = profile if profile is not None else self._sequences
+        self._sequences = base.with_lengths(**lengths) if lengths else base
+        return self
 
     def named(self, name: str) -> "PipelineBuilder":
         """Set (or replace) the schema name."""
-        self._spec.name = name
+        self._name = name
         return self
 
     def build(self) -> RAGSchema:
-        """Validate the accumulated spec and freeze it into a RAGSchema.
+        """Freeze the declared stages into a RAGSchema.
 
         Raises:
-            ConfigError: when the program is incomplete or inconsistent
-                (no generator, iterative generation without retrieval,
-                ...). RAGSchema's own invariants also apply.
+            ConfigError: when no generator was declared, or when the
+                stages break one of RAGSchema's invariants (iterative
+                generation without retrieval, ...).
         """
-        spec = self._spec
-        if spec.generative_llm is None:
+        if self._generative_llm is None:
             raise ConfigError(
                 "pipeline has no generator; call .generate(model) before "
                 ".build()"
             )
-        if spec.database is None:
-            for dependent in ("query_rewriter", "query_reranker",
-                              "document_encoder"):
-                if getattr(spec, dependent) is not None:
-                    raise ConfigError(
-                        f"a {dependent.replace('_', ' ')} requires a "
-                        f".retrieve(...) stage"
-                    )
-            if spec.retrieval_frequency > 1:
-                raise ConfigError(
-                    "iterative generation requires a .retrieve(...) stage"
-                )
-        name = spec.name or self._default_name()
         return RAGSchema(
-            name=name,
-            generative_llm=spec.generative_llm,
-            database=spec.database,
-            document_encoder=spec.document_encoder,
-            query_rewriter=spec.query_rewriter,
-            query_reranker=spec.query_reranker,
-            retrieval_frequency=spec.retrieval_frequency,
-            queries_per_retrieval=spec.queries_per_retrieval,
-            brute_force_retrieval=spec.brute_force_retrieval,
-            sequences=spec.sequences,
+            name=self._name or self._default_name(),
+            generative_llm=self._generative_llm,
+            database=self._database,
+            document_encoder=self._document_encoder,
+            query_rewriter=self._query_rewriter,
+            query_reranker=self._query_reranker,
+            retrieval_frequency=self._retrieval_frequency,
+            queries_per_retrieval=self._queries_per_retrieval,
+            brute_force_retrieval=self._brute_force_retrieval,
+            sequences=self._sequences,
         )
 
     def _default_name(self) -> str:
-        spec = self._spec
         parts = []
-        if spec.query_rewriter is not None:
+        if self._query_rewriter is not None:
             parts.append("rewrite")
-        if spec.database is not None:
+        if self._database is not None:
             parts.append("retrieve")
-        if spec.query_reranker is not None:
+        if self._query_reranker is not None:
             parts.append("rerank")
-        parts.append(spec.generative_llm.name)
-        return "-".join(parts)
+        return "-".join([*parts, self._generative_llm.name])
 
 
 def pipeline(name: Optional[str] = None) -> PipelineBuilder:
     """Start a declarative pipeline program."""
     return PipelineBuilder(name)
-
-
-# ---------------------------------------------------------------------------
-# Built-in stage kinds. They route through the same registry a user
-# extension would, so the builder core stays closed for modification.
-# ---------------------------------------------------------------------------
-
-def _apply_rewrite(spec: PipelineSpec, model: ModelLike = "8B",
-                   output_len: Optional[int] = None) -> None:
-    """Add a generative query rewriter (Case IV's front stage)."""
-    spec.declare("rewrite")
-    spec.query_rewriter = resolve_model(model)
-    if output_len is not None:
-        spec.sequences = spec.sequences.with_lengths(
-            rewrite_output_len=output_len)
-
-
-def _apply_encode(spec: PipelineSpec, model: ModelLike = "120M",
-                  context_len: Optional[int] = None,
-                  chunk_len: Optional[int] = None) -> None:
-    """Add a real-time document encoder (Case II's front stage).
-
-    ``context_len`` sizes the uploaded document; it may also be provided
-    through ``.sequences(context_len=...)``.
-    """
-    spec.declare("encode")
-    spec.document_encoder = resolve_model(model)
-    overrides = {}
-    if context_len is not None:
-        overrides["context_len"] = context_len
-    if chunk_len is not None:
-        overrides["chunk_len"] = chunk_len
-    if overrides:
-        spec.sequences = spec.sequences.with_lengths(**overrides)
-
-
-def _apply_retrieve(spec: PipelineSpec, database: DatabaseConfig,
-                    neighbors: Optional[int] = None,
-                    frequency: int = 1,
-                    queries_per_retrieval: int = 1,
-                    brute_force: bool = False) -> None:
-    """Add the vector-retrieval stage.
-
-    Args:
-        database: The database searched (size, quantization, tree).
-        neighbors: Passages appended to the prompt (top-k); defaults to
-            the sequence profile's.
-        frequency: Retrievals per sequence (>1 = iterative, Case III).
-        queries_per_retrieval: Query vectors per retrieval (Case I).
-        brute_force: Exact kNN instead of ANN (Case II).
-    """
-    spec.declare("retrieve")
-    if frequency < 1:
-        raise ConfigError("retrieve frequency must be at least 1")
-    spec.database = database
-    spec.retrieval_frequency = max(spec.retrieval_frequency, frequency)
-    spec.queries_per_retrieval = queries_per_retrieval
-    spec.brute_force_retrieval = brute_force
-    if neighbors is not None:
-        spec.sequences = spec.sequences.with_lengths(
-            retrieved_passages=neighbors)
-
-
-def _apply_rerank(spec: PipelineSpec, model: ModelLike = "120M",
-                  candidates: Optional[int] = None) -> None:
-    """Add a retrieval-result reranker (Case IV's back stage)."""
-    spec.declare("rerank")
-    spec.query_reranker = resolve_model(model)
-    if candidates is not None:
-        spec.sequences = spec.sequences.with_lengths(
-            rerank_candidates=candidates)
-
-
-def _apply_generate(spec: PipelineSpec, model: ModelLike,
-                    iterative: Optional[int] = None,
-                    decode_len: Optional[int] = None) -> None:
-    """Set the main generative LLM.
-
-    Args:
-        model: Catalog label or TransformerConfig.
-        iterative: Retrievals interleaved with decoding (Case III);
-            requires a retrieve stage by build time.
-        decode_len: Generated tokens per sequence.
-    """
-    spec.declare("generate")
-    spec.generative_llm = resolve_model(model)
-    if iterative is not None:
-        if iterative < 1:
-            raise ConfigError("iterative must be at least 1")
-        spec.retrieval_frequency = max(spec.retrieval_frequency, iterative)
-    if decode_len is not None:
-        spec.sequences = spec.sequences.with_lengths(decode_len=decode_len)
-
-
-def _apply_sequences(spec: PipelineSpec,
-                     profile: Optional[SequenceProfile] = None,
-                     **lengths: int) -> None:
-    """Replace the sequence profile and/or override individual lengths."""
-    base = profile if profile is not None else spec.sequences
-    spec.sequences = base.with_lengths(**lengths) if lengths else base
-
-
-register_stage_type("rewrite", _apply_rewrite)
-register_stage_type("encode", _apply_encode)
-register_stage_type("retrieve", _apply_retrieve)
-register_stage_type("rerank", _apply_rerank)
-register_stage_type("generate", _apply_generate)
-register_stage_type("sequences", _apply_sequences)
-
-#: Verbs every fresh interpreter registers (used to protect built-ins
-#: from accidental unregistration in tests).
-BUILTIN_STAGE_TYPES = stage_types()

@@ -56,6 +56,21 @@ def case_i_hyperscale(llm: "str | TransformerConfig" = "8B",
             .build())
 
 
+def long_context_database(profile: SequenceProfile) -> DatabaseConfig:
+    """Case II's database: one FP16 vector per chunk of the profile's
+    context (at least one) under a one-level index, sized for
+    brute-force kNN."""
+    num_vectors = max(profile.num_chunks, 1)
+    return DatabaseConfig(
+        num_vectors=float(num_vectors),
+        dim=768,
+        bytes_per_vector=LONG_CONTEXT_BYTES_PER_VECTOR,
+        scan_fraction=1.0,
+        tree_fanout=max(num_vectors, 2),
+        tree_levels=1,
+    )
+
+
 def case_ii_long_context(context_len: int = 1_000_000,
                          llm: "str | TransformerConfig" = "70B",
                          sequences: Optional[SequenceProfile] = None) -> RAGSchema:
@@ -69,20 +84,11 @@ def case_ii_long_context(context_len: int = 1_000_000,
         raise ConfigError("context_len must be positive")
     base = sequences or SequenceProfile()
     profile = base.with_lengths(context_len=context_len)
-    num_vectors = max(profile.num_chunks, 1)
-    database = DatabaseConfig(
-        num_vectors=float(num_vectors),
-        dim=768,
-        bytes_per_vector=LONG_CONTEXT_BYTES_PER_VECTOR,
-        scan_fraction=1.0,
-        tree_fanout=max(num_vectors, 2),
-        tree_levels=1,
-    )
     model = resolve_model(llm)
     return (pipeline(f"case-ii-{model.name}-ctx{context_len}")
             .sequences(profile=profile)
             .encode(ENCODER_120M)
-            .retrieve(database, brute_force=True)
+            .retrieve(long_context_database(profile), brute_force=True)
             .generate(model)
             .build())
 

@@ -3,6 +3,11 @@
 RAGSchema is a *performance* abstraction: it records which components a
 RAG pipeline contains and their performance-relevant parameters. It
 deliberately says nothing about quality (§3.2).
+
+The dataclass owns every cross-field rule (a rewriter, reranker or
+encoder needs a database, and so does iterative retrieval), so the
+builder, the envelope decoder and a direct call accept the same
+schemas.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ class RAGSchema:
         query_reranker: Retrieval-result reranker (Case IV), or None.
         retrieval_frequency: Retrievals per generated sequence. 1 means a
             single retrieval before generation; >1 enables iterative
-            retrievals during decoding (Case III).
+            retrievals during decoding (Case III). Without a database
+            it is coerced to 0 and may not exceed 1.
         queries_per_retrieval: Query vectors issued per retrieval (Case I
             sweeps 1-8).
         brute_force_retrieval: Use exact kNN instead of ANN (Case II's
@@ -56,15 +62,26 @@ class RAGSchema:
             raise ConfigError("retrieval_frequency must be non-negative")
         if self.queries_per_retrieval <= 0:
             raise ConfigError("queries_per_retrieval must be positive")
-        if self.database is None and self.retrieval_frequency > 0:
+        if self.database is None:
+            for label, model in (("query rewriter", self.query_rewriter),
+                                 ("query reranker", self.query_reranker),
+                                 ("document encoder",
+                                  self.document_encoder)):
+                if model is not None:
+                    raise ConfigError(
+                        f"a {label} requires a database to retrieve from")
+            if self.retrieval_frequency > 1:
+                raise ConfigError(
+                    "iterative generation (retrieval_frequency > 1) "
+                    "requires a database to retrieve from")
+            # The default single retrieval means "none" without a
+            # database: an LLM-only pipeline.
             object.__setattr__(self, "retrieval_frequency", 0)
-        if self.database is not None and self.retrieval_frequency == 0:
+        elif self.retrieval_frequency == 0:
             raise ConfigError(
                 "a schema with a database must retrieve at least once; "
                 "drop the database for LLM-only pipelines"
             )
-        if self.document_encoder is not None and self.database is None:
-            raise ConfigError("a document encoder requires a database")
         if (self.document_encoder is not None
                 and self.sequences.context_len is None):
             raise ConfigError(

@@ -236,6 +236,30 @@ def test_optimize_config_malformed_search_knob_fails_cleanly(
     assert next(iter(knobs)) in out
 
 
+@pytest.mark.parametrize("edit", [
+    {"database": None, "query_reranker": None},
+    {"database": {}},
+    {"retrieval_frequncy": 4},
+], ids=["rewriter-without-database", "empty-database", "typo-key"])
+def test_optimize_malformed_schema_envelope_fails_before_search(
+        tmp_path, capsys, edit):
+    import json
+
+    from repro import config
+    from repro.schema import case_iv_rewriter_reranker
+
+    path = tmp_path / "bad.json"
+    config.save(str(path), case_iv_rewriter_reranker("1B"))
+    envelope = json.loads(path.read_text())
+    envelope["spec"].update(edit)
+    path.write_text(json.dumps(envelope))
+    assert main(["optimize", "--config", str(path),
+                 "--servers", "16"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and out.count("\n") == 1
+    assert "searched" not in out
+
+
 def test_optimize_missing_config_fails_cleanly(capsys):
     assert main(["optimize", "--config", "/nonexistent/x.json"]) == 1
     assert "error:" in capsys.readouterr().out
@@ -481,6 +505,27 @@ def test_replay_schedule_wrong_kind_fails_cleanly(tmp_path, capsys):
                  "--schedule", str(path)]) == 1
     out = capsys.readouterr().out
     assert "error:" in out and "expected a schedule" in out
+
+
+def test_replay_schedule_unknown_key_fails_in_one_line(tmp_path, capsys):
+    import json
+
+    from repro import ClusterSpec, OptimizerSession, config
+    from repro.schema import case_i_hyperscale
+
+    schedule = OptimizerSession(
+        case_i_hyperscale("1B"), ClusterSpec(num_servers=16)
+    ).optimize().max_qps_per_chip.schedule
+    envelope = config.to_config(schedule)
+    envelope["spec"]["iterative_batchh"] = 8
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(envelope))
+    assert main(["replay", "--case", "i", "--llm", "1B", "--servers", "16",
+                 "--duration", "2", "--schedule", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "error" in line] == [
+        "error: unknown schedule fields: ['iterative_batchh']"]
+    assert lines[-1].startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

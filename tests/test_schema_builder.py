@@ -1,21 +1,19 @@
-"""PipelineBuilder and stage-type registry tests."""
+"""PipelineBuilder tests."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.models.catalog import ENCODER_120M, LLAMA3_70B
+from repro.models.catalog import ENCODER_120M, LLAMA3_8B, LLAMA3_70B
 from repro.schema import (
+    RAGSchema,
     case_i_hyperscale,
     case_ii_long_context,
     case_iii_iterative,
     case_iv_rewriter_reranker,
     llm_only,
     pipeline,
-    register_stage_type,
-    stage_types,
-    unregister_stage_type,
 )
-from repro.schema.builder import BUILTIN_STAGE_TYPES, PipelineBuilder
+from repro.schema.builder import PipelineBuilder
 from repro.schema.paradigms import HYPERSCALE_DATABASE
 from repro.workloads.profile import SequenceProfile
 
@@ -113,6 +111,48 @@ def test_rewrite_requires_retrieval():
         pipeline().rewrite("8B").generate("8B").build()
 
 
+#: Shapes that need a database, each as RAGSchema fields and as the
+#: builder program that declares them without a .retrieve(...) stage.
+_DATABASE_FREE_SHAPES = {
+    "rewriter": ({"query_rewriter": LLAMA3_8B},
+                 lambda: pipeline().rewrite("8B").generate("8B")),
+    "reranker": ({"query_reranker": ENCODER_120M},
+                 lambda: pipeline().rerank("120M").generate("8B")),
+    "encoder": ({"document_encoder": ENCODER_120M,
+                 "sequences": SequenceProfile(context_len=100_000)},
+                lambda: (pipeline().sequences(context_len=100_000)
+                         .encode("120M").generate("8B"))),
+    "iterative": ({"retrieval_frequency": 4},
+                  lambda: pipeline().generate("8B", iterative=4)),
+}
+
+
+@pytest.mark.parametrize("surface", ["schema", "builder", "envelope"])
+@pytest.mark.parametrize("shape", sorted(_DATABASE_FREE_SHAPES))
+def test_every_surface_refuses_a_shape_without_database(shape, surface):
+    """RAGSchema owns the cross-field rules, so a direct call, the
+    builder and a stored envelope refuse the same schemas."""
+    from repro import config
+
+    fields, program = _DATABASE_FREE_SHAPES[shape]
+    if surface == "schema":
+        def make():
+            return RAGSchema(name="bad", generative_llm=LLAMA3_8B, **fields)
+    elif surface == "builder":
+        def make():
+            return program().build()
+    else:
+        envelope = config.to_config(RAGSchema(
+            name="bad", generative_llm=LLAMA3_8B,
+            database=HYPERSCALE_DATABASE, **fields))
+        envelope["spec"]["database"] = None
+
+        def make():
+            return config.from_config(envelope)
+    with pytest.raises(ConfigError, match="retrieve"):
+        make()
+
+
 def test_duplicate_stage_rejected():
     builder = pipeline().generate("8B")
     with pytest.raises(ConfigError, match="twice"):
@@ -120,58 +160,8 @@ def test_duplicate_stage_rejected():
 
 
 def test_unknown_stage_kind_reports_registry():
-    with pytest.raises(AttributeError, match="registered"):
+    with pytest.raises(AttributeError, match="quantize"):
         pipeline().quantize("8B")
-
-
-def test_register_custom_stage_type():
-    def apply_compress(spec, ratio):
-        spec.sequences = spec.sequences.with_lengths(
-            prefix_len=max(int(spec.sequences.prefix_len * ratio),
-                           spec.sequences.question_len))
-
-    register_stage_type("compress", apply_compress)
-    try:
-        assert "compress" in stage_types()
-        schema = (pipeline("compressed")
-                  .retrieve(HYPERSCALE_DATABASE)
-                  .compress(0.25)
-                  .generate("8B")
-                  .build())
-        assert schema.sequences.prefix_len == 128
-    finally:
-        unregister_stage_type("compress")
-    assert "compress" not in stage_types()
-
-
-def test_duplicate_registration_rejected():
-    with pytest.raises(ConfigError, match="already registered"):
-        register_stage_type("generate", lambda spec: None)
-
-
-def test_registration_rejects_shadowed_kind():
-    # Real attributes win over __getattr__, so these verbs could never
-    # dispatch; registration must refuse them.
-    for shadowed in ("build", "named", "apply", "spec"):
-        with pytest.raises(ConfigError, match="collides"):
-            register_stage_type(shadowed, lambda spec: None,
-                                replace_existing=True)
-
-
-def test_registration_requires_identifier():
-    with pytest.raises(ConfigError, match="identifier"):
-        register_stage_type("not a name", lambda spec: None)
-
-
-def test_apply_dispatches_like_attribute_access():
-    built = (PipelineBuilder("via-apply")
-             .apply("retrieve", HYPERSCALE_DATABASE)
-             .apply("generate", "8B")
-             .build())
-    assert built == (pipeline("via-apply")
-                     .retrieve(HYPERSCALE_DATABASE)
-                     .generate("8B")
-                     .build())
 
 
 def test_pipeline_submodule_not_shadowed():
@@ -187,9 +177,3 @@ def test_pipeline_submodule_not_shadowed():
     from repro.schema import pipeline as build
 
     assert build().__class__ is PipelineBuilder
-
-
-def test_builtin_stage_types_registered():
-    for kind in ("rewrite", "encode", "retrieve", "rerank", "generate",
-                 "sequences"):
-        assert kind in BUILTIN_STAGE_TYPES

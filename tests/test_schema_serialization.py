@@ -14,7 +14,7 @@ from repro.schema import (
     case_iv_rewriter_reranker,
     llm_only,
 )
-from repro.schema.serialization import (
+from repro.config import (
     schedule_from_dict,
     schedule_to_dict,
     schema_from_dict,
