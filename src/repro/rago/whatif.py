@@ -303,7 +303,9 @@ def whatif_runner(context: Dict[str, Any]
     of reference cycles (clock handlers bound to engines, a fleet and
     autoscaler that listen to each other), so without a collection at
     the cell boundary every finished fleet would stay resident until
-    the grid ends.
+    the grid ends. The objects alive when the cell starts are frozen
+    (:func:`gc.freeze`) until that collection is done, so it walks only
+    the cell's own objects; the cell leaves nothing frozen.
     """
     from repro import config
     from repro.sim.autoscale import (
@@ -347,6 +349,11 @@ def whatif_runner(context: Dict[str, Any]
         })
 
     def run(payload: Dict[str, Any]) -> Dict[str, Any]:
+        # Everything alive before the cell (the parsed context, the
+        # perf model, the interpreter's own heap) is frozen out of the
+        # collector's view, so the collection below walks only what the
+        # cell allocated.
+        gc.freeze()
         try:
             return replay_cell(payload)
         finally:
@@ -358,6 +365,7 @@ def whatif_runner(context: Dict[str, Any]
             # Breaking the cycles instead would rewire the DES event
             # and listener paths themselves.
             gc.collect()
+            gc.unfreeze()
 
     return run
 

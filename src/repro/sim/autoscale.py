@@ -539,10 +539,20 @@ class Autoscaler:
     # -- fleet feedback ------------------------------------------------
 
     def _on_complete(self, record: RequestRecord) -> None:
+        # SLOTarget.check's joint verdict, decided inline (no dict per
+        # completion): met unless a constrained dimension fails, and a
+        # request without a first token fails every one.
         self._window_completions += 1
-        verdict = self._slo.check(record)["joint"]
-        if verdict is not False:
-            self._window_slo_met += 1
+        slo = self._slo
+        if slo.ttft is not None:
+            ttft = record.ttft
+            if ttft is None or not ttft <= slo.ttft:
+                return
+        if slo.tpot is not None:
+            tpot = record.tpot
+            if tpot is None or not tpot <= slo.tpot:
+                return
+        self._window_slo_met += 1
 
     def finalize(self, now: float) -> float:
         """Close the replica-seconds integral at ``now`` (steps the

@@ -33,16 +33,19 @@ grows it by a routable slot mid-run and :meth:`remove_replica`
 shrinks it without dropping in-flight work -- the two primitives the
 autoscaling control loop (:mod:`repro.sim.autoscale`) drives.
 
-**One accumulator per fleet.** Every request is folded into the
+**One accumulator per fleet.** Every request is recorded by the
 fleet's one :class:`~repro.sim.metrics.MetricsAccumulator` as it is
-submitted and as it finishes, so the merged artifacts
-(:meth:`snapshot` / :meth:`report`) use exactly the same estimators as
-a single engine: fleet-level latency percentiles, SLO attainment and
-throughput. A replica only counts, in a
-:class:`~repro.sim.metrics.ReplicaTally` the fleet builds and hands to
-its engine: its records in submission and completion order, an
+submitted and as it finishes (and folded once, at the next read), so
+the merged artifacts (:meth:`snapshot` / :meth:`report`) use exactly
+the same estimators as a single engine: fleet-level latency
+percentiles, SLO attainment and throughput. A replica only counts, in
+a :class:`~repro.sim.metrics.ReplicaTally` the fleet builds and hands
+to its engine: its records in submission and completion order, an
 in-flight int (routing reads it per arrival) and the running sums
-behind :meth:`replica_stats`. A replica's own ``report()`` folds its
+behind :meth:`replica_stats`. Routing sees each active slot through
+one live :class:`~repro.sim.routing.ReplicaView` that
+:meth:`FleetEngine.submit` refreshes in place, so an arrival builds
+no view. A replica's own ``report()`` folds its
 records into a fresh accumulator when asked. Utilization fractions
 are fleet-slot averages (summed busy seconds over all engines that
 ever occupied a slot, divided by the slot count).
@@ -169,12 +172,11 @@ class FleetEngine:
         # keep the exact constant-count division).
         self._replica_seconds = 0.0
         self._resized = False
-        # Routing-snapshot caches: the sorted active-slot order and one
-        # frozen ReplicaView per slot, reused across submits until the
-        # slot's observable state actually changes (a million-request
-        # replay otherwise allocates a fresh view list per arrival).
-        self._order: List[int] = []
+        # Routing state: one live ReplicaView per active slot, and the
+        # (view, tally) pairs in slot order. submit refreshes the views
+        # in place, so an arrival allocates no view.
         self._views: Dict[int, ReplicaView] = {}
+        self._routes: List[Tuple[ReplicaView, ReplicaTally]] = []
         self._candidates: List[ReplicaView] = []
         for slot, replica_schedule in enumerate(schedules):
             self._install(slot, replica_schedule)
@@ -198,10 +200,23 @@ class FleetEngine:
         return entry
 
     def _membership_changed(self, slot: int) -> None:
-        """Invalidate routing caches after ``slot`` joined or left the
-        active set (a swapped slot also changes engine and weight)."""
-        self._views.pop(slot, None)
-        self._order = sorted(self._active)
+        """Re-pair the routing views after ``slot`` joined or left the
+        active set. The slot's view is dropped (a swapped slot also
+        changes engine and weight) and rebuilt if it is active; the
+        other slots keep theirs."""
+        views = self._views
+        views.pop(slot, None)
+        routes = []
+        for active_slot, entry in sorted(self._active.items()):
+            view = views.get(active_slot)
+            if view is None:
+                view = views[active_slot] = ReplicaView(
+                    index=active_slot, in_flight=entry.tally.in_flight,
+                    submitted=self._submitted[active_slot],
+                    weight=entry.weight)
+            routes.append((view, entry.tally))
+        self._routes = routes
+        self._candidates = [view for view, _ in routes]
 
     def _request_done(self, record: RequestRecord) -> None:
         self._accumulator.finish(record)
@@ -346,22 +361,11 @@ class FleetEngine:
                 a slot it was not offered, or the engine rejects the
                 submission.
         """
-        views = self._views
-        candidates = self._candidates
-        del candidates[:]
-        for slot in self._order:
-            entry = self._active[slot]
-            in_flight = entry.tally.in_flight
-            submitted = self._submitted[slot]
-            view = views.get(slot)
-            if view is None or view.in_flight != in_flight \
-                    or view.submitted != submitted:
-                view = ReplicaView(index=slot, in_flight=in_flight,
-                                   submitted=submitted,
-                                   weight=entry.weight)
-                views[slot] = view
-            candidates.append(view)
-        slot = self._routing.select(candidates, now=arrival,
+        counts = self._submitted
+        for view, tally in self._routes:
+            view.in_flight = tally.in_flight
+            view.submitted = counts[view.index]
+        slot = self._routing.select(self._candidates, now=arrival,
                                     session_key=session_id)
         entry = self._active.get(slot)
         if entry is None:

@@ -3,8 +3,9 @@
 Everything the DES measures lives here: the per-request lifecycle
 (:class:`RequestRecord`), latency targets (:class:`SLOTarget`), the
 run artifact (:class:`ServingReport`), and the
-:class:`MetricsAccumulator` that builds it **incrementally** -- each
-completion is folded in as it happens, so a live front-end can snapshot
+:class:`MetricsAccumulator` that builds it **incrementally** -- a
+completion is recorded as it happens and folded in, once and in
+completion order, by the next read, so a live front-end can snapshot
 running statistics mid-flight (:class:`LiveSnapshot`) while a batch
 replay still gets the exact aggregates the pre-refactor simulator
 computed after the fact. A fleet replica keeps a counter-only
@@ -524,21 +525,26 @@ class LiveSnapshot:
 
 class _RunningSums:
     """The feed both metrics sinks share: the records in submission
-    order, the earliest arrival and the TTFT/TPOT running sums behind
-    :meth:`snapshot`.
+    order, the completions in completion order, the earliest arrival
+    and the TTFT/TPOT running sums behind :meth:`snapshot`.
 
-    Sums are added in completion order by :meth:`_fold_latencies`, so
-    a :class:`ReplicaTally` and a :class:`MetricsAccumulator` fed the
-    same completions give bit-identical snapshots. Subclasses supply
-    ``completed``.
+    :meth:`finish` only records a completion. A read first folds the
+    completions recorded since the last one (:meth:`_fold`), each
+    through :meth:`_fold_record` and in completion order, so every sum
+    is bit-identical to an eager fold's and each completion is folded
+    once. A :class:`ReplicaTally` and a :class:`MetricsAccumulator`
+    fed the same completions give bit-identical snapshots.
     """
 
-    __slots__ = ("_schema", "_records", "_first_arrival", "_ttft_sum",
-                 "_ttft_count", "_tpot_sum")
+    __slots__ = ("_schema", "_records", "_done", "_folded",
+                 "_first_arrival", "_ttft_sum", "_ttft_count",
+                 "_tpot_sum")
 
     def __init__(self, schema: "RAGSchema") -> None:
         self._schema = schema
         self._records: List[RequestRecord] = []
+        self._done: List[RequestRecord] = []  # completion order
+        self._folded = 0  # completions folded so far
         self._first_arrival: Optional[float] = None
         self._ttft_sum = 0.0
         self._ttft_count = 0
@@ -556,6 +562,28 @@ class _RunningSums:
         if self._first_arrival is None \
                 or record.arrival < self._first_arrival:
             self._first_arrival = record.arrival
+
+    def finish(self, record: RequestRecord) -> None:
+        """Record one completed request (its completion time set; the
+        engine seals it first, so nothing it reports can change before
+        the next read folds it)."""
+        self._done.append(record)
+
+    def _fold(self) -> None:
+        """Fold the completions recorded since the last fold, in
+        completion order."""
+        done = self._done
+        end = len(done)
+        if self._folded < end:
+            fold = self._fold_record
+            for index in range(self._folded, end):
+                fold(done[index])
+            self._folded = end
+
+    def _fold_record(self, record: RequestRecord) -> None:
+        """Fold one completion: its latencies into the running sums."""
+        timings = record._timings
+        self._fold_latencies(record, timings, record.slab - timings.first)
 
     def _fold_latencies(self, record: RequestRecord, timings: _StageTimings,
                         row: int) -> Optional[Tuple[float, float]]:
@@ -582,16 +610,21 @@ class _RunningSums:
         return len(self._records)
 
     @property
+    def completed(self) -> int:
+        """Requests finished so far."""
+        return len(self._done)
+
+    @property
     def records(self) -> Tuple[RequestRecord, ...]:
         """All registered records, in submission order (a snapshot:
         the sink's own list is never handed out)."""
         return tuple(self._records)
 
     def snapshot(self, now: float) -> LiveSnapshot:
-        """Running statistics at simulated time ``now`` (O(1); amortized
-        O(1) for a :class:`ReplicaTally`, which folds its latest
-        completions first)."""
-        offered, completed = self.offered, self.completed
+        """Running statistics at simulated time ``now`` (amortized
+        O(1): the completions since the last read are folded first)."""
+        self._fold()
+        offered, completed = len(self._records), len(self._done)
         elapsed = 0.0
         if self._first_arrival is not None:
             elapsed = max(now - self._first_arrival, 0.0)
@@ -640,14 +673,16 @@ class MetricsAccumulator(_RunningSums):
     """Folds request lifecycles into serving statistics incrementally.
 
     The engine calls :meth:`add` at submission and :meth:`finish` at
-    completion; between those calls the accumulator can answer
-    :meth:`snapshot` from running sums alone. :meth:`report`
-    reproduces -- value for value -- the aggregates the pre-refactor
-    batch simulator computed, so an open-loop replay through the engine
-    stays bit-identical.
+    completion. :meth:`finish` only appends the record; :meth:`snapshot`,
+    :meth:`tier_counts` and :meth:`report` first fold the completions
+    recorded since the last read, once each and in completion order,
+    so a run that is read only at its end folds every completion in
+    one pass. :meth:`report` reproduces -- value for value -- the
+    aggregates the pre-refactor batch simulator computed, so an
+    open-loop replay through the engine stays bit-identical.
 
     Internally the report is built from **incremental
-    reservoirs** fed at :meth:`finish` -- parallel ``array('d')``
+    reservoirs** fed by the fold -- parallel ``array('d')``
     columns of TTFT and TPOT (one pair overall and one per tier) and
     one column of waits per stage, all in completion order -- rather
     than by re-walking every record's stage maps at report time. No
@@ -658,7 +693,6 @@ class MetricsAccumulator(_RunningSums):
 
     def __init__(self, schema: "RAGSchema") -> None:
         super().__init__(schema)
-        self._completed = 0
         self._last_completion = 0.0
         self._utilization_fn = None
         # TTFT and TPOT of each completed-with-first-token request,
@@ -697,15 +731,10 @@ class MetricsAccumulator(_RunningSums):
         if tier is not None:
             self._tier_offered[tier] = self._tier_offered.get(tier, 0) + 1
 
-    def finish(self, record: RequestRecord) -> None:
-        """Fold in one completed request (completion_time set).
-
-        The record's latency and queue-wait values are captured into
-        the reservoirs here (the waits straight from its timing row);
-        the engine seals the record first, so nothing can change them
-        afterwards.
-        """
-        self._completed += 1
+    def _fold_record(self, record: RequestRecord) -> None:
+        """Fold one completed request into the reservoirs: its latency
+        and queue-wait values (the waits straight from its timing
+        row)."""
         timings = record._timings
         row = record.slab - timings.first
         completion = timings.completion[row]
@@ -753,14 +782,10 @@ class MetricsAccumulator(_RunningSums):
 
     # -- introspection -------------------------------------------------
 
-    @property
-    def completed(self) -> int:
-        """Requests finished so far."""
-        return self._completed
-
     def tier_counts(self) -> Dict[str, Dict[str, int]]:
         """Per-tier offered/completed counts so far, sorted by tier
         name (empty when the workload carries no identity)."""
+        self._fold()
         return {tier: {"offered": self._tier_offered.get(tier, 0),
                        "completed": self._tier_completed.get(tier, 0)}
                 for tier in sorted(self._tier_offered)}
@@ -782,13 +807,14 @@ class MetricsAccumulator(_RunningSums):
             ConfigError: when zero requests finished -- a degenerate run
                 must surface as a configuration error, not bad math.
         """
+        self._fold()
         # The columns hold exactly the completed-with-first-token
         # requests.
         if not self._ttfts:
             raise ConfigError(
                 "zero requests finished the replay; raise the horizon or "
                 "lower the offered load before asking for a report")
-        # finish() maintains the running max(completion) and add() the
+        # The fold maintains the running max(completion) and add() the
         # running min(arrival); completions exist here, so neither is
         # stale.
         duration = max(self._last_completion - self._first_arrival, 1e-12)
@@ -823,12 +849,13 @@ class MetricsAccumulator(_RunningSums):
                 "p95_wait": _interpolated_percentile(waits, 0.95),
                 "max_wait": waits[-1],
             }
+        completed = len(self._done)
         return ServingReport(
             scenario=trace.scenario,
             offered=len(self._records),
-            completed=self._completed,
+            completed=completed,
             duration=duration,
-            throughput=self._completed / duration,
+            throughput=completed / duration,
             slo=slo,
             slo_attainment=attainment,
             ttft=_latency_summary(ttfts),
@@ -883,12 +910,10 @@ class ReplicaTally(_RunningSums):
     its own :class:`MetricsAccumulator`, so its replicas keep no second
     copy of the reservoirs, tier/user maps or wait lists. A tally takes
     the same :meth:`add` / :meth:`finish` feed and keeps the replica's
-    records, its completions in order and an ``in_flight`` int (the
-    fleet's routing reads it on every arrival). Only :meth:`snapshot`
-    reads the TTFT/TPOT running sums, so :meth:`finish` leaves them
-    alone and :meth:`snapshot` first folds the completions recorded
-    since the last one, in completion order: the sums are bit-identical
-    to an eager fold's, and each completion is folded once.
+    records, its completions in order (both in :class:`_RunningSums`,
+    whose :meth:`snapshot` folds only the TTFT/TPOT sums) and an
+    ``in_flight`` int, which the fleet's routing reads on every
+    arrival.
 
     :meth:`report` and :meth:`tier_counts` replay that feed --
     submissions, then completions in the order they happened -- into a
@@ -896,12 +921,10 @@ class ReplicaTally(_RunningSums):
     what a full accumulator on the replica would have built.
     """
 
-    __slots__ = ("_done", "_folded", "in_flight")
+    __slots__ = ("in_flight",)
 
     def __init__(self, schema: "RAGSchema") -> None:
         super().__init__(schema)
-        self._done: List[RequestRecord] = []  # completion order
-        self._folded = 0  # completions folded into the running sums
         self.in_flight = 0
 
     def add(self, record: RequestRecord) -> None:
@@ -910,25 +933,9 @@ class ReplicaTally(_RunningSums):
         self.in_flight += 1
 
     def finish(self, record: RequestRecord) -> None:
-        """Count one completed request (its latencies are folded by the
-        next :meth:`snapshot`)."""
+        """Record one completed request."""
         self._done.append(record)
         self.in_flight -= 1
-
-    def snapshot(self, now: float) -> LiveSnapshot:
-        """See :meth:`_RunningSums.snapshot`."""
-        done = self._done
-        for record in done[self._folded:]:
-            timings = record._timings
-            self._fold_latencies(record, timings,
-                                 record.slab - timings.first)
-        self._folded = len(done)
-        return super().snapshot(now)
-
-    @property
-    def completed(self) -> int:
-        """Requests finished so far."""
-        return len(self._done)
 
     def accumulator(self) -> MetricsAccumulator:
         """A full accumulator over the records so far: every record

@@ -12,7 +12,12 @@ Policies are pure functions of the candidate replicas' observable
 state (:class:`ReplicaView`): in-flight depth, how many requests the
 slot has ever been routed, and an analytical-QPS weight. The fleet
 owns the counters, so the static policies are stateless and one
-instance can serve many fleets.
+instance can serve many fleets. The views are **live**: the fleet
+keeps one per active slot and refreshes it in place before each
+decision, so a view is valid only during the :meth:`RoutingPolicy.select`
+call it is handed to. A policy that keeps state across calls copies
+the values it needs (as the power-of-two-choices depth snapshot does),
+never the views.
 
 Variants:
 
@@ -55,6 +60,7 @@ pins this).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, Optional, Sequence, Union
 
 from repro.errors import ConfigError, lookup
@@ -74,9 +80,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReplicaView:
     """What a routing policy may observe about one candidate replica.
+
+    A fleet keeps one view per active slot and refreshes ``in_flight``
+    and ``submitted`` in place on every arrival, so a view handed to
+    :meth:`RoutingPolicy.select` is valid only during that call: a
+    policy copies what it keeps.
 
     Attributes:
         index: The replica's fleet slot.
@@ -93,6 +104,17 @@ class ReplicaView:
     in_flight: int
     submitted: int
     weight: float = 1.0
+
+
+#: Candidate sort keys (C-level, so a decision allocates no key
+#: function): least-submitted, and least-loaded with the
+#: fewest-ever-submitted and slot-order tie-breaks.
+_BY_SUBMITTED = attrgetter("submitted", "index")
+_BY_LOAD = attrgetter("in_flight", "submitted", "index")
+
+
+def _weighted_key(view: ReplicaView) -> tuple:
+    return ((view.submitted + 1) / view.weight, view.index)
 
 
 @dataclass(frozen=True)
@@ -116,6 +138,9 @@ class RoutingPolicy:
 
         Args:
             replicas: Views of every routable replica, slot order.
+                They are live (refreshed in place by the fleet), so
+                they are valid only during this call; copy any value
+                kept for a later decision.
             now: Simulated time of the routing decision; only the
                 staleness-aware policies read it.
             session_key: Sticky-routing key of the arrival (its
@@ -152,7 +177,7 @@ class RoundRobinRouting(RoutingPolicy):
                now: float = 0.0, *,
                session_key: Optional[str] = None) -> int:
         self._require(replicas)
-        return min(replicas, key=lambda r: (r.submitted, r.index)).index
+        return min(replicas, key=_BY_SUBMITTED).index
 
 
 @dataclass(frozen=True)
@@ -169,8 +194,7 @@ class LeastInFlightRouting(RoutingPolicy):
                now: float = 0.0, *,
                session_key: Optional[str] = None) -> int:
         self._require(replicas)
-        return min(replicas,
-                   key=lambda r: (r.in_flight, r.submitted, r.index)).index
+        return min(replicas, key=_BY_LOAD).index
 
 
 @dataclass(frozen=True)
@@ -193,9 +217,7 @@ class WeightedQPSRouting(RoutingPolicy):
                 raise ConfigError(
                     f"replica {view.index} has non-positive routing "
                     f"weight {view.weight}")
-        return min(replicas,
-                   key=lambda r: ((r.submitted + 1) / r.weight,
-                                  r.index)).index
+        return min(replicas, key=_weighted_key).index
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,10 +295,15 @@ class PowerOfTwoChoicesRouting(RoutingPolicy):
         # The views arrive in slot order, so sampled positions are
         # slot ranks.
         i, j = rng.sample_pair(len(replicas))
-        return min(replicas[i], replicas[j],
-                   key=lambda r: (r.in_flight if depths is None
-                                  else depths[r.index],
-                                  r.submitted, r.index)).index
+        first, second = replicas[i], replicas[j]
+        if depths is None:
+            return min(first, second, key=_BY_LOAD).index
+        # min()'s tie rule: the second candidate wins only when
+        # strictly smaller.
+        if (depths[second.index], second.submitted, second.index) \
+                < (depths[first.index], first.submitted, first.index):
+            return second.index
+        return first.index
 
 
 @dataclass(frozen=True)
@@ -301,8 +328,7 @@ class JoinIdleQueueRouting(RoutingPolicy):
         self._require(replicas)
         idle = [view for view in replicas if view.in_flight == 0]
         candidates = idle or replicas
-        return min(candidates,
-                   key=lambda r: (r.in_flight, r.submitted, r.index)).index
+        return min(candidates, key=_BY_LOAD).index
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,8 +362,7 @@ class SessionAffineRouting(RoutingPolicy):
                session_key: Optional[str] = None) -> int:
         self._require(replicas)
         if session_key is None:
-            return min(replicas, key=lambda r: (r.in_flight, r.submitted,
-                                                r.index)).index
+            return min(replicas, key=_BY_LOAD).index
         sticky = self._state.get("sticky")
         if sticky is None:
             sticky = {}
@@ -347,8 +372,7 @@ class SessionAffineRouting(RoutingPolicy):
             for view in replicas:
                 if view.index == pinned:
                     return pinned
-        choice = min(replicas, key=lambda r: (r.in_flight, r.submitted,
-                                              r.index)).index
+        choice = min(replicas, key=_BY_LOAD).index
         sticky[session_key] = choice
         return choice
 

@@ -519,8 +519,10 @@ def test_decode_skip_ahead_matches_per_step_reference(requests, admission,
 
 
 def _accumulator_over(schema, records, finish_order):
-    """A full accumulator: ``records`` added in order, then the ones in
-    ``finish_order`` finished in that order."""
+    """An eager oracle: a full accumulator with ``records`` added in
+    order, then the ones in ``finish_order`` finished in that order,
+    each folded into the reservoirs as it finishes (an accumulator
+    itself folds lazily, at its next read)."""
     from repro.sim.metrics import MetricsAccumulator
 
     accumulator = MetricsAccumulator(schema)
@@ -528,6 +530,7 @@ def _accumulator_over(schema, records, finish_order):
         accumulator.add(record)
     for record in finish_order:
         accumulator.finish(record)
+        accumulator._fold()
     return accumulator
 
 
@@ -636,6 +639,39 @@ def test_fleet_replica_artifacts_equal_full_accumulator_fold(
     assert fleet.snapshot() == merged.snapshot(fleet.now)
 
 
+@settings(deadline=None, max_examples=30)
+@given(trace=_identity_traces(),
+       admission=st.sampled_from([None, "priority"]))
+def test_engine_reads_mid_run_equal_an_eager_fold(trace, admission):
+    """A standalone engine's accumulator folds its completions at the
+    next read, not as they finish: snapshot, tier_counts and report
+    taken at several horizons (one read by nothing, so a fold spans
+    two steps) equal an oracle that folded each completion as it
+    finished."""
+    from repro.sim import ServingEngine, SLOTarget, submit_trace
+
+    pm, schedule = _decode_network("plain")
+    engine = ServingEngine(pm, schedule, admission=admission)
+    done = []
+    engine.add_listener(done.append)
+    submit_trace(engine, trace)
+    slo = SLOTarget(ttft=0.05, tpot=0.002)
+    for horizon in (0.1, 0.2, 0.3, 0.45, None):
+        if horizon is None:
+            engine.drain()
+        else:
+            engine.step(horizon)
+        if horizon == 0.2:
+            continue
+        oracle = _accumulator_over(pm.schema, engine.records, done)
+        assert engine.snapshot() == oracle.snapshot(engine.now)
+        assert engine.tier_counts() == oracle.tier_counts()
+        if done:
+            assert engine.report(trace, slo=slo) == oracle.report(
+                trace, slo, engine.busy_times())
+    assert len(done) == engine.completed == len(trace.arrivals)
+
+
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 2**16), replicas=st.integers(1, 4),
        routing=st.sampled_from([None, "round-robin", "least-in-flight",
@@ -717,6 +753,88 @@ def test_power_of_two_choices_equal_the_old_selection(seed, stale_after,
         now = 0.01 * step
         assert policy.select(views, now=now) == _old_power_of_two_select(
             rng, views, twin._snapshot(views, now))
+
+
+#: Every registered routing policy, plus power-of-two-choices on stale
+#: queue depths.
+_PARITY_POLICIES = ("round-robin", "least-in-flight", "weighted-qps",
+                    "power-of-two-choices", "power-of-two-choices-stale",
+                    "join-idle-queue", "session-affine")
+
+
+def _parity_policy(name):
+    from repro.sim.routing import ROUTING_POLICIES, PowerOfTwoChoicesRouting
+
+    if name == "power-of-two-choices-stale":
+        return PowerOfTwoChoicesRouting(seed=7, stale_after=0.01)
+    return ROUTING_POLICIES[name]()
+
+
+def _routed_generations(fleet_class, name, rows, alternate):
+    """Drive a 2-replica fleet through ``rows`` (arrival, decode length,
+    session, membership op) and answer, per request in submission
+    order, the engine generation it was routed to."""
+    pm, schedule = _decode_network("plain")
+    fleet = fleet_class(pm, schedule, replicas=2,
+                        routing=_parity_policy(name))
+    for arrival, length, session, op in rows:
+        fleet.step(arrival)
+        if op == "add":
+            fleet.add_replica(alternate)
+        elif op == "remove" and fleet.replicas > 1:
+            fleet.remove_replica()
+        elif op is not None and op.startswith("swap"):
+            slots = fleet.active_slots
+            fleet.swap_replica(slots[int(op[4:]) % len(slots)], alternate)
+        fleet.submit(arrival, decode_len=length, session_id=session)
+    fleet.drain()
+    generation = {id(record): index
+                  for index, engine in enumerate(fleet.engines)
+                  for record in engine.records}
+    return [generation[id(record)] for record in fleet.records]
+
+
+@st.composite
+def _membership_traces(draw):
+    count = draw(st.integers(1, 40))
+    arrivals = sorted(draw(st.lists(st.floats(0.0, 0.4, allow_nan=False),
+                                    min_size=count, max_size=count)))
+    return [(arrival, draw(st.integers(1, 64)),
+             draw(st.sampled_from([None, "s0", "s1", "s2"])),
+             draw(st.sampled_from([None, None, None, "add", "remove",
+                                   "swap0", "swap1"])))
+            for arrival in arrivals]
+
+
+@settings(deadline=None, max_examples=60)
+@given(name=st.sampled_from(_PARITY_POLICIES), rows=_membership_traces())
+def test_live_routing_views_route_like_fresh_views(name, rows):
+    """A fleet refreshes one live ReplicaView per active slot in place;
+    every arrival lands on the slot a reference fleet picks from fresh
+    views of ``(tally.in_flight, submitted, weight)`` built per
+    arrival, through adds, removes and swaps mid-trace (the swapped-in
+    and added engines run a schedule of another weight)."""
+    from repro.pipeline import PlacementGroup, Schedule
+    from repro.sim.fleet import FleetEngine
+    from repro.sim.routing import ReplicaView, ROUTING_POLICIES
+
+    class FreshViewFleet(FleetEngine):
+        def submit(self, arrival, decode_len=None, **identity):
+            self._routes = []  # nothing is refreshed in place
+            self._candidates = [
+                ReplicaView(index=slot, in_flight=entry.tally.in_flight,
+                            submitted=self._submitted[slot],
+                            weight=entry.weight)
+                for slot, entry in sorted(self._active.items())]
+            return super().submit(arrival, decode_len, **identity)
+
+    assert set(ROUTING_POLICIES) <= set(_PARITY_POLICIES)
+    alternate = Schedule(
+        groups=(PlacementGroup((Stage.PREFIX,), 8),
+                PlacementGroup((Stage.DECODE,), 8)),
+        batches={Stage.PREFIX: 4, Stage.DECODE: 4, Stage.RETRIEVAL: 8})
+    assert _routed_generations(FleetEngine, name, rows, alternate) \
+        == _routed_generations(FreshViewFleet, name, rows, alternate)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ trough-provisioned SLO attainment on fewer replica-seconds than the
 peak-provisioned fleet, losing zero requests across scale events).
 """
 
+import itertools
+
 import pytest
 
 from repro.errors import ConfigError
@@ -24,6 +26,7 @@ from repro.sim import (
     QueueDepthPolicy,
     ReplicaView,
     SLOAttainmentPolicy,
+    RequestRecord,
     SLOTarget,
     TargetUtilizationPolicy,
     autoscale_spec,
@@ -525,3 +528,54 @@ def test_resized_fleet_utilization_uses_time_weighted_average(network):
         # ballpark, not triple toward the 1.0 clamp.
         assert value <= min(3.0 * static.utilization[name], 1.0)
         assert value < 1.0 or static.utilization[name] >= 0.9
+
+
+_SLO_SHAPES = {"none": SLOTarget(), "ttft": SLOTarget(ttft=0.5),
+               "tpot": SLOTarget(tpot=0.125),
+               "both": SLOTarget(ttft=0.5, tpot=0.125)}
+
+
+def _finished_record(index, first_token, tpot, decode_len):
+    """A sealed completion arriving at 0.25; ``first_token=None`` is a
+    request that never produced a token. The times are dyadic, so a
+    first token at 0.75 and a 0.125 s TPOT meet their targets
+    exactly."""
+    start = 1.0 if first_token is None else first_token
+    record = RequestRecord(request_id=index, arrival=0.25,
+                           decode_len=decode_len)
+    record._hold_stage_times({}, {}, {}, first_token,
+                             start + tpot * max(decode_len, 1))
+    record.seal()
+    return record
+
+
+@pytest.mark.parametrize("shape", sorted(_SLO_SHAPES))
+def test_autoscaler_window_counts_the_joint_slo_verdict(network, shape):
+    """The autoscaler decides each completion's joint SLO verdict
+    inline; its window count equals SLOTarget.check's, over a real
+    fleet's completions and over synthetic ones on and around the
+    targets, including a request with no first token."""
+    slo = _SLO_SHAPES[shape]
+    pm, schedule = network
+    fleet = FleetEngine(pm, schedule, replicas=2)
+    autoscaler = Autoscaler(fleet, AutoscaleConfig(), slo=slo)
+    done = []
+    fleet.add_listener(done.append)
+    trace = poisson_trace(200, 1.0, seed=5, mean_decode_len=64)
+    for arrival, decode_len in zip(trace.arrivals, trace.decode_lens):
+        fleet.submit(arrival, decode_len=decode_len)
+    fleet.drain()
+    synthetic = [
+        _finished_record(index, first_token, tpot, decode_len)
+        for index, (first_token, tpot, decode_len) in enumerate(
+            itertools.product((None, 0.5, 0.75, 1.0), (0.0625, 0.125, 0.25),
+                              (0, 1, 8)))]
+    for record in synthetic:
+        autoscaler._on_complete(record)
+    records = done + synthetic
+    view = autoscaler._view(fleet.now)
+    assert view.window_completions == len(records)
+    assert view.window_slo_met == sum(
+        slo.check(record)["joint"] is not False for record in records)
+    if shape != "none":
+        assert 0 < view.window_slo_met < len(records)

@@ -213,6 +213,45 @@ def test_whatif_cells_free_their_fleets(planning):
     assert left == []
 
 
+def test_whatif_cells_leave_no_fleet_alive_and_nothing_frozen(
+        planning, monkeypatch):
+    """Each cell freezes the heap it starts with and unfreezes it after
+    its collection: once a serial grid with an error cell returns, no
+    cell's FleetEngine is alive and nothing is left frozen."""
+    import gc
+    import weakref
+
+    from repro.sim.fleet import FleetEngine
+
+    fleets = []
+    construct = FleetEngine.__init__
+
+    def tracked(self, *args, **kwargs):
+        fleets.append(weakref.ref(self))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(FleetEngine, "__init__", tracked)
+    session, schedules, trace, slo = planning
+    grid = WhatIfGrid(schedules=schedules[:1], replicas=(1, 2),
+                      routing=(None, "bogus"),
+                      autoscale=(None, "policy=queue-depth,min=1,max=3"))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_whatif(session.schema, session.cluster, trace, grid,
+                            slo, backend="serial")
+        alive = [ref for ref in fleets if ref() is not None]
+        frozen = gc.get_freeze_count()
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(result.ok_cells) == 3 and len(result.errors) == 3
+    assert len(fleets) == grid.num_cells
+    assert alive == []
+    assert frozen == 0
+
+
 # ---------------------------------------------------------------------------
 # the content-keyed cell cache
 # ---------------------------------------------------------------------------
