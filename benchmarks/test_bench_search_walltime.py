@@ -9,13 +9,15 @@ search rewrite that stops reusing points) fails loudly instead of just
 getting slower. It also guards the running Pareto staircase: nearly
 every plan's corner is already dominated, so its options are never
 offered and no placement groups are built for it. And it counts the
-serial merges, which reusing each allocation prefix keeps to about
-two per plan.
+work behind each plan: a covered plan's options are counted, never
+merged, so serial merges run on allocation prefixes and uncovered
+plans alone, and each prefill operator list is built once.
 """
 
 import time
 
 from repro.hardware.cluster import ClusterSpec
+from repro.inference import prefill as prefill_module
 from repro.pipeline.assembly import PlacementGroup
 from repro.pipeline.stage_perf import RAGPerfModel
 from repro.rago import search as search_module
@@ -50,7 +52,8 @@ def test_bench_search_walltime_case_iv_70b(benchmark):
 
 def test_bench_search_walltime_case_iv_70b_64_servers(benchmark):
     """Time the Case IV 70B search on 64 servers (~40k plans). Timing
-    only: no wall-clock bound."""
+    only: no wall-clock bound; its plan and candidate counts are
+    pinned."""
     cluster = ClusterSpec(num_servers=64)
 
     def run():
@@ -59,6 +62,7 @@ def test_bench_search_walltime_case_iv_70b_64_servers(benchmark):
 
     result = benchmark.pedantic(run, iterations=1, rounds=3)
     assert result.frontier
+    assert (result.num_plans, result.num_candidates) == (39_881, 226_721)
 
 
 def test_search_skips_dominated_plans(monkeypatch):
@@ -93,10 +97,12 @@ def test_search_skips_dominated_plans(monkeypatch):
 
 
 def test_search_reuses_allocation_prefixes(monkeypatch):
-    """Guard: on Case IV 70B, the search runs at most 19,222 serial
-    merges (the count when written). Consecutive plans share their
-    allocation prefix's merged options, so a rewrite that drops that
-    reuse fails here as a count, not as a slower run."""
+    """Guard: on Case IV 70B, the search runs at most 2,200 serial
+    merges (2,162 when written; 19,222 before covered plans were
+    counted instead of merged). Consecutive plans share their
+    allocation prefix's merged options, and a plan whose corner the
+    staircase covers merges nothing, so a rewrite that drops either
+    fails here as a count, not as a slower run."""
     merges = 0
     serial_merge = search_module._serial_merge
 
@@ -110,7 +116,30 @@ def test_search_reuses_allocation_prefixes(monkeypatch):
         RAGPerfModel(case_iv_rewriter_reranker("70B"), _CLUSTER))
     print(f"\nplans={result.num_plans} serial-merges={merges}")
     assert result.frontier
-    assert merges <= 19_222
+    assert merges <= 2_200
+
+
+def test_search_builds_each_operator_list_once(monkeypatch):
+    """Guard: on the bench ``search`` argv (Case IV 70B, 16 servers),
+    the search builds at most 28 prefill operator lists (480 before
+    the per-model memo), and its plan, candidate and frontier counts
+    stay pinned."""
+    builds = 0
+    prefill_operators = prefill_module.prefill_operators
+
+    def counting_operators(*args):
+        nonlocal builds
+        builds += 1
+        return prefill_operators(*args)
+
+    monkeypatch.setattr(prefill_module, "prefill_operators",
+                        counting_operators)
+    result = search_schedules(
+        RAGPerfModel(case_iv_rewriter_reranker("70B"), _CLUSTER))
+    print(f"\nprefill-operator-lists={builds}")
+    assert builds <= 28
+    assert (result.num_plans, result.num_candidates,
+            len(result.frontier)) == (9_319, 55_726, 132)
 
 
 def test_search_reuses_stage_evaluations():

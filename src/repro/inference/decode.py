@@ -10,13 +10,13 @@ steady-state throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.errors import CapacityError, ConfigError
 from repro.hardware.accelerator import XPUSpec
 from repro.inference.memory import MemoryModel
 from repro.inference.parallelism import ShardingPlan, operators_latency
-from repro.models.operators import decode_step_operators
+from repro.models.operators import Operator, decode_step_operators
 from repro.models.transformer import TransformerConfig
 
 
@@ -54,6 +54,9 @@ class DecodeModel:
                  memory: Optional[MemoryModel] = None) -> None:
         self._xpu = xpu
         self._memory = memory or MemoryModel()
+        # Operator lists per (model, batch, context length).
+        self._operators: Dict[Tuple[TransformerConfig, int, float],
+                              Tuple[Operator, ...]] = {}
 
     @property
     def xpu(self) -> XPUSpec:
@@ -63,10 +66,13 @@ class DecodeModel:
     def step_latency(self, model: TransformerConfig, plan: ShardingPlan,
                      batch: int, context_len: float) -> float:
         """Latency of one decode step at a given context length."""
-        operators = decode_step_operators(
-            model, batch, context_len,
-            kv_bytes_per_element=self._memory.kv_bytes_per_element,
-        )
+        key = (model, batch, context_len)
+        operators = self._operators.get(key)
+        if operators is None:
+            operators = self._operators[key] = tuple(decode_step_operators(
+                model, batch, context_len,
+                kv_bytes_per_element=self._memory.kv_bytes_per_element,
+            ))
         activation_payload = batch * model.d_model * model.activation_bytes
         return operators_latency(
             operators,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CapacityError, ConfigError
 from repro.hardware.accelerator import XPUSpec
@@ -36,7 +36,7 @@ from repro.inference.parallelism import (
     enumerate_plans,
     operators_latency,
 )
-from repro.models.operators import prefill_operators
+from repro.models.operators import Operator, prefill_operators
 from repro.models.transformer import TransformerConfig
 
 
@@ -67,6 +67,10 @@ class PrefillModel:
                  memory: Optional[MemoryModel] = None) -> None:
         self._xpu = xpu
         self._memory = memory or MemoryModel()
+        # Operator lists per (model, micro-batch, prompt length): sharding
+        # plans and batch sizes share micro-batch sizes.
+        self._operators: Dict[Tuple[TransformerConfig, int, int],
+                              Tuple[Operator, ...]] = {}
 
     @property
     def xpu(self) -> XPUSpec:
@@ -84,7 +88,11 @@ class PrefillModel:
         pp = plan.pipeline_parallel
         microbatch = math.ceil(batch / pp)
         in_flight = math.ceil(batch / microbatch)
-        operators = prefill_operators(model, microbatch, seq_len)
+        key = (model, microbatch, seq_len)
+        operators = self._operators.get(key)
+        if operators is None:
+            operators = self._operators[key] = tuple(
+                prefill_operators(model, microbatch, seq_len))
         activation_payload = (microbatch * seq_len * model.d_model
                               * model.activation_bytes)
         traverse = operators_latency(

@@ -31,6 +31,11 @@ def enumerate_allocations(group_minimums: Sequence[int],
                           budget: int) -> Iterator[Tuple[int, ...]]:
     """Yield power-of-two chip allocations per group within a budget.
 
+    Allocations come in lexicographic order: each step doubles the last
+    group that can still double (the groups after it back at their
+    floors), so the search's prefix reuse and its staircase's "exact
+    ties keep the first seen" rule see a fixed order.
+
     Args:
         group_minimums: Minimum chips each group needs (model capacity).
         budget: Total XPUs available.
@@ -47,25 +52,29 @@ def enumerate_allocations(group_minimums: Sequence[int],
     if not group_minimums:
         yield ()
         return
-    floors = [power_of_two_options(minimum, budget)[0]
-              if minimum <= budget else budget + 1
-              for minimum in group_minimums]
+    # Each group's floor: its smallest power of two within the budget.
+    floors = []
+    for minimum in group_minimums:
+        options = power_of_two_options(minimum, budget)
+        floors.append(options[0] if options else budget + 1)
     if sum(floors) > budget:
         raise ConfigError(
             f"group minimums {list(group_minimums)} cannot fit in a "
             f"{budget}-XPU budget"
         )
-
-    def recurse(index: int, remaining: int) -> Iterator[Tuple[int, ...]]:
-        floor_rest = sum(floors[index + 1:])
-        options = power_of_two_options(group_minimums[index],
-                                       remaining - floor_rest) \
-            if remaining - floor_rest >= floors[index] else []
-        for chips in options:
-            if index == len(group_minimums) - 1:
-                yield (chips,)
-            else:
-                for tail in recurse(index + 1, remaining - chips):
-                    yield (chips,) + tail
-
-    yield from recurse(0, budget)
+    chips = list(floors)
+    spare = budget - sum(floors)
+    while True:
+        yield tuple(chips)
+        # Doubling group ``index`` costs its chips and frees what the
+        # groups after it hold above their floors.
+        index = len(chips) - 1
+        freed = 0
+        while chips[index] > spare + freed:
+            freed += chips[index] - floors[index]
+            index -= 1
+            if index < 0:
+                return
+        spare += freed - chips[index]
+        chips[index] *= 2
+        chips[index + 1:] = floors[index + 1:]

@@ -31,8 +31,12 @@ choices included, with no bisect, pair list or sort.
 
 Within a placement, allocations come in lexicographic order, so
 consecutive plans share a prefix of (group, chips) choices; the merged
-options of each prefix sit on a stack of one entry per group and are
-reused.
+options of each prefix sit on a stack of one entry per group before the
+last and are reused. Enumerated allocations are unique, so a plan's own
+merges (its last group, then retrieval when retrieval is a tail merge)
+never are. Retrieval servers, their options and the default charge
+depend on the allocation's total alone and are looked up once per
+total.
 
 Candidates never pile up: a running Pareto staircase
 (:class:`_Staircase`) keeps the front of those seen so far. The stable
@@ -42,9 +46,20 @@ it, so exact ties keep the first seen. Every candidate seen is weakly
 dominated by a kept point, so dropping a new point that a kept point
 weakly dominates, and evicting the kept points it dominates, applies
 that rule online and ends with the same points, as the same objects.
-A plan whose corner (smallest TTFT, largest QPS per charge) is covered
-is skipped whole; groups and :class:`Schedule` objects are built for
-the final front alone.
+
+A plan's options are ``serial(serial(P, G), R)``: ``P`` the prefix's
+options, ``G`` the last group's, ``R`` retrieval's on a tail merge. Its
+corner (smallest TTFT, largest QPS per charge) comes in closed form,
+before any of these merges (:func:`_merge_corner`): the walk starts on
+the heads, so the first TTFT is ``(P[0] + G[0]) + R[0]`` in that float
+association, and it ends on the exhausted side's last point, so the
+last QPS is the smallest last QPS. A plan whose corner the staircase
+covers offers nothing; its options are counted by the same walks over
+TTFTs and QPS alone (:func:`_merge_count`), building no option, and
+that count is its share of :attr:`SearchResult.num_candidates`. Only
+an uncovered plan is merged and offered, except that
+``collect_per_plan`` builds every plan's options for its front. Groups
+and :class:`Schedule` objects are built for the final front alone.
 
 The ranked value is QPS per *charge*, a function of a plan's per-group
 chips and retrieval servers. The default charges chips (QPS/chip, the
@@ -74,6 +89,10 @@ _Option = Tuple[float, float, Tuple[Tuple[Stage, int, object], ...]]
 
 #: What a plan costs: ``charge(allocation, retrieval servers)``.
 Charge = Callable[[Tuple[int, ...], int], float]
+
+#: Per allocation total: (retrieval servers, retrieval options, the
+#: default charge or None).
+_TotalLookup = Tuple[int, List[_Option], Optional[float]]
 
 
 @dataclass(frozen=True)
@@ -147,8 +166,9 @@ class SearchResult:
         frontier: Pareto-optimal end-to-end performances (each carries
             its schedule), sorted by ascending TTFT.
         num_plans: Placement x allocation plans evaluated.
-        num_candidates: Batching-policy points surviving plan-level
-            pruning.
+        num_candidates: Batching-policy points on the plans' own Pareto
+            fronts (their merged options), summed over every plan,
+            whether or not the staircase covers it.
         per_plan: Optional per-plan frontiers (when collected).
     """
 
@@ -311,6 +331,91 @@ def _serial_merge(left: List[_Option], right: List[_Option]) -> List[_Option]:
     return merged
 
 
+def _merge_corner(left: List[_Option], right: Optional[List[_Option]] = None,
+                  tail: Optional[List[_Option]] = None) -> Tuple[float, float]:
+    """``(first TTFT, last QPS)`` of ``left`` serially merged with
+    ``right``, then with ``tail``, in closed form.
+
+    The walk pairs the heads first, so the first TTFT is the heads' sum
+    (a tie replaces a point's choices, not its TTFT). It stops when a
+    side runs out, on that side's last point, whose QPS is at most the
+    other side's last; so the last QPS is the smallest last QPS.
+    """
+    ttft, qps = left[0][0], left[-1][1]
+    for operand in (right, tail):
+        if operand is not None:
+            ttft += operand[0][0]
+            last_qps = operand[-1][1]
+            if last_qps < qps:
+                qps = last_qps
+    return ttft, qps
+
+
+#: A neutral merge operand: adding 0.0 keeps every TTFT, and no QPS is
+#: below infinity.
+_NEUTRAL: List[_Option] = [(0.0, math.inf, ())]
+
+
+def _merge_count(left: List[_Option], right: Optional[List[_Option]] = None,
+                 tail: Optional[List[_Option]] = None) -> int:
+    """``len`` of ``left`` serially merged with ``right``, then with
+    ``tail``, counted without building an option or a choice tuple.
+
+    These are :func:`_serial_merge`'s two walks, fused: each pair of the
+    (left, right) walk, in order, runs the (pair, tail) walk until that
+    walk moves past it, and each new TTFT sum counts. A pair whose TTFT
+    ties the one before it is a point the merge would replace; walking
+    the tail from both meets the same sums in the same order, so no
+    replacement is needed.
+    """
+    if right is None:
+        return len(left)
+    if tail is None:
+        tail = _NEUTRAL
+    count = 0
+    last = None  # TTFT of the last point counted
+    i = j = k = 0
+    num_left, num_right, num_tail = len(left), len(right), len(tail)
+    a_ttft, a_qps, _ = left[0]
+    b_ttft, b_qps, _ = right[0]
+    c_ttft, c_qps, _ = tail[0]
+    while True:
+        ttft = a_ttft + b_ttft
+        qps = a_qps if a_qps < b_qps else b_qps
+        while True:  # the (pair, tail) walk
+            total = ttft + c_ttft
+            if total != last:
+                count += 1
+                last = total
+            if c_qps > qps:
+                break
+            k += 1
+            if k == num_tail:
+                return count
+            pair_done = c_qps == qps
+            c_ttft, c_qps, _ = tail[k]
+            if pair_done:
+                break
+        # The (left, right) walk: advance the lower QPS, both on a tie.
+        if a_qps < b_qps:
+            i += 1
+            if i == num_left:
+                return count
+            a_ttft, a_qps, _ = left[i]
+        elif b_qps < a_qps:
+            j += 1
+            if j == num_right:
+                return count
+            b_ttft, b_qps, _ = right[j]
+        else:
+            i += 1
+            j += 1
+            if i == num_left or j == num_right:
+                return count
+            a_ttft, a_qps, _ = left[i]
+            b_ttft, b_qps, _ = right[j]
+
+
 def _harmonic_merge(left: List[_Option],
                     right: List[_Option]) -> List[_Option]:
     """Compose two time-multiplexed segments: TTFT adds, QPS composes
@@ -343,9 +448,13 @@ def search_schedules(perf_model: RAGPerfModel,
     config = config or SearchConfig()
     schema = perf_model.schema
     cluster = perf_model.cluster
+    charge_total: Optional[Callable[[int, int], float]] = None
     if charge is None:
+        def charge_total(total: int, servers: int) -> float:
+            return max(total, servers * cluster.xpus_per_server)
+
         def charge(allocation: Tuple[int, ...], servers: int) -> float:
-            return max(sum(allocation), servers * cluster.xpus_per_server)
+            return charge_total(sum(allocation), servers)
     budget = config.budget_xpus or cluster.total_xpus
     if budget > cluster.total_xpus:
         raise ConfigError(
@@ -369,6 +478,25 @@ def search_schedules(perf_model: RAGPerfModel,
     group_options = profiler.group_options
     retrieval_floor = (perf_model.min_resource(Stage.RETRIEVAL)
                        if has_retrieval else 0)
+
+    def total_lookup(total: int) -> Optional[_TotalLookup]:
+        """Retrieval servers and options of the plans allocating
+        ``total`` chips, and the default charge (which depends on the
+        total alone); None when such plans cannot run."""
+        servers = 0
+        retrieval_opts: List[_Option] = []
+        if has_retrieval:
+            servers = max(retrieval_floor, cluster.servers_for_xpus(total))
+            if servers > num_servers:
+                return None
+            retrieval_opts = stage_options(Stage.RETRIEVAL, servers)
+            if not retrieval_opts:
+                return None
+        return (servers, retrieval_opts,
+                charge_total(total, servers) if charge_total else None)
+
+    # One lookup per allocation total within the search.
+    by_total: Dict[int, Optional[_TotalLookup]] = {}
 
     for placement in placements:
         group_minimums = []
@@ -401,23 +529,24 @@ def search_schedules(perf_model: RAGPerfModel,
             (index for index, group in enumerate(placement)
              if len(group) > 1 and spans_retrieval(group, schema)),
             None)
+        last = len(placement) - 1
+        tail_merge = has_retrieval and spanning_index is None
         checked = False
         # Merged options of the last plan's allocation prefix, one entry
-        # per group: ((chips, servers if the group spans retrieval),
-        # options through that group).
+        # per group before the last: ((chips, servers if the group spans
+        # retrieval), options through that group). Enumerated
+        # allocations are unique, so the last group's merge is never
+        # reused.
         prefix: List[Tuple[Tuple[int, Optional[int]], List[_Option]]] = []
         for allocation in allocations:
             num_plans += 1
-            servers = 0
-            retrieval_opts: List[_Option] = []
-            if has_retrieval:
-                servers = max(retrieval_floor,
-                              cluster.servers_for_xpus(sum(allocation)))
-                if servers > num_servers:
-                    continue
-                retrieval_opts = stage_options(Stage.RETRIEVAL, servers)
-                if not retrieval_opts:
-                    continue
+            total = sum(allocation)
+            if total not in by_total:
+                by_total[total] = total_lookup(total)
+            lookup = by_total[total]
+            if lookup is None:
+                continue
+            servers, retrieval_opts, charged = lookup
             shared = 0
             for key, _ in prefix:
                 if key != (allocation[shared], servers
@@ -426,7 +555,8 @@ def search_schedules(perf_model: RAGPerfModel,
                 shared += 1
             del prefix[shared:]
             options = prefix[-1][1] if prefix else None
-            for index in range(shared, len(placement)):
+            group_opts: List[_Option] = []
+            for index in range(shared, last + 1):
                 if options == []:  # an earlier group has no options
                     break
                 group_opts = group_options(placement[index],
@@ -436,20 +566,35 @@ def search_schedules(perf_model: RAGPerfModel,
                     # group's stages -- retrieval joins its cycle.
                     group_opts = _harmonic_merge(group_opts,
                                                  retrieval_opts)
-                options = group_opts if options is None or not group_opts \
-                    else _serial_merge(options, group_opts)
-                prefix.append(((allocation[index], servers
-                                if index == spanning_index else None),
-                               options))
-            if not options:
+                if index < last:
+                    options = group_opts if options is None \
+                        or not group_opts \
+                        else _serial_merge(options, group_opts)
+                    prefix.append(((allocation[index], servers
+                                    if index == spanning_index else None),
+                                   options))
+            if options == [] or not group_opts:
                 continue
-            if has_retrieval and spanning_index is None:
-                options = _serial_merge(options, retrieval_opts)
             if not checked:  # the placement's stage rules, once
                 for group, chips in zip(placement, allocation):
                     PlacementGroup(stages=group, num_xpus=chips)
                 checked = True
-            charged = charge(allocation, servers)
+            # The plan's options: the prefix's, then the last group's,
+            # then (on a tail merge) retrieval's, merged serially.
+            tail_opts = retrieval_opts if tail_merge else None
+            operands = ((group_opts, tail_opts) if options is None
+                        else (options, group_opts, tail_opts))
+            if charged is None:
+                charged = charge(allocation, servers)
+            corner_ttft, corner_qps = _merge_corner(*operands)
+            covered = front.covers(corner_ttft, corner_qps / charged)
+            if covered and not collect_per_plan:
+                num_candidates += _merge_count(*operands)
+                continue
+            options = operands[0]
+            for operand in operands[1:]:
+                if operand is not None:
+                    options = _serial_merge(options, operand)
             num_candidates += len(options)
             if collect_per_plan:
                 points = [(ttft, qps / charged) for ttft, qps, _ in options]
@@ -457,8 +602,7 @@ def search_schedules(perf_model: RAGPerfModel,
                     placement=placement, allocation=allocation,
                     points=tuple(pareto_front(points, cost=lambda p: p[0],
                                               value=lambda p: p[1]))))
-            # Options run from the smallest TTFT to the largest QPS.
-            if front.covers(options[0][0], options[-1][1] / charged):
+            if covered:
                 continue
             retrieval_servers = servers if has_retrieval else None
             for ttft, qps, choices in options:

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference_search import CollectAllFront, reference_serial_merge
+from reference_search import (
+    CollectAllFront,
+    reference_allocations,
+    reference_serial_merge,
+)
+from repro.errors import ConfigError
 from repro.hardware import XPU_C
 from repro.hardware.roofline import all_reduce_time, roofline_time
 from repro.inference import DecodeModel, PrefillModel
@@ -16,7 +21,14 @@ from repro.models import LLAMA3_8B
 from repro.pipeline import microbatch_ttft, simulate_iterative_decode
 from repro.rago import pareto_front
 from repro.rago.pareto import dominates
-from repro.rago.search import _prune, _serial_merge, _Staircase
+from repro.rago.allocation import enumerate_allocations
+from repro.rago.search import (
+    _merge_corner,
+    _merge_count,
+    _prune,
+    _serial_merge,
+    _Staircase,
+)
 from repro.retrieval.scann_model import ScaNNPerfModel
 from repro.hardware.cpu import EPYC_MILAN
 from repro.schema import Stage
@@ -91,6 +103,53 @@ def _merge_front(tag, points):
 def test_serial_merge_equals_cross_product_then_prune(left, right):
     left, right = _merge_front("left", left), _merge_front("right", right)
     assert _serial_merge(left, right) == reference_serial_merge(left, right)
+
+
+_merge_operand = st.lists(st.tuples(_merge_ttfts, _merge_qps), min_size=1,
+                          max_size=40)
+
+
+@settings(max_examples=300)
+# A rounding tie at both levels: 1 + 1e16 == 0 + 1e16 replaces the first
+# walk's point, and 1e16 + 1 == 1e16 + 0 the second walk's.
+@example(left=[(0.0, 1.0), (1.0, 2.0)], right=[(1e16, 3.0)],
+         tail=[(0.0, 1.0), (1.0, 5.0)])
+@example(left=[(0.0, 2.0), (1.0, 5.0)], right=[(0.2, 3.0), (0.3, 5.0)],
+         tail=None)
+@given(left=_merge_operand, right=_merge_operand,
+       tail=st.none() | _merge_operand)
+def test_merge_count_and_corner_match_the_merge(left, right, tail):
+    """The search's count walk and closed-form corner agree with the
+    options the serial merges build, for two and for three operands."""
+    operands = [_merge_front(tag, points) for tag, points
+                in (("left", left), ("right", right), ("tail", tail))
+                if points is not None]
+    merged = functools.reduce(_serial_merge, operands)
+    assert _merge_count(*operands) == len(merged)
+    assert _merge_corner(*operands) == (merged[0][0], merged[-1][1])
+
+
+@settings(max_examples=300)
+@example(group_minimums=[3], budget=3)
+@example(group_minimums=[1, 2, 1], budget=8)
+@given(group_minimums=st.lists(st.integers(1, 40), max_size=5),
+       budget=st.integers(-2, 80))
+def test_allocations_match_the_recursive_reference(group_minimums, budget):
+    """The flat enumerator yields the recursive generator's allocations
+    in its order, and raises its one-line ConfigErrors."""
+    def outcome(enumerate_):
+        try:
+            return list(enumerate_(group_minimums, budget))
+        except ConfigError as error:
+            assert "\n" not in str(error)
+            return str(error)
+
+    try:
+        expected = outcome(reference_allocations)
+    except IndexError:  # a minimum's power of two is over the budget
+        expected = (f"group minimums {group_minimums} cannot fit in a "
+                    f"{budget}-XPU budget")
+    assert outcome(enumerate_allocations) == expected
 
 
 # Plans' option lists from small pools, divided by a per-plan chip

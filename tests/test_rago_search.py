@@ -4,7 +4,11 @@ from dataclasses import replace
 
 import pytest
 
-from reference_search import CollectAllFront, reference_serial_merge
+from reference_search import (
+    CollectAllFront,
+    reference_merge_count,
+    reference_serial_merge,
+)
 from repro.errors import ConfigError, ScheduleError
 from repro.hardware import ClusterSpec
 from repro.pipeline import RAGPerfModel, assemble
@@ -169,15 +173,23 @@ _PARITY_KNOBS = pytest.mark.parametrize("knobs", [
 ], ids=["plain", "per-plan"])
 
 
-def _assert_search_unchanged(schema, config, monkeypatch, name, reference):
-    """A search with ``search_module.<name>`` swapped for ``reference``
-    is equal to the shipped one: frontier schedules, plan and candidate
-    counts, per-plan fronts, and perf-model cache traffic. Returns the
-    shipped search."""
+#: The brute-force merge, and the merge count built on it: a covered
+#: plan's options are counted, never merged, so swapping the merge
+#: alone would leave those plans' candidate counts unchecked.
+_REFERENCE_MERGES = {"_serial_merge": reference_serial_merge,
+                     "_merge_count": reference_merge_count}
+
+
+def _assert_search_unchanged(schema, config, monkeypatch, references):
+    """A search with each ``search_module.<name>`` swapped for its
+    ``references[name]`` is equal to the shipped one: frontier
+    schedules, plan and candidate counts, per-plan fronts, and
+    perf-model cache traffic. Returns the shipped search."""
     cluster = ClusterSpec(num_servers=16)
     shipped_model = RAGPerfModel(schema, cluster)
     shipped = search_schedules(shipped_model, config)
-    monkeypatch.setattr(search_module, name, reference)
+    for name, reference in references.items():
+        monkeypatch.setattr(search_module, name, reference)
     reference_model = RAGPerfModel(schema, cluster)
     assert search_schedules(reference_model, config) == shipped
     assert shipped_model.cache_stats == reference_model.cache_stats
@@ -194,7 +206,7 @@ def test_search_matches_cross_product_merge(schema, knobs, monkeypatch):
     """The shipped merge and the brute-force cross product give equal
     searches."""
     _assert_search_unchanged(schema, _parity_config(knobs), monkeypatch,
-                             "_serial_merge", reference_serial_merge)
+                             _REFERENCE_MERGES)
 
 
 def test_full_granularity_search_matches_cross_product_merge(monkeypatch):
@@ -203,7 +215,7 @@ def test_full_granularity_search_matches_cross_product_merge(monkeypatch):
     its plan, candidate and frontier counts stay pinned."""
     shipped = _assert_search_unchanged(
         case_iv_rewriter_reranker("70B"), SearchConfig(), monkeypatch,
-        "_serial_merge", reference_serial_merge)
+        _REFERENCE_MERGES)
     assert (shipped.num_plans, shipped.num_candidates,
             len(shipped.frontier)) == (9_319, 55_726, 132)
 
@@ -214,7 +226,7 @@ def test_search_matches_collect_all_front(schema, knobs, monkeypatch):
     """The running staircase, plan-corner skips included, and one
     Pareto pass over every candidate give equal searches."""
     _assert_search_unchanged(schema, _parity_config(knobs), monkeypatch,
-                             "_Staircase", CollectAllFront)
+                             {"_Staircase": CollectAllFront})
 
 
 def test_placement_rules_checked_once_per_placement(cluster):
